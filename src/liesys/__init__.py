@@ -39,8 +39,10 @@ from .dynamics import (  # noqa: F401
     Trajectory,
     align_trajectories,
     evaluate_field,
+    fundamental_points,
     fundamental_set,
     integrate,
+    integrate_tuple,
 )
 from .superposition import (  # noqa: F401
     SuperpositionRule,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import expr as ex
 from .algebra import closure_test, matrix_rank, minimal_m, span_coefficients
-from .dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate
+from .dynamics import CoefficientCurve, LieSystem, integrate, integrate_tuple
 from .expr import Chart, Const, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation, is_diagonal_prolongation
 from .group import (
@@ -171,15 +171,15 @@ def _random_quadratic_curve(rng: random.Random) -> CoefficientCurve:
 
 
 def _reconstruction_error(rule, sys, target_start, particular_starts, t_span, tol):
-    """Integrate the tuple, derive k from t=0, reconstruct slot 0, and
-    compare against the direct integration of the target start."""
-    trajectories = [integrate(sys, p, t_span, tol) for p in particular_starts]
-    direct = integrate(sys, target_start, t_span, tol)
-    aligned = align_trajectories([direct] + trajectories)
-    k = derive_k(rule, aligned[0].states[0], [tr.states[0] for tr in aligned[1:]])
-    rebuilt = reconstruct(rule, aligned[1:], k, x0_guess=target_start)
-    error = float(np.max(np.abs(rebuilt.states - aligned[0].states)))
-    drift = verify_along_solutions(rule, sys, aligned)
+    """Integrate the target start with the particular starts as one tuple,
+    derive k from t=0, reconstruct slot 0, and compare against the target's
+    own slot of the tuple."""
+    tuple_ = integrate_tuple(sys, [target_start] + particular_starts, t_span, tol)
+    direct, particular = tuple_[0], tuple_[1:]
+    k = derive_k(rule, direct.states[0], [tr.states[0] for tr in particular])
+    rebuilt = reconstruct(rule, particular, k, x0_guess=target_start)
+    error = float(np.max(np.abs(rebuilt.states - direct.states)))
+    drift = verify_along_solutions(rule, sys, tuple_)
     return error, drift, k
 
 
@@ -551,7 +551,7 @@ def _run_partial_rank1(config: RunConfig):
     checks.append(
         Check("tangency_on_constraint_set", tangency.all_zero, probabilistic=True)
     )
-    trajectories = align_trajectories([integrate(sys, [0.8, -0.5], (0.0, 1.0), config.tol)])
+    trajectories = integrate_tuple(sys, [[0.8, -0.5]], (0.0, 1.0), config.tol)
     report = verify_partial_rule(rule, sys, trajectories, [0.7])
     checks.append(Check.limit("ode_residual", report.ode_residual_max, report.tol_ode))
     checks.append(Check.limit("constraint_residual", report.constraint_max, report.constraint_tol))
@@ -573,12 +573,7 @@ def _run_partial_rank1_m2(config: RunConfig):
     checks.append(
         Check("tangency_on_constraint_set", tangency.all_zero, probabilistic=True)
     )
-    trajectories = align_trajectories(
-        [
-            integrate(sys, [0.8, -0.5], (0.0, 1.0), config.tol),
-            integrate(sys, [-0.3, 0.9], (0.0, 1.0), config.tol),
-        ]
-    )
+    trajectories = integrate_tuple(sys, [[0.8, -0.5], [-0.3, 0.9]], (0.0, 1.0), config.tol)
     report = verify_partial_rule(rule, sys, trajectories, [0.7])
     checks.append(Check.limit("ode_residual", report.ode_residual_max, report.tol_ode))
     checks.append(Check.limit("constraint_residual", report.constraint_max, report.constraint_tol))

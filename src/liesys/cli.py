@@ -10,20 +10,13 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import closure_test, minimal_m, prune_independent
 from .catalog import ENTRIES, RunConfig, get_entry
-from .dynamics import (
-    CoefficientCurve,
-    LieSystem,
-    align_trajectories,
-    fundamental_set,
-    integrate,
-)
+from .dynamics import CoefficientCurve, LieSystem, fundamental_points, integrate, integrate_tuple
 from .errors import ClosureCapError, LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
@@ -254,24 +247,20 @@ def cmd_solve(args) -> int:
     return _emit(Report("solve", checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 
-def _tuple_for_rule(doc, task, sys, rule):
-    """Integrate the m particular solutions named in the problem file.
+def _points_for_rule(doc, task, sys, rule) -> list:
+    """Initial points of the m particular solutions named in the problem file.
 
     Full rules go through the fundamental-set rank gate; partial rules use
     fewer solutions than a fundamental set by design, so their points are
-    integrated directly."""
+    taken as given."""
     points = doc.get("initial_points")
     if points is not None and len(points) != rule.m:
         raise SchemaError(f"rule needs {rule.m} initial points, got {len(points)}")
     if rule.is_partial:
         if points is None:
             raise SchemaError("a partial rule needs 'initial_points'")
-        return align_trajectories(
-            [integrate(sys, p, task["t_span"], task["tol"]) for p in points]
-        )
-    if points is not None:
-        return fundamental_set(sys, rule.m, task["t_span"], task["tol"], initial_points=points)
-    return fundamental_set(sys, rule.m, task["t_span"], task["tol"], seed=task["seed"])
+        return points
+    return fundamental_points(sys, rule.m, task["seed"], points)
 
 
 def cmd_superpose(args) -> int:
@@ -279,19 +268,21 @@ def cmd_superpose(args) -> int:
     task = _task(doc, args)
     sys = _system(doc)
     rule = _rule(doc, sys.chart)
-    trajectories = _tuple_for_rule(doc, task, sys, rule)
+    points = _points_for_rule(doc, task, sys, rule)
     checks, extra = [], {}
     k = args.k if args.k is not None else doc.get("k")
     direct = None
     if k is None:
         # no constants given: derive them from the initial point of x0 and
-        # compare the reconstruction against its direct integration
+        # compare the reconstruction against the slot of x0 in the tuple
         if doc.get("x0") is None:
             raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
-        direct = integrate(sys, doc["x0"], task["t_span"], task["tol"])
-        aligned = align_trajectories([direct] + trajectories)
-        direct, trajectories = aligned[0], aligned[1:]
+        direct, *trajectories = integrate_tuple(
+            sys, [doc["x0"]] + points, task["t_span"], task["tol"]
+        )
         k = derive_k(rule, direct.states[0], [tr.states[0] for tr in trajectories])
+    else:
+        trajectories = integrate_tuple(sys, points, task["t_span"], task["tol"])
     k = np.atleast_1d(np.asarray(k, dtype=float))
     guess = doc.get("x0_guess") or doc.get("x0")
     if rule.phi is None and guess is None:
@@ -331,26 +322,23 @@ def cmd_verify(args) -> int:
                             for c in tangency.checks if c.verdict == "nonzero") or "all residuals vanish"))
     if doc.get("coefficients") is not None:
         sys = LieSystem(fields, _coefficients(doc, len(fields)))
-        trajectories = _tuple_for_rule(doc, task, sys, rule)
+        points = _points_for_rule(doc, task, sys, rule)
         if rule.is_partial:
             # the slot-0 curve of a partial rule lives on the constraint
             # submanifold; check it solves the system instead of a drift
             if doc.get("k") is None:
                 raise SchemaError("verifying a partial rule against a system needs 'k'")
+            trajectories = integrate_tuple(sys, points, task["t_span"], task["tol"])
             report = verify_partial_rule(rule, sys, trajectories, np.atleast_1d(doc["k"]))
             checks.append(Check.limit("ode_residual", report.ode_residual_max, report.tol_ode))
             checks.append(
                 Check.limit("constraint_residual", report.constraint_max, report.constraint_tol)
             )
         else:
-            if doc.get("x0") is not None:
-                slot0 = integrate(sys, doc["x0"], task["t_span"], task["tol"])
-            else:
-                slot0 = integrate(
-                    sys, trajectories[0].states[0] + 0.1, task["t_span"], task["tol"]
-                )
-            aligned = align_trajectories([slot0] + trajectories)
-            drift = verify_along_solutions(rule, sys, aligned, task["tol_const"])
+            x0 = doc.get("x0")
+            slot0 = x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
+            tuple_ = integrate_tuple(sys, [slot0] + points, task["t_span"], task["tol"])
+            drift = verify_along_solutions(rule, sys, tuple_, task["tol_const"])
             checks.append(
                 Check.limit("psi_drift_along_solutions", drift.max_drift, task["tol_const"])
             )
@@ -465,17 +453,11 @@ def cmd_examples(args) -> int:
         report = Report(f"examples run {args.name}", checks, seed,
                         {"tol": tol, "tol_const": tol_const}, extra)
         return _emit(report, args)
-    # run-all: the acceptance suite; entries run concurrently, each with a
-    # seed derived from the master seed so results are schedule-independent
-    names = list(ENTRIES)
-    def run_one(name: str):
-        config = RunConfig(_entry_seed(seed, name), tol, tol_const, samples)
-        return name, ENTRIES[name].run(config)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = dict(pool.map(run_one, names))
+    # run-all: the acceptance suite, in catalog order; each entry gets a
+    # seed derived from the master seed so results do not depend on order
     checks, extra = [], {}
-    for name in names:
-        entry_checks, entry_extra = results[name]
+    for name, entry in ENTRIES.items():
+        entry_checks, _ = entry.run(RunConfig(_entry_seed(seed, name), tol, tol_const, samples))
         failed = [c.name for c in entry_checks if not c.passed]
         checks.append(Check(name, not failed,
                             detail=f"{len(entry_checks)} checks" + (f"; failed: {failed}" if failed else "")))

@@ -6,8 +6,8 @@ cubic-Hermite dense output (4th-order interpolation).  Blow-up past a bound
 truncates the trajectory and flags it instead of raising: escaping solutions
 are expected behaviour for Riccati-type systems.
 
-Each integration is pure given its inputs; trajectories are plain data and
-safe to share across threads.
+A k-tuple of solutions is integrated as one integral curve of the diagonal
+prolongation of Y to the k-fold product chart, so all slots share one grid.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = [
     "Trajectory",
     "evaluate_field",
     "integrate",
+    "integrate_tuple",
+    "fundamental_points",
     "fundamental_set",
     "align_trajectories",
 ]
@@ -120,14 +122,18 @@ class LieSystem:
         return len(self.fields)
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Y(t, .) on k >= 1 stacked states of shape (k*n,), b(t) evaluated once."""
         b = [curve(t) for curve in self.coefficients]
-        out = np.zeros(self.dim)
-        args = [float(v) for v in x]
-        for weight, comp_fns in zip(b, self._compiled):
-            if weight == 0.0:
-                continue
-            for i, fn in enumerate(comp_fns):
-                out[i] += weight * fn(*args)
+        n = self.dim
+        out = np.zeros(len(x))
+        values = x.tolist()
+        for start in range(0, len(values), n):
+            args = values[start : start + n]
+            for weight, comp_fns in zip(b, self._compiled):
+                if weight == 0.0:
+                    continue
+                for i, fn in enumerate(comp_fns):
+                    out[start + i] += weight * fn(*args)
         if not np.all(np.isfinite(out)):
             raise EvaluationError(f"field value not finite at t={t}, x={x}")
         return out
@@ -259,7 +265,12 @@ def _dopri5(
         raise ValueError("tol must be positive")
     y = np.array(y0, dtype=float)
     t = float(t0)
-    k1 = f(t, y)
+    try:
+        k1 = f(t, y)
+    except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise EvaluationError(
+            f"right-hand side not defined at the initial point t={t}, x={y.tolist()}: {exc}"
+        ) from None
     ts, ys, dys = [t], [y.copy()], [k1.copy()]
     h = min(0.01 * (t1 - t0), 0.1)
     blew_up = False
@@ -303,6 +314,25 @@ def _dopri5(
     return np.array(ts), np.array(ys), np.array(dys), blew_up, truncated_at
 
 
+def integrate_tuple(
+    sys: LieSystem,
+    points: Sequence[Sequence[float]],
+    t_span: tuple[float, float] = (0.0, 1.0),
+    tol: float = DEFAULT_TOL,
+    max_norm: float = BLOWUP_BOUND,
+) -> list[Trajectory]:
+    """Integrate the solutions from `points` jointly as one prolonged system;
+    all slots share one grid, and a blow-up in any slot truncates them all."""
+    y0 = np.asarray(points, dtype=float)
+    if y0.shape[1:] != (sys.dim,) or len(y0) == 0:
+        raise ValueError(f"initial points have shape {y0.shape}, chart dimension is {sys.dim}")
+    ts, ys, dys, blew_up, truncated_at = _dopri5(
+        sys.velocity, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol, max_norm
+    )
+    slots = zip(np.hsplit(ys, len(y0)), np.hsplit(dys, len(y0)))
+    return [Trajectory(ts, y, dy, blew_up, truncated_at) for y, dy in slots]
+
+
 def integrate(
     sys: LieSystem,
     x0: Sequence[float],
@@ -311,13 +341,7 @@ def integrate(
     max_norm: float = BLOWUP_BOUND,
 ) -> Trajectory:
     """Integrate the system from x0 over t_span with local error <= tol."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, chart dimension is {sys.dim}")
-    ts, ys, dys, blew_up, truncated_at = _dopri5(
-        sys.velocity, float(t_span[0]), float(t_span[1]), x0, tol, max_norm
-    )
-    return Trajectory(ts, ys, dys, blew_up, truncated_at)
+    return integrate_tuple(sys, [x0], t_span, tol, max_norm)[0]
 
 
 def align_trajectories(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
@@ -336,21 +360,16 @@ def align_trajectories(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
     return [tr.resampled(grid) for tr in trajectories]
 
 
-def fundamental_set(
+def fundamental_points(
     sys: LieSystem,
     m: int,
-    t_span: tuple[float, float] = (0.0, 1.0),
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
     initial_points: Sequence[Sequence[float]] | None = None,
     max_resamples: int = 100,
-) -> list[Trajectory]:
-    """Integrate m particular solutions whose initial tuple passes the rank
-    test (stacked field evaluations of rank r), sharing one grid.
-
-    Supplied initial points failing the test are rejected outright; random
-    points are redrawn up to max_resamples times.
-    """
+) -> list[list[float]]:
+    """m initial points passing the rank test (stacked field evaluations of
+    rank r).  Supplied points failing it are rejected outright; random points
+    are redrawn up to max_resamples times."""
     if m < 1:
         raise ValueError("m must be >= 1")
     r = sys.r
@@ -362,17 +381,24 @@ def fundamental_set(
             raise FundamentalSetError(
                 "supplied initial tuple is not fundamental (rank-deficient at t=0)"
             )
-    else:
-        rng = random.Random(seed)
-        points = None
-        for _ in range(max_resamples):
-            cand = [[float(ex.random_rational(rng)) for _ in range(sys.dim)] for _ in range(m)]
-            if matrix_rank(evaluation_matrix(sys.fields, cand)) == r:
-                points = cand
-                break
-        if points is None:
-            raise FundamentalSetError(
-                f"no fundamental initial tuple found in {max_resamples} resamples"
-            )
-    trajectories = [integrate(sys, p, t_span, tol) for p in points]
-    return align_trajectories(trajectories)
+        return points
+    rng = random.Random(seed)
+    for _ in range(max_resamples):
+        cand = [[float(ex.random_rational(rng)) for _ in range(sys.dim)] for _ in range(m)]
+        if matrix_rank(evaluation_matrix(sys.fields, cand)) == r:
+            return cand
+    raise FundamentalSetError(f"no fundamental initial tuple found in {max_resamples} resamples")
+
+
+def fundamental_set(
+    sys: LieSystem,
+    m: int,
+    t_span: tuple[float, float] = (0.0, 1.0),
+    tol: float = DEFAULT_TOL,
+    seed: int = 0,
+    initial_points: Sequence[Sequence[float]] | None = None,
+    max_resamples: int = 100,
+) -> list[Trajectory]:
+    """Integrate m particular solutions from fundamental_points jointly."""
+    points = fundamental_points(sys, m, seed, initial_points, max_resamples)
+    return integrate_tuple(sys, points, t_span, tol)

@@ -18,7 +18,7 @@ from . import expr as ex
 from .dynamics import CoefficientCurve, LieSystem, _dopri5
 from .errors import IntegrationBlowUpError, NotFlatError
 from .expr import Chart, Expr
-from .geometry import VectorField
+from .geometry import VectorField, lie_bracket
 from .superposition import SuperpositionRule, _LeafSolver, verify_tangency
 
 __all__ = [
@@ -174,27 +174,20 @@ class CurvatureReport:
 
 
 def curvature(sys: PdeSystem) -> CurvatureReport:
-    """Residual dY_b/dt^a - dY_a/dt^b + [Y_a, Y_b]_x per pair and component;
-    the system is flat iff every residual is zero."""
+    """Residual dY_b/dt^a - dY_a/dt^b + [Y_a, Y_b]_x per pair and component,
+    taken as the x-components of [Z_a, Z_b] for Z_a = d/dt^a + Y_a on the
+    extended chart (t1..ts, x); the system is flat iff every residual is zero."""
+    extended = Chart(sys.params.names + sys.chart.names)
+    lifts = [
+        VectorField(extended, tuple(ex.Const(int(a == b)) for b in range(sys.s)) + comps)
+        for a, comps in enumerate(sys.fields)
+    ]
     residuals: dict[tuple[int, int], tuple[Expr, ...]] = {}
     verdicts: dict[tuple[int, int], tuple[ex.ZeroDecision, ...]] = {}
-    xs = sys.chart.names
-    ts = sys.params.names
     for a in range(sys.s):
         for b in range(a + 1, sys.s):
-            comps = []
-            for i in range(sys.n):
-                terms = [
-                    ex._diff_tree(sys.fields[b][i], ts[a]),
-                    ex.Mul((ex.Const(-1), ex._diff_tree(sys.fields[a][i], ts[b]))),
-                ]
-                for j, xj in enumerate(xs):
-                    terms.append(ex.Mul((sys.fields[a][j], ex._diff_tree(sys.fields[b][i], xj))))
-                    terms.append(
-                        ex.Mul((ex.Const(-1), sys.fields[b][j], ex._diff_tree(sys.fields[a][i], xj)))
-                    )
-                comps.append(ex.canonical_expr(ex.Add(tuple(terms))))
-            residuals[(a, b)] = tuple(comps)
+            comps = lie_bracket(lifts[a], lifts[b]).components[sys.s :]
+            residuals[(a, b)] = comps
             verdicts[(a, b)] = tuple(ex.is_zero(c) for c in comps)
     return CurvatureReport(residuals, verdicts)
 

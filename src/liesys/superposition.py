@@ -279,7 +279,7 @@ def _stack_states(trajectories: Sequence[Trajectory]) -> tuple[np.ndarray, np.nd
     grid = trajectories[0].t
     for tr in trajectories[1:]:
         if len(tr.t) != len(grid) or not np.allclose(tr.t, grid, atol=1e-12):
-            raise ValueError("trajectories must share one grid (align_trajectories first)")
+            raise ValueError("trajectories must share one grid (integrate them with integrate_tuple)")
     states = np.concatenate([tr.states for tr in trajectories], axis=1)
     return grid, states
 

@@ -71,6 +71,15 @@ class TestSolveAndSuperpose:
         assert csv_text[0] == "t,x"
         assert len(csv_text) > 10
 
+    def test_solve_fails_cleanly_where_the_field_is_undefined(self, tmp_path, capsys):
+        problem = tmp_path / "log.json"
+        problem.write_text(json.dumps(
+            {"chart": ["x"], "fields": [["ln(x)"]], "coefficients": ["1"], "x0": [-1]}
+        ))
+        assert main(["solve", str(problem)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "initial point" in out
+
     def test_superpose_with_explicit_k(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "riccati.json"), "--k", "0.5")
         assert code == 0
@@ -114,6 +123,18 @@ class TestVerify:
             assert "ode_residual" in names and "constraint_residual" in names
             tangency = next(c for c in doc["checks"] if c["name"] == "tangency_zero")
             assert tangency["probabilistic"] is True
+
+    def test_drifts_far_below_tol_const(self, tmp_path):
+        # slot 0 shares one integration with the particular solutions, so
+        # drift is integration error only, far below the threshold
+        for name in ("riccati.json", "euclidean.json", "linear2.json",
+                     "separable_invsq.json", "translation.json", "translation_alt.json"):
+            for command in ("verify", "superpose"):
+                code, doc = run(tmp_path, command, str(PROBLEMS / name),
+                                json_name=f"{command}_{name}")
+                assert code == 0, (command, name)
+                drift = next(c for c in doc["checks"] if "drift" in c["name"])
+                assert drift["value"] <= doc["tolerances"]["tol_const"] / 100, (command, name)
 
 
 class TestGroupAndPde:
@@ -202,6 +223,19 @@ class TestExamples:
         assert code1 == code2 == 0
         assert doc1["checks"] == doc2["checks"]
         assert doc1["extra"] == doc2["extra"]
+
+    def test_run_all_drifts_far_below_tol_const(self, tmp_path):
+        code, doc = run(tmp_path, "examples", "run-all", "--seed", "0")
+        assert code == 0
+        tol_const = doc["tolerances"]["tol_const"]
+        drifts = [
+            (name, c["name"], c["value"])
+            for name, entry in doc["extra"].items()
+            for c in entry["checks"]
+            if "drift" in c["name"]
+        ]
+        assert len(drifts) >= 7
+        assert all(value <= tol_const / 100 for _, _, value in drifts), drifts
 
     def test_text_rendering_numbers_come_from_json(self, tmp_path, capsys):
         code, doc = run(tmp_path, "examples", "run", "riccati")

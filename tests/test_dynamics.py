@@ -12,6 +12,7 @@ from liesys.dynamics import (
     evaluate_field,
     fundamental_set,
     integrate,
+    integrate_tuple,
 )
 from liesys.errors import FundamentalSetError
 from liesys.expr import Chart
@@ -156,6 +157,52 @@ class TestIntegrate:
     def test_bad_t_span(self):
         with pytest.raises(ValueError):
             integrate(line_system("x"), [1.0], (1.0, 0.0))
+
+
+class TestIntegrateTuple:
+    def test_slots_share_one_grid_and_match_their_own_integration(self):
+        fields = [VectorField.from_strings(PLANE, c) for c in (["1", "0"], ["0", "1"], ["y", "-x"])]
+        curves = [CoefficientCurve.from_string(s) for s in ("1 - t", "1/2", "1 + t/2")]
+        cases = [
+            (riccati_101(), [[-2.0], [-1.0], [0.0], [0.3]], (0.0, 1.2)),
+            (LieSystem(fields, curves), [[0.3, -0.2], [1.0, 0.0], [0.0, 1.0]], (0.0, 1.0)),
+        ]
+        for sys, points, span in cases:
+            tuple_ = integrate_tuple(sys, points, span)
+            assert len(tuple_) == len(points)
+            for p, tr in zip(points, tuple_):
+                assert np.array_equal(tr.t, tuple_[0].t)
+                alone = integrate(sys, p, span)
+                assert tr.t[-1] == alone.t[-1] == span[1]
+                assert np.max(np.abs(tr.endpoint() - alone.endpoint())) <= 1e-7
+        # every node of every slot against the closed form tan(t + atan(x0))
+        points = [-2.0, -1.0, 0.0, 0.3]
+        tuple_ = integrate_tuple(riccati_101(), [[p] for p in points], (0.0, 1.2))
+        for x0, tr in zip(points, tuple_):
+            assert np.max(np.abs(tr.states[:, 0] - np.tan(tr.t + math.atan(x0)))) <= 1e-7
+
+    def test_blow_up_in_one_slot_stops_every_slot(self):
+        tuple_ = integrate_tuple(riccati_101(), [[0.0], [0.5]], (0.0, 1.2))
+        pole = math.pi / 2 - math.atan(0.5)
+        for tr in tuple_:
+            assert tr.blew_up
+            assert tr.truncated_at == tuple_[0].truncated_at
+            assert abs(tr.truncated_at - pole) <= 1e-6
+        assert abs(tuple_[0].endpoint()[0] - math.tan(tuple_[0].t_end)) <= 1e-6
+
+    def test_single_point_tuple_is_integrate(self):
+        sys = riccati_101()
+        alone = integrate(sys, [0.0], (0.0, 1.2))
+        (slot,) = integrate_tuple(sys, [[0.0]], (0.0, 1.2))
+        assert len(alone.t) == 75
+        assert np.array_equal(slot.t, alone.t)
+        assert np.array_equal(slot.states, alone.states)
+
+    def test_point_shape_checked(self):
+        with pytest.raises(ValueError):
+            integrate_tuple(riccati_101(), [[0.0, 1.0]], (0.0, 1.0))
+        with pytest.raises(ValueError):
+            integrate_tuple(riccati_101(), [], (0.0, 1.0))
 
 
 class TestTrajectoryIO:
