@@ -84,15 +84,17 @@ def _chart(doc: dict) -> Chart:
 def _fields(doc: dict, chart: Chart) -> list[VectorField]:
     if "fields" not in doc:
         raise SchemaError("problem file needs a 'fields' section")
+    if not isinstance(doc["fields"], list):
+        raise SchemaError("'fields' must be a list of fields")
     out = []
     for i, comps in enumerate(doc["fields"]):
         if isinstance(comps, str):
             comps = [comps]
+        if not isinstance(comps, list) or not all(isinstance(c, str) for c in comps):
+            raise SchemaError(f"field {i + 1}: components must be strings, got {comps!r}")
         try:
             out.append(VectorField.from_strings(chart, comps))
-        except LiesysError as exc:
-            raise SchemaError(f"field {i + 1}: {exc}") from None
-        except ValueError as exc:
+        except (LiesysError, ValueError) as exc:
             raise SchemaError(f"field {i + 1}: {exc}") from None
     if not out:
         raise SchemaError("'fields' must not be empty")
@@ -220,6 +222,8 @@ def cmd_m(args) -> int:
     task = _task(doc, args)
     chart = _chart(doc)
     fields = prune_independent(_fields(doc, chart))
+    if not fields:
+        raise SchemaError("every field is zero; m needs a nonzero field")
     report = minimal_m(fields, sample_count=task["samples"], seed=task["seed"])
     checks = [Check("m_determined", True, detail=f"m = {report.m} (r = {report.r})")]
     if doc.get("m") is not None:

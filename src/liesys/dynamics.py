@@ -2,9 +2,15 @@
 
 The integrator is an embedded Dormand-Prince 5(4) pair with adaptive steps
 (error per unit step, so halving the tolerance halves the global error) and
-cubic-Hermite dense output (4th-order interpolation).  Blow-up past a bound
-truncates the trajectory and flags it instead of raising: escaping solutions
-are expected behaviour for Riccati-type systems.
+cubic-Hermite dense output (4th-order interpolation).  The allowed error
+never falls below ROUNDOFF_FLOOR = 64 eps relative to the state: near a
+blow-up, where steps get short enough for tol * h to drop under it, the
+embedded error estimate is round-off and would reject every step.  Blow-up
+past a bound truncates the trajectory and flags it instead of raising:
+escaping solutions are expected behaviour for Riccati-type systems.
+
+Each system's right-hand side is one generated Python function
+(_compile_velocity), evaluated on plain floats so singular points raise.
 
 A k-tuple of solutions is integrated as one integral curve of the diagonal
 prolongation of Y to the k-fold product chart, so all slots share one grid.
@@ -13,8 +19,10 @@ prolongation of Y to the k-fold product chart, so all slots share one grid.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -40,6 +48,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 BLOWUP_BOUND = 1e8
+# Smallest error per unit state that a step must meet: below 64 ulp, y5 - y4
+# is round-off in numbers of size `scale`, which no step size can reduce
+# (Hairer, Norsett & Wanner, Solving ODEs I, section II.4).
+ROUNDOFF_FLOOR = 64 * float(np.finfo(float).eps)
 
 
 class CoefficientCurve:
@@ -51,12 +63,10 @@ class CoefficientCurve:
         if (expression is None) == (table is None):
             raise ValueError("provide exactly one of expression / table")
         self.expression = expression
-        self._fn = None
         if expression is not None:
             extra = ex.free_variables(expression) - {"t"}
             if extra:
                 raise ValueError(f"coefficient curve may only use t, got {sorted(extra)}")
-            self._fn = ex.compile_expr(expression, ("t",))
             self.table = None
         else:
             ts, vals = table
@@ -76,8 +86,13 @@ class CoefficientCurve:
     def constant(value: float | Fraction) -> "CoefficientCurve":
         return CoefficientCurve(expression=ex.Const(Fraction(value)))
 
+    @cached_property
+    def _fn(self):
+        # compiled on first call: LieSystem inlines the expression instead
+        return ex.compile_expr(self.expression, ("t",))
+
     def __call__(self, t: float) -> float:
-        if self._fn is not None:
+        if self.table is None:
             v = float(self._fn(float(t)))
         else:
             ts, vals = self.table
@@ -109,9 +124,7 @@ class LieSystem:
         self.fields = fields
         self.coefficients = list(coefficients)
         self.chart = chart
-        self._compiled = [
-            [ex.compile_expr(c, chart.names) for c in f.components] for f in fields
-        ]
+        self._velocity = _compile_velocity(fields, self.coefficients)
 
     @property
     def dim(self) -> int:
@@ -123,20 +136,52 @@ class LieSystem:
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         """Y(t, .) on k >= 1 stacked states of shape (k*n,), b(t) evaluated once."""
-        b = [curve(t) for curve in self.coefficients]
-        n = self.dim
-        out = np.zeros(len(x))
-        values = x.tolist()
-        for start in range(0, len(values), n):
-            args = values[start : start + n]
-            for weight, comp_fns in zip(b, self._compiled):
-                if weight == 0.0:
-                    continue
-                for i, fn in enumerate(comp_fns):
-                    out[start + i] += weight * fn(*args)
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"field value not finite at t={t}, x={x}")
-        return out
+        return self._velocity(t, x)
+
+
+def _not_finite(t: float, x: np.ndarray | None = None) -> EvaluationError:
+    # built here rather than in generated code, whose scope has no builtins
+    # for numpy's array printing to import with
+    if x is None:
+        return EvaluationError(f"coefficient curve not finite at t={t}")
+    return EvaluationError(f"field value not finite at t={t}, x={x}")
+
+
+def _compile_velocity(fields: Sequence[VectorField], coefficients: Sequence[CoefficientCurve]):
+    """One generated function for sum b_a(t) X_a on each n-slice of a stacked
+    state.  Expression curves are inlined, a field whose weight is 0.0 is not
+    evaluated, and the terms are summed in field order onto 0.0, so the values
+    are those of adding b_a * X_a one field at a time (a constant-0 component
+    is left out: adding +-0.0 to that sum changes no bit).  Singular points
+    raise as in compile_expr; non-finite values raise EvaluationError."""
+    n, r = fields[0].chart.dim, len(fields)
+    xs = {name: f"_x{i}" for i, name in enumerate(fields[0].chart.names)}
+    tables = {f"_table{a}": c.table for a, c in enumerate(coefficients) if c.table is not None}
+    weights = ", ".join(f"_b{a}" for a in range(r))
+    lines = ["def velocity(t, x):", "    _t = _float(t)"]
+    for a, curve in enumerate(coefficients):
+        value = (f"_interp(_t, *_table{a})" if curve.table is not None
+                 else ex.python_source(curve.expression, {"t": "_t"}))
+        lines.append(f"    _b{a} = _float({value})")
+    lines += [f"    if not all(map(_isfinite, ({weights},))):",
+              "        raise _not_finite(t)",
+              "    v = x.tolist()",
+              "    out = []",
+              f"    for s in range(0, len(v), {n}):",
+              f"        {', '.join(xs.values())}, = v[s:s + {n}]",
+              "        out += ["]
+    for i in range(n):
+        terms = [f"(_b{a} * {ex.python_source(c, xs)} if _b{a} else 0.0)"
+                 for a, c in enumerate(f.components[i] for f in fields)
+                 if not (isinstance(c, ex.Const) and c.value == 0)]
+        lines.append(f"            {' + '.join(['0.0'] + terms)},")
+    lines += ["        ]",
+              "    if not all(map(_isfinite, out)):",
+              "        raise _not_finite(t, x)",
+              "    return _array(out)"]
+    return ex.compile_source("\n".join(lines), "velocity", _float=float, _interp=np.interp,
+                             _isfinite=math.isfinite, _array=np.array, _not_finite=_not_finite,
+                             all=all, map=map, range=range, len=len, **tables)
 
 
 def evaluate_field(sys: LieSystem, t: float, x: Sequence[float]) -> np.ndarray:
@@ -254,7 +299,10 @@ def _dopri5(
     tol: float,
     max_norm: float = BLOWUP_BOUND,
 ):
-    """Adaptive DOPRI5(4).  Error accepted per unit step (err <= tol*min(1,h)).
+    """Adaptive DOPRI5(4).  Error accepted per unit step, down to a round-off
+    floor: err <= max(tol*min(1,h), ROUNDOFF_FLOOR) * scale.  The floor
+    binds only where tol*min(1,h) < 1.4e-14 (h < 1.4e-5 at tol 1e-9), in
+    practice near a blow-up; elsewhere steps are those of the unfloored rule.
 
     Returns (ts, ys, dys, blew_up, truncated_at); stops early with a flag on
     blow-up (sup-norm past max_norm) or step underflow.
@@ -291,7 +339,7 @@ def _dopri5(
         except (EvaluationError, ZeroDivisionError, ValueError, OverflowError):
             failed = True
             err = np.inf
-        allowed = tol * min(1.0, h) * scale if np.isfinite(err) else 0.0
+        allowed = max(tol * min(1.0, h), ROUNDOFF_FLOOR) * scale if np.isfinite(err) else 0.0
         if not failed and err <= allowed:
             t += h
             y = y5

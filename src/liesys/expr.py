@@ -51,6 +51,9 @@ __all__ = [
     "canonically_equal",
     "free_variables",
     "compile_expr",
+    "compile_vector",
+    "compile_source",
+    "python_source",
     "random_rational",
 ]
 
@@ -871,11 +874,18 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest nesting of parentheses, unary minus and function calls that parse()
+# accepts; every tree walk recurses once per level, so this keeps all of them
+# far below Python's recursion limit.
+MAX_NESTING = 32
+
+
 class _Parser:
     def __init__(self, text: str, names):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.names = frozenset(names)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -921,11 +931,17 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, value, _ = self.peek()
+        kind, value, at = self.peek()
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", at)
+        self.depth += 1
         if kind == "op" and value == "-":
             self.advance()
-            return -self.factor()
-        return self.power()
+            e = -self.factor()
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.primary()
@@ -936,12 +952,11 @@ class _Parser:
         return base
 
     def exponent(self) -> int:
-        kind, value, at = self.peek()
-        if kind == "op" and value == "(":
+        opened = 0
+        while self.peek()[:2] == ("op", "("):
             self.advance()
-            e = self.exponent()
-            self.expect_op(")")
-            return e
+            opened += 1
+        kind, value, at = self.peek()
         sign = 1
         if kind == "op" and value == "-":
             self.advance()
@@ -950,6 +965,8 @@ class _Parser:
         if kind != "int":
             raise ParseError("exponent must be an integer literal", at)
         self.advance()
+        for _ in range(opened):
+            self.expect_op(")")
         return sign * int(value)
 
     def primary(self) -> Expr:
@@ -1142,23 +1159,40 @@ def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
     return substitute(e, {old: Var(new) for old, new in mapping.items()})
 
 
-def _emit(e: Expr, names: Mapping[str, str]) -> str:
+def python_source(e: Expr, names: Mapping[str, str]) -> str:
+    """Python source of e, with each variable written as names[variable] and
+    the functions as _sin/_cos/_exp/_ln (run it with compile_source)."""
     if isinstance(e, Const):
         v = e.value
         return f"({v.numerator}/{v.denominator})" if v.denominator != 1 else f"({v.numerator})"
     if isinstance(e, Var):
         return names[e.name]
     if isinstance(e, Add):
-        return "(" + "+".join(_emit(t, names) for t in e.terms) + ")"
+        return "(" + "+".join(python_source(t, names) for t in e.terms) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_emit(f, names) for f in e.factors) + ")"
+        return "(" + "*".join(python_source(f, names) for f in e.factors) + ")"
     if isinstance(e, Pow):
-        return f"({_emit(e.base, names)}**{e.exponent})"
+        return f"({python_source(e.base, names)}**{e.exponent})"
     if isinstance(e, Div):
-        return f"({_emit(e.numerator, names)}/{_emit(e.denominator, names)})"
+        return f"({python_source(e.numerator, names)}/{python_source(e.denominator, names)})"
     if isinstance(e, Call):
-        return f"_{e.fn}({_emit(e.arg, names)})"
+        return f"_{e.fn}({python_source(e.arg, names)})"
     raise TypeError(f"cannot compile {type(e).__name__}")
+
+
+def compile_source(source: str, name: str, **scope) -> Callable:
+    """The function `name` defined by generated source, run without builtins
+    in a scope holding the functions python_source emits plus `scope`."""
+    namespace = {"__builtins__": {}, **{f"_{fn}": f for fn, f in _MATH.items()}, **scope}
+    exec(source, namespace)  # noqa: S102 - source generated from our own AST
+    return namespace[name]
+
+
+def _parameters(exprs: Iterable[Expr], var_order: Sequence[str]) -> dict[str, str]:
+    missing = set().union(*(free_variables(e) for e in exprs)) - set(var_order)
+    if missing:
+        raise EvaluationError(f"expression uses variables not in order: {sorted(missing)}")
+    return {name: f"_v{i}" for i, name in enumerate(var_order)}
 
 
 def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[..., float]:
@@ -1167,13 +1201,9 @@ def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[..., float]:
     Division by zero and domain errors surface as ZeroDivisionError /
     ValueError / OverflowError, which callers treat as singular points.
     """
-    params = {name: f"_v{i}" for i, name in enumerate(var_order)}
-    missing = free_variables(e) - set(var_order)
-    if missing:
-        raise EvaluationError(f"expression uses variables not in order: {sorted(missing)}")
-    source = f"lambda {', '.join(params[n] for n in var_order)}: {_emit(e, params)}"
-    scope = {"__builtins__": {}, "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_ln": math.log}
-    raw = eval(source, scope)  # noqa: S307 - source generated from our own AST
+    params = _parameters([e], var_order)
+    raw = compile_source(f"def raw({', '.join(params.values())}):\n"
+                         f"    return {python_source(e, params)}", "raw")
 
     def call(*args: float) -> float:
         # plain floats so that singular points raise (numpy scalars would
@@ -1181,3 +1211,13 @@ def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[..., float]:
         return raw(*[float(a) for a in args])
 
     return call
+
+
+def compile_vector(exprs: Sequence[Expr], var_order: Sequence[str]) -> Callable[..., list]:
+    """One function of the variables in var_order returning the list of the
+    values of exprs.  Pass plain floats: singular points then raise as in
+    compile_expr."""
+    params = _parameters(exprs, var_order)
+    body = ", ".join(python_source(e, params) for e in exprs)
+    return compile_source(f"def vector({', '.join(params.values())}):\n"
+                          f"    return [{body}]", "vector")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -98,6 +99,11 @@ class PdeSystem:
     @property
     def n(self) -> int:
         return self.chart.dim
+
+    @cached_property
+    def _compiled_fields(self) -> list:
+        """Each field as one function of (t1..ts, x), compiled once per system."""
+        return [ex.compile_vector(f, self.params.names + self.chart.names) for f in self.fields]
 
     @staticmethod
     def from_strings(
@@ -205,14 +211,12 @@ class PathResult:
 
 
 def _axis_rhs(sys: PdeSystem, axis: int, t_frozen: np.ndarray):
-    names = sys.params.names + sys.chart.names
-    fns = [ex.compile_expr(c, names) for c in sys.fields[axis]]
+    field = sys._compiled_fields[axis]
+    t_now = list(map(float, t_frozen))
 
     def rhs(tau: float, x: np.ndarray) -> np.ndarray:
-        t_now = t_frozen.copy()
-        t_now[axis] = tau
-        args = [float(v) for v in t_now] + [float(v) for v in x]
-        return np.array([fn(*args) for fn in fns])
+        t_now[axis] = float(tau)
+        return np.array(field(*t_now, *x.tolist()))
 
     return rhs
 
@@ -368,9 +372,12 @@ def pde_superpose(
     x0_guess: Sequence[float],
     check_tangency: bool = True,
 ) -> np.ndarray:
-    """Pointwise leaf solve over the parameter grid (row-major staircase
-    order for warm starts).  `solutions` are m value grids of shape
-    grid_shape + (n,); the slot-0 grid comes back with the same shape."""
+    """Pointwise leaf solve over the parameter grid in row-major order.  Each
+    node is warm-started from its grid neighbour: the previous node of its
+    row, or for the first node of a row the first node of the previous row
+    (the end of the previous row can lie across another particular
+    solution).  `solutions` are m value grids of shape grid_shape + (n,);
+    the slot-0 grid comes back with the same shape."""
     if sys.decomposition is None:
         raise ValueError("pde_superpose needs a system with a Lie decomposition")
     if len(solutions) != rule.m:
@@ -393,8 +400,11 @@ def pde_superpose(
     solver = _LeafSolver(rule)
     count = flat[0].shape[0]
     out = np.empty((count, sys.n))
+    row = shape[-2]
     guess = np.asarray(x0_guess, dtype=float)
     for node in range(count):
+        if node >= row and node % row == 0:
+            guess = out[node - row]
         rest = np.concatenate([g[node] for g in flat])
         guess = solver.solve(rest, k, guess, float(node))
         out[node] = guess

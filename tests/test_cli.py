@@ -195,6 +195,23 @@ class TestSchemaErrors:
         bad.write_text(json.dumps({"chart": ["x"], "fields": [["q + 1"]]}))
         assert main(["m", str(bad)]) == 2
 
+    def test_all_zero_field_under_m(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"chart": ["x", "y"], "fields": [["0", "0"]]}))
+        assert main(["m", str(bad)]) == 2
+
+    def test_number_as_field_component(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"chart": ["x"], "fields": [[3]]}))
+        assert main(["closure", str(bad)]) == 2
+        assert "must be strings" in capsys.readouterr().err
+
+    def test_deeply_nested_parentheses(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"chart": ["x"], "fields": [["(" * 3000 + "x" + ")" * 3000]]}))
+        assert main(["closure", str(bad)]) == 2
+        assert "nested deeper" in capsys.readouterr().err
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

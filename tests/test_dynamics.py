@@ -1,10 +1,12 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from liesys.cli import main
 from liesys.dynamics import (
     CoefficientCurve,
     LieSystem,
@@ -14,9 +16,11 @@ from liesys.dynamics import (
     integrate,
     integrate_tuple,
 )
-from liesys.errors import FundamentalSetError
-from liesys.expr import Chart
+from liesys.errors import EvaluationError, FundamentalSetError
+from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, compile_expr
 from liesys.geometry import VectorField
+
+from conftest import random_tree
 
 LINE = Chart(("x",))
 PLANE = Chart(("x", "y"))
@@ -157,6 +161,98 @@ class TestIntegrate:
     def test_bad_t_span(self):
         with pytest.raises(ValueError):
             integrate(line_system("x"), [1.0], (1.0, 0.0))
+
+
+class TestRoundOffFloor:
+    def test_escape_of_x_squared_takes_few_nodes(self):
+        tr = integrate(line_system("x^2"), [1.0], (0.0, 5.0), tol=1e-9)
+        assert tr.blew_up
+        assert abs(tr.truncated_at - 1.0) <= 1e-8
+        assert len(tr.t) < 5000
+
+    def test_regular_grids_unchanged(self):
+        assert len(integrate(riccati_101(), [0.0], (0.0, 1.2)).t) == 75
+        assert len(integrate(riccati_101(), [0.0], (0.0, 1.5)).t) == 237
+
+    def test_sl2_group_seed_near_a_blow_up(self):
+        assert main(["examples", "run", "sl2_group", "--seed", "1505200443"]) == 0
+
+
+def reference_velocity(sys: LieSystem, t: float, x: np.ndarray) -> np.ndarray:
+    """b_a(t) * X_a added one field at a time, each component compiled alone."""
+    b = [curve(t) for curve in sys.coefficients]
+    n = sys.dim
+    out = np.zeros(len(x))
+    for start in range(0, len(x), n):
+        args = x[start : start + n].tolist()
+        for weight, field in zip(b, sys.fields):
+            if weight == 0.0:
+                continue
+            for i, c in enumerate(field.components):
+                out[start + i] += weight * compile_expr(c, sys.chart.names)(*args)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("field value not finite")
+    return out
+
+
+class TestCompiledVelocity:
+    SINGULAR = (ZeroDivisionError, ValueError, OverflowError, EvaluationError)
+
+    def random_system(self, rng: random.Random) -> LieSystem:
+        t_names = ("t",)
+        log = Call("ln", Add((Pow(Var("x"), 2), Const(1))))
+        fields = [
+            VectorField(PLANE, (random_tree(rng, ("x", "y"), 3, True), Mul((log, Var("y"))))),
+            VectorField(PLANE, (Const(0), random_tree(rng, ("x", "y"), 3, True))),
+            VectorField(PLANE, (random_tree(rng, ("x", "y"), 2), Call("exp", Var("x")))),
+        ]
+        curves = [
+            CoefficientCurve(expression=random_tree(rng, t_names, 3, True)),
+            CoefficientCurve(table=([0.0, 0.5, 1.0], [rng.uniform(-2, 2) for _ in range(3)])),
+            CoefficientCurve(expression=Mul((Call("ln", Add((Var("t"), Const(1)))),
+                                             random_tree(rng, t_names, 2)))),
+        ]
+        try:
+            return LieSystem(fields, curves)
+        except ValueError:  # dependent fields: draw again
+            return self.random_system(rng)
+
+    def test_matches_reference_bit_for_bit(self, rng):
+        compared = 0
+        for _ in range(40):
+            sys = self.random_system(rng)
+            for k in (1, 2, 3):
+                t = rng.uniform(0.0, 1.0)
+                x = np.array([rng.uniform(-2.0, 2.0) for _ in range(k * sys.dim)])
+                try:
+                    want = reference_velocity(sys, t, x)
+                except self.SINGULAR:
+                    with pytest.raises(self.SINGULAR):
+                        sys.velocity(t, x)
+                    continue
+                assert sys.velocity(t, x).tobytes() == want.tobytes()
+                compared += 1
+        assert compared >= 100
+
+    def test_zero_weight_field_is_not_evaluated(self):
+        fields = [VectorField.from_strings(PLANE, c) for c in (["1", "y"], ["1/x", "ln(y)"])]
+        sys = LieSystem(fields, [CoefficientCurve.from_string("1"),
+                                 CoefficientCurve(table=([0.0, 1.0], [0.0, 1.0]))])
+        x = np.array([0.0, -1.0, 0.5, 2.0])
+        assert sys.velocity(0.0, x).tobytes() == reference_velocity(sys, 0.0, x).tobytes()
+        with pytest.raises(ZeroDivisionError):
+            sys.velocity(0.5, x)
+
+    def test_weighted_singular_points_raise(self):
+        sys = line_system("1/x", "1 + t")
+        with pytest.raises(ZeroDivisionError):
+            sys.velocity(0.0, np.array([0.0]))
+        with pytest.raises(ValueError):
+            line_system("ln(x)").velocity(0.0, np.array([-1.0]))
+        with pytest.raises(EvaluationError):
+            line_system("x*x").velocity(0.0, np.array([1e200]))
+        with pytest.raises(EvaluationError):
+            line_system("x", "exp(t)*exp(t)").velocity(500.0, np.array([1.0]))
 
 
 class TestIntegrateTuple:

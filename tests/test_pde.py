@@ -142,6 +142,20 @@ class TestGridSuperposition:
         corner = path_solve(sys, [target], [0.5, 0.5]).endpoint
         assert abs(rebuilt[-1, -1, 0] - corner[0]) <= 1e-5
 
+    def test_target_across_a_particular_solution(self):
+        # row 2 starts near -1.55, but the end of row 1 lies near -1.1, on the
+        # other side of the particular solution from -1.2
+        sys = flat_riccati()
+        axes = [np.linspace(0.0, 0.3, 11), np.linspace(0.0, 0.3, 11)]
+        u0s = [0.0, -1.2, -0.8]
+        grids = [solve_on_grid(sys, [u], axes) for u in u0s]
+        target = -1.6
+        k = (target - u0s[0]) * (u0s[1] - u0s[2]) / ((target - u0s[1]) * (u0s[0] - u0s[2]))
+        rebuilt = pde_superpose(sys, cross_ratio_u(), grids, [k], [target])
+        t1, t2 = np.meshgrid(axes[0], axes[1], indexing="ij")
+        closed_form = target / (1 - target * (t1 + t2))
+        assert np.max(np.abs(rebuilt[:, :, 0] - closed_form)) <= 1e-5
+
     def test_k_from_known_solution_reproduces_it(self):
         sys = flat_riccati()
         axes = [np.linspace(0.0, 0.4, 6), np.linspace(0.0, 0.4, 6)]
