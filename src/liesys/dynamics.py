@@ -11,6 +11,8 @@ escaping solutions are expected behaviour for Riccati-type systems.
 
 Each system's right-hand side is one generated Python function
 (_compile_velocity), evaluated on plain floats so singular points raise.
+The integrator steps on plain floats too: each stage sum adds its tableau
+terms left to right from 0, zero entries included, as a numpy loop would.
 
 A k-tuple of solutions is integrated as one integral curve of the diagonal
 prolongation of Y to the k-fold product chart, so all slots share one grid.
@@ -136,36 +138,36 @@ class LieSystem:
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         """Y(t, .) on k >= 1 stacked states of shape (k*n,), b(t) evaluated once."""
-        return self._velocity(t, x)
+        return np.array(self._velocity(t, x.tolist()))
 
 
-def _not_finite(t: float, x: np.ndarray | None = None) -> EvaluationError:
+def _not_finite(t: float, x: list | None = None) -> EvaluationError:
     # built here rather than in generated code, whose scope has no builtins
     # for numpy's array printing to import with
     if x is None:
         return EvaluationError(f"coefficient curve not finite at t={t}")
-    return EvaluationError(f"field value not finite at t={t}, x={x}")
+    return EvaluationError(f"field value not finite at t={t}, x={np.array(x)}")
 
 
 def _compile_velocity(fields: Sequence[VectorField], coefficients: Sequence[CoefficientCurve]):
-    """One generated function for sum b_a(t) X_a on each n-slice of a stacked
-    state.  Expression curves are inlined, a field whose weight is 0.0 is not
-    evaluated, and the terms are summed in field order onto 0.0, so the values
-    are those of adding b_a * X_a one field at a time (a constant-0 component
-    is left out: adding +-0.0 to that sum changes no bit).  Singular points
-    raise as in compile_expr; non-finite values raise EvaluationError."""
+    """One generated function (t, list of floats) -> list for sum b_a(t) X_a
+    on each n-slice of a stacked state.  Expression curves are inlined, a field
+    whose weight is 0.0 is not evaluated, and the terms are summed in field
+    order onto 0.0, so the values are those of adding b_a * X_a one field at a
+    time (a constant-0 component is left out: adding +-0.0 to that sum changes
+    no bit).  Singular points raise as in compile_expr; non-finite values
+    raise EvaluationError."""
     n, r = fields[0].chart.dim, len(fields)
     xs = {name: f"_x{i}" for i, name in enumerate(fields[0].chart.names)}
     tables = {f"_table{a}": c.table for a, c in enumerate(coefficients) if c.table is not None}
     weights = ", ".join(f"_b{a}" for a in range(r))
-    lines = ["def velocity(t, x):", "    _t = _float(t)"]
+    lines = ["def velocity(t, v):", "    _t = _float(t)"]
     for a, curve in enumerate(coefficients):
         value = (f"_interp(_t, *_table{a})" if curve.table is not None
                  else ex.python_source(curve.expression, {"t": "_t"}))
         lines.append(f"    _b{a} = _float({value})")
     lines += [f"    if not all(map(_isfinite, ({weights},))):",
               "        raise _not_finite(t)",
-              "    v = x.tolist()",
               "    out = []",
               f"    for s in range(0, len(v), {n}):",
               f"        {', '.join(xs.values())}, = v[s:s + {n}]",
@@ -177,10 +179,10 @@ def _compile_velocity(fields: Sequence[VectorField], coefficients: Sequence[Coef
         lines.append(f"            {' + '.join(['0.0'] + terms)},")
     lines += ["        ]",
               "    if not all(map(_isfinite, out)):",
-              "        raise _not_finite(t, x)",
-              "    return _array(out)"]
+              "        raise _not_finite(t, v)",
+              "    return out"]
     return ex.compile_source("\n".join(lines), "velocity", _float=float, _interp=np.interp,
-                             _isfinite=math.isfinite, _array=np.array, _not_finite=_not_finite,
+                             _isfinite=math.isfinite, _not_finite=_not_finite,
                              all=all, map=map, range=range, len=len, **tables)
 
 
@@ -291,11 +293,26 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
+def _combination(coeffs: Sequence[float]) -> Callable[[list, float, list], list]:
+    """(y, h, k) -> y + h * (((0 + c1*k1) + c2*k2) + ...) on lists of floats,
+    zero coefficients included.  Not sum(): from Python 3.12 it compensates
+    the rounding of float sums, where numpy's sum of arrays did not."""
+    ks = ", ".join(f"_k{j}" for j in range(len(coeffs)))
+    terms = " + ".join(["0.0"] + [f"{c!r} * _k{j}" for j, c in enumerate(coeffs)])
+    return ex.compile_source(f"def combination(y, h, k):\n"
+                             f"    return [_y + h * ({terms}) for _y, {ks} in zip(y, *k)]",
+                             "combination", zip=zip)
+
+
+_STAGES = tuple(zip(_C[1:], map(_combination, _A[1:])))
+_HIGH, _LOW = _combination(_B5), _combination(_B4)
+
+
 def _dopri5(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, list], list],
     t0: float,
     t1: float,
-    y0: np.ndarray,
+    y0: Sequence[float],
     tol: float,
     max_norm: float = BLOWUP_BOUND,
 ):
@@ -304,22 +321,25 @@ def _dopri5(
     binds only where tol*min(1,h) < 1.4e-14 (h < 1.4e-5 at tol 1e-9), in
     practice near a blow-up; elsewhere steps are those of the unfloored rule.
 
-    Returns (ts, ys, dys, blew_up, truncated_at); stops early with a flag on
-    blow-up (sup-norm past max_norm) or step underflow.
+    State and f(t, state) are lists of Python floats; stages, y5 and y4 sum
+    in tableau order (_combination), and a non-finite y5 - y4 rejects a step.
+
+    Returns (ts, ys, dys, blew_up, truncated_at) as arrays; stops early with
+    a flag on blow-up (sup-norm past max_norm) or step underflow.
     """
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    y = np.array(y0, dtype=float)
+    y = np.asarray(y0, dtype=float).tolist()
     t = float(t0)
     try:
         k1 = f(t, y)
     except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:
         raise EvaluationError(
-            f"right-hand side not defined at the initial point t={t}, x={y.tolist()}: {exc}"
+            f"right-hand side not defined at the initial point t={t}, x={y}: {exc}"
         ) from None
-    ts, ys, dys = [t], [y.copy()], [k1.copy()]
+    ts, ys, dys = [t], [y], [k1]
     h = min(0.01 * (t1 - t0), 0.1)
     blew_up = False
     truncated_at = None
@@ -328,38 +348,36 @@ def _dopri5(
         h = min(h, t1 - t)
         try:
             k = [k1]
-            for stage in range(1, 7):
-                yi = y + h * sum(a * ki for a, ki in zip(_A[stage], k))
-                k.append(f(t + _C[stage] * h, yi))
-            y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
-            y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
-            err = float(np.max(np.abs(y5 - y4)))
-            scale = max(1.0, float(np.max(np.abs(y))), float(np.max(np.abs(y5))))
-            failed = not np.isfinite(err)
+            for c, combination in _STAGES:
+                k.append(f(t + c * h, combination(y, h, k)))
+            y5 = _HIGH(y, h, k)
+            diffs = [a - b for a, b in zip(y5, _LOW(y, h, k))]
+            # Python's max skips a NaN that numpy's would return
+            err = max(map(abs, diffs)) if all(map(math.isfinite, diffs)) else math.inf
+            scale = max(1.0, max(map(abs, y)), max(map(abs, y5)))
         except (EvaluationError, ZeroDivisionError, ValueError, OverflowError):
-            failed = True
-            err = np.inf
-        allowed = max(tol * min(1.0, h), ROUNDOFF_FLOOR) * scale if np.isfinite(err) else 0.0
-        if not failed and err <= allowed:
+            err = math.inf
+        allowed = max(tol * min(1.0, h), ROUNDOFF_FLOOR) * scale if err < math.inf else 0.0
+        if err <= allowed:
             t += h
             y = y5
             k1 = k[6]  # FSAL
             ts.append(t)
-            ys.append(y.copy())
-            dys.append(k1.copy())
-            if float(np.max(np.abs(y))) > max_norm:
+            ys.append(y)
+            dys.append(k1)
+            if max(map(abs, y)) > max_norm:
                 blew_up = True
                 truncated_at = t
                 break
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (allowed / err) ** 0.2))
             h *= factor
         else:
-            h *= 0.25 if not np.isfinite(err) else max(0.1, 0.9 * (allowed / err) ** 0.2)
+            h *= 0.25 if err == math.inf else max(0.1, 0.9 * (allowed / err) ** 0.2)
         if h < min_h:
             blew_up = True
             truncated_at = t
             break
-    return np.array(ts), np.array(ys), np.array(dys), blew_up, truncated_at
+    return np.array(ts), np.array(ys, dtype=float), np.array(dys, dtype=float), blew_up, truncated_at
 
 
 def integrate_tuple(
@@ -375,7 +393,7 @@ def integrate_tuple(
     if y0.shape[1:] != (sys.dim,) or len(y0) == 0:
         raise ValueError(f"initial points have shape {y0.shape}, chart dimension is {sys.dim}")
     ts, ys, dys, blew_up, truncated_at = _dopri5(
-        sys.velocity, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol, max_norm
+        sys._velocity, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol, max_norm
     )
     slots = zip(np.hsplit(ys, len(y0)), np.hsplit(dys, len(y0)))
     return [Trajectory(ts, y, dy, blew_up, truncated_at) for y, dy in slots]

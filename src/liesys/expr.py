@@ -20,8 +20,10 @@ pure function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import heapq
 import keyword
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -331,6 +333,10 @@ def _wrap(e: Expr, parent_precedence: int) -> str:
     return s
 
 
+def _chain(cls, operands: list) -> Expr:
+    return operands[0] if len(operands) == 1 else cls(tuple(operands))
+
+
 def _make_pow(base: Expr, exponent: int) -> Expr:
     if exponent == 0:
         return Const(1)
@@ -469,25 +475,45 @@ def _lead(p, atoms: Sequence[str]):
 
 
 def _pdiv_exact(p, q):
-    """Exact polynomial division p / q; raises if q does not divide p."""
+    """Exact division p / q of polys with Fraction coefficients, or with int
+    ones over Z; raises ArithmeticError if q does not divide p.  Monomials are
+    keyed by negated (total degree, dense exponents): products are key sums,
+    and the graded-lex leading monomial of the remainder is the least key on a
+    heap (cancelled keys are skipped).  q's tail is subtracted in place."""
     if not p:
         return {}
     atoms = _atoms_of(p, q)
-    lq = _lead(q, atoms)
-    lq_dense = _dense(lq, atoms)
-    cq = q[lq]
-    rem = dict(p)
+    index = {a: i for i, a in enumerate(atoms)}
+
+    def key(m):
+        k = [0] * len(atoms)
+        for a, e in m:
+            k[index[a]] = -e
+        return (sum(k), *k)
+
+    rem = {key(m): c for m, c in p.items()}
+    heap = sorted(rem)  # a sorted list is a heap
+    (lq, cq), *tail = sorted((key(m), c) for m, c in q.items())
     quot: dict = {}
-    while rem:
-        lr = _lead(rem, atoms)
-        lr_dense = _dense(lr, atoms)
-        diff = [a - b for a, b in zip(lr_dense, lq_dense)]
-        if any(d < 0 for d in diff):
+    while heap:
+        lr = heapq.heappop(heap)
+        c = rem.pop(lr, None)
+        if c is None:
+            continue
+        shift = tuple(map(operator.sub, lr, lq))
+        coeff, r = divmod(c, cq) if isinstance(cq, int) else (c / cq, 0)
+        if r or max(shift) > 0:
             raise ArithmeticError("inexact polynomial division")
-        mono = tuple((a, d) for a, d in zip(atoms, diff) if d)
-        coeff = rem[lr] / cq
-        quot[mono] = coeff
-        rem = _padd(rem, _pneg(_pmul({mono: coeff}, q)))
+        quot[tuple((a, -d) for a, d in zip(atoms, shift[1:]) if d)] = coeff
+        for k, ck in tail:
+            m = tuple(map(operator.add, shift, k))
+            if m not in rem:
+                heapq.heappush(heap, m)
+            v = rem.get(m, 0) - coeff * ck
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
     return quot
 
 
@@ -677,9 +703,11 @@ def _int_content(p) -> int:
 
 
 def _divides(candidate, p) -> bool:
+    """Whether the nonzero candidate divides p over Q, for integer polys.  By
+    Gauss's lemma it does exactly when its primitive part divides p over Z."""
+    content = _int_content(candidate)
     try:
-        _pdiv_exact({m: Fraction(c) for m, c in p.items()},
-                    {m: Fraction(c) for m, c in candidate.items()})
+        _pdiv_exact(p, {m: c // content for m, c in candidate.items()})
         return True
     except ArithmeticError:
         return False
@@ -806,8 +834,8 @@ def _expr_from_poly(p) -> Expr:
             factors.append(Const(coeff))
         for atom, e in mono:
             factors.append(_make_pow(_atom_expr(atom), e))
-        terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
-    return terms[0] if len(terms) == 1 else Add(tuple(terms))
+        terms.append(_chain(Mul, factors))
+    return _chain(Add, terms)
 
 
 def _expr_from_nf(nf: _NF) -> Expr:
@@ -874,10 +902,13 @@ def _tokenize(text: str):
     return tokens
 
 
-# Deepest nesting of parentheses, unary minus and function calls that parse()
-# accepts; every tree walk recurses once per level, so this keeps all of them
-# far below Python's recursion limit.
+# Deepest nesting of parentheses, unary minus, function calls and quotients
+# (a/b/c puts a two quotients deep) that parse() accepts; every tree walk
+# recurses once per level, so this keeps them far below the recursion limit.
 MAX_NESTING = 32
+# Most binary operators in one expression.  A run of + - or * is one flat node but
+# compiles to Python as deep as the run, and nested runs add up; CPython stops near 3,000.
+MAX_OPERATORS = 1000
 
 
 class _Parser:
@@ -886,6 +917,8 @@ class _Parser:
         self.pos = 0
         self.names = frozenset(names)
         self.depth = 0
+        self.peak = 0  # deepest level entered in the current term, quotients included
+        self.operators = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -908,31 +941,40 @@ class _Parser:
             raise ParseError(f"unexpected {value!r}", at)
         return e
 
+    def operator(self, ops: str) -> str | None:
+        """The next token, consumed, if it is one of the binary operators ops."""
+        kind, value, at = self.peek()
+        if kind != "op" or value not in ops:
+            return None
+        self.operators += 1
+        if self.operators > MAX_OPERATORS:
+            raise ParseError(f"more than {MAX_OPERATORS} binary operators", at)
+        self.advance()
+        return value
+
     def expression(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                e = e + rhs if value == "+" else e - rhs
-            else:
-                return e
+        terms = [self.term()]
+        while op := self.operator("+-"):
+            rhs = self.term()
+            terms.append(rhs if op == "+" else -rhs)
+        return _chain(Add, terms)
 
     def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = Mul((e, rhs)) if value == "*" else Div(e, rhs)
+        outer_peak, self.peak = self.peak, self.depth
+        factors = [self.factor()]
+        while op := self.operator("*/"):
+            if op == "*":
+                factors.append(self.factor())
             else:
-                return e
+                self.peak += 1  # the operands so far now sit one quotient deeper
+                factors = [Div(_chain(Mul, factors), self.factor())]
+        self.peak = max(outer_peak, self.peak)
+        return _chain(Mul, factors)
 
     def factor(self) -> Expr:
         kind, value, at = self.peek()
-        if self.depth > MAX_NESTING:
+        self.peak = max(self.peak, self.depth)
+        if self.peak > MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", at)
         self.depth += 1
         if kind == "op" and value == "-":

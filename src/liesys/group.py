@@ -146,8 +146,8 @@ def solve_group_equation(
     """Integrate dg/dt = a(t) g with g(0) = I (right-invariant equation)."""
     d = a.dim
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return (a(t) @ y.reshape(d, d)).reshape(-1)
+    def rhs(t: float, y: list) -> list:
+        return (a(t) @ np.reshape(y, (d, d))).ravel().tolist()
 
     y0 = np.eye(d).reshape(-1)
     ts, ys, dys, blew_up, truncated_at = _dopri5(

@@ -214,9 +214,9 @@ def _axis_rhs(sys: PdeSystem, axis: int, t_frozen: np.ndarray):
     field = sys._compiled_fields[axis]
     t_now = list(map(float, t_frozen))
 
-    def rhs(tau: float, x: np.ndarray) -> np.ndarray:
+    def rhs(tau: float, x: list) -> list:
         t_now[axis] = float(tau)
-        return np.array(field(*t_now, *x.tolist()))
+        return field(*t_now, *x)
 
     return rhs
 

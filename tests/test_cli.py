@@ -218,6 +218,54 @@ class TestSchemaErrors:
         assert err.value.code == 2
 
 
+class TestLongChains:
+    """Fields written as long sums: x^2 as `terms` copies of x^2/terms."""
+
+    def problem(self, tmp_path, terms, chain=" + "):
+        doc = json.loads((PROBLEMS / "separable_invsq.json").read_text())
+        doc["fields"] = [[chain.join([f"x^2/{terms}"] * terms)]]
+        path = tmp_path / f"chain{terms}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @staticmethod
+    def verdicts(tmp_path, command, path):
+        code, doc = run(tmp_path, command, str(path), json_name=f"{path.stem}_{command}.json")
+        return code, [(c["name"], c["passed"]) for c in doc["checks"]]
+
+    @pytest.mark.parametrize("command", ["closure", "m", "solve", "superpose", "verify"])
+    def test_300_terms_give_the_verdicts_of_the_short_field(self, tmp_path, command):
+        long = self.verdicts(tmp_path, command, self.problem(tmp_path, 300))
+        short = self.verdicts(tmp_path, command, PROBLEMS / "separable_invsq.json")
+        assert long == short
+        assert long[0] == 0
+
+    @pytest.mark.parametrize("command", ["closure", "solve"])
+    def test_3000_terms_exit_2(self, tmp_path, capsys, command):
+        assert main([command, str(self.problem(tmp_path, 3000))]) == 2
+        assert "binary operators" in capsys.readouterr().err
+
+    def test_nested_runs_exit_2_before_compiling(self, tmp_path, capsys):
+        # each run is the first operand of the next, so their depths add up
+        text = "x"
+        for _ in range(3):
+            text = f"({text})" + "+x" * 999
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"chart": ["x"], "fields": [[text]], "coefficients": ["1"],
+                                    "x0": [0.5]}))
+        assert main(["solve", str(path)]) == 2
+        assert "binary operators" in capsys.readouterr().err
+
+    def test_quotient_chain_counts_as_nesting(self, tmp_path, capsys):
+        for quotients, code in ((32, 0), (33, 2), (3000, 2)):
+            path = tmp_path / f"quot{quotients}.json"
+            field = "/".join(["x"] * (quotients + 1))
+            path.write_text(json.dumps({"chart": ["x"], "fields": [[field]], "coefficients": ["1"],
+                                        "x0": [0.5], "t_span": [0.0, 0.1]}))
+            assert main(["solve", str(path)]) == code
+        assert "nested deeper" in capsys.readouterr().err
+
+
 class TestExamples:
     def test_list_names_all_entries(self, capsys):
         assert main(["examples", "list"]) == 0

@@ -8,8 +8,15 @@ from scipy.integrate import solve_ivp
 
 from liesys.cli import main
 from liesys.dynamics import (
+    _A,
+    _B4,
+    _B5,
+    _C,
+    BLOWUP_BOUND,
+    ROUNDOFF_FLOOR,
     CoefficientCurve,
     LieSystem,
+    _dopri5,
     align_trajectories,
     evaluate_field,
     fundamental_set,
@@ -19,6 +26,8 @@ from liesys.dynamics import (
 from liesys.errors import EvaluationError, FundamentalSetError
 from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, compile_expr
 from liesys.geometry import VectorField
+from liesys.group import MatrixCurve, solve_group_equation
+from liesys.pde import PdeSystem, _axis_rhs
 
 from conftest import random_tree
 
@@ -253,6 +262,140 @@ class TestCompiledVelocity:
             line_system("x*x").velocity(0.0, np.array([1e200]))
         with pytest.raises(EvaluationError):
             line_system("x", "exp(t)*exp(t)").velocity(500.0, np.array([1.0]))
+
+
+def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND):
+    """_dopri5 as a loop over numpy arrays: f maps (t, array) to an array, and
+    each stage is y + h * sum(a * k), summed by the builtin onto 0."""
+    y = np.array(y0, dtype=float)
+    t = float(t0)
+    k1 = f(t, y)
+    ts, ys, dys = [t], [y.copy()], [k1.copy()]
+    h = min(0.01 * (t1 - t0), 0.1)
+    blew_up = False
+    truncated_at = None
+    min_h = 1e-13 * max(1.0, abs(t1 - t0))
+    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+        h = min(h, t1 - t)
+        try:
+            k = [k1]
+            for stage in range(1, 7):
+                yi = y + h * sum(a * ki for a, ki in zip(_A[stage], k))
+                k.append(f(t + _C[stage] * h, yi))
+            y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
+            y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
+            err = float(np.max(np.abs(y5 - y4)))
+            scale = max(1.0, float(np.max(np.abs(y))), float(np.max(np.abs(y5))))
+            failed = not np.isfinite(err)
+        except (EvaluationError, ZeroDivisionError, ValueError, OverflowError):
+            failed = True
+            err = np.inf
+        allowed = max(tol * min(1.0, h), ROUNDOFF_FLOOR) * scale if np.isfinite(err) else 0.0
+        if not failed and err <= allowed:
+            t += h
+            y = y5
+            k1 = k[6]
+            ts.append(t)
+            ys.append(y.copy())
+            dys.append(k1.copy())
+            if float(np.max(np.abs(y))) > max_norm:
+                blew_up = True
+                truncated_at = t
+                break
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (allowed / err) ** 0.2))
+            h *= factor
+        else:
+            h *= 0.25 if not np.isfinite(err) else max(0.1, 0.9 * (allowed / err) ** 0.2)
+        if h < min_h:
+            blew_up = True
+            truncated_at = t
+            break
+    return np.array(ts), np.array(ys), np.array(dys), blew_up, truncated_at
+
+
+def assert_same_run(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[3:] == want[3:]
+
+
+def on_arrays(f):
+    return lambda t, y: np.array(f(t, y.tolist()))
+
+
+class TestDopri5BitIdentity:
+    """_dopri5 on lists of floats against the numpy loop it replaced."""
+
+    def test_riccati_escape(self):
+        sys = riccati_101()  # x' = 1 + x^2: tan escapes at pi/2
+        tr = integrate(sys, [0.0], (0.0, 2.0))
+        want = reference_dopri5(sys.velocity, 0.0, 2.0, [0.0], 1e-9)
+        assert tr.blew_up and len(tr.t) > 1000
+        assert_same_run((tr.t, tr.states, tr.derivatives, tr.blew_up, tr.truncated_at), want)
+
+    def test_stacked_tuple_of_four(self):
+        fields = [VectorField.from_strings(PLANE, c) for c in (["1", "x*y"], ["y", "-x"], ["x^2", "0"])]
+        sys = LieSystem(fields, [CoefficientCurve.from_string(s) for s in ("1 - t", "1 + t/2", "t^2")])
+        points = [[0.3, -0.2], [1.0, 0.0], [0.0, 1.0], [-0.5, 0.7]]
+        slots = integrate_tuple(sys, points, (0.0, 1.5), tol=1e-10)
+        want = reference_dopri5(sys.velocity, 0.0, 1.5, np.ravel(points), 1e-10)
+        got = (slots[0].t, np.hstack([tr.states for tr in slots]),
+               np.hstack([tr.derivatives for tr in slots]), slots[0].blew_up, slots[0].truncated_at)
+        assert_same_run(got, want)
+
+    def test_group_equation(self):
+        a = MatrixCurve.from_strings([["t", "1", "0"], ["-1", "0", "t^2"], ["1/2", "0", "-t"]])
+        g = solve_group_equation(a, (0.0, 2.0), tol=1e-10)
+        want = reference_dopri5(lambda t, y: (a(t) @ y.reshape(3, 3)).reshape(-1),
+                                0.0, 2.0, np.eye(3).reshape(-1), 1e-10)
+        got = (g.t, g.matrices.reshape(len(g.t), -1), g.derivatives.reshape(len(g.t), -1),
+               g.blew_up, g.truncated_at)
+        assert_same_run(got, want)
+
+    def test_pde_axis(self):
+        sys = PdeSystem.from_strings(2, ["u", "v"], [["u^2", "u*v"], ["v - t1*u", "sin(t2)*u"]])
+        for axis in (0, 1):
+            t_frozen = np.array([0.3, 0.2])
+            field, t_now = sys._compiled_fields[axis], t_frozen.tolist()
+
+            def array_rhs(tau, x):
+                t_now[axis] = float(tau)
+                return np.array(field(*t_now, *x.tolist()))
+
+            got = _dopri5(_axis_rhs(sys, axis, t_frozen), 0.2, 1.4, np.array([0.4, -0.3]), 1e-9)
+            assert_same_run(got, reference_dopri5(array_rhs, 0.2, 1.4, [0.4, -0.3], 1e-9))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_right_hand_side_is_rejected(self, bad, slot):
+        def f(t, y):
+            out = [math.cos(t) * y[1], 1.0 - y[0]]
+            if t > 0.3:
+                out[slot] = bad
+            return out
+
+        got = _dopri5(f, 0.0, 1.0, [1.0, 0.5], 1e-9)
+        assert_same_run(got, reference_dopri5(on_arrays(f), 0.0, 1.0, [1.0, 0.5], 1e-9))
+        ts, ys, _, blew_up, truncated_at = got
+        assert blew_up and truncated_at <= 0.3 and np.all(np.isfinite(ys))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_inf_with_zero_weight_still_rejects(self):
+        # k2 has weight 0 in y5 and y4, so only 0 * inf = nan rejects the step
+        # whose k2 (the 14th call: third attempt, second stage) is inf
+        def counting_rhs():
+            calls = []
+
+            def f(t, y):
+                calls.append(t)
+                return [math.inf if len(calls) == 14 else math.cos(t), math.sin(t)]
+
+            return f
+
+        got = _dopri5(counting_rhs(), 0.0, 1.0, [1.0, 0.5], 1e-9)
+        assert_same_run(got, reference_dopri5(on_arrays(counting_rhs()), 0.0, 1.0, [1.0, 0.5], 1e-9))
+        assert not got[3] and np.all(np.isfinite(got[1]))
 
 
 class TestIntegrateTuple:

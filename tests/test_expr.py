@@ -22,6 +22,7 @@ from liesys.expr import (
     parse,
     substitute,
 )
+from liesys.expr import _divides, _padd, _pdiv_exact, _pmul
 
 from conftest import random_polynomial, random_tree
 
@@ -314,3 +315,73 @@ class TestSubstitute:
 
     def test_free_variables_sees_into_calls(self):
         assert free_variables(parse("sin(x*y) + 1", ["x", "y"])) == {"x", "y"}
+
+
+def random_sparse(rng, coefficient, atoms=("x", "y", "sin(x)"), terms=4, degree=3):
+    """Random nonzero polynomial in the canonical-form representation."""
+    p = {}
+    while not p:
+        for _ in range(rng.randint(1, terms)):
+            chosen = rng.sample(atoms, rng.randint(0, len(atoms)))
+            mono = tuple(sorted((a, rng.randint(1, degree)) for a in chosen))
+            c = coefficient(rng)
+            if c:
+                p = _padd(p, {mono: c})
+    return p
+
+
+def small_int(rng):
+    return rng.randint(-5, 5)
+
+
+def small_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def as_sympy(p):
+    symbols = {}
+    out = sympy.Integer(0)
+    for mono, c in p.items():
+        term = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c)
+        for atom, e in mono:
+            term *= symbols.setdefault(atom, sympy.Symbol(atom.replace("(", "_").replace(")", "")))**e
+        out += term
+    return out
+
+
+class TestExactDivision:
+    @pytest.mark.parametrize("coefficient", [small_fraction, small_int])
+    def test_quotient_of_a_product_is_the_other_factor(self, rng, coefficient):
+        for _ in range(200):
+            a, b = random_sparse(rng, coefficient), random_sparse(rng, coefficient)
+            assert _pdiv_exact(_pmul(a, b), b) == a
+        assert _pdiv_exact({}, b) == {}
+
+    def test_inexact_division_raises(self, rng):
+        x, y = (("x", 1),), (("y", 1),)
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact({x: Fraction(1)}, {y: Fraction(1)})
+        with pytest.raises(ArithmeticError):  # over Z only: 2x / 3x is 2/3
+            _pdiv_exact({x: 2}, {x: 3})
+        assert _pdiv_exact({x: Fraction(2)}, {x: Fraction(3)}) == {(): Fraction(2, 3)}
+        for coefficient in (small_fraction, small_int):
+            for _ in range(100):
+                a, b = random_sparse(rng, coefficient), random_sparse(rng, coefficient)
+                if all(not mono for mono in b):
+                    continue  # a constant divides everything over Q
+                with pytest.raises(ArithmeticError):
+                    _pdiv_exact(_padd(_pmul(a, b), {(): coefficient(rng) or 1}), b)
+
+    def test_divides_agrees_with_division_over_q(self, rng):
+        seen = set()
+        for _ in range(80):
+            a, b = random_sparse(rng, small_int), random_sparse(rng, small_int)
+            p = _pmul(a, b)
+            for factor in (1, -1, 6, -4):
+                for base in (b, a, _padd(b, {(): 1}), _pmul(b, {(("y", 1),): 1})):
+                    candidate = {m: factor * c for m, c in base.items()}
+                    q, r = sympy.div(as_sympy(p), as_sympy(candidate), domain="QQ")
+                    want = r == 0
+                    assert _divides(candidate, p) == want, (candidate, p)
+                    seen.add(want)
+        assert seen == {True, False}
