@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartMismatchError, ClosureCapError, RankTestError
+from .errors import ChartMismatchError, ClosureCapError, EvaluationError, RankTestError
 from .geometry import VectorField, lie_bracket
 
 __all__ = [
@@ -289,9 +289,14 @@ def evaluation_matrix(fields: Sequence[VectorField], points: Sequence[Sequence])
     rows = []
     for point in points:
         env = dict(zip(fields[0].chart.names, point))
-        columns = [f.evaluate(env) for f in fields]
-        for i in range(n):
-            rows.append([float(col[i]) for col in columns])
+        try:
+            columns = [f.evaluate(env) for f in fields]
+            for i in range(n):
+                rows.append([float(col[i]) for col in columns])
+        except OverflowError:
+            raise EvaluationError(
+                f"field value at ({', '.join(map(str, point))}) is out of the float range"
+            ) from None
     return np.array(rows, dtype=float)
 
 

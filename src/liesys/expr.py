@@ -909,6 +909,10 @@ MAX_NESTING = 32
 # Most binary operators in one expression.  A run of + - or * is one flat node but
 # compiles to Python as deep as the run, and nested runs add up; CPython stops near 3,000.
 MAX_OPERATORS = 1000
+# Largest exact power evaluate() computes, in bits of the numerator or the
+# denominator: nested squarings that parse in a few levels would otherwise
+# build numbers of billions of digits.
+MAX_EXACT_BITS = 2**20
 
 
 class _Parser:
@@ -1106,7 +1110,15 @@ def evaluate(e: Expr, env: Mapping[str, Fraction | int | float]):
             out *= evaluate(f, env)
         return out
     if isinstance(e, Pow):
-        return evaluate(e.base, env) ** e.exponent
+        base = evaluate(e.base, env)
+        if isinstance(base, Fraction):
+            # the power has at least (bits - 1) * exponent bits
+            size = max(abs(base.numerator), base.denominator).bit_length()
+            if (size - 1) * e.exponent > MAX_EXACT_BITS:
+                raise EvaluationError(
+                    f"exact power ^{e.exponent} would exceed {MAX_EXACT_BITS} bits"
+                )
+        return base ** e.exponent
     if isinstance(e, Div):
         den = evaluate(e.denominator, env)
         if den == 0:

@@ -370,7 +370,6 @@ def pde_superpose(
     solutions: Sequence[np.ndarray],
     k: Sequence[float],
     x0_guess: Sequence[float],
-    check_tangency: bool = True,
 ) -> np.ndarray:
     """Pointwise leaf solve over the parameter grid in row-major order.  Each
     node is warm-started from its grid neighbour: the previous node of its
@@ -382,31 +381,29 @@ def pde_superpose(
         raise ValueError("pde_superpose needs a system with a Lie decomposition")
     if len(solutions) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(solutions)}")
-    if check_tangency:
-        report = verify_tangency(rule, sys.decomposition.basis)
-        if not report.all_zero:
-            bad = report.max_nonzero()
-            raise ValueError(
-                f"rule is not tangent to the decomposition basis "
-                f"(field {bad.field_index}, psi component {bad.component})"
-            )
+    report = verify_tangency(rule, sys.decomposition.basis)
+    if not report.all_zero:
+        bad = report.max_nonzero()
+        raise ValueError(
+            f"rule is not tangent to the decomposition basis "
+            f"(field {bad.field_index}, psi component {bad.component})"
+        )
     grids = [np.asarray(sol, dtype=float) for sol in solutions]
     shape = grids[0].shape
     for g in grids[1:]:
         if g.shape != shape:
             raise ValueError("solution grids must share one shape")
-    flat = [g.reshape(-1, sys.n) for g in grids]
-    k = np.asarray(k, dtype=float)
+    rests = np.concatenate([g.reshape(-1, sys.n) for g in grids], axis=1).tolist()
+    k = np.asarray(k, dtype=float).tolist()
     solver = _LeafSolver(rule)
-    count = flat[0].shape[0]
+    count = len(rests)
     out = np.empty((count, sys.n))
     row = shape[-2]
-    guess = np.asarray(x0_guess, dtype=float)
+    guess = np.asarray(x0_guess, dtype=float).tolist()
     for node in range(count):
         if node >= row and node % row == 0:
-            guess = out[node - row]
-        rest = np.concatenate([g[node] for g in flat])
-        guess = solver.solve(rest, k, guess, float(node))
+            guess = out[node - row].tolist()
+        guess = solver.solve(rests[node], k, guess, float(node))
         out[node] = guess
     return out.reshape(shape)
 

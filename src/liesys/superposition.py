@@ -8,11 +8,13 @@ submanifold on which the rule lives.  An optional explicit map phi expresses
 slot 0 directly through slots 1..m and the constants k1..ks.
 
 Reconstruction holds psi at its initial value by a damped Newton solve with
-the exact symbolic Jacobian, warm-started along the grid.
+the exact Jacobian (derivative trees evaluated in floats), warm-started along
+the grid.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,6 +43,8 @@ __all__ = [
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 8
+# reconstruct with phi checks every this many grid points by a leaf solve
+CROSSCHECK_EVERY = 10
 DEFAULT_TOL_CONST = 1e-6
 
 
@@ -173,11 +177,10 @@ def _constraint_samples(rule: SuperpositionRule, count: int, seed: int) -> list[
     """Random points projected onto the constraint zero set by Gauss-Newton."""
     chart = rule.product_chart
     names = chart.names
-    cons_fns = [ex.compile_expr(c, names) for c in rule.constraints]
-    jac_fns = [
-        [ex.compile_expr(ex.differentiate(c, v), names) for v in names]
-        for c in rule.constraints
-    ]
+    constraints = ex.compile_vector(rule.constraints, names)
+    jacobian = ex.compile_vector(
+        [ex._diff_tree(c, v) for c in rule.constraints for v in names], names
+    )
     rng = random.Random(seed)
     points: list[np.ndarray] = []
     attempts = 0
@@ -187,13 +190,13 @@ def _constraint_samples(rule: SuperpositionRule, count: int, seed: int) -> list[
         ok = True
         for _ in range(50):
             try:
-                res = np.array([fn(*x) for fn in cons_fns])
+                res = np.array(constraints(*x.tolist()), dtype=float)
             except (ZeroDivisionError, ValueError, OverflowError):
                 ok = False
                 break
             if float(np.max(np.abs(res), initial=0.0)) < 1e-12:
                 break
-            jac = np.array([[fn(*x) for fn in row] for row in jac_fns])
+            jac = np.array(jacobian(*x.tolist()), dtype=float).reshape(len(res), len(names))
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
             x = x + step
         else:
@@ -322,55 +325,66 @@ def verify_along_solutions(
 
 
 class _LeafSolver:
-    """Damped Newton for psi(x0, slots) = k plus constraints = 0, with the
-    exact symbolic Jacobian in the slot-0 variables."""
+    """Damped Newton for psi(x0, slots) = k plus constraints = 0 in the
+    slot-0 variables.
+
+    The equations and the n x n slot-0 Jacobian are one compiled vector each.
+    Jacobian entries are exact derivative trees (`ex._diff_tree`), not
+    canonical forms, so building a solver runs no gcd; the quotient rule keeps
+    the denominators and ln' = u'/u, so an entry is defined wherever its
+    equation is.  Iterates are lists of plain floats, so a singular point
+    raises instead of warning.  The residual norm is NaN when a residual is,
+    as with np.max, so a NaN never counts as converged.  For n = 1 the step
+    is -r/J, which is bit-identical to np.linalg.solve on the 1 x 1 system;
+    larger systems go to np.linalg.solve.
+    """
 
     def __init__(self, rule: SuperpositionRule):
-        chart = rule.product_chart
-        names = chart.names
-        n = rule.base_chart.dim
-        self.n = n
+        names = rule.product_chart.names
+        self.n = rule.base_chart.dim
         equations = list(rule.psi) + list(rule.constraints)
-        self.eq_fns = [ex.compile_expr(e, names) for e in equations]
-        slot0 = names[:n]
-        self.jac_fns = [
-            [ex.compile_expr(ex.differentiate(e, v), names) for v in slot0] for e in equations
-        ]
-        self.n_psi = rule.rank
+        self.equations = ex.compile_vector(equations, names)
+        self.jacobian = ex.compile_vector(
+            [ex._diff_tree(e, v) for e in equations for v in names[: self.n]], names
+        )
 
-    def residual(self, x0: np.ndarray, rest: np.ndarray, k: np.ndarray) -> np.ndarray:
-        args = np.concatenate([x0, rest])
-        out = np.array([fn(*args) for fn in self.eq_fns])
-        out[: self.n_psi] -= k
+    def residual(self, x0: list[float], rest: list[float], k: list[float]) -> list[float]:
+        out = self.equations(*x0, *rest)
+        for j, kj in enumerate(k):
+            out[j] -= kj
         return out
 
-    def solve(self, rest: np.ndarray, k: np.ndarray, guess: np.ndarray, t: float) -> np.ndarray:
-        x = np.array(guess, dtype=float)
+    def solve(self, rest: list[float], k: list[float], guess: list[float], t: float) -> list[float]:
+        x = list(guess)
         try:
             res = self.residual(x, rest, k)
         except (ZeroDivisionError, ValueError, OverflowError):
             raise SingularDomainError("leaf solve started at a singular point", t) from None
-        norm = float(np.max(np.abs(res)))
+        norm = _max_abs(res)
         for _ in range(NEWTON_MAX_ITER):
             if norm < NEWTON_TOL:
                 return x
-            args = np.concatenate([x, rest])
             try:
-                jac = np.array([[fn(*args) for fn in row] for row in self.jac_fns])
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
-                raise NonConvergenceError("singular Jacobian in leaf solve", t) from None
+                jac = self.jacobian(*x, *rest)
             except (ZeroDivisionError, ValueError, OverflowError):
                 raise SingularDomainError("Jacobian evaluation singular", t) from None
+            try:
+                if self.n == 1:
+                    step = [-res[0] / jac[0]]
+                else:
+                    matrix = np.array(jac, dtype=float).reshape(self.n, self.n)
+                    step = np.linalg.solve(matrix, [-r for r in res]).tolist()
+            except (ZeroDivisionError, np.linalg.LinAlgError):
+                raise NonConvergenceError("singular Jacobian in leaf solve", t) from None
             lam = 1.0
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 try:
-                    trial = x + lam * step
+                    trial = [xi + lam * si for xi, si in zip(x, step)]
                     trial_res = self.residual(trial, rest, k)
-                    trial_norm = float(np.max(np.abs(trial_res)))
+                    trial_norm = _max_abs(trial_res)
                 except (ZeroDivisionError, ValueError, OverflowError):
-                    trial_norm = np.inf
-                if np.isfinite(trial_norm) and (trial_norm < norm or norm < NEWTON_TOL):
+                    trial_norm = math.inf
+                if math.isfinite(trial_norm) and (trial_norm < norm or norm < NEWTON_TOL):
                     break
                 lam *= 0.5
             else:
@@ -381,6 +395,12 @@ class _LeafSolver:
         raise NonConvergenceError(
             f"Newton did not converge in {NEWTON_MAX_ITER} iterations", t
         )
+
+
+def _max_abs(values: list[float]) -> float:
+    """max |v|, NaN when any v is NaN as with np.max (Python's max skips a
+    NaN that is not the first item)."""
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
 
 
 def derive_k(rule: SuperpositionRule, x0: Sequence[float], slot_states: Sequence[Sequence[float]]) -> np.ndarray:
@@ -395,12 +415,11 @@ def reconstruct(
     trajectories: Sequence[Trajectory],
     k: Sequence[float],
     x0_guess: Sequence[float] | None = None,
-    crosscheck_every: int = 10,
 ) -> Trajectory:
     """Slot-0 curve with psi held at k along the m particular solutions.
 
     With phi present the curve is evaluated directly and cross-checked by one
-    Newton solve every `crosscheck_every` grid points; otherwise each grid
+    Newton solve every CROSSCHECK_EVERY grid points; otherwise each grid
     point is a damped Newton solve warm-started from its predecessor.
     """
     if len(trajectories) != rule.m:
@@ -411,6 +430,7 @@ def reconstruct(
         raise ValueError(f"k must have {rule.rank} entries")
     n = rule.base_chart.dim
     solver = _LeafSolver(rule)
+    rest_rows, k_list = rests.tolist(), k.tolist()
 
     states = np.empty((len(grid), n))
     if rule.phi is not None:
@@ -421,8 +441,10 @@ def reconstruct(
                 states[row] = [fn(*args) for fn in phi_fns]
             except (ZeroDivisionError, ValueError, OverflowError):
                 raise SingularDomainError("phi evaluation singular", float(grid[row])) from None
-            if crosscheck_every and row % crosscheck_every == 0:
-                checked = solver.solve(rests[row], k, states[row], float(grid[row]))
+            if row % CROSSCHECK_EVERY == 0:
+                checked = solver.solve(
+                    rest_rows[row], k_list, states[row].tolist(), float(grid[row])
+                )
                 if float(np.max(np.abs(checked - states[row]))) > 1e-6:
                     raise NonConvergenceError(
                         "phi and leaf solve disagree beyond 1e-6", float(grid[row])
@@ -430,9 +452,9 @@ def reconstruct(
     else:
         if x0_guess is None:
             raise ValueError("x0_guess is required when the rule has no phi")
-        guess = np.asarray(x0_guess, dtype=float)
+        guess = np.asarray(x0_guess, dtype=float).tolist()
         for row in range(len(grid)):
-            guess = solver.solve(rests[row], k, guess, float(grid[row]))
+            guess = solver.solve(rest_rows[row], k_list, guess, float(grid[row]))
             states[row] = guess
     derivatives = (
         np.gradient(states, grid, axis=0) if len(grid) > 1 else np.zeros_like(states)

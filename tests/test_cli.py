@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,32 @@ class TestMCommand:
         code, doc = run(tmp_path, "m", str(PROBLEMS / "translation.json"))
         assert code == 0
         assert doc["extra"]["m"] == 1
+
+    @staticmethod
+    def power_problem(tmp_path, squarings=0, field="x"):
+        for _ in range(squarings):
+            field = f"({field})^2"
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"chart": ["x"], "fields": [[field]], "coefficients": ["1"]}))
+        return path
+
+    @pytest.mark.parametrize("squarings,field", [(0, "x^1100"), (12, "x")])
+    def test_values_beyond_the_float_range_fail(self, tmp_path, capsys, squarings, field):
+        assert main(["m", str(self.power_problem(tmp_path, squarings, field))]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL completed" in out and "out of the float range" in out
+
+    def test_31_squarings_fail_within_the_exact_power_budget(self, tmp_path):
+        # the exact value would have 2^31 times the bits of a sample point
+        path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-m", "liesys", "m", str(self.power_problem(tmp_path, 31))],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 1
+        assert "FAIL completed" in done.stdout and "bits" in done.stdout
+        assert "Traceback" not in done.stderr
 
 
 class TestClosureCommand:

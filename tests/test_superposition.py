@@ -4,12 +4,18 @@ import random
 import numpy as np
 import pytest
 
+from liesys import expr as ex
+from liesys.catalog import linear_rule
 from liesys.dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate
-from liesys.errors import SingularDomainError
+from liesys.errors import NonConvergenceError, SingularDomainError
 from liesys.expr import Chart, compile_expr
 from liesys.geometry import VectorField
 from liesys.superposition import (
+    NEWTON_MAX_HALVINGS,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     SuperpositionRule,
+    _LeafSolver,
     derive_k,
     reconstruct,
     verify_along_solutions,
@@ -333,3 +339,180 @@ class TestPartialRules:
         trajectories = solution_tuple(self.sys, ([0.8, -0.5],))
         report = verify_partial_rule(bad, self.sys, trajectories, [0.7])
         assert not report.passed
+
+
+class _ReferenceLeafSolver:
+    """The leaf solver as it was before derivative trees: Jacobian entries
+    in canonical form from `differentiate`, iteration on numpy arrays."""
+
+    def __init__(self, rule):
+        names = rule.product_chart.names
+        n = rule.base_chart.dim
+        equations = list(rule.psi) + list(rule.constraints)
+        self.eq_fns = [compile_expr(e, names) for e in equations]
+        self.jac_fns = [
+            [compile_expr(ex.differentiate(e, v), names) for v in names[:n]] for e in equations
+        ]
+        self.n_psi = rule.rank
+
+    def residual(self, x0, rest, k):
+        args = np.concatenate([x0, rest])
+        out = np.array([fn(*args) for fn in self.eq_fns])
+        out[: self.n_psi] -= k
+        return out
+
+    def solve(self, rest, k, guess, t):
+        x = np.array(guess, dtype=float)
+        try:
+            res = self.residual(x, rest, k)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            raise SingularDomainError("leaf solve started at a singular point", t) from None
+        norm = float(np.max(np.abs(res)))
+        for _ in range(NEWTON_MAX_ITER):
+            if norm < NEWTON_TOL:
+                return x
+            args = np.concatenate([x, rest])
+            try:
+                jac = np.array([[fn(*args) for fn in row] for row in self.jac_fns])
+                step = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError:
+                raise NonConvergenceError("singular Jacobian in leaf solve", t) from None
+            except (ZeroDivisionError, ValueError, OverflowError):
+                raise SingularDomainError("Jacobian evaluation singular", t) from None
+            lam = 1.0
+            for _ in range(NEWTON_MAX_HALVINGS + 1):
+                try:
+                    trial = x + lam * step
+                    trial_res = self.residual(trial, rest, k)
+                    trial_norm = float(np.max(np.abs(trial_res)))
+                except (ZeroDivisionError, ValueError, OverflowError):
+                    trial_norm = np.inf
+                if np.isfinite(trial_norm) and (trial_norm < norm or norm < NEWTON_TOL):
+                    break
+                lam *= 0.5
+            else:
+                raise NonConvergenceError("Newton damping exhausted", t)
+            x, res, norm = trial, trial_res, trial_norm
+        if norm < NEWTON_TOL:
+            return x
+        raise NonConvergenceError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations", t)
+
+
+def _outcome(solver, rest, k, guess):
+    """The solution as an array, or the type and message of the exception."""
+    try:
+        return np.asarray(solver.solve(rest, k, guess, 0.5))
+    except (NonConvergenceError, SingularDomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _both(rule, rest, k, guess):
+    new = _outcome(_LeafSolver(rule), list(rest), list(k), list(guess))
+    old = _outcome(_ReferenceLeafSolver(rule), np.array(rest), np.array(k), np.array(guess))
+    return new, old
+
+
+def _partial_rules():
+    chart = Chart(("x1", "x2"))
+    rank1 = SuperpositionRule.from_strings(
+        chart, 1, 1, psi=["x1_0/x1_1"], phi=["k1*x1_1", "k1*x2_1"],
+        constraints=["x1_0*x2_1 - x2_0*x1_1"],
+    )
+    rank1_m2 = SuperpositionRule.from_strings(
+        chart, 2, 1, psi=["(x1_0 - x1_1)/x1_2"], phi=["x1_1 + k1*x1_2", "x2_1 + k1*x2_2"],
+        constraints=["x1_2*(x2_0 - x2_1) - x2_2*(x1_0 - x1_1)"],
+    )
+    return rank1, rank1_m2
+
+
+def _leaf_cases():
+    """(name, rule, draw) parameters where draw(rng) gives a slot-0 point and
+    the other slots, with slot 0 on the constraint set of a partial rule."""
+    uniform = lambda rng, count: [rng.uniform(-2, 2) for _ in range(count)]
+    free = lambda n, m: lambda rng: (uniform(rng, n), uniform(rng, n * m))
+
+    def on_rank1(rng):
+        rest, c = uniform(rng, 2), rng.uniform(-2, 2)
+        return [c * rest[0], c * rest[1]], rest
+
+    def on_rank1_m2(rng):
+        rest, c = uniform(rng, 4), rng.uniform(-2, 2)
+        return [rest[0] + c * rest[2], rest[1] + c * rest[3]], rest
+
+    pde_cross_ratio = SuperpositionRule.from_strings(
+        Chart(("u",)), 3, 1, psi=["((u_0 - u_1)*(u_2 - u_3))/((u_0 - u_2)*(u_1 - u_3))"]
+    )
+    rank1, rank1_m2 = _partial_rules()
+    cases = [
+        ("riccati", cross_ratio(), free(1, 3)),
+        ("gl2", linear_rule(Chart(("x1", "x2"))), free(2, 2)),
+        ("gl3", linear_rule(Chart(("x1", "x2", "x3"))), free(3, 3)),
+        ("pde_u", pde_cross_ratio, free(1, 3)),
+        ("partial_rank1", rank1, on_rank1),
+        ("partial_rank1_m2", rank1_m2, on_rank1_m2),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+class TestLeafSolver:
+    """The float leaf solver against the canonical-form reference: Jacobian
+    entries differ in the last bits, so iterates may too, by far less than
+    NEWTON_TOL; exceptions are the same."""
+
+    @pytest.mark.parametrize("name,rule,draw", _leaf_cases())
+    def test_agrees_with_reference(self, name, rule, draw):
+        rng = random.Random(f"leaf-{name}")
+        solver, reference = _LeafSolver(rule), _ReferenceLeafSolver(rule)
+        names = rule.product_chart.names
+        psi = [compile_expr(p, names) for p in rule.psi]
+        solved = 0
+        for _ in range(60):
+            x0, rest = draw(rng)
+            try:
+                k = [fn(*x0, *rest) for fn in psi]
+            except ZeroDivisionError:
+                continue
+            guess = [v + rng.uniform(-0.1, 0.1) for v in x0]
+            new = _outcome(solver, rest, k, guess)
+            old = _outcome(reference, np.array(rest), np.array(k), np.array(guess))
+            if isinstance(old, tuple):
+                assert new == old
+                continue
+            assert np.max(np.abs(new - old)) <= 1e-12
+            solved += 1
+        assert solved >= 40
+
+    def test_singular_start(self):
+        new, old = _both(cross_ratio(), [0.5, -1.0, 2.0], [0.3], [-1.0])
+        assert new == old == (SingularDomainError,
+                              "leaf solve started at a singular point (t=0.5)")
+
+    @pytest.mark.parametrize("rule,rest,k,guess", [
+        (SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^2"]),
+         [0.5], [0.3], [0.5]),
+        (euclidean_rule(), [0.5, 0.5, -1.0, 2.0], [0.3, 1.0], [0.5, 0.5]),
+    ], ids=["n1", "n2"])
+    def test_zero_jacobian(self, rule, rest, k, guess):
+        new, old = _both(rule, rest, k, guess)
+        assert new == old == (NonConvergenceError, "singular Jacobian in leaf solve (t=0.5)")
+
+    def test_nan_equation_raises(self):
+        # the first residual is 0 and the second inf - inf: a norm that
+        # skipped the NaN would return the guess as converged
+        rule = SuperpositionRule.from_strings(
+            PLANE, 1, 2, psi=["x_0 - x_1", "y_0 + y_1*y_1*y_1 - y_1*y_1*y_1"]
+        )
+        new, old = _both(rule, [0.5, 1e200], [0.0, 0.3], [0.5, 0.2])
+        assert new == old == (NonConvergenceError, "Newton damping exhausted (t=0.5)")
+
+    def test_no_canonical_forms(self, monkeypatch):
+        rule = linear_rule(Chart(("x1", "x2", "x3")))
+
+        def refuse(*args):
+            raise AssertionError("canonical form in the leaf solver")
+
+        monkeypatch.setattr(ex, "canonical_expr", refuse)
+        monkeypatch.setattr(ex, "_poly_gcd", refuse)
+        rest = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+        x = _LeafSolver(rule).solve(rest, [0.2, -0.3, 0.5], [0.0, 0.0, 0.0], 0.0)
+        assert np.max(np.abs(np.subtract(x, [0.2, -0.3, 0.5]))) <= 1e-12
