@@ -2,17 +2,19 @@
 with constant structure coefficients, and the sampled rank criterion for the
 minimal fundamental-set size m.
 
-Structure constants are found by equating canonical-form coefficients, a
-linear system over the rationals solved exactly; floating point enters only
-in the rank sampling (singular values with a relative threshold).
+Structure constants are found by reducing canonical-form coefficients
+against one incremental echelon form of the basis over Q, exactly; floating
+point enters only in the rank sampling (singular values with a relative
+threshold).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,37 +42,87 @@ _RANK_RTOL = 1e-10
 # ---------------------------------------------------------------------------
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve rows . c = rhs exactly; None if inconsistent.  Requires the
-    solution, when consistent, to be unique on the pivot columns; free
-    columns are set to zero."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+def _axpy(y: dict, a: Fraction, x: dict) -> None:
+    """y += a * x on sparse vectors, dropping entries that cancel."""
+    for k, v in x.items():
+        s = y.get(k, 0) + a * v
+        if s:
+            y[k] = s
+        else:
+            y.pop(k, None)
+
+
+class _Echelon:
+    """Reduced row echelon form over Q of the fields added so far, one chart.
+
+    A field's vector holds its coefficients in (component, monomial)
+    coordinates once component i is multiplied by D_i, the lcm of the
+    denominators of component i over the fields seen.  A row also holds, at
+    key (-1, a), its coefficient of added field a, so reducing a target
+    against the rows yields its coefficients with nothing solved again.
+    """
+
+    def __init__(self, fields: Iterable[VectorField] = ()):
+        self.fields: list[VectorField] = []
+        self._names: tuple[str, ...] | None = None
+        self._dens: list[dict] = []
+        self._rows: dict = {}  # pivot coordinate -> row
+        for f in fields:
+            self.add(f)
+
+    def _reduce(self, f: VectorField) -> dict:
+        """f's vector minus the rows that clear its pivot coordinates; key
+        (-1, a) holds minus the coefficient of field a taken off."""
+        if self._names is None:
+            self._names, self._dens = f.chart.names, [ex._PONE] * f.chart.dim
+        elif f.chart.names != self._names:
+            raise ChartMismatchError("span_coefficients needs a shared chart")
+        vec = {}
+        for i, c in enumerate(f.components):
+            num, den = ex._nf_of(c).num_den
+            common = self._dens[i]
+            try:
+                scale = common if den == ex._PONE else ex._pdiv_exact(common, den)
+            except ArithmeticError:  # widen D_i to the lcm and rebuild the rows
+                self._dens[i] = ex._pmul(ex._pdiv_exact(common, ex._poly_gcd(common, den)), den)
+                fields, self._rows = list(self.fields), {}
+                self.fields.clear()  # the same list: closure_test holds it as its basis
+                for g in fields:
+                    self.add(g)
+                return self._reduce(f)
+            vec.update(((i, mono), v) for mono, v in ex._pmul(num, scale).items())
+        # each pivot coordinate sits in its own row only, so one pass clears all
+        for pivot in [k for k in vec if k in self._rows]:
+            _axpy(vec, -vec[pivot], self._rows[pivot])
+        return vec
+
+    def add(self, f: VectorField) -> bool:
+        """Adjoin f as a row; False, with nothing added, when f is in the span."""
+        vec = self._reduce(f)
+        pivot = next((k for k in vec if k[0] >= 0), None)
         if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row, col in pivots:
-        solution[col] = m[row][ncols]
-    # rows below the pivot block were checked; rows in the block are satisfied
-    return solution
+            return False
+        vec[(-1, len(self.fields))] = Fraction(1)
+        self.fields.append(f)
+        inv = Fraction(1) / vec[pivot]
+        row = {k: v * inv for k, v in vec.items()}
+        for other in self._rows.values():
+            if pivot in other:
+                _axpy(other, -other[pivot], row)
+        self._rows[pivot] = row
+        return True
+
+    def coefficients(self, f: VectorField) -> tuple[bool, list[Fraction]]:
+        """Whether f is in the span of the added fields, and the coefficients of
+        the combination the reduction took off f."""
+        vec = self._reduce(f)
+        in_span = all(i < 0 for i, _ in vec)
+        return in_span, [-vec.get((-1, a), Fraction(0)) for a in range(len(self.fields))]
+
+
+def _independent(fields: Sequence[VectorField]) -> bool:
+    """Whether the fields are linearly independent over Q, hence over R."""
+    return len(_Echelon(fields).fields) == len(fields)
 
 
 @dataclass(frozen=True)
@@ -83,70 +135,38 @@ class SpanResult:
         return self.in_span
 
 
-def _component_rows(target: VectorField, basis: Sequence[VectorField]):
-    """Rows of the coefficient-matching system, one per monomial per component.
-
-    Rational components are cleared through a common denominator first so the
-    match happens between expanded polynomials.
-    """
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(target.chart.dim):
-        entries = [f.components[i] for f in basis] + [target.components[i]]
-        nfs = [ex._nf_of(e) for e in entries]
-        common = dict(ex._PONE)
-        for nf in nfs:
-            den = nf.num_den[1]
-            g = ex._poly_gcd(common, den)
-            common = ex._pmul(ex._pdiv_exact(common, g), den)
-        cleared = []
-        for nf in nfs:
-            num, den = nf.num_den
-            cleared.append(ex._pmul(num, ex._pdiv_exact(common, den)))
-        monomials = sorted({m for p in cleared for m in p})
-        for mono in monomials:
-            rows.append([p.get(mono, Fraction(0)) for p in cleared[:-1]])
-            rhs.append(cleared[-1].get(mono, Fraction(0)))
-    return rows, rhs
-
-
 def span_coefficients(target: VectorField, basis: Sequence[VectorField]) -> SpanResult:
     """Constant coefficients c with target = sum c_a X_a, exact over Q.
 
-    NotInSpan carries the residual field target - sum c_a X_a for the best
-    partially consistent solve.
+    A basis field dependent on earlier ones gets coefficient 0.  NotInSpan
+    carries the residual field target - sum c_a X_a left by the echelon
+    reduction.
     """
     basis = list(basis)
-    for f in basis:
-        if f.chart.names != target.chart.names:
-            raise ChartMismatchError("span_coefficients needs a shared chart")
-    rows, rhs = _component_rows(target, basis)
-    solution = _solve_exact(rows, rhs)
-    if solution is not None:
-        return SpanResult(True, coefficients=tuple(solution))
-    # inconsistent: solve the least-squares-free consistent part for a witness
-    residual = target
-    partial = _solve_exact(rows, [Fraction(0)] * len(rhs))
-    combo = None
-    for c, f in zip(partial or [], basis):
+    span = _Echelon()
+    kept = [a for a, f in enumerate(basis) if span.add(f)]
+    in_span, reduced = span.coefficients(target)
+    coefficients = [Fraction(0)] * len(basis)
+    for a, c in zip(kept, reduced):
+        coefficients[a] = c
+    if in_span:
+        return SpanResult(True, coefficients=tuple(coefficients))
+    return SpanResult(False, residual=_minus_combination(target, coefficients, basis))
+
+
+def _minus_combination(
+    target: VectorField, coefficients: Sequence[Fraction], basis: Sequence[VectorField]
+) -> VectorField:
+    """target - sum c_a X_a."""
+    for c, f in zip(coefficients, basis):
         if c:
-            piece = f.scale(ex.Const(c))
-            combo = piece if combo is None else combo + piece
-    if combo is not None:
-        residual = target - combo
-    return SpanResult(False, residual=residual)
+            target = target - f.scale(ex.Const(c))
+    return target
 
 
 def prune_independent(fields: Sequence[VectorField]) -> list[VectorField]:
     """Drop fields linearly dependent (over R, decided over Q) on earlier ones."""
-    kept: list[VectorField] = []
-    for f in fields:
-        if f.is_zero_field():
-            continue
-        if kept and span_coefficients(f, kept).in_span:
-            continue
-        kept.append(f)
-    return kept
+    return _Echelon(f for f in fields if not f.is_zero_field()).fields
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +200,27 @@ class LieClosureReport:
         return tuple(-v for v in self.constants[(b, a)])
 
     def jacobi_residual(self) -> Fraction:
-        """Max |cyclic sum| over all index triples; exactly 0 when closed."""
+        """Max |cyclic sum| over all index triples; exactly 0 when closed.
+
+        The cyclic sum of antisymmetric c is totally antisymmetric and vanishes
+        on a repeated index, so triples a < b < g reach the same maximum.
+        """
         r = self.dimension
+        c = {(a, b): {mu: v for mu, v in enumerate(self.c(a, b)) if v}
+             for a in range(r) for b in range(r)}
         worst = Fraction(0)
-        for a in range(r):
-            for b in range(r):
-                for g in range(r):
-                    for nu in range(r):
-                        total = Fraction(0)
-                        for mu in range(r):
-                            total += self.c(a, b)[mu] * self.c(mu, g)[nu]
-                            total += self.c(b, g)[mu] * self.c(mu, a)[nu]
-                            total += self.c(g, a)[mu] * self.c(mu, b)[nu]
-                        worst = max(worst, abs(total))
+        for a, b, g in itertools.combinations(range(r), 3):
+            total: dict[int, Fraction] = {}
+            for x, y, z in ((a, b, g), (b, g, a), (g, a, b)):
+                for mu, v in c[x, y].items():
+                    _axpy(total, v, c[mu, z])
+            worst = max([worst, *map(abs, total.values())])
         return worst
 
     def reconstruct_bracket_residual(self, a: int, b: int) -> VectorField:
         """[X_a, X_b] - sum c X_g; canonically zero whenever closed."""
-        combo = None
-        for coeff, f in zip(self.c(a, b), self.basis):
-            if coeff:
-                piece = f.scale(ex.Const(coeff))
-                combo = piece if combo is None else combo + piece
         bracket = lie_bracket(self.basis[a], self.basis[b])
-        return bracket if combo is None else bracket - combo
+        return _minus_combination(bracket, self.c(a, b), self.basis)
 
     def to_json_dict(self) -> dict:
         return {
@@ -235,7 +252,8 @@ def closure_test(
     """
     if not fields:
         raise ValueError("closure_test needs at least one field")
-    basis = prune_independent(fields)
+    span = _Echelon(f for f in fields if not f.is_zero_field())
+    basis = span.fields  # grows as span.add adjoins brackets
     if not basis:
         basis = [fields[0]]  # all-zero input: report the trivial algebra
     trace = [len(basis)] if complete else None
@@ -244,9 +262,9 @@ def closure_test(
     while pending:
         a, b = pending.pop(0)
         bracket = lie_bracket(basis[a], basis[b])
-        result = span_coefficients(bracket, basis)
-        if result.in_span:
-            constants[(a, b)] = result.coefficients
+        in_span, coefficients = span.coefficients(bracket)
+        if in_span:
+            constants[(a, b)] = tuple(coefficients)
             continue
         if not complete:
             return LieClosureReport(
@@ -256,7 +274,7 @@ def closure_test(
             raise ClosureCapError(
                 f"no finite closure found up to dimension cap {cap}"
             )
-        basis.append(bracket)
+        span.add(bracket)
         trace.append(len(basis))
         new = len(basis) - 1
         pending = list(pending) + [(i, new) for i in range(new)]
@@ -362,9 +380,8 @@ def minimal_m(
     fields = list(fields)
     if not fields:
         raise ValueError("minimal_m needs at least one field")
-    for f in fields:
-        if span_coefficients(f, [g for g in fields if g is not f]).in_span:
-            raise ValueError("fields are linearly dependent; prune_independent first")
+    if not _independent(fields):
+        raise ValueError("fields are linearly dependent; prune_independent first")
     r = len(fields)
     n = fields[0].chart.dim
     reject = exclusion if exclusion is not None else _default_exclusion

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .algebra import evaluation_matrix, matrix_rank, span_coefficients
+from .algebra import _independent, evaluation_matrix, matrix_rank
 from .errors import EvaluationError, FundamentalSetError
 from .expr import Expr
 from .geometry import VectorField
@@ -119,10 +119,8 @@ class LieSystem:
         for f in fields:
             if f.chart.names != chart.names:
                 raise ValueError("all fields must share one chart")
-        for i, f in enumerate(fields):
-            others = fields[:i] + fields[i + 1 :]
-            if others and span_coefficients(f, others).in_span:
-                raise ValueError("basis fields must be linearly independent over R")
+        if len(fields) > 1 and not _independent(fields):
+            raise ValueError("basis fields must be linearly independent over R")
         self.fields = fields
         self.coefficients = list(coefficients)
         self.chart = chart

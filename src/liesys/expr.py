@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EvaluationError, ParseError
+from .errors import EvaluationError, LiesysError, ParseError
 
 __all__ = [
     "FUNCTIONS",
@@ -426,6 +426,11 @@ def _pmul(p, q):
         return dict(q)
     if q == _PONE:
         return dict(p)
+    if len(p) * len(q) > MAX_TERM_PAIRS:
+        raise LiesysError(
+            f"expanding a product of {len(p)} by {len(q)} terms exceeds "
+            f"{MAX_TERM_PAIRS} term pairs"
+        )
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -913,6 +918,9 @@ MAX_OPERATORS = 1000
 # denominator: nested squarings that parse in a few levels would otherwise
 # build numbers of billions of digits.
 MAX_EXACT_BITS = 2**20
+# Most term pairs one polynomial product multiplies out, at a few microseconds
+# each: expanding (x+1)^100000 squares ever longer polynomials and would not end.
+MAX_TERM_PAIRS = 2**18
 
 
 class _Parser:

@@ -1,16 +1,27 @@
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from liesys import algebra, catalog
+from liesys import expr as ex
 from liesys.algebra import (
+    LieClosureReport,
     closure_test,
     minimal_m,
     prune_independent,
     span_coefficients,
 )
-from liesys.errors import ClosureCapError
+from liesys.catalog import gl_fields
+from liesys.dynamics import CoefficientCurve, LieSystem
+from liesys.errors import ChartMismatchError, ClosureCapError
 from liesys.expr import Chart, is_zero
-from liesys.geometry import VectorField
+from liesys.geometry import VectorField, lie_bracket
+from liesys.pde import PdeSystem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 LINE = Chart(("x",))
 PLANE = Chart(("x", "y"))
@@ -147,3 +158,266 @@ class TestMinimalM:
     def test_prune_independent(self):
         kept = prune_independent([field(LINE, "1"), field(LINE, "2"), field(LINE, "x")])
         assert len(kept) == 2
+
+
+# ---------------------------------------------------------------------------
+# The dense solve the echelon form replaced, kept as an oracle: every field's
+# denominators are cleared again and the whole basis re-eliminated per target.
+# ---------------------------------------------------------------------------
+
+
+def _reference_solve(rows, rhs):
+    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == len(m):
+            break
+    for i in range(r, len(m)):
+        if m[i][ncols] != 0:
+            return None
+    solution = [Fraction(0)] * ncols
+    for row, col in pivots:
+        solution[col] = m[row][ncols]
+    return solution
+
+
+def _reference_rows(target, basis):
+    rows, rhs = [], []
+    for i in range(target.chart.dim):
+        nfs = [ex._nf_of(e) for e in [f.components[i] for f in basis] + [target.components[i]]]
+        common = dict(ex._PONE)
+        for nf in nfs:
+            den = nf.num_den[1]
+            common = ex._pmul(ex._pdiv_exact(common, ex._poly_gcd(common, den)), den)
+        cleared = [ex._pmul(nf.num_den[0], ex._pdiv_exact(common, nf.num_den[1])) for nf in nfs]
+        for mono in sorted({m for p in cleared for m in p}):
+            rows.append([p.get(mono, Fraction(0)) for p in cleared[:-1]])
+            rhs.append(cleared[-1].get(mono, Fraction(0)))
+    return rows, rhs
+
+
+def _reference_span(target, basis):
+    """Coefficients of target in basis (0 on fields dependent on earlier ones), or None."""
+    return _reference_solve(*_reference_rows(target, list(basis)))
+
+
+def _reference_closure(fields, complete=False, cap=32):
+    basis = []
+    for f in fields:
+        if not f.is_zero_field() and not (basis and _reference_span(f, basis) is not None):
+            basis.append(f)
+    basis = basis or [fields[0]]
+    trace = [len(basis)] if complete else None
+    constants = {}
+    pending = [(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))]
+    while pending:
+        a, b = pending.pop(0)
+        bracket = lie_bracket(basis[a], basis[b])
+        solution = _reference_span(bracket, basis)
+        if solution is not None:
+            constants[(a, b)] = tuple(solution)
+            continue
+        if not complete:
+            return LieClosureReport(basis, constants, False, (a, b, bracket), trace)
+        if len(basis) >= cap:
+            raise ClosureCapError(f"no finite closure found up to dimension cap {cap}")
+        basis.append(bracket)
+        trace.append(len(basis))
+        pending = pending + [(i, len(basis) - 1) for i in range(len(basis) - 1)]
+        pending.insert(0, (a, b))
+    constants = {k: v + (Fraction(0),) * (len(basis) - len(v)) for k, v in constants.items()}
+    return LieClosureReport(basis, constants, True, completion_trace=trace)
+
+
+def _reference_jacobi(report):
+    r = report.dimension
+    worst = Fraction(0)
+    for a in range(r):
+        for b in range(r):
+            for g in range(r):
+                for nu in range(r):
+                    total = Fraction(0)
+                    for mu in range(r):
+                        total += report.c(a, b)[mu] * report.c(mu, g)[nu]
+                        total += report.c(b, g)[mu] * report.c(mu, a)[nu]
+                        total += report.c(g, a)[mu] * report.c(mu, b)[nu]
+                    worst = max(worst, abs(total))
+    return worst
+
+
+def _same_closure(fields, complete=False, cap=32):
+    """closure_test and the reference agree on every reported field, or both hit the cap."""
+    try:
+        want = _reference_closure(fields, complete, cap)
+    except ClosureCapError as exc:
+        with pytest.raises(ClosureCapError, match=str(exc)):
+            closure_test(fields, complete, cap)
+        return None
+    got = closure_test(fields, complete, cap)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.constants == want.constants
+    return got
+
+
+def _random_component(rng, with_atom):
+    atoms = ["x", "y", "sin(x)"] if with_atom else ["x", "y"]
+    terms = [
+        f"({Fraction(rng.randint(-4, 4), rng.randint(1, 3))})"
+        + "".join(f"*{a}^{rng.randint(1, 2)}" for a in rng.sample(atoms, rng.randint(0, 2)))
+        for _ in range(rng.randint(0, 3))
+    ]
+    den = rng.choice(["1", "1", "1", "x", "x^2", "y + 1", "x*y - 2"])
+    return f"({' + '.join(terms) or '0'})/({den})"
+
+
+def _random_fields(rng, count, with_atom):
+    return [
+        field(PLANE, _random_component(rng, with_atom), _random_component(rng, with_atom))
+        for _ in range(count)
+    ]
+
+
+def _combination(rng, fields):
+    out = None
+    for f in fields:
+        piece = f.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        out = piece if out is None else out + piece
+    return out
+
+
+def _gl_scaled(n, seed):
+    rng = random.Random(seed)
+    chart = Chart(tuple(f"x{i + 1}" for i in range(n)))
+    return [f.scale(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5)))
+            for f in gl_fields(chart)]
+
+
+def _closure_problems():
+    """Problem files whose fields or PDE decomposition basis go through closure_test."""
+    docs = {p: json.loads(p.read_text()) for p in sorted(PROBLEMS.glob("*.json"))}
+    return [p for p, d in docs.items() if "fields" in d or "decomposition" in d.get("pde", {})]
+
+
+class TestEchelonAgainstDenseSolve:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_span_coefficients_match(self, seed):
+        rng = random.Random(seed)
+        basis = _random_fields(rng, rng.randint(1, 4), with_atom=seed % 2 == 1)
+        if seed % 3 == 0:  # a dependent field: its coefficient stays 0
+            basis.insert(rng.randint(1, len(basis)), _combination(rng, basis))
+        for target in (_combination(rng, basis), _random_fields(rng, 1, seed % 2 == 1)[0]):
+            got = span_coefficients(target, basis)
+            want = _reference_span(target, basis)
+            assert got.in_span == (want is not None)
+            if want is not None:
+                assert got.coefficients == tuple(want)
+            else:
+                # the residual is target - sum c_a X_a for constants c
+                assert not got.residual.is_zero_field()
+                assert span_coefficients(target - got.residual, basis).in_span
+
+    def test_residual_is_the_echelon_remainder(self):
+        result = span_coefficients(field(LINE, "1 + x^2"), [field(LINE, "1")])
+        assert not result.in_span
+        assert str(result.residual.components[0]) == "x^2"
+
+    def test_target_denominator_outside_the_basis(self):
+        result = span_coefficients(field(LINE, "1/x + 2"), [field(LINE, "x"), field(LINE, "1")])
+        assert not result.in_span
+        assert str(result.residual.components[0]) == "1/x"
+
+    def test_independence_checks(self):
+        x, y = field(PLANE, "x", "0"), field(PLANE, "y/(x + 1)", "sin(y)")
+        LieSystem([x, y], [CoefficientCurve.from_string("1")] * 2)
+        with pytest.raises(ValueError, match="linearly independent over R"):
+            LieSystem([x, y, x.scale(2) + y], [CoefficientCurve.from_string("1")] * 3)
+        with pytest.raises(ValueError, match="prune_independent first"):
+            minimal_m([x, y, x.scale(2) + y])
+        with pytest.raises(ChartMismatchError, match="shared chart"):
+            minimal_m([x, field(LINE, "1")])
+
+
+class TestClosureAgainstDenseSolve:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_gl(self, n):
+        report = _same_closure(_gl_scaled(n, seed=n))
+        assert report.closed and report.dimension == n * n
+
+    @pytest.mark.parametrize("path", _closure_problems(), ids=lambda p: p.stem)
+    def test_problem_files(self, path):
+        doc = json.loads(path.read_text())
+        if "pde" in doc:
+            p = doc["pde"]
+            fields = list(PdeSystem.from_strings(
+                int(p["s"]), p["chart"], p["fields"], p["decomposition"]).decomposition.basis)
+        else:
+            fields = [field(Chart(tuple(doc["chart"])), *comps) for comps in doc["fields"]]
+        _same_closure(fields)
+        _same_closure(fields, complete=True)
+
+    def test_catalog(self, monkeypatch):
+        real, seen = algebra.closure_test, []
+
+        def checked(fields, *args, **kwargs):
+            seen.append(len(fields))
+            assert _same_closure(list(fields), *args, **kwargs) is not None
+            return real(fields, *args, **kwargs)
+
+        monkeypatch.setattr(algebra, "closure_test", checked)
+        monkeypatch.setattr(catalog, "closure_test", checked)
+        for name in catalog.entry_names():
+            catalog.run_entry(name)
+        assert len(seen) >= 4
+
+    @pytest.mark.parametrize("fields", [
+        ["1", "1/x^2"],  # 1/x^n for ever: both hit the cap
+        ["x^2", "1/x"],
+        ["1/x", "x^3"],
+    ])
+    def test_completion_with_rational_fields(self, fields):
+        _same_closure([field(LINE, c) for c in fields], complete=True, cap=6)
+
+    @pytest.mark.parametrize("fields", [
+        [("0", "x^2"), ("x", "y/(x + 1)")],  # the bracket's denominator is new to D_2
+        [("x^2", "x"), ("x", "1/x")],
+    ])
+    def test_completion_widening_a_denominator(self, fields):
+        report = _same_closure([field(PLANE, *c) for c in fields], complete=True)
+        assert report.closed and report.completion_trace == [2, 3]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_rational_completion(self, seed):
+        rng = random.Random(100 + seed)
+        _same_closure(_random_fields(rng, 2, with_atom=False), complete=True, cap=5)
+
+
+class TestJacobiResidual:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_full_sum(self, seed):
+        rng = random.Random(seed)
+        r = rng.randint(1, 5)
+        constants = {
+            (a, b): tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * (rng.random() < 0.6)
+                          for _ in range(r))
+            for a in range(r) for b in range(a + 1, r)
+        }
+        report = LieClosureReport([field(LINE, "1")] * r, constants, closed=True)
+        got = report.jacobi_residual()
+        assert type(got) is Fraction and got == _reference_jacobi(report)
+
+    def test_gl3_is_zero(self):
+        assert closure_test(_gl_scaled(3, seed=0)).jacobi_residual() == Fraction(0)

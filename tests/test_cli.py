@@ -22,6 +22,14 @@ def run(tmp_path, *argv, json_name="report.json"):
     return code, doc
 
 
+def run_subprocess(*argv, timeout):
+    """Invoke the CLI in a fresh interpreter, failing the test past `timeout` seconds."""
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "liesys", *map(str, argv)],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 class TestMCommand:
     def test_riccati_m_three(self, tmp_path):
         code, doc = run(tmp_path, "m", str(PROBLEMS / "riccati.json"))
@@ -54,18 +62,33 @@ class TestMCommand:
 
     def test_31_squarings_fail_within_the_exact_power_budget(self, tmp_path):
         # the exact value would have 2^31 times the bits of a sample point
-        path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        done = subprocess.run(
-            [sys.executable, "-m", "liesys", "m", str(self.power_problem(tmp_path, 31))],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        done = run_subprocess("m", self.power_problem(tmp_path, 31), timeout=60)
         assert done.returncode == 1
         assert "FAIL completed" in done.stdout and "bits" in done.stdout
         assert "Traceback" not in done.stderr
 
 
 class TestClosureCommand:
+    def test_gl4_closure_finishes_in_seconds(self, tmp_path):
+        # 16 fields: 120 brackets and 560 Jacobi triples
+        names = [f"x{i + 1}" for i in range(4)]
+        fields = [[names[j] if k == i else "0" for k in range(4)]
+                  for i in range(4) for j in range(4)]
+        path = tmp_path / "gl4.json"
+        path.write_text(json.dumps({"chart": names, "fields": fields}))
+        done = run_subprocess("closure", path, timeout=30)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "PASS closed  (dimension 16)" in done.stdout
+        assert "PASS jacobi_residual_zero" in done.stdout
+
+    def test_expansion_beyond_the_term_budget_fails(self, tmp_path):
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"chart": ["x"], "fields": [["(x+1)^100000"]]}))
+        done = run_subprocess("closure", path, timeout=60)
+        assert done.returncode in (1, 2)
+        assert "term pairs" in done.stdout + done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_riccati_closed(self, tmp_path):
         code, doc = run(tmp_path, "closure", str(PROBLEMS / "riccati.json"))
         assert code == 0
