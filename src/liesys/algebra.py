@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-10
+# share of sampled k-tuples that must reach full rank for minimal_m to stop at k
+VOTE_THRESHOLD = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +367,13 @@ def minimal_m(
     fields: Sequence[VectorField],
     sample_count: int = 24,
     seed: int = 0,
-    vote_threshold: float = 0.9,
-    exclusion: Callable[[list[list[Fraction]]], bool] | None = None,
-    span_box: int = 2,
 ) -> FundamentalSizeReport:
     """Least k at which stacked evaluations of the fields reach full rank r
-    at generic k-tuples (sampled vote).
+    at generic k-tuples: at least VOTE_THRESHOLD of the sampled tuples.
 
     Fields must be linearly independent (prune_independent first).  Sample
-    tuples are random rational points in [-span_box, span_box]^n; tuples hit
-    by the exclusion predicate (default: near-coincident slots) are redrawn
-    and counted as degenerate.
+    tuples are random rational points in [-2, 2]^n; tuples with
+    near-coincident slots are redrawn and counted as degenerate.
     """
     fields = list(fields)
     if not fields:
@@ -384,15 +382,14 @@ def minimal_m(
         raise ValueError("fields are linearly dependent; prune_independent first")
     r = len(fields)
     n = fields[0].chart.dim
-    reject = exclusion if exclusion is not None else _default_exclusion
     rng = random.Random(seed)
     profile: list[RankVote] = []
     for k in range(1, r + 1):
         ranks = []
         discarded = 0
         while len(ranks) < sample_count:
-            points = [[ex.random_rational(rng, span_box) for _ in range(n)] for _ in range(k)]
-            if k > 1 and reject(points):
+            points = [[ex.random_rational(rng) for _ in range(n)] for _ in range(k)]
+            if k > 1 and _default_exclusion(points):
                 discarded += 1
                 if discarded > 50 * sample_count:
                     raise RankTestError("exclusion predicate rejected every sampled tuple")
@@ -401,7 +398,7 @@ def minimal_m(
         vote = sum(1 for v in ranks if v == r) / len(ranks)
         modal = max(set(ranks), key=ranks.count)
         profile.append(RankVote(k, modal, vote, discarded))
-        if vote >= vote_threshold:
+        if vote >= VOTE_THRESHOLD:
             return FundamentalSizeReport(k, r, sample_count, profile, seed)
     raise RankTestError(
         "no k <= r reached full rank at generic tuples; input is non-generic "

@@ -1,8 +1,9 @@
 """Time-dependent systems Y(t,x) = sum b_a(t) X_a(x) and their integration.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with adaptive steps
-(error per unit step, so halving the tolerance halves the global error) and
-cubic-Hermite dense output (4th-order interpolation).  The allowed error
+(error per unit step, so halving the tolerance halves the global error).
+Every verdict compares values at integrated nodes; the cubic-Hermite dense
+output (4th-order interpolation) only serves align_trajectories.  The allowed error
 never falls below ROUNDOFF_FLOOR = 64 eps relative to the state: near a
 blow-up, where steps get short enough for tol * h to drop under it, the
 embedded error estimate is round-off and would reject every step.  Blow-up
@@ -50,6 +51,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 BLOWUP_BOUND = 1e8
+# random initial tuples drawn by fundamental_points before it gives up
+MAX_RESAMPLES = 100
 # Smallest error per unit state that a step must meet: below 64 ulp, y5 - y4
 # is round-off in numbers of size `scale`, which no step size can reduce
 # (Hairer, Norsett & Wanner, Solving ODEs I, section II.4).
@@ -239,17 +242,6 @@ class Trajectory:
         ) / h
         return value, slope
 
-    def sample(self, tq) -> np.ndarray:
-        """Cubic-Hermite interpolation at times tq (scalar or array)."""
-        scalar = np.asarray(tq).ndim == 0
-        value, _ = self._hermite(np.atleast_1d(np.asarray(tq, dtype=float)))
-        return value[0] if scalar else value
-
-    def sample_derivative(self, tq) -> np.ndarray:
-        scalar = np.asarray(tq).ndim == 0
-        _, slope = self._hermite(np.atleast_1d(np.asarray(tq, dtype=float)))
-        return slope[0] if scalar else slope
-
     def resampled(self, grid: np.ndarray) -> "Trajectory":
         grid = np.asarray(grid, dtype=float)
         states, derivs = self._hermite(grid)
@@ -312,7 +304,6 @@ def _dopri5(
     t1: float,
     y0: Sequence[float],
     tol: float,
-    max_norm: float = BLOWUP_BOUND,
 ):
     """Adaptive DOPRI5(4).  Error accepted per unit step, down to a round-off
     floor: err <= max(tol*min(1,h), ROUNDOFF_FLOOR) * scale.  The floor
@@ -323,7 +314,7 @@ def _dopri5(
     in tableau order (_combination), and a non-finite y5 - y4 rejects a step.
 
     Returns (ts, ys, dys, blew_up, truncated_at) as arrays; stops early with
-    a flag on blow-up (sup-norm past max_norm) or step underflow.
+    a flag on blow-up (sup-norm past BLOWUP_BOUND) or step underflow.
     """
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
@@ -363,7 +354,7 @@ def _dopri5(
             ts.append(t)
             ys.append(y)
             dys.append(k1)
-            if max(map(abs, y)) > max_norm:
+            if max(map(abs, y)) > BLOWUP_BOUND:
                 blew_up = True
                 truncated_at = t
                 break
@@ -383,7 +374,6 @@ def integrate_tuple(
     points: Sequence[Sequence[float]],
     t_span: tuple[float, float] = (0.0, 1.0),
     tol: float = DEFAULT_TOL,
-    max_norm: float = BLOWUP_BOUND,
 ) -> list[Trajectory]:
     """Integrate the solutions from `points` jointly as one prolonged system;
     all slots share one grid, and a blow-up in any slot truncates them all."""
@@ -391,7 +381,7 @@ def integrate_tuple(
     if y0.shape[1:] != (sys.dim,) or len(y0) == 0:
         raise ValueError(f"initial points have shape {y0.shape}, chart dimension is {sys.dim}")
     ts, ys, dys, blew_up, truncated_at = _dopri5(
-        sys._velocity, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol, max_norm
+        sys._velocity, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol
     )
     slots = zip(np.hsplit(ys, len(y0)), np.hsplit(dys, len(y0)))
     return [Trajectory(ts, y, dy, blew_up, truncated_at) for y, dy in slots]
@@ -402,10 +392,9 @@ def integrate(
     x0: Sequence[float],
     t_span: tuple[float, float] = (0.0, 1.0),
     tol: float = DEFAULT_TOL,
-    max_norm: float = BLOWUP_BOUND,
 ) -> Trajectory:
     """Integrate the system from x0 over t_span with local error <= tol."""
-    return integrate_tuple(sys, [x0], t_span, tol, max_norm)[0]
+    return integrate_tuple(sys, [x0], t_span, tol)[0]
 
 
 def align_trajectories(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
@@ -429,11 +418,10 @@ def fundamental_points(
     m: int,
     seed: int = 0,
     initial_points: Sequence[Sequence[float]] | None = None,
-    max_resamples: int = 100,
 ) -> list[list[float]]:
     """m initial points passing the rank test (stacked field evaluations of
     rank r).  Supplied points failing it are rejected outright; random points
-    are redrawn up to max_resamples times."""
+    are redrawn up to MAX_RESAMPLES times."""
     if m < 1:
         raise ValueError("m must be >= 1")
     r = sys.r
@@ -447,11 +435,11 @@ def fundamental_points(
             )
         return points
     rng = random.Random(seed)
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         cand = [[float(ex.random_rational(rng)) for _ in range(sys.dim)] for _ in range(m)]
         if matrix_rank(evaluation_matrix(sys.fields, cand)) == r:
             return cand
-    raise FundamentalSetError(f"no fundamental initial tuple found in {max_resamples} resamples")
+    raise FundamentalSetError(f"no fundamental initial tuple found in {MAX_RESAMPLES} resamples")
 
 
 def fundamental_set(
@@ -461,8 +449,7 @@ def fundamental_set(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
     initial_points: Sequence[Sequence[float]] | None = None,
-    max_resamples: int = 100,
 ) -> list[Trajectory]:
     """Integrate m particular solutions from fundamental_points jointly."""
-    points = fundamental_points(sys, m, seed, initial_points, max_resamples)
+    points = fundamental_points(sys, m, seed, initial_points)
     return integrate_tuple(sys, points, t_span, tol)

@@ -38,6 +38,9 @@ __all__ = [
     "reduce_to_ode",
 ]
 
+# forward segments per axis in the randomized staircases of path_independence_audit
+STAIRCASE_PIECES = 3
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -221,6 +224,14 @@ def _axis_rhs(sys: PdeSystem, axis: int, t_frozen: np.ndarray):
     return rhs
 
 
+def _advance(rhs, axis: int, start: float, stop: float, x, tol: float) -> np.ndarray:
+    """State at `stop` after integrating one axis segment from `start`."""
+    ts, ys, _, blew_up, _ = _dopri5(rhs, float(start), float(stop), x, tol)
+    if blew_up:
+        raise IntegrationBlowUpError(f"blow-up along axis {axis + 1} near t{axis + 1}={ts[-1]:.6g}")
+    return ys[-1]
+
+
 def path_solve(
     sys: PdeSystem,
     x0: Sequence[float],
@@ -257,13 +268,7 @@ def path_solve(
             continue
         if stop < start:
             raise ValueError("staircase segments must move forward along each axis")
-        rhs = _axis_rhs(sys, axis, t_now)
-        ts, ys, _, blew_up, _ = _dopri5(rhs, start, float(stop), x, tol)
-        if blew_up:
-            raise IntegrationBlowUpError(
-                f"blow-up along axis {axis + 1} near t{axis + 1}={ts[-1]:.6g}"
-            )
-        x = ys[-1]
+        x = _advance(_axis_rhs(sys, axis, t_now), axis, start, stop, x, tol)
         t_now[axis] = stop
         samples.append((t_now.copy(), x.copy()))
     if not np.allclose(t_now, target, atol=1e-12):
@@ -278,15 +283,15 @@ class AuditResult:
     paths: list[list[tuple[int, float]]]
 
 
-def _random_staircase(rng: random.Random, base: np.ndarray, target: np.ndarray, pieces: int = 3):
-    """Random interleaving of forward segments splitting each axis range."""
+def _random_staircase(rng: random.Random, base: np.ndarray, target: np.ndarray):
+    """Random interleaving of STAIRCASE_PIECES forward segments per axis range."""
     s = len(target)
     splits = []
     for axis in range(s):
-        cuts = sorted(rng.uniform(0, 1) for _ in range(pieces - 1))
+        cuts = sorted(rng.uniform(0, 1) for _ in range(STAIRCASE_PIECES - 1))
         stops = [base[axis] + c * (target[axis] - base[axis]) for c in cuts] + [target[axis]]
         splits.append([(axis, float(v)) for v in stops])
-    order = [axis for axis in range(s) for _ in range(pieces)]
+    order = [axis for axis in range(s) for _ in range(STAIRCASE_PIECES)]
     rng.shuffle(order)
     path = []
     taken = [0] * s
@@ -345,21 +350,15 @@ def solve_on_grid(
     base = np.array([t1s[0], t2s[0]])
     if not np.allclose(base, 0.0):
         row_state = path_solve(sys, x0, base).endpoint
+    along_t1 = _axis_rhs(sys, 0, np.array([0.0, t2s[0]]))
     for i, t1 in enumerate(t1s):
         if i > 0:
-            rhs = _axis_rhs(sys, 0, np.array([0.0, t2s[0]]))
-            _, ys, _, blew_up, _ = _dopri5(rhs, float(t1s[i - 1]), float(t1), row_state, tol)
-            if blew_up:
-                raise IntegrationBlowUpError("blow-up while sweeping the grid")
-            row_state = ys[-1]
+            row_state = _advance(along_t1, 0, t1s[i - 1], t1, row_state, tol)
         out[i, 0] = row_state
         col_state = row_state
+        along_t2 = _axis_rhs(sys, 1, np.array([float(t1), 0.0]))
         for j in range(1, len(t2s)):
-            rhs = _axis_rhs(sys, 1, np.array([float(t1), 0.0]))
-            _, ys, _, blew_up, _ = _dopri5(rhs, float(t2s[j - 1]), float(t2s[j]), col_state, tol)
-            if blew_up:
-                raise IntegrationBlowUpError("blow-up while sweeping the grid")
-            col_state = ys[-1]
+            col_state = _advance(along_t2, 1, t2s[j - 1], t2s[j], col_state, tol)
             out[i, j] = col_state
     return out
 

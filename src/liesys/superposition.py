@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .dynamics import LieSystem, Trajectory, evaluate_field
+from .dynamics import LieSystem, Trajectory
 from .errors import NonConvergenceError, SingularDomainError
 from .expr import Chart, Expr
 from .geometry import ProductChart, VectorField, diagonal_prolongation
@@ -208,6 +208,24 @@ def _constraint_samples(rule: SuperpositionRule, count: int, seed: int) -> list[
     return points
 
 
+def _vanishes_on(residual: Expr, constraint: Expr) -> bool:
+    """Exact certificate that `residual` vanishes wherever it is defined on
+    the zero set of `constraint`: both rational (no function atoms), and the
+    residual's canonical numerator is 0 or a polynomial multiple of the
+    constraint's non-constant canonical numerator."""
+    res_nf, con_nf = ex._nf_of(residual), ex._nf_of(constraint)
+    numerator, divisor = res_nf.num_den[0], con_nf.num_den[0]
+    if not numerator:
+        return True
+    if res_nf.trans or con_nf.trans or ex._is_const_poly(divisor):
+        return False
+    try:
+        ex._pdiv_exact(numerator, divisor)
+    except ArithmeticError:
+        return False
+    return True
+
+
 def verify_tangency(
     rule: SuperpositionRule,
     fields: Sequence[VectorField],
@@ -218,13 +236,13 @@ def verify_tangency(
 
     Full rules are decided symbolically through the canonical form.  For
     partial rules the residual only needs to vanish on the constraint
-    submanifold, so it is evaluated at sampled points of that set and the
-    verdict is labelled probabilistic.
+    submanifold.  With one rational constraint, a residual whose canonical
+    numerator is 0 or divisible by the constraint's is decided exactly
+    (_vanishes_on); any other residual is evaluated at sampled points of
+    the constraint set and the verdict is labelled probabilistic.
     """
     chart = rule.product_chart
     points = None
-    if rule.is_partial:
-        points = _constraint_samples(rule, samples, seed)
     checks: list[TangencyCheck] = []
     for alpha, base_field in enumerate(fields):
         if base_field.chart.names != rule.base_chart.names:
@@ -240,6 +258,11 @@ def verify_tangency(
                     )
                 )
                 continue
+            if len(rule.constraints) == 1 and _vanishes_on(residual, rule.constraints[0]):
+                checks.append(TangencyCheck(alpha, j, residual, "zero", False))
+                continue
+            if points is None:
+                points = _constraint_samples(rule, samples, seed)
             fn = ex.compile_expr(residual, chart.names)
             verdict = "sampled-zero"
             used = 0
@@ -485,39 +508,38 @@ def verify_partial_rule(
     trajectories: Sequence[Trajectory],
     k: Sequence[float],
     tol_ode: float = 1e-4,
-    fd_step: float = 1e-3,
     constraint_tol: float = 1e-8,
 ) -> PartialRuleReport:
-    """Check that x0(t) = phi(x_(1..m)(t); k) solves the system: central
-    finite differences of x0 against the field, plus constraint residuals
-    along the tuple."""
+    """Check that x0(t) = phi(x_(1..m)(t); k) solves the system, at each node
+    of the slots' shared grid.  The slots solve the system, so by the chain
+    rule dphi/dt = sum_a dphi/dx_(a) . Y(t, x_(a)), with the slot Jacobian
+    compiled from derivative trees; its largest difference from Y(t, phi) is
+    the ODE residual.  Constraint residuals are taken at the same nodes."""
     if rule.phi is None:
         raise ValueError("verify_partial_rule needs a rule with an explicit phi")
     grid, rests = _stack_states(trajectories)
-    k = np.asarray(k, dtype=float)
-    phi_fns = [ex.compile_expr(p, rule.phi_names) for p in rule.phi]
-
-    def x0_at(t: float) -> np.ndarray:
-        slot_vals = np.concatenate([tr.sample(t) for tr in trajectories])
-        args = np.concatenate([slot_vals, k])
-        return np.array([fn(*args) for fn in phi_fns])
-
+    slot_names = rule.phi_names[: rule.m * rule.base_chart.dim]
+    phi = ex.compile_vector(rule.phi, rule.phi_names)
+    jacobian = ex.compile_vector(
+        [ex._diff_tree(e, v) for e in rule.phi for v in slot_names], rule.phi_names
+    )
+    constraints = ex.compile_vector(rule.constraints, rule.product_chart.names)
+    k = [float(v) for v in k]
+    n, width = rule.base_chart.dim, len(slot_names)
     ode_residual = 0.0
-    t_lo, t_hi = float(grid[0]), float(grid[-1])
-    for t in grid:
-        t = float(t)
-        if t - fd_step < t_lo or t + fd_step > t_hi:
-            continue
-        derivative = (x0_at(t + fd_step) - x0_at(t - fd_step)) / (2 * fd_step)
-        residual = derivative - evaluate_field(sys, t, x0_at(t))
-        ode_residual = max(ode_residual, float(np.max(np.abs(residual))))
-
     constraint_max = 0.0
-    if rule.constraints:
-        names = rule.product_chart.names
-        cons_fns = [ex.compile_expr(c, names) for c in rule.constraints]
-        for row, t in enumerate(grid):
-            point = np.concatenate([x0_at(float(t)), rests[row]])
-            for fn in cons_fns:
-                constraint_max = max(constraint_max, abs(fn(*point)))
+    for t, rest in zip(grid.tolist(), rests.tolist()):
+        try:
+            x0 = phi(*rest, *k)
+            jac = jacobian(*rest, *k)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            raise SingularDomainError("phi evaluation singular along the tuple", t) from None
+        # Y at phi and at every slot, from one call on the stacked state
+        velocity = sys._velocity(t, x0 + rest)
+        field, slots = velocity[:n], velocity[n:]
+        for i in range(n):
+            dphi = sum(a * v for a, v in zip(jac[i * width : (i + 1) * width], slots))
+            ode_residual = max(ode_residual, abs(dphi - field[i]))
+        for value in constraints(*x0, *rest):
+            constraint_max = max(constraint_max, abs(value))
     return PartialRuleReport(ode_residual, constraint_max, tol_ode, constraint_tol)

@@ -165,7 +165,7 @@ class TestIntegrate:
     def test_dense_output_accuracy(self):
         tr = integrate(line_system("x"), [1.0], (0.0, 1.0), tol=1e-9)
         ts = np.linspace(0.05, 0.95, 37)
-        assert np.max(np.abs(tr.sample(ts)[:, 0] - np.exp(ts))) <= 1e-7
+        assert np.max(np.abs(tr.resampled(ts).states[:, 0] - np.exp(ts))) <= 1e-7
 
     def test_bad_t_span(self):
         with pytest.raises(ValueError):

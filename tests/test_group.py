@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from liesys.group import (
     sl2_from_coefficients,
     solve_group_equation,
 )
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def curves(*texts):
@@ -126,7 +130,7 @@ class TestActSolve:
         a = sl2_from_coefficients(*b)
         orbit = act_solve(a, MOBIUS, [0.0], (0.0, 1.2))
         direct = integrate(riccati_system(*b), [0.0], (0.0, 1.2))
-        assert np.max(np.abs(orbit.states - direct.sample(orbit.t))) <= 1e-5
+        assert np.max(np.abs(orbit.states - direct.resampled(orbit.t).states)) <= 1e-5
 
     def test_identity_curve_constant_trajectory(self):
         a = MatrixCurve.from_strings([["0", "0"], ["0", "0"]])
@@ -163,6 +167,32 @@ class TestEquivariance:
     def test_initial_pole_rejected(self):
         with pytest.raises(ValueError):
             check_equivariance(curves("1", "0", "1"), [1.0, 0.0], (0.0, 1.0))
+
+    def test_deviation_is_integration_error_on_seeded_triples(self):
+        # both sides are one integration, compared at its own nodes
+        rng = random.Random(7)
+        for _ in range(6):
+            b = [CoefficientCurve.from_string(Fraction_like(rng.uniform(-1, 1))) for _ in range(3)]
+            x0 = [rng.uniform(-1, 1), rng.choice([-1, 1]) * rng.uniform(0.6, 1.5)]
+            rep = check_equivariance(b, x0, (0.0, 1.0))
+            assert rep.compared_points == rep.total_points
+            assert rep.max_deviation <= 1e-9
+
+    def test_riccati_escape_truncates_both_sides(self):
+        # x = tan t escapes at pi/2 < 2, where x2 = cos t crosses the pole
+        rep = check_equivariance(curves("1", "0", "1"), [0.0, 1.0], (0.0, 2.0))
+        assert rep.passed
+        assert 0 < rep.compared_points < rep.total_points
+
+    def test_problem_file_data(self):
+        # problems/sl2_group.json: the Mobius orbit of x0 is x1/x2 of the
+        # planar solution from (x0, 1)
+        doc = json.loads((PROBLEMS / "sl2_group.json").read_text())
+        x0 = doc["action"]["x0"][0]
+        rep = check_equivariance(curves(*doc["action"]["sl2_coefficients"]), [x0, 1.0],
+                                 tuple(doc["t_span"]))
+        assert rep.compared_points == rep.total_points
+        assert rep.max_deviation <= 1e-9
 
     def test_random_triples(self):
         rng = random.Random(13)

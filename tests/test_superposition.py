@@ -6,7 +6,7 @@ import pytest
 
 from liesys import expr as ex
 from liesys.catalog import linear_rule
-from liesys.dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate
+from liesys.dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate, integrate_tuple
 from liesys.errors import NonConvergenceError, SingularDomainError
 from liesys.expr import Chart, compile_expr
 from liesys.geometry import VectorField
@@ -313,11 +313,64 @@ class TestPartialRules:
         report = verify_partial_rule(self.rank1_m2, self.sys, trajectories, [0.7])
         assert report.passed
 
+    def test_tangency_exact_on_constraint_set(self):
+        # every residual's numerator is a multiple of the constraint's, so the
+        # verdict needs no sample points and cannot depend on the seed
+        for rule in (self.rank1, self.rank1_m2):
+            for seed in (4, 19):
+                report = verify_tangency(rule, self.sys.fields, seed=seed)
+                assert not report.probabilistic
+                assert [c.verdict for c in report.checks] == ["zero"] * 4
+
     def test_tangency_sampled_on_constraint_set(self):
-        report = verify_tangency(self.rank1, self.sys.fields, seed=4)
+        # the factor 1 + x1_1^2 never vanishes, so the zero set is that of the
+        # rank-1 constraint, but the residual of x2 d/dx1 is -C/x1_1^2 with C
+        # the unscaled constraint: not a multiple, so it is sampled
+        rule = SuperpositionRule.from_strings(
+            self.sys.chart,
+            1,
+            1,
+            psi=["x1_0/x1_1"],
+            phi=["k1*x1_1", "k1*x2_1"],
+            constraints=["(x1_0*x2_1 - x2_0*x1_1)*(1 + x1_1^2)"],
+        )
+        report = verify_tangency(rule, self.sys.fields, seed=4)
         assert report.all_zero
         assert report.probabilistic
-        assert all(c.verdict == "sampled-zero" for c in report.checks)
+        assert [c.verdict for c in report.checks] == ["zero", "sampled-zero", "zero", "zero"]
+        assert report.checks[1].samples == 32
+
+    def test_ode_residual_is_round_off_on_integrated_nodes(self):
+        for rule, starts in ((self.rank1, [[0.8, -0.5]]),
+                             (self.rank1_m2, [[0.8, -0.5], [-0.3, 0.9]])):
+            report = verify_partial_rule(rule, self.sys, integrate_tuple(self.sys, starts), [0.7])
+            assert report.passed
+            assert report.ode_residual_max <= 1e-9
+
+    def test_singular_phi_is_a_domain_error(self):
+        # x2_1 starts at -1/2, where this phi divides by zero
+        singular = SuperpositionRule.from_strings(
+            self.sys.chart,
+            1,
+            1,
+            psi=["x1_0/x1_1"],
+            phi=["k1*x1_1/(x2_1 + 1/2)", "k1*x2_1"],
+            constraints=["x1_0*x2_1 - x2_0*x1_1"],
+        )
+        trajectories = integrate_tuple(self.sys, [[0.8, -0.5]])
+        with pytest.raises(SingularDomainError):
+            verify_partial_rule(singular, self.sys, trajectories, [0.7])
+
+    def test_rule_against_a_system_it_does_not_solve(self):
+        # x0 = k x1 maps solutions to solutions only for linear systems; with
+        # x1^2 d/dx1 added, d(k x1)/dt = k x1^2 differs from (k x1)^2
+        fields = list(self.sys.fields) + [VectorField.from_strings(self.sys.chart, ["x1^2", "0"])]
+        curves = list(self.sys.coefficients) + [CoefficientCurve.from_string("1")]
+        nonlinear = LieSystem(fields, curves)
+        trajectories = integrate_tuple(nonlinear, [[0.8, -0.5]])
+        report = verify_partial_rule(self.rank1, nonlinear, trajectories, [0.7])
+        assert report.ode_residual_max > report.tol_ode
+        assert not report.passed
 
     def test_full_rank_rule_behaves_like_full_rule(self):
         # s = n with an empty constraint list: verify_partial_rule reduces to
