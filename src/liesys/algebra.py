@@ -37,6 +37,8 @@ __all__ = [
 _RANK_RTOL = 1e-10
 # share of sampled k-tuples that must reach full rank for minimal_m to stop at k
 VOTE_THRESHOLD = 0.9
+# sampled tuples per k in minimal_m
+DEFAULT_SAMPLES = 24
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,7 @@ class FundamentalSizeReport:
 
 def minimal_m(
     fields: Sequence[VectorField],
-    sample_count: int = 24,
+    sample_count: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> FundamentalSizeReport:
     """Least k at which stacked evaluations of the fields reach full rank r

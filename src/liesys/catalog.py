@@ -9,18 +9,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import expr as ex
-from .algebra import closure_test, matrix_rank, minimal_m, span_coefficients
-from .dynamics import CoefficientCurve, LieSystem, integrate_tuple
+from .algebra import DEFAULT_SAMPLES, closure_test, matrix_rank, minimal_m, span_coefficients
+from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, integrate_tuple
 from .expr import Chart, Const, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation, is_diagonal_prolongation
 from .group import (
     LINEAR_SL2,
     MOBIUS,
+    MatrixCurve,
     act_solve,
     check_equivariance,
     riccati_system,
@@ -39,6 +40,7 @@ from .pde import (
 )
 from .report import Check
 from .superposition import (
+    DEFAULT_TOL_CONST,
     SuperpositionRule,
     derive_k,
     reconstruct,
@@ -53,9 +55,9 @@ __all__ = ["RunConfig", "CatalogEntry", "ENTRIES", "entry_names", "get_entry", "
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    tol: float = 1e-9
-    tol_const: float = 1e-6
-    samples: int = 24
+    tol: float = DEFAULT_TOL
+    tol_const: float = DEFAULT_TOL_CONST
+    samples: int = DEFAULT_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -116,16 +118,6 @@ def gl_fields(chart: Chart) -> list[VectorField]:
             comps[i] = chart.names[j]
             fields.append(VectorField.from_strings(chart, comps))
     return fields
-
-
-def linear_system(chart: Chart, a_entries: Sequence[Sequence[str]]) -> LieSystem:
-    """dx/dt = A(t) x over the gl(n) basis; curve of x^j d/dx^i is a_ij(t)."""
-    curves = [
-        CoefficientCurve.from_string(a_entries[i][j])
-        for i in range(chart.dim)
-        for j in range(chart.dim)
-    ]
-    return LieSystem(gl_fields(chart), curves)
 
 
 def _det(rows: list[list[ex.Expr]]) -> ex.Expr:
@@ -245,15 +237,13 @@ def _run_riccati(config: RunConfig):
 
 
 def _run_linear2(config: RunConfig):
-    chart = Chart(("x1", "x2"))
-    a = [["t/4", "1"], ["-1", "-t/4"]]
-    sys = linear_system(chart, a)
+    sys = MatrixCurve.from_strings([["t/4", "1"], ["-1", "-t/4"]]).system
     checks: list[Check] = []
     closure = closure_test(sys.fields)
     checks.append(Check("gl2_closed", closure.closed and closure.dimension == 4))
     size = minimal_m(sys.fields, sample_count=config.samples, seed=config.seed)
     checks.append(Check.equals("m", size.m, 2))
-    rule = linear_rule(chart)
+    rule = linear_rule(sys.chart)
     tangency = verify_tangency(rule, sys.fields)
     checks.append(Check("tangency_zero", tangency.all_zero))
     error, drift, _ = _reconstruction_error(
@@ -265,15 +255,13 @@ def _run_linear2(config: RunConfig):
 
 
 def _run_linear_n(config: RunConfig):
-    chart = Chart(("x1", "x2", "x3"))
-    a = [["0", "1", "0"], ["-1", "0", "t/4"], ["0", "-t/4", "0"]]
-    sys = linear_system(chart, a)
+    sys = MatrixCurve.from_strings([["0", "1", "0"], ["-1", "0", "t/4"], ["0", "-t/4", "0"]]).system
     checks: list[Check] = []
     closure = closure_test(sys.fields)
     checks.append(Check("gl3_closed", closure.closed and closure.dimension == 9))
     size = minimal_m(sys.fields, sample_count=config.samples, seed=config.seed)
     checks.append(Check.equals("m", size.m, 3))
-    rule = linear_rule(chart)
+    rule = linear_rule(sys.chart)
     error, drift, _ = _reconstruction_error(
         rule,
         sys,
@@ -529,9 +517,8 @@ def _run_lemma_counterexample(config: RunConfig):
 
 
 def _partial_linear_setup(config: RunConfig):
-    chart = Chart(("x1", "x2"))
-    sys = linear_system(chart, [["t/4", "1"], ["-1", "-t/4"]])
-    return chart, sys
+    sys = MatrixCurve.from_strings([["t/4", "1"], ["-1", "-t/4"]]).system
+    return sys.chart, sys
 
 
 def _run_partial_rank1(config: RunConfig):

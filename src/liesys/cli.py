@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import closure_test, minimal_m, prune_independent
+from .algebra import DEFAULT_SAMPLES, closure_test, minimal_m, prune_independent
 from .catalog import ENTRIES, RunConfig, get_entry
-from .dynamics import CoefficientCurve, LieSystem, fundamental_points, integrate, integrate_tuple
+from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrate_tuple
 from .errors import ClosureCapError, LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
@@ -24,6 +24,7 @@ from .group import ACTIONS, MatrixCurve, act_solve, check_equivariance, sl2_from
 from .pde import PdeSystem, curvature, path_independence_audit, path_solve, pde_superpose, solve_on_grid
 from .report import Check, Report
 from .superposition import (
+    DEFAULT_TOL_CONST,
     SuperpositionRule,
     derive_k,
     reconstruct,
@@ -32,7 +33,8 @@ from .superposition import (
     verify_tangency,
 )
 
-DEFAULTS = {"tol": 1e-9, "tol_const": 1e-6, "seed": 0, "samples": 24, "t_span": (0.0, 1.0)}
+DEFAULTS = {"tol": DEFAULT_TOL, "tol_const": DEFAULT_TOL_CONST, "seed": 0,
+            "samples": DEFAULT_SAMPLES, "t_span": (0.0, 1.0)}
 
 _TOP_KEYS = {
     "chart", "fields", "coefficients", "rule", "action", "pde",
@@ -51,6 +53,42 @@ def _reject_unknown(doc: dict, allowed: set, where: str):
     unknown = set(doc) - allowed
     if unknown:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+# kind -> (test of one float, one of them, several of them)
+_NUMBER_KINDS = {
+    "number": (lambda v: True, "a number", "numbers"),
+    "positive": (lambda v: v > 0, "a positive number", "positive numbers"),
+    "nonnegative": (lambda v: v >= 0, "a nonnegative number", "nonnegative numbers"),
+    "integer": (float.is_integer, "an integer", "integers"),
+    "count": (lambda v: v.is_integer() and v >= 1, "an integer >= 1", "integers >= 1"),
+}
+
+
+def _numbers(value, key: str, shape: tuple = (), kind: str = "number"):
+    """The numeric key `key` nested to `shape`, one list length per level
+    (() for a single number), each number passing `kind`: floats, or ints for
+    the integer kinds.  None stays None; anything else is a SchemaError."""
+    if value is None:
+        return None
+    test, one, many = _NUMBER_KINDS[kind]
+    expected = (one if not shape else f"a list of {shape[0]} {many}" if len(shape) == 1
+                else f"{shape[0]} lists of {shape[1]} {many}")
+
+    def check(v, dims):
+        if dims:
+            if not isinstance(v, (list, tuple)) or len(v) != dims[0]:
+                raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
+            return [check(item, dims[1:]) for item in v]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not test(float(v)):
+            raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
+        return int(v) if kind in ("integer", "count") else float(v)
+
+    return check(value, tuple(shape))
 
 
 def load_problem(path: str) -> dict:
@@ -90,7 +128,7 @@ def _fields(doc: dict, chart: Chart) -> list[VectorField]:
     for i, comps in enumerate(doc["fields"]):
         if isinstance(comps, str):
             comps = [comps]
-        if not isinstance(comps, list) or not all(isinstance(c, str) for c in comps):
+        if not _strings(comps):
             raise SchemaError(f"field {i + 1}: components must be strings, got {comps!r}")
         try:
             out.append(VectorField.from_strings(chart, comps))
@@ -105,6 +143,8 @@ def _coefficients(doc: dict, count: int) -> list[CoefficientCurve]:
     if "coefficients" not in doc:
         raise SchemaError("this command needs a 'coefficients' section")
     raw = doc["coefficients"]
+    if not isinstance(raw, list):
+        raise SchemaError(f"'coefficients' must be a list, got {raw!r}")
     if len(raw) != count:
         raise SchemaError(f"{count} fields but {len(raw)} coefficients")
     out = []
@@ -156,21 +196,20 @@ def _pde_system(doc: dict) -> PdeSystem:
 
 
 def _task(doc: dict, args) -> dict:
+    """DEFAULTS overridden by the problem file, then by the command line."""
     task = dict(DEFAULTS)
-    for key in ("tol", "tol_const", "seed", "samples"):
+    for key in task:
         if doc.get(key) is not None:
             task[key] = doc[key]
         if getattr(args, key, None) is not None:
             task[key] = getattr(args, key)
-    span = doc.get("t_span")
-    if getattr(args, "t_span", None) is not None:
-        span = args.t_span
-    if span is not None:
-        if len(span) != 2 or not float(span[1]) > float(span[0]):
-            raise SchemaError("t_span must be [a, b] with b > a")
-        task["t_span"] = (float(span[0]), float(span[1]))
-    task["seed"] = int(task["seed"])
-    task["samples"] = int(task["samples"])
+    for key, kind in (("tol", "positive"), ("tol_const", "positive"),
+                      ("seed", "integer"), ("samples", "count")):
+        task[key] = _numbers(task[key], key, kind=kind)
+    a, b = _numbers(task["t_span"], "t_span", (2,))
+    if not b > a:
+        raise SchemaError("t_span must be [a, b] with b > a")
+    task["t_span"] = (a, b)
     return task
 
 
@@ -226,8 +265,9 @@ def cmd_m(args) -> int:
         raise SchemaError("every field is zero; m needs a nonzero field")
     report = minimal_m(fields, sample_count=task["samples"], seed=task["seed"])
     checks = [Check("m_determined", True, detail=f"m = {report.m} (r = {report.r})")]
-    if doc.get("m") is not None:
-        checks.append(Check.equals("m_matches_expected", report.m, int(doc["m"])))
+    expected = _numbers(doc.get("m"), "m", kind="integer")
+    if expected is not None:
+        checks.append(Check.equals("m_matches_expected", report.m, expected))
     return _emit(
         Report("m", checks, task["seed"], {"tol": task["tol"]}, {"m": report.m,
                "report": report.to_json_dict()}),
@@ -239,9 +279,10 @@ def cmd_solve(args) -> int:
     doc = load_problem(args.problem)
     task = _task(doc, args)
     sys = _system(doc)
-    if doc.get("x0") is None:
+    x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
+    if x0 is None:
         raise SchemaError("solve needs 'x0'")
-    trajectory = integrate(sys, doc["x0"], task["t_span"], task["tol"])
+    trajectory = integrate(sys, x0, task["t_span"], task["tol"])
     checks = [Check("integrated", True,
                     detail=f"{len(trajectory.t)} nodes, blew_up={trajectory.blew_up}")]
     extra = {"trajectory": trajectory.to_json_dict()}
@@ -251,15 +292,18 @@ def cmd_solve(args) -> int:
     return _emit(Report("solve", checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 
+def _constants(k, rule: SuperpositionRule) -> list[float] | None:
+    """The rule's rank constants k; a single number stands for a list of one."""
+    return _numbers(k if k is None or isinstance(k, list) else [k], "k", (rule.rank,))
+
+
 def _points_for_rule(doc, task, sys, rule) -> list:
     """Initial points of the m particular solutions named in the problem file.
 
     Full rules go through the fundamental-set rank gate; partial rules use
     fewer solutions than a fundamental set by design, so their points are
     taken as given."""
-    points = doc.get("initial_points")
-    if points is not None and len(points) != rule.m:
-        raise SchemaError(f"rule needs {rule.m} initial points, got {len(points)}")
+    points = _numbers(doc.get("initial_points"), "initial_points", (rule.m, sys.dim))
     if rule.is_partial:
         if points is None:
             raise SchemaError("a partial rule needs 'initial_points'")
@@ -273,22 +317,23 @@ def cmd_superpose(args) -> int:
     sys = _system(doc)
     rule = _rule(doc, sys.chart)
     points = _points_for_rule(doc, task, sys, rule)
+    x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
     checks, extra = [], {}
-    k = args.k if args.k is not None else doc.get("k")
+    k = _constants(args.k if args.k is not None else doc.get("k"), rule)
     direct = None
     if k is None:
         # no constants given: derive them from the initial point of x0 and
         # compare the reconstruction against the slot of x0 in the tuple
-        if doc.get("x0") is None:
+        if x0 is None:
             raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
         direct, *trajectories = integrate_tuple(
-            sys, [doc["x0"]] + points, task["t_span"], task["tol"]
+            sys, [x0] + points, task["t_span"], task["tol"]
         )
         k = derive_k(rule, direct.states[0], [tr.states[0] for tr in trajectories])
     else:
         trajectories = integrate_tuple(sys, points, task["t_span"], task["tol"])
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    guess = doc.get("x0_guess") or doc.get("x0")
+    guess = _numbers(doc.get("x0_guess"), "x0_guess", (sys.dim,)) or x0
     if rule.phi is None and guess is None:
         raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
     rebuilt = reconstruct(rule, trajectories, k, x0_guess=guess)
@@ -330,16 +375,17 @@ def cmd_verify(args) -> int:
         if rule.is_partial:
             # the slot-0 curve of a partial rule lives on the constraint
             # submanifold; check it solves the system instead of a drift
-            if doc.get("k") is None:
+            k = _constants(doc.get("k"), rule)
+            if k is None:
                 raise SchemaError("verifying a partial rule against a system needs 'k'")
             trajectories = integrate_tuple(sys, points, task["t_span"], task["tol"])
-            report = verify_partial_rule(rule, sys, trajectories, np.atleast_1d(doc["k"]))
+            report = verify_partial_rule(rule, sys, trajectories, np.array(k))
             checks.append(Check.limit("ode_residual", report.ode_residual_max, report.tol_ode))
             checks.append(
                 Check.limit("constraint_residual", report.constraint_max, report.constraint_tol)
             )
         else:
-            x0 = doc.get("x0")
+            x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
             slot0 = x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
             tuple_ = integrate_tuple(sys, [slot0] + points, task["t_span"], task["tol"])
             drift = verify_along_solutions(rule, sys, tuple_, task["tol_const"])
@@ -363,25 +409,40 @@ def cmd_group(args) -> int:
     name = action_doc.get("name")
     if name not in ACTIONS:
         raise SchemaError(f"unknown action {name!r}; known: {sorted(ACTIONS)}")
+    action = ACTIONS[name]
     checks, extra = [], {}
-    if action_doc.get("sl2_coefficients") is not None:
-        curves = [CoefficientCurve.from_string(s) for s in action_doc["sl2_coefficients"]]
-        a = sl2_from_coefficients(*curves)
-        checks.append(Check("traceless", a.trace_is_zero()))
-    elif action_doc.get("matrix") is not None:
-        a = MatrixCurve.from_strings(action_doc["matrix"])
-        curves = None
+    coefficients, matrix = action_doc.get("sl2_coefficients"), action_doc.get("matrix")
+    key = "sl2_coefficients" if coefficients is not None else "matrix"
+    if coefficients is not None:
+        if not (_strings(coefficients) and len(coefficients) == 3):
+            raise SchemaError(f"'sl2_coefficients' must be 3 expression strings, got {coefficients!r}")
+    elif matrix is not None:
+        if not (isinstance(matrix, list) and all(map(_strings, matrix))):
+            raise SchemaError(f"'matrix' must be a list of rows of expression strings, got {matrix!r}")
     else:
         raise SchemaError("action needs 'matrix' or 'sl2_coefficients'")
+    try:
+        if coefficients is not None:
+            curves = [CoefficientCurve.from_string(s) for s in coefficients]
+            a = sl2_from_coefficients(*curves)
+        else:
+            a, curves = MatrixCurve.from_strings(matrix), None
+    except (LiesysError, ValueError) as exc:
+        raise SchemaError(f"bad {key}: {exc}") from None
+    x0 = _numbers(action_doc.get("x0"), "x0", (action.space_dim,))
+    if x0 is not None and a.dim != action.group_dim:
+        raise SchemaError(f"action {name} needs {action.group_dim}x{action.group_dim} matrices, "
+                          f"got {a.dim}x{a.dim}")
+    if coefficients is not None:
+        checks.append(Check("traceless", a.trace_is_zero()))
     g = solve_group_equation(a, task["t_span"], task["tol"])
     checks.append(Check.limit("defect_log", max(d for _, d in g.defect), 10 * task["tol"]))
     dets = g.determinants()
     checks.append(Check("det_nonzero", bool(np.all(np.abs(dets) > 1e-12))))
-    if action_doc.get("sl2_coefficients") is not None:
+    if coefficients is not None:
         checks.append(Check.limit("det_equals_one", float(np.max(np.abs(dets - 1.0))), 1e-6))
-    x0 = action_doc.get("x0")
     if x0 is not None:
-        trajectory = act_solve(a, ACTIONS[name], x0, task["t_span"], task["tol"])
+        trajectory = act_solve(a, action, x0, task["t_span"], task["tol"])
         extra["orbit"] = trajectory.to_json_dict()
         extra["pole_crossings"] = [t for _, t in trajectory.events]
         out = _csv_dir(args)
@@ -409,27 +470,33 @@ def cmd_pde(args) -> int:
         extra["residuals"] = {f"{a+1},{b+1}": [str(r) for r in rs]
                               for (a, b), rs in report.residuals.items()}
     elif args.pde_command == "solve":
-        if doc.get("x0") is None or doc.get("target") is None:
+        x0 = _numbers(doc.get("x0"), "x0", (sys.n,))
+        target = _numbers(doc.get("target"), "target", (sys.s,), "nonnegative")
+        if x0 is None or target is None:
             raise SchemaError("pde solve needs 'x0' and 'target'")
-        result = path_solve(sys, doc["x0"], doc["target"], tol=task["tol"], audit=bool(args.audit))
+        result = path_solve(sys, x0, target, tol=task["tol"], audit=bool(args.audit))
         checks.append(Check("integrated", True, detail=f"endpoint {result.endpoint.tolist()}"))
         audit = path_independence_audit(
-            sys, doc["x0"], doc["target"], path_count=8, tol=task["tol"], seed=task["seed"]
+            sys, x0, target, path_count=8, tol=task["tol"], seed=task["seed"]
         )
         checks.append(Check.limit("path_independence_spread", audit.spread, 10 * task["tol"]))
         extra["endpoint"] = result.endpoint.tolist()
         extra["spread"] = audit.spread
     else:  # superpose
-        if doc.get("rule") is None or doc.get("k") is None:
-            raise SchemaError("pde superpose needs 'rule' and 'k'")
-        rule = SuperpositionRule.from_json_dict(sys.chart, doc["rule"])
-        if doc.get("initial_points") is None or doc.get("target") is None:
-            raise SchemaError("pde superpose needs 'initial_points' and 'target'")
-        axes = [np.linspace(0.0, float(doc["target"][i]), 11) for i in range(sys.s)]
-        grids = [solve_on_grid(sys, p, axes, task["tol"]) for p in doc["initial_points"]]
-        guess = doc.get("x0_guess") or grids[0].reshape(-1, sys.n)[0]
-        rebuilt = pde_superpose(sys, rule, grids, np.atleast_1d(doc["k"]), guess)
-        endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], doc["target"], tol=task["tol"])
+        if sys.s != 2 or sys.decomposition is None:
+            raise SchemaError("pde superpose needs s = 2 parameters and a 'decomposition'")
+        rule = _rule(doc, sys.chart)
+        k = _constants(doc.get("k"), rule)
+        points = _numbers(doc.get("initial_points"), "initial_points", (rule.m, sys.n))
+        target = _numbers(doc.get("target"), "target", (sys.s,), "positive")
+        if k is None or points is None or target is None:
+            raise SchemaError("pde superpose needs 'k', 'initial_points' and 'target'")
+        axes = [np.linspace(0.0, target[i], 11) for i in range(sys.s)]
+        grids = [solve_on_grid(sys, p, axes, task["tol"]) for p in points]
+        guess = (_numbers(doc.get("x0_guess"), "x0_guess", (sys.n,))
+                 or grids[0].reshape(-1, sys.n)[0])
+        rebuilt = pde_superpose(sys, rule, grids, np.array(k), guess)
+        endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=task["tol"])
         gap = float(np.max(np.abs(rebuilt[tuple([-1] * sys.s)] - endpoint.endpoint)))
         checks.append(Check.limit("superposition_vs_path_solve", gap, 1e-5))
         extra["slot0_corner"] = rebuilt[tuple([-1] * sys.s)].tolist()
@@ -447,10 +514,8 @@ def cmd_examples(args) -> int:
         for name, entry in ENTRIES.items():
             print(f"{name:26s} {entry.summary}")
         return 0
-    seed = args.seed if args.seed is not None else DEFAULTS["seed"]
-    tol = args.tol if args.tol is not None else DEFAULTS["tol"]
-    tol_const = args.tol_const if args.tol_const is not None else DEFAULTS["tol_const"]
-    samples = args.samples if args.samples is not None else DEFAULTS["samples"]
+    task = _task({}, args)
+    seed, tol, tol_const, samples = (task[key] for key in ("seed", "tol", "tol_const", "samples"))
     if args.example_command == "run":
         config = RunConfig(_entry_seed(seed, args.name), tol, tol_const, samples)
         checks, extra = get_entry(args.name).run(config)

@@ -2,6 +2,11 @@
 pushforward of solutions through group actions, and the sl(2,R) -> Riccati
 equivariance check.
 
+With a(t) = sum b_a(t) A_a, the group equation is the d-fold diagonal
+prolongation of the linear Lie system x' = a(t) x, whose fields are
+x -> A_a x: column j of g solves it from e_j.  solve_group_equation
+integrates the d columns as one solution tuple (dynamics.integrate_tuple).
+
 Only matrix groups are covered; staying on a subvariety of GL(d) is monitored
 through invariants (determinant against the Liouville integral, unit
 determinant for the sl(2) entries) rather than enforced structurally.
@@ -11,14 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .dynamics import CoefficientCurve, LieSystem, Trajectory, _dopri5, integrate
+from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, Trajectory, integrate, integrate_tuple
 from .errors import EvaluationError
-from .expr import Chart, Expr
+from .expr import Chart, Const, Expr, Mul, Var
 from .geometry import VectorField
 
 __all__ = [
@@ -34,7 +41,6 @@ __all__ = [
     "EquivarianceReport",
     "check_equivariance",
     "riccati_system",
-    "planar_sl2_system",
 ]
 
 POLE_INF = float("inf")
@@ -42,63 +48,71 @@ POLE_INF = float("inf")
 DEFECT_CHECKPOINTS = 10
 # check_equivariance skips nodes with |x2| below this share of max(1, |x1|, |x2|)
 POLE_MARGIN = 0.05
+# components of the Riccati fields 1, x, x^2 (d/dx)
+RICCATI = ("1", "x", "x^2")
 
 
 class MatrixCurve:
-    """t -> d x d matrix, either entrywise expressions in t or a combination
-    sum b_a(t) * a_a with constant basis matrices."""
+    """t -> a(t) = sum b_a(t) A_a: constant d x d basis matrices A_a over Q,
+    one coefficient curve b_a each."""
 
-    def __init__(
-        self,
-        dim: int,
-        entries: Sequence[Sequence[Expr]] | None = None,
-        basis: Sequence[np.ndarray] | None = None,
-        curves: Sequence[CoefficientCurve] | None = None,
-    ):
-        self.dim = dim
-        if entries is not None:
-            if basis is not None or curves is not None:
-                raise ValueError("give either entries or a basis combination")
-            if len(entries) != dim or any(len(row) != dim for row in entries):
-                raise ValueError(f"entries must be {dim}x{dim}")
-            self.entries = tuple(tuple(row) for row in entries)
-            self._fns = [[ex.compile_expr(e, ("t",)) for e in row] for row in entries]
-            self.basis = None
-            self.curves = None
-        else:
-            if basis is None or curves is None or len(basis) != len(curves):
-                raise ValueError("basis combination needs matching matrices and curves")
-            self.entries = None
-            self._fns = None
-            self.basis = [np.asarray(b, dtype=float) for b in basis]
-            for b in self.basis:
-                if b.shape != (dim, dim):
-                    raise ValueError(f"basis matrix of shape {b.shape}, expected {(dim, dim)}")
-            self.curves = list(curves)
+    def __init__(self, basis: Sequence[Sequence[Sequence[Fraction | int]]],
+                 curves: Sequence[CoefficientCurve]):
+        self.basis = [tuple(tuple(Fraction(v) for v in row) for row in b) for b in basis]
+        self.curves = list(curves)
+        if not self.basis or len(self.basis) != len(self.curves):
+            raise ValueError("basis combination needs matching matrices and curves")
+        self.dim = len(self.basis[0])
+        if any(len(b) != self.dim or any(len(row) != self.dim for row in b) for b in self.basis):
+            raise ValueError(f"basis matrices must be {self.dim}x{self.dim}")
+        self._floats = [np.array(b, dtype=float) for b in self.basis]
 
     @staticmethod
     def from_strings(rows: Sequence[Sequence[str]]) -> "MatrixCurve":
-        entries = [[ex.parse(s, ("t",)) for s in row] for row in rows]
-        return MatrixCurve(len(rows), entries=entries)
+        """Entries as curves on the unit matrices E_ij, in row-major order."""
+        d = len(rows)
+        if any(len(row) != d for row in rows):
+            raise ValueError(f"entries must be {d}x{d}")
+        units = [[[int((p, q) == (i, j)) for q in range(d)] for p in range(d)]
+                 for i in range(d) for j in range(d)]
+        return MatrixCurve(units, [CoefficientCurve.from_string(s) for row in rows for s in row])
+
+    @cached_property
+    def system(self) -> LieSystem:
+        """The linear Lie system x' = a(t) x on the chart (x1..xd): fields
+        x -> A_a x, a unit entry as a bare variable and a zero row as Const(0)."""
+        chart = Chart(tuple(f"x{i + 1}" for i in range(self.dim)))
+        xs = [Var(name) for name in chart.names]
+
+        def component(row) -> Expr:
+            terms = [x if c == 1 else Mul((Const(c), x)) for c, x in zip(row, xs) if c]
+            return terms[0] if len(terms) == 1 else ex.Add(terms) if terms else Const(0)
+
+        fields = [VectorField(chart, tuple(map(component, b))) for b in self.basis]
+        return LieSystem(fields, self.curves)
 
     def __call__(self, t: float) -> np.ndarray:
-        if self._fns is not None:
-            out = np.array([[fn(float(t)) for fn in row] for row in self._fns], dtype=float)
-        else:
-            out = np.zeros((self.dim, self.dim))
-            for b, curve in zip(self.basis, self.curves):
-                out += curve(t) * b
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"matrix curve not finite at t={t}")
-        return out
+        return sum((curve(t) * b for b, curve in zip(self._floats, self.curves)),
+                   np.zeros((self.dim, self.dim)))
 
     def trace_is_zero(self) -> bool:
-        """Exact when entries are expressions; basis combinations check the
-        basis matrices' traces."""
-        if self.entries is not None:
-            total = ex.Add(tuple(self.entries[i][i] for i in range(self.dim)))
-            return ex.is_zero(total).verdict == "zero"
-        return all(abs(float(np.trace(b))) == 0.0 for b in self.basis)
+        """Exact verdict on sum tr(A_a) b_a(t) = 0; a table curve with a
+        nonzero trace weight counts as a nonzero trace."""
+        terms = [Const(0)]
+        for b, curve in zip(self.basis, self.curves):
+            weight = sum(b[i][i] for i in range(self.dim))
+            if weight:
+                if curve.table is not None:
+                    return False
+                terms.append(Mul((Const(weight), curve.expression)))
+        return ex.is_zero(ex.Add(terms)).verdict == "zero"
+
+
+_SL2_BASIS = (
+    ((0, 1), (0, 0)),
+    ((Fraction(1, 2), 0), (0, Fraction(-1, 2))),
+    ((0, 0), (-1, 0)),
+)
 
 
 def sl2_from_coefficients(
@@ -106,10 +120,7 @@ def sl2_from_coefficients(
 ) -> MatrixCurve:
     """Traceless curve [[b2/2, b1], [-b3, -b2/2]] carrying the sign convention
     under which the Mobius action of g(t) solves dx/dt = b1 + b2 x + b3 x^2."""
-    e1 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    e2 = np.array([[0.5, 0.0], [0.0, -0.5]])
-    e3 = np.array([[0.0, 0.0], [-1.0, 0.0]])
-    return MatrixCurve(2, basis=[e1, e2, e3], curves=[b1, b2, b3])
+    return MatrixCurve(_SL2_BASIS, [b1, b2, b3])
 
 
 @dataclass
@@ -135,21 +146,16 @@ class GroupTrajectory:
 def solve_group_equation(
     a: MatrixCurve,
     t_span: tuple[float, float] = (0.0, 1.0),
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> GroupTrajectory:
-    """Integrate dg/dt = a(t) g with g(0) = I (right-invariant equation); the
+    """Integrate dg/dt = a(t) g with g(0) = I (right-invariant equation) as
+    the columns of g, a solution tuple of a.system from the unit vectors; the
     defect is logged at DEFECT_CHECKPOINTS evenly spaced nodes."""
     d = a.dim
-
-    def rhs(t: float, y: list) -> list:
-        return (a(t) @ np.reshape(y, (d, d))).ravel().tolist()
-
-    y0 = np.eye(d).reshape(-1)
-    ts, ys, dys, blew_up, truncated_at = _dopri5(
-        rhs, float(t_span[0]), float(t_span[1]), y0, tol
-    )
-    mats = ys.reshape(len(ts), d, d)
-    dmats = dys.reshape(len(ts), d, d)
+    columns = integrate_tuple(a.system, np.eye(d), t_span, tol)
+    ts = columns[0].t
+    mats = np.stack([tr.states for tr in columns], axis=-1)
+    dmats = np.stack([tr.derivatives for tr in columns], axis=-1)
     defect = []
     for idx in np.linspace(0, len(ts) - 1, min(DEFECT_CHECKPOINTS, len(ts)), dtype=int):
         g = mats[idx]
@@ -158,7 +164,7 @@ def solve_group_equation(
         except np.linalg.LinAlgError:
             dev = np.full((d, d), np.inf)
         defect.append((float(ts[idx]), float(np.max(np.abs(dev)))))
-    return GroupTrajectory(ts, mats, dmats, defect, blew_up, truncated_at)
+    return GroupTrajectory(ts, mats, dmats, defect, columns[0].blew_up, columns[0].truncated_at)
 
 
 @dataclass(frozen=True)
@@ -199,7 +205,7 @@ def act_solve(
     action: GroupAction,
     x0: Sequence[float],
     t_span: tuple[float, float] = (0.0, 1.0),
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> Trajectory:
     """x(t) = action(g(t), x0): the single-solution (m = 1) superposition.
 
@@ -237,21 +243,7 @@ def act_solve(
 def riccati_system(b1: CoefficientCurve, b2: CoefficientCurve, b3: CoefficientCurve) -> LieSystem:
     """dx/dt = b1 + b2 x + b3 x^2 as a Lie system on the line."""
     chart = Chart(("x",))
-    fields = [VectorField.from_strings(chart, [s]) for s in ("1", "x", "x^2")]
-    return LieSystem(fields, [b1, b2, b3])
-
-
-def planar_sl2_system(
-    b1: CoefficientCurve, b2: CoefficientCurve, b3: CoefficientCurve
-) -> LieSystem:
-    """The linear system dx1 = (b2/2)x1 + b1 x2, dx2 = -b3 x1 - (b2/2)x2."""
-    chart = Chart(("x1", "x2"))
-    fields = [
-        VectorField.from_strings(chart, ["x2", "0"]),
-        VectorField.from_strings(chart, ["x1/2", "-x2/2"]),
-        VectorField.from_strings(chart, ["0", "-x1"]),
-    ]
-    return LieSystem(fields, [b1, b2, b3])
+    return LieSystem([VectorField.from_strings(chart, [s]) for s in RICCATI], [b1, b2, b3])
 
 
 @dataclass
@@ -270,10 +262,10 @@ def check_equivariance(
     b: Sequence[CoefficientCurve],
     x0: Sequence[float],
     t_span: tuple[float, float] = (0.0, 1.0),
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> EquivarianceReport:
-    """Compare x1(t)/x2(t) of the planar linear system with the solution x(t)
-    of the Riccati equation dx/dt = b1 + b2 x + b3 x^2 from x0_1/x0_2.
+    """Compare x1(t)/x2(t) of the planar linear system x' = a(t) x, with
+    a = sl2_from_coefficients(*b), with the solution x(t) of the Riccati equation dx/dt = b1 + b2 x + b3 x^2 from x0_1/x0_2.
 
     Both share b(t), so they are integrated as one Lie system on the chart
     (x1, x2, x) and compared at its nodes, skipping nodes within POLE_MARGIN
@@ -281,12 +273,11 @@ def check_equivariance(
     x0 = np.asarray(x0, dtype=float)
     if abs(x0[1]) < POLE_MARGIN:
         raise ValueError("initial point too close to the pole x2 = 0")
-    chart = Chart(("x1", "x2", "x"))
-    fields = [
-        VectorField.from_strings(chart, comps)
-        for comps in (["x2", "0", "1"], ["x1/2", "-x2/2", "x"], ["0", "-x1", "x^2"])
-    ]
-    joint = integrate(LieSystem(fields, list(b)), [x0[0], x0[1], x0[0] / x0[1]], t_span, tol)
+    a = sl2_from_coefficients(*b)
+    chart = Chart(a.system.chart.names + ("x",))
+    fields = [VectorField(chart, f.components + (ex.parse(s, chart),))
+              for f, s in zip(a.system.fields, RICCATI)]
+    joint = integrate(LieSystem(fields, a.curves), [x0[0], x0[1], x0[0] / x0[1]], t_span, tol)
     max_dev = 0.0
     compared = 0
     for x1, x2, x in joint.states:
@@ -294,6 +285,5 @@ def check_equivariance(
             continue
         compared += 1
         max_dev = max(max_dev, abs(x1 / x2 - x))
-    gtraj = solve_group_equation(sl2_from_coefficients(*b), t_span, tol)
-    det_drift = float(np.max(np.abs(gtraj.determinants() - 1.0)))
+    det_drift = float(np.max(np.abs(solve_group_equation(a, t_span, tol).determinants() - 1.0)))
     return EquivarianceReport(max_dev, compared, len(joint.t), det_drift)

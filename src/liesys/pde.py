@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .dynamics import CoefficientCurve, LieSystem, _dopri5
+from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, _dopri5
 from .errors import IntegrationBlowUpError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
@@ -237,7 +237,7 @@ def path_solve(
     x0: Sequence[float],
     target: Sequence[float],
     path: Sequence[tuple[int, float]] | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     audit: bool = False,
     base: Sequence[float] | None = None,
 ) -> PathResult:
@@ -306,7 +306,7 @@ def path_independence_audit(
     x0: Sequence[float],
     target: Sequence[float],
     path_count: int = 8,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> AuditResult:
     """Max pairwise endpoint spread over randomized staircases; a small
@@ -336,7 +336,7 @@ def path_independence_audit(
 
 
 def solve_on_grid(
-    sys: PdeSystem, x0: Sequence[float], axes: Sequence[np.ndarray], tol: float = 1e-9
+    sys: PdeSystem, x0: Sequence[float], axes: Sequence[np.ndarray], tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Solution values on a rectangular parameter grid (flat systems), swept
     along axis 1 first and then up the remaining axes column by column."""

@@ -281,6 +281,71 @@ class TestSchemaErrors:
         assert err.value.code == 2
 
 
+def edited_problem(tmp_path, problem, edits):
+    """problems/<problem>.json with each dotted key of `edits` set to its value."""
+    doc = json.loads((PROBLEMS / f"{problem}.json").read_text())
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+    path = tmp_path / f"{problem}_edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+S1_PDE = {"s": 1, "chart": ["u"], "fields": [["u^2"]],
+          "decomposition": {"u": [["0", "0", "1"]], "basis": [["1"], ["u"], ["u^2"]]}}
+
+# (problem, command, edits, a fragment of the message on stderr)
+MALFORMED_INPUTS = [
+    ("riccati", ["solve"], {"x0": [0.1, 0.2]}, "'x0'"),
+    ("riccati", ["solve"], {"x0": "ab"}, "'x0'"),
+    ("riccati", ["solve"], {"coefficients": 5}, "'coefficients'"),
+    ("riccati", ["solve"], {"t_span": "ab"}, "'t_span'"),
+    ("riccati", ["solve"], {"tol": "x"}, "'tol'"),
+    ("riccati", ["solve"], {"tol": -1}, "'tol'"),
+    ("riccati", ["solve"], {"seed": "x"}, "'seed'"),
+    ("riccati", ["m"], {"samples": 0}, "'samples'"),
+    ("riccati", ["superpose"], {"k": [1.0, 2.0]}, "'k'"),
+    ("riccati", ["superpose"], {"k": "ab"}, "'k'"),
+    ("riccati", ["superpose"], {"initial_points": [[-2.0], [0.0, 1.0], [-1.0]]}, "'initial_points'"),
+    ("riccati", ["m"], {"m": "x"}, "'m'"),
+    ("pde_riccati", ["pde", "solve"], {"target": [0.5]}, "'target'"),
+    ("pde_riccati", ["pde", "superpose"], {"target": [0.5]}, "'target'"),
+    ("pde_riccati", ["pde", "superpose"], {"k": [0.6, 0.7]}, "'k'"),
+    ("pde_riccati", ["pde", "solve"], {"x0": [0.5, 0.5]}, "'x0'"),
+    ("pde_riccati", ["pde", "solve"], {"target": [-0.5, 0.5]}, "'target'"),
+    ("pde_riccati", ["pde", "superpose"], {"target": [-0.5, 0.5]}, "'target'"),
+    ("pde_riccati", ["pde", "superpose"], {"initial_points": [[-1.0], [-2.0, 0.0], [0.5]]},
+     "'initial_points'"),
+    ("pde_riccati", ["pde", "superpose"], {"pde": S1_PDE, "target": [0.5]}, "s = 2"),
+    ("sl2_group", ["group"], {"action": {"name": "sl2_linear", "matrix": [["0", "1"], ["1"]]}},
+     "matrix"),
+    ("sl2_group", ["group"], {"action.sl2_coefficients": ["1", "0"]}, "'sl2_coefficients'"),
+    ("sl2_group", ["group"], {"action.sl2_coefficients": [1, 0, 1]}, "'sl2_coefficients'"),
+    ("sl2_group", ["group"], {"action.name": "sl2_linear"}, "'x0'"),
+    ("sl2_group", ["group"], {"action": {"name": "sl2_linear", "x0": [1.0, 0.0],
+                                         "matrix": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]}},
+     "2x2"),
+    ("sl2_group", ["group"], {"action": {"name": "mobius", "matrix": "abc"}}, "'matrix'"),
+]
+
+
+class TestMalformedInputsExit2:
+    """Each malformed section or numeric key ends in a schema error on stderr."""
+
+    @pytest.mark.parametrize("problem,command,edits,fragment", MALFORMED_INPUTS,
+                             ids=[f"{p}-{'_'.join(c)}-{i}" for i, (p, c, _, _) in
+                                  enumerate(MALFORMED_INPUTS)])
+    def test_exit_2_with_message(self, tmp_path, capsys, problem, command, edits, fragment):
+        path = edited_problem(tmp_path, problem, edits)
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err, err
+
+
 class TestLongChains:
     """Fields written as long sums: x^2 as `terms` copies of x^2/terms."""
 

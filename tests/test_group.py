@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from liesys.dynamics import CoefficientCurve, integrate
+from liesys.catalog import gl_fields
+from liesys.dynamics import CoefficientCurve, _dopri5, integrate
+from liesys.expr import Chart
 from liesys.group import (
     ACTIONS,
     LINEAR_SL2,
@@ -15,7 +17,6 @@ from liesys.group import (
     MatrixCurve,
     act_solve,
     check_equivariance,
-    planar_sl2_system,
     riccati_system,
     sl2_from_coefficients,
     solve_group_equation,
@@ -80,6 +81,89 @@ class TestSolveGroupEquation:
         a = sl2_from_coefficients(*curves("1", "0", "1"))
         gtraj = solve_group_equation(a, (0.0, 1.0), tol=1e-9)
         assert max(d for _, d in gtraj.defect) <= 1e-8
+
+
+def numpy_group_solve(a, t_span, tol):
+    """The group equation on a numpy right-hand side, g flattened row by
+    row and a(t) @ g per stage, fed straight to _dopri5."""
+    d = a.dim
+
+    def rhs(t, y):
+        return (a(t) @ np.reshape(y, (d, d))).ravel().tolist()
+
+    ts, ys, dys, _, _ = _dopri5(rhs, t_span[0], t_span[1], np.eye(d).reshape(-1), tol)
+    return ts, ys.reshape(len(ts), d, d), dys.reshape(len(ts), d, d)
+
+
+class TestLinearSystemForm:
+    """g solved as the columns of the linear Lie system x' = a(t) x."""
+
+    def sl2_cases(self):
+        yield curves("1", "0", "1")
+        yield curves("1", "t", "1 - t")
+        rng = random.Random(7)
+        for _ in range(6):
+            yield [CoefficientCurve.from_string(Fraction_like(rng.uniform(-1, 1))) for _ in range(3)]
+
+    def test_sl2_matches_the_numpy_right_hand_side(self):
+        # numpy's a(t) @ g rounds a two-term dot product differently from
+        # two rounded products, so the error estimate, whose last bits set
+        # the next step, can move a node by ~4e-8; each reference matrix is
+        # carried to the node's time along its derivative (error ~ dt^2)
+        for b in self.sl2_cases():
+            a = sl2_from_coefficients(*b)
+            g = solve_group_equation(a, (0.0, 1.0))
+            ts, mats, dmats = numpy_group_solve(a, (0.0, 1.0), 1e-9)
+            assert len(g.t) == len(ts)
+            assert np.max(np.abs(g.t - ts)) <= 1e-6
+            shifted = mats + (g.t - ts)[:, None, None] * dmats
+            assert np.max(np.abs(g.matrices - shifted)) <= 1e-12
+
+    def test_entries_endpoint_matches_the_numpy_right_hand_side(self):
+        a = MatrixCurve.from_strings([["t", "1", "0"], ["-1", "0", "t^2"], ["1/2", "0", "-t"]])
+        g = solve_group_equation(a, (0.0, 2.0), tol=1e-10)
+        ts, mats, _ = numpy_group_solve(a, (0.0, 2.0), 1e-10)
+        assert g.t[-1] == ts[-1] == 2.0
+        assert np.max(np.abs(g.matrices[-1] - mats[-1])) <= 1e-10
+
+    def test_unit_matrices_give_the_gl_fields(self):
+        a = MatrixCurve.from_strings([["t", "1", "0"], ["-1", "0", "t^2"], ["1/2", "0", "-t"]])
+        want = gl_fields(Chart(("x1", "x2", "x3")))
+        assert a.system.chart.names == ("x1", "x2", "x3")
+        for got, field in zip(a.system.fields, want, strict=True):
+            assert [(type(c), str(c)) for c in got.components] == [
+                (type(c), str(c)) for c in field.components]
+
+    def test_sl2_fields_have_exact_halves(self):
+        fields = sl2_from_coefficients(*curves("1", "0", "1")).system.fields
+        assert [[str(c) for c in f.components] for f in fields] == [
+            ["x2", "0"], ["1/2*x1", "-1/2*x2"], ["0", "-x1"]]
+
+    def test_value_is_the_basis_combination(self):
+        a = sl2_from_coefficients(*curves("1", "t", "1 - t"))
+        assert np.array_equal(a(0.5), [[0.25, 1.0], [-0.5, -0.25]])
+
+    def test_non_square_entries_rejected(self):
+        with pytest.raises(ValueError):
+            MatrixCurve.from_strings([["0", "1"], ["1"]])
+
+
+TABLE = CoefficientCurve(table=([0.0, 1.0], [0.0, 2.0]))
+
+
+class TestTraceIsZero:
+    def test_traceless_entries(self):
+        assert MatrixCurve.from_strings([["t^2 - 1", "1"], ["t", "1 - t^2"]]).trace_is_zero()
+
+    def test_entries_with_a_trace(self):
+        assert not MatrixCurve.from_strings([["t", "1"], ["0", "t"]]).trace_is_zero()
+
+    def test_sl2_with_table_curves(self):
+        assert sl2_from_coefficients(TABLE, TABLE, TABLE).trace_is_zero()
+
+    def test_table_curve_on_a_diagonal_unit(self):
+        a = MatrixCurve([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], [TABLE, curves("1")[0]])
+        assert not a.trace_is_zero()
 
 
 def Fraction_like(v: float) -> str:
@@ -153,7 +237,7 @@ class TestEquivariance:
 
     def test_diagonal_case_exponentials(self):
         # b = (0,1,0): x1 = e^{t/2} x1(0), x2 = e^{-t/2} x2(0)
-        sys = planar_sl2_system(*curves("0", "1", "0"))
+        sys = sl2_from_coefficients(*curves("0", "1", "0")).system
         tr = integrate(sys, [1.0, 1.0], (0.0, 1.0))
         assert abs(tr.endpoint()[0] - math.exp(0.5)) <= 1e-8
         assert abs(tr.endpoint()[1] - math.exp(-0.5)) <= 1e-8
