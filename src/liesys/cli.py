@@ -20,7 +20,8 @@ from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_poin
 from .errors import ClosureCapError, LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
-from .group import ACTIONS, MatrixCurve, act_solve, check_equivariance, sl2_from_coefficients, solve_group_equation
+from .group import (ACTIONS, POLE_MARGIN, MatrixCurve, act_solve, check_equivariance,
+                    sl2_from_coefficients, solve_group_equation)
 from .pde import PdeSystem, curvature, path_independence_audit, path_solve, pde_superpose, solve_on_grid
 from .report import Check, Report
 from .superposition import (
@@ -448,7 +449,8 @@ def cmd_group(args) -> int:
         out = _csv_dir(args)
         if out:
             trajectory.to_csv(out / "orbit.csv")
-    if curves is not None and x0 is not None and len(x0) == 2:
+    # check_equivariance refuses a start within POLE_MARGIN of the pole x2 = 0
+    if curves is not None and x0 is not None and len(x0) == 2 and abs(x0[1]) >= POLE_MARGIN:
         rep = check_equivariance(curves, x0, task["t_span"], task["tol"])
         checks.append(Check.limit("sl2_riccati_equivariance", rep.max_deviation, 1e-6))
     return _emit(Report("group", checks, task["seed"], {"tol": task["tol"]}, extra), args)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, _dopri5
-from .errors import IntegrationBlowUpError, NotFlatError
+from .errors import IntegrationBlowUpError, LiesysError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
 from .superposition import SuperpositionRule, _LeafSolver, verify_tangency
@@ -383,7 +383,7 @@ def pde_superpose(
     report = verify_tangency(rule, sys.decomposition.basis)
     if not report.all_zero:
         bad = report.max_nonzero()
-        raise ValueError(
+        raise LiesysError(
             f"rule is not tangent to the decomposition basis "
             f"(field {bad.field_index}, psi component {bad.component})"
         )

@@ -7,6 +7,11 @@ rules have s = n, partial rules add n - s constraint expressions cutting the
 submanifold on which the rule lives.  An optional explicit map phi expresses
 slot 0 directly through slots 1..m and the constants k1..ks.
 
+Tangency is decided by the zero test of the canonical form: for full rules
+on the residuals themselves, for partial rules on the residuals pulled back
+along phi, which parametrizes the constraint set (a partial rule needs phi
+for this).
+
 Reconstruction holds psi at its initial value by a damped Newton solve with
 the exact Jacobian (derivative trees evaluated in floats), warm-started along
 the grid.
@@ -15,7 +20,6 @@ the grid.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,8 +27,8 @@ import numpy as np
 
 from . import expr as ex
 from .dynamics import LieSystem, Trajectory
-from .errors import NonConvergenceError, SingularDomainError
-from .expr import Chart, Expr
+from .errors import LiesysError, NonConvergenceError, SingularDomainError
+from .expr import Chart, Expr, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation
 
 __all__ = [
@@ -151,7 +155,7 @@ class TangencyCheck:
     field_index: int
     component: int
     residual: Expr
-    verdict: str  # zero | nonzero | sampled-zero | unknown
+    verdict: str  # zero | nonzero | unknown (every sample vanished)
     probabilistic: bool
     samples: int = 0
 
@@ -162,7 +166,7 @@ class TangencyReport:
 
     @property
     def all_zero(self) -> bool:
-        return all(c.verdict in ("zero", "sampled-zero") for c in self.checks)
+        return all(c.verdict in ("zero", "unknown") for c in self.checks)
 
     @property
     def probabilistic(self) -> bool:
@@ -173,76 +177,48 @@ class TangencyReport:
         return bad[0] if bad else None
 
 
-def _constraint_samples(rule: SuperpositionRule, count: int, seed: int) -> list[np.ndarray]:
-    """Random points projected onto the constraint zero set by Gauss-Newton."""
-    chart = rule.product_chart
-    names = chart.names
-    constraints = ex.compile_vector(rule.constraints, names)
-    jacobian = ex.compile_vector(
-        [ex._diff_tree(c, v) for c in rule.constraints for v in names], names
-    )
-    rng = random.Random(seed)
-    points: list[np.ndarray] = []
-    attempts = 0
-    while len(points) < count and attempts < 50 * count:
-        attempts += 1
-        x = np.array([float(ex.random_rational(rng)) for _ in names])
-        ok = True
-        for _ in range(50):
-            try:
-                res = np.array(constraints(*x.tolist()), dtype=float)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                ok = False
-                break
-            if float(np.max(np.abs(res), initial=0.0)) < 1e-12:
-                break
-            jac = np.array(jacobian(*x.tolist()), dtype=float).reshape(len(res), len(names))
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-            x = x + step
-        else:
-            ok = False
-        if ok and np.all(np.isfinite(x)):
-            points.append(x)
-    if len(points) < count:
-        raise SingularDomainError("could not sample the constraint submanifold", float("nan"))
-    return points
-
-
-def _vanishes_on(residual: Expr, constraint: Expr) -> bool:
-    """Exact certificate that `residual` vanishes wherever it is defined on
-    the zero set of `constraint`: both rational (no function atoms), and the
-    residual's canonical numerator is 0 or a polynomial multiple of the
-    constraint's non-constant canonical numerator."""
-    res_nf, con_nf = ex._nf_of(residual), ex._nf_of(constraint)
-    numerator, divisor = res_nf.num_den[0], con_nf.num_den[0]
-    if not numerator:
-        return True
-    if res_nf.trans or con_nf.trans or ex._is_const_poly(divisor):
-        return False
-    try:
-        ex._pdiv_exact(numerator, divisor)
-    except ArithmeticError:
-        return False
-    return True
+def _phi_on_leaves(rule: SuperpositionRule, seed: int) -> tuple[dict[str, Expr], bool]:
+    """The substitution of phi for the slot-0 variables, and whether a leaf
+    condition could only be sampled.  Raises LiesysError when phi is missing
+    or a leaf condition psi_j(phi) - k_j or C_l(phi) is nonzero."""
+    if rule.phi is None:
+        raise LiesysError("tangency of a partial rule is decided along phi, and the rule has no phi")
+    on_phi = dict(zip(rule.product_chart.slot_names(0), rule.phi))
+    conditions = [
+        (f"psi component {j}: psi(phi) - {k}", ex.substitute(p, on_phi) - Var(k))
+        for j, (p, k) in enumerate(zip(rule.psi, rule.k_names))
+    ] + [
+        (f"constraint {l}: C(phi)", ex.substitute(c, on_phi))
+        for l, c in enumerate(rule.constraints)
+    ]
+    sampled = False
+    for label, condition in conditions:
+        decision = ex.is_zero(condition, seed=seed)
+        if decision.verdict == "nonzero":
+            raise LiesysError(
+                f"phi is off its own leaves: {label} = {ex.canonical_expr(condition)} is not zero"
+            )
+        sampled = sampled or not decision.exact
+    return on_phi, sampled
 
 
 def verify_tangency(
     rule: SuperpositionRule,
     fields: Sequence[VectorField],
-    samples: int = 32,
     seed: int = 0,
 ) -> TangencyReport:
-    """Residuals X~_a(psi^j) for each basis field and level-map component.
+    """Residuals X~_a(psi^j) for each basis field and level-map component,
+    each decided by ex.is_zero.
 
-    Full rules are decided symbolically through the canonical form.  For
-    partial rules the residual only needs to vanish on the constraint
-    submanifold.  With one rational constraint, a residual whose canonical
-    numerator is 0 or divisible by the constraint's is decided exactly
-    (_vanishes_on); any other residual is evaluated at sampled points of
-    the constraint set and the verdict is labelled probabilistic.
+    A partial rule's residual only needs to vanish on the constraint set N,
+    which phi parametrizes by (x_(1..m), k): the residual is decided, and
+    kept in its check, after substituting phi for slot 0.  That is zero on
+    N only when phi lands on its own leaves, so psi_j(phi) = k_j and
+    C_l(phi) = 0 are decided first (see _phi_on_leaves); if one of them can
+    only be sampled, every residual verdict of the rule is labelled
+    probabilistic.
     """
-    chart = rule.product_chart
-    points = None
+    on_phi, leaves_sampled = _phi_on_leaves(rule, seed) if rule.is_partial else (None, False)
     checks: list[TangencyCheck] = []
     for alpha, base_field in enumerate(fields):
         if base_field.chart.names != rule.base_chart.names:
@@ -250,34 +226,13 @@ def verify_tangency(
         prolonged = diagonal_prolongation(base_field, rule.m + 1)
         for j, psi_j in enumerate(rule.psi):
             residual = prolonged.apply_to(psi_j)
-            if not rule.is_partial:
-                decision = ex.is_zero(residual, seed=seed)
-                checks.append(
-                    TangencyCheck(
-                        alpha, j, residual, decision.verdict, not decision.exact, decision.samples
-                    )
-                )
-                continue
-            if len(rule.constraints) == 1 and _vanishes_on(residual, rule.constraints[0]):
-                checks.append(TangencyCheck(alpha, j, residual, "zero", False))
-                continue
-            if points is None:
-                points = _constraint_samples(rule, samples, seed)
-            fn = ex.compile_expr(residual, chart.names)
-            verdict = "sampled-zero"
-            used = 0
-            for p in points:
-                try:
-                    value = fn(*p)
-                except (ZeroDivisionError, ValueError, OverflowError):
-                    continue
-                used += 1
-                if abs(value) > 1e-7:
-                    verdict = "nonzero"
-                    break
-            if used == 0:
-                verdict = "unknown"
-            checks.append(TangencyCheck(alpha, j, residual, verdict, True, used))
+            if on_phi is not None:
+                residual = ex.substitute(residual, on_phi)
+            decision = ex.is_zero(residual, seed=seed)
+            checks.append(TangencyCheck(
+                alpha, j, residual, decision.verdict,
+                leaves_sampled or not decision.exact, decision.samples,
+            ))
     return TangencyReport(checks)
 
 
@@ -323,21 +278,17 @@ def verify_along_solutions(
     if sys.chart.names != rule.base_chart.names:
         raise ValueError("system chart does not match the rule")
     grid, states = _stack_states(trajectories)
-    fns = [ex.compile_expr(p, rule.product_chart.names) for p in rule.psi]
+    psi = ex.compile_vector(rule.psi, rule.product_chart.names)
     values = np.empty((len(grid), rule.rank))
     for row, point in enumerate(states):
-        for j, fn in enumerate(fns):
-            try:
-                v = fn(*point)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                raise SingularDomainError(
-                    "psi evaluation singular along the tuple", float(grid[row])
-                ) from None
-            if not np.isfinite(v):
-                raise SingularDomainError(
-                    "psi evaluation singular along the tuple", float(grid[row])
-                )
-            values[row, j] = v
+        try:
+            v = psi(*point.tolist())
+            finite = all(map(math.isfinite, v))
+        except (ZeroDivisionError, ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise SingularDomainError("psi evaluation singular along the tuple", float(grid[row]))
+        values[row] = v
     drift = np.max(np.abs(values - values[0]), axis=0)
     return ConstancyReport(drift, values[0].copy(), tol_const)
 
@@ -429,8 +380,7 @@ def _max_abs(values: list[float]) -> float:
 def derive_k(rule: SuperpositionRule, x0: Sequence[float], slot_states: Sequence[Sequence[float]]) -> np.ndarray:
     """k := psi(x0(0), x_(1)(0), ..., x_(m)(0))."""
     point = np.concatenate([np.asarray(x0, float)] + [np.asarray(s, float) for s in slot_states])
-    fns = [ex.compile_expr(p, rule.product_chart.names) for p in rule.psi]
-    return np.array([fn(*point) for fn in fns])
+    return np.array(ex.compile_vector(rule.psi, rule.product_chart.names)(*point.tolist()))
 
 
 def reconstruct(
@@ -457,11 +407,10 @@ def reconstruct(
 
     states = np.empty((len(grid), n))
     if rule.phi is not None:
-        phi_fns = [ex.compile_expr(p, rule.phi_names) for p in rule.phi]
+        phi = ex.compile_vector(rule.phi, rule.phi_names)
         for row in range(len(grid)):
-            args = np.concatenate([rests[row], k])
             try:
-                states[row] = [fn(*args) for fn in phi_fns]
+                states[row] = phi(*rest_rows[row], *k_list)
             except (ZeroDivisionError, ValueError, OverflowError):
                 raise SingularDomainError("phi evaluation singular", float(grid[row])) from None
             if row % CROSSCHECK_EVERY == 0:

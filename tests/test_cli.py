@@ -180,12 +180,32 @@ class TestVerify:
             assert residual["value"] <= 1e-9
 
     def test_partial_rank1_passes_for_every_seed(self, tmp_path):
-        # the seed only moves sample points, which the exact tangency verdict
-        # does not use; seed 19 once put one where x1_1 is small
-        for seed in range(50):
-            code, _ = run(tmp_path, "verify", str(PROBLEMS / "partial_rank1.json"),
-                          "--seed", str(seed))
-            assert code == 0, seed
+        # the seed only moves is_zero's sample points, which the exact
+        # tangency verdicts of these rules do not use
+        for name in ("partial_rank1.json", "partial_rank1_m2.json"):
+            for seed in range(50):
+                code, _ = run(tmp_path, "verify", str(PROBLEMS / name), "--seed", str(seed))
+                assert code == 0, (name, seed)
+
+    @pytest.mark.parametrize("edits", [{"rule.phi": None},
+                                       {"rule.phi": None, "coefficients": None}])
+    def test_partial_rule_without_phi_fails_cleanly(self, tmp_path, capsys, edits):
+        path = edited_problem(tmp_path, "partial_rank1", edits)
+        assert main(["verify", str(path)]) == 1
+        assert "has no phi" in capsys.readouterr().out
+
+    def test_sampled_zero_tangency_passes(self, tmp_path):
+        # sin(x)^2 + cos(x)^2 = 1 is not formally 1, so every residual is
+        # only sampled: the verdict passes and says it is probabilistic
+        path = tmp_path / "trig.json"
+        path.write_text(json.dumps({
+            "chart": ["x"], "fields": [["sin(x)^2 + cos(x)^2"]], "coefficients": ["1"],
+            "rule": {"m": 1, "s": 1, "psi": ["x_0 - x_1"], "phi": ["x_1 + k1"]},
+        }))
+        code, doc = run(tmp_path, "verify", str(path))
+        assert code == 0
+        tangency = next(c for c in doc["checks"] if c["name"] == "tangency_zero")
+        assert tangency["passed"] and tangency["probabilistic"]
 
     def test_drifts_far_below_tol_const(self, tmp_path):
         # slot 0 shares one integration with the particular solutions, so
@@ -206,6 +226,21 @@ class TestGroupAndPde:
         assert code == 0
         names = [c["name"] for c in doc["checks"]]
         assert "det_equals_one" in names and "traceless" in names
+
+    def test_group_x0_on_the_pole_skips_equivariance(self, tmp_path):
+        path = edited_problem(tmp_path, "sl2_group", {"action": {
+            "name": "sl2_linear", "sl2_coefficients": ["1", "0", "1"], "x0": [1.0, 0.0]}})
+        code, doc = run(tmp_path, "group", str(path))
+        assert code == 0
+        assert doc["extra"]["orbit"]["t"]
+        assert "sl2_riccati_equivariance" not in [c["name"] for c in doc["checks"]]
+
+    def test_pde_superpose_non_tangent_rule_fails_cleanly(self, tmp_path, capsys):
+        path = edited_problem(tmp_path, "pde_riccati", {
+            "rule.m": 1, "rule.psi": ["u_0 - u_1"], "rule.phi": None,
+            "initial_points": [[-1.0]]})
+        assert main(["pde", "superpose", str(path)]) == 1
+        assert "not tangent" in capsys.readouterr().out
 
     def test_pde_check_flat(self, tmp_path):
         code, doc = run(tmp_path, "pde", "check", str(PROBLEMS / "pde_riccati.json"))

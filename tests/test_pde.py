@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liesys.dynamics import integrate
-from liesys.errors import NotFlatError
+from liesys.errors import LiesysError, NotFlatError
 from liesys.expr import Chart, Var, canonically_equal, is_zero, parse
 from liesys.pde import (
     PdeSystem,
@@ -184,7 +184,7 @@ class TestGridSuperposition:
         bad = SuperpositionRule.from_strings(Chart(("u",)), 1, 1, psi=["u_0"], phi=["k1"])
         axes = [np.linspace(0.0, 0.2, 3), np.linspace(0.0, 0.2, 3)]
         grid = solve_on_grid(sys, [0.1], axes)
-        with pytest.raises(ValueError):
+        with pytest.raises(LiesysError, match="not tangent"):
             pde_superpose(sys, bad, [grid], [0.1], [0.1])
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from liesys import expr as ex
-from liesys.catalog import linear_rule
+from liesys.catalog import gl_fields, linear_rule
 from liesys.dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate, integrate_tuple
-from liesys.errors import NonConvergenceError, SingularDomainError
+from liesys.errors import LiesysError, NonConvergenceError, SingularDomainError
 from liesys.expr import Chart, compile_expr
 from liesys.geometry import VectorField
 from liesys.superposition import (
@@ -322,10 +322,10 @@ class TestPartialRules:
                 assert not report.probabilistic
                 assert [c.verdict for c in report.checks] == ["zero"] * 4
 
-    def test_tangency_sampled_on_constraint_set(self):
+    def test_tangency_exact_with_a_scaled_constraint(self):
         # the factor 1 + x1_1^2 never vanishes, so the zero set is that of the
-        # rank-1 constraint, but the residual of x2 d/dx1 is -C/x1_1^2 with C
-        # the unscaled constraint: not a multiple, so it is sampled
+        # rank-1 constraint; the residual of x2 d/dx1 is -C/x1_1^2 with C the
+        # unscaled constraint, which phi pulls back to exactly 0
         rule = SuperpositionRule.from_strings(
             self.sys.chart,
             1,
@@ -335,10 +335,63 @@ class TestPartialRules:
             constraints=["(x1_0*x2_1 - x2_0*x1_1)*(1 + x1_1^2)"],
         )
         report = verify_tangency(rule, self.sys.fields, seed=4)
+        assert report.all_zero and not report.probabilistic
+        assert [c.verdict for c in report.checks] == ["zero"] * 4
+
+    def test_two_constraint_rule_exact_against_gl3(self):
+        # x0 = k x1 in three dimensions: two constraints, no single one of
+        # which cuts the constraint set, so only the pull-back along phi
+        # decides the residuals exactly
+        chart = Chart(("x1", "x2", "x3"))
+        rule = SuperpositionRule.from_strings(
+            chart,
+            1,
+            1,
+            psi=["x1_0/x1_1"],
+            phi=["k1*x1_1", "k1*x2_1", "k1*x3_1"],
+            constraints=["x1_0*x2_1 - x2_0*x1_1", "x1_0*x3_1 - x3_0*x1_1"],
+        )
+        for seed in range(20):
+            report = verify_tangency(rule, gl_fields(chart), seed=seed)
+            assert not report.probabilistic
+            assert [c.verdict for c in report.checks] == ["zero"] * 9, seed
+
+    def test_phi_off_its_own_leaves_raises(self):
+        # phi = (x1_1 + k1, x2_1 + k1) keeps psi = k1 but pulls the
+        # constraint x1_0 - x2_0 back to x1_1 - x2_1
+        bad = SuperpositionRule.from_strings(
+            self.sys.chart,
+            1,
+            1,
+            psi=["x1_0 - x1_1"],
+            phi=["x1_1 + k1", "x2_1 + k1"],
+            constraints=["x1_0 - x2_0"],
+        )
+        with pytest.raises(LiesysError, match="constraint 0"):
+            verify_tangency(bad, self.sys.fields)
+
+    def test_partial_rule_without_phi_raises(self):
+        rule = SuperpositionRule.from_strings(
+            self.sys.chart, 1, 1, psi=["x1_0/x1_1"], constraints=["x1_0*x2_1 - x2_0*x1_1"]
+        )
+        with pytest.raises(LiesysError, match="no phi"):
+            verify_tangency(rule, self.sys.fields)
+
+    def test_constraint_with_a_function_atom_is_probabilistic(self):
+        # C(phi) = x1_1*(sin(k1*x2_1)^2 + cos(k1*x2_1)^2 - 1) is zero, but
+        # the canonical form keeps sin and cos apart, so is_zero samples it
+        rule = SuperpositionRule.from_strings(
+            self.sys.chart,
+            1,
+            1,
+            psi=["x1_0/x1_1"],
+            phi=["k1*x1_1", "k1*x2_1"],
+            constraints=["x1_0*x2_1 - x2_0*x1_1 + x1_1*(sin(x2_0)^2 + cos(x2_0)^2 - 1)"],
+        )
+        report = verify_tangency(rule, self.sys.fields)
         assert report.all_zero
-        assert report.probabilistic
-        assert [c.verdict for c in report.checks] == ["zero", "sampled-zero", "zero", "zero"]
-        assert report.checks[1].samples == 32
+        assert all(c.probabilistic for c in report.checks)
+        assert [c.verdict for c in report.checks] == ["zero"] * 4
 
     def test_ode_residual_is_round_off_on_integrated_nodes(self):
         for rule, starts in ((self.rank1, [[0.8, -0.5]]),
