@@ -1,18 +1,19 @@
 """Lie-algebra decision core: exact span coefficients, closure under brackets
-with constant structure coefficients, and the sampled rank criterion for the
-minimal fundamental-set size m.
+with constant structure coefficients, and the rank criterion for the minimal
+fundamental-set size m.
 
 Structure constants are found by reducing canonical-form coefficients
-against one incremental echelon form of the basis over Q, exactly; floating
-point enters only in the rank sampling (singular values with a relative
-threshold).
+against one incremental echelon form of the basis over Q, exactly.  The rank
+behind m is exact too for rational fields, by elimination over Q at random
+rational points; singular values (with a relative threshold) serve only
+matrices holding floats, from function atoms or float points.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,15 +31,13 @@ __all__ = [
     "closure_test",
     "FundamentalSizeReport",
     "minimal_m",
-    "evaluation_matrix",
+    "evaluation_rank",
     "matrix_rank",
 ]
 
 _RANK_RTOL = 1e-10
-# share of sampled k-tuples that must reach full rank for minimal_m to stop at k
-VOTE_THRESHOLD = 0.9
-# sampled tuples per k in minimal_m
-DEFAULT_SAMPLES = 24
+# random rational k-tuples minimal_m draws at each k before it tries k + 1
+TUPLES_PER_K = 3
 
 
 # ---------------------------------------------------------------------------
@@ -305,77 +304,65 @@ def matrix_rank(mat: np.ndarray) -> int:
     return int(np.sum(sigma > _RANK_RTOL * sigma[0]))
 
 
-def evaluation_matrix(fields: Sequence[VectorField], points: Sequence[Sequence]) -> np.ndarray:
-    """Stacked evaluations A_a^i(x_(s)): rows (slot, component), columns fields."""
-    n = fields[0].chart.dim
-    rows = []
-    for point in points:
-        env = dict(zip(fields[0].chart.names, point))
-        try:
-            columns = [f.evaluate(env) for f in fields]
-            for i in range(n):
-                rows.append([float(col[i]) for col in columns])
-        except OverflowError:
-            raise EvaluationError(
-                f"field value at ({', '.join(map(str, point))}) is out of the float range"
-            ) from None
-    return np.array(rows, dtype=float)
+def _rank_over_q(rows: Iterable[Sequence[Fraction]]) -> int:
+    """Rank of exact rows by elimination over Q."""
+    pivots: dict = {}  # pivot column -> row; a row is zero at every earlier pivot
+    for values in rows:
+        vec = {j: v for j, v in enumerate(values) if v}
+        for col, row in pivots.items():
+            if col in vec:
+                _axpy(vec, -vec[col] / row[col], row)
+        if vec:
+            pivots[next(iter(vec))] = vec
+    return len(pivots)
 
 
-def _default_exclusion(points: list[list[Fraction]]) -> bool:
-    """Reject tuples with (near-)coincident slots: non-generic configurations."""
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if max(abs(float(a - b)) for a, b in zip(points[i], points[j])) < 1e-6:
-                return True
-    return False
+def evaluation_rank(fields: Sequence[VectorField], points: Sequence[Sequence]) -> tuple[int, bool]:
+    """Rank of the stacked evaluations A_a^i(x_(s)) (rows (slot, component),
+    columns fields), and whether it is exact: Fractions are ranked over Q, a
+    matrix holding a float (function atoms, float points) by matrix_rank."""
+    try:
+        rows = list(zip(*([v for p in points for v in f.evaluate(p)] for f in fields)))
+        if any(isinstance(v, float) for row in rows for v in row):
+            return matrix_rank(np.array(rows, dtype=float)), False
+    except OverflowError:
+        at = "; ".join(f"({', '.join(map(str, p))})" for p in points)
+        raise EvaluationError(f"field value at {at} is out of the float range") from None
+    return _rank_over_q(rows), True
 
 
 @dataclass
-class RankVote:
+class RankAtK:
     k: int
-    modal_rank: int
-    vote_fraction: float
-    degenerate_discarded: int
+    rank: int  # highest over the tuples drawn at k that evaluated
+    tuples: int  # drawn at k, those at a pole included
 
 
 @dataclass
 class FundamentalSizeReport:
     m: int
     r: int
-    samples_per_k: int
-    rank_profile: list[RankVote]
     seed: int
+    exact: bool  # every rank taken over Q
+    rank_profile: list[RankAtK]
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "r": self.r,
-            "samples_per_k": self.samples_per_k,
-            "seed": self.seed,
-            "rank_profile": [
-                {
-                    "k": v.k,
-                    "modal_rank": v.modal_rank,
-                    "vote_fraction": v.vote_fraction,
-                    "degenerate_discarded": v.degenerate_discarded,
-                }
-                for v in self.rank_profile
-            ],
-        }
+        return asdict(self)
 
 
-def minimal_m(
-    fields: Sequence[VectorField],
-    sample_count: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> FundamentalSizeReport:
-    """Least k at which stacked evaluations of the fields reach full rank r
-    at generic k-tuples: at least VOTE_THRESHOLD of the sampled tuples.
+def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeReport:
+    """Least k at which the fields evaluated at a random rational k-tuple have
+    rank r, trying up to TUPLES_PER_K tuples per k.
 
-    Fields must be linearly independent (prune_independent first).  Sample
-    tuples are random rational points in [-2, 2]^n; tuples with
-    near-coincident slots are redrawn and counted as degenerate.
+    Fields must be linearly independent (prune_independent first).  Tuple
+    coordinates are uniform on {i/1000 : |i| <= 2000}.  With exact ranks
+    (rational fields), rank r at one tuple proves m <= k, so m can only come
+    out too large: every tuple at the true m must miss, each with
+    probability at most D/4001 (Schwartz 1980; Zippel 1979), D the total
+    degree of N*Q for a nonzero r x r minor N/Q, Q the product of the field
+    denominators (a tuple at a pole counts as a miss).  With function atoms,
+    singular values prove neither direction.  When no tuple at some k
+    evaluates, the last EvaluationError is raised.
     """
     fields = list(fields)
     if not fields:
@@ -385,23 +372,26 @@ def minimal_m(
     r = len(fields)
     n = fields[0].chart.dim
     rng = random.Random(seed)
-    profile: list[RankVote] = []
+    profile: list[RankAtK] = []
+    exact = True
     for k in range(1, r + 1):
-        ranks = []
-        discarded = 0
-        while len(ranks) < sample_count:
+        ranks, error = [], None
+        for tuples in range(1, TUPLES_PER_K + 1):
             points = [[ex.random_rational(rng) for _ in range(n)] for _ in range(k)]
-            if k > 1 and _default_exclusion(points):
-                discarded += 1
-                if discarded > 50 * sample_count:
-                    raise RankTestError("exclusion predicate rejected every sampled tuple")
+            try:
+                rank, rank_exact = evaluation_rank(fields, points)
+            except EvaluationError as exc:
+                error = exc
                 continue
-            ranks.append(matrix_rank(evaluation_matrix(fields, points)))
-        vote = sum(1 for v in ranks if v == r) / len(ranks)
-        modal = max(set(ranks), key=ranks.count)
-        profile.append(RankVote(k, modal, vote, discarded))
-        if vote >= VOTE_THRESHOLD:
-            return FundamentalSizeReport(k, r, sample_count, profile, seed)
+            ranks.append(rank)
+            exact = exact and rank_exact
+            if rank == r:
+                break
+        if not ranks:
+            raise error
+        profile.append(RankAtK(k, max(ranks), tuples))
+        if ranks[-1] == r:
+            return FundamentalSizeReport(k, r, seed, exact, profile)
     raise RankTestError(
         "no k <= r reached full rank at generic tuples; input is non-generic "
         "or internally inconsistent"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import DEFAULT_SAMPLES, closure_test, minimal_m, prune_independent
+from .algebra import closure_test, minimal_m, prune_independent
 from .catalog import ENTRIES, RunConfig, get_entry
 from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrate_tuple
 from .errors import ClosureCapError, LiesysError, SchemaError
@@ -35,11 +35,11 @@ from .superposition import (
 )
 
 DEFAULTS = {"tol": DEFAULT_TOL, "tol_const": DEFAULT_TOL_CONST, "seed": 0,
-            "samples": DEFAULT_SAMPLES, "t_span": (0.0, 1.0)}
+            "t_span": (0.0, 1.0)}
 
 _TOP_KEYS = {
     "chart", "fields", "coefficients", "rule", "action", "pde",
-    "t_span", "tol", "tol_const", "seed", "samples",
+    "t_span", "tol", "tol_const", "seed",
     "m", "k", "x0", "x0_guess", "initial_points", "target", "complete",
 }
 _RULE_KEYS = {"m", "s", "psi", "phi", "constraints"}
@@ -66,14 +66,13 @@ _NUMBER_KINDS = {
     "positive": (lambda v: v > 0, "a positive number", "positive numbers"),
     "nonnegative": (lambda v: v >= 0, "a nonnegative number", "nonnegative numbers"),
     "integer": (float.is_integer, "an integer", "integers"),
-    "count": (lambda v: v.is_integer() and v >= 1, "an integer >= 1", "integers >= 1"),
 }
 
 
 def _numbers(value, key: str, shape: tuple = (), kind: str = "number"):
     """The numeric key `key` nested to `shape`, one list length per level
     (() for a single number), each number passing `kind`: floats, or ints for
-    the integer kinds.  None stays None; anything else is a SchemaError."""
+    kind "integer".  None stays None; anything else is a SchemaError."""
     if value is None:
         return None
     test, one, many = _NUMBER_KINDS[kind]
@@ -87,7 +86,7 @@ def _numbers(value, key: str, shape: tuple = (), kind: str = "number"):
             return [check(item, dims[1:]) for item in v]
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not test(float(v)):
             raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
-        return int(v) if kind in ("integer", "count") else float(v)
+        return int(v) if kind == "integer" else float(v)
 
     return check(value, tuple(shape))
 
@@ -204,14 +203,20 @@ def _task(doc: dict, args) -> dict:
             task[key] = doc[key]
         if getattr(args, key, None) is not None:
             task[key] = getattr(args, key)
-    for key, kind in (("tol", "positive"), ("tol_const", "positive"),
-                      ("seed", "integer"), ("samples", "count")):
+    for key, kind in (("tol", "positive"), ("tol_const", "positive"), ("seed", "integer")):
         task[key] = _numbers(task[key], key, kind=kind)
     a, b = _numbers(task["t_span"], "t_span", (2,))
     if not b > a:
         raise SchemaError("t_span must be [a, b] with b > a")
     task["t_span"] = (a, b)
     return task
+
+
+def _command(args) -> str:
+    """The report's command: the subcommand words and, for `examples run`, the entry."""
+    words = (args.command, getattr(args, "pde_command", None),
+             getattr(args, "example_command", None), getattr(args, "name", None))
+    return " ".join(filter(None, words))
 
 
 def _emit(report: Report, args) -> int:
@@ -264,8 +269,9 @@ def cmd_m(args) -> int:
     fields = prune_independent(_fields(doc, chart))
     if not fields:
         raise SchemaError("every field is zero; m needs a nonzero field")
-    report = minimal_m(fields, sample_count=task["samples"], seed=task["seed"])
-    checks = [Check("m_determined", True, detail=f"m = {report.m} (r = {report.r})")]
+    report = minimal_m(fields, seed=task["seed"])
+    checks = [Check("m_determined", True, probabilistic=not report.exact,
+                    detail=f"m = {report.m} (r = {report.r})")]
     expected = _numbers(doc.get("m"), "m", kind="integer")
     if expected is not None:
         checks.append(Check.equals("m_matches_expected", report.m, expected))
@@ -502,8 +508,7 @@ def cmd_pde(args) -> int:
         gap = float(np.max(np.abs(rebuilt[tuple([-1] * sys.s)] - endpoint.endpoint)))
         checks.append(Check.limit("superposition_vs_path_solve", gap, 1e-5))
         extra["slot0_corner"] = rebuilt[tuple([-1] * sys.s)].tolist()
-    return _emit(Report(f"pde {args.pde_command}", checks, task["seed"],
-                        {"tol": task["tol"]}, extra), args)
+    return _emit(Report(_command(args), checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 
 def _entry_seed(master: int, name: str) -> int:
@@ -517,24 +522,22 @@ def cmd_examples(args) -> int:
             print(f"{name:26s} {entry.summary}")
         return 0
     task = _task({}, args)
-    seed, tol, tol_const, samples = (task[key] for key in ("seed", "tol", "tol_const", "samples"))
+    seed, tol, tol_const = (task[key] for key in ("seed", "tol", "tol_const"))
     if args.example_command == "run":
-        config = RunConfig(_entry_seed(seed, args.name), tol, tol_const, samples)
+        config = RunConfig(_entry_seed(seed, args.name), tol, tol_const)
         checks, extra = get_entry(args.name).run(config)
-        report = Report(f"examples run {args.name}", checks, seed,
-                        {"tol": tol, "tol_const": tol_const}, extra)
+        report = Report(_command(args), checks, seed, {"tol": tol, "tol_const": tol_const}, extra)
         return _emit(report, args)
     # run-all: the acceptance suite, in catalog order; each entry gets a
     # seed derived from the master seed so results do not depend on order
     checks, extra = [], {}
     for name, entry in ENTRIES.items():
-        entry_checks, _ = entry.run(RunConfig(_entry_seed(seed, name), tol, tol_const, samples))
+        entry_checks, _ = entry.run(RunConfig(_entry_seed(seed, name), tol, tol_const))
         failed = [c.name for c in entry_checks if not c.passed]
         checks.append(Check(name, not failed,
                             detail=f"{len(entry_checks)} checks" + (f"; failed: {failed}" if failed else "")))
         extra[name] = {"checks": [c.to_json_dict() for c in entry_checks]}
-    report = Report("examples run-all", checks, seed,
-                    {"tol": tol, "tol_const": tol_const}, extra)
+    report = Report(_command(args), checks, seed, {"tol": tol, "tol_const": tol_const}, extra)
     return _emit(report, args)
 
 
@@ -550,7 +553,6 @@ def _add_common(parser: argparse.ArgumentParser, problem: bool = True):
     parser.add_argument("--tol-const", dest="tol_const", type=float, default=None,
                         help="constancy drift tolerance")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--samples", type=int, default=None, help="rank-test sample count")
     parser.add_argument("--t-span", dest="t_span", type=_span, default=None,
                         help="integration interval a,b")
     parser.add_argument("--json", default=None, help="write the JSON report here")
@@ -632,9 +634,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LiesysError as exc:
-        report = Report(args.command, [Check("completed", False, detail=str(exc))])
-        print(report.render_text())
-        return 1
+        return _emit(Report(_command(args), [Check("completed", False, detail=str(exc))]), args)
 
 
 if __name__ == "__main__":

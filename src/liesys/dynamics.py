@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .algebra import _independent, evaluation_matrix, matrix_rank
+from .algebra import _independent, evaluation_rank
 from .errors import EvaluationError, FundamentalSetError
 from .expr import Expr
 from .geometry import VectorField
@@ -421,7 +421,8 @@ def fundamental_points(
 ) -> list[list[float]]:
     """m initial points passing the rank test (stacked field evaluations of
     rank r).  Supplied points failing it are rejected outright; random points
-    are redrawn up to MAX_RESAMPLES times."""
+    failing it or at a pole of a field are redrawn, up to MAX_RESAMPLES
+    draws."""
     if m < 1:
         raise ValueError("m must be >= 1")
     r = sys.r
@@ -429,7 +430,7 @@ def fundamental_points(
         points = [list(map(float, p)) for p in initial_points]
         if len(points) != m:
             raise ValueError(f"expected {m} initial points, got {len(points)}")
-        if matrix_rank(evaluation_matrix(sys.fields, points)) < r:
+        if evaluation_rank(sys.fields, points)[0] < r:
             raise FundamentalSetError(
                 "supplied initial tuple is not fundamental (rank-deficient at t=0)"
             )
@@ -437,7 +438,11 @@ def fundamental_points(
     rng = random.Random(seed)
     for _ in range(MAX_RESAMPLES):
         cand = [[float(ex.random_rational(rng)) for _ in range(sys.dim)] for _ in range(m)]
-        if matrix_rank(evaluation_matrix(sys.fields, cand)) == r:
+        try:
+            rank, _ = evaluation_rank(sys.fields, cand)
+        except EvaluationError:  # a field is undefined at cand
+            continue
+        if rank == r:
             return cand
     raise FundamentalSetError(f"no fundamental initial tuple found in {MAX_RESAMPLES} resamples")
 

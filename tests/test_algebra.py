@@ -1,8 +1,10 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liesys import algebra, catalog
@@ -16,10 +18,12 @@ from liesys.algebra import (
 )
 from liesys.catalog import gl_fields
 from liesys.dynamics import CoefficientCurve, LieSystem
-from liesys.errors import ChartMismatchError, ClosureCapError
+from liesys.errors import ChartMismatchError, ClosureCapError, RankTestError
 from liesys.expr import Chart, is_zero
 from liesys.geometry import VectorField, lie_bracket
 from liesys.pde import PdeSystem
+
+from conftest import random_polynomial
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -148,8 +152,10 @@ class TestMinimalM:
     def test_rank_profile_shape(self):
         report = minimal_m(riccati(), seed=2)
         assert [v.k for v in report.rank_profile] == [1, 2, 3]
-        assert report.rank_profile[-1].modal_rank == 3
-        assert report.rank_profile[-1].vote_fraction >= 0.9
+        assert [v.rank for v in report.rank_profile] == [1, 2, 3]
+        # every tuple is drawn below m; the first full-rank tuple ends the search
+        assert [v.tuples for v in report.rank_profile] == [3, 3, 1]
+        assert report.exact
 
     def test_dependent_input_rejected(self):
         with pytest.raises(ValueError):
@@ -421,3 +427,60 @@ class TestJacobiResidual:
 
     def test_gl3_is_zero(self):
         assert closure_test(_gl_scaled(3, seed=0)).jacobi_residual() == Fraction(0)
+
+
+def _reference_minimal_m(fields, seed=0, samples=24):
+    """m by the float vote minimal_m used before exact ranks: at each k, 24
+    random rational k-tuples without near-coincident slots, each ranked by
+    singular values of the float evaluations; stop at the first k where at
+    least 0.9 of them reach rank r."""
+    r, n = len(fields), fields[0].chart.dim
+    rng = random.Random(seed)
+    for k in range(1, r + 1):
+        ranks = []
+        while len(ranks) < samples:
+            points = [[ex.random_rational(rng) for _ in range(n)] for _ in range(k)]
+            if any(max(abs(float(a - b)) for a, b in zip(p, q)) < 1e-6
+                   for p, q in itertools.combinations(points, 2)):
+                continue
+            rows = [[float(f.evaluate(p)[i]) for f in fields] for p in points for i in range(n)]
+            ranks.append(algebra.matrix_rank(np.array(rows)))
+        if sum(rank == r for rank in ranks) >= 0.9 * samples:
+            return k
+    raise RankTestError("no k <= r reached full rank")
+
+
+def _same_m(fields, seed=0):
+    got = minimal_m(fields, seed=seed)
+    assert got.m == _reference_minimal_m(fields, seed)
+    return got
+
+
+class TestMinimalMAgainstVote:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gl(self, n):
+        for seed in range(10):
+            assert _same_m(gl_fields(Chart(tuple(f"x{i + 1}" for i in range(n)))), seed).m == n
+
+    def test_catalog(self, monkeypatch):
+        seen = []
+
+        def checked(fields, seed=0):
+            seen.append(len(fields))
+            return _same_m(list(fields), seed)
+
+        monkeypatch.setattr(catalog, "minimal_m", checked)
+        for name in catalog.entry_names():
+            catalog.run_entry(name)
+        assert len(seen) >= 6
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_random_polynomial_fields(self, seed):
+        rng = random.Random(300 + seed)
+        chart = rng.choice([LINE, PLANE])
+        fields = prune_independent([
+            field(chart, *(str(random_polynomial(rng, chart.names, max_degree=3))
+                           for _ in chart.names))
+            for _ in range(rng.randint(1, 4))])
+        if fields:
+            _same_m(fields, seed)

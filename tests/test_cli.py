@@ -54,11 +54,32 @@ class TestMCommand:
         path.write_text(json.dumps({"chart": ["x"], "fields": [[field]], "coefficients": ["1"]}))
         return path
 
-    @pytest.mark.parametrize("squarings,field", [(0, "x^1100"), (12, "x")])
-    def test_values_beyond_the_float_range_fail(self, tmp_path, capsys, squarings, field):
-        assert main(["m", str(self.power_problem(tmp_path, squarings, field))]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL completed" in out and "out of the float range" in out
+    @pytest.mark.parametrize("squarings,field,seed", [
+        (0, "x^1000", 0),  # underflows to 0.0 at |x| < 0.5
+        (0, "x^1100", 0),  # overflows the float range at |x| > 1.9
+        (12, "x", 0),
+        (0, "1/x^2", 90),  # seed 90 draws the pole x = 0
+    ], ids=["x^1000", "x^1100", "12_squarings", "1/x^2-seed_90"])
+    def test_one_field_needs_one_point(self, tmp_path, squarings, field, seed):
+        path = self.power_problem(tmp_path, squarings, field)
+        code, doc = run(tmp_path, "m", str(path), "--seed", str(seed))
+        assert code == 0 and doc["extra"]["m"] == 1
+        assert not doc["checks"][0]["probabilistic"]
+
+    def test_function_atoms_give_a_probabilistic_m(self, tmp_path):
+        path = tmp_path / "trig.json"
+        path.write_text(json.dumps({"chart": ["x"], "fields": [["sin(x)"], ["cos(x)"]]}))
+        code, doc = run(tmp_path, "m", str(path))
+        assert code == 0 and doc["extra"]["m"] == 2
+        assert doc["checks"][0]["probabilistic"] and not doc["extra"]["report"]["exact"]
+
+    def test_a_numerically_dependent_pair_fails(self, tmp_path, capsys):
+        # canonical forms keep sin and cos apart, so both fields survive pruning
+        path = tmp_path / "trig.json"
+        path.write_text(json.dumps({"chart": ["x"], "fields": [["sin(x)^2 + cos(x)^2"], ["1"]]}))
+        code, doc = run(tmp_path, "m", str(path))
+        assert code == 1 and doc["command"] == "m"
+        assert "no k <= r reached full rank" in capsys.readouterr().out
 
     def test_31_squarings_fail_within_the_exact_power_budget(self, tmp_path):
         # the exact value would have 2^31 times the bits of a sample point
@@ -239,7 +260,8 @@ class TestGroupAndPde:
         path = edited_problem(tmp_path, "pde_riccati", {
             "rule.m": 1, "rule.psi": ["u_0 - u_1"], "rule.phi": None,
             "initial_points": [[-1.0]]})
-        assert main(["pde", "superpose", str(path)]) == 1
+        code, doc = run(tmp_path, "pde", "superpose", str(path))
+        assert code == 1 and doc["command"] == "pde superpose"
         assert "not tangent" in capsys.readouterr().out
 
     def test_pde_check_flat(self, tmp_path):

@@ -1,0 +1,48 @@
+"""Generated problem files through `liesys m` and `liesys closure`, in process.
+
+Whatever the fields, each call ends in exit 0, 1 or 2 within a bounded time:
+no exception escapes `main` and nothing hangs.
+"""
+
+import json
+import time
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from liesys.cli import main
+
+# generous: most examples take milliseconds, the slowest well under a second
+WALL_TIME_BOUND_S = 20.0
+
+
+def expressions(names):
+    """Rational expressions in `names` with poles and powers up to 40."""
+    leaves = st.one_of(st.sampled_from(names), st.integers(-3, 3).map(str))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(inner, st.integers(0, 40)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ), max_leaves=8)
+
+
+@st.composite
+def problems(draw):
+    names = draw(st.sampled_from([["x"], ["x", "y"]]))
+    component = expressions(names)
+    fields = draw(st.lists(st.lists(component, min_size=len(names), max_size=len(names)),
+                           min_size=1, max_size=3))
+    return {"chart": names, "fields": fields}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=problems(), command=st.sampled_from(["m", "closure"]))
+def test_symbolic_commands_end_in_an_exit_code(tmp_path, capsys, doc, command):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main([command, str(path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"{command} took {elapsed:.1f} s on {doc}"

@@ -19,6 +19,7 @@ from liesys.dynamics import (
     _dopri5,
     align_trajectories,
     evaluate_field,
+    fundamental_points,
     fundamental_set,
     integrate,
     integrate_tuple,
@@ -494,6 +495,11 @@ class TestFundamentalSet:
     def test_random_points_found(self):
         trajectories = fundamental_set(riccati_101(), 3, (0.0, 0.5), seed=5)
         assert len(trajectories) == 3
+
+    def test_random_point_at_a_pole_is_redrawn(self):
+        # seed 6226 draws x = 0 first, the pole of 1/x^2
+        points = fundamental_points(line_system("1/x^2"), 1, seed=6226)
+        assert len(points) == 1 and points[0][0] != 0.0
 
     def test_alignment_clips_to_overlap(self):
         sys = riccati_101()
