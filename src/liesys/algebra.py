@@ -82,7 +82,7 @@ class _Echelon:
             raise ChartMismatchError("span_coefficients needs a shared chart")
         vec = {}
         for i, c in enumerate(f.components):
-            num, den = ex._nf_of(c).num_den
+            num, den = ex._nf_of(c).canonical()
             common = self._dens[i]
             try:
                 scale = common if den == ex._PONE else ex._pdiv_exact(common, den)

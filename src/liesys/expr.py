@@ -2,12 +2,14 @@
 
 The expression language covers rational arithmetic over a fixed set of names
 (sums, products, quotients, integer powers) plus the function set
-sin / cos / exp / ln carried symbolically.  Every expression normalizes to a
-canonical form: a single quotient of coprime expanded polynomials whose atoms
-are either variables or whole function applications (treated as opaque).
-Canonical forms make equality and zero-testing decidable for rational trees;
-in the presence of function atoms the zero test falls back to sampling at
-random rational points and labels its verdict as probabilistic.
+sin / cos / exp / ln carried symbolically.  Every node folds its children
+into a normal form: a quotient of expanded polynomials whose atoms are
+variables or whole function applications (treated as opaque).  The fold runs
+no gcd, so normal forms are unreduced pairs whose numerator is zero exactly
+when the expression is: zero is decidable for rational trees.  The canonical
+form (coprime parts, monic denominator) is computed where it is read.  With
+function atoms the zero test falls back to sampling at random rational
+points and labels its verdict as probabilistic.
 
 Grammar (see README for the EBNF): integer literals, rationals written
 ``p/q``, identifiers ``[A-Za-z_][A-Za-z0-9_]*``, operators ``+ - * / ^`` with
@@ -173,11 +175,10 @@ class Const(Expr):
         self.value = Fraction(value)
 
     def _render(self) -> str:
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return _rational_str(self.value)
 
     def _nf_compute(self):
-        return _NF(_pconst(self.value), _PONE, False)
+        return _NF(_pconst(self.value), _PONE, False, canonical=True)
 
 
 class Var(Expr):
@@ -193,7 +194,7 @@ class Var(Expr):
 
     def _nf_compute(self):
         _ATOMS.setdefault(self.name, self)
-        return _NF({((self.name, 1),): Fraction(1)}, _PONE, False)
+        return _NF({((self.name, 1),): Fraction(1)}, _PONE, False, canonical=True)
 
 
 class Add(Expr):
@@ -217,13 +218,16 @@ class Add(Expr):
         return "".join(parts)
 
     def _nf_compute(self):
-        num, den, trans = _pzero(), _PONE, False
+        num, den, trans = {}, _PONE, False
         for t in self.terms:
             nf = _nf_of(t)
-            num = _padd(_pmul(num, nf.num_den[1]), _pmul(nf.num_den[0], den))
-            den = _pmul(den, nf.num_den[1])
+            tnum, tden = nf.num_den
+            if tden == den:
+                num = _padd(num, tnum)
+            else:
+                num = _padd(_pmul(num, tden), _pmul(tnum, den))
+                den = _pmul(den, tden)
             trans = trans or nf.trans
-            num, den = _reduce(num, den)
         return _NF(num, den, trans)
 
 
@@ -252,7 +256,6 @@ class Mul(Expr):
             num = _pmul(num, nf.num_den[0])
             den = _pmul(den, nf.num_den[1])
             trans = trans or nf.trans
-        num, den = _reduce(num, den)
         return _NF(num, den, trans)
 
 
@@ -272,8 +275,9 @@ class Pow(Expr):
 
     def _nf_compute(self):
         nf = _nf_of(self.base)
-        # base is already reduced and den-monic, so powers stay coprime and monic
-        return _NF(_ppow(nf.num_den[0], self.exponent), _ppow(nf.num_den[1], self.exponent), nf.trans)
+        num, den = nf.canonical()
+        # coprime parts with a monic denominator stay so under powers
+        return _NF(_ppow(num, self.exponent), _ppow(den, self.exponent), nf.trans, canonical=True)
 
 
 class Div(Expr):
@@ -296,10 +300,10 @@ class Div(Expr):
 
     def _nf_compute(self):
         a, b = _nf_of(self.numerator), _nf_of(self.denominator)
-        if not b.num_den[0]:
+        (an, ad), (bn, bd) = a.num_den, b.num_den
+        if not bn:
             raise EvaluationError("division by an expression that is identically zero")
-        num, den = _reduce(_pmul(a.num_den[0], b.num_den[1]), _pmul(a.num_den[1], b.num_den[0]))
-        return _NF(num, den, a.trans or b.trans)
+        return _NF(_pmul(an, bd), _pmul(ad, bn), a.trans or b.trans)
 
 
 class Call(Expr):
@@ -318,10 +322,10 @@ class Call(Expr):
 
     def _nf_compute(self):
         arg_nf = _nf_of(self.arg)
-        key = f"{self.fn}({_nf_str(arg_nf)})"
+        key = f"{self.fn}({_nf_str(*arg_nf.canonical())})"
         if key not in _ATOMS:
             _ATOMS[key] = Call(self.fn, _expr_from_nf(arg_nf))
-        return _NF({((key, 1),): Fraction(1)}, _PONE, True)
+        return _NF({((key, 1),): Fraction(1)}, _PONE, True, canonical=True)
 
 
 def _wrap(e: Expr, parent_precedence: int) -> str:
@@ -348,7 +352,8 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form: single quotient of coprime expanded polynomials.
+# Normal forms: a quotient of expanded polynomials, reduced to the canonical
+# form (coprime parts, monic denominator) only where that form is read.
 # A polynomial is a dict mapping monomials to Fraction coefficients; a
 # monomial is a sorted tuple of (atom, exponent) pairs where an atom is a
 # variable name or the canonical key of a function application.
@@ -361,11 +366,34 @@ _ATOMS: dict[str, Expr] = {}
 
 
 class _NF:
-    __slots__ = ("num_den", "trans")
+    """A node's value as num/den, folded from its children's pairs with no
+    gcd: num is {} exactly when the value is zero, and a constant denominator
+    is folded into num.  `trans` marks a function atom anywhere below."""
 
-    def __init__(self, num, den, trans):
+    __slots__ = ("num_den", "trans", "_canonical")
+
+    def __init__(self, num, den, trans, canonical=False):
+        if not num:
+            den = _PONE
+        elif _is_const_poly(den) and den != _PONE:
+            num, den = _pscale(num, 1 / den[()]), _PONE
         self.num_den = (num, den)
         self.trans = trans
+        self._canonical = self.num_den if canonical else None
+
+    def canonical(self):
+        """The reduced (num, den): coprime parts, monic denominator; computed
+        at most once."""
+        if self._canonical is None:
+            num, den = self.num_den
+            if den != _PONE:
+                g = _poly_gcd(num, den)
+                if not _is_const_poly(g):
+                    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+                lc = den[_lead(den, _atoms_of(den))]
+                num, den = _pscale(num, 1 / lc), _pscale(den, 1 / lc)
+            self._canonical = (num, den)
+        return self._canonical
 
 
 def _nf_of(e: Expr) -> _NF:
@@ -374,10 +402,6 @@ def _nf_of(e: Expr) -> _NF:
         nf = e._nf_compute()
         e._nf = nf
     return nf
-
-
-def _pzero():
-    return {}
 
 
 def _pconst(c: Fraction):
@@ -766,26 +790,6 @@ def _poly_gcd(p, q):
     return _monic(_gcd_core(p, q))
 
 
-def _reduce(num, den):
-    """Normalize a quotient: coprime parts, monic denominator."""
-    if not den:
-        raise EvaluationError("division by an expression that is identically zero")
-    if not num:
-        return {}, dict(_PONE)
-    if den == _PONE:
-        return num, dict(_PONE)
-    if _is_const_poly(den):
-        return _pscale(num, 1 / den[()]), dict(_PONE)
-    g = _poly_gcd(num, den)
-    if not _is_const_poly(g):
-        num = _pdiv_exact(num, g)
-        den = _pdiv_exact(den, g)
-    if _is_const_poly(den):
-        return _pscale(num, 1 / den[()]), dict(_PONE)
-    lc = den[_lead(den, _atoms_of(den))]
-    return _pscale(num, 1 / lc), _pscale(den, 1 / lc)
-
-
 def _sorted_terms(p):
     atoms = _atoms_of(p)
     return sorted(
@@ -795,6 +799,18 @@ def _sorted_terms(p):
     )
 
 
+def _int_str(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:  # past Python's integer-to-string limit
+        raise LiesysError(f"a constant of {v.bit_length()} bits is too large to write out") from None
+
+
+def _rational_str(q: Fraction) -> str:
+    n, d = q.numerator, q.denominator
+    return _int_str(n) if d == 1 else f"{_int_str(n)}/{_int_str(d)}"
+
+
 def _poly_str(p) -> str:
     if not p:
         return "0"
@@ -802,10 +818,10 @@ def _poly_str(p) -> str:
     for mono, coeff in _sorted_terms(p):
         factors = [f"{a}^{e}" if e > 1 else a for a, e in mono]
         if not factors:
-            body = str(abs(coeff))
+            body = _rational_str(abs(coeff))
         else:
             c = abs(coeff)
-            body = "*".join(([] if c == 1 else [str(c)]) + factors)
+            body = "*".join(([] if c == 1 else [_rational_str(c)]) + factors)
         parts.append(("-" if coeff < 0 else "+", body))
     sign, body = parts[0]
     text = body if sign == "+" else f"-{body}"
@@ -814,8 +830,7 @@ def _poly_str(p) -> str:
     return text
 
 
-def _nf_str(nf: _NF) -> str:
-    num, den = nf.num_den
+def _nf_str(num, den) -> str:
     if den == _PONE:
         return _poly_str(num)
     return f"({_poly_str(num)})/({_poly_str(den)})"
@@ -844,12 +859,12 @@ def _expr_from_poly(p) -> Expr:
 
 
 def _expr_from_nf(nf: _NF) -> Expr:
-    num, den = nf.num_den
+    num, den = nf.canonical()
     if den == _PONE:
         e = _expr_from_poly(num)
     else:
         e = Div(_expr_from_poly(num), _expr_from_poly(den))
-    e._nf = nf
+    e._nf = _NF(num, den, nf.trans, canonical=True)
     return e
 
 
@@ -860,8 +875,7 @@ def canonical_expr(e: Expr) -> Expr:
 
 def canonically_equal(a: Expr, b: Expr) -> bool:
     """Exact equality of canonical forms (formal equality over the atoms)."""
-    na, nb = _nf_of(a), _nf_of(b)
-    return na.num_den == nb.num_den
+    return _nf_of(a).canonical() == _nf_of(b).canonical()
 
 
 def free_variables(e: Expr) -> frozenset[str]:
@@ -1162,8 +1176,9 @@ class ZeroDecision:
 def is_zero(e: Expr, samples: int = 32, seed: int = 0, tol: float = 1e-9) -> ZeroDecision:
     """Decide whether e is identically zero.
 
-    Rational trees are decided exactly from the canonical form.  Trees whose
-    canonical form involves function atoms and is not formally zero fall back
+    Rational trees are decided exactly: the normal form's numerator is {}
+    exactly when e is zero, so no gcd runs.  Trees whose normal form
+    involves function atoms and is not formally zero fall back
     to evaluation at `samples` random rational points: any clearly nonzero
     value decides NonZero, all-zero yields Unknown (probabilistic).
     """
@@ -1225,8 +1240,7 @@ def python_source(e: Expr, names: Mapping[str, str]) -> str:
     """Python source of e, with each variable written as names[variable] and
     the functions as _sin/_cos/_exp/_ln (run it with compile_source)."""
     if isinstance(e, Const):
-        v = e.value
-        return f"({v.numerator}/{v.denominator})" if v.denominator != 1 else f"({v.numerator})"
+        return f"({_rational_str(e.value)})"
     if isinstance(e, Var):
         return names[e.name]
     if isinstance(e, Add):

@@ -9,6 +9,7 @@ by canonical-form equality, never numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -85,13 +86,20 @@ class VectorField:
     def from_strings(chart: Chart, components: Iterable[str]) -> "VectorField":
         return VectorField(chart, tuple(ex.parse(s, chart) for s in components))
 
+    @cached_property
+    def _jacobian(self) -> tuple[tuple[Expr, ...], ...]:
+        """dX^i/dx^j as derivative trees, built once per field so that every
+        bracket reuses their cached normal forms."""
+        return tuple(
+            tuple(ex._diff_tree(c, v) for v in self.chart.names) for c in self.components
+        )
+
     def apply_to(self, f: Expr) -> Expr:
-        """Directional derivative X(f) = sum_i X^i df/dx^i, canonicalized."""
-        terms = [
-            ex.Mul((c, ex.differentiate(f, v)))
-            for v, c in zip(self.chart.names, self.components)
-        ]
-        return ex.canonical_expr(ex.Add(tuple(terms)))
+        """Directional derivative X(f) = sum_i X^i df/dx^i as a tree of
+        derivative trees; no canonical form is computed."""
+        return ex.Add(tuple(
+            ex.Mul((c, ex._diff_tree(f, v))) for v, c in zip(self.chart.names, self.components)
+        ))
 
     def evaluate(self, point: Mapping[str, object] | Sequence) -> list:
         env = point if isinstance(point, Mapping) else dict(zip(self.chart.names, point))
@@ -129,17 +137,16 @@ def _require_same_chart(x: VectorField, y: VectorField):
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X,Y]^i = sum_j (X^j dY^i/dx^j - Y^j dX^i/dx^j), canonicalized."""
+    """[X,Y]^i = sum_j (X^j dY^i/dx^j - Y^j dX^i/dx^j), read off the fields'
+    cached Jacobians; each component is put into canonical form once."""
     _require_same_chart(x, y)
-    names = x.chart.names
+    dx, dy = x._jacobian, y._jacobian
     comps = []
-    for i in range(len(names)):
+    for i in range(x.chart.dim):
         terms = []
-        for j, v in enumerate(names):
-            terms.append(ex.Mul((x.components[j], ex.differentiate(y.components[i], v))))
-            terms.append(
-                ex.Mul((Const(-1), y.components[j], ex.differentiate(x.components[i], v)))
-            )
+        for j in range(x.chart.dim):
+            terms.append(ex.Mul((x.components[j], dy[i][j])))
+            terms.append(ex.Mul((Const(-1), y.components[j], dx[i][j])))
         comps.append(ex.canonical_expr(ex.Add(tuple(terms))))
     return VectorField(x.chart, tuple(comps))
 

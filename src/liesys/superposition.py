@@ -7,10 +7,10 @@ rules have s = n, partial rules add n - s constraint expressions cutting the
 submanifold on which the rule lives.  An optional explicit map phi expresses
 slot 0 directly through slots 1..m and the constants k1..ks.
 
-Tangency is decided by the zero test of the canonical form: for full rules
-on the residuals themselves, for partial rules on the residuals pulled back
-along phi, which parametrizes the constraint set (a partial rule needs phi
-for this).
+Tangency is decided by the exact zero test of the residual trees: for full
+rules on the residuals themselves, for partial rules on the residuals pulled
+back along phi, which parametrizes the constraint set (a partial rule needs
+phi for this).  Any phi must land on its own leaves, psi(phi) = k.
 
 Reconstruction holds psi at its initial value by a damped Newton solve with
 the exact Jacobian (derivative trees evaluated in floats), warm-started along
@@ -207,18 +207,19 @@ def verify_tangency(
     fields: Sequence[VectorField],
     seed: int = 0,
 ) -> TangencyReport:
-    """Residuals X~_a(psi^j) for each basis field and level-map component,
-    each decided by ex.is_zero.
+    """Residuals X~_a(psi^j), as derivative trees, for each basis field and
+    level-map component, each decided by ex.is_zero.
 
-    A partial rule's residual only needs to vanish on the constraint set N,
-    which phi parametrizes by (x_(1..m), k): the residual is decided, and
-    kept in its check, after substituting phi for slot 0.  That is zero on
-    N only when phi lands on its own leaves, so psi_j(phi) = k_j and
-    C_l(phi) = 0 are decided first (see _phi_on_leaves); if one of them can
-    only be sampled, every residual verdict of the rule is labelled
-    probabilistic.
+    A phi must land on its own leaves, psi_j(phi) = k_j and C_l(phi) = 0,
+    which is decided first (_phi_on_leaves); if one of them can only be
+    sampled, every residual verdict is labelled probabilistic.  A partial
+    rule's residual only needs to vanish on the constraint set N, which phi
+    parametrizes by (x_(1..m), k): it is decided, and kept in its check,
+    after substituting phi for slot 0.
     """
-    on_phi, leaves_sampled = _phi_on_leaves(rule, seed) if rule.is_partial else (None, False)
+    on_phi, leaves_sampled = (
+        _phi_on_leaves(rule, seed) if rule.phi is not None or rule.is_partial else (None, False)
+    )
     checks: list[TangencyCheck] = []
     for alpha, base_field in enumerate(fields):
         if base_field.chart.names != rule.base_chart.names:
@@ -226,7 +227,7 @@ def verify_tangency(
         prolonged = diagonal_prolongation(base_field, rule.m + 1)
         for j, psi_j in enumerate(rule.psi):
             residual = prolonged.apply_to(psi_j)
-            if on_phi is not None:
+            if rule.is_partial:
                 residual = ex.substitute(residual, on_phi)
             decision = ex.is_zero(residual, seed=seed)
             checks.append(TangencyCheck(

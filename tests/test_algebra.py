@@ -119,6 +119,14 @@ class TestClosure:
         report = closure_test(fields)
         assert report.dimension == 2
 
+    def test_gl3_brackets_read_derivative_trees(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("canonical derivative in a bracket")
+
+        monkeypatch.setattr(ex, "differentiate", refuse)
+        report = closure_test(gl_fields(Chart(("x", "y", "z"))))
+        assert report.closed and report.dimension == 9
+
     def test_euclidean_algebra(self):
         report = closure_test(euclidean())
         assert report.closed and report.dimension == 3

@@ -110,6 +110,18 @@ class TestClosureCommand:
         assert "term pairs" in done.stdout + done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_constant_past_the_digit_limit_fails_cleanly(self, tmp_path):
+        # a bracket folds 3^37440, past Python's 4,300-digit integer-to-string limit
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"chart": ["x", "y"], "fields": [
+            ["y/(-1)", "x^34"], ["2^6/(3-(-2))", "((x^21)*((3^32)^30))^39"], ["(y/x)^4", "y/2"],
+        ]}))
+        code, doc = run(tmp_path, "closure", str(path))
+        assert code == 1
+        assert doc["checks"] == [{"name": "completed", "passed": False, "value": None,
+                                  "threshold": None, "probabilistic": False,
+                                  "detail": "a constant of 59341 bits is too large to write out"}]
+
     def test_riccati_closed(self, tmp_path):
         code, doc = run(tmp_path, "closure", str(PROBLEMS / "riccati.json"))
         assert code == 0
@@ -199,6 +211,26 @@ class TestVerify:
             assert tangency["probabilistic"] is False
             residual = next(c for c in doc["checks"] if c["name"] == "ode_residual")
             assert residual["value"] <= 1e-9
+
+    def test_gl3_linear_rule_verifies_within_a_minute(self, tmp_path):
+        from liesys.catalog import gl_fields, linear_rule
+        from liesys.expr import Chart
+
+        chart = Chart(("x", "y", "z"))
+        path = tmp_path / "gl3.json"
+        path.write_text(json.dumps({
+            "chart": list(chart.names),
+            "fields": [[str(c) for c in f.components] for f in gl_fields(chart)],
+            "rule": linear_rule(chart).to_json_dict(),
+        }))
+        done = run_subprocess("verify", path, timeout=60)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "PASS tangency_zero  (all residuals vanish)" in done.stdout
+
+    def test_full_rule_with_phi_off_its_leaves_fails(self, tmp_path, capsys):
+        path = edited_problem(tmp_path, "translation", {"rule.phi": ["x_1 + 2*k1", "y_1 + k2"]})
+        assert main(["verify", str(path)]) == 1
+        assert "psi(phi) - k1 = k1 is not zero" in capsys.readouterr().out
 
     def test_partial_rank1_passes_for_every_seed(self, tmp_path):
         # the seed only moves is_zero's sample points, which the exact

@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from liesys.errors import EvaluationError, ParseError
+from liesys import expr as ex
+from liesys.errors import EvaluationError, LiesysError, ParseError
 from liesys.expr import (
+    Add,
+    Call,
     Chart,
     Const,
+    Div,
     Mul,
     Pow,
     Var,
@@ -20,6 +24,7 @@ from liesys.expr import (
     free_variables,
     is_zero,
     parse,
+    python_source,
     substitute,
 )
 from liesys.expr import _divides, _padd, _pdiv_exact, _pmul
@@ -385,3 +390,120 @@ class TestExactDivision:
                     assert _divides(candidate, p) == want, (candidate, p)
                     seen.add(want)
         assert seen == {True, False}
+
+
+def _reference_reduce(num, den):
+    """Coprime parts and a monic denominator, by one gcd."""
+    if not num:
+        return {}, dict(ex._PONE)
+    if ex._is_const_poly(den):
+        return ex._pscale(num, 1 / den[()]), dict(ex._PONE)
+    g = ex._poly_gcd(num, den)
+    if not ex._is_const_poly(g):
+        num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    lc = den[ex._lead(den, ex._atoms_of(den))]
+    return ex._pscale(num, 1 / lc), ex._pscale(den, 1 / lc)
+
+
+def _reference_nf(e):
+    """The canonical (num, den) of e by a fold that reduces every node by a
+    gcd as it goes, so that every intermediate form is canonical."""
+    if isinstance(e, (Const, Var)):
+        return ex._nf_of(e).num_den
+    if isinstance(e, Call):
+        return {((f"{e.fn}({ex._nf_str(*_reference_nf(e.arg))})", 1),): Fraction(1)}, ex._PONE
+    if isinstance(e, Add):
+        num, den = {}, ex._PONE
+        for t in e.terms:
+            tn, td = _reference_nf(t)
+            num, den = _reference_reduce(_padd(_pmul(num, td), _pmul(tn, den)), _pmul(den, td))
+        return num, den
+    if isinstance(e, Mul):
+        num, den = ex._PONE, ex._PONE
+        for f in e.factors:
+            fn, fd = _reference_nf(f)
+            num, den = _pmul(num, fn), _pmul(den, fd)
+        return _reference_reduce(num, den)
+    if isinstance(e, Pow):
+        num, den = _reference_nf(e.base)
+        return ex._ppow(num, e.exponent), ex._ppow(den, e.exponent)
+    (an, ad), (bn, bd) = _reference_nf(e.numerator), _reference_nf(e.denominator)
+    if not bn:
+        raise EvaluationError("division by an expression that is identically zero")
+    return _reference_reduce(_pmul(an, bd), _pmul(ad, bn))
+
+
+def _reference_str(num, den):
+    top = ex._expr_from_poly(num)
+    return str(top if den == ex._PONE else Div(top, ex._expr_from_poly(den)))
+
+
+class TestLazyReduction:
+    """Normal forms are reduced only where the canonical form is read; the
+    results must be those of reducing every node as it is folded."""
+
+    def trees(self, rng):
+        for i in range(500):
+            yield random_tree(rng, depth=4, transcendental=i % 3 == 0)
+        for _ in range(60):
+            a, b = random_tree(rng, depth=3), random_tree(rng, depth=2)
+            yield Pow(Div(a, Add((b, Const(rng.randint(1, 3))))), rng.randint(2, 4))
+            yield Mul((Pow(Div(b, a), 2), Div(a, b)))
+
+    def test_canonical_forms_and_zero_verdicts_match_the_reference(self, rng):
+        compared = 0
+        for e in self.trees(rng):
+            try:
+                got = str(canonical_expr(e))
+            except EvaluationError:
+                with pytest.raises(EvaluationError):
+                    _reference_nf(e)
+                continue
+            num, den = _reference_nf(e)
+            assert got == _reference_str(num, den), str(e)
+            try:
+                decision = is_zero(e)
+            except EvaluationError:  # too few regular points to sample a function atom
+                assert num and ex._nf_of(e).trans
+                continue
+            assert (decision.verdict == "zero" and decision.exact) == (not num), str(e)
+            compared += 1
+        assert compared >= 500
+
+    def test_zero_sum_decided_without_a_gcd(self, monkeypatch):
+        e = parse("(x^2 - 1)/(x - 1) - (x + 1)*(y + 2)/(y + 2)", ["x", "y"])
+
+        def refuse(*args):
+            raise AssertionError("gcd in a zero test")
+
+        monkeypatch.setattr(ex, "_poly_gcd", refuse)
+        assert is_zero(e).verdict == "zero"
+
+    def test_power_of_a_unit_quotient_is_one_quickly(self):
+        import time
+
+        started = time.perf_counter()
+        e = canonical_expr(parse("((x+y+1)/(x+y+1))^200", ["x", "y"]))
+        assert str(e) == "1"
+        assert time.perf_counter() - started < 0.5
+
+
+class TestHugeConstants:
+    """Python refuses to write integers past 4,300 digits; every place that
+    writes a constant turns that into a LiesysError naming its size."""
+
+    huge = Fraction(3**37440, 7)
+
+    def test_rendering_a_constant(self):
+        with pytest.raises(LiesysError, match="59341 bits"):
+            str(Const(self.huge))
+
+    def test_rendering_a_polynomial(self):
+        with pytest.raises(LiesysError, match="59341 bits"):
+            str(canonical_expr(Mul((Const(self.huge), Var("x")))))
+        with pytest.raises(LiesysError, match="59341 bits"):
+            canonical_expr(Call("sin", Const(self.huge)))
+
+    def test_compiling(self):
+        with pytest.raises(LiesysError, match="59341 bits"):
+            python_source(Mul((Const(self.huge), Var("x"))), {"x": "_v0"})

@@ -114,6 +114,22 @@ class TestTangency:
         report = verify_tangency(euclidean_rule(), fields)
         assert report.all_zero and not report.probabilistic
 
+    def test_cross_ratio_decided_without_a_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("gcd in a tangency verdict")
+
+        monkeypatch.setattr(ex, "_poly_gcd", refuse)
+        report = verify_tangency(cross_ratio(), riccati_fields())
+        assert [c.verdict for c in report.checks] == ["zero"] * 3
+
+    def test_full_rule_with_phi_off_its_leaves_raises(self):
+        rule = SuperpositionRule.from_strings(
+            PLANE, 1, 2, psi=["x_0 - x_1", "y_0 - y_1"], phi=["x_1 + 2*k1", "y_1 + k2"]
+        )
+        field = VectorField.from_strings(PLANE, ["1", "0"])
+        with pytest.raises(LiesysError, match=r"psi\(phi\) - k1 = k1 is not zero"):
+            verify_tangency(rule, [field])
+
     def test_slot0_projection_not_tangent(self):
         rule = SuperpositionRule.from_strings(LINE, 3, 1, psi=["x_0"])
         report = verify_tangency(rule, riccati_fields())
