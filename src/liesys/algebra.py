@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -317,18 +317,49 @@ def _rank_over_q(rows: Iterable[Sequence[Fraction]]) -> int:
     return len(pivots)
 
 
+def _rank(rows: Sequence[Sequence]) -> tuple[int, bool]:
+    """Rank of evaluated rows, and whether it is exact: Fractions are ranked
+    over Q, a matrix holding a float (function atoms, float points) by
+    matrix_rank.  Raises OverflowError for a value past the float range."""
+    if any(isinstance(v, float) for row in rows for v in row):
+        return matrix_rank(np.array(rows, dtype=float)), False
+    return _rank_over_q(rows), True
+
+
 def evaluation_rank(fields: Sequence[VectorField], points: Sequence[Sequence]) -> tuple[int, bool]:
     """Rank of the stacked evaluations A_a^i(x_(s)) (rows (slot, component),
-    columns fields), and whether it is exact: Fractions are ranked over Q, a
-    matrix holding a float (function atoms, float points) by matrix_rank."""
+    columns fields), and whether it is exact (see _rank)."""
     try:
-        rows = list(zip(*([v for p in points for v in f.evaluate(p)] for f in fields)))
-        if any(isinstance(v, float) for row in rows for v in row):
-            return matrix_rank(np.array(rows, dtype=float)), False
+        return _rank(list(zip(*([v for p in points for v in f.evaluate(p)] for f in fields))))
     except OverflowError:
         at = "; ".join(f"({', '.join(map(str, p))})" for p in points)
         raise EvaluationError(f"field value at {at} is out of the float range") from None
-    return _rank_over_q(rows), True
+
+
+def _generic_rank(rank_at: Callable[[list[Fraction]], tuple[int, bool]], size: int,
+                  target: int, rng: random.Random) -> tuple[int, int, bool]:
+    """(highest rank, tuples drawn, all exact) of rank_at at up to TUPLES_PER_K
+    random tuples of `size` coordinates uniform on {i/1000 : |i| <= 2000},
+    stopping at target.  An exact rank can only come out too low: each tuple
+    misses with probability at most D/4001 (Schwartz 1980; Zippel 1979), D the
+    total degree of N*Q for a nonzero target-size minor N/Q of the rational
+    matrix (a pole, where rank_at raises EvaluationError, is a miss; the last
+    one is raised when no tuple evaluates).  Float ranks prove nothing."""
+    best, error, exact = None, None, True
+    for tuples in range(1, TUPLES_PER_K + 1):
+        values = [ex.random_rational(rng) for _ in range(size)]
+        try:
+            rank, rank_exact = rank_at(values)
+        except EvaluationError as exc:
+            error = exc
+            continue
+        best = rank if best is None else max(best, rank)
+        exact = exact and rank_exact
+        if rank == target:
+            break
+    if best is None:
+        raise error
+    return best, tuples, exact
 
 
 @dataclass
@@ -352,18 +383,9 @@ class FundamentalSizeReport:
 
 def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeReport:
     """Least k at which the fields evaluated at a random rational k-tuple have
-    rank r, trying up to TUPLES_PER_K tuples per k.
-
-    Fields must be linearly independent (prune_independent first).  Tuple
-    coordinates are uniform on {i/1000 : |i| <= 2000}.  With exact ranks
-    (rational fields), rank r at one tuple proves m <= k, so m can only come
-    out too large: every tuple at the true m must miss, each with
-    probability at most D/4001 (Schwartz 1980; Zippel 1979), D the total
-    degree of N*Q for a nonzero r x r minor N/Q, Q the product of the field
-    denominators (a tuple at a pole counts as a miss).  With function atoms,
-    singular values prove neither direction.  When no tuple at some k
-    evaluates, the last EvaluationError is raised.
-    """
+    rank r, by _generic_rank at each k; fields must be linearly independent
+    (prune_independent first).  With exact ranks, rank r at one tuple proves
+    m <= k, so m can only come out too large."""
     fields = list(fields)
     if not fields:
         raise ValueError("minimal_m needs at least one field")
@@ -375,22 +397,13 @@ def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeRe
     profile: list[RankAtK] = []
     exact = True
     for k in range(1, r + 1):
-        ranks, error = [], None
-        for tuples in range(1, TUPLES_PER_K + 1):
-            points = [[ex.random_rational(rng) for _ in range(n)] for _ in range(k)]
-            try:
-                rank, rank_exact = evaluation_rank(fields, points)
-            except EvaluationError as exc:
-                error = exc
-                continue
-            ranks.append(rank)
-            exact = exact and rank_exact
-            if rank == r:
-                break
-        if not ranks:
-            raise error
-        profile.append(RankAtK(k, max(ranks), tuples))
-        if ranks[-1] == r:
+        rank, tuples, rank_exact = _generic_rank(
+            lambda values: evaluation_rank(fields, [values[i:i + n] for i in range(0, k * n, n)]),
+            k * n, r, rng,
+        )
+        exact = exact and rank_exact
+        profile.append(RankAtK(k, rank, tuples))
+        if rank == r:
             return FundamentalSizeReport(k, r, seed, exact, profile)
     raise RankTestError(
         "no k <= r reached full rank at generic tuples; input is non-generic "

@@ -29,6 +29,7 @@ from .superposition import (
     SuperpositionRule,
     derive_k,
     reconstruct,
+    transversality_rank,
     verify_along_solutions,
     verify_partial_rule,
     verify_tangency,
@@ -376,6 +377,9 @@ def cmd_verify(args) -> int:
                         detail="; ".join(
                             f"field {c.field_index} psi {c.component}: {c.verdict}"
                             for c in tangency.checks if c.verdict == "nonzero") or "all residuals vanish"))
+    rank, exact = transversality_rank(rule, seed=task["seed"])
+    checks.append(Check("psi_transversal", rank == rule.rank, probabilistic=not exact,
+                        detail=f"rank {rank} of dpsi_j/dx_(0),i, need s = {rule.rank}"))
     if doc.get("coefficients") is not None:
         sys = LieSystem(fields, _coefficients(doc, len(fields)))
         points = _points_for_rule(doc, task, sys, rule)

@@ -218,17 +218,7 @@ class Add(Expr):
         return "".join(parts)
 
     def _nf_compute(self):
-        num, den, trans = {}, _PONE, False
-        for t in self.terms:
-            nf = _nf_of(t)
-            tnum, tden = nf.num_den
-            if tden == den:
-                num = _padd(num, tnum)
-            else:
-                num = _padd(_pmul(num, tden), _pmul(tnum, den))
-                den = _pmul(den, tden)
-            trans = trans or nf.trans
-        return _NF(num, den, trans)
+        return _nf_sum(_nf_of(t) for t in self.terms)
 
 
 class Mul(Expr):
@@ -250,13 +240,7 @@ class Mul(Expr):
         return sign + "*".join(_wrap(f, self.precedence) for f in factors)
 
     def _nf_compute(self):
-        num, den, trans = _PONE, _PONE, False
-        for f in self.factors:
-            nf = _nf_of(f)
-            num = _pmul(num, nf.num_den[0])
-            den = _pmul(den, nf.num_den[1])
-            trans = trans or nf.trans
-        return _NF(num, den, trans)
+        return _nf_product(_nf_of(f) for f in self.factors)
 
 
 class Pow(Expr):
@@ -361,7 +345,10 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 
 _PONE = {(): Fraction(1)}
 
-# atom key -> Expr that reconstructs it (Var or Call); append-only
+# atom key -> Expr that reconstructs it (Var or Call); append-only, filled
+# by the folds of Var and Call.  Derivatives of normal forms (_nf_diff) look
+# function atoms up here and never add entries, so any scoping of this table
+# must keep every atom of a live normal form reachable.
 _ATOMS: dict[str, Expr] = {}
 
 
@@ -402,6 +389,31 @@ def _nf_of(e: Expr) -> _NF:
         nf = e._nf_compute()
         e._nf = nf
     return nf
+
+
+def _nf_sum(nfs: Iterable[_NF]) -> _NF:
+    """The sum of normal forms, folded with no gcd; a common denominator is
+    kept rather than squared."""
+    num, den, trans = {}, _PONE, False
+    for nf in nfs:
+        tnum, tden = nf.num_den
+        if tden == den:
+            num = _padd(num, tnum)
+        else:
+            num = _padd(_pmul(num, tden), _pmul(tnum, den))
+            den = _pmul(den, tden)
+        trans = trans or nf.trans
+    return _NF(num, den, trans)
+
+
+def _nf_product(nfs: Iterable[_NF]) -> _NF:
+    """The product of normal forms, folded with no gcd."""
+    num, den, trans = _PONE, _PONE, False
+    for nf in nfs:
+        num = _pmul(num, nf.num_den[0])
+        den = _pmul(den, nf.num_den[1])
+        trans = trans or nf.trans
+    return _NF(num, den, trans)
 
 
 def _pconst(c: Fraction):
@@ -1103,9 +1115,49 @@ def _diff_tree(e: Expr, v: str) -> Expr:
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
+def _nf_diff(nf: _NF, v: str) -> _NF:
+    """d(num/den)/dv of the unreduced pair by the chain and quotient rules.
+    A function atom's rate is the normal form of its _diff_tree, so the
+    sin/cos/exp/ln rules live in one place; `trans` is kept from nf."""
+    num, den = nf.num_den
+    rates = {v: _NF(_PONE, _PONE, False)}
+    if nf.trans:
+        for a in _atoms_of(num, den):
+            atom = _ATOMS.get(a)
+            if isinstance(atom, Call):
+                rate = _nf_of(_diff_tree(atom, v))
+                if rate.num_den[0]:
+                    rates[a] = rate
+    (an, ad) = _pdiff(num, rates).num_den
+    if den == _PONE:
+        return _NF(an, ad, nf.trans)
+    (bn, bd) = _pdiff(den, rates).num_den
+    if not bn:
+        return _NF(an, _pmul(ad, den), nf.trans)
+    # (an/ad * den - num * bn/bd) / den^2 with g = gcd(den, bn) cancelled:
+    # g holds den's repeated factors, which would swell the final reduction
+    g = _poly_gcd(den, bn)
+    rest, bn = _pdiv_exact(den, g), _pdiv_exact(bn, g)
+    top = _padd(_pmul(_pmul(an, bd), rest), _pneg(_pmul(_pmul(num, bn), ad)))
+    return _NF(top, _pmul(_pmul(ad, bd), _pmul(den, rest)), nf.trans)
+
+
+def _pdiff(p, rates: Mapping[str, _NF]) -> _NF:
+    """dp/dv by the chain rule: the sum over p's atoms a of dp/da * rates[a]."""
+    partials: dict[str, dict] = {}
+    for m, c in p.items():
+        for i, (a, e) in enumerate(m):
+            if a in rates:  # lowering one exponent keeps monomials apart
+                rest = m[:i] + (((a, e - 1),) if e > 1 else ()) + m[i + 1:]
+                partials.setdefault(a, {})[rest] = c * e
+    return _nf_sum(
+        _nf_product((_NF(q, _PONE, False), rates[a])) for a, q in partials.items()
+    )
+
+
 def differentiate(e: Expr, v: str) -> Expr:
     """Exact partial derivative with respect to the variable named v, in canonical form."""
-    return canonical_expr(_diff_tree(e, v))
+    return _expr_from_nf(_nf_diff(_nf_of(e), v))
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,12 @@ class VectorField:
         return VectorField(chart, tuple(ex.parse(s, chart) for s in components))
 
     @cached_property
-    def _jacobian(self) -> tuple[tuple[Expr, ...], ...]:
-        """dX^i/dx^j as derivative trees, built once per field so that every
-        bracket reuses their cached normal forms."""
+    def _jacobian(self) -> tuple[tuple[ex._NF, ...], ...]:
+        """dX^i/dx^j as unreduced normal forms, built once per field and
+        reused by every bracket it enters."""
         return tuple(
-            tuple(ex._diff_tree(c, v) for v in self.chart.names) for c in self.components
+            tuple(ex._nf_diff(ex._nf_of(c), v) for v in self.chart.names)
+            for c in self.components
         )
 
     def apply_to(self, f: Expr) -> Expr:
@@ -136,18 +137,23 @@ def _require_same_chart(x: VectorField, y: VectorField):
         raise ChartMismatchError(f"charts differ: {x.chart.names} vs {y.chart.names}")
 
 
+_MINUS_ONE = ex._nf_of(Const(-1))
+
+
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X,Y]^i = sum_j (X^j dY^i/dx^j - Y^j dX^i/dx^j), read off the fields'
-    cached Jacobians; each component is put into canonical form once."""
+    """[X,Y]^i = sum_j (X^j dY^i/dx^j - Y^j dX^i/dx^j), summed on the normal
+    forms of the fields' cached Jacobians; each component is put into
+    canonical form once."""
     _require_same_chart(x, y)
     dx, dy = x._jacobian, y._jacobian
+    xs, ys = [[ex._nf_of(c) for c in f.components] for f in (x, y)]
     comps = []
     for i in range(x.chart.dim):
         terms = []
         for j in range(x.chart.dim):
-            terms.append(ex.Mul((x.components[j], dy[i][j])))
-            terms.append(ex.Mul((Const(-1), y.components[j], dx[i][j])))
-        comps.append(ex.canonical_expr(ex.Add(tuple(terms))))
+            terms.append(ex._nf_product((xs[j], dy[i][j])))
+            terms.append(ex._nf_product((_MINUS_ONE, ys[j], dx[i][j])))
+        comps.append(ex._expr_from_nf(ex._nf_sum(terms)))
     return VectorField(x.chart, tuple(comps))
 
 

@@ -20,14 +20,16 @@ the grid.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import algebra
 from . import expr as ex
 from .dynamics import LieSystem, Trajectory
-from .errors import LiesysError, NonConvergenceError, SingularDomainError
+from .errors import EvaluationError, LiesysError, NonConvergenceError, SingularDomainError
 from .expr import Chart, Expr, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation
 
@@ -36,6 +38,7 @@ __all__ = [
     "TangencyCheck",
     "TangencyReport",
     "verify_tangency",
+    "transversality_rank",
     "ConstancyReport",
     "verify_along_solutions",
     "reconstruct",
@@ -235,6 +238,25 @@ def verify_tangency(
                 leaves_sampled or not decision.exact, decision.samples,
             ))
     return TangencyReport(checks)
+
+
+def transversality_rank(rule: SuperpositionRule, seed: int = 0) -> tuple[int, bool]:
+    """Rank of the s x n matrix dpsi_j/dx_(0),i at random rational points of
+    the product chart, and whether it is exact (algebra._generic_rank, with
+    its Schwartz-Zippel bound).  Rank s means psi is transversal to the
+    slot-0 fibre: a leaf and the m other points fix x_(0) locally."""
+    chart = rule.product_chart
+    matrix = [[ex.differentiate(p, v) for v in chart.slot_names(0)] for p in rule.psi]
+
+    def rank_at(values):
+        env = dict(zip(chart.names, values))
+        try:
+            return algebra._rank([[ex.evaluate(e, env) for e in row] for row in matrix])
+        except OverflowError:
+            raise EvaluationError("a derivative of psi is out of the float range") from None
+
+    rank, _, exact = algebra._generic_rank(rank_at, chart.dim, rule.rank, random.Random(seed))
+    return rank, exact
 
 
 # ---------------------------------------------------------------------------

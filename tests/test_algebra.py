@@ -127,6 +127,19 @@ class TestClosure:
         report = closure_test(gl_fields(Chart(("x", "y", "z"))))
         assert report.closed and report.dimension == 9
 
+    def test_gl3_brackets_build_no_derivative_tree(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("derivative tree of a polynomial field")
+
+        monkeypatch.setattr(ex, "_diff_tree", refuse)
+        fields = gl_fields(Chart(("x", "y", "z")))
+        report = closure_test(fields)
+        assert report.closed and report.dimension == 9
+        a, b, c = fields[1], fields[3], fields[8]
+        cyclic = (lie_bracket(lie_bracket(a, b), c) + lie_bracket(lie_bracket(b, c), a)
+                  + lie_bracket(lie_bracket(c, a), b))
+        assert cyclic.is_zero_field()
+
     def test_euclidean_algebra(self):
         report = closure_test(euclidean())
         assert report.closed and report.dimension == 3

@@ -226,6 +226,27 @@ class TestVerify:
         done = run_subprocess("verify", path, timeout=60)
         assert done.returncode == 0, done.stdout + done.stderr
         assert "PASS tangency_zero  (all residuals vanish)" in done.stdout
+        assert "PASS psi_transversal  (rank 3 of dpsi_j/dx_(0),i, need s = 3)" in done.stdout
+
+    def test_constant_level_map_is_not_transversal(self, tmp_path):
+        # psi is constant, so every leaf is tangent to the slot-0 fibre and
+        # fixes no x_(0); tangency and drift alone pass it
+        path = edited_problem(tmp_path, "translation", {
+            "rule.psi": ["y_1 - y_1 + 1", "x_1 - x_1 + 2"], "rule.phi": None})
+        code, doc = run(tmp_path, "verify", str(path))
+        assert code == 1
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["psi_transversal"]
+        check = next(c for c in doc["checks"] if c["name"] == "psi_transversal")
+        assert check["detail"] == "rank 0 of dpsi_j/dx_(0),i, need s = 2"
+        assert not check["probabilistic"]
+
+    def test_every_problem_rule_is_transversal(self, tmp_path):
+        for path in sorted(PROBLEMS.glob("*.json")):
+            if {"chart", "rule"} <= set(json.loads(path.read_text())):
+                code, doc = run(tmp_path, "verify", str(path), json_name=path.name)
+                assert code == 0, path.name
+                check = next(c for c in doc["checks"] if c["name"] == "psi_transversal")
+                assert check["passed"] and not check["probabilistic"], path.name
 
     def test_full_rule_with_phi_off_its_leaves_fails(self, tmp_path, capsys):
         path = edited_problem(tmp_path, "translation", {"rule.phi": ["x_1 + 2*k1", "y_1 + k2"]})

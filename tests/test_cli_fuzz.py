@@ -1,4 +1,5 @@
-"""Generated problem files through `liesys m` and `liesys closure`, in process.
+"""Generated problem files through `liesys m`, `liesys closure` and `liesys
+verify`, in process.
 
 Whatever the fields, each call ends in exit 0, 1 or 2 within a bounded time:
 no exception escapes `main` and nothing hangs.
@@ -46,3 +47,37 @@ def test_symbolic_commands_end_in_an_exit_code(tmp_path, capsys, doc, command):
     capsys.readouterr()
     assert code in (0, 1, 2)
     assert elapsed < WALL_TIME_BOUND_S, f"{command} took {elapsed:.1f} s on {doc}"
+
+
+@st.composite
+def rules(draw):
+    """A rule with m = 1 on generated fields: psi of 1-2 components on slots
+    0-1, the constraints a partial rule needs, and sometimes a phi."""
+    names = draw(st.sampled_from([["x"], ["x", "y"]]))
+    slots = [f"{v}_{a}" for a in (0, 1) for v in names]
+    s = draw(st.integers(1, len(names)))
+    phi = draw(st.none() | st.lists(expressions([f"{v}_1" for v in names]
+                                                 + [f"k{j + 1}" for j in range(s)]),
+                                    min_size=len(names), max_size=len(names)))
+    rule = {"m": 1, "s": s, "psi": draw(st.lists(expressions(slots), min_size=s, max_size=s)),
+            "phi": phi,
+            "constraints": draw(st.lists(expressions(slots), min_size=len(names) - s,
+                                         max_size=len(names) - s))}
+    component = expressions(names)
+    fields = draw(st.lists(st.lists(component, min_size=len(names), max_size=len(names)),
+                           min_size=1, max_size=3))
+    return {"chart": names, "fields": fields, "rule": rule}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=rules())
+def test_verify_ends_in_an_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["verify", str(path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"verify took {elapsed:.1f} s on {doc}"

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -433,6 +435,29 @@ def _reference_nf(e):
     return _reference_reduce(_pmul(an, bd), _pmul(ad, bn))
 
 
+def _dual(e, env, v):
+    """(value, d/dv) of a rational tree at a rational point, exactly, by
+    dual-number arithmetic; ZeroDivisionError at a pole."""
+    if isinstance(e, Const):
+        return e.value, 0
+    if isinstance(e, Var):
+        return Fraction(env[e.name]), int(e.name == v)
+    if isinstance(e, Pow):
+        a, da = _dual(e.base, env, v)
+        return a**e.exponent, e.exponent * a ** (e.exponent - 1) * da
+    if isinstance(e, Div):
+        (a, da), (b, db) = _dual(e.numerator, env, v), _dual(e.denominator, env, v)
+        return a / b, (da * b - a * db) / b**2
+    if isinstance(e, Add):
+        parts = [_dual(t, env, v) for t in e.terms]
+        return sum(a for a, _ in parts), sum(da for _, da in parts)
+    value, slope = Fraction(1), 0
+    for f in e.factors:
+        a, da = _dual(f, env, v)
+        value, slope = value * a, slope * a + value * da
+    return value, slope
+
+
 def _reference_str(num, den):
     top = ex._expr_from_poly(num)
     return str(top if den == ex._PONE else Div(top, ex._expr_from_poly(den)))
@@ -469,6 +494,47 @@ class TestLazyReduction:
             assert (decision.verdict == "zero" and decision.exact) == (not num), str(e)
             compared += 1
         assert compared >= 500
+
+    def test_derivatives_of_normal_forms_match_derivative_trees(self, rng):
+        """On the random trees, every third with function atoms.  The quotient
+        powers that follow are left to the next test: canonical forms of their
+        derivative trees take minutes or exceed MAX_TERM_PAIRS."""
+        compared = 0
+        for e in itertools.islice(self.trees(rng), 500):
+            for v in ("x", "z"):
+                try:
+                    want = str(canonical_expr(ex._diff_tree(e, v)))
+                except (EvaluationError, LiesysError) as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        ex._nf_diff(ex._nf_of(e), v)
+                    continue
+                nf = ex._nf_diff(ex._nf_of(e), v)
+                assert str(ex._expr_from_nf(nf)) == want, f"d/d{v} {e}"
+                atoms = ex._atoms_of(*nf.canonical())
+                assert nf.trans or not any(isinstance(ex._ATOMS[a], Call) for a in atoms)
+                compared += 1
+        assert compared >= 900
+
+    def test_derivatives_of_quotient_powers_match_dual_numbers(self, rng):
+        trees = list(self.trees(rng))[500:]
+        compared = 0
+        for e in trees:
+            try:
+                ex._nf_of(e)
+            except EvaluationError:
+                continue
+            for v in ("x", "z"):
+                derivative = differentiate(e, v)
+                for _ in range(5):
+                    env = {n: ex.random_rational(rng) for n in "xyz"}
+                    try:
+                        _, want = _dual(e, env, v)
+                    except ZeroDivisionError:
+                        continue
+                    assert evaluate(derivative, env) == want, f"d/d{v} {e} at {env}"
+                    compared += 1
+                    break
+        assert compared >= 200
 
     def test_zero_sum_decided_without_a_gcd(self, monkeypatch):
         e = parse("(x^2 - 1)/(x - 1) - (x + 1)*(y + 2)/(y + 2)", ["x", "y"])

@@ -18,6 +18,7 @@ from liesys.superposition import (
     _LeafSolver,
     derive_k,
     reconstruct,
+    transversality_rank,
     verify_along_solutions,
     verify_partial_rule,
     verify_tangency,
@@ -135,6 +136,26 @@ class TestTangency:
         report = verify_tangency(rule, riccati_fields())
         assert not report.all_zero
         assert all(c.verdict == "nonzero" for c in report.checks)
+
+
+class TestTransversality:
+    def test_catalog_rules_have_full_rank(self):
+        assert transversality_rank(cross_ratio()) == (1, True)
+        assert transversality_rank(euclidean_rule()) == (2, True)
+        assert transversality_rank(linear2_rule()) == (2, True)
+        assert transversality_rank(linear_rule(Chart(("x", "y", "z")))) == (3, True)
+
+    def test_level_maps_that_fix_no_slot0_point(self):
+        constant = SuperpositionRule.from_strings(LINE, 1, 1, psi=["x_0 - x_0 + x_1"])
+        assert transversality_rank(constant) == (0, True)
+        # both components move x_0 and y_0 only along x_0 + y_0
+        dependent = SuperpositionRule.from_strings(
+            PLANE, 1, 2, psi=["x_0 + y_0", "(x_0 + y_0)^2 + x_1"])
+        assert transversality_rank(dependent) == (1, True)
+
+    def test_function_atoms_give_a_float_rank(self):
+        rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["sin(x_0) - x_1"])
+        assert transversality_rank(rule) == (1, False)
 
 
 class TestConstancy:
