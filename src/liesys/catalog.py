@@ -233,6 +233,8 @@ def _run_linear_n(config: RunConfig):
     size = minimal_m(sys.fields, seed=config.seed)
     checks.append(Check.equals("m", size.m, 3))
     rule = linear_rule(sys.chart)
+    tangency = verify_tangency(rule, sys.fields)
+    checks.append(Check("tangency_zero", tangency.all_zero))
     error, drift, _ = _reconstruction_error(
         rule,
         sys,

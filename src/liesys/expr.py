@@ -346,9 +346,9 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 _PONE = {(): Fraction(1)}
 
 # atom key -> Expr that reconstructs it (Var or Call); append-only, filled
-# by the folds of Var and Call.  Derivatives of normal forms (_nf_diff) look
-# function atoms up here and never add entries, so any scoping of this table
-# must keep every atom of a live normal form reachable.
+# by the folds of Var and Call.  Derivations (_nf_derive) look function atoms
+# up here and may add entries (cos(u) for the rate of sin(u)), so any scoping
+# of this table must keep every atom of a live normal form reachable.
 _ATOMS: dict[str, Expr] = {}
 
 
@@ -870,14 +870,16 @@ def _expr_from_poly(p) -> Expr:
     return _chain(Add, terms)
 
 
-def _expr_from_nf(nf: _NF) -> Expr:
-    num, den = nf.canonical()
-    if den == _PONE:
-        e = _expr_from_poly(num)
-    else:
-        e = Div(_expr_from_poly(num), _expr_from_poly(den))
-    e._nf = _NF(num, den, nf.trans, canonical=True)
+def _tree_of(nf: _NF) -> Expr:
+    """nf's (num, den) pair as it stands, as a tree that carries nf."""
+    num, den = nf.num_den
+    e = _expr_from_poly(num) if den == _PONE else Div(_expr_from_poly(num), _expr_from_poly(den))
+    e._nf = nf
     return e
+
+
+def _expr_from_nf(nf: _NF) -> Expr:
+    return _tree_of(_NF(*nf.canonical(), nf.trans, canonical=True))
 
 
 def canonical_expr(e: Expr) -> Expr:
@@ -947,6 +949,9 @@ MAX_EXACT_BITS = 2**20
 # Most term pairs one polynomial product multiplies out, at a few microseconds
 # each: expanding (x+1)^100000 squares ever longer polynomials and would not end.
 MAX_TERM_PAIRS = 2**18
+# is_zero with function atoms: random points sampled, largest |value| taken as zero.
+ZERO_TEST_SAMPLES = 32
+ZERO_TEST_TOL = 1e-9
 
 
 class _Parser:
@@ -1085,7 +1090,19 @@ def parse(text: str, names: Iterable[str] | Chart) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+# f'(u) for each function f: the rules both derivations below read
+_DERIVATIVES = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: -Call("sin", u),
+    "exp": lambda u: Call("exp", u),
+    "ln": lambda u: Div(Const(1), u),
+}
+
+
 def _diff_tree(e: Expr, v: str) -> Expr:
+    """de/dv as a tree by the product and quotient rules, for trees evaluated
+    in floats (compiled Jacobians, sampled residuals): a power stays a power,
+    where an expanded normal form would cancel far past rounding."""
     if isinstance(e, Const):
         return Const(0)
     if isinstance(e, Var):
@@ -1105,45 +1122,47 @@ def _diff_tree(e: Expr, v: str) -> Expr:
         return Div(Add((Mul((_diff_tree(a, v), b)), -Mul((a, _diff_tree(b, v))))), Pow(b, 2))
     if isinstance(e, Call):
         inner = _diff_tree(e.arg, v)
-        if e.fn == "sin":
-            return Mul((Call("cos", e.arg), inner))
-        if e.fn == "cos":
-            return Mul((Const(-1), Call("sin", e.arg), inner))
-        if e.fn == "exp":
-            return Mul((Call("exp", e.arg), inner))
-        return Div(inner, e.arg)  # ln
+        if e.fn == "ln":  # u'/u, one rounding fewer than (1/u)*u'
+            return Div(inner, e.arg)
+        return Mul((_DERIVATIVES[e.fn](e.arg), inner))
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
-def _nf_diff(nf: _NF, v: str) -> _NF:
-    """d(num/den)/dv of the unreduced pair by the chain and quotient rules.
-    A function atom's rate is the normal form of its _diff_tree, so the
-    sin/cos/exp/ln rules live in one place; `trans` is kept from nf."""
+_NF_ONE = _NF(_PONE, _PONE, False, canonical=True)
+
+
+def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
+    """X(num/den) for the derivation X with X(v) = rates[v], by the chain rule
+    over the atoms of the unreduced pair and the quotient rule; a function
+    atom f(u) has the rate f'(u) X(u).  Exact, and expanded: trees evaluated in
+    floats derive by _diff_tree.  `trans` is set when nf or any rate has a
+    function atom."""
     num, den = nf.num_den
-    rates = {v: _NF(_PONE, _PONE, False)}
+    trans = nf.trans or any(r.trans for r in rates.values())
+    rates = {v: r for v, r in rates.items() if r.num_den[0]}
     if nf.trans:
         for a in _atoms_of(num, den):
             atom = _ATOMS.get(a)
             if isinstance(atom, Call):
-                rate = _nf_of(_diff_tree(atom, v))
-                if rate.num_den[0]:
-                    rates[a] = rate
+                du = _nf_derive(_nf_of(atom.arg), rates)
+                if du.num_den[0]:  # first, so ln of an identically zero u is skipped
+                    rates[a] = _nf_product((_nf_of(_DERIVATIVES[atom.fn](atom.arg)), du))
     (an, ad) = _pdiff(num, rates).num_den
     if den == _PONE:
-        return _NF(an, ad, nf.trans)
+        return _NF(an, ad, trans)
     (bn, bd) = _pdiff(den, rates).num_den
     if not bn:
-        return _NF(an, _pmul(ad, den), nf.trans)
+        return _NF(an, _pmul(ad, den), trans)
     # (an/ad * den - num * bn/bd) / den^2 with g = gcd(den, bn) cancelled:
     # g holds den's repeated factors, which would swell the final reduction
     g = _poly_gcd(den, bn)
     rest, bn = _pdiv_exact(den, g), _pdiv_exact(bn, g)
     top = _padd(_pmul(_pmul(an, bd), rest), _pneg(_pmul(_pmul(num, bn), ad)))
-    return _NF(top, _pmul(_pmul(ad, bd), _pmul(den, rest)), nf.trans)
+    return _NF(top, _pmul(_pmul(ad, bd), _pmul(den, rest)), trans)
 
 
 def _pdiff(p, rates: Mapping[str, _NF]) -> _NF:
-    """dp/dv by the chain rule: the sum over p's atoms a of dp/da * rates[a]."""
+    """X(p) by the chain rule: the sum over p's atoms a of dp/da * rates[a]."""
     partials: dict[str, dict] = {}
     for m, c in p.items():
         for i, (a, e) in enumerate(m):
@@ -1157,7 +1176,7 @@ def _pdiff(p, rates: Mapping[str, _NF]) -> _NF:
 
 def differentiate(e: Expr, v: str) -> Expr:
     """Exact partial derivative with respect to the variable named v, in canonical form."""
-    return _expr_from_nf(_nf_diff(_nf_of(e), v))
+    return _expr_from_nf(_nf_derive(_nf_of(e), {v: _NF_ONE}))
 
 
 # ---------------------------------------------------------------------------
@@ -1225,14 +1244,14 @@ class ZeroDecision:
         return self.verdict == "zero"
 
 
-def is_zero(e: Expr, samples: int = 32, seed: int = 0, tol: float = 1e-9) -> ZeroDecision:
+def is_zero(e: Expr, seed: int = 0) -> ZeroDecision:
     """Decide whether e is identically zero.
 
     Rational trees are decided exactly: the normal form's numerator is {}
     exactly when e is zero, so no gcd runs.  Trees whose normal form
-    involves function atoms and is not formally zero fall back
-    to evaluation at `samples` random rational points: any clearly nonzero
-    value decides NonZero, all-zero yields Unknown (probabilistic).
+    involves function atoms and is not formally zero fall back to
+    evaluation at ZERO_TEST_SAMPLES random rational points: any value above
+    ZERO_TEST_TOL decides NonZero, all-zero yields Unknown (probabilistic).
     """
     nf = _nf_of(e)
     if not nf.num_den[0]:
@@ -1243,19 +1262,19 @@ def is_zero(e: Expr, samples: int = 32, seed: int = 0, tol: float = 1e-9) -> Zer
     names = sorted(free_variables(e))
     taken = 0
     attempts = 0
-    while taken < samples and attempts < 20 * samples:
+    while taken < ZERO_TEST_SAMPLES and attempts < 20 * ZERO_TEST_SAMPLES:
         attempts += 1
         env = {n: random_rational(rng) for n in names}
         try:
             value = float(evaluate(e, env))
-        except EvaluationError:
+        except (EvaluationError, OverflowError):  # not a regular point in floats
             continue
         if not math.isfinite(value):
             continue
-        if abs(value) > tol:
+        if abs(value) > ZERO_TEST_TOL:
             return ZeroDecision("nonzero", exact=False, samples=taken + 1)
         taken += 1
-    if taken < samples:
+    if taken < ZERO_TEST_SAMPLES:
         raise EvaluationError("could not find enough regular sample points for zero test")
     return ZeroDecision("unknown", exact=False, samples=taken)
 

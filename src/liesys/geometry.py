@@ -9,7 +9,6 @@ by canonical-form equality, never numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -86,18 +85,16 @@ class VectorField:
     def from_strings(chart: Chart, components: Iterable[str]) -> "VectorField":
         return VectorField(chart, tuple(ex.parse(s, chart) for s in components))
 
-    @cached_property
-    def _jacobian(self) -> tuple[tuple[ex._NF, ...], ...]:
-        """dX^i/dx^j as unreduced normal forms, built once per field and
-        reused by every bracket it enters."""
-        return tuple(
-            tuple(ex._nf_diff(ex._nf_of(c), v) for v in self.chart.names)
-            for c in self.components
-        )
+    def _rates(self) -> dict[str, ex._NF]:
+        """The derivation X as the normal forms of X(x^i) = X^i."""
+        return {v: ex._nf_of(c) for v, c in zip(self.chart.names, self.components)}
 
     def apply_to(self, f: Expr) -> Expr:
-        """Directional derivative X(f) = sum_i X^i df/dx^i as a tree of
-        derivative trees; no canonical form is computed."""
+        """X(f) = sum_i X^i df/dx^i, with no canonical form: one derivation of
+        f's normal form if rational, else derivative trees of f and the
+        components as written, since the zero test then samples it in floats."""
+        if not any(ex._nf_of(e).trans for e in (f, *self.components)):
+            return ex._tree_of(ex._nf_derive(ex._nf_of(f), self._rates()))
         return ex.Add(tuple(
             ex.Mul((c, ex._diff_tree(f, v))) for v, c in zip(self.chart.names, self.components)
         ))
@@ -137,24 +134,15 @@ def _require_same_chart(x: VectorField, y: VectorField):
         raise ChartMismatchError(f"charts differ: {x.chart.names} vs {y.chart.names}")
 
 
-_MINUS_ONE = ex._nf_of(Const(-1))
-
-
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X,Y]^i = sum_j (X^j dY^i/dx^j - Y^j dX^i/dx^j), summed on the normal
-    forms of the fields' cached Jacobians; each component is put into
-    canonical form once."""
+    """[X,Y]^i = X(Y^i) - Y(X^i), two derivations on the components' normal
+    forms; each component is put into canonical form once."""
     _require_same_chart(x, y)
-    dx, dy = x._jacobian, y._jacobian
-    xs, ys = [[ex._nf_of(c) for c in f.components] for f in (x, y)]
-    comps = []
-    for i in range(x.chart.dim):
-        terms = []
-        for j in range(x.chart.dim):
-            terms.append(ex._nf_product((xs[j], dy[i][j])))
-            terms.append(ex._nf_product((_MINUS_ONE, ys[j], dx[i][j])))
-        comps.append(ex._expr_from_nf(ex._nf_sum(terms)))
-    return VectorField(x.chart, tuple(comps))
+    rx, ry = x._rates(), y._rates()
+    nf = ex._nf_of
+    comps = (ex._nf_sum((ex._nf_derive(nf(b), rx), ex._nf_derive(nf(-a), ry)))
+             for a, b in zip(x.components, y.components))
+    return VectorField(x.chart, tuple(ex._expr_from_nf(c) for c in comps))
 
 
 def diagonal_prolongation(x: VectorField, copies: int) -> VectorField:

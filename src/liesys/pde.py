@@ -431,8 +431,8 @@ def decomposition_residuals(sys: PdeSystem) -> dict[tuple[int, int], tuple[Expr,
             gamma_coeff = []
             for g in range(r):
                 terms = [
-                    ex._diff_tree(dec.u[b][g], sys.params.names[a]),
-                    ex.Mul((ex.Const(-1), ex._diff_tree(dec.u[a][g], sys.params.names[b]))),
+                    ex.differentiate(dec.u[b][g], sys.params.names[a]),
+                    ex.Mul((ex.Const(-1), ex.differentiate(dec.u[a][g], sys.params.names[b]))),
                 ]
                 for al in range(r):
                     for be in range(r):

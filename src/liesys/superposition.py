@@ -7,7 +7,7 @@ rules have s = n, partial rules add n - s constraint expressions cutting the
 submanifold on which the rule lives.  An optional explicit map phi expresses
 slot 0 directly through slots 1..m and the constants k1..ks.
 
-Tangency is decided by the exact zero test of the residual trees: for full
+Tangency is decided by the exact zero test of the residuals X~(psi): for full
 rules on the residuals themselves, for partial rules on the residuals pulled
 back along phi, which parametrizes the constraint set (a partial rule needs
 phi for this).  Any phi must land on its own leaves, psi(phi) = k.
@@ -210,8 +210,8 @@ def verify_tangency(
     fields: Sequence[VectorField],
     seed: int = 0,
 ) -> TangencyReport:
-    """Residuals X~_a(psi^j), as derivative trees, for each basis field and
-    level-map component, each decided by ex.is_zero.
+    """Residuals X~_a(psi^j), as built by VectorField.apply_to, for each
+    basis field and level-map component, each decided by ex.is_zero.
 
     A phi must land on its own leaves, psi_j(phi) = k_j and C_l(phi) = 0,
     which is decided first (_phi_on_leaves); if one of them can only be

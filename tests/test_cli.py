@@ -270,16 +270,25 @@ class TestVerify:
 
     def test_sampled_zero_tangency_passes(self, tmp_path):
         # sin(x)^2 + cos(x)^2 = 1 is not formally 1, so every residual is
-        # only sampled: the verdict passes and says it is probabilistic
-        path = tmp_path / "trig.json"
-        path.write_text(json.dumps({
-            "chart": ["x"], "fields": [["sin(x)^2 + cos(x)^2"]], "coefficients": ["1"],
-            "rule": {"m": 1, "s": 1, "psi": ["x_0 - x_1"], "phi": ["x_1 + k1"]},
-        }))
-        code, doc = run(tmp_path, "verify", str(path))
-        assert code == 0
-        tangency = next(c for c in doc["checks"] if c["name"] == "tangency_zero")
-        assert tangency["passed"] and tangency["probabilistic"]
+        # only sampled: the verdict passes and says it is probabilistic.  The
+        # 30th power P of sin^2 + cos^2 - 2 is 1 too, but expanded its terms
+        # reach about 1e13 and cancel in floats far past the zero test's
+        # tolerance, in a field or in psi (x_0*P - x_1 = x_0 - x_1).
+        power = "(sin({})^2 + cos({})^2 - 2)^30"
+        for field, psi, phi in (
+            ("sin(x)^2 + cos(x)^2", "x_0 - x_1", ["x_1 + k1"]),
+            (power.format("x", "x"), "x_0 - x_1", ["x_1 + k1"]),
+            ("1", "x_0*" + power.format("x_0", "x_0") + " - x_1", None),
+        ):
+            path = tmp_path / "trig.json"
+            path.write_text(json.dumps({
+                "chart": ["x"], "fields": [[field]], "coefficients": ["1"],
+                "rule": {"m": 1, "s": 1, "psi": [psi], "phi": phi},
+            }))
+            code, doc = run(tmp_path, "verify", str(path))
+            assert code == 0, (field, psi)
+            tangency = next(c for c in doc["checks"] if c["name"] == "tangency_zero")
+            assert tangency["passed"] and tangency["probabilistic"]
 
     def test_drifts_far_below_tol_const(self, tmp_path):
         # slot 0 shares one integration with the particular solutions, so

@@ -17,9 +17,11 @@ from liesys.cli import main
 WALL_TIME_BOUND_S = 20.0
 
 
-def expressions(names):
-    """Rational expressions in `names` with poles and powers up to 40."""
-    leaves = st.one_of(st.sampled_from(names), st.integers(-3, 3).map(str))
+def expressions(names, functions=()):
+    """Rational expressions in `names` with poles and powers up to 40, and
+    with leaves f(v) for f in `functions` and v in `names`."""
+    leaves = st.one_of(st.sampled_from(names), st.integers(-3, 3).map(str),
+                       *[st.sampled_from(names).map(f"{f}({{}})".format) for f in functions])
     return st.recursive(leaves, lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
         st.tuples(inner, st.integers(0, 40)).map(lambda t: f"({t[0]})^{t[1]}"),
@@ -52,7 +54,8 @@ def test_symbolic_commands_end_in_an_exit_code(tmp_path, capsys, doc, command):
 @st.composite
 def rules(draw):
     """A rule with m = 1 on generated fields: psi of 1-2 components on slots
-    0-1, the constraints a partial rule needs, and sometimes a phi."""
+    0-1, the constraints a partial rule needs, and sometimes a phi.  Field
+    components may hold sin, exp and ln of the chart variables."""
     names = draw(st.sampled_from([["x"], ["x", "y"]]))
     slots = [f"{v}_{a}" for a in (0, 1) for v in names]
     s = draw(st.integers(1, len(names)))
@@ -63,7 +66,7 @@ def rules(draw):
             "phi": phi,
             "constraints": draw(st.lists(expressions(slots), min_size=len(names) - s,
                                          max_size=len(names) - s))}
-    component = expressions(names)
+    component = expressions(names, functions=("sin", "exp", "ln"))
     fields = draw(st.lists(st.lists(component, min_size=len(names), max_size=len(names)),
                            min_size=1, max_size=3))
     return {"chart": names, "fields": fields, "rule": rule}

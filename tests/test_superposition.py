@@ -115,13 +115,32 @@ class TestTangency:
         report = verify_tangency(euclidean_rule(), fields)
         assert report.all_zero and not report.probabilistic
 
-    def test_cross_ratio_decided_without_a_gcd(self, monkeypatch):
+    def test_cross_ratio_decided_without_a_canonical_form(self, monkeypatch):
+        # the quotient rule may cancel gcd(den, X den) once per residual;
+        # nothing is reduced to canonical form
         def refuse(*args):
-            raise AssertionError("gcd in a tangency verdict")
+            raise AssertionError("canonical form in a tangency verdict")
 
-        monkeypatch.setattr(ex, "_poly_gcd", refuse)
+        gcd, calls = ex._poly_gcd, []
+        monkeypatch.setattr(ex, "_expr_from_nf", refuse)
+        monkeypatch.setattr(ex, "canonical_expr", refuse)
+        monkeypatch.setattr(ex, "_poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
         report = verify_tangency(cross_ratio(), riccati_fields())
         assert [c.verdict for c in report.checks] == ["zero"] * 3
+        assert len(calls) <= len(report.checks)
+        # each residual is one derivation: its tree is the zero numerator itself
+        assert [str(c.residual) for c in report.checks] == ["0"] * 3
+
+    def test_gl4_linear_rule_tangent_within_ten_seconds(self):
+        import time
+
+        chart = Chart(("x1", "x2", "x3", "x4"))
+        started = time.perf_counter()
+        report = verify_tangency(linear_rule(chart), gl_fields(chart))
+        elapsed = time.perf_counter() - started
+        assert len(report.checks) == 64
+        assert all(c.verdict == "zero" and not c.probabilistic for c in report.checks)
+        assert elapsed < 10, f"{elapsed:.1f} s"
 
     def test_full_rule_with_phi_off_its_leaves_raises(self):
         rule = SuperpositionRule.from_strings(
@@ -624,6 +643,12 @@ class TestLeafSolver:
             assert np.max(np.abs(new - old)) <= 1e-12
             solved += 1
         assert solved >= 40
+
+    def test_jacobian_of_a_power_keeps_the_power(self):
+        # d/dx_0 of (x_0 - x_1)^20 + x_0 is 20*(x_0 - x_1)^19 + 1 = 1 to
+        # rounding here; expanded, its terms reach about 1e25 and cancel to noise
+        rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^20 + x_0"])
+        assert _LeafSolver(rule).jacobian(10.001, 10.0) == pytest.approx([1.0], abs=1e-12)
 
     def test_singular_start(self):
         new, old = _both(cross_ratio(), [0.5, -1.0, 2.0], [0.3], [-1.0])
