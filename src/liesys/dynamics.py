@@ -304,6 +304,7 @@ def _dopri5(
     t1: float,
     y0: Sequence[float],
     tol: float,
+    stops: Sequence[float] = (),
 ):
     """Adaptive DOPRI5(4).  Error accepted per unit step, down to a round-off
     floor: err <= max(tol*min(1,h), ROUNDOFF_FLOOR) * scale.  The floor
@@ -312,6 +313,12 @@ def _dopri5(
 
     State and f(t, state) are lists of Python floats; stages, y5 and y4 sum
     in tableau order (_combination), and a non-finite y5 - y4 rejects a step.
+
+    Each of `stops` inside (t0, t1) becomes a node: a step that would cross
+    the next stop is shortened to end on it, t is set to the stop itself
+    (not to t + h), and once accepted the step size proposed before the
+    shortening carries over to the next step.  Stops outside (t0, t1) are
+    ignored; with none, the nodes are those of the loop without the rule.
 
     Returns (ts, ys, dys, blew_up, truncated_at) as arrays; stops early with
     a flag on blow-up (sup-norm past BLOWUP_BOUND) or step underflow.
@@ -333,22 +340,25 @@ def _dopri5(
     blew_up = False
     truncated_at = None
     min_h = 1e-13 * max(1.0, abs(t1 - t0))
+    stops = sorted({float(s) for s in stops if t0 < s < t1}, reverse=True)
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         h = min(h, t1 - t)
+        landing = bool(stops) and t + h >= stops[-1]
+        step = stops[-1] - t if landing else h
         try:
             k = [k1]
             for c, combination in _STAGES:
-                k.append(f(t + c * h, combination(y, h, k)))
-            y5 = _HIGH(y, h, k)
-            diffs = [a - b for a, b in zip(y5, _LOW(y, h, k))]
+                k.append(f(t + c * step, combination(y, step, k)))
+            y5 = _HIGH(y, step, k)
+            diffs = [a - b for a, b in zip(y5, _LOW(y, step, k))]
             # Python's max skips a NaN that numpy's would return
             err = max(map(abs, diffs)) if all(map(math.isfinite, diffs)) else math.inf
             scale = max(1.0, max(map(abs, y)), max(map(abs, y5)))
         except (EvaluationError, ZeroDivisionError, ValueError, OverflowError):
             err = math.inf
-        allowed = max(tol * min(1.0, h), ROUNDOFF_FLOOR) * scale if err < math.inf else 0.0
+        allowed = max(tol * min(1.0, step), ROUNDOFF_FLOOR) * scale if err < math.inf else 0.0
         if err <= allowed:
-            t += h
+            t = stops.pop() if landing else t + step
             y = y5
             k1 = k[6]  # FSAL
             ts.append(t)
@@ -358,10 +368,10 @@ def _dopri5(
                 blew_up = True
                 truncated_at = t
                 break
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (allowed / err) ** 0.2))
-            h *= factor
+            if not landing:
+                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (allowed / err) ** 0.2))
         else:
-            h *= 0.25 if err == math.inf else max(0.1, 0.9 * (allowed / err) ** 0.2)
+            h = step * (0.25 if err == math.inf else max(0.1, 0.9 * (allowed / err) ** 0.2))
         if h < min_h:
             blew_up = True
             truncated_at = t

@@ -224,12 +224,16 @@ def _axis_rhs(sys: PdeSystem, axis: int, t_frozen: np.ndarray):
     return rhs
 
 
-def _advance(rhs, axis: int, start: float, stop: float, x, tol: float) -> np.ndarray:
-    """State at `stop` after integrating one axis segment from `start`."""
-    ts, ys, _, blew_up, _ = _dopri5(rhs, float(start), float(stop), x, tol)
+def _advance(rhs, axis: int, nodes: Sequence[float], x, tol: float) -> np.ndarray:
+    """States at nodes[1:] from one integration along an axis from nodes[0],
+    which lands on every node: each is an integrated value, not interpolated."""
+    nodes = [float(v) for v in nodes]
+    if len(nodes) < 2:
+        return np.empty((0, len(x)))
+    ts, ys, _, blew_up, _ = _dopri5(rhs, nodes[0], nodes[-1], x, tol, stops=nodes[1:-1])
     if blew_up:
         raise IntegrationBlowUpError(f"blow-up along axis {axis + 1} near t{axis + 1}={ts[-1]:.6g}")
-    return ys[-1]
+    return np.concatenate([ys[np.searchsorted(ts, nodes[1:-1])], ys[-1:]])
 
 
 def path_solve(
@@ -268,7 +272,7 @@ def path_solve(
             continue
         if stop < start:
             raise ValueError("staircase segments must move forward along each axis")
-        x = _advance(_axis_rhs(sys, axis, t_now), axis, start, stop, x, tol)
+        x = _advance(_axis_rhs(sys, axis, t_now), axis, (start, stop), x, tol)[-1]
         t_now[axis] = stop
         samples.append((t_now.copy(), x.copy()))
     if not np.allclose(t_now, target, atol=1e-12):
@@ -338,28 +342,21 @@ def path_independence_audit(
 def solve_on_grid(
     sys: PdeSystem, x0: Sequence[float], axes: Sequence[np.ndarray], tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Solution values on a rectangular parameter grid (flat systems), swept
-    along axis 1 first and then up the remaining axes column by column."""
+    """Solution values on a rectangular parameter grid (flat systems): the
+    first row along axis 1, then each column up axis 2, each line one
+    integration that lands on its nodes, so every value is integrated."""
     if sys.s != 2:
         raise NotImplementedError("grids are supported for s = 2")
-    t1s = np.asarray(axes[0], dtype=float)
-    t2s = np.asarray(axes[1], dtype=float)
+    t1s, t2s = (np.asarray(axis, dtype=float) for axis in axes)
+    if not (np.all(np.diff(t1s) > 0) and np.all(np.diff(t2s) > 0)):
+        raise ValueError("grid axes must be strictly increasing")
     out = np.empty((len(t1s), len(t2s), sys.n))
-    # first row: along t1 at t2 = t2s[0]
-    row_state = np.asarray(x0, dtype=float)
-    base = np.array([t1s[0], t2s[0]])
-    if not np.allclose(base, 0.0):
-        row_state = path_solve(sys, x0, base).endpoint
-    along_t1 = _axis_rhs(sys, 0, np.array([0.0, t2s[0]]))
+    out[0, 0] = x0
+    if not np.allclose([t1s[0], t2s[0]], 0.0):
+        out[0, 0] = path_solve(sys, x0, [t1s[0], t2s[0]], tol=tol).endpoint
+    out[1:, 0] = _advance(_axis_rhs(sys, 0, np.array([0.0, t2s[0]])), 0, t1s, out[0, 0], tol)
     for i, t1 in enumerate(t1s):
-        if i > 0:
-            row_state = _advance(along_t1, 0, t1s[i - 1], t1, row_state, tol)
-        out[i, 0] = row_state
-        col_state = row_state
-        along_t2 = _axis_rhs(sys, 1, np.array([float(t1), 0.0]))
-        for j in range(1, len(t2s)):
-            col_state = _advance(along_t2, 1, t2s[j - 1], t2s[j], col_state, tol)
-            out[i, j] = col_state
+        out[i, 1:] = _advance(_axis_rhs(sys, 1, np.array([t1, 0.0])), 1, t2s, out[i, 0], tol)
     return out
 
 

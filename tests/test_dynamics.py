@@ -265,9 +265,11 @@ class TestCompiledVelocity:
             line_system("x", "exp(t)*exp(t)").velocity(500.0, np.array([1.0]))
 
 
-def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND):
+def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND, stops=()):
     """_dopri5 as a loop over numpy arrays: f maps (t, array) to an array, and
-    each stage is y + h * sum(a * k), summed by the builtin onto 0."""
+    each stage is y + h * sum(a * k), summed by the builtin onto 0.  A step
+    that would pass the next stop ends on it, and an accepted landing step
+    leaves the proposed h as it was."""
     y = np.array(y0, dtype=float)
     t = float(t0)
     k1 = f(t, y)
@@ -276,24 +278,27 @@ def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND):
     blew_up = False
     truncated_at = None
     min_h = 1e-13 * max(1.0, abs(t1 - t0))
+    pending = sorted(set(float(s) for s in stops if t0 < s < t1))
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         h = min(h, t1 - t)
+        landing = bool(pending) and t + h >= pending[0]
+        step = pending[0] - t if landing else h
         try:
             k = [k1]
             for stage in range(1, 7):
-                yi = y + h * sum(a * ki for a, ki in zip(_A[stage], k))
-                k.append(f(t + _C[stage] * h, yi))
-            y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
-            y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
+                yi = y + step * sum(a * ki for a, ki in zip(_A[stage], k))
+                k.append(f(t + _C[stage] * step, yi))
+            y5 = y + step * sum(b * ki for b, ki in zip(_B5, k))
+            y4 = y + step * sum(b * ki for b, ki in zip(_B4, k))
             err = float(np.max(np.abs(y5 - y4)))
             scale = max(1.0, float(np.max(np.abs(y))), float(np.max(np.abs(y5))))
             failed = not np.isfinite(err)
         except (EvaluationError, ZeroDivisionError, ValueError, OverflowError):
             failed = True
             err = np.inf
-        allowed = max(tol * min(1.0, h), ROUNDOFF_FLOOR) * scale if np.isfinite(err) else 0.0
+        allowed = max(tol * min(1.0, step), ROUNDOFF_FLOOR) * scale if np.isfinite(err) else 0.0
         if not failed and err <= allowed:
-            t += h
+            t = pending.pop(0) if landing else t + step
             y = y5
             k1 = k[6]
             ts.append(t)
@@ -304,9 +309,10 @@ def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND):
                 truncated_at = t
                 break
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (allowed / err) ** 0.2))
-            h *= factor
+            if not landing:
+                h *= factor
         else:
-            h *= 0.25 if not np.isfinite(err) else max(0.1, 0.9 * (allowed / err) ** 0.2)
+            h = step * (0.25 if not np.isfinite(err) else max(0.1, 0.9 * (allowed / err) ** 0.2))
         if h < min_h:
             blew_up = True
             truncated_at = t
@@ -397,6 +403,40 @@ class TestDopri5BitIdentity:
         got = _dopri5(counting_rhs(), 0.0, 1.0, [1.0, 0.5], 1e-9)
         assert_same_run(got, reference_dopri5(on_arrays(counting_rhs()), 0.0, 1.0, [1.0, 0.5], 1e-9))
         assert not got[3] and np.all(np.isfinite(got[1]))
+
+
+class TestStops:
+    """_dopri5 landing on interior stops."""
+
+    RHS = staticmethod(lambda t, y: [math.cos(3 * t) * y[1], 1.0 - y[0] * y[1]])
+    STOPS = [0.1, 1 / 3, 0.35, 0.35 + 1e-12, 0.7, 2 ** 0.5 / 2, 1.2, 1 / 3]
+
+    def test_every_stop_is_a_node(self):
+        ts = _dopri5(self.RHS, 0.0, 1.5, [1.0, 0.5], 1e-9, stops=self.STOPS)[0]
+        assert np.all(np.diff(ts) > 0)
+        for stop in self.STOPS:
+            assert ts[np.searchsorted(ts, stop)] == stop
+
+    def test_no_step_crosses_a_stop(self):
+        ts = _dopri5(self.RHS, 0.0, 1.5, [1.0, 0.5], 1e-9, stops=self.STOPS)[0]
+        for left, right in zip(ts[:-1], ts[1:]):
+            assert not any(left < stop < right for stop in self.STOPS)
+
+    def test_stops_outside_the_span_are_ignored(self):
+        got = _dopri5(self.RHS, 0.2, 1.5, [1.0, 0.5], 1e-9, stops=[-1.0, 0.0, 0.2, 1.5, 1.6, 9.0])
+        assert_same_run(got, _dopri5(self.RHS, 0.2, 1.5, [1.0, 0.5], 1e-9))
+
+    def test_matches_reference(self):
+        got = _dopri5(self.RHS, 0.0, 1.5, [1.0, 0.5], 1e-9, stops=self.STOPS)
+        want = reference_dopri5(on_arrays(self.RHS), 0.0, 1.5, [1.0, 0.5], 1e-9, stops=self.STOPS)
+        assert_same_run(got, want)
+
+    def test_matches_reference_through_an_escape(self):
+        sys = riccati_101()  # tan escapes at pi/2, past the last stop
+        stops = np.linspace(0.0, 2.0, 21)
+        got = _dopri5(sys._velocity, 0.0, 2.0, [0.0], 1e-9, stops=stops)
+        assert_same_run(got, reference_dopri5(sys.velocity, 0.0, 2.0, [0.0], 1e-9, stops=stops))
+        assert got[3] and 1.5 in got[0] and 1.6 not in got[0]
 
 
 class TestIntegrateTuple:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liesys import pde
 from liesys.dynamics import integrate
 from liesys.errors import LiesysError, NotFlatError
 from liesys.expr import Chart, Var, canonically_equal, is_zero, parse
@@ -186,6 +187,44 @@ class TestGridSuperposition:
         grid = solve_on_grid(sys, [0.1], axes)
         with pytest.raises(LiesysError, match="not tangent"):
             pde_superpose(sys, bad, [grid], [0.1], [0.1])
+
+
+class TestGridSweep:
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])  # tol
+            return dopri5(*args, **kwargs)
+
+        dopri5 = pde._dopri5
+        monkeypatch.setattr(pde, "_dopri5", counting)
+        return calls
+
+    @pytest.mark.parametrize("u0", [-2.0, -1.0, 0.0, 0.5])
+    def test_one_integration_per_line(self, monkeypatch, u0):
+        calls = self.spy(monkeypatch)
+        axes = [np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 11)]
+        grid = solve_on_grid(flat_riccati(), [u0], axes)
+        assert len(calls) == 12  # the first row, then each of the 11 columns
+        t1, t2 = np.meshgrid(axes[0], axes[1], indexing="ij")
+        assert np.max(np.abs(grid[:, :, 0] - u0 / (1 - u0 * (t1 + t2)))) <= 1e-9
+
+    def test_tol_reaches_the_first_node_off_the_origin(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        axes = [np.linspace(0.1, 0.4, 4), np.linspace(0.1, 0.4, 4)]
+        solve_on_grid(flat_riccati(), [0.5], axes, tol=1e-4)
+        assert set(calls) == {1e-4}
+
+    def test_single_node_axes(self):
+        grid = solve_on_grid(flat_riccati(), [0.5], [np.array([0.0, 0.2]), np.array([0.0])])
+        assert grid.shape == (2, 1, 1) and abs(grid[1, 0, 0] - 0.5 / 0.9) <= 1e-9
+        assert solve_on_grid(flat_riccati(), [0.5], [np.array([0.0])] * 2)[0, 0, 0] == 0.5
+
+    def test_axes_must_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            solve_on_grid(flat_riccati(), [0.5], [np.array([0.0, 0.2, 0.1]), np.array([0.0, 0.1])])
 
 
 class TestDecomposition:
