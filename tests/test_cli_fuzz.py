@@ -1,5 +1,5 @@
-"""Generated problem files through `liesys m`, `liesys closure` and `liesys
-verify`, in process.
+"""Generated problem files through `liesys m`, `liesys closure`, `liesys
+verify` and `liesys solve`, in process.
 
 Whatever the fields, each call ends in exit 0, 1 or 2 within a bounded time:
 no exception escapes `main` and nothing hangs.
@@ -84,3 +84,38 @@ def test_verify_ends_in_an_exit_code(tmp_path, capsys, doc):
     capsys.readouterr()
     assert code in (0, 1, 2)
     assert elapsed < WALL_TIME_BOUND_S, f"verify took {elapsed:.1f} s on {doc}"
+
+
+@st.composite
+def trajectories(draw):
+    """A system to integrate: fields holding sin, exp and ln of the chart
+    variables, coefficient curves in t (expressions or tables), an x0 and a
+    short t_span.  Singular points, overflow and non-finite stages are all
+    reachable."""
+    names = draw(st.sampled_from([["x"], ["x", "y"]]))
+    component = expressions(names, functions=("sin", "exp", "ln"))
+    fields = draw(st.lists(st.lists(component, min_size=len(names), max_size=len(names)),
+                           min_size=1, max_size=3))
+    t0 = draw(st.integers(-4, 4)) / 4
+    t1 = t0 + draw(st.integers(1, 8)) / 8
+    table = st.lists(st.floats(-3, 3), min_size=2, max_size=2).map(
+        lambda values: {"table": {"t": [t0, t1], "values": values}})
+    curve = st.one_of(expressions(["t"], functions=("sin", "exp", "ln")), table)
+    return {"chart": names, "fields": fields,
+            "coefficients": draw(st.lists(curve, min_size=len(fields), max_size=len(fields))),
+            "x0": draw(st.lists(st.floats(-3, 3), min_size=len(names), max_size=len(names))),
+            "t_span": [t0, t1]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=trajectories())
+def test_solve_ends_in_an_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["solve", str(path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"solve took {elapsed:.1f} s on {doc}"

@@ -110,6 +110,12 @@ class TestIntegrate:
         assert tr.truncated_at is not None
         assert tr.truncated_at <= math.pi / 2 + 1e-3
 
+    def test_long_span_is_not_a_step_underflow(self):
+        # the first step is capped at 0.1, under 1e-13 of a span of 1e13
+        tr = integrate(line_system("1", "1/1000000000"), [1.0], (0.0, 1e13))
+        assert not tr.blew_up and tr.truncated_at is None
+        assert tr.t_end == 1e13 and abs(tr.endpoint()[0] - 10001.0) <= 1e-8
+
     def test_tan_on_safe_interval(self):
         tr = integrate(riccati_101(), [0.0], (0.0, 1.2))
         assert not tr.blew_up
@@ -277,7 +283,6 @@ def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND, stops=()):
     h = min(0.01 * (t1 - t0), 0.1)
     blew_up = False
     truncated_at = None
-    min_h = 1e-13 * max(1.0, abs(t1 - t0))
     pending = sorted(set(float(s) for s in stops if t0 < s < t1))
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         h = min(h, t1 - t)
@@ -313,7 +318,7 @@ def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND, stops=()):
                 h *= factor
         else:
             h = step * (0.25 if not np.isfinite(err) else max(0.1, 0.9 * (allowed / err) ** 0.2))
-        if h < min_h:
+        if h < 1e-13 * max(1.0, abs(t)):
             blew_up = True
             truncated_at = t
             break
@@ -403,6 +408,70 @@ class TestDopri5BitIdentity:
         got = _dopri5(counting_rhs(), 0.0, 1.0, [1.0, 0.5], 1e-9)
         assert_same_run(got, reference_dopri5(on_arrays(counting_rhs()), 0.0, 1.0, [1.0, 0.5], 1e-9))
         assert not got[3] and np.all(np.isfinite(got[1]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 12, 16])
+    def test_state_lengths(self, n):
+        def f(t, y):
+            return [math.cos(t + i) * y[i - 1] - 0.5 * y[i] + 0.2 * y[i] * y[(i + 1) % n]
+                    for i in range(n)]
+
+        y0 = [math.sin(i + 1) for i in range(n)]
+        want = reference_dopri5(on_arrays(f), 0.0, 3.0, y0, 1e-9)
+        assert_same_run(_dopri5(f, 0.0, 3.0, y0, 1e-9), want)
+
+    def test_singular_point_in_a_middle_stage(self):
+        # the 10th call is stage 4 of the second attempted step
+        def counting_rhs(calls):
+            def f(t, y):
+                calls.append(t)
+                if len(calls) == 10:
+                    raise ZeroDivisionError("float division by zero")
+                return [math.cos(t) * y[1], 1.0 - y[0]]
+
+            return f
+
+        calls, want_calls = [], []
+        got = _dopri5(counting_rhs(calls), 0.0, 1.0, [1.0, 0.5], 1e-9)
+        want = reference_dopri5(on_arrays(counting_rhs(want_calls)), 0.0, 1.0, [1.0, 0.5], 1e-9)
+        assert_same_run(got, want)
+        assert calls == want_calls
+        assert not got[3] and got[0][-1] == 1.0
+
+    def test_random_systems(self, rng):
+        compared = 0
+        for _ in range(12):
+            sys = TestCompiledVelocity().random_system(rng)
+            x0 = [rng.uniform(-2.0, 2.0) for _ in range(sys.dim)]
+            try:
+                want = reference_dopri5(sys.velocity, 0.0, 1.0, x0, 1e-8)
+            except TestCompiledVelocity.SINGULAR:
+                with pytest.raises(EvaluationError):
+                    integrate(sys, x0, (0.0, 1.0), tol=1e-8)
+                continue
+            tr = integrate(sys, x0, (0.0, 1.0), tol=1e-8)
+            assert_same_run((tr.t, tr.states, tr.derivatives, tr.blew_up, tr.truncated_at), want)
+            compared += 1
+        assert compared >= 8
+
+    @pytest.mark.parametrize("span", [(0.0, 1.0), (0.0, 2.0)])
+    def test_calls_per_attempted_step(self, span):
+        # FSAL: one call at t0, then six per attempted step, accepted or not
+        def counting_velocity(calls):
+            velocity = riccati_101()._velocity
+
+            def f(t, y):
+                calls.append(t)
+                return velocity(t, y)
+
+            return f
+
+        calls, want_calls = [], []
+        got = _dopri5(counting_velocity(calls), *span, [0.0], 1e-9)
+        want = reference_dopri5(on_arrays(counting_velocity(want_calls)), *span, [0.0], 1e-9)
+        assert_same_run(got, want)
+        assert calls == want_calls
+        attempted, left = divmod(len(calls) - 1, 6)
+        assert left == 0 and attempted >= len(got[0]) - 1
 
 
 class TestStops:
