@@ -10,13 +10,14 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import closure_test, minimal_m, prune_independent
 from .catalog import ENTRIES, RunConfig, get_entry
-from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrate_tuple
+from .dynamics import BLOWUP_BOUND, DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrate_tuple
 from .errors import ClosureCapError, LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
@@ -291,8 +292,12 @@ def cmd_solve(args) -> int:
     if x0 is None:
         raise SchemaError("solve needs 'x0'")
     trajectory = integrate(sys, x0, task["t_span"], task["tol"])
-    checks = [Check("integrated", True,
-                    detail=f"{len(trajectory.t)} nodes, blew_up={trajectory.blew_up}")]
+    detail = f"{len(trajectory.t)} nodes, blew_up={trajectory.blew_up}"
+    # a run stopped short of t1 below the blow-up bound stopped on step underflow
+    reached = (trajectory.truncated_at is None
+               or np.abs(trajectory.states[-1]).max() > BLOWUP_BOUND)
+    checks = [Check("integrated", bool(reached), detail=detail if reached else
+                    f"step underflow at t={trajectory.truncated_at}; {detail}")]
     extra = {"trajectory": trajectory.to_json_dict()}
     out = _csv_dir(args)
     if out:
@@ -570,7 +575,11 @@ def _span(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The liesys argument parser, built on first use and then reused: every
+    parse_args call returns a fresh namespace, so no call sees another's
+    arguments.  Not built at import, which would slow `import liesys`."""
     parser = argparse.ArgumentParser(
         prog="liesys",
         description="Lie systems: closure tests, fundamental-set sizes, superposition rules",
@@ -630,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SchemaError as exc:

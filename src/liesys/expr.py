@@ -30,6 +30,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EvaluationError, LiesysError, ParseError
@@ -1327,11 +1328,21 @@ def python_source(e: Expr, names: Mapping[str, str]) -> str:
     raise TypeError(f"cannot compile {type(e).__name__}")
 
 
+@lru_cache(maxsize=256)
+def _compiled(source: str):
+    return compile(source, "<string>", "exec")
+
+
 def compile_source(source: str, name: str, **scope) -> Callable:
     """The function `name` defined by generated source, run without builtins
-    in a scope holding the functions python_source emits plus `scope`."""
+    in a scope holding the functions python_source emits plus `scope`.
+
+    Each source text is compiled once per process, in a bounded cache (256
+    texts; a CLI run or a benchmark cycle needs under 100), and run in a
+    fresh namespace on every call, so systems whose sources coincide share
+    code but never scope values such as coefficient tables."""
     namespace = {"__builtins__": {}, **{f"_{fn}": f for fn, f in _MATH.items()}, **scope}
-    exec(source, namespace)  # noqa: S102 - source generated from our own AST
+    exec(_compiled(source), namespace)  # noqa: S102 - source generated from our own AST
     return namespace[name]
 
 

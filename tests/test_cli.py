@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liesys.cli import main
+from liesys.cli import build_parser, main
 from liesys.report import validate_report
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -164,6 +164,30 @@ class TestSolveAndSuperpose:
         assert main(["solve", str(problem)]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "initial point" in out
+
+    def test_solve_fails_on_step_underflow(self, tmp_path, capsys):
+        # the second coefficient is about -1.2e12 at t0: every step is
+        # rejected down to the underflow bound at the first node
+        problem = tmp_path / "underflow.json"
+        problem.write_text(json.dumps({
+            "chart": ["x"], "fields": [["(2)^36"], ["x"]],
+            "coefficients": ["t", "((t)+(ln(t)))/((t)^20)"], "x0": [0], "t_span": [0.25, 0.5]}))
+        code, doc = run(tmp_path, "solve", str(problem))
+        assert code == 1
+        check = doc["checks"][0]
+        assert check["name"] == "integrated" and not check["passed"]
+        assert check["detail"].startswith("step underflow at t=0.25")
+        assert "FAIL integrated  (step underflow at t=0.25" in capsys.readouterr().out
+
+    def test_solve_passes_through_a_blow_up(self, tmp_path):
+        problem = tmp_path / "escape.json"
+        problem.write_text(json.dumps({"chart": ["x"], "fields": [["x^2"]], "coefficients": ["1"],
+                                       "x0": [1.0], "t_span": [0.0, 5.0]}))
+        code, doc = run(tmp_path, "solve", str(problem))
+        assert code == 0
+        assert doc["extra"]["trajectory"]["blew_up"] is True
+        assert doc["checks"][0]["detail"] == (
+            f"{len(doc['extra']['trajectory']['t'])} nodes, blew_up=True")
 
     def test_superpose_with_explicit_k(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "riccati.json"), "--k", "0.5")
@@ -349,6 +373,34 @@ class TestGroupAndPde:
     def test_pde_superpose(self, tmp_path):
         code, doc = run(tmp_path, "pde", "superpose", str(PROBLEMS / "pde_riccati.json"))
         assert code == 0
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_audit_flag_does_not_carry_over(self):
+        nonflat = str(PROBLEMS / "pde_nonflat.json")
+        main(["pde", "solve", nonflat, "--audit"])
+        assert main(["pde", "solve", nonflat]) == 1
+
+    def test_k_does_not_carry_over(self, tmp_path):
+        riccati = str(PROBLEMS / "riccati.json")
+        build_parser.cache_clear()
+        assert main(["superpose", riccati, "--json", str(tmp_path / "first.json")]) == 0
+        assert main(["superpose", riccati, "--k", "0.5"]) == 0
+        assert main(["superpose", riccati, "--json", str(tmp_path / "again.json")]) == 0
+        assert (tmp_path / "again.json").read_text() == (tmp_path / "first.json").read_text()
+
+    def test_usage_error_then_a_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["m", str(PROBLEMS / "riccati.json"), "--seed", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        code, doc = run(tmp_path, "m", str(PROBLEMS / "riccati.json"))
+        assert code == 0 and doc["extra"]["m"] == 3 and doc["seed"] == 0
 
 
 class TestSchemaErrors:

@@ -25,7 +25,7 @@ from liesys.dynamics import (
     integrate_tuple,
 )
 from liesys.errors import EvaluationError, FundamentalSetError
-from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, compile_expr
+from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, _compiled, compile_expr
 from liesys.geometry import VectorField
 from liesys.group import MatrixCurve, solve_group_equation
 from liesys.pde import PdeSystem, _axis_rhs
@@ -269,6 +269,23 @@ class TestCompiledVelocity:
             line_system("x*x").velocity(0.0, np.array([1e200]))
         with pytest.raises(EvaluationError):
             line_system("x", "exp(t)*exp(t)").velocity(500.0, np.array([1.0]))
+
+    def test_same_source_shares_code_but_not_tables(self):
+        fields = [VectorField.from_strings(PLANE, c) for c in (["1", "y"], ["x", "0"])]
+
+        def system(values):
+            return LieSystem(fields, [CoefficientCurve.from_string("1"),
+                                      CoefficientCurve(table=([0.0, 1.0], values))])
+
+        first, second = system([0.0, 2.0]), system([5.0, -1.0])
+        assert first._velocity.__code__ is second._velocity.__code__
+        x = np.array([3.0, 7.0])
+        assert first.velocity(0.5, x).tolist() == [1.0 + 1.0 * 3.0, 7.0]
+        assert second.velocity(0.5, x).tolist() == [1.0 + 2.0 * 3.0, 7.0]
+
+    def test_compile_cache_is_bounded(self):
+        maxsize = _compiled.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10_000
 
 
 def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND, stops=()):
