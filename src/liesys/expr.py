@@ -3,11 +3,12 @@
 The expression language covers rational arithmetic over a fixed set of names
 (sums, products, quotients, integer powers) plus the function set
 sin / cos / exp / ln carried symbolically.  Every node folds its children
-into a normal form: a quotient of expanded polynomials whose atoms are
-variables or whole function applications (treated as opaque).  The fold runs
-no gcd, so normal forms are unreduced pairs whose numerator is zero exactly
-when the expression is: zero is decidable for rational trees.  The canonical
-form (coprime parts, monic denominator) is computed where it is read.  With
+into a normal form: a quotient of expanded integer-coefficient polynomials
+whose atoms are variables or whole function applications (treated as
+opaque).  The fold runs no gcd, so normal forms are unreduced pairs whose
+numerator is zero exactly when the expression is: zero is decidable for
+rational trees.  The canonical form (Fraction coefficients, coprime parts,
+monic denominator) is computed where it is read.  With
 function atoms the zero test falls back to sampling at random rational
 points and labels its verdict as probabilistic.
 
@@ -173,13 +174,14 @@ class Const(Expr):
         super().__init__()
         if isinstance(value, float):
             raise TypeError("Const takes int or Fraction, not float")
-        self.value = Fraction(value)
+        self.value = value if isinstance(value, Fraction) else Fraction(value)
 
     def _render(self) -> str:
         return _rational_str(self.value)
 
     def _nf_compute(self):
-        return _NF(_pconst(self.value), _PONE, False, canonical=True)
+        v = self.value
+        return _NF({(): v.numerator} if v else {}, {(): v.denominator}, False, reduced=True)
 
 
 class Var(Expr):
@@ -195,7 +197,7 @@ class Var(Expr):
 
     def _nf_compute(self):
         _ATOMS.setdefault(self.name, self)
-        return _NF({((self.name, 1),): Fraction(1)}, _PONE, False, canonical=True)
+        return _NF({((self.name, 1),): 1}, _PONE, False, reduced=True)
 
 
 class Add(Expr):
@@ -260,9 +262,9 @@ class Pow(Expr):
 
     def _nf_compute(self):
         nf = _nf_of(self.base)
-        num, den = nf.canonical()
-        # coprime parts with a monic denominator stay so under powers
-        return _NF(_ppow(num, self.exponent), _ppow(den, self.exponent), nf.trans, canonical=True)
+        num, den = nf.reduced()
+        # coprime parts stay so under powers
+        return _NF(_ppow(num, self.exponent), _ppow(den, self.exponent), nf.trans, reduced=True)
 
 
 class Div(Expr):
@@ -310,7 +312,7 @@ class Call(Expr):
         key = f"{self.fn}({_nf_str(*arg_nf.canonical())})"
         if key not in _ATOMS:
             _ATOMS[key] = Call(self.fn, _expr_from_nf(arg_nf))
-        return _NF({((key, 1),): Fraction(1)}, _PONE, True, canonical=True)
+        return _NF({((key, 1),): 1}, _PONE, True, reduced=True)
 
 
 def _wrap(e: Expr, parent_precedence: int) -> str:
@@ -337,14 +339,16 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Normal forms: a quotient of expanded polynomials, reduced to the canonical
-# form (coprime parts, monic denominator) only where that form is read.
-# A polynomial is a dict mapping monomials to Fraction coefficients; a
-# monomial is a sorted tuple of (atom, exponent) pairs where an atom is a
-# variable name or the canonical key of a function application.
+# Normal forms: a quotient of expanded polynomials over Z, reduced to coprime
+# parts only where that is read, and to the canonical form (Fraction
+# coefficients, monic denominator) only where that form is read.
+# A polynomial is a dict mapping monomials to coefficients: int in the folded
+# and reduced pairs, Fraction in canonical forms.  A monomial is a sorted
+# tuple of (atom, exponent) pairs where an atom is a variable name or the
+# canonical key of a function application.
 # ---------------------------------------------------------------------------
 
-_PONE = {(): Fraction(1)}
+_PONE = {(): 1}
 
 # atom key -> Expr that reconstructs it (Var or Call); append-only, filled
 # by the folds of Var and Call.  Derivations (_nf_derive) look function atoms
@@ -354,33 +358,52 @@ _ATOMS: dict[str, Expr] = {}
 
 
 class _NF:
-    """A node's value as num/den, folded from its children's pairs with no
-    gcd: num is {} exactly when the value is zero, and a constant denominator
-    is folded into num.  `trans` marks a function atom anywhere below."""
+    """A node's value as num/den, integer-coefficient polynomials folded from
+    its children's pairs with no gcd: num is {} exactly when the value is
+    zero.  The pair shares no integer content, and a constant denominator
+    is a positive {(): d}.  `trans` marks a function atom anywhere below;
+    reduced=True declares the parts coprime already."""
 
-    __slots__ = ("num_den", "trans", "_canonical")
+    __slots__ = ("num_den", "trans", "_reduced", "_canonical")
 
-    def __init__(self, num, den, trans, canonical=False):
+    def __init__(self, num, den, trans, reduced=False):
         if not num:
             den = _PONE
-        elif _is_const_poly(den) and den != _PONE:
-            num, den = _pscale(num, 1 / den[()]), _PONE
+        elif not reduced and den != _PONE:
+            g = math.gcd(*den.values())
+            if g != 1:
+                g = math.gcd(g, *num.values())
+            if len(den) == 1 and den.get((), 0) < 0:
+                g = -g
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den = {m: c // g for m, c in den.items()}
         self.num_den = (num, den)
         self.trans = trans
-        self._canonical = self.num_den if canonical else None
+        self._reduced = self.num_den if reduced else None
+        self._canonical = None
 
-    def canonical(self):
-        """The reduced (num, den): coprime parts, monic denominator; computed
-        at most once."""
-        if self._canonical is None:
+    def reduced(self):
+        """num_den with coprime parts over Z: both divided by their primitive
+        gcd, which keeps them free of shared content; computed at most once."""
+        if self._reduced is None:
             num, den = self.num_den
-            if den != _PONE:
-                g = _poly_gcd(num, den)
+            if not _is_const_poly(den):
+                g = _gcd_core(num, den)
                 if not _is_const_poly(g):
                     num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
-                lc = den[_lead(den, _atoms_of(den))]
-                num, den = _pscale(num, 1 / lc), _pscale(den, 1 / lc)
-            self._canonical = (num, den)
+            self._reduced = (num, den)
+        return self._reduced
+
+    def canonical(self):
+        """The canonical (num, den): reduced() divided by the leading
+        coefficient of its denominator, so Fraction coefficients, coprime
+        parts and a monic denominator; computed at most once."""
+        if self._canonical is None:
+            num, den = self.reduced()
+            lc = next(iter(den.values())) if len(den) == 1 else den[_lead(den, _atoms_of(den))]
+            scale = Fraction if lc == 1 else (lambda c: Fraction(c, lc))
+            self._canonical = tuple({m: scale(c) for m, c in p.items()} for p in (num, den))
         return self._canonical
 
 
@@ -394,12 +417,17 @@ def _nf_of(e: Expr) -> _NF:
 
 def _nf_sum(nfs: Iterable[_NF]) -> _NF:
     """The sum of normal forms, folded with no gcd; a common denominator is
-    kept rather than squared."""
+    kept rather than squared, and constant ones combine by their lcm."""
     num, den, trans = {}, _PONE, False
     for nf in nfs:
         tnum, tden = nf.num_den
         if tden == den:
             num = _padd(num, tnum)
+        elif _is_const_poly(den) and _is_const_poly(tden):
+            d, td = den[()], tden[()]
+            lcm = math.lcm(d, td)
+            num = _padd(_pscale(num, lcm // d), _pscale(tnum, lcm // td))
+            den = {(): lcm}
         else:
             num = _padd(_pmul(num, tden), _pmul(tnum, den))
             den = _pmul(den, tden)
@@ -417,8 +445,9 @@ def _nf_product(nfs: Iterable[_NF]) -> _NF:
     return _NF(num, den, trans)
 
 
-def _pconst(c: Fraction):
-    return {(): c} if c else {}
+def _nf_neg(nf: _NF) -> _NF:
+    num, den = nf.num_den
+    return _NF(_pneg(num), den, nf.trans)
 
 
 def _padd(p, q):
@@ -439,9 +468,12 @@ def _padd(p, q):
 def _pneg(p):
     return {m: -c for m, c in p.items()}
 
-def _pscale(p, c: Fraction):
+
+def _pscale(p, c):
     if not c:
         return {}
+    if c == 1:
+        return dict(p)
     return {m: k * c for m, k in p.items()}
 
 
@@ -459,10 +491,10 @@ def _mono_mul(m1, m2):
 def _pmul(p, q):
     if not p or not q:
         return {}
-    if p == _PONE:
-        return dict(q)
-    if q == _PONE:
-        return dict(p)
+    if len(p) == 1 and () in p:
+        return _pscale(q, p[()])
+    if len(q) == 1 and () in q:
+        return _pscale(p, q[()])
     if len(p) * len(q) > MAX_TERM_PAIRS:
         raise LiesysError(
             f"expanding a product of {len(p)} by {len(q)} terms exceeds "
@@ -581,7 +613,7 @@ def _as_univariate(p, atom: str) -> dict[int, dict]:
                 rest.append((a, k))
         coeff = out.setdefault(e, {})
         mono = tuple(rest)
-        coeff[mono] = coeff.get(mono, Fraction(0)) + c
+        coeff[mono] = coeff.get(mono, 0) + c
     for e in list(out):
         out[e] = {m: c for m, c in out[e].items() if c}
         if not out[e]:
@@ -592,7 +624,7 @@ def _as_univariate(p, atom: str) -> dict[int, dict]:
 def _from_univariate(coeffs: dict[int, dict], atom: str) -> dict:
     out: dict = {}
     for e, poly in coeffs.items():
-        shift = {} if e == 0 else {((atom, e),): Fraction(1)}
+        shift = {} if e == 0 else {((atom, e),): 1}
         out = _padd(out, _pmul(poly, shift) if e else dict(poly))
     return out
 
@@ -614,8 +646,8 @@ def _is_const_poly(p) -> bool:
 def _monic(p):
     if not p:
         return {}
-    lc = p[_lead(p, _atoms_of(p))]
-    return _pscale(p, 1 / lc)
+    lc = Fraction(p[_lead(p, _atoms_of(p))])
+    return {m: c / lc for m, c in p.items()}
 
 
 def _gcd_inner(p, q):
@@ -684,16 +716,11 @@ def _prem(u, v, atom: str):
 
 
 def _int_primitive(p):
-    """Scale a rational-coefficient poly to primitive integer coefficients."""
-    scale = 1
-    for c in p.values():
-        d = c.denominator
-        scale = scale * d // math.gcd(scale, d)
-    ints = {m: int(c * scale) for m, c in p.items()}
-    content = 0
-    for v in ints.values():
-        content = math.gcd(content, abs(v))
-    return {m: v // content for m, v in ints.items()}
+    """A nonzero int or Fraction poly scaled to primitive int coefficients."""
+    scale = math.lcm(*(c.denominator for c in p.values()))
+    ints = {m: c.numerator * (scale // c.denominator) for m, c in p.items()}
+    content = math.gcd(*ints.values())
+    return ints if content == 1 else {m: v // content for m, v in ints.items()}
 
 
 def _eval_atom_int(p, atom: str, xi: int):
@@ -738,10 +765,7 @@ def _genpoly(gamma, xi: int, atom: str):
 
 
 def _int_content(p) -> int:
-    content = 0
-    for v in p.values():
-        content = math.gcd(content, abs(v))
-    return content
+    return math.gcd(*p.values())
 
 
 def _divides(candidate, p) -> bool:
@@ -785,17 +809,16 @@ def _heu_gcd(p, q):
 
 
 def _gcd_core(p, q):
-    """Some gcd of nonzero polys, up to a rational unit."""
+    """The primitive gcd over Z of nonzero int or Fraction polys, up to sign."""
     if _is_const_poly(p) or _is_const_poly(q):
         return dict(_PONE)
-    heuristic = _heu_gcd(_int_primitive(p), _int_primitive(q))
-    if heuristic is not None:
-        content = _int_content(heuristic)
-        return {m: Fraction(c, content) for m, c in heuristic.items()}
-    return _gcd_inner(p, q)
+    p, q = _int_primitive(p), _int_primitive(q)
+    heuristic = _heu_gcd(p, q)
+    return _int_primitive(heuristic if heuristic is not None else _gcd_inner(p, q))
 
 
 def _poly_gcd(p, q):
+    """The monic gcd over Q, with Fraction coefficients."""
     if not p:
         return _monic(q)
     if not q:
@@ -871,16 +894,22 @@ def _expr_from_poly(p) -> Expr:
     return _chain(Add, terms)
 
 
-def _tree_of(nf: _NF) -> Expr:
-    """nf's (num, den) pair as it stands, as a tree that carries nf."""
-    num, den = nf.num_den
+def _tree(num, den, nf: _NF) -> Expr:
     e = _expr_from_poly(num) if den == _PONE else Div(_expr_from_poly(num), _expr_from_poly(den))
     e._nf = nf
     return e
 
 
+def _tree_of(nf: _NF) -> Expr:
+    """nf's integer (num, den) pair as it stands, as a tree that carries nf."""
+    return _tree(*nf.num_den, nf)
+
+
 def _expr_from_nf(nf: _NF) -> Expr:
-    return _tree_of(_NF(*nf.canonical(), nf.trans, canonical=True))
+    """nf's canonical form as a tree that carries nf's reduced integer pair."""
+    reduced = _NF(*nf.reduced(), nf.trans, reduced=True)
+    reduced._canonical = nf.canonical()
+    return _tree(*reduced._canonical, reduced)
 
 
 def canonical_expr(e: Expr) -> Expr:
@@ -1129,7 +1158,7 @@ def _diff_tree(e: Expr, v: str) -> Expr:
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
-_NF_ONE = _NF(_PONE, _PONE, False, canonical=True)
+_NF_ONE = _NF(_PONE, _PONE, False, reduced=True)
 
 
 def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
@@ -1156,7 +1185,7 @@ def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
         return _NF(an, _pmul(ad, den), trans)
     # (an/ad * den - num * bn/bd) / den^2 with g = gcd(den, bn) cancelled:
     # g holds den's repeated factors, which would swell the final reduction
-    g = _poly_gcd(den, bn)
+    g = _gcd_core(den, bn)
     rest, bn = _pdiv_exact(den, g), _pdiv_exact(bn, g)
     top = _padd(_pmul(_pmul(an, bd), rest), _pneg(_pmul(_pmul(num, bn), ad)))
     return _NF(top, _pmul(_pmul(ad, bd), _pmul(den, rest)), trans)

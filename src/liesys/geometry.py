@@ -140,7 +140,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     _require_same_chart(x, y)
     rx, ry = x._rates(), y._rates()
     nf = ex._nf_of
-    comps = (ex._nf_sum((ex._nf_derive(nf(b), rx), ex._nf_derive(nf(-a), ry)))
+    comps = (ex._nf_sum((ex._nf_derive(nf(b), rx), ex._nf_neg(ex._nf_derive(nf(a), ry))))
              for a, b in zip(x.components, y.components))
     return VectorField(x.chart, tuple(ex._expr_from_nf(c) for c in comps))
 

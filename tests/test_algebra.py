@@ -226,11 +226,12 @@ def _reference_rows(target, basis):
     rows, rhs = [], []
     for i in range(target.chart.dim):
         nfs = [ex._nf_of(e) for e in [f.components[i] for f in basis] + [target.components[i]]]
-        common = dict(ex._PONE)
-        for nf in nfs:
-            den = nf.num_den[1]
+        # the unreduced integer pairs, over Q
+        pairs = [[{m: Fraction(c) for m, c in p.items()} for p in nf.num_den] for nf in nfs]
+        common = {(): Fraction(1)}
+        for _, den in pairs:
             common = ex._pmul(ex._pdiv_exact(common, ex._poly_gcd(common, den)), den)
-        cleared = [ex._pmul(nf.num_den[0], ex._pdiv_exact(common, nf.num_den[1])) for nf in nfs]
+        cleared = [ex._pmul(num, ex._pdiv_exact(common, den)) for num, den in pairs]
         for mono in sorted({m for p in cleared for m in p}):
             rows.append([p.get(mono, Fraction(0)) for p in cleared[:-1]])
             rhs.append(cleared[-1].get(mono, Fraction(0)))

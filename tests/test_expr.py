@@ -403,33 +403,37 @@ class TestExactDivision:
 
 
 def _reference_reduce(num, den):
-    """Coprime parts and a monic denominator, by one gcd."""
+    """Coprime parts and a monic denominator, by one gcd over Q; the
+    coefficients are Fractions."""
     if not num:
-        return {}, dict(ex._PONE)
-    if ex._is_const_poly(den):
-        return ex._pscale(num, 1 / den[()]), dict(ex._PONE)
-    g = ex._poly_gcd(num, den)
-    if not ex._is_const_poly(g):
-        num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
-    lc = den[ex._lead(den, ex._atoms_of(den))]
-    return ex._pscale(num, 1 / lc), ex._pscale(den, 1 / lc)
+        return {}, {(): Fraction(1)}
+    if not ex._is_const_poly(den):
+        g = ex._poly_gcd(num, den)
+        if not ex._is_const_poly(g):
+            num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    lc = Fraction(den[ex._lead(den, ex._atoms_of(den))])
+    return {m: c / lc for m, c in num.items()}, {m: c / lc for m, c in den.items()}
 
 
 def _reference_nf(e):
-    """The canonical (num, den) of e by a fold that reduces every node by a
-    gcd as it goes, so that every intermediate form is canonical."""
-    if isinstance(e, (Const, Var)):
-        return ex._nf_of(e).num_den
+    """The canonical (num, den) of e by a fold over Q that reduces every
+    node by a gcd as it goes, so that every intermediate form is canonical."""
+    one = {(): Fraction(1)}
+    if isinstance(e, Const):
+        return {(): e.value} if e.value else {}, one
+    if isinstance(e, Var):
+        ex._nf_of(e)  # registers the atom
+        return {((e.name, 1),): Fraction(1)}, one
     if isinstance(e, Call):
-        return {((f"{e.fn}({ex._nf_str(*_reference_nf(e.arg))})", 1),): Fraction(1)}, ex._PONE
+        return {((f"{e.fn}({ex._nf_str(*_reference_nf(e.arg))})", 1),): Fraction(1)}, one
     if isinstance(e, Add):
-        num, den = {}, ex._PONE
+        num, den = {}, one
         for t in e.terms:
             tn, td = _reference_nf(t)
             num, den = _reference_reduce(_padd(_pmul(num, td), _pmul(tn, den)), _pmul(den, td))
         return num, den
     if isinstance(e, Mul):
-        num, den = ex._PONE, ex._PONE
+        num, den = one, one
         for f in e.factors:
             fn, fd = _reference_nf(f)
             num, den = _pmul(num, fn), _pmul(den, fd)
@@ -471,6 +475,20 @@ def _function_atoms_only_if_trans(nf):
     return nf.trans or not any(isinstance(ex._ATOMS[a], Call) for a in atoms)
 
 
+def _children(e):
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Div):
+        return (e.numerator, e.denominator)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
+
+
 def _reference_str(num, den):
     top = ex._expr_from_poly(num)
     return str(top if den == ex._PONE else Div(top, ex._expr_from_poly(den)))
@@ -507,6 +525,30 @@ class TestLazyReduction:
             assert (decision.verdict == "zero" and decision.exact) == (not num), str(e)
             compared += 1
         assert compared >= 500
+
+    def test_folds_run_over_the_integers(self, rng):
+        """Every folded pair has int coefficients, and num and den share no
+        integer content; the canonical form holds Fractions, never floats."""
+        checked = 0
+        for e in self.trees(rng):
+            try:
+                nf = ex._nf_of(e)
+                canonical = nf.canonical()
+            except EvaluationError:
+                continue
+            stack = [e]
+            while stack:
+                node = stack.pop()
+                stack.extend(_children(node))
+                if node._nf is None:
+                    continue
+                num, den = node._nf.num_den
+                assert all(type(c) is int for p in (num, den) for c in p.values()), str(node)
+                assert not num or math.gcd(*num.values(), *den.values()) == 1, str(node)
+            assert all(type(c) is int for p in nf.reduced() for c in p.values()), str(e)
+            assert all(type(c) is Fraction for p in canonical for c in p.values()), str(e)
+            checked += 1
+        assert checked >= 500
 
     def test_derivatives_of_normal_forms_match_derivative_trees(self, rng):
         """On the random trees, every third with function atoms.  The quotient
@@ -579,7 +621,7 @@ class TestLazyReduction:
         def refuse(*args):
             raise AssertionError("gcd in a zero test")
 
-        monkeypatch.setattr(ex, "_poly_gcd", refuse)
+        monkeypatch.setattr(ex, "_gcd_core", refuse)
         assert is_zero(e).verdict == "zero"
 
     def test_power_of_a_unit_quotient_is_one_quickly(self):

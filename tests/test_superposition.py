@@ -121,10 +121,10 @@ class TestTangency:
         def refuse(*args):
             raise AssertionError("canonical form in a tangency verdict")
 
-        gcd, calls = ex._poly_gcd, []
+        gcd, calls = ex._gcd_core, []
         monkeypatch.setattr(ex, "_expr_from_nf", refuse)
         monkeypatch.setattr(ex, "canonical_expr", refuse)
-        monkeypatch.setattr(ex, "_poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        monkeypatch.setattr(ex, "_gcd_core", lambda p, q: calls.append(1) or gcd(p, q))
         report = verify_tangency(cross_ratio(), riccati_fields())
         assert [c.verdict for c in report.checks] == ["zero"] * 3
         assert len(calls) <= len(report.checks)
@@ -680,7 +680,7 @@ class TestLeafSolver:
             raise AssertionError("canonical form in the leaf solver")
 
         monkeypatch.setattr(ex, "canonical_expr", refuse)
-        monkeypatch.setattr(ex, "_poly_gcd", refuse)
+        monkeypatch.setattr(ex, "_gcd_core", refuse)
         rest = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
         x = _LeafSolver(rule).solve(rest, [0.2, -0.3, 0.5], [0.0, 0.0, 0.0], 0.0)
         assert np.max(np.abs(np.subtract(x, [0.2, -0.3, 0.5]))) <= 1e-12
