@@ -1,12 +1,18 @@
 """Bundled example catalog: one entry per worked system, each exposing the
 problem data and a runner that returns named checks.  `examples run-all`
 on the command line executes the whole catalog; the acceptance test suite
-drives the same runners."""
+drives the same runners.
+
+The superposition entries (riccati, linear2, linear_n, euclidean_se2,
+separable_invsq and both rules of translation_nonunique) run one shared
+sequence, `_rule_checks`: psi tangent to the prolonged fields, psi constant
+along an integrated tuple, phi rebuilding its slot 0.  Each states only its
+data; the two partial_linear entries share `_partial_linear`."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -76,33 +82,18 @@ LINE = Chart(("x",))
 PLANE = Chart(("x", "y"))
 
 
-def riccati_fields() -> list[VectorField]:
-    return [VectorField.from_strings(LINE, [s]) for s in ("1", "x", "x^2")]
-
-
-def cross_ratio_rule() -> SuperpositionRule:
+def cross_ratio_rule_on(name: str) -> SuperpositionRule:
+    """The Riccati rule on the line with coordinate `name`: psi is the cross
+    ratio of slot 0 with slots 1..3, phi its inverse in slot 0."""
+    chart = Chart((name,))
+    v = lambda a: f"{name}_{a}"
     return SuperpositionRule.from_strings(
-        LINE,
-        3,
-        1,
-        psi=["((x_0 - x_1)*(x_2 - x_3))/((x_0 - x_2)*(x_1 - x_3))"],
-        phi=["((x_1 - x_3)*x_2*k1 + x_1*(x_3 - x_2))/((x_1 - x_3)*k1 + (x_3 - x_2))"],
-    )
-
-
-def euclidean_fields() -> list[VectorField]:
-    return [
-        VectorField.from_strings(PLANE, comps)
-        for comps in (["1", "0"], ["0", "1"], ["y", "-x"])
-    ]
-
-
-def euclidean_rule() -> SuperpositionRule:
-    return SuperpositionRule.from_strings(
-        PLANE,
-        2,
-        2,
-        psi=["(x_0 - x_1)^2 + (y_0 - y_1)^2", "(x_0 - x_2)^2 + (y_0 - y_2)^2"],
+        chart, 3, 1,
+        psi=[f"(({v(0)} - {v(1)})*({v(2)} - {v(3)}))/(({v(0)} - {v(2)})*({v(1)} - {v(3)}))"],
+        phi=[
+            f"(({v(1)} - {v(3)})*{v(2)}*k1 + {v(1)}*({v(3)} - {v(2)}))"
+            f"/(({v(1)} - {v(3)})*k1 + ({v(3)} - {v(2)}))"
+        ],
     )
 
 
@@ -154,23 +145,61 @@ def linear_rule(chart: Chart) -> SuperpositionRule:
     return SuperpositionRule(chart, n, n, tuple(psi), tuple(phi))
 
 
+def _linear2_system() -> LieSystem:
+    return MatrixCurve.from_strings([["t/4", "1"], ["-1", "-t/4"]]).system
+
+
 def _random_quadratic_curve(rng: random.Random) -> CoefficientCurve:
     t = Var("t")
     c = [Fraction(rng.randint(-1000, 1000), 1000) for _ in range(3)]
     return CoefficientCurve(expression=Const(c[0]) + Const(c[1]) * t + Const(c[2]) * (t**2))
 
 
-def _reconstruction_error(rule, sys, target_start, particular_starts, t_span, tol):
-    """Integrate the target start with the particular starts as one tuple,
-    derive k from t=0, reconstruct slot 0, and compare against the target's
-    own slot of the tuple."""
-    tuple_ = integrate_tuple(sys, [target_start] + particular_starts, t_span, tol)
+# ---------------------------------------------------------------------------
+# The superposition sequence shared by riccati, linear2, linear_n,
+# euclidean_se2, separable_invsq and both rules of translation_nonunique
+# ---------------------------------------------------------------------------
+
+
+def _rule_checks(config: RunConfig, sys: LieSystem, rule: SuperpositionRule,
+                 starts: list[list[float]], t_span: tuple[float, float],
+                 drift: str, gap: str, limit: float,
+                 tangency: str = "tangency_zero") -> tuple[list[Check], np.ndarray]:
+    """The checks `tangency`, `drift` and `gap`, and the k they used.
+
+    psi must be tangent to the prolonged fields.  The target start and the
+    particular starts (`starts[0]`, `starts[1:]`) are integrated as one
+    tuple; psi must stay constant along that tuple, and phi, with k read at
+    t = 0, must rebuild the target's own slot within `limit`."""
+    report = verify_tangency(rule, sys.fields)
+    tuple_ = integrate_tuple(sys, starts, t_span, config.tol)
     direct, particular = tuple_[0], tuple_[1:]
     k = derive_k(rule, direct.states[0], [tr.states[0] for tr in particular])
-    rebuilt = reconstruct(rule, particular, k, x0_guess=target_start)
+    rebuilt = reconstruct(rule, particular, k, x0_guess=starts[0])
     error = float(np.max(np.abs(rebuilt.states - direct.states)))
-    drift = verify_along_solutions(rule, sys, tuple_)
-    return error, drift, k
+    along = verify_along_solutions(rule, sys, tuple_)
+    return [
+        Check(tangency, report.all_zero, probabilistic=report.probabilistic),
+        Check.limit(drift, along.max_drift, config.tol_const),
+        Check.limit(gap, error, limit),
+    ], k
+
+
+def _run_rule(config: RunConfig, sys: LieSystem, rule: SuperpositionRule, m: int,
+              starts: list[list[float]], t_span: tuple[float, float],
+              drift: str, gap: str, limit: float,
+              closed: tuple[str, int] | None = None) -> tuple[list[Check], dict]:
+    """An entry that is the shared sequence alone: the check `closed[0]` that
+    the fields close on an algebra of dimension `closed[1]` (when given), the
+    fundamental-set size m, then `_rule_checks`."""
+    checks: list[Check] = []
+    if closed is not None:
+        closure = closure_test(sys.fields)
+        checks.append(Check(closed[0], closure.closed and closure.dimension == closed[1]))
+    size = minimal_m(sys.fields, seed=config.seed)
+    checks.append(Check.equals("m", size.m, m))
+    checks += _rule_checks(config, sys, rule, starts, t_span, drift, gap, limit)[0]
+    return checks, {"m_report": size.to_json_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -179,136 +208,77 @@ def _reconstruction_error(rule, sys, target_start, particular_starts, t_span, to
 
 
 def _run_riccati(config: RunConfig):
-    fields = riccati_fields()
-    checks: list[Check] = []
-    closure = closure_test(fields)
+    sys = riccati_system(*(CoefficientCurve.from_string(s) for s in ("1", "0", "1")))
+    closure = closure_test(sys.fields)
     expected = {(0, 1): ("1", "0", "0"), (0, 2): ("0", "2", "0"), (1, 2): ("0", "0", "1")}
     got = {pair: tuple(str(v) for v in cs) for pair, cs in closure.constants.items()}
-    checks.append(Check.equals("closure_constants_exact", got, expected))
-    checks.append(Check("jacobi_residual_zero", closure.jacobi_residual() == 0))
-    size = minimal_m(fields, seed=config.seed)
-    checks.append(Check.equals("m", size.m, 3))
-    rule = cross_ratio_rule()
-    tangency = verify_tangency(rule, fields)
-    checks.append(Check("tangency_zero", tangency.all_zero, probabilistic=tangency.probabilistic))
-
-    # the prolonged span on N^(m+1) has codimension (m+1)n - r: n exactly when r = m n
-    n = LINE.dim
-    checks.append(Check("prolonged_span_codimension_is_n",
-                        (size.m + 1) * n - closure.dimension == n))
-
-    sys = riccati_system(*(CoefficientCurve.from_string(s) for s in ("1", "0", "1")))
-    error, drift, k = _reconstruction_error(
-        rule, sys, [-0.5], [[-2.0], [-1.0], [0.0]], (0.0, 1.2), config.tol
+    size = minimal_m(sys.fields, seed=config.seed)
+    (tangency, *rebuild), k = _rule_checks(
+        config, sys, cross_ratio_rule_on("x"), [[-0.5], [-2.0], [-1.0], [0.0]], (0.0, 1.2),
+        "cross_ratio_drift", "reconstruction_vs_direct", 1e-5,
     )
-    checks.append(Check.limit("cross_ratio_drift", drift.max_drift, config.tol_const))
-    checks.append(Check.limit("reconstruction_vs_direct", error, 1e-5))
+    checks = [
+        Check.equals("closure_constants_exact", got, expected),
+        Check("jacobi_residual_zero", closure.jacobi_residual() == 0),
+        Check.equals("m", size.m, 3),
+        tangency,
+        # the prolonged span on N^(m+1) has codimension (m+1)n - r: n exactly when r = m n
+        Check("prolonged_span_codimension_is_n", (size.m + 1) * sys.dim - closure.dimension == sys.dim),
+        *rebuild,
+    ]
     return checks, {"m_report": size.to_json_dict(), "closure": closure.to_json_dict(),
                     "k_used": [float(v) for v in k]}
 
 
 def _run_linear2(config: RunConfig):
-    sys = MatrixCurve.from_strings([["t/4", "1"], ["-1", "-t/4"]]).system
-    checks: list[Check] = []
-    closure = closure_test(sys.fields)
-    checks.append(Check("gl2_closed", closure.closed and closure.dimension == 4))
-    size = minimal_m(sys.fields, seed=config.seed)
-    checks.append(Check.equals("m", size.m, 2))
-    rule = linear_rule(sys.chart)
-    tangency = verify_tangency(rule, sys.fields)
-    checks.append(Check("tangency_zero", tangency.all_zero))
-    error, drift, _ = _reconstruction_error(
-        rule, sys, [0.4, -0.3], [[1.0, 0.0], [0.0, 1.0]], (0.0, 2.0), config.tol
-    )
-    checks.append(Check.limit("matrix_inverse_psi_drift", drift.max_drift, config.tol_const))
-    checks.append(Check.limit("weighted_sum_phi_vs_direct", error, 1e-6))
-    return checks, {"m_report": size.to_json_dict()}
+    sys = _linear2_system()
+    return _run_rule(config, sys, linear_rule(sys.chart), 2,
+                     [[0.4, -0.3], [1.0, 0.0], [0.0, 1.0]], (0.0, 2.0),
+                     "matrix_inverse_psi_drift", "weighted_sum_phi_vs_direct", 1e-6,
+                     closed=("gl2_closed", 4))
 
 
 def _run_linear_n(config: RunConfig):
     sys = MatrixCurve.from_strings([["0", "1", "0"], ["-1", "0", "t/4"], ["0", "-t/4", "0"]]).system
-    checks: list[Check] = []
-    closure = closure_test(sys.fields)
-    checks.append(Check("gl3_closed", closure.closed and closure.dimension == 9))
-    size = minimal_m(sys.fields, seed=config.seed)
-    checks.append(Check.equals("m", size.m, 3))
-    rule = linear_rule(sys.chart)
-    tangency = verify_tangency(rule, sys.fields)
-    checks.append(Check("tangency_zero", tangency.all_zero))
-    error, drift, _ = _reconstruction_error(
-        rule,
-        sys,
-        [0.3, -0.2, 0.5],
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        (0.0, 1.0),
-        config.tol,
-    )
-    checks.append(Check.limit("psi_drift", drift.max_drift, config.tol_const))
-    checks.append(Check.limit("reconstruction_vs_direct", error, 1e-5))
-    return checks, {"m_report": size.to_json_dict()}
+    return _run_rule(config, sys, linear_rule(sys.chart), 3,
+                     [[0.3, -0.2, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                     (0.0, 1.0), "psi_drift", "reconstruction_vs_direct", 1e-5,
+                     closed=("gl3_closed", 9))
 
 
 def _run_euclidean(config: RunConfig):
-    fields = euclidean_fields()
-    checks: list[Check] = []
-    size = minimal_m(fields, seed=config.seed)
-    checks.append(Check.equals("m", size.m, 2))
-    rule = euclidean_rule()
-    tangency = verify_tangency(rule, fields)
-    checks.append(Check("tangency_zero", tangency.all_zero))
     rng = random.Random(config.seed)
+    fields = [VectorField.from_strings(PLANE, comps) for comps in (["1", "0"], ["0", "1"], ["y", "-x"])]
     sys = LieSystem(fields, [_random_quadratic_curve(rng) for _ in range(3)])
-    starts = [[-0.4, 0.7], [1.0, 0.0], [0.0, 1.0]]
-    error, drift, _ = _reconstruction_error(
-        rule, sys, starts[0], starts[1:], (0.0, 1.0), config.tol
+    rule = SuperpositionRule.from_strings(
+        PLANE, 2, 2, psi=["(x_0 - x_1)^2 + (y_0 - y_1)^2", "(x_0 - x_2)^2 + (y_0 - y_2)^2"]
     )
-    checks.append(Check.limit("first_integral_drift", drift.max_drift, config.tol_const))
-    checks.append(Check.limit("reconstruction_vs_direct", error, 1e-5))
-    return checks, {"m_report": size.to_json_dict()}
+    return _run_rule(config, sys, rule, 2, [[-0.4, 0.7], [1.0, 0.0], [0.0, 1.0]], (0.0, 1.0),
+                     "first_integral_drift", "reconstruction_vs_direct", 1e-5)
 
 
 def _run_separable(config: RunConfig):
-    field_x2 = VectorField.from_strings(LINE, ["x^2"])
-    checks: list[Check] = []
-    size = minimal_m([field_x2], seed=config.seed)
-    checks.append(Check.equals("m", size.m, 1))
-    rule = SuperpositionRule.from_strings(
-        LINE, 1, 1, psi=["1/x_1 - 1/x_0"], phi=["x_1/(1 - k1*x_1)"]
-    )
-    tangency = verify_tangency(rule, [field_x2])
-    checks.append(Check("tangency_zero", tangency.all_zero))
-    sys = LieSystem([field_x2], [CoefficientCurve.from_string("1 + t/2")])
-    error, drift, _ = _reconstruction_error(
-        rule, sys, [1 / 3], [[0.5]], (0.0, 1.0), config.tol
-    )
-    checks.append(Check.limit("psi_drift", drift.max_drift, config.tol_const))
-    checks.append(Check.limit("closed_form_vs_direct", error, 1e-6))
-    return checks, {"m_report": size.to_json_dict()}
+    sys = LieSystem([VectorField.from_strings(LINE, ["x^2"])], [CoefficientCurve.from_string("1 + t/2")])
+    rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["1/x_1 - 1/x_0"], phi=["x_1/(1 - k1*x_1)"])
+    return _run_rule(config, sys, rule, 1, [[1 / 3], [0.5]], (0.0, 1.0),
+                     "psi_drift", "closed_form_vs_direct", 1e-6)
 
 
 def _run_translation(config: RunConfig):
-    field = VectorField.from_strings(PLANE, ["1", "0"])
-    checks: list[Check] = []
-    size = minimal_m([field], seed=config.seed)
-    checks.append(Check.equals("m", size.m, 1))
+    sys = LieSystem([VectorField.from_strings(PLANE, ["1", "0"])], [CoefficientCurve.from_string("1 - t/3")])
+    size = minimal_m(sys.fields, seed=config.seed)
+    checks = [Check.equals("m", size.m, 1)]
     standard = SuperpositionRule.from_strings(
         PLANE, 1, 2, psi=["x_0 - x_1", "y_0 - y_1"], phi=["x_1 + k1", "y_1 + k2"]
     )
     skewed = SuperpositionRule.from_strings(
         PLANE, 1, 2, psi=["x_0 - x_1", "y_0 + y_1^3"], phi=["x_1 + k1", "k2 - y_1^3"]
     )
-    sys = LieSystem([field], [CoefficientCurve.from_string("1 - t/3")])
     for label, rule in (("standard", standard), ("skewed", skewed)):
-        tangency = verify_tangency(rule, [field])
-        checks.append(Check(f"{label}_tangency_zero", tangency.all_zero))
-        error, drift, _ = _reconstruction_error(
-            rule, sys, [0.2, -0.6], [[-1.0, 0.4]], (0.0, 1.0), config.tol
-        )
-        checks.append(Check.limit(f"{label}_drift", drift.max_drift, config.tol_const))
-        checks.append(Check.limit(f"{label}_reconstruction", error, 1e-6))
-    same = all(
-        ex.canonically_equal(a, b) for a, b in zip(standard.psi, skewed.psi)
-    )
+        checks += _rule_checks(config, sys, rule, [[0.2, -0.6], [-1.0, 0.4]], (0.0, 1.0),
+                               f"{label}_drift", f"{label}_reconstruction", 1e-6,
+                               tangency=f"{label}_tangency_zero")[0]
+    same = all(ex.canonically_equal(a, b) for a, b in zip(standard.psi, skewed.psi))
     checks.append(Check("rules_genuinely_differ", not same))
     return checks, {"m_report": size.to_json_dict()}
 
@@ -434,21 +404,6 @@ def _run_pde_riccati(config: RunConfig):
     return checks, {"k_used": float(k)}
 
 
-def cross_ratio_rule_on(name: str) -> SuperpositionRule:
-    chart = Chart((name,))
-    v = lambda a: f"{name}_{a}"
-    return SuperpositionRule.from_strings(
-        chart,
-        3,
-        1,
-        psi=[f"(({v(0)} - {v(1)})*({v(2)} - {v(3)}))/(({v(0)} - {v(2)})*({v(1)} - {v(3)}))"],
-        phi=[
-            f"(({v(1)} - {v(3)})*{v(2)}*k1 + {v(1)}*({v(3)} - {v(2)}))"
-            f"/(({v(1)} - {v(3)})*k1 + ({v(3)} - {v(2)}))"
-        ],
-    )
-
-
 def _run_lemma_counterexample(config: RunConfig):
     base = VectorField.from_strings(LINE, ["1"])
     linear = VectorField.from_strings(LINE, ["x"])
@@ -489,53 +444,33 @@ def _run_lemma_counterexample(config: RunConfig):
     }
 
 
-def _partial_linear_setup(config: RunConfig):
-    sys = MatrixCurve.from_strings([["t/4", "1"], ["-1", "-t/4"]]).system
-    return sys.chart, sys
+def _partial_linear(config: RunConfig, psi: str, phi: list[str], constraint: str,
+                    starts: list[list[float]]):
+    """A rank-1 partial rule of the linear2 system from len(starts) solutions:
+    tangent on its constraint set, and rebuilding the ODE with k1 = 0.7."""
+    sys = _linear2_system()
+    rule = SuperpositionRule.from_strings(
+        sys.chart, len(starts), 1, psi=[psi], phi=phi, constraints=[constraint]
+    )
+    tangency = verify_tangency(rule, sys.fields, seed=config.seed)
+    trajectories = integrate_tuple(sys, starts, (0.0, 1.0), config.tol)
+    report = verify_partial_rule(rule, sys, trajectories, [0.7])
+    checks = [
+        Check("tangency_on_constraint_set", tangency.all_zero, probabilistic=tangency.probabilistic),
+        Check.limit("ode_residual", report.ode_residual_max, report.tol_ode),
+        Check.limit("constraint_residual", report.constraint_max, report.constraint_tol),
+    ]
+    return checks, {"rule": rule.to_json_dict()}
 
 
 def _run_partial_rank1(config: RunConfig):
-    chart, sys = _partial_linear_setup(config)
-    rule = SuperpositionRule.from_strings(
-        chart,
-        1,
-        1,
-        psi=["x1_0/x1_1"],
-        phi=["k1*x1_1", "k1*x2_1"],
-        constraints=["x1_0*x2_1 - x2_0*x1_1"],
-    )
-    checks: list[Check] = []
-    tangency = verify_tangency(rule, sys.fields, seed=config.seed)
-    checks.append(
-        Check("tangency_on_constraint_set", tangency.all_zero, probabilistic=tangency.probabilistic)
-    )
-    trajectories = integrate_tuple(sys, [[0.8, -0.5]], (0.0, 1.0), config.tol)
-    report = verify_partial_rule(rule, sys, trajectories, [0.7])
-    checks.append(Check.limit("ode_residual", report.ode_residual_max, report.tol_ode))
-    checks.append(Check.limit("constraint_residual", report.constraint_max, report.constraint_tol))
-    return checks, {"rule": rule.to_json_dict()}
+    return _partial_linear(config, "x1_0/x1_1", ["k1*x1_1", "k1*x2_1"],
+                           "x1_0*x2_1 - x2_0*x1_1", [[0.8, -0.5]])
 
 
 def _run_partial_rank1_m2(config: RunConfig):
-    chart, sys = _partial_linear_setup(config)
-    rule = SuperpositionRule.from_strings(
-        chart,
-        2,
-        1,
-        psi=["(x1_0 - x1_1)/x1_2"],
-        phi=["x1_1 + k1*x1_2", "x2_1 + k1*x2_2"],
-        constraints=["x1_2*(x2_0 - x2_1) - x2_2*(x1_0 - x1_1)"],
-    )
-    checks: list[Check] = []
-    tangency = verify_tangency(rule, sys.fields, seed=config.seed)
-    checks.append(
-        Check("tangency_on_constraint_set", tangency.all_zero, probabilistic=tangency.probabilistic)
-    )
-    trajectories = integrate_tuple(sys, [[0.8, -0.5], [-0.3, 0.9]], (0.0, 1.0), config.tol)
-    report = verify_partial_rule(rule, sys, trajectories, [0.7])
-    checks.append(Check.limit("ode_residual", report.ode_residual_max, report.tol_ode))
-    checks.append(Check.limit("constraint_residual", report.constraint_max, report.constraint_tol))
-    return checks, {"rule": rule.to_json_dict()}
+    return _partial_linear(config, "(x1_0 - x1_1)/x1_2", ["x1_1 + k1*x1_2", "x2_1 + k1*x2_2"],
+                           "x1_2*(x2_0 - x2_1) - x2_2*(x1_0 - x1_1)", [[0.8, -0.5], [-0.3, 0.9]])
 
 
 ENTRIES: dict[str, CatalogEntry] = {

@@ -549,11 +549,12 @@ def _lead(p, atoms: Sequence[str]):
 
 
 def _pdiv_exact(p, q):
-    """Exact division p / q of polys with Fraction coefficients, or with int
-    ones over Z; raises ArithmeticError if q does not divide p.  Monomials are
-    keyed by negated (total degree, dense exponents): products are key sums,
-    and the graded-lex leading monomial of the remainder is the least key on a
-    heap (cancelled keys are skipped).  q's tail is subtracted in place."""
+    """Exact division p / q of polys, over Z where both coefficients of a
+    step are int and over Q otherwise; raises ArithmeticError if q does not
+    divide p.  Monomials are keyed by negated (total degree, dense
+    exponents): products are key sums, and the graded-lex leading monomial of
+    the remainder is the least key on a heap (cancelled keys are skipped).
+    q's tail is subtracted in place."""
     if not p:
         return {}
     atoms = _atoms_of(p, q)
@@ -575,7 +576,7 @@ def _pdiv_exact(p, q):
         if c is None:
             continue
         shift = tuple(map(operator.sub, lr, lq))
-        coeff, r = divmod(c, cq) if isinstance(cq, int) else (c / cq, 0)
+        coeff, r = divmod(c, cq) if isinstance(c, int) and isinstance(cq, int) else (c / cq, 0)
         if r or max(shift) > 0:
             raise ArithmeticError("inexact polynomial division")
         quot[tuple((a, -d) for a, d in zip(atoms, shift[1:]) if d)] = coeff

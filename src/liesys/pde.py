@@ -130,19 +130,6 @@ class PdeSystem:
             dec = Decomposition(u, basis)
         return PdeSystem(params, chart, parsed, dec)
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "s": self.s,
-            "chart": list(self.chart.names),
-            "fields": [[str(c) for c in comps] for comps in self.fields],
-        }
-        if self.decomposition is not None:
-            doc["decomposition"] = {
-                "u": [[str(c) for c in row] for row in self.decomposition.u],
-                "basis": [[str(c) for c in f.components] for f in self.decomposition.basis],
-            }
-        return doc
-
 
 def riccati_pde(a: str, b: str, c: str, d: str, e: str, f: str) -> PdeSystem:
     """The planar total-differential family u_t1 = a u^2 + b u + c,

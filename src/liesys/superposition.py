@@ -199,7 +199,7 @@ def _phi_on_leaves(rule: SuperpositionRule, seed: int) -> tuple[dict[str, Expr],
         decision = ex.is_zero(condition, seed=seed)
         if decision.verdict == "nonzero":
             raise LiesysError(
-                f"phi is off its own leaves: {label} = {ex.canonical_expr(condition)} is not zero"
+                f"phi is off its own leaves: {label} = {ex._tree_of(ex._nf_of(condition))} is not zero"
             )
         sampled = sampled or not decision.exact
     return on_phi, sampled

@@ -277,6 +277,21 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         assert "psi(phi) - k1 = k1 is not zero" in capsys.readouterr().out
 
+    def test_high_degree_phi_off_its_leaves_fails_within_seconds(self, tmp_path):
+        # psi(phi) - k1 has degree 62,792 in x_1; the message shows it as it
+        # stands, without reducing it by a gcd that would run for hours
+        path = tmp_path / "high_degree.json"
+        path.write_text(json.dumps({
+            "chart": ["x", "y"], "fields": [["3^9", "y"]],
+            "rule": {"m": 1, "s": 2,
+                     "psi": ["(-3)^31/(y_0 + 3)^24 + x_0^130", "y_0*x_0/x_0^21"],
+                     "phi": ["x_1^476 - k1*x_1", "k1/k2/x_1^38"]},
+        }))
+        done = run_subprocess("verify", path, timeout=10)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "phi is off its own leaves: psi component 0: psi(phi) - k1 = " in done.stdout
+        assert "Traceback" not in done.stderr
+
     def test_partial_rank1_passes_for_every_seed(self, tmp_path):
         # the seed only moves is_zero's sample points, which the exact
         # tangency verdicts of these rules do not use

@@ -266,6 +266,23 @@ class TestCanonicalForm:
             assert _poly_gcd(p, q) == _monic(_gcd_inner(p, q))
             agreed += 1
 
+    def test_gcd_the_heuristic_gives_up_on_falls_back_to_the_remainder_sequence(self):
+        # the integer-evaluation heuristic gives up on these products of g^10
+        # (42 recursive calls); the pseudo-remainder sequence must still
+        # return g^10, primitive over Z, with all of its 286 terms
+        from liesys.expr import _gcd_core, _heu_gcd, _pmul
+
+        g = {(("x", 2), ("y", 1), ("z", 1)): 1, (("x", 1), ("y", 2)): -3, (("z", 3),): 1, (): 2}
+        g10 = {(): 1}
+        for _ in range(10):
+            g10 = _pmul(g10, g)
+        p = _pmul(g10, {(("x", 3),): 1, (("y", 1), ("z", 1)): 1, (): -1})
+        q = _pmul(g10, {(("y", 2),): 1, (("x", 1), ("z", 1)): -1, (): 5})
+        assert _heu_gcd(p, q) is None
+        got = _gcd_core(p, q)
+        assert len(got) == 286
+        assert got in (g10, {m: -c for m, c in g10.items()})
+
     def test_canonical_matches_sympy_and_is_coprime(self, rng):
         import sympy
 
@@ -386,6 +403,12 @@ class TestExactDivision:
                     continue  # a constant divides everything over Q
                 with pytest.raises(ArithmeticError):
                     _pdiv_exact(_padd(_pmul(a, b), {(): coefficient(rng) or 1}), b)
+
+    def test_int_and_fraction_coefficients_mixed_divide_over_q(self):
+        # int over int stays over Z (test_inexact_division_raises)
+        x = (("x", 1),)
+        assert _pdiv_exact({(): Fraction(3, 2)}, {(): 1}) == {(): Fraction(3, 2)}
+        assert _pdiv_exact({x: 3}, {x: Fraction(3, 2)}) == {(): 2}
 
     def test_divides_agrees_with_division_over_q(self, rng):
         seen = set()
