@@ -3,16 +3,15 @@ problem data and a runner that returns named checks.  `examples run-all`
 on the command line executes the whole catalog; the acceptance test suite
 drives the same runners.
 
-The superposition entries (riccati, linear2, linear_n, euclidean_se2,
-separable_invsq and both rules of translation_nonunique) run one shared
-sequence, `_rule_checks`: psi tangent to the prolonged fields, psi constant
-along an integrated tuple, phi rebuilding its slot 0.  Each states only its
-data; the two partial_linear entries share `_partial_linear`."""
+The rule entries check their rules with the builders of `liesys verify` and
+`liesys superpose`, under the same check names and limits:
+superposition.rule_checks, then superpose_checks on one integrated tuple for
+a full rule or solution_checks for a partial one."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .algebra import closure_test, minimal_m, span_coefficients
-from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, integrate_tuple
+from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem
 from .expr import Chart, Const, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation, is_diagonal_prolongation
 from .group import (
@@ -47,14 +46,12 @@ from .report import Check
 from .superposition import (
     DEFAULT_TOL_CONST,
     SuperpositionRule,
-    derive_k,
-    reconstruct,
-    verify_along_solutions,
-    verify_partial_rule,
-    verify_tangency,
+    rule_checks,
+    solution_checks,
+    superpose_checks,
 )
 
-__all__ = ["RunConfig", "CatalogEntry", "ENTRIES", "entry_names", "get_entry", "run_entry"]
+__all__ = ["RunConfig", "CatalogEntry", "ENTRIES", "get_entry"]
 
 
 @dataclass(frozen=True)
@@ -155,50 +152,20 @@ def _random_quadratic_curve(rng: random.Random) -> CoefficientCurve:
     return CoefficientCurve(expression=Const(c[0]) + Const(c[1]) * t + Const(c[2]) * (t**2))
 
 
-# ---------------------------------------------------------------------------
-# The superposition sequence shared by riccati, linear2, linear_n,
-# euclidean_se2, separable_invsq and both rules of translation_nonunique
-# ---------------------------------------------------------------------------
-
-
-def _rule_checks(config: RunConfig, sys: LieSystem, rule: SuperpositionRule,
-                 starts: list[list[float]], t_span: tuple[float, float],
-                 drift: str, gap: str, limit: float,
-                 tangency: str = "tangency_zero") -> tuple[list[Check], np.ndarray]:
-    """The checks `tangency`, `drift` and `gap`, and the k they used.
-
-    psi must be tangent to the prolonged fields.  The target start and the
-    particular starts (`starts[0]`, `starts[1:]`) are integrated as one
-    tuple; psi must stay constant along that tuple, and phi, with k read at
-    t = 0, must rebuild the target's own slot within `limit`."""
-    report = verify_tangency(rule, sys.fields)
-    tuple_ = integrate_tuple(sys, starts, t_span, config.tol)
-    direct, particular = tuple_[0], tuple_[1:]
-    k = derive_k(rule, direct.states[0], [tr.states[0] for tr in particular])
-    rebuilt = reconstruct(rule, particular, k, x0_guess=starts[0])
-    error = float(np.max(np.abs(rebuilt.states - direct.states)))
-    along = verify_along_solutions(rule, sys, tuple_)
-    return [
-        Check(tangency, report.all_zero, probabilistic=report.probabilistic),
-        Check.limit(drift, along.max_drift, config.tol_const),
-        Check.limit(gap, error, limit),
-    ], k
-
-
 def _run_rule(config: RunConfig, sys: LieSystem, rule: SuperpositionRule, m: int,
-              starts: list[list[float]], t_span: tuple[float, float],
-              drift: str, gap: str, limit: float,
+              x0: list[float], points: list[list[float]], t_span: tuple[float, float],
               closed: tuple[str, int] | None = None) -> tuple[list[Check], dict]:
-    """An entry that is the shared sequence alone: the check `closed[0]` that
-    the fields close on an algebra of dimension `closed[1]` (when given), the
-    fundamental-set size m, then `_rule_checks`."""
+    """An entry on one full rule: the check `closed[0]` that the fields close
+    on an algebra of dimension `closed[1]` (when given), the fundamental-set
+    size m, then the rule's checks with x0's solution rebuilt from `points`."""
     checks: list[Check] = []
     if closed is not None:
         closure = closure_test(sys.fields)
         checks.append(Check(closed[0], closure.closed and closure.dimension == closed[1]))
     size = minimal_m(sys.fields, seed=config.seed)
     checks.append(Check.equals("m", size.m, m))
-    checks += _rule_checks(config, sys, rule, starts, t_span, drift, gap, limit)[0]
+    checks += rule_checks(rule, sys.fields, config.seed)
+    checks += superpose_checks(rule, sys, points, t_span, config.tol, config.tol_const, x0=x0)[0]
     return checks, {"m_report": size.to_json_dict()}
 
 
@@ -213,36 +180,31 @@ def _run_riccati(config: RunConfig):
     expected = {(0, 1): ("1", "0", "0"), (0, 2): ("0", "2", "0"), (1, 2): ("0", "0", "1")}
     got = {pair: tuple(str(v) for v in cs) for pair, cs in closure.constants.items()}
     size = minimal_m(sys.fields, seed=config.seed)
-    (tangency, *rebuild), k = _rule_checks(
-        config, sys, cross_ratio_rule_on("x"), [[-0.5], [-2.0], [-1.0], [0.0]], (0.0, 1.2),
-        "cross_ratio_drift", "reconstruction_vs_direct", 1e-5,
-    )
+    rule = cross_ratio_rule_on("x")
     checks = [
         Check.equals("closure_constants_exact", got, expected),
         Check("jacobi_residual_zero", closure.jacobi_residual() == 0),
         Check.equals("m", size.m, 3),
-        tangency,
+        *rule_checks(rule, sys.fields, config.seed),
         # the prolonged span on N^(m+1) has codimension (m+1)n - r: n exactly when r = m n
         Check("prolonged_span_codimension_is_n", (size.m + 1) * sys.dim - closure.dimension == sys.dim),
-        *rebuild,
     ]
-    return checks, {"m_report": size.to_json_dict(), "closure": closure.to_json_dict(),
-                    "k_used": [float(v) for v in k]}
+    rebuilt, k, *_ = superpose_checks(rule, sys, [[-2.0], [-1.0], [0.0]], (0.0, 1.2),
+                                      config.tol, config.tol_const, x0=[-0.5])
+    return checks + rebuilt, {"m_report": size.to_json_dict(), "closure": closure.to_json_dict(),
+                              "k_used": [float(v) for v in k]}
 
 
 def _run_linear2(config: RunConfig):
     sys = _linear2_system()
     return _run_rule(config, sys, linear_rule(sys.chart), 2,
-                     [[0.4, -0.3], [1.0, 0.0], [0.0, 1.0]], (0.0, 2.0),
-                     "matrix_inverse_psi_drift", "weighted_sum_phi_vs_direct", 1e-6,
-                     closed=("gl2_closed", 4))
+                     [0.4, -0.3], [[1.0, 0.0], [0.0, 1.0]], (0.0, 2.0), closed=("gl2_closed", 4))
 
 
 def _run_linear_n(config: RunConfig):
     sys = MatrixCurve.from_strings([["0", "1", "0"], ["-1", "0", "t/4"], ["0", "-t/4", "0"]]).system
-    return _run_rule(config, sys, linear_rule(sys.chart), 3,
-                     [[0.3, -0.2, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                     (0.0, 1.0), "psi_drift", "reconstruction_vs_direct", 1e-5,
+    return _run_rule(config, sys, linear_rule(sys.chart), 3, [0.3, -0.2, 0.5],
+                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (0.0, 1.0),
                      closed=("gl3_closed", 9))
 
 
@@ -253,15 +215,13 @@ def _run_euclidean(config: RunConfig):
     rule = SuperpositionRule.from_strings(
         PLANE, 2, 2, psi=["(x_0 - x_1)^2 + (y_0 - y_1)^2", "(x_0 - x_2)^2 + (y_0 - y_2)^2"]
     )
-    return _run_rule(config, sys, rule, 2, [[-0.4, 0.7], [1.0, 0.0], [0.0, 1.0]], (0.0, 1.0),
-                     "first_integral_drift", "reconstruction_vs_direct", 1e-5)
+    return _run_rule(config, sys, rule, 2, [-0.4, 0.7], [[1.0, 0.0], [0.0, 1.0]], (0.0, 1.0))
 
 
 def _run_separable(config: RunConfig):
     sys = LieSystem([VectorField.from_strings(LINE, ["x^2"])], [CoefficientCurve.from_string("1 + t/2")])
     rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["1/x_1 - 1/x_0"], phi=["x_1/(1 - k1*x_1)"])
-    return _run_rule(config, sys, rule, 1, [[1 / 3], [0.5]], (0.0, 1.0),
-                     "psi_drift", "closed_form_vs_direct", 1e-6)
+    return _run_rule(config, sys, rule, 1, [1 / 3], [[0.5]], (0.0, 1.0))
 
 
 def _run_translation(config: RunConfig):
@@ -275,9 +235,10 @@ def _run_translation(config: RunConfig):
         PLANE, 1, 2, psi=["x_0 - x_1", "y_0 + y_1^3"], phi=["x_1 + k1", "k2 - y_1^3"]
     )
     for label, rule in (("standard", standard), ("skewed", skewed)):
-        checks += _rule_checks(config, sys, rule, [[0.2, -0.6], [-1.0, 0.4]], (0.0, 1.0),
-                               f"{label}_drift", f"{label}_reconstruction", 1e-6,
-                               tangency=f"{label}_tangency_zero")[0]
+        shared = rule_checks(rule, sys.fields, config.seed) + superpose_checks(
+            rule, sys, [[-1.0, 0.4]], (0.0, 1.0), config.tol, config.tol_const, x0=[0.2, -0.6]
+        )[0]
+        checks += [replace(c, name=f"{label}_{c.name}") for c in shared]
     same = all(ex.canonically_equal(a, b) for a, b in zip(standard.psi, skewed.psi))
     checks.append(Check("rules_genuinely_differ", not same))
     return checks, {"m_report": size.to_json_dict()}
@@ -445,21 +406,16 @@ def _run_lemma_counterexample(config: RunConfig):
 
 
 def _partial_linear(config: RunConfig, psi: str, phi: list[str], constraint: str,
-                    starts: list[list[float]]):
-    """A rank-1 partial rule of the linear2 system from len(starts) solutions:
-    tangent on its constraint set, and rebuilding the ODE with k1 = 0.7."""
+                    points: list[list[float]]):
+    """A rank-1 partial rule of the linear2 system from len(points) solutions,
+    with k1 = 0.7."""
     sys = _linear2_system()
     rule = SuperpositionRule.from_strings(
-        sys.chart, len(starts), 1, psi=[psi], phi=phi, constraints=[constraint]
+        sys.chart, len(points), 1, psi=[psi], phi=phi, constraints=[constraint]
     )
-    tangency = verify_tangency(rule, sys.fields, seed=config.seed)
-    trajectories = integrate_tuple(sys, starts, (0.0, 1.0), config.tol)
-    report = verify_partial_rule(rule, sys, trajectories, [0.7])
-    checks = [
-        Check("tangency_on_constraint_set", tangency.all_zero, probabilistic=tangency.probabilistic),
-        Check.limit("ode_residual", report.ode_residual_max, report.tol_ode),
-        Check.limit("constraint_residual", report.constraint_max, report.constraint_tol),
-    ]
+    checks = rule_checks(rule, sys.fields, config.seed) + solution_checks(
+        rule, sys, points, (0.0, 1.0), config.tol, config.tol_const, k=[0.7]
+    )[0]
     return checks, {"rule": rule.to_json_dict()}
 
 
@@ -491,16 +447,9 @@ ENTRIES: dict[str, CatalogEntry] = {
 }
 
 
-def entry_names() -> list[str]:
-    return list(ENTRIES)
-
-
 def get_entry(name: str) -> CatalogEntry:
     try:
         return ENTRIES[name]
     except KeyError:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(ENTRIES)}") from None
 
-
-def run_entry(name: str, config: RunConfig | None = None) -> tuple[list[Check], dict]:
-    return get_entry(name).run(config)

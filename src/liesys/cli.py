@@ -1,5 +1,10 @@
 """Command-line front end: JSON problem files in, JSON/text reports out.
 
+`verify` and `superpose` take their checks from the builders in
+superposition.py (rule_checks, solution_checks, superpose_checks), which the
+example catalog shares; this module parses problem files and writes the
+reports and CSV dumps.
+
 Exit codes: 0 all checks passed, 1 some check failed (or the computation
 errored in a reported way), 2 usage or schema errors.
 """
@@ -17,7 +22,7 @@ import numpy as np
 
 from .algebra import closure_test, minimal_m, prune_independent
 from .catalog import ENTRIES, RunConfig, get_entry
-from .dynamics import BLOWUP_BOUND, DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrate_tuple
+from .dynamics import BLOWUP_BOUND, DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate
 from .errors import ClosureCapError, LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
@@ -28,12 +33,9 @@ from .report import Check, Report
 from .superposition import (
     DEFAULT_TOL_CONST,
     SuperpositionRule,
-    derive_k,
-    reconstruct,
-    transversality_rank,
-    verify_along_solutions,
-    verify_partial_rule,
-    verify_tangency,
+    rule_checks,
+    solution_checks,
+    superpose_checks,
 )
 
 DEFAULTS = {"tol": DEFAULT_TOL, "tol_const": DEFAULT_TOL_CONST, "seed": 0,
@@ -331,36 +333,19 @@ def cmd_superpose(args) -> int:
     rule = _rule(doc, sys.chart)
     points = _points_for_rule(doc, task, sys, rule)
     x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
-    checks, extra = [], {}
     k = _constants(args.k if args.k is not None else doc.get("k"), rule)
-    direct = None
-    if k is None:
-        # no constants given: derive them from the initial point of x0 and
-        # compare the reconstruction against the slot of x0 in the tuple
-        if x0 is None:
-            raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
-        direct, *trajectories = integrate_tuple(
-            sys, [x0] + points, task["t_span"], task["tol"]
-        )
-        k = derive_k(rule, direct.states[0], [tr.states[0] for tr in trajectories])
-    else:
-        trajectories = integrate_tuple(sys, points, task["t_span"], task["tol"])
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    if k is None and x0 is None:
+        raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
     guess = _numbers(doc.get("x0_guess"), "x0_guess", (sys.dim,)) or x0
     if rule.phi is None and guess is None:
         raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
-    rebuilt = reconstruct(rule, trajectories, k, x0_guess=guess)
-    drift = verify_along_solutions(rule, sys, [rebuilt] + list(trajectories), task["tol_const"])
-    checks.append(Check.limit("reconstructed_psi_drift", drift.max_drift, task["tol_const"]))
-    if direct is not None:
-        gap = float(np.max(np.abs(rebuilt.states - direct.states)))
-        checks.append(Check.limit("reconstruction_vs_direct", gap, 1e-5))
-    extra["k"] = [float(v) for v in k]
-    extra["slot0"] = rebuilt.to_json_dict()
+    checks, k, slot0, particular = superpose_checks(
+        rule, sys, points, task["t_span"], task["tol"], task["tol_const"], k=k, x0=x0, x0_guess=guess)
+    extra = {"k": [float(v) for v in k], "slot0": slot0.to_json_dict()}
     out = _csv_dir(args)
     if out:
-        rebuilt.to_csv(out / "slot0.csv", sys.chart.names)
-        for i, tr in enumerate(trajectories, start=1):
+        slot0.to_csv(out / "slot0.csv", sys.chart.names)
+        for i, tr in enumerate(particular, start=1):
             tr.to_csv(out / f"slot{i}.csv", sys.chart.names)
     return _emit(
         Report("superpose", checks, task["seed"],
@@ -375,40 +360,20 @@ def cmd_verify(args) -> int:
     chart = _chart(doc)
     fields = _fields(doc, chart)
     rule = _rule(doc, chart)
-    checks, extra = [], {}
-    tangency = verify_tangency(rule, fields, seed=task["seed"])
-    checks.append(Check("tangency_zero", tangency.all_zero,
-                        probabilistic=tangency.probabilistic,
-                        detail="; ".join(
-                            f"field {c.field_index} psi {c.component}: {c.verdict}"
-                            for c in tangency.checks if c.verdict == "nonzero") or "all residuals vanish"))
-    rank, exact = transversality_rank(rule, seed=task["seed"])
-    checks.append(Check("psi_transversal", rank == rule.rank, probabilistic=not exact,
-                        detail=f"rank {rank} of dpsi_j/dx_(0),i, need s = {rule.rank}"))
+    checks, extra = rule_checks(rule, fields, task["seed"]), {}
     if doc.get("coefficients") is not None:
         sys = LieSystem(fields, _coefficients(doc, len(fields)))
         points = _points_for_rule(doc, task, sys, rule)
+        k = x0 = None
         if rule.is_partial:
-            # the slot-0 curve of a partial rule lives on the constraint
-            # submanifold; check it solves the system instead of a drift
             k = _constants(doc.get("k"), rule)
             if k is None:
                 raise SchemaError("verifying a partial rule against a system needs 'k'")
-            trajectories = integrate_tuple(sys, points, task["t_span"], task["tol"])
-            report = verify_partial_rule(rule, sys, trajectories, np.array(k))
-            checks.append(Check.limit("ode_residual", report.ode_residual_max, report.tol_ode))
-            checks.append(
-                Check.limit("constraint_residual", report.constraint_max, report.constraint_tol)
-            )
         else:
             x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
-            slot0 = x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
-            tuple_ = integrate_tuple(sys, [slot0] + points, task["t_span"], task["tol"])
-            drift = verify_along_solutions(rule, sys, tuple_, task["tol_const"])
-            checks.append(
-                Check.limit("psi_drift_along_solutions", drift.max_drift, task["tol_const"])
-            )
-            extra["initial_psi"] = [float(v) for v in drift.initial_values]
+        more, extra = solution_checks(rule, sys, points, task["t_span"], task["tol"],
+                                      task["tol_const"], k=k, x0=x0)
+        checks += more
     return _emit(
         Report("verify", checks, task["seed"],
                {"tol": task["tol"], "tol_const": task["tol_const"]}, extra),

@@ -15,6 +15,9 @@ phi for this).  Any phi must land on its own leaves, psi(phi) = k.
 Reconstruction holds psi at its initial value by a damped Newton solve with
 the exact Jacobian (derivative trees evaluated in floats), warm-started along
 the grid.
+
+`rule_checks`, `solution_checks` and `superpose_checks` turn these into the
+named checks of `liesys verify` and `liesys superpose`, and of the catalog.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ import numpy as np
 
 from . import algebra
 from . import expr as ex
-from .dynamics import LieSystem, Trajectory
+from .dynamics import LieSystem, Trajectory, integrate_tuple
 from .errors import EvaluationError, LiesysError, NonConvergenceError, SingularDomainError
-from .expr import Chart, Expr, Var
+from .expr import Chart, Const, Expr, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation
+from .report import Check
 
 __all__ = [
     "SuperpositionRule",
@@ -45,6 +49,9 @@ __all__ = [
     "PartialRuleReport",
     "verify_partial_rule",
     "derive_k",
+    "rule_checks",
+    "solution_checks",
+    "superpose_checks",
 ]
 
 NEWTON_TOL = 1e-10
@@ -53,6 +60,8 @@ NEWTON_MAX_HALVINGS = 8
 # reconstruct with phi checks every this many grid points by a leaf solve
 CROSSCHECK_EVERY = 10
 DEFAULT_TOL_CONST = 1e-6
+# largest gap between a rebuilt slot 0 and the integrated solution it rebuilds
+GAP_LIMIT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -244,9 +253,13 @@ def transversality_rank(rule: SuperpositionRule, seed: int = 0) -> tuple[int, bo
     """Rank of the s x n matrix dpsi_j/dx_(0),i at random rational points of
     the product chart, and whether it is exact (algebra._generic_rank, with
     its Schwartz-Zippel bound).  Rank s means psi is transversal to the
-    slot-0 fibre: a leaf and the m other points fix x_(0) locally."""
+    slot-0 fibre: a leaf and the m other points fix x_(0) locally.  Entries
+    are derived by VectorField.apply_to on the coordinate fields, unreduced,
+    so no gcd runs."""
     chart = rule.product_chart
-    matrix = [[ex.differentiate(p, v) for v in chart.slot_names(0)] for p in rule.psi]
+    coordinates = [VectorField(chart, tuple(Const(int(w == v)) for w in chart.names))
+                   for v in chart.slot_names(0)]
+    matrix = [[d.apply_to(p) for d in coordinates] for p in rule.psi]
 
     def rank_at(values):
         env = dict(zip(chart.names, values))
@@ -454,7 +467,8 @@ def reconstruct(
     derivatives = (
         np.gradient(states, grid, axis=0) if len(grid) > 1 else np.zeros_like(states)
     )
-    return Trajectory(grid, states, derivatives)
+    # the particular solutions share one grid, so they end together
+    return Trajectory(grid, states, derivatives, trajectories[0].blew_up, trajectories[0].truncated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +529,71 @@ def verify_partial_rule(
         for value in constraints(*x0, *rest):
             constraint_max = max(constraint_max, abs(value))
     return PartialRuleReport(ode_residual, constraint_max, tol_ode, constraint_tol)
+
+
+# ---------------------------------------------------------------------------
+# Checks shared by the command line and the example catalog
+# ---------------------------------------------------------------------------
+
+
+def rule_checks(rule: SuperpositionRule, fields: Sequence[VectorField], seed: int = 0) -> list[Check]:
+    """The leaves of psi are invariant under the prolonged fields
+    (verify_tangency) and transversal to the slot-0 fibre (transversality_rank)."""
+    tangency = verify_tangency(rule, fields, seed=seed)
+    nonzero = "; ".join(f"field {c.field_index} psi {c.component}: {c.verdict}"
+                        for c in tangency.checks if c.verdict == "nonzero")
+    rank, exact = transversality_rank(rule, seed=seed)
+    return [
+        Check("tangency_zero", tangency.all_zero, probabilistic=tangency.probabilistic,
+              detail=nonzero or "all residuals vanish"),
+        Check("psi_transversal", rank == rule.rank, probabilistic=not exact,
+              detail=f"rank {rank} of dpsi_j/dx_(0),i, need s = {rule.rank}"),
+    ]
+
+
+def solution_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Sequence[float]],
+                    t_span: tuple[float, float], tol: float, tol_const: float,
+                    k: Sequence[float] | None = None,
+                    x0: Sequence[float] | None = None) -> tuple[list[Check], dict]:
+    """Checks and report extras of the rule along solutions from the m
+    `points`: psi's drift along the tuple with slot 0 from x0 (default
+    points[0] shifted by 0.1) and `initial_psi` for a full rule; phi with
+    constants k solving the system on its constraint set for a partial one."""
+    if rule.is_partial:
+        report = verify_partial_rule(rule, sys, integrate_tuple(sys, points, t_span, tol), k)
+        return [Check.limit("ode_residual", report.ode_residual_max, report.tol_ode),
+                Check.limit("constraint_residual", report.constraint_max, report.constraint_tol)], {}
+    slot0 = x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
+    tuple_ = integrate_tuple(sys, [slot0, *points], t_span, tol)
+    drift = verify_along_solutions(rule, sys, tuple_, tol_const)
+    return ([Check.limit("psi_drift_along_solutions", drift.max_drift, tol_const)],
+            {"initial_psi": [float(v) for v in drift.initial_values]})
+
+
+def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Sequence[float]],
+                     t_span: tuple[float, float], tol: float, tol_const: float,
+                     k: Sequence[float] | None = None, x0: Sequence[float] | None = None,
+                     x0_guess: Sequence[float] | None = None,
+                     ) -> tuple[list[Check], np.ndarray, Trajectory, list[Trajectory]]:
+    """(checks, k, slot 0, particular solutions): psi must stay at k along
+    slot 0 rebuilt from the solutions from the m `points` (leaf solves start
+    at x0_guess, default x0).  Without k, x0 and the points are integrated as
+    one tuple and k is read at its start; slot 0 must then match x0's own
+    solution within GAP_LIMIT, and psi must be constant along the tuple."""
+    tuple_ = None
+    if k is None:
+        tuple_ = integrate_tuple(sys, [x0, *points], t_span, tol)
+        direct, particular = tuple_[0], tuple_[1:]
+        k = derive_k(rule, direct.states[0], [tr.states[0] for tr in particular])
+    else:
+        particular = integrate_tuple(sys, points, t_span, tol)
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    slot0 = reconstruct(rule, particular, k, x0_guess=x0 if x0_guess is None else x0_guess)
+    drift = verify_along_solutions(rule, sys, [slot0, *particular], tol_const)
+    checks = [Check.limit("reconstructed_psi_drift", drift.max_drift, tol_const)]
+    if tuple_ is not None:
+        gap = float(np.max(np.abs(slot0.states - direct.states)))
+        along = verify_along_solutions(rule, sys, tuple_, tol_const)
+        checks += [Check.limit("reconstruction_vs_direct", gap, GAP_LIMIT),
+                   Check.limit("psi_drift_along_solutions", along.max_drift, tol_const)]
+    return checks, k, slot0, list(particular)

@@ -68,7 +68,7 @@ def test_criterion_2_euclidean_system():
     by_name = {c.name: c for c in checks}
     elapsed = time.perf_counter() - started
     m_ok = by_name["m"].passed
-    drift = by_name["first_integral_drift"]
+    drift = by_name["psi_drift_along_solutions"]
     ok = m_ok and drift.value <= 1e-6 and elapsed < 5.0
     announce(
         2,
@@ -124,7 +124,7 @@ def test_criterion_5_superposition_round_trip():
     ric_checks, _ = get_entry("riccati").run(RunConfig(seed=0))
     ric = {c.name: c for c in ric_checks}["reconstruction_vs_direct"]
     lin_checks, _ = get_entry("linear2").run(RunConfig(seed=0))
-    lin = {c.name: c for c in lin_checks}["weighted_sum_phi_vs_direct"]
+    lin = {c.name: c for c in lin_checks}["reconstruction_vs_direct"]
     ok = ric.value <= 1e-5 and lin.value <= 1e-6
     announce(
         5,
@@ -136,7 +136,7 @@ def test_criterion_5_superposition_round_trip():
 
 def test_criterion_6_separable_closed_form():
     checks, _ = get_entry("separable_invsq").run(RunConfig(seed=0))
-    gap = {c.name: c for c in checks}["closed_form_vs_direct"]
+    gap = {c.name: c for c in checks}["reconstruction_vs_direct"]
     ok = gap.value <= 1e-6
     announce(
         6,

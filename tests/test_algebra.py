@@ -407,8 +407,8 @@ class TestClosureAgainstDenseSolve:
 
         monkeypatch.setattr(algebra, "closure_test", checked)
         monkeypatch.setattr(catalog, "closure_test", checked)
-        for name in catalog.entry_names():
-            catalog.run_entry(name)
+        for entry in catalog.ENTRIES.values():
+            entry.run()
         assert len(seen) >= 4
 
     @pytest.mark.parametrize("fields", [
@@ -492,8 +492,8 @@ class TestMinimalMAgainstVote:
             return _same_m(list(fields), seed)
 
         monkeypatch.setattr(catalog, "minimal_m", checked)
-        for name in catalog.entry_names():
-            catalog.run_entry(name)
+        for entry in catalog.ENTRIES.values():
+            entry.run()
         assert len(seen) >= 6
 
     @pytest.mark.parametrize("seed", range(32))

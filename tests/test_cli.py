@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from liesys import dynamics
+from liesys.catalog import RunConfig, get_entry
 from liesys.cli import build_parser, main
 from liesys.report import validate_report
 
@@ -201,6 +203,13 @@ class TestSolveAndSuperpose:
         assert code == 0
         names = [c["name"] for c in doc["checks"]]
         assert "reconstruction_vs_direct" in names
+
+    def test_superpose_keeps_the_truncation_of_the_tuple(self, tmp_path):
+        # the particular solution from 0 is tan(t), which escapes at pi/2
+        code, doc = run(tmp_path, "superpose", str(PROBLEMS / "riccati.json"), "--t-span", "0,3")
+        slot0 = doc["extra"]["slot0"]
+        assert slot0["blew_up"] is True
+        assert slot0["truncated_at"] == slot0["t"][-1] < 3
 
     def test_superpose_euclidean_newton_path(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "euclidean.json"))
@@ -627,3 +636,57 @@ class TestExamples:
                 c["value"] is not None and f"{c['value']:.3g}" == f"{value:.3g}"
                 for c in doc["checks"]
             )
+
+
+class TestCatalogSharesTheCliChecks:
+    """The catalog's rule entries check their rules with the builders of
+    `verify` and `superpose`, so a catalog check and the CLI check of the same
+    name on the matching problem file agree to the bit."""
+
+    FULL = {"tangency_zero", "psi_transversal", "reconstructed_psi_drift",
+            "reconstruction_vs_direct", "psi_drift_along_solutions"}
+    PARTIAL = {"tangency_zero", "psi_transversal", "ode_residual", "constraint_residual"}
+
+    @pytest.mark.parametrize("entry,prefix,problem,names", [
+        ("separable_invsq", "", "separable_invsq", FULL),
+        ("linear2", "", "linear2", FULL),
+        ("translation_nonunique", "standard_", "translation", FULL),
+        ("translation_nonunique", "skewed_", "translation_alt", FULL),
+        ("partial_linear_rank1", "", "partial_rank1", PARTIAL),
+        ("partial_linear_rank1_m2", "", "partial_rank1_m2", PARTIAL),
+    ])
+    def test_catalog_checks_equal_the_cli_checks(self, tmp_path, entry, prefix, problem, names):
+        checks, _ = get_entry(entry).run(RunConfig(seed=0))
+        catalog = {c.name[len(prefix):]: c for c in checks if c.name.startswith(prefix)}
+        cli = []
+        for command in ("verify", "superpose"):
+            _, doc = run(tmp_path, command, str(PROBLEMS / f"{problem}.json"), json_name=f"{command}.json")
+            cli += [c for c in doc["checks"] if c["name"] in catalog]
+        assert {c["name"] for c in cli} == names
+        for c in cli:
+            ours = catalog[c["name"]]
+            assert (ours.passed, ours.value, ours.threshold) == (c["passed"], c["value"], c["threshold"])
+
+    @pytest.mark.parametrize("entry", [
+        "riccati", "linear2", "linear_n", "euclidean_se2", "separable_invsq",
+        "translation_nonunique", "partial_linear_rank1", "partial_linear_rank1_m2",
+    ])
+    def test_one_integrated_tuple_per_rule(self, monkeypatch, entry):
+        calls = []
+        real = dynamics.integrate_tuple
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("liesys.") and hasattr(module, "integrate_tuple"):
+                monkeypatch.setattr(module, "integrate_tuple", counted)
+        get_entry(entry).run(RunConfig(seed=0))
+        assert len(calls) == (2 if entry == "translation_nonunique" else 1)
+
+    def test_translation_gaps_stay_within_1e_6(self):
+        checks, _ = get_entry("translation_nonunique").run(RunConfig(seed=0))
+        gaps = {c.name: c.value for c in checks if c.name.endswith("reconstruction_vs_direct")}
+        assert set(gaps) == {"standard_reconstruction_vs_direct", "skewed_reconstruction_vs_direct"}
+        assert max(gaps.values()) <= 1e-6

@@ -176,6 +176,19 @@ class TestTransversality:
         rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["sin(x_0) - x_1"])
         assert transversality_rank(rule) == (1, False)
 
+    def test_derivatives_are_not_reduced(self, monkeypatch):
+        rule = linear_rule(Chart(("x", "y", "z")))
+        calls = []
+        real = ex._gcd_core
+
+        def counted(p, q):
+            calls.append(1)
+            return real(p, q)
+
+        monkeypatch.setattr(ex, "_gcd_core", counted)
+        assert transversality_rank(rule) == (3, True)
+        assert not calls
+
 
 class TestConstancy:
     def test_cross_ratio_constant_along_tan_solutions(self):
