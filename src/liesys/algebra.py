@@ -1,6 +1,7 @@
 """Lie-algebra decision core: exact span coefficients, closure under brackets
 with constant structure coefficients, and the rank criterion for the minimal
-fundamental-set size m.
+fundamental-set size m.  `closure_checks` and `m_checks` turn the last two
+into the named checks of `liesys closure` and `liesys m`, and of the catalog.
 
 Structure constants are found by reducing canonical-form coefficients
 against one incremental echelon form of the basis over Q, exactly.  The rank
@@ -22,6 +23,7 @@ import numpy as np
 from . import expr as ex
 from .errors import ChartMismatchError, ClosureCapError, EvaluationError, RankTestError
 from .geometry import VectorField, lie_bracket
+from .report import Check
 
 __all__ = [
     "SpanResult",
@@ -33,6 +35,8 @@ __all__ = [
     "minimal_m",
     "evaluation_rank",
     "matrix_rank",
+    "closure_checks",
+    "m_checks",
 ]
 
 _RANK_RTOL = 1e-10
@@ -409,3 +413,40 @@ def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeRe
         "no k <= r reached full rank at generic tuples; input is non-generic "
         "or internally inconsistent"
     )
+
+
+# ---------------------------------------------------------------------------
+# Checks shared by the command line and the example catalog
+# ---------------------------------------------------------------------------
+
+
+def closure_checks(fields: Sequence[VectorField], complete: bool = False) -> tuple[list[Check], dict]:
+    """`closed` (detail: the algebra's dimension), then `jacobi_residual_zero`
+    when closed, with the report under the extra `closure` and, when not
+    closed, the first bracket outside the span under `witness`.  A completion
+    that passes its cap fails `closed` with the cap's message."""
+    try:
+        report = closure_test(fields, complete=complete)
+    except ClosureCapError as exc:
+        return [Check("closed", False, detail=str(exc))], {}
+    checks, extra = [Check("closed", report.closed, detail=f"dimension {report.dimension}")], {}
+    if report.closed:
+        checks.append(Check("jacobi_residual_zero", report.jacobi_residual() == 0))
+    elif report.witness is not None:
+        a, b, bracket = report.witness
+        extra["witness"] = {"pair": [a, b], "bracket": bracket.to_json_dict()}
+    extra["closure"] = report.to_json_dict()
+    return checks, extra
+
+
+def m_checks(fields: Sequence[VectorField], seed: int = 0,
+             expected: int | None = None) -> tuple[list[Check], dict]:
+    """`m_determined` (probabilistic unless every rank was taken over Q) and,
+    given an expected m, `m_matches_expected`; extras `m` and `report`.  The
+    fields must be linearly independent, as for minimal_m."""
+    report = minimal_m(fields, seed=seed)
+    checks = [Check("m_determined", True, probabilistic=not report.exact,
+                    detail=f"m = {report.m} (r = {report.r})")]
+    if expected is not None:
+        checks.append(Check.equals("m_matches_expected", report.m, expected))
+    return checks, {"m": report.m, "report": report.to_json_dict()}

@@ -3,10 +3,14 @@ problem data and a runner that returns named checks.  `examples run-all`
 on the command line executes the whole catalog; the acceptance test suite
 drives the same runners.
 
-The rule entries check their rules with the builders of `liesys verify` and
-`liesys superpose`, under the same check names and limits:
-superposition.rule_checks, then superpose_checks on one integrated tuple for
-a full rule or solution_checks for a partial one."""
+Entries build their checks with the builders of the command line, under the
+same check names and limits: the rule entries with superposition.rule_checks,
+then superpose_checks on one integrated tuple for a full rule or
+solution_checks for a partial one, after algebra.m_checks (and
+closure_checks where they name the algebra's dimension); `sl2_group` with
+group.group_checks (`liesys group`), and `pde_riccati` with
+pde.flatness_checks, path_checks and grid_superpose_checks (`liesys pde`).
+Checks with no command behind them stay in the entries."""
 
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as ex
-from .algebra import closure_test, minimal_m, span_coefficients
+from .algebra import closure_checks, m_checks, span_coefficients
 from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem
 from .expr import Chart, Const, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation, is_diagonal_prolongation
@@ -26,21 +30,21 @@ from .group import (
     LINEAR_SL2,
     MOBIUS,
     MatrixCurve,
-    act_solve,
     check_equivariance,
+    group_checks,
+    orbit_of,
     riccati_system,
     sl2_from_coefficients,
-    solve_group_equation,
 )
 from .pde import (
     PdeSystem,
     curvature,
     decomposition_residuals,
+    flatness_checks,
+    grid_superpose_checks,
+    path_checks,
     path_independence_audit,
-    path_solve,
-    pde_superpose,
     riccati_pde,
-    solve_on_grid,
 )
 from .report import Check
 from .superposition import (
@@ -154,19 +158,18 @@ def _random_quadratic_curve(rng: random.Random) -> CoefficientCurve:
 
 def _run_rule(config: RunConfig, sys: LieSystem, rule: SuperpositionRule, m: int,
               x0: list[float], points: list[list[float]], t_span: tuple[float, float],
-              closed: tuple[str, int] | None = None) -> tuple[list[Check], dict]:
-    """An entry on one full rule: the check `closed[0]` that the fields close
-    on an algebra of dimension `closed[1]` (when given), the fundamental-set
-    size m, then the rule's checks with x0's solution rebuilt from `points`."""
-    checks: list[Check] = []
-    if closed is not None:
-        closure = closure_test(sys.fields)
-        checks.append(Check(closed[0], closure.closed and closure.dimension == closed[1]))
-    size = minimal_m(sys.fields, seed=config.seed)
-    checks.append(Check.equals("m", size.m, m))
-    checks += rule_checks(rule, sys.fields, config.seed)
-    checks += superpose_checks(rule, sys, points, t_span, config.tol, config.tol_const, x0=x0)[0]
-    return checks, {"m_report": size.to_json_dict()}
+              dimension: int | None = None) -> tuple[list[Check], dict]:
+    """An entry on one full rule: the closure checks and the check that the
+    algebra has `dimension` (when given), the m checks, then the rule's
+    checks with x0's solution rebuilt from `points`."""
+    checks, extra = [], {}
+    if dimension is not None:
+        checks, extra = closure_checks(sys.fields)
+        checks.append(Check.equals("dimension", extra["closure"]["dimension"], dimension))
+    more, m_extra = m_checks(sys.fields, config.seed, m)
+    checks += more + rule_checks(rule, sys.fields, config.seed)
+    rebuilt, k, *_ = superpose_checks(rule, sys, points, t_span, config.tol, config.tol_const, x0=x0)
+    return checks + rebuilt, {**extra, **m_extra, "k_used": [float(v) for v in k]}
 
 
 # ---------------------------------------------------------------------------
@@ -176,36 +179,29 @@ def _run_rule(config: RunConfig, sys: LieSystem, rule: SuperpositionRule, m: int
 
 def _run_riccati(config: RunConfig):
     sys = riccati_system(*(CoefficientCurve.from_string(s) for s in ("1", "0", "1")))
-    closure = closure_test(sys.fields)
-    expected = {(0, 1): ("1", "0", "0"), (0, 2): ("0", "2", "0"), (1, 2): ("0", "0", "1")}
-    got = {pair: tuple(str(v) for v in cs) for pair, cs in closure.constants.items()}
-    size = minimal_m(sys.fields, seed=config.seed)
-    rule = cross_ratio_rule_on("x")
-    checks = [
+    checks, extra = _run_rule(config, sys, cross_ratio_rule_on("x"), 3, [-0.5],
+                              [[-2.0], [-1.0], [0.0]], (0.0, 1.2), dimension=3)
+    expected = {(0, 1): ["1", "0", "0"], (0, 2): ["0", "2", "0"], (1, 2): ["0", "0", "1"]}
+    got = {tuple(c["pair"]): c["c"] for c in extra["closure"]["constants"]}
+    checks += [
         Check.equals("closure_constants_exact", got, expected),
-        Check("jacobi_residual_zero", closure.jacobi_residual() == 0),
-        Check.equals("m", size.m, 3),
-        *rule_checks(rule, sys.fields, config.seed),
         # the prolonged span on N^(m+1) has codimension (m+1)n - r: n exactly when r = m n
-        Check("prolonged_span_codimension_is_n", (size.m + 1) * sys.dim - closure.dimension == sys.dim),
+        Check("prolonged_span_codimension_is_n",
+              (extra["m"] + 1) * sys.dim - extra["closure"]["dimension"] == sys.dim),
     ]
-    rebuilt, k, *_ = superpose_checks(rule, sys, [[-2.0], [-1.0], [0.0]], (0.0, 1.2),
-                                      config.tol, config.tol_const, x0=[-0.5])
-    return checks + rebuilt, {"m_report": size.to_json_dict(), "closure": closure.to_json_dict(),
-                              "k_used": [float(v) for v in k]}
+    return checks, extra
 
 
 def _run_linear2(config: RunConfig):
     sys = _linear2_system()
     return _run_rule(config, sys, linear_rule(sys.chart), 2,
-                     [0.4, -0.3], [[1.0, 0.0], [0.0, 1.0]], (0.0, 2.0), closed=("gl2_closed", 4))
+                     [0.4, -0.3], [[1.0, 0.0], [0.0, 1.0]], (0.0, 2.0), dimension=4)
 
 
 def _run_linear_n(config: RunConfig):
     sys = MatrixCurve.from_strings([["0", "1", "0"], ["-1", "0", "t/4"], ["0", "-t/4", "0"]]).system
     return _run_rule(config, sys, linear_rule(sys.chart), 3, [0.3, -0.2, 0.5],
-                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (0.0, 1.0),
-                     closed=("gl3_closed", 9))
+                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (0.0, 1.0), dimension=9)
 
 
 def _run_euclidean(config: RunConfig):
@@ -226,8 +222,7 @@ def _run_separable(config: RunConfig):
 
 def _run_translation(config: RunConfig):
     sys = LieSystem([VectorField.from_strings(PLANE, ["1", "0"])], [CoefficientCurve.from_string("1 - t/3")])
-    size = minimal_m(sys.fields, seed=config.seed)
-    checks = [Check.equals("m", size.m, 1)]
+    checks, extra = m_checks(sys.fields, config.seed, 1)
     standard = SuperpositionRule.from_strings(
         PLANE, 1, 2, psi=["x_0 - x_1", "y_0 - y_1"], phi=["x_1 + k1", "y_1 + k2"]
     )
@@ -241,43 +236,24 @@ def _run_translation(config: RunConfig):
         checks += [replace(c, name=f"{label}_{c.name}") for c in shared]
     same = all(ex.canonically_equal(a, b) for a, b in zip(standard.psi, skewed.psi))
     checks.append(Check("rules_genuinely_differ", not same))
-    return checks, {"m_report": size.to_json_dict()}
+    return checks, extra
 
 
 def _run_sl2_group(config: RunConfig):
     one, zero = CoefficientCurve.from_string("1"), CoefficientCurve.from_string("0")
-    a = sl2_from_coefficients(one, zero, one)
-    checks: list[Check] = []
-    checks.append(Check("traceless", a.trace_is_zero()))
-    g = solve_group_equation(a, (0.0, 1.2), config.tol)
+    # the Mobius image of 0 is x1/x2 of the planar solution from (0, 1):
+    # group_checks compares them in sl2_riccati_equivariance
+    checks, g, planar = group_checks(sl2_from_coefficients(one, zero, one), (0.0, 1.2), config.tol,
+                                     LINEAR_SL2, [0.0, 1.0])
     t = g.t
-    closed_form = np.stack(
-        [np.stack([np.cos(t), np.sin(t)], -1), np.stack([-np.sin(t), np.cos(t)], -1)], 1
-    )
-    checks.append(
-        Check.limit("rotation_closed_form", float(np.max(np.abs(g.matrices - closed_form))), 1e-6)
-    )
-    checks.append(
-        Check.limit("det_equals_one", float(np.max(np.abs(g.determinants() - 1.0))), 1e-6)
-    )
-    checks.append(Check.limit("defect_log", max(d for _, d in g.defect), 10 * config.tol))
-
-    mobius_traj = act_solve(a, MOBIUS, [0.0], (0.0, 1.2), config.tol)
-    tan_error = float(np.max(np.abs(mobius_traj.states[:, 0] - np.tan(mobius_traj.t))))
-    checks.append(Check.limit("mobius_orbit_is_tan", tan_error, 1e-6))
-    # the Mobius image of 0 is x1/x2 of the planar solution from (0, 1)
-    equivariance = check_equivariance((one, zero, one), [0.0, 1.0], (0.0, 1.2), config.tol)
-    checks.append(
-        Check.limit(
-            "single_solution_superposition_vs_integrate", equivariance.max_deviation, 1e-5
-        )
-    )
-
-    lin_traj = act_solve(a, LINEAR_SL2, [1.0, 0.0], (0.0, 1.2), config.tol)
-    lin_exact = np.stack([np.cos(lin_traj.t), -np.sin(lin_traj.t)], -1)
-    checks.append(
-        Check.limit("linear_orbit_is_exp_column", float(np.max(np.abs(lin_traj.states - lin_exact))), 1e-6)
-    )
+    rotation = np.stack([np.stack([np.cos(t), np.sin(t)], -1), np.stack([-np.sin(t), np.cos(t)], -1)], 1)
+    mobius = orbit_of(g, MOBIUS, [0.0])
+    column = np.stack([np.sin(t), np.cos(t)], -1)
+    checks += [
+        Check.limit("rotation_closed_form", float(np.max(np.abs(g.matrices - rotation))), 1e-6),
+        Check.limit("mobius_orbit_is_tan", float(np.max(np.abs(mobius.states[:, 0] - np.tan(t)))), 1e-6),
+        Check.limit("linear_orbit_is_exp_column", float(np.max(np.abs(planar.states - column))), 1e-6),
+    ]
 
     rng = random.Random(config.seed)
     worst_dev, worst_det = 0.0, 0.0
@@ -290,7 +266,7 @@ def _run_sl2_group(config: RunConfig):
         worst_det = max(worst_det, rep.det_drift)
     checks.append(Check.limit("equivariance_random_triples", worst_dev, 1e-6))
     checks.append(Check.limit("equivariance_det_drift", worst_det, 1e-6))
-    return checks, {"pole_events": list(mobius_traj.events)}
+    return checks, {"pole_events": list(mobius.events)}
 
 
 def _run_pde_riccati(config: RunConfig):
@@ -300,9 +276,7 @@ def _run_pde_riccati(config: RunConfig):
         [["u^2"], ["u^2"]],
         decomposition={"u": [["0", "0", "1"], ["0", "0", "1"]], "basis": [["1"], ["u"], ["u^2"]]},
     )
-    checks: list[Check] = []
-    flat_report = curvature(flat)
-    checks.append(Check("flat_curvature_exactly_zero", flat_report.flat and flat_report.exact))
+    checks, _ = flatness_checks(flat)
     family = riccati_pde("1", "0", "0", "1", "0", "0")
     checks.append(
         Check(
@@ -327,8 +301,7 @@ def _run_pde_riccati(config: RunConfig):
     residual_is_u = ex.canonically_equal(nonflat_report.residuals[(0, 1)][0], Var("u"))
     checks.append(Check("nonflat_residual_is_u", residual_is_u and not nonflat_report.flat))
 
-    audit = path_independence_audit(flat, [0.5], [0.4, 0.3], 8, config.tol, config.seed)
-    checks.append(Check.limit("flat_path_spread", audit.spread, 1e-5))
+    checks += path_checks(flat, [0.5], [0.4, 0.3], config.tol, config.seed)[0]
     bad_audit = path_independence_audit(nonflat, [1.0], [1.0, 1.0], 8, config.tol, config.seed)
     checks.append(
         Check(
@@ -339,29 +312,15 @@ def _run_pde_riccati(config: RunConfig):
         )
     )
 
-    axes = [np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 11)]
     u0s = [-1.0, -2.0, 0.5]
-    grids = [solve_on_grid(flat, [u], axes, config.tol) for u in u0s]
     target = 0.25
     k = (target - u0s[0]) * (u0s[1] - u0s[2]) / ((target - u0s[1]) * (u0s[0] - u0s[2]))
-    rebuilt = pde_superpose(flat, cross_ratio_rule_on("u"), grids, [k], [target])
-    t1, t2 = np.meshgrid(axes[0], axes[1], indexing="ij")
+    grid_checks, rebuilt = grid_superpose_checks(flat, cross_ratio_rule_on("u"), [k], [[u] for u in u0s],
+                                                 [0.5, 0.5], config.tol, [target])
+    t1, t2 = np.meshgrid(np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 11), indexing="ij")
     closed_form = target / (1 - target * (t1 + t2))
-    checks.append(
-        Check.limit(
-            "grid_superposition_vs_closed_form",
-            float(np.max(np.abs(rebuilt[:, :, 0] - closed_form))),
-            1e-5,
-        )
-    )
-    corner = path_solve(flat, [target], [0.5, 0.5], tol=config.tol).endpoint
-    checks.append(
-        Check.limit(
-            "grid_superposition_vs_path_solve",
-            float(abs(rebuilt[-1, -1, 0] - corner[0])),
-            1e-5,
-        )
-    )
+    gap = float(np.max(np.abs(rebuilt[:, :, 0] - closed_form)))
+    checks += [Check.limit("grid_superposition_vs_closed_form", gap, 1e-5), *grid_checks]
     return checks, {"k_used": float(k)}
 
 

@@ -1,8 +1,11 @@
 """Command-line front end: JSON problem files in, JSON/text reports out.
 
-`verify` and `superpose` take their checks from the builders in
-superposition.py (rule_checks, solution_checks, superpose_checks), which the
-example catalog shares; this module parses problem files and writes the
+Every command takes its checks from a library builder that the example
+catalog shares: `closure` and `m` from algebra (closure_checks, m_checks),
+`solve` from dynamics (integrated_check), `verify` and `superpose` from
+superposition (rule_checks, solution_checks, superpose_checks), `group` from
+group (group_checks) and `pde` from pde (flatness_checks, path_checks,
+grid_superpose_checks).  This module parses problem files and writes the
 reports and CSV dumps.
 
 Exit codes: 0 all checks passed, 1 some check failed (or the computation
@@ -18,17 +21,14 @@ import sys
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
-from .algebra import closure_test, minimal_m, prune_independent
+from .algebra import closure_checks, m_checks, prune_independent
 from .catalog import ENTRIES, RunConfig, get_entry
-from .dynamics import BLOWUP_BOUND, DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate
-from .errors import ClosureCapError, LiesysError, SchemaError
+from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrated_check
+from .errors import LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
-from .group import (ACTIONS, POLE_MARGIN, MatrixCurve, act_solve, check_equivariance,
-                    sl2_from_coefficients, solve_group_equation)
-from .pde import PdeSystem, curvature, path_independence_audit, path_solve, pde_superpose, solve_on_grid
+from .group import ACTIONS, MatrixCurve, group_checks, sl2_from_coefficients
+from .pde import PdeSystem, flatness_checks, grid_superpose_checks, path_checks
 from .report import Check, Report
 from .superposition import (
     DEFAULT_TOL_CONST,
@@ -247,43 +247,19 @@ def _csv_dir(args) -> Path | None:
 def cmd_closure(args) -> int:
     doc = load_problem(args.problem)
     task = _task(doc, args)
-    chart = _chart(doc)
-    fields = _fields(doc, chart)
-    complete = bool(args.complete or doc.get("complete"))
-    checks, extra = [], {}
-    try:
-        report = closure_test(fields, complete=complete)
-        checks.append(Check("closed", report.closed,
-                            detail=f"dimension {report.dimension}"))
-        if report.closed:
-            checks.append(Check("jacobi_residual_zero", report.jacobi_residual() == 0))
-        elif report.witness is not None:
-            a, b, bracket = report.witness
-            extra["witness"] = {"pair": [a, b], "bracket": bracket.to_json_dict()}
-        extra["closure"] = report.to_json_dict()
-    except ClosureCapError as exc:
-        checks.append(Check("closed", False, detail=str(exc)))
+    fields = _fields(doc, _chart(doc))
+    checks, extra = closure_checks(fields, complete=bool(args.complete or doc.get("complete")))
     return _emit(Report("closure", checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 
 def cmd_m(args) -> int:
     doc = load_problem(args.problem)
     task = _task(doc, args)
-    chart = _chart(doc)
-    fields = prune_independent(_fields(doc, chart))
+    fields = prune_independent(_fields(doc, _chart(doc)))
     if not fields:
         raise SchemaError("every field is zero; m needs a nonzero field")
-    report = minimal_m(fields, seed=task["seed"])
-    checks = [Check("m_determined", True, probabilistic=not report.exact,
-                    detail=f"m = {report.m} (r = {report.r})")]
-    expected = _numbers(doc.get("m"), "m", kind="integer")
-    if expected is not None:
-        checks.append(Check.equals("m_matches_expected", report.m, expected))
-    return _emit(
-        Report("m", checks, task["seed"], {"tol": task["tol"]}, {"m": report.m,
-               "report": report.to_json_dict()}),
-        args,
-    )
+    checks, extra = m_checks(fields, task["seed"], _numbers(doc.get("m"), "m", kind="integer"))
+    return _emit(Report("m", checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 
 def cmd_solve(args) -> int:
@@ -294,12 +270,7 @@ def cmd_solve(args) -> int:
     if x0 is None:
         raise SchemaError("solve needs 'x0'")
     trajectory = integrate(sys, x0, task["t_span"], task["tol"])
-    detail = f"{len(trajectory.t)} nodes, blew_up={trajectory.blew_up}"
-    # a run stopped short of t1 below the blow-up bound stopped on step underflow
-    reached = (trajectory.truncated_at is None
-               or np.abs(trajectory.states[-1]).max() > BLOWUP_BOUND)
-    checks = [Check("integrated", bool(reached), detail=detail if reached else
-                    f"step underflow at t={trajectory.truncated_at}; {detail}")]
+    checks = [integrated_check(trajectory)]
     extra = {"trajectory": trajectory.to_json_dict()}
     out = _csv_dir(args)
     if out:
@@ -391,7 +362,6 @@ def cmd_group(args) -> int:
     if name not in ACTIONS:
         raise SchemaError(f"unknown action {name!r}; known: {sorted(ACTIONS)}")
     action = ACTIONS[name]
-    checks, extra = [], {}
     coefficients, matrix = action_doc.get("sl2_coefficients"), action_doc.get("matrix")
     key = "sl2_coefficients" if coefficients is not None else "matrix"
     if coefficients is not None:
@@ -404,35 +374,22 @@ def cmd_group(args) -> int:
         raise SchemaError("action needs 'matrix' or 'sl2_coefficients'")
     try:
         if coefficients is not None:
-            curves = [CoefficientCurve.from_string(s) for s in coefficients]
-            a = sl2_from_coefficients(*curves)
+            a = sl2_from_coefficients(*map(CoefficientCurve.from_string, coefficients))
         else:
-            a, curves = MatrixCurve.from_strings(matrix), None
+            a = MatrixCurve.from_strings(matrix)
     except (LiesysError, ValueError) as exc:
         raise SchemaError(f"bad {key}: {exc}") from None
     x0 = _numbers(action_doc.get("x0"), "x0", (action.space_dim,))
     if x0 is not None and a.dim != action.group_dim:
         raise SchemaError(f"action {name} needs {action.group_dim}x{action.group_dim} matrices, "
                           f"got {a.dim}x{a.dim}")
-    if coefficients is not None:
-        checks.append(Check("traceless", a.trace_is_zero()))
-    g = solve_group_equation(a, task["t_span"], task["tol"])
-    checks.append(Check.limit("defect_log", max(d for _, d in g.defect), 10 * task["tol"]))
-    dets = g.determinants()
-    checks.append(Check("det_nonzero", bool(np.all(np.abs(dets) > 1e-12))))
-    if coefficients is not None:
-        checks.append(Check.limit("det_equals_one", float(np.max(np.abs(dets - 1.0))), 1e-6))
-    if x0 is not None:
-        trajectory = act_solve(a, action, x0, task["t_span"], task["tol"])
-        extra["orbit"] = trajectory.to_json_dict()
-        extra["pole_crossings"] = [t for _, t in trajectory.events]
+    checks, _, orbit = group_checks(a, task["t_span"], task["tol"], action, x0)
+    extra = {}
+    if orbit is not None:
+        extra = {"orbit": orbit.to_json_dict(), "pole_crossings": [t for _, t in orbit.events]}
         out = _csv_dir(args)
         if out:
-            trajectory.to_csv(out / "orbit.csv")
-    # check_equivariance refuses a start within POLE_MARGIN of the pole x2 = 0
-    if curves is not None and x0 is not None and len(x0) == 2 and abs(x0[1]) >= POLE_MARGIN:
-        rep = check_equivariance(curves, x0, task["t_span"], task["tol"])
-        checks.append(Check.limit("sl2_riccati_equivariance", rep.max_deviation, 1e-6))
+            orbit.to_csv(out / "orbit.csv")
     return _emit(Report("group", checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 
@@ -440,30 +397,14 @@ def cmd_pde(args) -> int:
     doc = load_problem(args.problem)
     task = _task(doc, args)
     sys = _pde_system(doc)
-    checks, extra = [], {}
     if args.pde_command == "check":
-        report = curvature(sys)
-        flat_detail = "; ".join(
-            f"pair {pair}: " + ", ".join(str(r) for r in rs)
-            for pair, rs in report.residuals.items()
-        )
-        checks.append(Check("flat", report.flat, probabilistic=not report.exact,
-                            detail=flat_detail or "no parameter pairs"))
-        extra["residuals"] = {f"{a+1},{b+1}": [str(r) for r in rs]
-                              for (a, b), rs in report.residuals.items()}
+        checks, extra = flatness_checks(sys)
     elif args.pde_command == "solve":
         x0 = _numbers(doc.get("x0"), "x0", (sys.n,))
         target = _numbers(doc.get("target"), "target", (sys.s,), "nonnegative")
         if x0 is None or target is None:
             raise SchemaError("pde solve needs 'x0' and 'target'")
-        result = path_solve(sys, x0, target, tol=task["tol"], audit=bool(args.audit))
-        checks.append(Check("integrated", True, detail=f"endpoint {result.endpoint.tolist()}"))
-        audit = path_independence_audit(
-            sys, x0, target, path_count=8, tol=task["tol"], seed=task["seed"]
-        )
-        checks.append(Check.limit("path_independence_spread", audit.spread, 10 * task["tol"]))
-        extra["endpoint"] = result.endpoint.tolist()
-        extra["spread"] = audit.spread
+        checks, extra = path_checks(sys, x0, target, task["tol"], task["seed"], audit=bool(args.audit))
     else:  # superpose
         if sys.s != 2 or sys.decomposition is None:
             raise SchemaError("pde superpose needs s = 2 parameters and a 'decomposition'")
@@ -473,15 +414,9 @@ def cmd_pde(args) -> int:
         target = _numbers(doc.get("target"), "target", (sys.s,), "positive")
         if k is None or points is None or target is None:
             raise SchemaError("pde superpose needs 'k', 'initial_points' and 'target'")
-        axes = [np.linspace(0.0, target[i], 11) for i in range(sys.s)]
-        grids = [solve_on_grid(sys, p, axes, task["tol"]) for p in points]
-        guess = (_numbers(doc.get("x0_guess"), "x0_guess", (sys.n,))
-                 or grids[0].reshape(-1, sys.n)[0])
-        rebuilt = pde_superpose(sys, rule, grids, np.array(k), guess)
-        endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=task["tol"])
-        gap = float(np.max(np.abs(rebuilt[tuple([-1] * sys.s)] - endpoint.endpoint)))
-        checks.append(Check.limit("superposition_vs_path_solve", gap, 1e-5))
-        extra["slot0_corner"] = rebuilt[tuple([-1] * sys.s)].tolist()
+        guess = _numbers(doc.get("x0_guess"), "x0_guess", (sys.n,))
+        checks, rebuilt = grid_superpose_checks(sys, rule, k, points, target, task["tol"], guess)
+        extra = {"slot0_corner": rebuilt[-1, -1].tolist()}
     return _emit(Report(_command(args), checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 

@@ -44,6 +44,7 @@ from .algebra import _independent, evaluation_rank
 from .errors import EvaluationError, FundamentalSetError
 from .expr import Expr
 from .geometry import VectorField
+from .report import Check
 
 __all__ = [
     "CoefficientCurve",
@@ -55,6 +56,8 @@ __all__ = [
     "fundamental_points",
     "fundamental_set",
     "align_trajectories",
+    "stop_reason",
+    "integrated_check",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -424,6 +427,26 @@ def integrate(
 ) -> Trajectory:
     """Integrate the system from x0 over t_span with local error <= tol."""
     return integrate_tuple(sys, [x0], t_span, tol)[0]
+
+
+def stop_reason(runs: Sequence) -> str | None:
+    """Why runs on one grid (a solution tuple, or a list of one Trajectory or
+    group.GroupTrajectory) stopped short of t1: "blow-up" when the sup-norm
+    of their last states is past BLOWUP_BOUND, else "step underflow"; None
+    when they reached t1."""
+    if runs[0].truncated_at is None:
+        return None
+    last = max(np.abs(run.states[-1]).max() for run in runs)
+    return "blow-up" if last > BLOWUP_BOUND else "step underflow"
+
+
+def integrated_check(run) -> Check:
+    """`integrated`: a run passes when it reached t1 or blew up, and fails
+    when it stopped on step underflow."""
+    detail = f"{len(run.t)} nodes, blew_up={run.blew_up}"
+    if stop_reason([run]) == "step underflow":
+        return Check("integrated", False, detail=f"step underflow at t={run.truncated_at}; {detail}")
+    return Check("integrated", True, detail=detail)
 
 
 def align_trajectories(trajectories: Sequence[Trajectory]) -> list[Trajectory]:

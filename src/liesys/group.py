@@ -7,6 +7,9 @@ prolongation of the linear Lie system x' = a(t) x, whose fields are
 x -> A_a x: column j of g solves it from e_j.  solve_group_equation
 integrates the d columns as one solution tuple (dynamics.integrate_tuple).
 
+group_checks turns a solve of the group equation, and an orbit read from
+it, into the named checks of `liesys group` and of the catalog.
+
 Only matrix groups are covered; staying on a subvariety of GL(d) is monitored
 through invariants (determinant against the Liouville integral, unit
 determinant for the sl(2) entries) rather than enforced structurally.
@@ -23,10 +26,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, Trajectory, integrate, integrate_tuple
+from .dynamics import (DEFAULT_TOL, CoefficientCurve, LieSystem, Trajectory, integrate,
+                       integrate_tuple, integrated_check)
 from .errors import EvaluationError
 from .expr import Chart, Const, Expr, Mul, Var
 from .geometry import VectorField
+from .report import Check
 
 __all__ = [
     "MatrixCurve",
@@ -38,9 +43,11 @@ __all__ = [
     "MOBIUS",
     "ACTIONS",
     "act_solve",
+    "orbit_of",
     "EquivarianceReport",
     "check_equivariance",
     "riccati_system",
+    "group_checks",
 ]
 
 POLE_INF = float("inf")
@@ -139,6 +146,11 @@ class GroupTrajectory:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
+    @property
+    def states(self) -> np.ndarray:
+        """The matrices, as the states of the run (dynamics.stop_reason)."""
+        return self.matrices
+
     def determinants(self) -> np.ndarray:
         return np.linalg.det(self.matrices)
 
@@ -207,37 +219,40 @@ def act_solve(
     t_span: tuple[float, float] = (0.0, 1.0),
     tol: float = DEFAULT_TOL,
 ) -> Trajectory:
-    """x(t) = action(g(t), x0): the single-solution (m = 1) superposition.
+    """x(t) = action(g(t), x0): the single-solution (m = 1) superposition,
+    the orbit_of x0 under the solution g of the group equation of a."""
+    if a.dim != action.group_dim:
+        raise ValueError(f"action {action.name} needs {action.group_dim}x{action.group_dim} matrices")
+    return orbit_of(solve_group_equation(a, t_span, tol), action, x0)
+
+
+def orbit_of(g: GroupTrajectory, action: GroupAction, x0: Sequence[float]) -> Trajectory:
+    """action(g(t), x0) at the nodes of g.
 
     For the Mobius action the orbit is tracked projectively, so pole
     crossings produce an inf sample and are logged in Trajectory.events."""
-    if a.dim != action.group_dim:
-        raise ValueError(f"action {action.name} needs {action.group_dim}x{action.group_dim} matrices")
-    gtraj = solve_group_equation(a, t_span, tol)
     x0 = np.asarray(x0, dtype=float)
-    states = np.empty((len(gtraj.t), action.space_dim))
+    states = np.empty((len(g.t), action.space_dim))
     events = []
     previous_v2 = None
-    for row, g in enumerate(gtraj.matrices):
-        value = action.apply(g, x0)
+    for row, matrix in enumerate(g.matrices):
+        value = action.apply(matrix, x0)
         states[row] = value
         if action is MOBIUS:
             # track the projective pair; a sign change of the second
             # coordinate means the orbit crossed the pole (chart switch)
             vec = np.array([1.0, 0.0]) if math.isinf(float(x0[0])) else np.array([float(x0[0]), 1.0])
-            v2 = float((g @ vec)[1])
+            v2 = float((matrix @ vec)[1])
             if math.isinf(value[0]) or (
                 previous_v2 is not None and previous_v2 * v2 < 0.0
             ):
-                events.append(("pole_crossing", float(gtraj.t[row])))
+                events.append(("pole_crossing", float(g.t[row])))
             previous_v2 = v2
-    if np.all(np.isfinite(states)):
-        derivatives = np.gradient(states, gtraj.t, axis=0)
+    if len(g.t) > 1 and np.all(np.isfinite(states)):
+        derivatives = np.gradient(states, g.t, axis=0)
     else:
         derivatives = np.zeros_like(states)
-    return Trajectory(
-        gtraj.t, states, derivatives, gtraj.blew_up, gtraj.truncated_at, tuple(events)
-    )
+    return Trajectory(g.t, states, derivatives, g.blew_up, g.truncated_at, tuple(events))
 
 
 def riccati_system(b1: CoefficientCurve, b2: CoefficientCurve, b3: CoefficientCurve) -> LieSystem:
@@ -287,3 +302,33 @@ def check_equivariance(
         max_dev = max(max_dev, abs(x1 / x2 - x))
     det_drift = float(np.max(np.abs(solve_group_equation(a, t_span, tol).determinants() - 1.0)))
     return EquivarianceReport(max_dev, compared, len(joint.t), det_drift)
+
+
+def group_checks(
+    a: MatrixCurve,
+    t_span: tuple[float, float] = (0.0, 1.0),
+    tol: float = DEFAULT_TOL,
+    action: GroupAction | None = None,
+    x0: Sequence[float] | None = None,
+) -> tuple[list[Check], GroupTrajectory, Trajectory | None]:
+    """(checks, g, orbit) of `liesys group` and the catalog: g solves the
+    group equation of a once, and must pass `integrated`, `defect_log`
+    within 10 tol and `det_nonzero`; a curve from sl2_from_coefficients must
+    also be `traceless` and pass `det_equals_one`.  With an action and x0,
+    the orbit of x0 is read from g (orbit_of); a planar x0 of an sl(2) curve
+    adds `sl2_riccati_equivariance` (check_equivariance), unless x0 lies
+    within POLE_MARGIN of the pole x2 = 0."""
+    sl2 = a.basis == list(_SL2_BASIS)
+    checks = [Check("traceless", a.trace_is_zero())] if sl2 else []
+    g = solve_group_equation(a, t_span, tol)
+    dets = g.determinants()
+    checks += [integrated_check(g),
+               Check.limit("defect_log", max(d for _, d in g.defect), 10 * tol),
+               Check("det_nonzero", bool(np.all(np.abs(dets) > 1e-12)))]
+    if sl2:
+        checks.append(Check.limit("det_equals_one", float(np.max(np.abs(dets - 1.0))), 1e-6))
+    orbit = None if x0 is None else orbit_of(g, action, x0)
+    if sl2 and x0 is not None and len(x0) == 2 and abs(x0[1]) >= POLE_MARGIN:
+        rep = check_equivariance(a.curves, x0, t_span, tol)
+        checks.append(Check.limit("sl2_riccati_equivariance", rep.max_deviation, 1e-6))
+    return checks, g, orbit

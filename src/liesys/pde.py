@@ -2,6 +2,9 @@
 checks, staircase path solving with path-independence audits, and reuse of
 the superposition machinery on parameter grids.
 
+`flatness_checks`, `path_checks` and `grid_superpose_checks` turn these
+into the named checks of `liesys pde` and of the catalog.
+
 Paths are axis-aligned staircases: flatness makes endpoints path-independent,
 so staircases suffice and keep every integration one-dimensional.
 """
@@ -20,7 +23,8 @@ from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, _dopri5
 from .errors import IntegrationBlowUpError, LiesysError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
-from .superposition import SuperpositionRule, _LeafSolver, verify_tangency
+from .report import Check
+from .superposition import GAP_LIMIT, SuperpositionRule, _LeafSolver, verify_tangency
 
 __all__ = [
     "PdeSystem",
@@ -36,6 +40,9 @@ __all__ = [
     "riccati_pde",
     "decomposition_residuals",
     "reduce_to_ode",
+    "flatness_checks",
+    "path_checks",
+    "grid_superpose_checks",
 ]
 
 # forward segments per axis in the randomized staircases of path_independence_audit
@@ -223,6 +230,14 @@ def _advance(rhs, axis: int, nodes: Sequence[float], x, tol: float) -> np.ndarra
     return np.concatenate([ys[np.searchsorted(ts, nodes[1:-1])], ys[-1:]])
 
 
+def _require_flat(sys: PdeSystem) -> None:
+    """Raise NotFlatError unless every curvature residual may be zero."""
+    for pair, ds in curvature(sys).verdicts.items():
+        if any(d.verdict == "nonzero" for d in ds):
+            raise NotFlatError(f"curvature residual nonzero for parameter pair {pair}; "
+                               "pass audit=True to integrate anyway")
+
+
 def path_solve(
     sys: PdeSystem,
     x0: Sequence[float],
@@ -230,24 +245,13 @@ def path_solve(
     path: Sequence[tuple[int, float]] | None = None,
     tol: float = DEFAULT_TOL,
     audit: bool = False,
-    base: Sequence[float] | None = None,
 ) -> PathResult:
-    """Chain 1-d integrations along an axis staircase from `base` (default 0)
-    to `target`; requires a flat system unless audit=True."""
+    """Chain 1-d integrations along an axis staircase from 0 to `target`
+    (default: each axis once, in order); requires a flat system unless
+    audit=True."""
     if not audit:
-        report = curvature(sys)
-        bad = [
-            (pair, i)
-            for pair, ds in report.verdicts.items()
-            for i, d in enumerate(ds)
-            if d.verdict == "nonzero"
-        ]
-        if bad:
-            raise NotFlatError(
-                f"curvature residual nonzero for parameter pair {bad[0][0]}; "
-                "pass audit=True to integrate anyway"
-            )
-    t_now = np.zeros(sys.s) if base is None else np.asarray(base, dtype=float)
+        _require_flat(sys)
+    t_now = np.zeros(sys.s)
     target = np.asarray(target, dtype=float)
     if path is None:
         path = [(axis, float(target[axis])) for axis in range(sys.s)]
@@ -454,3 +458,54 @@ def reduce_to_ode(sys: PdeSystem) -> LieSystem:
         for e in sys.decomposition.u[0]
     ]
     return LieSystem(list(sys.decomposition.basis), curves)
+
+
+# ---------------------------------------------------------------------------
+# Checks shared by the command line and the example catalog
+# ---------------------------------------------------------------------------
+
+
+def flatness_checks(sys: PdeSystem) -> tuple[list[Check], dict]:
+    """`flat` from the curvature residuals (probabilistic unless every zero
+    verdict was exact), which the detail and the extra `residuals` list per
+    parameter pair."""
+    report = curvature(sys)
+    detail = "; ".join(f"pair {pair}: " + ", ".join(str(r) for r in rs)
+                       for pair, rs in report.residuals.items())
+    residuals = {f"{a+1},{b+1}": [str(r) for r in rs] for (a, b), rs in report.residuals.items()}
+    return ([Check("flat", report.flat, probabilistic=not report.exact,
+                   detail=detail or "no parameter pairs")], {"residuals": residuals})
+
+
+def path_checks(sys: PdeSystem, x0: Sequence[float], target: Sequence[float],
+                tol: float = DEFAULT_TOL, seed: int = 0, audit: bool = False) -> tuple[list[Check], dict]:
+    """`integrated` with the endpoint of the default staircase to `target`,
+    and `path_independence_spread` within 10 tol over the 8 staircases of
+    path_independence_audit, whose first is the default one; extras
+    `endpoint` and `spread`.  A system that is not flat raises NotFlatError
+    unless audit=True."""
+    if not audit:
+        _require_flat(sys)
+    result = path_independence_audit(sys, x0, target, path_count=8, tol=tol, seed=seed)
+    endpoint = result.endpoints[0].tolist()
+    return ([Check("integrated", True, detail=f"endpoint {endpoint}"),
+             Check.limit("path_independence_spread", result.spread, 10 * tol)],
+            {"endpoint": endpoint, "spread": result.spread})
+
+
+def grid_superpose_checks(sys: PdeSystem, rule: SuperpositionRule, k: Sequence[float],
+                          points: Sequence[Sequence[float]], target: Sequence[float],
+                          tol: float = DEFAULT_TOL, x0_guess: Sequence[float] | None = None,
+                          ) -> tuple[list[Check], np.ndarray]:
+    """(checks, slot-0 grid): the particular solutions from `points` on the
+    11 x 11 grid from 0 to `target`, slot 0 rebuilt from them with constants
+    k (leaf solves start at x0_guess, default the first solution's start),
+    and `superposition_vs_path_solve`: its corner within GAP_LIMIT of the
+    path solve from its first node."""
+    axes = [np.linspace(0.0, target[i], 11) for i in range(sys.s)]
+    grids = [solve_on_grid(sys, p, axes, tol) for p in points]
+    guess = grids[0].reshape(-1, sys.n)[0] if x0_guess is None else x0_guess
+    rebuilt = pde_superpose(sys, rule, grids, np.array(k), guess)
+    endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=tol).endpoint
+    gap = float(np.max(np.abs(rebuilt[tuple([-1] * sys.s)] - endpoint)))
+    return [Check.limit("superposition_vs_path_solve", gap, GAP_LIMIT)], rebuilt

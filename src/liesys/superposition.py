@@ -31,7 +31,7 @@ import numpy as np
 
 from . import algebra
 from . import expr as ex
-from .dynamics import LieSystem, Trajectory, integrate_tuple
+from .dynamics import LieSystem, Trajectory, integrate_tuple, stop_reason
 from .errors import EvaluationError, LiesysError, NonConvergenceError, SingularDomainError
 from .expr import Chart, Const, Expr, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation
@@ -566,7 +566,8 @@ def solution_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Se
     slot0 = x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
     tuple_ = integrate_tuple(sys, [slot0, *points], t_span, tol)
     drift = verify_along_solutions(rule, sys, tuple_, tol_const)
-    return ([Check.limit("psi_drift_along_solutions", drift.max_drift, tol_const)],
+    return ([Check.limit("psi_drift_along_solutions", drift.max_drift, tol_const,
+                         detail=_coverage(tuple_, t_span))],
             {"initial_psi": [float(v) for v in drift.initial_values]})
 
 
@@ -590,10 +591,18 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
     k = np.atleast_1d(np.asarray(k, dtype=float))
     slot0 = reconstruct(rule, particular, k, x0_guess=x0 if x0_guess is None else x0_guess)
     drift = verify_along_solutions(rule, sys, [slot0, *particular], tol_const)
-    checks = [Check.limit("reconstructed_psi_drift", drift.max_drift, tol_const)]
+    span = _coverage(tuple_ or particular, t_span)
+    checks = [Check.limit("reconstructed_psi_drift", drift.max_drift, tol_const, detail=span)]
     if tuple_ is not None:
         gap = float(np.max(np.abs(slot0.states - direct.states)))
         along = verify_along_solutions(rule, sys, tuple_, tol_const)
         checks += [Check.limit("reconstruction_vs_direct", gap, GAP_LIMIT),
-                   Check.limit("psi_drift_along_solutions", along.max_drift, tol_const)]
+                   Check.limit("psi_drift_along_solutions", along.max_drift, tol_const, detail=span)]
     return checks, k, slot0, list(particular)
+
+
+def _coverage(tuple_: Sequence[Trajectory], t_span: tuple[float, float]) -> str:
+    """The detail of a drift check: empty for a tuple that reached t1,
+    otherwise why and where it stopped and the part of t_span it covers."""
+    reason, (a, b), t = stop_reason(tuple_), t_span, tuple_[0].truncated_at
+    return "" if reason is None else f"{reason} at t={t:.6g}: checked on [{a:g}, {t:.6g}] of [{a:g}, {b:g}]"

@@ -67,7 +67,7 @@ def test_criterion_2_euclidean_system():
     checks, _ = get_entry("euclidean_se2").run(RunConfig(seed=0))
     by_name = {c.name: c for c in checks}
     elapsed = time.perf_counter() - started
-    m_ok = by_name["m"].passed
+    m_ok = by_name["m_matches_expected"].passed
     drift = by_name["psi_drift_along_solutions"]
     ok = m_ok and drift.value <= 1e-6 and elapsed < 5.0
     announce(

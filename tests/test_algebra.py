@@ -406,7 +406,6 @@ class TestClosureAgainstDenseSolve:
             return real(fields, *args, **kwargs)
 
         monkeypatch.setattr(algebra, "closure_test", checked)
-        monkeypatch.setattr(catalog, "closure_test", checked)
         for entry in catalog.ENTRIES.values():
             entry.run()
         assert len(seen) >= 4
@@ -491,7 +490,7 @@ class TestMinimalMAgainstVote:
             seen.append(len(fields))
             return _same_m(list(fields), seed)
 
-        monkeypatch.setattr(catalog, "minimal_m", checked)
+        monkeypatch.setattr(algebra, "minimal_m", checked)
         for entry in catalog.ENTRIES.values():
             entry.run()
         assert len(seen) >= 6

@@ -211,6 +211,17 @@ class TestSolveAndSuperpose:
         assert slot0["blew_up"] is True
         assert slot0["truncated_at"] == slot0["t"][-1] < 3
 
+    @pytest.mark.parametrize("command", ["superpose", "verify"])
+    @pytest.mark.parametrize("span,detail", [
+        ([], ""),
+        # the particular solution from 0 is tan(t), which escapes at pi/2
+        (["--t-span", "0,3"], "blow-up at t=1.5708: checked on [0, 1.5708] of [0, 3]"),
+    ])
+    def test_drift_checks_name_a_stop_short_of_t1(self, tmp_path, command, span, detail):
+        code, doc = run(tmp_path, command, str(PROBLEMS / "riccati.json"), *span)
+        drifts = [c["detail"] for c in doc["checks"] if "drift" in c["name"]]
+        assert code == 0 and drifts == [detail] * (2 if command == "superpose" else 1)
+
     def test_superpose_euclidean_newton_path(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "euclidean.json"))
         assert code == 0
@@ -365,6 +376,35 @@ class TestGroupAndPde:
         assert code == 0
         assert doc["extra"]["orbit"]["t"]
         assert "sl2_riccati_equivariance" not in [c["name"] for c in doc["checks"]]
+
+    @pytest.mark.parametrize("x0", [[0.0], None])
+    def test_group_fails_a_solve_stopped_at_its_first_node(self, tmp_path, x0):
+        # the third coefficient is about 1e124 at t0: every step is rejected
+        action = {"name": "mobius", "x0": x0,
+                  "sl2_coefficients": ["sin(t)", "(2)^23", "(((exp(t))^23)-((2)^23))^18"]}
+        path = edited_problem(tmp_path, "sl2_group", {"action": action, "t_span": [-0.25, 0.125]})
+        code, doc = run(tmp_path, "group", str(path))
+        assert code == 1
+        check = next(c for c in doc["checks"] if c["name"] == "integrated")
+        assert not check["passed"] and check["detail"].startswith("step underflow at t=-0.25")
+        assert len(doc["extra"]["orbit"]["t"]) == 1 if x0 else "orbit" not in doc["extra"]
+
+    @pytest.mark.parametrize("argv,module,function,calls", [
+        (["pde", "solve", "pde_riccati"], "pde", "path_solve", 8),
+        (["group", "sl2_group"], "group", "solve_group_equation", 1),
+    ])
+    def test_each_solve_runs_once(self, monkeypatch, argv, module, function, calls):
+        seen, real = [], getattr(sys.modules[f"liesys.{module}"], function)
+
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return real(*args, **kwargs)
+
+        for loaded in list(sys.modules.values()):
+            if loaded.__name__.startswith("liesys.") and hasattr(loaded, function):
+                monkeypatch.setattr(loaded, function, counted)
+        assert main([*argv[:-1], str(PROBLEMS / f"{argv[-1]}.json")]) == 0
+        assert len(seen) == calls
 
     def test_pde_superpose_non_tangent_rule_fails_cleanly(self, tmp_path, capsys):
         path = edited_problem(tmp_path, "pde_riccati", {
@@ -684,6 +724,34 @@ class TestCatalogSharesTheCliChecks:
                 monkeypatch.setattr(module, "integrate_tuple", counted)
         get_entry(entry).run(RunConfig(seed=0))
         assert len(calls) == (2 if entry == "translation_nonunique" else 1)
+
+    CLOSURE = {"closed", "jacobi_residual_zero"}
+    M = {"m_determined", "m_matches_expected"}
+
+    @pytest.mark.parametrize("entry,argv,names", [
+        ("sl2_group", ["group", "sl2_group"],
+         {"traceless", "integrated", "defect_log", "det_nonzero", "det_equals_one"}),
+        ("pde_riccati", ["pde", "check", "pde_riccati"], {"flat"}),
+        ("linear2", ["closure", "linear2"], CLOSURE),
+        ("riccati", ["closure", "riccati"], CLOSURE),
+        ("linear2", ["m", "linear2"], M),
+        ("riccati", ["m", "riccati"], M),
+        ("separable_invsq", ["m", "separable_invsq"], M),
+        ("euclidean_se2", ["m", "euclidean"], M),
+        ("translation_nonunique", ["m", "translation"], M),
+    ])
+    def test_catalog_checks_equal_the_checks_of_other_commands(self, tmp_path, entry, argv, names):
+        checks, _ = get_entry(entry).run(RunConfig(seed=0))
+        catalog = {c.name: c.to_json_dict() for c in checks}
+        _, doc = run(tmp_path, *argv[:-1], str(PROBLEMS / f"{argv[-1]}.json"))
+        cli = {c["name"]: c for c in doc["checks"] if c["name"] in names}
+        assert set(cli) == names
+        assert all(catalog[name] == c for name, c in cli.items())
+
+    def test_pde_flatness_is_exact(self):
+        checks, _ = get_entry("pde_riccati").run(RunConfig(seed=0))
+        flat = next(c for c in checks if c.name == "flat")
+        assert flat.passed and not flat.probabilistic
 
     def test_translation_gaps_stay_within_1e_6(self):
         checks, _ = get_entry("translation_nonunique").run(RunConfig(seed=0))

@@ -1,5 +1,5 @@
 """Generated problem files through `liesys m`, `liesys closure`, `liesys
-verify` and `liesys solve`, in process.
+verify`, `liesys solve`, `liesys group` and `liesys pde`, in process.
 
 Whatever the fields, each call ends in exit 0, 1 or 2 within a bounded time:
 no exception escapes `main` and nothing hangs.
@@ -119,3 +119,72 @@ def test_solve_ends_in_an_exit_code(tmp_path, capsys, doc):
     capsys.readouterr()
     assert code in (0, 1, 2)
     assert elapsed < WALL_TIME_BOUND_S, f"solve took {elapsed:.1f} s on {doc}"
+
+
+def short_span(draw) -> tuple[float, float]:
+    t0 = draw(st.integers(-4, 4)) / 4
+    return t0, t0 + draw(st.integers(1, 8)) / 8
+
+
+@st.composite
+def group_problems(draw):
+    """An action of the group equation of generated sl(2) coefficients or of
+    a 1 x 1 or 2 x 2 matrix of curves in t, sometimes with an x0, over a
+    short t_span.  A curve is the sine of an expression, or a constant past
+    1e30, which stops the solve at its first node; coefficients between
+    those sizes can need billions of steps, which no budget bounds yet."""
+    curve = st.one_of(expressions(["t"], functions=("sin", "exp", "ln")).map("sin({})".format),
+                      st.integers(100, 400).map("(2)^{}".format))
+    action = {"name": draw(st.sampled_from(["mobius", "sl2_linear"]))}
+    if draw(st.booleans()):
+        action["sl2_coefficients"] = draw(st.lists(curve, min_size=3, max_size=3))
+    else:
+        d = draw(st.integers(1, 2))
+        action["matrix"] = draw(st.lists(st.lists(curve, min_size=d, max_size=d),
+                                         min_size=d, max_size=d))
+    if draw(st.booleans()):
+        size = 1 if action["name"] == "mobius" else 2
+        action["x0"] = draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size))
+    return {"action": action, "t_span": list(short_span(draw))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=group_problems())
+def test_group_ends_in_an_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["group", str(path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"group took {elapsed:.1f} s on {doc}"
+
+
+@st.composite
+def pde_problems(draw):
+    """s = 1 or 2 fields in the parameters and the chart variables, holding
+    sin, exp and ln, an x0 and a target at most 0.5 along each axis."""
+    names = draw(st.sampled_from([["u"], ["u", "v"]]))
+    s = draw(st.integers(1, 2))
+    component = expressions(names + [f"t{i + 1}" for i in range(s)], functions=("sin", "exp", "ln"))
+    fields = draw(st.lists(st.lists(component, min_size=len(names), max_size=len(names)),
+                           min_size=s, max_size=s))
+    return {"pde": {"s": s, "chart": names, "fields": fields},
+            "x0": draw(st.lists(st.floats(-3, 3), min_size=len(names), max_size=len(names))),
+            "target": draw(st.lists(st.integers(0, 4).map(lambda v: v / 8), min_size=s, max_size=s))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=pde_problems(), command=st.sampled_from([["check"], ["solve"], ["solve", "--audit"]]))
+def test_pde_ends_in_an_exit_code(tmp_path, capsys, doc, command):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["pde", command[0], str(path), *command[1:]])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"pde {' '.join(command)} took {elapsed:.1f} s on {doc}"

@@ -7,6 +7,7 @@ directory:
 
 - every command (closure, m, solve, superpose, verify, group and the three
   pde subcommands) on every problems/*.json of TREE, applicable or not;
+- the flag calls in FLAG_CALLS, on the problem files they name;
 - `examples list`, `examples run NAME` for each entry it lists, and
   `examples run-all --seed 0`.
 
@@ -26,6 +27,13 @@ from pathlib import Path
 
 COMMANDS = (("closure",), ("m",), ("solve",), ("superpose",), ("verify",), ("group",),
             ("pde", "check"), ("pde", "solve"), ("pde", "superpose"))
+# (output name, argv): flag paths that the calls without options do not reach
+FLAG_CALLS = (
+    ("riccati.superpose.t-span_0,3", ["superpose", "problems/riccati.json", "--t-span", "0,3"]),
+    ("riccati.verify.t-span_0,3", ["verify", "problems/riccati.json", "--t-span", "0,3"]),
+    ("pde_nonflat.pde_solve.audit", ["pde", "solve", "problems/pde_nonflat.json", "--audit"]),
+    ("incomplete_pair.closure.complete", ["closure", "problems/incomplete_pair.json", "--complete"]),
+)
 # each call is its own process; a few at a time keep memory small
 WORKERS = 4
 TIMEOUT_S = 600
@@ -45,6 +53,7 @@ def calls(tree: Path) -> list[tuple[str, list[str]]]:
         for command in COMMANDS:
             name = f"{problem.stem}.{'_'.join(command)}"
             out.append((name, [*command, f"problems/{problem.name}"]))
+    out += [(name, list(argv)) for name, argv in FLAG_CALLS]
     listing = _liesys(tree, ["examples", "list"])
     if listing.returncode != 0:
         raise SystemExit(f"`liesys examples list` failed in {tree}:\n{listing.stderr}")
