@@ -35,6 +35,7 @@ from .group import (
     orbit_of,
     riccati_system,
     sl2_from_coefficients,
+    solve_group_equation,
 )
 from .pde import (
     PdeSystem,
@@ -263,7 +264,8 @@ def _run_sl2_group(config: RunConfig):
         x0 = [rng.uniform(-1, 1), x2]
         rep = check_equivariance(b, x0, (0.0, 1.0), config.tol)
         worst_dev = max(worst_dev, rep.max_deviation)
-        worst_det = max(worst_det, rep.det_drift)
+        g = solve_group_equation(sl2_from_coefficients(*b), (0.0, 1.0), config.tol)
+        worst_det = max(worst_det, float(np.max(np.abs(g.determinants() - 1.0))))
     checks.append(Check.limit("equivariance_random_triples", worst_dev, 1e-6))
     checks.append(Check.limit("equivariance_det_drift", worst_det, 1e-6))
     return checks, {"pole_events": list(mobius.events)}

@@ -10,18 +10,26 @@ embedded error estimate is round-off and would reject every step.  Blow-up
 past a bound truncates the trajectory and flags it instead of raising:
 escaping solutions are expected behaviour for Riccati-type systems.
 
-Each system's right-hand side is one generated Python function
-(_compile_velocity), evaluated on plain floats so singular points raise.
-The integrator steps on plain floats too, through one generated step
-function per state length N (_step), compiled on first use and cached per
-process: each stage sum adds its tableau terms left to right from 0, as a
-numpy loop would, with the zero entries kept on purpose, since 0.0 * inf =
-nan must reject a step whose right-hand side has no finiteness check (the
-PDE axis right-hand side).  Compiling costs about 0.5 ms at N = 1, 2 ms at
-9, 13 ms at 64 and 0.4 s at 1,024 (Python 3.11, one Intel Xeon core).
-Both go through expr.compile_source, which compiles each source text once
-per process in a bounded cache, so a system whose velocity source repeats
-one built before reuses its code object with its own coefficient tables.
+Each system compiles one function of its own, coefficients(t) ->
+(b_1(t), ..., b_r(t)), with its expression curves inlined and its tables
+interpolated (_compile_coefficients).  Everything else is generated from
+the fields' component sources alone (_Rhs), so a later system with the same
+fields reuses it with its own coefficients: the velocity, sum b_a X_a on
+stacked states with finiteness checks, evaluated on plain floats so
+singular points raise (_compile_velocity); and one DOPRI5 step per state
+length N (_step), in each of whose six stages b(t) is one coefficients call
+and the field components are inlined, with no list, slice or finiteness
+check.  The stages need none: each stage sum adds its tableau terms left to
+right from 0, as a numpy loop would, with the zero entries kept on purpose,
+so a non-finite stage value makes y5 - y4 non-finite (0.0 * inf = nan) and
+rejects the step just as a stage that raises does.  Every node is
+bit-identical to a numpy loop over the checked velocity.  Compiling the
+inlined step of the Riccati fields 1, x, x^2 costs about 1.0 ms at N = 1,
+3.1 ms at 4 and 8.8 ms at 12, against 0.7, 1.7 and 4.4 ms for the step
+that calls a right-hand side (Python 3.11, one Intel Xeon core).  All of it
+goes through expr.compile_source, which compiles each source text once per
+process in a bounded cache, and steps are kept per (N, fields) in a bounded
+cache of their own.
 
 A k-tuple of solutions is integrated as one integral curve of the diagonal
 prolongation of Y to the k-fold product chart, so all slots share one grid.
@@ -33,9 +41,9 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,7 +146,7 @@ class LieSystem:
         self.fields = fields
         self.coefficients = list(coefficients)
         self.chart = chart
-        self._velocity = _compile_velocity(fields, self.coefficients)
+        self._coefficients = _compile_coefficients(self.coefficients)
 
     @property
     def dim(self) -> int:
@@ -148,9 +156,28 @@ class LieSystem:
     def r(self) -> int:
         return len(self.fields)
 
+    @cached_property
+    def _rhs(self) -> _Rhs:
+        return _field_sums(self.fields)
+
+    @cached_property
+    def _velocity(self) -> Callable[[float, list], list]:
+        return _compile_velocity(self._rhs, self._coefficients)
+
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         """Y(t, .) on k >= 1 stacked states of shape (k*n,), b(t) evaluated once."""
         return np.array(self._velocity(t, x.tolist()))
+
+
+class _Rhs(NamedTuple):
+    """A right-hand side as source text for generated code: one call of a
+    function of t gives `scalars` numbers _b0, _b1, ..., and coordinate i of
+    each slot of the state moves with components[i], written over them and
+    the slot's coordinates _x0, _x1, ...  Being text, it keys the caches of
+    the code built from it."""
+
+    scalars: int
+    components: tuple[str, ...]
 
 
 def _not_finite(t: float, x: list | None = None) -> EvaluationError:
@@ -161,41 +188,63 @@ def _not_finite(t: float, x: list | None = None) -> EvaluationError:
     return EvaluationError(f"field value not finite at t={t}, x={np.array(x)}")
 
 
-def _compile_velocity(fields: Sequence[VectorField], coefficients: Sequence[CoefficientCurve]):
-    """One generated function (t, list of floats) -> list for sum b_a(t) X_a
-    on each n-slice of a stacked state.  Expression curves are inlined, a field
-    whose weight is 0.0 is not evaluated, and the terms are summed in field
-    order onto 0.0, so the values are those of adding b_a * X_a one field at a
-    time (a constant-0 component is left out: adding +-0.0 to that sum changes
-    no bit).  Singular points raise as in compile_expr; non-finite values
-    raise EvaluationError."""
-    n, r = fields[0].chart.dim, len(fields)
-    xs = {name: f"_x{i}" for i, name in enumerate(fields[0].chart.names)}
+def _compile_coefficients(coefficients: Sequence[CoefficientCurve]) -> Callable[[float], tuple]:
+    """One generated function t -> (b_1(t), ..., b_r(t)) as floats, with the
+    expression curves inlined and the tables interpolated; no finiteness
+    check.  Its source names the tables only, so systems whose expression
+    curves coincide share its code."""
     tables = {f"_table{a}": c.table for a, c in enumerate(coefficients) if c.table is not None}
-    weights = ", ".join(f"_b{a}" for a in range(r))
-    lines = ["def velocity(t, v):", "    _t = _float(t)"]
-    for a, curve in enumerate(coefficients):
-        value = (f"_interp(_t, *_table{a})" if curve.table is not None
-                 else ex.python_source(curve.expression, {"t": "_t"}))
-        lines.append(f"    _b{a} = _float({value})")
-    lines += [f"    if not all(map(_isfinite, ({weights},))):",
-              "        raise _not_finite(t)",
-              "    out = []",
-              f"    for s in range(0, len(v), {n}):",
-              f"        {', '.join(xs.values())}, = v[s:s + {n}]",
-              "        out += ["]
-    for i in range(n):
-        terms = [f"(_b{a} * {ex.python_source(c, xs)} if _b{a} else 0.0)"
-                 for a, c in enumerate(f.components[i] for f in fields)
-                 if not (isinstance(c, ex.Const) and c.value == 0)]
-        lines.append(f"            {' + '.join(['0.0'] + terms)},")
+    values = [f"_interp(_t, *_table{a})" if curve.table is not None
+              else ex.python_source(curve.expression, {"t": "_t"})
+              for a, curve in enumerate(coefficients)]
+    return ex.compile_source("def coefficients(t):\n    _t = _float(t)\n"
+                             f"    return {''.join(f'_float({v}), ' for v in values)}",
+                             "coefficients", _float=float, _interp=np.interp, **tables)
+
+
+def _field_sums(fields: Sequence[VectorField]) -> _Rhs:
+    """sum b_a X_a as an _Rhs over the weights _b0.._b(r-1): each component
+    adds (_ba * X_a if _ba else 0.0) in field order onto 0.0, so the values
+    are those of adding b_a * X_a one field at a time, and a field whose
+    weight is 0.0 is not evaluated.  A constant-0 component is left out
+    (adding +-0.0 to a sum that starts at 0.0 changes no bit), except in a
+    field that is 0 everywhere, whose first term stays so that a non-finite
+    weight still makes the value non-finite."""
+    xs = {name: f"_x{i}" for i, name in enumerate(fields[0].chart.names)}
+    zero = lambda c: isinstance(c, ex.Const) and c.value == 0  # noqa: E731
+    components = []
+    for i in range(fields[0].chart.dim):
+        terms = [f"(_b{a} * {ex.python_source(f.components[i], xs)} if _b{a} else 0.0)"
+                 for a, f in enumerate(fields)
+                 if not zero(f.components[i]) or (i == 0 and all(map(zero, f.components)))]
+        components.append(" + ".join(["0.0"] + terms))
+    return _Rhs(len(fields), tuple(components))
+
+
+def _compile_velocity(rhs: _Rhs, coefficients: Callable[[float], tuple]):
+    """One generated function (t, list of floats) -> list: rhs on each slot
+    of a stacked state, with the scalars from `coefficients`.  Singular
+    points raise as in compile_expr; non-finite scalars or values raise
+    EvaluationError.  The source holds rhs only, so systems with the same
+    fields share its code."""
+    n = len(rhs.components)
+    lines = ["def velocity(t, v):",
+             "    _b = _coefficients(t)",
+             "    if not all(map(_isfinite, _b)):",
+             "        raise _not_finite(t)",
+             f"    {''.join(f'_b{a}, ' for a in range(rhs.scalars))}= _b",
+             "    out = []",
+             f"    for s in range(0, len(v), {n}):",
+             f"        {''.join(f'_x{i}, ' for i in range(n))}= v[s:s + {n}]",
+             "        out += ["]
+    lines += [f"            {c}," for c in rhs.components]
     lines += ["        ]",
               "    if not all(map(_isfinite, out)):",
               "        raise _not_finite(t, v)",
               "    return out"]
-    return ex.compile_source("\n".join(lines), "velocity", _float=float, _interp=np.interp,
+    return ex.compile_source("\n".join(lines), "velocity", _coefficients=coefficients,
                              _isfinite=math.isfinite, _not_finite=_not_finite,
-                             all=all, map=map, range=range, len=len, **tables)
+                             all=all, map=map, range=range, len=len)
 
 
 def evaluate_field(sys: LieSystem, t: float, x: Sequence[float]) -> np.ndarray:
@@ -294,14 +343,22 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-@cache
-def _step(n: int) -> Callable[[Callable, float, float, list, list], tuple]:
-    """One DOPRI5 step on states of length n, generated once per n:
+@lru_cache(maxsize=64)
+def _step(n: int, rhs: _Rhs | None = None) -> Callable[[Callable, float, float, list, list], tuple]:
+    """One DOPRI5 step on states of length n, generated once per (n, rhs):
     (f, t, h, y, k1) -> (y5, k7, err, scale).  States and stages are scalar
     locals, and each sum is y + h * (((0.0 + a1*k1) + a2*k2) + ...) in
     tableau order, zero entries included.  Not sum(): from Python 3.12 it
     compensates the rounding of float sums.  err is inf when any y5 - y4 is
-    not finite (Python's max skips a NaN that numpy's would return)."""
+    not finite (Python's max skips a NaN that numpy's would return).
+
+    Without rhs, each stage calls the right-hand side f on its state list.
+    With it, f gives rhs's scalars at the stage's time and the stage
+    evaluates rhs's components inline, one slot of the state at a time:
+    one call per stage and no list, slice or finiteness check.  None is
+    needed: a stage with a non-finite value makes y5 - y4 non-finite, since
+    every stage enters both sums, through a zero weight too (0.0 * inf is
+    nan), so the step is rejected as one that raised would be."""
     def combination(coeffs, i):
         terms = " + ".join(["0.0"] + [f"{c!r} * k{j + 1}_{i}" for j, c in enumerate(coeffs)])
         return f"y_{i} + h * ({terms})"
@@ -311,8 +368,18 @@ def _step(n: int) -> Callable[[Callable, float, float, list, list], tuple]:
 
     lines = ["def step(f, t, h, y, k1):", f"    {unpack('y')} = y", f"    {unpack('k1')} = k1"]
     for stage in range(1, 7):
-        args = ", ".join(combination(_A[stage], i) for i in range(n))
-        lines += [f"    k = f(t + {_C[stage]!r} * h, [{args}])", f"    {unpack(f'k{stage + 1}')} = k"]
+        at = f"t + {_C[stage]!r} * h"
+        if rhs is None:
+            args = ", ".join(combination(_A[stage], i) for i in range(n))
+            lines += [f"    k = f({at}, [{args}])", f"    {unpack(f'k{stage + 1}')} = k"]
+            continue
+        lines.append(f"    {''.join(f'_b{a}, ' for a in range(rhs.scalars))}= f({at})")
+        width = len(rhs.components)
+        for slot in range(0, n, width):
+            lines += [f"    _x{i} = {combination(_A[stage], slot + i)}" for i in range(width)]
+            lines += [f"    k{stage + 1}_{slot + i} = {c}" for i, c in enumerate(rhs.components)]
+    if rhs is not None:
+        lines.append(f"    k = [{unpack('k7')}]")
     for i in range(n):
         lines += [f"    y5_{i} = {combination(_B5, i)}",
                   f"    d_{i} = y5_{i} - ({combination(_B4, i)})"]
@@ -330,17 +397,23 @@ def _dopri5(
     y0: Sequence[float],
     tol: float,
     stops: Sequence[float] = (),
+    inline: tuple[Callable[[float], Sequence[float]], _Rhs] | None = None,
 ):
     """Adaptive DOPRI5(4).  Error accepted per unit step, down to a round-off
     floor: err <= max(tol*min(1,h), ROUNDOFF_FLOOR) * scale.  The floor
     binds only where tol*min(1,h) < 1.4e-14 (h < 1.4e-5 at tol 1e-9), in
     practice near a blow-up; elsewhere steps are those of the unfloored rule.
 
-    State and f(t, state) are lists of Python floats.  Each step is one call
-    to the generated step for the state's length (_step): stages, y5 and y4
-    sum in tableau order with zero entries kept, f is called once per stage
-    (1 + 6 calls per attempted step, with FSAL), and a non-finite y5 - y4
-    rejects a step.
+    State and f(t, state) are lists of Python floats; f gives the derivative
+    at t0.  Each step is one call to the generated step for the state's
+    length (_step): stages, y5 and y4 sum in tableau order with zero entries
+    kept, and a stage that raises or a non-finite y5 - y4 rejects the step.
+    Without `inline`, the step calls f once per stage (1 + 6 calls per
+    attempted step, with FSAL).  With inline = (g, rhs), it evaluates the
+    _Rhs rhs inline on each slot of the state instead, with g(t) giving
+    rhs's scalars once per stage; f must then be rhs with those scalars and
+    checks (LieSystem._velocity), and the nodes are the same bits as
+    without.
 
     Each of `stops` inside (t0, t1) becomes a node: a step that would cross
     the next stop is shortened to end on it, t is set to the stop itself
@@ -365,7 +438,7 @@ def _dopri5(
             f"right-hand side not defined at the initial point t={t}, x={y}: {exc}"
         ) from None
     ts, ys, dys = [t], [y], [k1]
-    step_fn = _step(len(y))
+    step_fn, g = (_step(len(y)), f) if inline is None else (_step(len(y), inline[1]), inline[0])
     h = min(0.01 * (t1 - t0), 0.1)
     blew_up = False
     truncated_at = None
@@ -375,7 +448,7 @@ def _dopri5(
         landing = bool(stops) and t + h >= stops[-1]
         step = stops[-1] - t if landing else h
         try:
-            y5, k7, err, scale = step_fn(f, t, step, y, k1)
+            y5, k7, err, scale = step_fn(g, t, step, y, k1)
         except (EvaluationError, ZeroDivisionError, ValueError, OverflowError):
             err = math.inf
         allowed = max(tol * min(1.0, step), ROUNDOFF_FLOOR) * scale if err < math.inf else 0.0
@@ -413,7 +486,8 @@ def integrate_tuple(
     if y0.shape[1:] != (sys.dim,) or len(y0) == 0:
         raise ValueError(f"initial points have shape {y0.shape}, chart dimension is {sys.dim}")
     ts, ys, dys, blew_up, truncated_at = _dopri5(
-        sys._velocity, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol
+        sys._velocity, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol,
+        inline=(sys._coefficients, sys._rhs),
     )
     slots = zip(np.hsplit(ys, len(y0)), np.hsplit(dys, len(y0)))
     return [Trajectory(ts, y, dy, blew_up, truncated_at) for y, dy in slots]

@@ -1368,9 +1368,10 @@ def compile_source(source: str, name: str, **scope) -> Callable:
     in a scope holding the functions python_source emits plus `scope`.
 
     Each source text is compiled once per process, in a bounded cache (256
-    texts; a CLI run or a benchmark cycle needs under 100), and run in a
-    fresh namespace on every call, so systems whose sources coincide share
-    code but never scope values such as coefficient tables."""
+    texts; `examples run-all --seed 0` compiles 77 and one cycle of the
+    `trajectories` benchmark, set-up included, 35), and run in a fresh
+    namespace on every call, so systems whose sources coincide share code
+    but never scope values such as coefficient tables."""
     namespace = {"__builtins__": {}, **{f"_{fn}": f for fn, f in _MATH.items()}, **scope}
     exec(_compiled(source), namespace)  # noqa: S102 - source generated from our own AST
     return namespace[name]

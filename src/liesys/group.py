@@ -266,7 +266,6 @@ class EquivarianceReport:
     max_deviation: float
     compared_points: int
     total_points: int
-    det_drift: float
 
     @property
     def passed(self) -> bool:
@@ -300,8 +299,7 @@ def check_equivariance(
             continue
         compared += 1
         max_dev = max(max_dev, abs(x1 / x2 - x))
-    det_drift = float(np.max(np.abs(solve_group_equation(a, t_span, tol).determinants() - 1.0)))
-    return EquivarianceReport(max_dev, compared, len(joint.t), det_drift)
+    return EquivarianceReport(max_dev, compared, len(joint.t))
 
 
 def group_checks(

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, _dopri5
+from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, _dopri5, _Rhs
 from .errors import IntegrationBlowUpError, LiesysError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
@@ -114,6 +114,14 @@ class PdeSystem:
     def _compiled_fields(self) -> list:
         """Each field as one function of (t1..ts, x), compiled once per system."""
         return [ex.compile_vector(f, self.params.names + self.chart.names) for f in self.fields]
+
+    @cached_property
+    def _inline_fields(self) -> list[_Rhs]:
+        """Each field as the source text inlined into the integrator's steps
+        along its axis, over the parameters _b0.._b(s-1) and x as _x0.."""
+        names = {p: f"_b{i}" for i, p in enumerate(self.params.names)}
+        names.update((x, f"_x{i}") for i, x in enumerate(self.chart.names))
+        return [_Rhs(self.s, tuple(ex.python_source(c, names) for c in f)) for f in self.fields]
 
     @staticmethod
     def from_strings(
@@ -218,13 +226,24 @@ def _axis_rhs(sys: PdeSystem, axis: int, t_frozen: np.ndarray):
     return rhs
 
 
-def _advance(rhs, axis: int, nodes: Sequence[float], x, tol: float) -> np.ndarray:
+def _advance(sys: PdeSystem, axis: int, t_frozen: np.ndarray, nodes: Sequence[float], x,
+             tol: float) -> np.ndarray:
     """States at nodes[1:] from one integration along an axis from nodes[0],
-    which lands on every node: each is an integrated value, not interpolated."""
+    with the other parameters frozen at t_frozen, which lands on every node:
+    each is an integrated value, not interpolated.  The steps inline the
+    axis's field (PdeSystem._inline_fields) and read the parameters from a
+    list set for this line."""
     nodes = [float(v) for v in nodes]
     if len(nodes) < 2:
         return np.empty((0, len(x)))
-    ts, ys, _, blew_up, _ = _dopri5(rhs, nodes[0], nodes[-1], x, tol, stops=nodes[1:-1])
+    t_now = list(map(float, t_frozen))
+
+    def parameters(tau: float) -> list:
+        t_now[axis] = tau
+        return t_now
+
+    ts, ys, _, blew_up, _ = _dopri5(_axis_rhs(sys, axis, t_frozen), nodes[0], nodes[-1], x, tol,
+                                    stops=nodes[1:-1], inline=(parameters, sys._inline_fields[axis]))
     if blew_up:
         raise IntegrationBlowUpError(f"blow-up along axis {axis + 1} near t{axis + 1}={ts[-1]:.6g}")
     return np.concatenate([ys[np.searchsorted(ts, nodes[1:-1])], ys[-1:]])
@@ -263,7 +282,7 @@ def path_solve(
             continue
         if stop < start:
             raise ValueError("staircase segments must move forward along each axis")
-        x = _advance(_axis_rhs(sys, axis, t_now), axis, (start, stop), x, tol)[-1]
+        x = _advance(sys, axis, t_now, (start, stop), x, tol)[-1]
         t_now[axis] = stop
         samples.append((t_now.copy(), x.copy()))
     if not np.allclose(t_now, target, atol=1e-12):
@@ -345,9 +364,9 @@ def solve_on_grid(
     out[0, 0] = x0
     if not np.allclose([t1s[0], t2s[0]], 0.0):
         out[0, 0] = path_solve(sys, x0, [t1s[0], t2s[0]], tol=tol).endpoint
-    out[1:, 0] = _advance(_axis_rhs(sys, 0, np.array([0.0, t2s[0]])), 0, t1s, out[0, 0], tol)
+    out[1:, 0] = _advance(sys, 0, np.array([0.0, t2s[0]]), t1s, out[0, 0], tol)
     for i, t1 in enumerate(t1s):
-        out[i, 1:] = _advance(_axis_rhs(sys, 1, np.array([t1, 0.0])), 1, t2s, out[i, 0], tol)
+        out[i, 1:] = _advance(sys, 1, np.array([t1, 0.0]), t2s, out[i, 0], tol)
     return out
 
 

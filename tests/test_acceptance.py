@@ -25,7 +25,7 @@ from liesys.geometry import (
     lie_bracket,
 )
 from liesys.algebra import span_coefficients
-from liesys.group import check_equivariance
+from liesys.group import check_equivariance, sl2_from_coefficients, solve_group_equation
 from liesys.pde import (
     PdeSystem,
     curvature,
@@ -153,7 +153,8 @@ def test_criterion_7_group_equivariance():
         x0 = [rng.uniform(-1, 1), rng.choice([-1, 1]) * rng.uniform(0.6, 1.5)]
         rep = check_equivariance(b, x0, (0.0, 1.0))
         worst_dev = max(worst_dev, rep.max_deviation)
-        worst_det = max(worst_det, rep.det_drift)
+        g = solve_group_equation(sl2_from_coefficients(*b), (0.0, 1.0))
+        worst_det = max(worst_det, float(np.max(np.abs(g.determinants() - 1.0))))
     ok = worst_dev <= 1e-6 and worst_det <= 1e-6
     announce(
         7,

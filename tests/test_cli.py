@@ -392,8 +392,11 @@ class TestGroupAndPde:
     @pytest.mark.parametrize("argv,module,function,calls", [
         (["pde", "solve", "pde_riccati"], "pde", "path_solve", 8),
         (["group", "sl2_group"], "group", "solve_group_equation", 1),
+        # a planar x0 adds the equivariance check, which needs no second g
+        (["group", ("sl2_group", {"action.name": "sl2_linear", "action.x0": [0.0, 1.0]})],
+         "group", "solve_group_equation", 1),
     ])
-    def test_each_solve_runs_once(self, monkeypatch, argv, module, function, calls):
+    def test_each_solve_runs_once(self, monkeypatch, tmp_path, argv, module, function, calls):
         seen, real = [], getattr(sys.modules[f"liesys.{module}"], function)
 
         def counted(*args, **kwargs):
@@ -403,7 +406,10 @@ class TestGroupAndPde:
         for loaded in list(sys.modules.values()):
             if loaded.__name__.startswith("liesys.") and hasattr(loaded, function):
                 monkeypatch.setattr(loaded, function, counted)
-        assert main([*argv[:-1], str(PROBLEMS / f"{argv[-1]}.json")]) == 0
+        problem = argv[-1]
+        path = (edited_problem(tmp_path, *problem) if isinstance(problem, tuple)
+                else PROBLEMS / f"{problem}.json")
+        assert main([*argv[:-1], str(path)]) == 0
         assert len(seen) == calls
 
     def test_pde_superpose_non_tangent_rule_fails_cleanly(self, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from liesys import pde
 from liesys.cli import main
 from liesys.dynamics import (
     _A,
@@ -17,6 +19,7 @@ from liesys.dynamics import (
     CoefficientCurve,
     LieSystem,
     _dopri5,
+    _step,
     align_trajectories,
     evaluate_field,
     fundamental_points,
@@ -24,11 +27,11 @@ from liesys.dynamics import (
     integrate,
     integrate_tuple,
 )
-from liesys.errors import EvaluationError, FundamentalSetError
+from liesys.errors import EvaluationError, FundamentalSetError, IntegrationBlowUpError
 from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, _compiled, compile_expr
 from liesys.geometry import VectorField
-from liesys.group import MatrixCurve, solve_group_equation
-from liesys.pde import PdeSystem, _axis_rhs
+from liesys.group import MatrixCurve, riccati_system, solve_group_equation
+from liesys.pde import PdeSystem, _axis_rhs, solve_on_grid
 
 from conftest import random_tree
 
@@ -523,6 +526,115 @@ class TestStops:
         got = _dopri5(sys._velocity, 0.0, 2.0, [0.0], 1e-9, stops=stops)
         assert_same_run(got, reference_dopri5(sys.velocity, 0.0, 2.0, [0.0], 1e-9, stops=stops))
         assert got[3] and 1.5 in got[0] and 1.6 not in got[0]
+
+
+def run_of(slots):
+    """A tuple from integrate_tuple as one run of _dopri5 on the stacked state."""
+    return (slots[0].t, np.hstack([tr.states for tr in slots]),
+            np.hstack([tr.derivatives for tr in slots]), slots[0].blew_up, slots[0].truncated_at)
+
+
+class TestInlinedStep:
+    """integrate and integrate_tuple step with the fields inlined and no
+    finiteness check; every run matches the numpy loop on the checked
+    velocity, failed stages included."""
+
+    @staticmethod
+    def assert_matches_reference(sys, points, span, tol=1e-9):
+        got = run_of(integrate_tuple(sys, points, span, tol))
+        assert_same_run(got, reference_dopri5(sys.velocity, *span, np.ravel(points), tol))
+        return got
+
+    @pytest.mark.parametrize("square", ["x^2", "x*x"])
+    def test_stage_that_overflows_mid_step(self, square):
+        # past t = 0.5 the weight of the square ramps towards 1e300, so a
+        # later stage's x is past 1e154: x^2 raises OverflowError, x*x is inf
+        sys = LieSystem([VectorField.from_strings(LINE, c) for c in (["1"], [square])],
+                        [CoefficientCurve.from_string("1"),
+                         CoefficientCurve(table=([0.0, 0.5, 0.6], [0.0, 0.0, 1e300]))])
+        ts, ys, _, blew_up, truncated_at = self.assert_matches_reference(sys, [[0.0]], (0.0, 1.0))
+        assert blew_up and abs(truncated_at - 0.5) <= 1e-6 and len(ts) > 5
+        assert np.all(np.isfinite(ys))
+
+    def test_coefficient_that_becomes_inf_at_a_stage(self):
+        # exp(t) * exp(t) is inf past t = 354.89
+        sys = line_system("x", "-exp(t)*exp(t)*exp(-705)")
+        ts, _, _, blew_up, truncated_at = self.assert_matches_reference(sys, [[1.0]], (350.0, 356.0))
+        assert blew_up and abs(truncated_at - 354.8914) <= 1e-4 and len(ts) > 100
+        # a field that is 0 everywhere still turns the inf weight into a nan
+        zero = line_system("0", "exp(t)*exp(t)")
+        _, ys, _, blew_up, truncated_at = self.assert_matches_reference(zero, [[1.0]], (354.0, 356.0))
+        assert blew_up and abs(truncated_at - 354.8914) <= 1e-4 and np.all(ys == 1.0)
+
+    def test_zero_weight_field_at_its_pole(self):
+        # x stays at 0, the pole of 1/x, whose weight is 0 until t = 0.5
+        sys = LieSystem([VectorField.from_strings(LINE, c) for c in (["x"], ["1/x"])],
+                        [CoefficientCurve.from_string("1"),
+                         CoefficientCurve(table=([0.0, 0.5, 1.0], [0.0, 0.0, 1.0]))])
+        ts, ys, _, blew_up, truncated_at = self.assert_matches_reference(sys, [[0.0]], (0.0, 1.0))
+        assert blew_up and abs(truncated_at - 0.5) <= 1e-6 and len(ts) > 5
+        assert not np.any(ys)
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4])
+    def test_slots_with_a_table_curve(self, slots):
+        table = CoefficientCurve(table=([0.0, 0.4, 0.9, 1.5], [1.0, -0.5, 2.0, 0.3]))
+        riccati = LieSystem([VectorField.from_strings(LINE, [c]) for c in ("1", "x", "x^2")],
+                            [CoefficientCurve.from_string("1 - t"), table,
+                             CoefficientCurve.from_string("-1")])
+        plane = LieSystem([VectorField.from_strings(PLANE, c) for c in (["1", "y"], ["x", "0"])],
+                          [table, CoefficientCurve.from_string("sin(t)")])
+        starts = [[-0.3, 0.2], [0.3, -1.0], [0.9, 0.5], [1.6, 0.0]][:slots]
+        self.assert_matches_reference(riccati, [p[:1] for p in starts], (0.0, 1.5))
+        self.assert_matches_reference(plane, starts, (0.0, 1.5))
+
+    @pytest.mark.parametrize("u0", [[0.4, -0.3], [2.0, 1.0]])
+    def test_pde_grid_matches_the_callable_axis(self, monkeypatch, u0):
+        sys = PdeSystem.from_strings(2, ["u", "v"], [["u^2", "u*v"], ["v - t1*u", "sin(t2)*u"]])
+        axes = [np.linspace(0.0, 0.8, 5), np.linspace(0.0, 0.6, 4)]
+
+        def grid():
+            try:
+                return solve_on_grid(sys, u0, axes)
+            except IntegrationBlowUpError as exc:
+                return str(exc)
+
+        inlined = grid()
+        dopri5 = pde._dopri5
+        monkeypatch.setattr(pde, "_dopri5", lambda *args, inline, **kwargs: dopri5(*args, **kwargs))
+        callable_ = grid()
+        assert type(inlined) is type(callable_)
+        if isinstance(inlined, str):
+            assert inlined == callable_
+        else:
+            assert inlined.tobytes() == callable_.tobytes()
+
+
+class TestSharedCode:
+    """Code generated from a system's fields is compiled once per process."""
+
+    def test_systems_with_the_same_fields_share_velocity_and_steps(self):
+        fields = [VectorField.from_strings(PLANE, c) for c in (["1", "y"], ["x", "0"])]
+
+        def system(values):
+            return LieSystem(fields, [CoefficientCurve.from_string("1"),
+                                      CoefficientCurve(table=([0.0, 1.0], values))])
+
+        first, second = system([0.0, 2.0]), system([5.0, -1.0])
+        points = [[0.3, -0.2], [1.0, 0.0], [0.0, 1.0], [-0.5, 0.7]]
+        for slots in range(1, 5):
+            integrate_tuple(first, points[:slots], (0.0, 1.0))
+        misses = _compiled.cache_info().misses
+        for slots in range(1, 5):
+            integrate_tuple(second, points[:slots], (0.0, 1.0))
+            assert _step(2 * slots, first._rhs).__code__ is _step(2 * slots, second._rhs).__code__
+        assert _compiled.cache_info().misses == misses
+        assert first._velocity.__code__ is second._velocity.__code__
+
+    def test_a_riccati_system_costs_one_compile(self, rng):
+        curves = [CoefficientCurve.constant(Fraction(rng.randint(1, 10**9), 10**9 + 7)) for _ in range(3)]
+        misses = _compiled.cache_info().misses
+        riccati_system(*curves)
+        assert _compiled.cache_info().misses == misses + 1
 
 
 class TestIntegrateTuple:

@@ -233,7 +233,8 @@ class TestEquivariance:
     def test_rotation_case_both_sides_tan(self):
         rep = check_equivariance(curves("1", "0", "1"), [0.0, 1.0], (0.0, 1.0))
         assert rep.max_deviation <= 1e-6
-        assert rep.det_drift <= 1e-6
+        g = solve_group_equation(sl2_from_coefficients(*curves("1", "0", "1")), (0.0, 1.0))
+        assert np.max(np.abs(g.determinants() - 1.0)) <= 1e-6
 
     def test_diagonal_case_exponentials(self):
         # b = (0,1,0): x1 = e^{t/2} x1(0), x2 = e^{-t/2} x2(0)
