@@ -17,8 +17,11 @@ Grammar (see README for the EBNF): integer literals, rationals written
 standard precedence (``^`` binds tightest and takes an integer exponent), and
 function application ``sin(...)``.
 
-Expressions are immutable after construction and every operation here is a
-pure function, so values can be shared freely across threads.
+Expressions are immutable after construction, with one deferred step: a sum
+rebuilt from a normal form builds its term trees on the first read of its
+terms, idempotently and under a lock, and is a plain Add from then on.  Every
+operation here is a pure function, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 import operator
 import random
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -157,7 +161,8 @@ class Expr:
         return self._render()
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self._render()}>"
+        text = self._render()  # first: it turns an unbuilt sum into an Add
+        return f"<{type(self).__name__} {text}>"
 
     def _render(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -222,6 +227,31 @@ class Add(Expr):
 
     def _nf_compute(self):
         return _nf_sum(_nf_of(t) for t in self.terms)
+
+
+_TERMS = Add.terms  # the slot itself, beneath _PolySum's property
+_BUILD = threading.Lock()
+
+
+class _PolySum(Add):
+    """The sum of a polynomial's terms, two or more: the terms slot holds the
+    polynomial until the first read of `terms` builds the term trees
+    (_poly_terms) and turns the node into a plain Add, whose later reads
+    take the slot directly."""
+
+    __slots__ = ()
+
+    def __init__(self, poly):
+        Expr.__init__(self)
+        _TERMS.__set__(self, poly)
+
+    @property
+    def terms(self):
+        with _BUILD:  # one build per node, so racing readers get one tuple
+            if type(self) is _PolySum:
+                _TERMS.__set__(self, _poly_terms(_TERMS.__get__(self)))
+                self.__class__ = Add
+        return _TERMS.__get__(self)
 
 
 class Mul(Expr):
@@ -352,8 +382,10 @@ _PONE = {(): 1}
 
 # atom key -> Expr that reconstructs it (Var or Call); append-only, filled
 # by the folds of Var and Call.  Derivations (_nf_derive) look function atoms
-# up here and may add entries (cos(u) for the rate of sin(u)), so any scoping
-# of this table must keep every atom of a live normal form reachable.
+# up here and may add entries (cos(u) for the rate of sin(u)), and an unbuilt
+# sum (_PolySum) looks its atoms up here when it is built or walked by
+# free_variables, so any scoping of this table must keep every atom of a live
+# normal form, and of a live unbuilt sum, reachable.
 _ATOMS: dict[str, Expr] = {}
 
 
@@ -881,9 +913,9 @@ def _atom_expr(atom: str) -> Expr:
     return e
 
 
-def _expr_from_poly(p) -> Expr:
-    if not p:
-        return Const(0)
+def _poly_terms(p) -> tuple[Expr, ...]:
+    """The term trees of a nonzero polynomial, leading term first: the one
+    builder of terms, run at once for one term and on first read for more."""
     terms = []
     for mono, coeff in _sorted_terms(p):
         factors: list[Expr] = []
@@ -892,7 +924,13 @@ def _expr_from_poly(p) -> Expr:
         for atom, e in mono:
             factors.append(_make_pow(_atom_expr(atom), e))
         terms.append(_chain(Mul, factors))
-    return _chain(Add, terms)
+    return tuple(terms)
+
+
+def _expr_from_poly(p) -> Expr:
+    if not p:
+        return Const(0)
+    return _poly_terms(p)[0] if len(p) == 1 else _PolySum(p)
 
 
 def _tree(num, den, nf: _NF) -> Expr:
@@ -918,6 +956,17 @@ def canonical_expr(e: Expr) -> Expr:
     return _expr_from_nf(_nf_of(e))
 
 
+def _brief(e: Expr, text: str, label: str = "") -> str:
+    """text, e's rendering, if it has at most MAX_DETAIL_CHARS characters;
+    else the label, the term count of e's normal form and text's first
+    MAX_DETAIL_CHARS characters."""
+    if len(text) <= MAX_DETAIL_CHARS:
+        return text
+    num, den = _nf_of(e).num_den
+    terms = f"{len(num)} terms" if den == _PONE else f"{len(num)} terms over {len(den)}"
+    return f"{label}{terms}, {text[:MAX_DETAIL_CHARS]}..."
+
+
 def canonically_equal(a: Expr, b: Expr) -> bool:
     """Exact equality of canonical forms (formal equality over the atoms)."""
     return _nf_of(a).canonical() == _nf_of(b).canonical()
@@ -932,7 +981,10 @@ def free_variables(e: Expr) -> frozenset[str]:
         if isinstance(node, Var):
             out.add(node.name)
         elif isinstance(node, Add):
-            stack.extend(node.terms)
+            terms = _TERMS.__get__(node)
+            if isinstance(terms, dict):  # an unbuilt sum: its polynomial's atoms
+                terms = [_atom_expr(a) for a in {a for m in terms for a, _ in m}]
+            stack.extend(terms)
         elif isinstance(node, Mul):
             stack.extend(node.factors)
         elif isinstance(node, Pow):
@@ -980,6 +1032,9 @@ MAX_EXACT_BITS = 2**20
 # Most term pairs one polynomial product multiplies out, at a few microseconds
 # each: expanding (x+1)^100000 squares ever longer polynomials and would not end.
 MAX_TERM_PAIRS = 2**18
+# Longest rendering of one expression that a report's detail text quotes in
+# full; a longer one is quoted as its term count and a prefix this long.
+MAX_DETAIL_CHARS = 200
 # is_zero with function atoms: random points sampled, largest |value| taken as zero.
 ZERO_TEST_SAMPLES = 32
 ZERO_TEST_TOL = 1e-9

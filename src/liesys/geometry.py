@@ -136,7 +136,8 @@ def _require_same_chart(x: VectorField, y: VectorField):
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X,Y]^i = X(Y^i) - Y(X^i), two derivations on the components' normal
-    forms; each component is put into canonical form once."""
+    forms.  Each component is the tree of its canonical form, carrying its
+    reduced normal form, whose sums build their terms on first read."""
     _require_same_chart(x, y)
     rx, ry = x._rates(), y._rates()
     nf = ex._nf_of

@@ -486,12 +486,16 @@ def reduce_to_ode(sys: PdeSystem) -> LieSystem:
 
 def flatness_checks(sys: PdeSystem) -> tuple[list[Check], dict]:
     """`flat` from the curvature residuals (probabilistic unless every zero
-    verdict was exact), which the detail and the extra `residuals` list per
-    parameter pair."""
+    verdict was exact), which the extra `residuals` lists per parameter pair
+    and the detail quotes, each past expr.MAX_DETAIL_CHARS as its component,
+    term count and a prefix."""
     report = curvature(sys)
-    detail = "; ".join(f"pair {pair}: " + ", ".join(str(r) for r in rs)
-                       for pair, rs in report.residuals.items())
-    residuals = {f"{a+1},{b+1}": [str(r) for r in rs] for (a, b), rs in report.residuals.items()}
+    texts = {pair: [str(r) for r in rs] for pair, rs in report.residuals.items()}
+    detail = "; ".join(
+        f"pair {pair}: " + ", ".join(ex._brief(r, text, f"component {i}: ")
+                                     for i, (r, text) in enumerate(zip(rs, texts[pair])))
+        for pair, rs in report.residuals.items())
+    residuals = {f"{a+1},{b+1}": rs for (a, b), rs in texts.items()}
     return ([Check("flat", report.flat, probabilistic=not report.exact,
                    detail=detail or "no parameter pairs")], {"residuals": residuals})
 

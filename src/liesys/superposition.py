@@ -207,8 +207,9 @@ def _phi_on_leaves(rule: SuperpositionRule, seed: int) -> tuple[dict[str, Expr],
     for label, condition in conditions:
         decision = ex.is_zero(condition, seed=seed)
         if decision.verdict == "nonzero":
+            residual = ex._tree_of(ex._nf_of(condition))
             raise LiesysError(
-                f"phi is off its own leaves: {label} = {ex._tree_of(ex._nf_of(condition))} is not zero"
+                f"phi is off its own leaves: {label} = {ex._brief(residual, str(residual))} is not zero"
             )
         sampled = sampled or not decision.exact
     return on_phi, sampled

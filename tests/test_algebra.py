@@ -148,6 +148,67 @@ class TestClosure:
         assert report.constants[(1, 2)] == (Fraction(1), Fraction(0), Fraction(0))
 
 
+class TestSumsStayUnbuilt:
+    """Brackets, the echelon and zero tests read normal forms, so a sum
+    rebuilt from one builds its terms only where something renders it."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """Term counts of the sums made and of those built since."""
+        made, built = [], []
+        init, build = ex._PolySum.__init__, ex._poly_terms
+
+        def making(self, poly):
+            made.append(len(poly))
+            init(self, poly)
+
+        def building(poly):
+            if len(poly) > 1:
+                built.append(len(poly))
+            return build(poly)
+
+        monkeypatch.setattr(ex._PolySum, "__init__", making)
+        monkeypatch.setattr(ex, "_poly_terms", building)
+        return made, built
+
+    def test_closed_rescaled_gl3_builds_no_sum(self, sums):
+        report = closure_test(_gl_scaled(3, seed=5))
+        assert report.closed and report.dimension == 9
+        assert sums[1] == []
+
+    def test_closed_algebra_with_sum_brackets_builds_no_sum(self, sums):
+        report = closure_test([field(LINE, "1 + x"), field(LINE, "x - x^2"), field(LINE, "x^2 + 2")])
+        assert report.closed and report.dimension == 3
+        made, built = sums
+        assert made and built == []
+
+    def test_jacobi_sum_builds_no_sum(self, sums):
+        texts = [("x^2 + 2*x*y - 3", "y^2 - x/2 + 1"), ("3*x*y - y", "x^2 + y^2"),
+                 ("x^2/3 - y + 2", "x*y + 5*x")]
+        x, y, z = (VectorField(PLANE, tuple(ex.canonical_expr(ex.parse(c, PLANE)) for c in row))
+                   for row in texts)
+        terms = [lie_bracket(lie_bracket(p, q), r) for p, q, r in ((x, y, z), (y, z, x), (z, x, y))]
+        for i in range(2):
+            decision = is_zero(ex.Add(tuple(t.components[i] for t in terms)))
+            assert decision.verdict == "zero" and decision.exact
+        made, built = sums
+        assert made and built == []
+
+    @pytest.mark.parametrize("components", [None, (["1"], ["x^3 + x"])])
+    def test_open_closure_builds_its_witness_once_rendered(self, sums, components):
+        if components is None:
+            components = json.loads((PROBLEMS / "incomplete_pair.json").read_text())["fields"]
+        report = closure_test([field(LINE, *c) for c in components])
+        assert not report.closed
+        made, built = sums
+        assert built == []
+        witness = report.witness[2]
+        want = sorted(len(p) for c in witness.components for p in ex._nf_of(c).canonical()
+                      if len(p) > 1)
+        witness.to_json_dict()
+        assert sorted(built) == want
+
+
 class TestMinimalM:
     def test_riccati_needs_three(self):
         assert minimal_m(riccati(), seed=0).m == 3

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,9 @@ class TestVerify:
         assert done.returncode == 1, done.stdout + done.stderr
         assert "phi is off its own leaves: psi component 0: psi(phi) - k1 = " in done.stdout
         assert "Traceback" not in done.stderr
+        # the residual is quoted as its term count and a bounded prefix
+        assert max(len(line) for line in done.stdout.splitlines()) <= 400
+        assert re.search(r"psi\(phi\) - k1 = \d+ terms over \d+, ", done.stdout)
 
     def test_partial_rank1_passes_for_every_seed(self, tmp_path):
         # the seed only moves is_zero's sample points, which the exact
@@ -429,6 +433,24 @@ class TestGroupAndPde:
         code, doc = run(tmp_path, "pde", "check", str(PROBLEMS / "pde_nonflat.json"))
         assert code == 1
         assert doc["extra"]["residuals"]["1,2"] == ["u"]
+
+    @pytest.mark.parametrize("factor", [
+        "(sin(t2)^2 + cos(t2)^2 - 1)*(sin(t2)^2 + cos(t2)^2 - 2)^30",  # zero, but only sampled
+        "(t2 + 2)^30",
+    ])
+    def test_pde_check_quotes_a_long_residual_briefly(self, tmp_path, capsys, factor):
+        # the residual is factor*(1 + t1)*u^2, expanded to thousands of characters
+        path = tmp_path / "long_residual.json"
+        path.write_text(json.dumps({"pde": {"s": 2, "chart": ["u"], "fields": [
+            ["u"], [f"(exp(-t1) + {factor}*t1)*u^2"]]}}))
+        code, doc = run(tmp_path, "pde", "check", str(path))
+        assert max(len(line) for line in capsys.readouterr().out.splitlines()) <= 300
+        full = doc["extra"]["residuals"]["1,2"][0]
+        detail = doc["checks"][0]["detail"]
+        if full != "0":
+            assert code == 1 and len(full) > 1000
+            terms = full.count(" + ") + full.count(" - ") + 1
+            assert detail == f"pair (0, 1): component 0: {terms} terms, {full[:200]}..."
 
     def test_pde_solve_refuses_nonflat(self, tmp_path):
         code = main(["pde", "solve", str(PROBLEMS / "pde_nonflat.json")])

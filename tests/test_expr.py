@@ -2,6 +2,9 @@ import itertools
 import math
 import random
 import re
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,7 @@ from liesys.expr import (
     substitute,
 )
 from liesys.expr import _divides, _padd, _pdiv_exact, _pmul
+from liesys.geometry import VectorField, lie_bracket
 
 from conftest import VARS, random_polynomial, random_tree
 
@@ -675,3 +679,133 @@ class TestHugeConstants:
     def test_compiling(self):
         with pytest.raises(LiesysError, match="59341 bits"):
             python_source(Mul((Const(self.huge), Var("x"))), {"x": "_v0"})
+
+
+PLANE_NAMES = ("x", "y")
+
+
+def _plane(text):
+    return parse(text, PLANE_NAMES)
+
+
+def _bracket_component(i):
+    chart = Chart(PLANE_NAMES)
+    x = VectorField.from_strings(chart, ["x^2 + 2*x*y - 3", "sin(x + y)*y - x/2"])
+    y = VectorField.from_strings(chart, ["exp(y)*x + y^2", "x^2 + y^2 - 1"])
+    return lie_bracket(x, y).components[i]
+
+
+def _derivation(text):
+    field = VectorField.from_strings(Chart(PLANE_NAMES), ["x^2 + y", "x*y - 1"])
+    return field.apply_to(_plane(text))
+
+
+# trees whose top node, or a quotient's parts, are sums not yet built
+LAZY_CASES = {
+    "canonical polynomial": lambda: canonical_expr(_plane("(x + y)^3 - sin(x)*exp(y) + x/2")),
+    "canonical quotient": lambda: canonical_expr(_plane("(x^2 + sin(x + y))/(x - exp(y) + 1)")),
+    "bracket component 0": lambda: _bracket_component(0),
+    "bracket component 1": lambda: _bracket_component(1),
+    "derivation": lambda: _derivation("x^3*y + y^2"),
+    "derivation of a quotient": lambda: _derivation("(x + y)/(x - y + 2)"),
+}
+
+_SOURCE_NAMES = {"x": "_v0", "y": "_v1"}
+
+# each reads the whole tree; each is the first reader of a fresh tree
+LAZY_READERS = {
+    "str": str,
+    "python_source": lambda e: python_source(e, _SOURCE_NAMES),
+    "evaluate": lambda e: evaluate(e, {"x": Fraction(1, 3), "y": Fraction(2, 5)}),
+    "free_variables": free_variables,
+    "substitute": lambda e: str(substitute(e, {"x": _plane("x + y"), "y": _plane("2*x")})),
+    "_diff_tree": lambda e: [str(ex._diff_tree(e, v)) for v in PLANE_NAMES],
+}
+
+
+def _unbuilt_sums(e):
+    """The sums of e, or of a quotient e's parts, whose terms are not built."""
+    parts = (e.numerator, e.denominator) if isinstance(e, Div) else (e,)
+    return [p for p in parts if type(p) is ex._PolySum]
+
+
+def _eager(e):
+    """A copy of e with every unbuilt sum replaced by an Add of the terms
+    the builder gives for its polynomial, made without reading those sums'
+    terms: the tree an eager build would have made, with e left unbuilt."""
+    if type(e) is ex._PolySum:
+        return Add(tuple(map(_eager, ex._poly_terms(ex._TERMS.__get__(e)))))
+    if isinstance(e, Add):
+        return Add(tuple(map(_eager, e.terms)))
+    if isinstance(e, Mul):
+        return Mul(tuple(map(_eager, e.factors)))
+    if isinstance(e, Pow):
+        return Pow(_eager(e.base), e.exponent)
+    if isinstance(e, Div):
+        return Div(_eager(e.numerator), _eager(e.denominator))
+    if isinstance(e, Call):
+        return Call(e.fn, _eager(e.arg))
+    return e
+
+
+class TestLazySums:
+    """A sum rebuilt from a normal form builds its terms on first read, with
+    the one builder an eager build runs, and is a plain Add from then on."""
+
+    @pytest.mark.parametrize("reader", sorted(LAZY_READERS))
+    @pytest.mark.parametrize("case", sorted(LAZY_CASES))
+    def test_first_read_matches_the_eager_tree(self, case, reader):
+        lazy = LAZY_CASES[case]()
+        sums = _unbuilt_sums(lazy)
+        assert sums, "the case has no unbuilt sum"
+        eager = _eager(lazy)
+        assert all(type(s) is ex._PolySum for s in sums)
+        read = LAZY_READERS[reader]
+        assert read(lazy) == read(eager)
+        if reader == "free_variables":  # read the polynomials' atoms only
+            assert all(type(s) is ex._PolySum for s in sums)
+            str(lazy)
+            assert free_variables(lazy) == free_variables(eager)
+        assert all(type(s) is Add for s in sums)
+        assert all(s.terms is s.terms for s in sums)
+        assert str(lazy) == str(eager)
+
+    def test_function_atoms_inside_an_unbuilt_sum_are_walked(self):
+        e = canonical_expr(parse("sin(z*y) + exp(x - z) + x", VARS))
+        assert type(e) is ex._PolySum
+        assert free_variables(e) == {"x", "y", "z"}
+        assert type(e) is ex._PolySum
+
+    def test_racing_readers_share_one_build(self, monkeypatch):
+        lazy = canonical_expr(parse("(x + y + z + 1)^6", VARS))
+        want = str(_eager(lazy))
+        builds = []
+        build = ex._poly_terms
+
+        def slow_build(p):
+            builds.append(len(p))
+            time.sleep(0.01)  # the other readers arrive while this one builds
+            return build(p)
+
+        monkeypatch.setattr(ex, "_poly_terms", slow_build)
+        ready = threading.Barrier(4, timeout=10)
+        texts = [None] * 4
+
+        def read(i):
+            ready.wait()
+            texts[i] = str(lazy)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert texts == [want] * 4
+        assert type(lazy) is Add
+        assert builds == [84]
