@@ -71,6 +71,5 @@ from .pde import (  # noqa: F401
     path_independence_audit,
     path_solve,
     pde_superpose,
-    riccati_pde,
     solve_on_grid,
 )

@@ -40,12 +40,10 @@ from .group import (
 from .pde import (
     PdeSystem,
     curvature,
-    decomposition_residuals,
     flatness_checks,
     grid_superpose_checks,
     path_checks,
     path_independence_audit,
-    riccati_pde,
 )
 from .report import Check
 from .superposition import (
@@ -279,24 +277,6 @@ def _run_pde_riccati(config: RunConfig):
         decomposition={"u": [["0", "0", "1"], ["0", "0", "1"]], "basis": [["1"], ["u"], ["u^2"]]},
     )
     checks, _ = flatness_checks(flat)
-    family = riccati_pde("1", "0", "0", "1", "0", "0")
-    checks.append(
-        Check(
-            "family_constructor_matches",
-            all(
-                ex.canonically_equal(a, b)
-                for fa, fb in zip(flat.fields, family.fields)
-                for a, b in zip(fa, fb)
-            ),
-        )
-    )
-    residuals = decomposition_residuals(flat)
-    checks.append(
-        Check(
-            "decomposed_integrability_zero",
-            all(ex.is_zero(c).verdict == "zero" for c in residuals[(0, 1)]),
-        )
-    )
 
     nonflat = PdeSystem.from_strings(2, ["u"], [["u"], ["t1*u"]])
     nonflat_report = curvature(nonflat)

@@ -10,25 +10,28 @@ embedded error estimate is round-off and would reject every step.  Blow-up
 past a bound truncates the trajectory and flags it instead of raising:
 escaping solutions are expected behaviour for Riccati-type systems.
 
-Each system compiles one function of its own, coefficients(t) ->
-(b_1(t), ..., b_r(t)), with its expression curves inlined and its tables
-interpolated (_compile_coefficients).  Everything else is generated from
-the fields' component sources alone (_Rhs), so a later system with the same
-fields reuses it with its own coefficients: the velocity, sum b_a X_a on
+The integrator has one way to take a right-hand side: an _Rhs, the source
+text of each component over a few scalars _b0, _b1, ... and one slot's
+coordinates _x0, _x1, ..., with a function of t that gives the scalars.  A
+Lie system's scalars are its coefficients b(t), from the one function each
+system compiles of its own, coefficients(t) -> (b_1(t), ..., b_r(t)), with
+its expression curves inlined and its tables interpolated
+(_compile_coefficients); a PDE axis's scalars are the parameters t1..ts.
+Everything else is generated from the _Rhs alone, so a later system with
+the same fields reuses it with its own scalars: the velocity, the _Rhs on
 stacked states with finiteness checks, evaluated on plain floats so
 singular points raise (_compile_velocity); and one DOPRI5 step per state
-length N (_step), in each of whose six stages b(t) is one coefficients call
-and the field components are inlined, with no list, slice or finiteness
-check.  The stages need none: each stage sum adds its tableau terms left to
-right from 0, as a numpy loop would, with the zero entries kept on purpose,
-so a non-finite stage value makes y5 - y4 non-finite (0.0 * inf = nan) and
+length N (_step), in each of whose six stages the scalars are one call and
+the components are inlined, with no list, slice or finiteness check.  The
+stages need none: each stage sum adds its tableau terms left to right from
+0, as a numpy loop would, with the zero entries kept on purpose, so a
+non-finite stage value makes y5 - y4 non-finite (0.0 * inf = nan) and
 rejects the step just as a stage that raises does.  Every node is
 bit-identical to a numpy loop over the checked velocity.  Compiling the
-inlined step of the Riccati fields 1, x, x^2 costs about 1.0 ms at N = 1,
-3.1 ms at 4 and 8.8 ms at 12, against 0.7, 1.7 and 4.4 ms for the step
-that calls a right-hand side (Python 3.11, one Intel Xeon core).  All of it
-goes through expr.compile_source, which compiles each source text once per
-process in a bounded cache, and steps are kept per (N, fields) in a bounded
+step of the Riccati fields 1, x, x^2 costs about 0.6 ms at N = 1, 2.0 ms
+at 4 and 6.3 ms at 12 (Python 3.11, one Intel Xeon core).  All of it goes
+through expr.compile_source, which compiles each source text once per
+process in a bounded cache, and steps are kept per (N, rhs) in a bounded
 cache of their own.
 
 A k-tuple of solutions is integrated as one integral curve of the diagonal
@@ -344,21 +347,18 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 
 
 @lru_cache(maxsize=64)
-def _step(n: int, rhs: _Rhs | None = None) -> Callable[[Callable, float, float, list, list], tuple]:
+def _step(n: int, rhs: _Rhs) -> Callable[[Callable, float, float, list, list], tuple]:
     """One DOPRI5 step on states of length n, generated once per (n, rhs):
-    (f, t, h, y, k1) -> (y5, k7, err, scale).  States and stages are scalar
-    locals, and each sum is y + h * (((0.0 + a1*k1) + a2*k2) + ...) in
-    tableau order, zero entries included.  Not sum(): from Python 3.12 it
-    compensates the rounding of float sums.  err is inf when any y5 - y4 is
-    not finite (Python's max skips a NaN that numpy's would return).
-
-    Without rhs, each stage calls the right-hand side f on its state list.
-    With it, f gives rhs's scalars at the stage's time and the stage
-    evaluates rhs's components inline, one slot of the state at a time:
-    one call per stage and no list, slice or finiteness check.  None is
-    needed: a stage with a non-finite value makes y5 - y4 non-finite, since
-    every stage enters both sums, through a zero weight too (0.0 * inf is
-    nan), so the step is rejected as one that raised would be."""
+    (scalars, t, h, y, k1) -> (y5, k7, err, scale).  Each stage makes one
+    call scalars(t) for rhs's scalars at its time and evaluates rhs's
+    components inline, one slot of the state at a time, with no list, slice
+    or finiteness check.  States and stages are scalar locals, and each sum
+    is y + h * (((0.0 + a1*k1) + a2*k2) + ...) in tableau order, zero
+    entries included.  Not sum(): from Python 3.12 it compensates the
+    rounding of float sums.  err is inf when any y5 - y4 is not finite
+    (Python's max skips a NaN that numpy's would return): every stage enters
+    both sums, through a zero weight too (0.0 * inf is nan), so a stage with
+    a non-finite value rejects the step as one that raised would."""
     def combination(coeffs, i):
         terms = " + ".join(["0.0"] + [f"{c!r} * k{j + 1}_{i}" for j, c in enumerate(coeffs)])
         return f"y_{i} + h * ({terms})"
@@ -366,24 +366,17 @@ def _step(n: int, rhs: _Rhs | None = None) -> Callable[[Callable, float, float, 
     def unpack(name):
         return ", ".join(f"{name}_{i}" for i in range(n)) + ","
 
-    lines = ["def step(f, t, h, y, k1):", f"    {unpack('y')} = y", f"    {unpack('k1')} = k1"]
+    width = len(rhs.components)
+    lines = ["def step(scalars, t, h, y, k1):", f"    {unpack('y')} = y", f"    {unpack('k1')} = k1"]
     for stage in range(1, 7):
-        at = f"t + {_C[stage]!r} * h"
-        if rhs is None:
-            args = ", ".join(combination(_A[stage], i) for i in range(n))
-            lines += [f"    k = f({at}, [{args}])", f"    {unpack(f'k{stage + 1}')} = k"]
-            continue
-        lines.append(f"    {''.join(f'_b{a}, ' for a in range(rhs.scalars))}= f({at})")
-        width = len(rhs.components)
+        lines.append(f"    {''.join(f'_b{a}, ' for a in range(rhs.scalars))}= scalars(t + {_C[stage]!r} * h)")
         for slot in range(0, n, width):
             lines += [f"    _x{i} = {combination(_A[stage], slot + i)}" for i in range(width)]
             lines += [f"    k{stage + 1}_{slot + i} = {c}" for i, c in enumerate(rhs.components)]
-    if rhs is not None:
-        lines.append(f"    k = [{unpack('k7')}]")
     for i in range(n):
         lines += [f"    y5_{i} = {combination(_B5, i)}",
                   f"    d_{i} = y5_{i} - ({combination(_B4, i)})"]
-    lines += [f"    y5, d = [{unpack('y5')}], ({unpack('d')})",
+    lines += [f"    y5, k, d = [{unpack('y5')}], [{unpack('k7')}], ({unpack('d')})",
               "    err = _max(_map(_abs, d)) if _all(_map(_isfinite, d)) else _inf",
               "    return y5, k, err, _max(1.0, _max(_map(_abs, y)), _max(_map(_abs, y5)))"]
     return ex.compile_source("\n".join(lines), "step", _max=max, _map=map, _abs=abs,
@@ -391,29 +384,29 @@ def _step(n: int, rhs: _Rhs | None = None) -> Callable[[Callable, float, float, 
 
 
 def _dopri5(
-    f: Callable[[float, list], list],
+    rhs: _Rhs,
+    scalars: Callable[[float], Sequence[float]],
     t0: float,
     t1: float,
     y0: Sequence[float],
     tol: float,
     stops: Sequence[float] = (),
-    inline: tuple[Callable[[float], Sequence[float]], _Rhs] | None = None,
 ):
-    """Adaptive DOPRI5(4).  Error accepted per unit step, down to a round-off
-    floor: err <= max(tol*min(1,h), ROUNDOFF_FLOOR) * scale.  The floor
-    binds only where tol*min(1,h) < 1.4e-14 (h < 1.4e-5 at tol 1e-9), in
-    practice near a blow-up; elsewhere steps are those of the unfloored rule.
+    """Adaptive DOPRI5(4) on the right-hand side rhs, whose scalars at t are
+    scalars(t), applied to each slot of the state.  Error accepted per unit
+    step, down to a round-off floor: err <= max(tol*min(1,h), ROUNDOFF_FLOOR)
+    * scale.  The floor binds only where tol*min(1,h) < 1.4e-14 (h < 1.4e-5
+    at tol 1e-9), in practice near a blow-up; elsewhere steps are those of
+    the unfloored rule.
 
-    State and f(t, state) are lists of Python floats; f gives the derivative
-    at t0.  Each step is one call to the generated step for the state's
-    length (_step): stages, y5 and y4 sum in tableau order with zero entries
-    kept, and a stage that raises or a non-finite y5 - y4 rejects the step.
-    Without `inline`, the step calls f once per stage (1 + 6 calls per
-    attempted step, with FSAL).  With inline = (g, rhs), it evaluates the
-    _Rhs rhs inline on each slot of the state instead, with g(t) giving
-    rhs's scalars once per stage; f must then be rhs with those scalars and
-    checks (LieSystem._velocity), and the nodes are the same bits as
-    without.
+    The state is a list of Python floats.  The derivative at t0 comes from
+    the checked velocity of rhs (_compile_velocity), which raises at a
+    singular or non-finite initial point.  Each step is one call to the
+    generated step for the state's length (_step): rhs inlined, one scalars
+    call per stage (1 + 6 calls per attempted step, with FSAL), stages, y5
+    and y4 summed in tableau order with zero entries kept, and a stage that
+    raises or a non-finite y5 - y4 rejects the step.  Every node is the same
+    bits as a numpy loop over the checked velocity.
 
     Each of `stops` inside (t0, t1) becomes a node: a step that would cross
     the next stop is shortened to end on it, t is set to the stop itself
@@ -432,13 +425,13 @@ def _dopri5(
     y = np.asarray(y0, dtype=float).tolist()
     t = float(t0)
     try:
-        k1 = f(t, y)
+        k1 = _compile_velocity(rhs, scalars)(t, y)
     except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:
         raise EvaluationError(
             f"right-hand side not defined at the initial point t={t}, x={y}: {exc}"
         ) from None
     ts, ys, dys = [t], [y], [k1]
-    step_fn, g = (_step(len(y)), f) if inline is None else (_step(len(y), inline[1]), inline[0])
+    step_fn = _step(len(y), rhs)
     h = min(0.01 * (t1 - t0), 0.1)
     blew_up = False
     truncated_at = None
@@ -448,7 +441,7 @@ def _dopri5(
         landing = bool(stops) and t + h >= stops[-1]
         step = stops[-1] - t if landing else h
         try:
-            y5, k7, err, scale = step_fn(g, t, step, y, k1)
+            y5, k7, err, scale = step_fn(scalars, t, step, y, k1)
         except (EvaluationError, ZeroDivisionError, ValueError, OverflowError):
             err = math.inf
         allowed = max(tol * min(1.0, step), ROUNDOFF_FLOOR) * scale if err < math.inf else 0.0
@@ -486,9 +479,7 @@ def integrate_tuple(
     if y0.shape[1:] != (sys.dim,) or len(y0) == 0:
         raise ValueError(f"initial points have shape {y0.shape}, chart dimension is {sys.dim}")
     ts, ys, dys, blew_up, truncated_at = _dopri5(
-        sys._velocity, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol,
-        inline=(sys._coefficients, sys._rhs),
-    )
+        sys._rhs, sys._coefficients, float(t_span[0]), float(t_span[1]), y0.reshape(-1), tol)
     slots = zip(np.hsplit(ys, len(y0)), np.hsplit(dys, len(y0)))
     return [Trajectory(ts, y, dy, blew_up, truncated_at) for y, dy in slots]
 

@@ -58,4 +58,4 @@ class NotFlatError(LiesysError):
 
 
 class IntegrationBlowUpError(LiesysError):
-    """Trajectory escaped the blow-up bound on a path segment."""
+    """A path segment stopped short of its end: blow-up or step underflow."""

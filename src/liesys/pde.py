@@ -2,11 +2,19 @@
 checks, staircase path solving with path-independence audits, and reuse of
 the superposition machinery on parameter grids.
 
+`curvature` is the one flatness verdict: the x-components of the brackets
+of the lifted fields d/dt^a + Y_a, each decided by expr.is_zero.  A Lie
+decomposition Y_a = sum u_a^alpha(t) X_alpha, when given, is checked
+exactly against the fields on construction, and serves only pde_superpose,
+whose rule must be tangent to its basis.
+
 `flatness_checks`, `path_checks` and `grid_superpose_checks` turn these
 into the named checks of `liesys pde` and of the catalog.
 
 Paths are axis-aligned staircases: flatness makes endpoints path-independent,
-so staircases suffice and keep every integration one-dimensional.
+so staircases suffice and keep every integration one-dimensional.  Each
+segment is one dynamics._dopri5 run with the axis's field inlined into the
+step and the parameters t1..ts as its scalars.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, _dopri5, _Rhs
+from .dynamics import DEFAULT_TOL, Trajectory, _dopri5, _Rhs, stop_reason
 from .errors import IntegrationBlowUpError, LiesysError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
@@ -37,9 +45,6 @@ __all__ = [
     "AuditResult",
     "solve_on_grid",
     "pde_superpose",
-    "riccati_pde",
-    "decomposition_residuals",
-    "reduce_to_ode",
     "flatness_checks",
     "path_checks",
     "grid_superpose_checks",
@@ -111,11 +116,6 @@ class PdeSystem:
         return self.chart.dim
 
     @cached_property
-    def _compiled_fields(self) -> list:
-        """Each field as one function of (t1..ts, x), compiled once per system."""
-        return [ex.compile_vector(f, self.params.names + self.chart.names) for f in self.fields]
-
-    @cached_property
     def _inline_fields(self) -> list[_Rhs]:
         """Each field as the source text inlined into the integrator's steps
         along its axis, over the parameters _b0.._b(s-1) and x as _x0.."""
@@ -144,16 +144,6 @@ class PdeSystem:
             )
             dec = Decomposition(u, basis)
         return PdeSystem(params, chart, parsed, dec)
-
-
-def riccati_pde(a: str, b: str, c: str, d: str, e: str, f: str) -> PdeSystem:
-    """The planar total-differential family u_t1 = a u^2 + b u + c,
-    u_t2 = d u^2 + e u + f with coefficients in (t1, t2)."""
-    coeffs = [ex.parse(s, ("t1", "t2")) for s in (a, b, c, d, e, f)]
-    u = ex.Var("u")
-    f1 = ex.Add((ex.Mul((coeffs[0], ex.Pow(u, 2))), ex.Mul((coeffs[1], u)), coeffs[2]))
-    f2 = ex.Add((ex.Mul((coeffs[3], ex.Pow(u, 2))), ex.Mul((coeffs[4], u)), coeffs[5]))
-    return PdeSystem(Chart(("t1", "t2")), Chart(("u",)), ((f1,), (f2,)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +205,15 @@ class PathResult:
     samples: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _axis_rhs(sys: PdeSystem, axis: int, t_frozen: np.ndarray):
-    field = sys._compiled_fields[axis]
-    t_now = list(map(float, t_frozen))
-
-    def rhs(tau: float, x: list) -> list:
-        t_now[axis] = float(tau)
-        return field(*t_now, *x)
-
-    return rhs
-
-
 def _advance(sys: PdeSystem, axis: int, t_frozen: np.ndarray, nodes: Sequence[float], x,
              tol: float) -> np.ndarray:
     """States at nodes[1:] from one integration along an axis from nodes[0],
     with the other parameters frozen at t_frozen, which lands on every node:
     each is an integrated value, not interpolated.  The steps inline the
     axis's field (PdeSystem._inline_fields) and read the parameters from a
-    list set for this line."""
+    list set for this line.  A line that stops short raises
+    IntegrationBlowUpError naming the stop as dynamics.stop_reason does:
+    blow-up, or step underflow."""
     nodes = [float(v) for v in nodes]
     if len(nodes) < 2:
         return np.empty((0, len(x)))
@@ -242,11 +223,12 @@ def _advance(sys: PdeSystem, axis: int, t_frozen: np.ndarray, nodes: Sequence[fl
         t_now[axis] = tau
         return t_now
 
-    ts, ys, _, blew_up, _ = _dopri5(_axis_rhs(sys, axis, t_frozen), nodes[0], nodes[-1], x, tol,
-                                    stops=nodes[1:-1], inline=(parameters, sys._inline_fields[axis]))
-    if blew_up:
-        raise IntegrationBlowUpError(f"blow-up along axis {axis + 1} near t{axis + 1}={ts[-1]:.6g}")
-    return np.concatenate([ys[np.searchsorted(ts, nodes[1:-1])], ys[-1:]])
+    run = Trajectory(*_dopri5(sys._inline_fields[axis], parameters, nodes[0], nodes[-1], x, tol,
+                              stops=nodes[1:-1]))
+    reason = stop_reason([run])
+    if reason:
+        raise IntegrationBlowUpError(f"{reason} along axis {axis + 1} near t{axis + 1}={run.t_end:.6g}")
+    return np.concatenate([run.states[np.searchsorted(run.t, nodes[1:-1])], run.states[-1:]])
 
 
 def _require_flat(sys: PdeSystem) -> None:
@@ -254,7 +236,7 @@ def _require_flat(sys: PdeSystem) -> None:
     for pair, ds in curvature(sys).verdicts.items():
         if any(d.verdict == "nonzero" for d in ds):
             raise NotFlatError(f"curvature residual nonzero for parameter pair {pair}; "
-                               "pass audit=True to integrate anyway")
+                               "pass --audit to `liesys pde solve` (audit=True in Python) to integrate anyway")
 
 
 def path_solve(
@@ -412,71 +394,6 @@ def pde_superpose(
         guess = solver.solve(rests[node], k, guess, float(node))
         out[node] = guess
     return out.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# Decomposition integrability and the s = 1 reduction
-# ---------------------------------------------------------------------------
-
-
-def decomposition_residuals(sys: PdeSystem) -> dict[tuple[int, int], tuple[Expr, ...]]:
-    """Per parameter pair, the components of
-    sum_g [du_b^g/dt^a - du_a^g/dt^b + sum u_a^al u_b^be c^g] X_g; all
-    canonically zero exactly when the decomposed system is flat."""
-    from .algebra import closure_test
-
-    dec = sys.decomposition
-    if dec is None:
-        raise ValueError("system has no decomposition")
-    report = closure_test(list(dec.basis))
-    if not report.closed or len(report.basis) != len(dec.basis):
-        raise ValueError("decomposition basis does not close as given")
-    r = len(dec.basis)
-    out: dict[tuple[int, int], tuple[Expr, ...]] = {}
-    for a in range(sys.s):
-        for b in range(a + 1, sys.s):
-            gamma_coeff = []
-            for g in range(r):
-                terms = [
-                    ex.differentiate(dec.u[b][g], sys.params.names[a]),
-                    ex.Mul((ex.Const(-1), ex.differentiate(dec.u[a][g], sys.params.names[b]))),
-                ]
-                for al in range(r):
-                    for be in range(r):
-                        coeff = report.c(al, be)[g]
-                        if coeff:
-                            terms.append(
-                                ex.Mul((ex.Const(coeff), dec.u[a][al], dec.u[b][be]))
-                            )
-                gamma_coeff.append(ex.Add(tuple(terms)))
-            comps = []
-            for i in range(sys.n):
-                comps.append(
-                    ex.canonical_expr(
-                        ex.Add(
-                            tuple(
-                                ex.Mul((gamma_coeff[g], dec.basis[g].components[i]))
-                                for g in range(r)
-                            )
-                        )
-                    )
-                )
-            out[(a, b)] = tuple(comps)
-    return out
-
-
-def reduce_to_ode(sys: PdeSystem) -> LieSystem:
-    """View an s = 1 system with a decomposition as the ordinary Lie system
-    it is (t1 becomes t)."""
-    if sys.s != 1:
-        raise ValueError("reduce_to_ode needs s = 1")
-    if sys.decomposition is None:
-        raise ValueError("reduce_to_ode needs a decomposition")
-    curves = [
-        CoefficientCurve(expression=ex.rename_variables(e, {"t1": "t"}))
-        for e in sys.decomposition.u[0]
-    ]
-    return LieSystem(list(sys.decomposition.basis), curves)
 
 
 # ---------------------------------------------------------------------------

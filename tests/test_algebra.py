@@ -469,7 +469,7 @@ class TestClosureAgainstDenseSolve:
         monkeypatch.setattr(algebra, "closure_test", checked)
         for entry in catalog.ENTRIES.values():
             entry.run()
-        assert len(seen) >= 4
+        assert len(seen) >= 3
 
     @pytest.mark.parametrize("fields", [
         ["1", "1/x^2"],  # 1/x^n for ever: both hit the cap

@@ -453,8 +453,20 @@ class TestGroupAndPde:
             assert detail == f"pair (0, 1): component 0: {terms} terms, {full[:200]}..."
 
     def test_pde_solve_refuses_nonflat(self, tmp_path):
-        code = main(["pde", "solve", str(PROBLEMS / "pde_nonflat.json")])
-        assert code == 1
+        code, doc = run(tmp_path, "pde", "solve", str(PROBLEMS / "pde_nonflat.json"))
+        assert code == 1 and "pass --audit" in doc["checks"][0]["detail"]
+
+    @pytest.mark.parametrize("field, detail", [
+        # u goes to 0 at t1 = 0.5, and ln raises in every stage past it
+        ("u*ln(1 - 2*t1)", "step underflow along axis 1 near t1=0.5"),
+        ("u^2", "blow-up along axis 1 near t1=1"),
+    ])
+    def test_pde_solve_names_the_stop_of_a_line(self, tmp_path, field, detail):
+        path = tmp_path / "stop.json"
+        path.write_text(json.dumps({"pde": {"s": 2, "chart": ["u"], "fields": [[field], ["0"]]},
+                                    "x0": [1.0], "target": [1.5, 0.1]}))
+        code, doc = run(tmp_path, "pde", "solve", str(path))
+        assert code == 1 and doc["checks"][0]["detail"] == detail
 
     def test_pde_solve_flat(self, tmp_path):
         code, doc = run(

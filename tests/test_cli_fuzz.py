@@ -1,5 +1,6 @@
 """Generated problem files through `liesys m`, `liesys closure`, `liesys
-verify`, `liesys solve`, `liesys group` and `liesys pde`, in process.
+verify`, `liesys solve`, `liesys group`, `liesys pde` and `liesys pde
+superpose`, in process.
 
 Whatever the fields, each call ends in exit 0, 1 or 2 within a bounded time:
 no exception escapes `main` and nothing hangs.
@@ -188,3 +189,58 @@ def test_pde_ends_in_an_exit_code(tmp_path, capsys, doc, command):
     capsys.readouterr()
     assert code in (0, 1, 2)
     assert elapsed < WALL_TIME_BOUND_S, f"pde {' '.join(command)} took {elapsed:.1f} s on {doc}"
+
+
+@st.composite
+def pde_superpose_problems(draw):
+    """s = 2 systems on the basis 1, u, u^2 with decomposition coefficients
+    in t1 and t2, the fields built from that expansion, and the cross ratio
+    rule with drawn initial points, k and target.  A coefficient is 0 or a
+    small linear, trigonometric or exponential curve.  About half of the
+    systems are flat, with two equal rows in t1 + t2 only.  In about half,
+    one coefficient is a pole inside the grid or a constant past 1e30
+    instead.  As in group_problems, sizes in between are left out: a sine of
+    a large multiple of t can need billions of steps, which no budget bounds
+    yet."""
+    small = st.integers(-3, 3)
+    flat = draw(st.booleans())
+    arg = st.sampled_from(["(t1 + t2)"] if flat else ["t1", "t2", "(t1 - t2)"])
+    curve = st.one_of(st.just("0"),
+                      st.tuples(small, small, arg).map(lambda c: "({}) + ({})*{}".format(*c)),
+                      st.tuples(small, st.sampled_from(["sin", "cos", "exp"]), arg)
+                      .map(lambda c: "({})*{}({})".format(*c)))
+    row = st.lists(curve, min_size=3, max_size=3)
+    first = draw(row)
+    u = [first, list(first) if flat else draw(row)]
+    if draw(st.booleans()):
+        pole = st.tuples(st.sampled_from(["t1", "t2"]), st.integers(1, 4)).map(
+            lambda c: "1/({} - {}/8)".format(*c))
+        u[draw(st.integers(0, 1))][draw(st.integers(0, 2))] = draw(
+            st.one_of(pole, st.integers(100, 400).map("(2)^{}".format)))
+    fields = [[f"({c0}) + ({c1})*u + ({c2})*u^2"] for c0, c1, c2 in u]
+    doc = {"pde": {"s": 2, "chart": ["u"], "fields": fields,
+                   "decomposition": {"u": u, "basis": [["1"], ["u"], ["u^2"]]}},
+           "rule": {"m": 3, "s": 1,
+                    "psi": ["((u_0 - u_1)*(u_2 - u_3))/((u_0 - u_2)*(u_1 - u_3))"],
+                    "constraints": []},
+           "initial_points": draw(st.lists(st.integers(-24, 24).map(lambda v: [v / 8]), min_size=3,
+                                           max_size=3, unique_by=lambda p: p[0])),
+           "k": [draw(st.floats(-3, 3))],
+           "target": draw(st.lists(st.integers(1, 4).map(lambda v: v / 8), min_size=2, max_size=2))}
+    if draw(st.booleans()):
+        doc["x0_guess"] = [draw(st.integers(-24, 24)) / 8]
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=pde_superpose_problems())
+def test_pde_superpose_ends_in_an_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["pde", "superpose", str(path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"pde superpose took {elapsed:.1f} s on {doc}"

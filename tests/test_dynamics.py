@@ -18,7 +18,9 @@ from liesys.dynamics import (
     ROUNDOFF_FLOOR,
     CoefficientCurve,
     LieSystem,
+    _compile_velocity,
     _dopri5,
+    _Rhs,
     _step,
     align_trajectories,
     evaluate_field,
@@ -28,10 +30,10 @@ from liesys.dynamics import (
     integrate_tuple,
 )
 from liesys.errors import EvaluationError, FundamentalSetError, IntegrationBlowUpError
-from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, _compiled, compile_expr
+from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, _compiled, compile_expr, compile_vector
 from liesys.geometry import VectorField
 from liesys.group import MatrixCurve, riccati_system, solve_group_equation
-from liesys.pde import PdeSystem, _axis_rhs, solve_on_grid
+from liesys.pde import PdeSystem, solve_on_grid
 
 from conftest import random_tree
 
@@ -355,6 +357,18 @@ def on_arrays(f):
     return lambda t, y: np.array(f(t, y.tolist()))
 
 
+def checked(rhs, scalars):
+    """The checked velocity of an _Rhs, on arrays: the reference's f."""
+    return on_arrays(_compile_velocity(rhs, scalars))
+
+
+def callable_axis(sys, axis, parameters):
+    """A PDE axis as a function of (tau, array), the field compiled on its
+    own with compile_vector and the parameters from parameters(tau)."""
+    field = compile_vector(sys.fields[axis], sys.params.names + sys.chart.names)
+    return lambda tau, x: np.array(field(*parameters(tau), *x.tolist()))
+
+
 class TestDopri5BitIdentity:
     """_dopri5 on lists of floats against the numpy loop it replaced."""
 
@@ -387,72 +401,82 @@ class TestDopri5BitIdentity:
     def test_pde_axis(self):
         sys = PdeSystem.from_strings(2, ["u", "v"], [["u^2", "u*v"], ["v - t1*u", "sin(t2)*u"]])
         for axis in (0, 1):
-            t_frozen = np.array([0.3, 0.2])
-            field, t_now = sys._compiled_fields[axis], t_frozen.tolist()
+            t_now = [0.3, 0.2]
 
-            def array_rhs(tau, x):
-                t_now[axis] = float(tau)
-                return np.array(field(*t_now, *x.tolist()))
+            def parameters(tau):
+                t_now[axis] = tau
+                return t_now
 
-            got = _dopri5(_axis_rhs(sys, axis, t_frozen), 0.2, 1.4, np.array([0.4, -0.3]), 1e-9)
-            assert_same_run(got, reference_dopri5(array_rhs, 0.2, 1.4, [0.4, -0.3], 1e-9))
+            got = _dopri5(sys._inline_fields[axis], parameters, 0.2, 1.4, np.array([0.4, -0.3]), 1e-9)
+            want = reference_dopri5(callable_axis(sys, axis, parameters), 0.2, 1.4, [0.4, -0.3], 1e-9)
+            assert_same_run(got, want)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", [0, 1])
     def test_non_finite_right_hand_side_is_rejected(self, bad, slot):
-        def f(t, y):
-            out = [math.cos(t) * y[1], 1.0 - y[0]]
+        # past t = 0.3 the value of the slot's component is `bad`
+        rhs = _Rhs(3, ("_b0 * _x1 + _b1", "1.0 - _x0 + _b2"))
+
+        def scalars(t):
+            out = [math.cos(t), 0.0, 0.0]
             if t > 0.3:
-                out[slot] = bad
+                out[1 + slot] = bad
             return out
 
-        got = _dopri5(f, 0.0, 1.0, [1.0, 0.5], 1e-9)
-        assert_same_run(got, reference_dopri5(on_arrays(f), 0.0, 1.0, [1.0, 0.5], 1e-9))
+        got = _dopri5(rhs, scalars, 0.0, 1.0, [1.0, 0.5], 1e-9)
+        assert_same_run(got, reference_dopri5(checked(rhs, scalars), 0.0, 1.0, [1.0, 0.5], 1e-9))
         ts, ys, _, blew_up, truncated_at = got
         assert blew_up and truncated_at <= 0.3 and np.all(np.isfinite(ys))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_inf_with_zero_weight_still_rejects(self):
         # k2 has weight 0 in y5 and y4, so only 0 * inf = nan rejects the step
-        # whose k2 (the 14th call: third attempt, second stage) is inf
-        def counting_rhs():
+        # whose k2 (the 14th scalars call: third attempt, second stage) is inf
+        rhs = _Rhs(2, ("_b0", "_b1"))
+
+        def counting_scalars():
             calls = []
 
-            def f(t, y):
+            def scalars(t):
                 calls.append(t)
-                return [math.inf if len(calls) == 14 else math.cos(t), math.sin(t)]
+                return math.inf if len(calls) == 14 else math.cos(t), math.sin(t)
 
-            return f
+            return scalars
 
-        got = _dopri5(counting_rhs(), 0.0, 1.0, [1.0, 0.5], 1e-9)
-        assert_same_run(got, reference_dopri5(on_arrays(counting_rhs()), 0.0, 1.0, [1.0, 0.5], 1e-9))
+        got = _dopri5(rhs, counting_scalars(), 0.0, 1.0, [1.0, 0.5], 1e-9)
+        want = reference_dopri5(checked(rhs, counting_scalars()), 0.0, 1.0, [1.0, 0.5], 1e-9)
+        assert_same_run(got, want)
         assert not got[3] and np.all(np.isfinite(got[1]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 12, 16])
     def test_state_lengths(self, n):
-        def f(t, y):
-            return [math.cos(t + i) * y[i - 1] - 0.5 * y[i] + 0.2 * y[i] * y[(i + 1) % n]
-                    for i in range(n)]
+        # one slot of width n: x_i' = cos(t + i) x_(i-1) - x_i / 2 + x_i x_(i+1) / 5
+        rhs = _Rhs(n, tuple(f"_b{i} * _x{(i - 1) % n} - 0.5 * _x{i} + 0.2 * _x{i} * _x{(i + 1) % n}"
+                            for i in range(n)))
+
+        def scalars(t):
+            return [math.cos(t + i) for i in range(n)]
 
         y0 = [math.sin(i + 1) for i in range(n)]
-        want = reference_dopri5(on_arrays(f), 0.0, 3.0, y0, 1e-9)
-        assert_same_run(_dopri5(f, 0.0, 3.0, y0, 1e-9), want)
+        want = reference_dopri5(checked(rhs, scalars), 0.0, 3.0, y0, 1e-9)
+        assert_same_run(_dopri5(rhs, scalars, 0.0, 3.0, y0, 1e-9), want)
 
     def test_singular_point_in_a_middle_stage(self):
-        # the 10th call is stage 4 of the second attempted step
-        def counting_rhs(calls):
-            def f(t, y):
-                calls.append(t)
-                if len(calls) == 10:
-                    raise ZeroDivisionError("float division by zero")
-                return [math.cos(t) * y[1], 1.0 - y[0]]
+        # the 10th scalars call is stage 4 of the second attempted step, where
+        # the component 1.0 / _b1 divides by zero
+        rhs = _Rhs(2, ("_b0 * _x1", "1.0 / _b1 - _x0"))
 
-            return f
+        def counting_scalars(calls):
+            def scalars(t):
+                calls.append(t)
+                return math.cos(t), 0.0 if len(calls) == 10 else 1.0
+
+            return scalars
 
         calls, want_calls = [], []
-        got = _dopri5(counting_rhs(calls), 0.0, 1.0, [1.0, 0.5], 1e-9)
-        want = reference_dopri5(on_arrays(counting_rhs(want_calls)), 0.0, 1.0, [1.0, 0.5], 1e-9)
+        got = _dopri5(rhs, counting_scalars(calls), 0.0, 1.0, [1.0, 0.5], 1e-9)
+        want = reference_dopri5(checked(rhs, counting_scalars(want_calls)), 0.0, 1.0, [1.0, 0.5], 1e-9)
         assert_same_run(got, want)
         assert calls == want_calls
         assert not got[3] and got[0][-1] == 1.0
@@ -475,19 +499,19 @@ class TestDopri5BitIdentity:
 
     @pytest.mark.parametrize("span", [(0.0, 1.0), (0.0, 2.0)])
     def test_calls_per_attempted_step(self, span):
-        # FSAL: one call at t0, then six per attempted step, accepted or not
-        def counting_velocity(calls):
-            velocity = riccati_101()._velocity
+        # FSAL: one scalars call at t0, then six per attempted step, accepted or not
+        sys = riccati_101()
 
-            def f(t, y):
+        def counting_coefficients(calls):
+            def scalars(t):
                 calls.append(t)
-                return velocity(t, y)
+                return sys._coefficients(t)
 
-            return f
+            return scalars
 
         calls, want_calls = [], []
-        got = _dopri5(counting_velocity(calls), *span, [0.0], 1e-9)
-        want = reference_dopri5(on_arrays(counting_velocity(want_calls)), *span, [0.0], 1e-9)
+        got = _dopri5(sys._rhs, counting_coefficients(calls), *span, [0.0], 1e-9)
+        want = reference_dopri5(checked(sys._rhs, counting_coefficients(want_calls)), *span, [0.0], 1e-9)
         assert_same_run(got, want)
         assert calls == want_calls
         attempted, left = divmod(len(calls) - 1, 6)
@@ -497,33 +521,37 @@ class TestDopri5BitIdentity:
 class TestStops:
     """_dopri5 landing on interior stops."""
 
-    RHS = staticmethod(lambda t, y: [math.cos(3 * t) * y[1], 1.0 - y[0] * y[1]])
+    # x' = cos(3t) y, y' = 1 - x y
+    RHS = _Rhs(1, ("_b0 * _x1", "1.0 - _x0 * _x1"))
+    SCALARS = staticmethod(lambda t: (math.cos(3 * t),))
     STOPS = [0.1, 1 / 3, 0.35, 0.35 + 1e-12, 0.7, 2 ** 0.5 / 2, 1.2, 1 / 3]
 
+    def run(self, t0, stops=()):
+        return _dopri5(self.RHS, self.SCALARS, t0, 1.5, [1.0, 0.5], 1e-9, stops=stops)
+
     def test_every_stop_is_a_node(self):
-        ts = _dopri5(self.RHS, 0.0, 1.5, [1.0, 0.5], 1e-9, stops=self.STOPS)[0]
+        ts = self.run(0.0, self.STOPS)[0]
         assert np.all(np.diff(ts) > 0)
         for stop in self.STOPS:
             assert ts[np.searchsorted(ts, stop)] == stop
 
     def test_no_step_crosses_a_stop(self):
-        ts = _dopri5(self.RHS, 0.0, 1.5, [1.0, 0.5], 1e-9, stops=self.STOPS)[0]
+        ts = self.run(0.0, self.STOPS)[0]
         for left, right in zip(ts[:-1], ts[1:]):
             assert not any(left < stop < right for stop in self.STOPS)
 
     def test_stops_outside_the_span_are_ignored(self):
-        got = _dopri5(self.RHS, 0.2, 1.5, [1.0, 0.5], 1e-9, stops=[-1.0, 0.0, 0.2, 1.5, 1.6, 9.0])
-        assert_same_run(got, _dopri5(self.RHS, 0.2, 1.5, [1.0, 0.5], 1e-9))
+        assert_same_run(self.run(0.2, [-1.0, 0.0, 0.2, 1.5, 1.6, 9.0]), self.run(0.2))
 
     def test_matches_reference(self):
-        got = _dopri5(self.RHS, 0.0, 1.5, [1.0, 0.5], 1e-9, stops=self.STOPS)
-        want = reference_dopri5(on_arrays(self.RHS), 0.0, 1.5, [1.0, 0.5], 1e-9, stops=self.STOPS)
-        assert_same_run(got, want)
+        want = reference_dopri5(checked(self.RHS, self.SCALARS), 0.0, 1.5, [1.0, 0.5], 1e-9,
+                                stops=self.STOPS)
+        assert_same_run(self.run(0.0, self.STOPS), want)
 
     def test_matches_reference_through_an_escape(self):
         sys = riccati_101()  # tan escapes at pi/2, past the last stop
         stops = np.linspace(0.0, 2.0, 21)
-        got = _dopri5(sys._velocity, 0.0, 2.0, [0.0], 1e-9, stops=stops)
+        got = _dopri5(sys._rhs, sys._coefficients, 0.0, 2.0, [0.0], 1e-9, stops=stops)
         assert_same_run(got, reference_dopri5(sys.velocity, 0.0, 2.0, [0.0], 1e-9, stops=stops))
         assert got[3] and 1.5 in got[0] and 1.6 not in got[0]
 
@@ -589,24 +617,26 @@ class TestInlinedStep:
 
     @pytest.mark.parametrize("u0", [[0.4, -0.3], [2.0, 1.0]])
     def test_pde_grid_matches_the_callable_axis(self, monkeypatch, u0):
+        # every line of the grid, the one that blows up included, against the
+        # numpy loop on the axis's field compiled on its own
         sys = PdeSystem.from_strings(2, ["u", "v"], [["u^2", "u*v"], ["v - t1*u", "sin(t2)*u"]])
         axes = [np.linspace(0.0, 0.8, 5), np.linspace(0.0, 0.6, 4)]
+        lines, dopri5 = [], pde._dopri5
 
-        def grid():
-            try:
-                return solve_on_grid(sys, u0, axes)
-            except IntegrationBlowUpError as exc:
-                return str(exc)
+        def recording(*args, **kwargs):
+            lines.append((args, kwargs, dopri5(*args, **kwargs)))
+            return lines[-1][2]
 
-        inlined = grid()
-        dopri5 = pde._dopri5
-        monkeypatch.setattr(pde, "_dopri5", lambda *args, inline, **kwargs: dopri5(*args, **kwargs))
-        callable_ = grid()
-        assert type(inlined) is type(callable_)
-        if isinstance(inlined, str):
-            assert inlined == callable_
-        else:
-            assert inlined.tobytes() == callable_.tobytes()
+        monkeypatch.setattr(pde, "_dopri5", recording)
+        try:
+            grid = solve_on_grid(sys, u0, axes)
+        except IntegrationBlowUpError:
+            grid = None
+        assert lines and (grid is None) == lines[-1][2][3]
+        for (rhs, parameters, t0, t1, x, tol), kwargs, got in lines:
+            axis = sys._inline_fields.index(rhs)
+            want = reference_dopri5(callable_axis(sys, axis, parameters), t0, t1, x, tol, **kwargs)
+            assert_same_run(got, want)
 
 
 class TestSharedCode:

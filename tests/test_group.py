@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from liesys.catalog import gl_fields
-from liesys.dynamics import CoefficientCurve, _dopri5, integrate
+from liesys.dynamics import CoefficientCurve, integrate
 from liesys.expr import Chart
 from liesys.group import (
     ACTIONS,
@@ -21,6 +21,8 @@ from liesys.group import (
     sl2_from_coefficients,
     solve_group_equation,
 )
+
+from test_dynamics import reference_dopri5
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -85,13 +87,13 @@ class TestSolveGroupEquation:
 
 def numpy_group_solve(a, t_span, tol):
     """The group equation on a numpy right-hand side, g flattened row by
-    row and a(t) @ g per stage, fed straight to _dopri5."""
+    row and a(t) @ g per stage, in the numpy loop of test_dynamics."""
     d = a.dim
 
     def rhs(t, y):
-        return (a(t) @ np.reshape(y, (d, d))).ravel().tolist()
+        return (a(t) @ np.reshape(y, (d, d))).ravel()
 
-    ts, ys, dys, _, _ = _dopri5(rhs, t_span[0], t_span[1], np.eye(d).reshape(-1), tol)
+    ts, ys, dys, _, _ = reference_dopri5(rhs, t_span[0], t_span[1], np.eye(d).reshape(-1), tol)
     return ts, ys.reshape(len(ts), d, d), dys.reshape(len(ts), d, d)
 
 

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from liesys import pde
-from liesys.dynamics import integrate
+from liesys.dynamics import CoefficientCurve, LieSystem, integrate, integrate_tuple
 from liesys.errors import LiesysError, NotFlatError
 from liesys.expr import Chart, Var, canonically_equal, is_zero, parse
+from liesys.geometry import VectorField
 from liesys.pde import (
     PdeSystem,
     curvature,
-    decomposition_residuals,
     path_independence_audit,
     path_solve,
     pde_superpose,
-    reduce_to_ode,
-    riccati_pde,
     solve_on_grid,
 )
 from liesys.superposition import SuperpositionRule
@@ -31,6 +29,12 @@ def flat_riccati(decomposed=True):
 
 def nonflat():
     return PdeSystem.from_strings(2, ["u"], [["u"], ["t1*u"]])
+
+
+def riccati_ode(a: str, b: str, c: str) -> LieSystem:
+    """u' = a + b u + c u^2 on the basis 1, u, u^2 of the decompositions below."""
+    basis = [VectorField.from_strings(Chart(("u",)), [f]) for f in ("1", "u", "u^2")]
+    return LieSystem(basis, [CoefficientCurve.from_string(e) for e in (a, b, c)])
 
 
 def cross_ratio_u():
@@ -68,7 +72,7 @@ class TestCurvature:
 
     def test_family_constructor_nonflat_member(self):
         # u_t1 = u^2, u_t2 = u^2 + t1 fails the closedness condition
-        member = riccati_pde("1", "0", "0", "1", "0", "t1")
+        member = PdeSystem.from_strings(2, ["u"], [["u^2"], ["u^2 + t1"]])
         report = curvature(member)
         assert not report.flat
         expected = parse("1 - 2*t1*u", ("t1", "u"))
@@ -195,7 +199,7 @@ class TestGridSweep:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[4])  # tol
+            calls.append(args[5])  # tol
             return dopri5(*args, **kwargs)
 
         dopri5 = pde._dopri5
@@ -228,45 +232,46 @@ class TestGridSweep:
 
 
 class TestDecomposition:
+    """A decomposed system is flat exactly when its curvature is zero: the
+    decomposition is checked against the fields on construction."""
+
     def test_integrability_residuals_zero(self):
-        residuals = decomposition_residuals(flat_riccati())
-        assert all(is_zero(c).verdict == "zero" for c in residuals[(0, 1)])
+        report = curvature(flat_riccati())
+        assert report.flat and report.exact
+        assert all(is_zero(c).verdict == "zero" for c in report.residuals[(0, 1)])
 
     def test_nonflat_decomposed_residual_nonzero(self):
         sys = PdeSystem.from_strings(
             2, ["u"], [["u^2"], ["t1*u^2"]],
             {"u": [["0", "0", "1"], ["0", "0", "t1"]], "basis": [["1"], ["u"], ["u^2"]]},
         )
-        residuals = decomposition_residuals(sys)
-        assert any(is_zero(c).verdict != "zero" for c in residuals[(0, 1)])
+        report = curvature(sys)
+        assert not report.flat
+        assert canonically_equal(report.residuals[(0, 1)][0], parse("u^2", ("u",)))
 
     def test_s1_reduction_matches_ode_integration(self):
         sys = PdeSystem.from_strings(
             1, ["u"], [["(1 + t1/2)*u^2"]],
             {"u": [["0", "0", "1 + t1/2"]], "basis": [["1"], ["u"], ["u^2"]]},
         )
-        ode = reduce_to_ode(sys)
         via_path = path_solve(sys, [0.5], [0.8])
-        via_ode = integrate(ode, [0.5], (0.0, 0.8))
+        via_ode = integrate(riccati_ode("0", "0", "1 + t/2"), [0.5], (0.0, 0.8))
         assert abs(via_path.endpoint[0] - via_ode.endpoint()[0]) <= 1e-8
 
     def test_s1_superposition_matches_ode_reconstruction(self):
-        from liesys.dynamics import align_trajectories
         from liesys.superposition import derive_k, reconstruct
 
         sys = PdeSystem.from_strings(
             1, ["u"], [["u^2"]],
             {"u": [["0", "0", "1"]], "basis": [["1"], ["u"], ["u^2"]]},
         )
-        ode = reduce_to_ode(sys)
         starts = [-1.0, -2.0, 0.5]
-        aligned = align_trajectories([integrate(ode, [u], (0.0, 0.8)) for u in starts])
-        grid = aligned[0].t
+        particular = integrate_tuple(riccati_ode("0", "0", "1"), [[u] for u in starts], (0.0, 0.8))
         rule = cross_ratio_u()
         target = 0.25
         k = derive_k(rule, [target], [[u] for u in starts])
-        via_ode = reconstruct(rule, aligned, k, x0_guess=[target])
+        via_ode = reconstruct(rule, particular, k, x0_guess=[target])
 
-        value_grids = [tr.states.reshape(-1, 1) for tr in aligned]
+        value_grids = [tr.states.reshape(-1, 1) for tr in particular]
         via_pde = pde_superpose(sys, rule, value_grids, k, [target])
         assert np.max(np.abs(via_pde - via_ode.states)) <= 1e-9
