@@ -1,44 +1,48 @@
-"""Bundled example catalog: one entry per worked system, each exposing the
-problem data and a runner that returns named checks.  `examples run-all`
-on the command line executes the whole catalog; the acceptance test suite
-drives the same runners.
+"""Bundled example catalog: one entry per worked system, each a runner that
+returns named checks.  `examples run-all` on the command line executes the
+whole catalog; the acceptance test suite drives the same runners.
 
-Entries build their checks with the builders of the command line, under the
-same check names and limits: the rule entries with superposition.rule_checks,
-then superpose_checks on one integrated tuple for a full rule or
-solution_checks for a partial one, after algebra.m_checks (and
+An entry with a problem file reads the file shipped in the package's
+problems/ directory with the loaders of the command line, and builds its
+checks with the same builders, under the same check names and limits: the
+rule entries with superposition.rule_checks, then superpose_checks on one
+integrated tuple for a full rule (as `liesys superpose`) or solution_checks
+for a partial one (as `liesys verify`), after algebra.m_checks (and
 closure_checks where they name the algebra's dimension); `sl2_group` with
 group.group_checks (`liesys group`), and `pde_riccati` with
 pde.flatness_checks, path_checks and grid_superpose_checks (`liesys pde`).
-Checks with no command behind them stay in the entries."""
+`euclidean_se2` redraws its coefficients from the seed in place of the
+file's.  Python holds only what no file does: `linear_n` and
+`lemma_counterexample`, the planar start and random triples of `sl2_group`,
+and the checks with no command behind them."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import expr as ex
 from .algebra import closure_checks, m_checks, span_coefficients
+from .cli import (_constants, _group_problem, _numbers, _pde_system, _points_for_rule, _rule,
+                  _superpose_inputs, _system, _task, load_problem)
 from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem
 from .expr import Chart, Const, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation, is_diagonal_prolongation
 from .group import (
     LINEAR_SL2,
-    MOBIUS,
     MatrixCurve,
     check_equivariance,
     group_checks,
     orbit_of,
-    riccati_system,
     sl2_from_coefficients,
     solve_group_equation,
 )
 from .pde import (
-    PdeSystem,
     curvature,
     flatness_checks,
     grid_superpose_checks,
@@ -78,23 +82,24 @@ class CatalogEntry:
 # Shared builders
 # ---------------------------------------------------------------------------
 
+PROBLEMS = Path(__file__).with_name("problems")
 LINE = Chart(("x",))
 PLANE = Chart(("x", "y"))
 
 
-def cross_ratio_rule_on(name: str) -> SuperpositionRule:
-    """The Riccati rule on the line with coordinate `name`: psi is the cross
-    ratio of slot 0 with slots 1..3, phi its inverse in slot 0."""
-    chart = Chart((name,))
-    v = lambda a: f"{name}_{a}"
-    return SuperpositionRule.from_strings(
-        chart, 3, 1,
-        psi=[f"(({v(0)} - {v(1)})*({v(2)} - {v(3)}))/(({v(0)} - {v(2)})*({v(1)} - {v(3)}))"],
-        phi=[
-            f"(({v(1)} - {v(3)})*{v(2)}*k1 + {v(1)}*({v(3)} - {v(2)}))"
-            f"/(({v(1)} - {v(3)})*k1 + ({v(3)} - {v(2)}))"
-        ],
-    )
+def _problem(name: str, config: RunConfig, **override) -> tuple[dict, dict]:
+    """The shipped problem file `name`.json, with `override` in place of its
+    keys, and its task: the file's t_span under the config's seed and
+    tolerances."""
+    doc = {**load_problem(str(PROBLEMS / f"{name}.json")), **override}
+    return doc, _task(doc, config)
+
+
+def _lie_problem(name: str, config: RunConfig, **override) -> tuple[dict, dict, LieSystem, SuperpositionRule]:
+    """_problem with the file's system and rule."""
+    doc, task = _problem(name, config, **override)
+    sys = _system(doc)
+    return doc, task, sys, _rule(doc, sys.chart)
 
 
 def gl_fields(chart: Chart) -> list[VectorField]:
@@ -145,30 +150,28 @@ def linear_rule(chart: Chart) -> SuperpositionRule:
     return SuperpositionRule(chart, n, n, tuple(psi), tuple(phi))
 
 
-def _linear2_system() -> LieSystem:
-    return MatrixCurve.from_strings([["t/4", "1"], ["-1", "-t/4"]]).system
+def _superposition(doc: dict, task: dict, sys: LieSystem,
+                   rule: SuperpositionRule) -> tuple[list[Check], np.ndarray]:
+    """The rule's checks, then superpose_checks on the inputs that `liesys
+    superpose` reads from `doc`; and the k used."""
+    points, k, x0, guess = _superpose_inputs(doc, task, sys, rule)
+    checks, k, *_ = superpose_checks(rule, sys, points, task["t_span"], task["tol"],
+                                     task["tol_const"], k=k, x0=x0, x0_guess=guess)
+    return rule_checks(rule, sys.fields, task["seed"]) + checks, k
 
 
-def _random_quadratic_curve(rng: random.Random) -> CoefficientCurve:
-    t = Var("t")
-    c = [Fraction(rng.randint(-1000, 1000), 1000) for _ in range(3)]
-    return CoefficientCurve(expression=Const(c[0]) + Const(c[1]) * t + Const(c[2]) * (t**2))
-
-
-def _run_rule(config: RunConfig, sys: LieSystem, rule: SuperpositionRule, m: int,
-              x0: list[float], points: list[list[float]], t_span: tuple[float, float],
+def _run_rule(doc: dict, task: dict, sys: LieSystem, rule: SuperpositionRule,
               dimension: int | None = None) -> tuple[list[Check], dict]:
     """An entry on one full rule: the closure checks and the check that the
     algebra has `dimension` (when given), the m checks, then the rule's
-    checks with x0's solution rebuilt from `points`."""
+    checks with x0's solution rebuilt from the particular ones."""
     checks, extra = [], {}
     if dimension is not None:
         checks, extra = closure_checks(sys.fields)
         checks.append(Check.equals("dimension", extra["closure"]["dimension"], dimension))
-    more, m_extra = m_checks(sys.fields, config.seed, m)
-    checks += more + rule_checks(rule, sys.fields, config.seed)
-    rebuilt, k, *_ = superpose_checks(rule, sys, points, t_span, config.tol, config.tol_const, x0=x0)
-    return checks + rebuilt, {**extra, **m_extra, "k_used": [float(v) for v in k]}
+    more, m_extra = m_checks(sys.fields, task["seed"], _numbers(doc.get("m"), "m", kind="integer"))
+    rebuilt, k = _superposition(doc, task, sys, rule)
+    return checks + more + rebuilt, {**extra, **m_extra, "k_used": [float(v) for v in k]}
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +180,8 @@ def _run_rule(config: RunConfig, sys: LieSystem, rule: SuperpositionRule, m: int
 
 
 def _run_riccati(config: RunConfig):
-    sys = riccati_system(*(CoefficientCurve.from_string(s) for s in ("1", "0", "1")))
-    checks, extra = _run_rule(config, sys, cross_ratio_rule_on("x"), 3, [-0.5],
-                              [[-2.0], [-1.0], [0.0]], (0.0, 1.2), dimension=3)
+    doc, task, sys, rule = _lie_problem("riccati", config)
+    checks, extra = _run_rule(doc, task, sys, rule, dimension=3)
     expected = {(0, 1): ["1", "0", "0"], (0, 2): ["0", "2", "0"], (1, 2): ["0", "0", "1"]}
     got = {tuple(c["pair"]): c["c"] for c in extra["closure"]["constants"]}
     checks += [
@@ -192,61 +194,56 @@ def _run_riccati(config: RunConfig):
 
 
 def _run_linear2(config: RunConfig):
-    sys = _linear2_system()
-    return _run_rule(config, sys, linear_rule(sys.chart), 2,
-                     [0.4, -0.3], [[1.0, 0.0], [0.0, 1.0]], (0.0, 2.0), dimension=4)
+    return _run_rule(*_lie_problem("linear2", config), dimension=4)
 
 
 def _run_linear_n(config: RunConfig):
     sys = MatrixCurve.from_strings([["0", "1", "0"], ["-1", "0", "t/4"], ["0", "-t/4", "0"]]).system
-    return _run_rule(config, sys, linear_rule(sys.chart), 3, [0.3, -0.2, 0.5],
-                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (0.0, 1.0), dimension=9)
+    doc = {"m": 3, "initial_points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+           "x0": [0.3, -0.2, 0.5], "t_span": [0.0, 1.0]}
+    return _run_rule(doc, _task(doc, config), sys, linear_rule(sys.chart), dimension=9)
+
+
+def _random_quadratic(rng: random.Random) -> str:
+    """c0 + c1 t + c2 t^2 with each c drawn from [-1, 1] in steps of 1/1000."""
+    t = Var("t")
+    c = [Fraction(rng.randint(-1000, 1000), 1000) for _ in range(3)]
+    return str(Const(c[0]) + Const(c[1]) * t + Const(c[2]) * (t**2))
 
 
 def _run_euclidean(config: RunConfig):
     rng = random.Random(config.seed)
-    fields = [VectorField.from_strings(PLANE, comps) for comps in (["1", "0"], ["0", "1"], ["y", "-x"])]
-    sys = LieSystem(fields, [_random_quadratic_curve(rng) for _ in range(3)])
-    rule = SuperpositionRule.from_strings(
-        PLANE, 2, 2, psi=["(x_0 - x_1)^2 + (y_0 - y_1)^2", "(x_0 - x_2)^2 + (y_0 - y_2)^2"]
-    )
-    return _run_rule(config, sys, rule, 2, [-0.4, 0.7], [[1.0, 0.0], [0.0, 1.0]], (0.0, 1.0))
+    return _run_rule(*_lie_problem("euclidean", config, coefficients=[_random_quadratic(rng) for _ in range(3)]))
 
 
 def _run_separable(config: RunConfig):
-    sys = LieSystem([VectorField.from_strings(LINE, ["x^2"])], [CoefficientCurve.from_string("1 + t/2")])
-    rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["1/x_1 - 1/x_0"], phi=["x_1/(1 - k1*x_1)"])
-    return _run_rule(config, sys, rule, 1, [1 / 3], [[0.5]], (0.0, 1.0))
+    return _run_rule(*_lie_problem("separable_invsq", config))
 
 
 def _run_translation(config: RunConfig):
-    sys = LieSystem([VectorField.from_strings(PLANE, ["1", "0"])], [CoefficientCurve.from_string("1 - t/3")])
-    checks, extra = m_checks(sys.fields, config.seed, 1)
-    standard = SuperpositionRule.from_strings(
-        PLANE, 1, 2, psi=["x_0 - x_1", "y_0 - y_1"], phi=["x_1 + k1", "y_1 + k2"]
-    )
-    skewed = SuperpositionRule.from_strings(
-        PLANE, 1, 2, psi=["x_0 - x_1", "y_0 + y_1^3"], phi=["x_1 + k1", "k2 - y_1^3"]
-    )
-    for label, rule in (("standard", standard), ("skewed", skewed)):
-        shared = rule_checks(rule, sys.fields, config.seed) + superpose_checks(
-            rule, sys, [[-1.0, 0.4]], (0.0, 1.0), config.tol, config.tol_const, x0=[0.2, -0.6]
-        )[0]
+    checks, rules = [], []
+    for label, name in (("standard", "translation"), ("skewed", "translation_alt")):
+        doc, task, sys, rule = _lie_problem(name, config)
+        if not rules:  # both files hold the same system
+            checks, extra = m_checks(sys.fields, task["seed"], _numbers(doc.get("m"), "m", kind="integer"))
+        rules.append(rule)
+        shared, _ = _superposition(doc, task, sys, rule)
         checks += [replace(c, name=f"{label}_{c.name}") for c in shared]
-    same = all(ex.canonically_equal(a, b) for a, b in zip(standard.psi, skewed.psi))
+    same = all(ex.canonically_equal(a, b) for a, b in zip(rules[0].psi, rules[1].psi))
     checks.append(Check("rules_genuinely_differ", not same))
     return checks, extra
 
 
 def _run_sl2_group(config: RunConfig):
-    one, zero = CoefficientCurve.from_string("1"), CoefficientCurve.from_string("0")
+    doc, task = _problem("sl2_group", config)
+    mobius_action, a, mobius_x0 = _group_problem(doc)
     # the Mobius image of 0 is x1/x2 of the planar solution from (0, 1):
     # group_checks compares them in sl2_riccati_equivariance
-    checks, g, planar = group_checks(sl2_from_coefficients(one, zero, one), (0.0, 1.2), config.tol,
-                                     LINEAR_SL2, [0.0, 1.0])
+    checks, g, planar = group_checks(a, task["t_span"], task["tol"], LINEAR_SL2, [0.0, 1.0])
+    # closed forms of the file's rotation curve (1, 0, 1) and Mobius start 0
     t = g.t
     rotation = np.stack([np.stack([np.cos(t), np.sin(t)], -1), np.stack([-np.sin(t), np.cos(t)], -1)], 1)
-    mobius = orbit_of(g, MOBIUS, [0.0])
+    mobius = orbit_of(g, mobius_action, mobius_x0)
     column = np.stack([np.sin(t), np.cos(t)], -1)
     checks += [
         Check.limit("rotation_closed_form", float(np.max(np.abs(g.matrices - rotation))), 1e-6),
@@ -270,21 +267,22 @@ def _run_sl2_group(config: RunConfig):
 
 
 def _run_pde_riccati(config: RunConfig):
-    flat = PdeSystem.from_strings(
-        2,
-        ["u"],
-        [["u^2"], ["u^2"]],
-        decomposition={"u": [["0", "0", "1"], ["0", "0", "1"]], "basis": [["1"], ["u"], ["u^2"]]},
-    )
+    doc, task = _problem("pde_riccati", config)
+    flat = _pde_system(doc)
     checks, _ = flatness_checks(flat)
 
-    nonflat = PdeSystem.from_strings(2, ["u"], [["u"], ["t1*u"]])
+    # the non-flat member of the family, whose curvature residual is u
+    nonflat_doc, _ = _problem("pde_nonflat", config)
+    nonflat = _pde_system(nonflat_doc)
     nonflat_report = curvature(nonflat)
     residual_is_u = ex.canonically_equal(nonflat_report.residuals[(0, 1)][0], Var("u"))
     checks.append(Check("nonflat_residual_is_u", residual_is_u and not nonflat_report.flat))
 
-    checks += path_checks(flat, [0.5], [0.4, 0.3], config.tol, config.seed)[0]
-    bad_audit = path_independence_audit(nonflat, [1.0], [1.0, 1.0], 8, config.tol, config.seed)
+    target = _numbers(doc.get("target"), "target", (flat.s,), "positive")
+    checks += path_checks(flat, _numbers(doc.get("x0"), "x0", (flat.n,)), target, task["tol"], task["seed"])[0]
+    bad_audit = path_independence_audit(
+        nonflat, _numbers(nonflat_doc.get("x0"), "x0", (nonflat.n,)),
+        _numbers(nonflat_doc.get("target"), "target", (nonflat.s,), "nonnegative"), 8, task["tol"], task["seed"])
     checks.append(
         Check(
             "nonflat_path_spread_detectable",
@@ -294,16 +292,17 @@ def _run_pde_riccati(config: RunConfig):
         )
     )
 
-    u0s = [-1.0, -2.0, 0.5]
-    target = 0.25
-    k = (target - u0s[0]) * (u0s[1] - u0s[2]) / ((target - u0s[1]) * (u0s[0] - u0s[2]))
-    grid_checks, rebuilt = grid_superpose_checks(flat, cross_ratio_rule_on("u"), [k], [[u] for u in u0s],
-                                                 [0.5, 0.5], config.tol, [target])
-    t1, t2 = np.meshgrid(np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 11), indexing="ij")
-    closed_form = target / (1 - target * (t1 + t2))
-    gap = float(np.max(np.abs(rebuilt[:, :, 0] - closed_form)))
+    rule = _rule(doc, flat.chart)
+    k = _constants(doc.get("k"), rule)
+    grid_checks, rebuilt = grid_superpose_checks(
+        flat, rule, k, _numbers(doc.get("initial_points"), "initial_points", (rule.m, flat.n)), target,
+        task["tol"], _numbers(doc.get("x0_guess"), "x0_guess", (flat.n,)))
+    # slot 0 solves u' = u^2 along t1 + t2 from its value u0 at the origin
+    u0 = rebuilt[0, 0, 0]
+    t1, t2 = np.meshgrid(np.linspace(0.0, target[0], 11), np.linspace(0.0, target[1], 11), indexing="ij")
+    gap = float(np.max(np.abs(rebuilt[:, :, 0] - u0 / (1 - u0 * (t1 + t2)))))
     checks += [Check.limit("grid_superposition_vs_closed_form", gap, 1e-5), *grid_checks]
-    return checks, {"k_used": float(k)}
+    return checks, {"k_used": k[0]}
 
 
 def _run_lemma_counterexample(config: RunConfig):
@@ -346,28 +345,22 @@ def _run_lemma_counterexample(config: RunConfig):
     }
 
 
-def _partial_linear(config: RunConfig, psi: str, phi: list[str], constraint: str,
-                    points: list[list[float]]):
-    """A rank-1 partial rule of the linear2 system from len(points) solutions,
-    with k1 = 0.7."""
-    sys = _linear2_system()
-    rule = SuperpositionRule.from_strings(
-        sys.chart, len(points), 1, psi=[psi], phi=phi, constraints=[constraint]
-    )
-    checks = rule_checks(rule, sys.fields, config.seed) + solution_checks(
-        rule, sys, points, (0.0, 1.0), config.tol, config.tol_const, k=[0.7]
-    )[0]
+def _run_partial(config: RunConfig, name: str):
+    """The partial rule of the problem file `name`, checked against its
+    system as `liesys verify` checks it."""
+    doc, task, sys, rule = _lie_problem(name, config)
+    checks = rule_checks(rule, sys.fields, task["seed"]) + solution_checks(
+        rule, sys, _points_for_rule(doc, task, sys, rule), task["t_span"], task["tol"],
+        task["tol_const"], k=_constants(doc.get("k"), rule))[0]
     return checks, {"rule": rule.to_json_dict()}
 
 
 def _run_partial_rank1(config: RunConfig):
-    return _partial_linear(config, "x1_0/x1_1", ["k1*x1_1", "k1*x2_1"],
-                           "x1_0*x2_1 - x2_0*x1_1", [[0.8, -0.5]])
+    return _run_partial(config, "partial_rank1")
 
 
 def _run_partial_rank1_m2(config: RunConfig):
-    return _partial_linear(config, "(x1_0 - x1_1)/x1_2", ["x1_1 + k1*x1_2", "x2_1 + k1*x2_2"],
-                           "x1_2*(x2_0 - x2_1) - x2_2*(x1_0 - x1_1)", [[0.8, -0.5], [-0.3, 0.9]])
+    return _run_partial(config, "partial_rank1_m2")
 
 
 ENTRIES: dict[str, CatalogEntry] = {

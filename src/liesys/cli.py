@@ -6,7 +6,8 @@ catalog shares: `closure` and `m` from algebra (closure_checks, m_checks),
 superposition (rule_checks, solution_checks, superpose_checks), `group` from
 group (group_checks) and `pde` from pde (flatness_checks, path_checks,
 grid_superpose_checks).  This module parses problem files and writes the
-reports and CSV dumps.
+reports and CSV dumps; the catalog reads its problem files with the same
+loaders.
 
 Exit codes: 0 all checks passed, 1 some check failed (or the computation
 errored in a reported way), 2 usage or schema errors.
@@ -22,12 +23,11 @@ from functools import cache
 from pathlib import Path
 
 from .algebra import closure_checks, m_checks, prune_independent
-from .catalog import ENTRIES, RunConfig, get_entry
 from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrated_check
 from .errors import LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
-from .group import ACTIONS, MatrixCurve, group_checks, sl2_from_coefficients
+from .group import ACTIONS, GroupAction, MatrixCurve, group_checks, sl2_from_coefficients
 from .pde import PdeSystem, flatness_checks, grid_superpose_checks, path_checks
 from .report import Check, Report
 from .superposition import (
@@ -200,7 +200,8 @@ def _pde_system(doc: dict) -> PdeSystem:
 
 
 def _task(doc: dict, args) -> dict:
-    """DEFAULTS overridden by the problem file, then by the command line."""
+    """DEFAULTS overridden by the problem file, then by the command line (or
+    by a catalog RunConfig, which has no t_span)."""
     task = dict(DEFAULTS)
     for key in task:
         if doc.get(key) is not None:
@@ -297,19 +298,26 @@ def _points_for_rule(doc, task, sys, rule) -> list:
     return fundamental_points(sys, rule.m, task["seed"], points)
 
 
-def cmd_superpose(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
-    sys = _system(doc)
-    rule = _rule(doc, sys.chart)
+def _superpose_inputs(doc, task, sys, rule, k=None) -> tuple:
+    """(points, k, x0, x0_guess) of superpose_checks from the problem file,
+    with `k` (the --k option) in place of the file's k when given."""
     points = _points_for_rule(doc, task, sys, rule)
     x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
-    k = _constants(args.k if args.k is not None else doc.get("k"), rule)
+    k = _constants(k if k is not None else doc.get("k"), rule)
     if k is None and x0 is None:
         raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
     guess = _numbers(doc.get("x0_guess"), "x0_guess", (sys.dim,)) or x0
     if rule.phi is None and guess is None:
         raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
+    return points, k, x0, guess
+
+
+def cmd_superpose(args) -> int:
+    doc = load_problem(args.problem)
+    task = _task(doc, args)
+    sys = _system(doc)
+    rule = _rule(doc, sys.chart)
+    points, k, x0, guess = _superpose_inputs(doc, task, sys, rule, args.k)
     checks, k, slot0, particular = superpose_checks(
         rule, sys, points, task["t_span"], task["tol"], task["tol_const"], k=k, x0=x0, x0_guess=guess)
     extra = {"k": [float(v) for v in k], "slot0": slot0.to_json_dict()}
@@ -352,9 +360,8 @@ def cmd_verify(args) -> int:
     )
 
 
-def cmd_group(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
+def _group_problem(doc: dict) -> tuple[GroupAction, MatrixCurve, list | None]:
+    """The action, the matrix curve a(t) and the start x0 of the 'action' section."""
     if "action" not in doc:
         raise SchemaError("group needs an 'action' section")
     action_doc = doc["action"]
@@ -383,6 +390,13 @@ def cmd_group(args) -> int:
     if x0 is not None and a.dim != action.group_dim:
         raise SchemaError(f"action {name} needs {action.group_dim}x{action.group_dim} matrices, "
                           f"got {a.dim}x{a.dim}")
+    return action, a, x0
+
+
+def cmd_group(args) -> int:
+    doc = load_problem(args.problem)
+    task = _task(doc, args)
+    action, a, x0 = _group_problem(doc)
     checks, _, orbit = group_checks(a, task["t_span"], task["tol"], action, x0)
     extra = {}
     if orbit is not None:
@@ -426,6 +440,9 @@ def _entry_seed(master: int, name: str) -> int:
 
 
 def cmd_examples(args) -> int:
+    # imported here: the catalog reads its problem files with this module's loaders
+    from .catalog import ENTRIES, RunConfig, get_entry
+
     if args.example_command == "list":
         for name, entry in ENTRIES.items():
             print(f"{name:26s} {entry.summary}")
@@ -456,16 +473,19 @@ def cmd_examples(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, problem: bool = True):
+    """--tol, --tol-const, --seed and --json; with `problem`, also the
+    problem file, --t-span and --csv, which the examples commands do not take."""
     if problem:
         parser.add_argument("problem", help="JSON problem file")
     parser.add_argument("--tol", type=float, default=None, help="integration tolerance")
     parser.add_argument("--tol-const", dest="tol_const", type=float, default=None,
                         help="constancy drift tolerance")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--t-span", dest="t_span", type=_span, default=None,
-                        help="integration interval a,b")
     parser.add_argument("--json", default=None, help="write the JSON report here")
-    parser.add_argument("--csv", default=None, help="directory for CSV trajectory dumps")
+    if problem:
+        parser.add_argument("--t-span", dest="t_span", type=_span, default=None,
+                            help="integration interval a,b")
+        parser.add_argument("--csv", default=None, help="directory for CSV trajectory dumps")
 
 
 def _span(text: str) -> tuple[float, float]:

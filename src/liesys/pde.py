@@ -441,11 +441,13 @@ def grid_superpose_checks(sys: PdeSystem, rule: SuperpositionRule, k: Sequence[f
     11 x 11 grid from 0 to `target`, slot 0 rebuilt from them with constants
     k (leaf solves start at x0_guess, default the first solution's start),
     and `superposition_vs_path_solve`: its corner within GAP_LIMIT of the
-    path solve from its first node."""
+    path solve from its first node.  A system that is not flat raises
+    NotFlatError before anything is integrated."""
+    _require_flat(sys)
     axes = [np.linspace(0.0, target[i], 11) for i in range(sys.s)]
     grids = [solve_on_grid(sys, p, axes, tol) for p in points]
     guess = grids[0].reshape(-1, sys.n)[0] if x0_guess is None else x0_guess
     rebuilt = pde_superpose(sys, rule, grids, np.array(k), guess)
-    endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=tol).endpoint
+    endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=tol, audit=True).endpoint
     gap = float(np.max(np.abs(rebuilt[tuple([-1] * sys.s)] - endpoint)))
     return [Check.limit("superposition_vs_path_solve", gap, GAP_LIMIT)], rebuilt

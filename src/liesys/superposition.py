@@ -580,13 +580,15 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
     """(checks, k, slot 0, particular solutions): psi must stay at k along
     slot 0 rebuilt from the solutions from the m `points` (leaf solves start
     at x0_guess, default x0).  Without k, x0 and the points are integrated as
-    one tuple and k is read at its start; slot 0 must then match x0's own
+    one tuple and k is psi at its start, evaluated with psi along the tuple,
+    which fails where psi is singular; slot 0 must then match x0's own
     solution within GAP_LIMIT, and psi must be constant along the tuple."""
     tuple_ = None
     if k is None:
         tuple_ = integrate_tuple(sys, [x0, *points], t_span, tol)
         direct, particular = tuple_[0], tuple_[1:]
-        k = derive_k(rule, direct.states[0], [tr.states[0] for tr in particular])
+        along = verify_along_solutions(rule, sys, tuple_, tol_const)
+        k = along.initial_values
     else:
         particular = integrate_tuple(sys, points, t_span, tol)
     k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -596,7 +598,6 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
     checks = [Check.limit("reconstructed_psi_drift", drift.max_drift, tol_const, detail=span)]
     if tuple_ is not None:
         gap = float(np.max(np.abs(slot0.states - direct.states)))
-        along = verify_along_solutions(rule, sys, tuple_, tol_const)
         checks += [Check.limit("reconstruction_vs_direct", gap, GAP_LIMIT),
                    Check.limit("psi_drift_along_solutions", along.max_drift, tol_const, detail=span)]
     return checks, k, slot0, list(particular)

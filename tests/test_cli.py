@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from liesys import dynamics
+from liesys import catalog, dynamics, pde
 from liesys.catalog import RunConfig, get_entry
 from liesys.cli import build_parser, main
 from liesys.report import validate_report
@@ -424,6 +425,22 @@ class TestGroupAndPde:
         assert code == 1 and doc["command"] == "pde superpose"
         assert "not tangent" in capsys.readouterr().out
 
+    def test_pde_superpose_refuses_nonflat_before_integrating(self, monkeypatch, tmp_path):
+        # curvature t1*u^2 - u^2: not flat, with a decomposition on 1, u, u^2
+        path = edited_problem(tmp_path, "pde_riccati", {
+            "pde.fields": [["u^2"], ["t1*u^2"]],
+            "pde.decomposition.u": [["0", "0", "1"], ["0", "0", "t1"]]})
+        calls, real = [], pde._dopri5
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "_dopri5", counted)
+        code, doc = run(tmp_path, "pde", "superpose", str(path))
+        assert code == 1 and "curvature residual nonzero" in doc["checks"][0]["detail"]
+        assert calls == []
+
     def test_pde_check_flat(self, tmp_path):
         code, doc = run(tmp_path, "pde", "check", str(PROBLEMS / "pde_riccati.json"))
         assert code == 0
@@ -685,6 +702,19 @@ class TestExamples:
         assert code == 0
         assert doc["extra"]["witness_base"] == ["-x^2"]
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "separable_invsq", "--t-span", "0,50"],
+        ["run", "separable_invsq", "--csv", "dumps"],
+        ["run-all", "--t-span", "0,50"],
+        ["run-all", "--csv", "dumps"],
+    ])
+    def test_problem_file_options_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["examples", *argv])
+        assert err.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_all_deterministic(self, tmp_path):
         code1, doc1 = run(tmp_path, "examples", "run-all", "--seed", "3", json_name="a.json")
         code2, doc2 = run(tmp_path, "examples", "run-all", "--seed", "3", json_name="b.json")
@@ -734,13 +764,19 @@ class TestCatalogSharesTheCliChecks:
         ("translation_nonunique", "skewed_", "translation_alt", FULL),
         ("partial_linear_rank1", "", "partial_rank1", PARTIAL),
         ("partial_linear_rank1_m2", "", "partial_rank1_m2", PARTIAL),
+        ("riccati", "", "riccati", FULL),
+        # the entry redraws the file's coefficients from its seed
+        ("euclidean_se2", "", ("euclidean", {"coefficients": [
+            catalog._random_quadratic(rng) for rng in [random.Random(0)] for _ in range(3)]}), FULL),
     ])
     def test_catalog_checks_equal_the_cli_checks(self, tmp_path, entry, prefix, problem, names):
         checks, _ = get_entry(entry).run(RunConfig(seed=0))
         catalog = {c.name[len(prefix):]: c for c in checks if c.name.startswith(prefix)}
+        path = (edited_problem(tmp_path, *problem) if isinstance(problem, tuple)
+                else PROBLEMS / f"{problem}.json")
         cli = []
         for command in ("verify", "superpose"):
-            _, doc = run(tmp_path, command, str(PROBLEMS / f"{problem}.json"), json_name=f"{command}.json")
+            _, doc = run(tmp_path, command, str(path), json_name=f"{command}.json")
             cli += [c for c in doc["checks"] if c["name"] in catalog]
         assert {c["name"] for c in cli} == names
         for c in cli:
@@ -779,6 +815,8 @@ class TestCatalogSharesTheCliChecks:
         ("separable_invsq", ["m", "separable_invsq"], M),
         ("euclidean_se2", ["m", "euclidean"], M),
         ("translation_nonunique", ["m", "translation"], M),
+        ("pde_riccati", ["pde", "solve", "pde_riccati"], {"integrated", "path_independence_spread"}),
+        ("pde_riccati", ["pde", "superpose", "pde_riccati"], {"superposition_vs_path_solve"}),
     ])
     def test_catalog_checks_equal_the_checks_of_other_commands(self, tmp_path, entry, argv, names):
         checks, _ = get_entry(entry).run(RunConfig(seed=0))

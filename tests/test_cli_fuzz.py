@@ -1,6 +1,6 @@
 """Generated problem files through `liesys m`, `liesys closure`, `liesys
-verify`, `liesys solve`, `liesys group`, `liesys pde` and `liesys pde
-superpose`, in process.
+verify`, `liesys superpose`, `liesys solve`, `liesys group`, `liesys pde`
+and `liesys pde superpose`, in process.
 
 Whatever the fields, each call ends in exit 0, 1 or 2 within a bounded time:
 no exception escapes `main` and nothing hangs.
@@ -87,6 +87,60 @@ def test_verify_ends_in_an_exit_code(tmp_path, capsys, doc):
     assert elapsed < WALL_TIME_BOUND_S, f"verify took {elapsed:.1f} s on {doc}"
 
 
+def short_span(draw) -> tuple[float, float]:
+    t0 = draw(st.integers(-4, 4)) / 4
+    return t0, t0 + draw(st.integers(1, 8)) / 8
+
+
+@st.composite
+def superpose_problems(draw):
+    """A rule of rules() on at most as many fields as the chart has
+    coordinates (m = 1 allows no more), a coefficient curve per field over a
+    short t_span, the initial point of its one particular solution (a full
+    rule may leave it to be drawn), and k, x0 or both, with a start for the
+    leaf solve beside k alone.  A curve is 0 or a
+    small linear, trigonometric or exponential curve in t, as in
+    pde_superpose_problems: stiff curves can need billions of steps, which
+    no budget bounds yet."""
+    doc = draw(rules())
+    small = st.integers(-3, 3)
+    curve = st.one_of(st.just("0"),
+                      st.tuples(small, small).map(lambda c: "({}) + ({})*t".format(*c)),
+                      st.tuples(small, st.sampled_from(["sin", "cos", "exp"]))
+                      .map(lambda c: "({})*{}(t)".format(*c)))
+    dim = len(doc["chart"])
+    doc["fields"] = doc["fields"][:dim]
+    count = len(doc["fields"])
+    doc["coefficients"] = draw(st.lists(curve, min_size=count, max_size=count))
+    doc["t_span"] = list(short_span(draw))
+    point = st.lists(st.integers(-24, 24).map(lambda v: v / 8), min_size=dim, max_size=dim)
+    if doc["rule"]["constraints"] or draw(st.booleans()):
+        doc["initial_points"] = [draw(point)]
+    given = draw(st.sampled_from(["k", "x0", "both"]))
+    if given != "x0":
+        s = doc["rule"]["s"]
+        doc["k"] = draw(st.lists(st.floats(-3, 3), min_size=s, max_size=s))
+    if given != "k":
+        doc["x0"] = draw(point)
+    elif draw(st.booleans()):
+        doc["x0_guess"] = draw(point)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=superpose_problems())
+def test_superpose_ends_in_an_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["superpose", str(path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"superpose took {elapsed:.1f} s on {doc}"
+
+
 @st.composite
 def trajectories(draw):
     """A system to integrate: fields holding sin, exp and ln of the chart
@@ -120,11 +174,6 @@ def test_solve_ends_in_an_exit_code(tmp_path, capsys, doc):
     capsys.readouterr()
     assert code in (0, 1, 2)
     assert elapsed < WALL_TIME_BOUND_S, f"solve took {elapsed:.1f} s on {doc}"
-
-
-def short_span(draw) -> tuple[float, float]:
-    t0 = draw(st.integers(-4, 4)) / 4
-    return t0, t0 + draw(st.integers(1, 8)) / 8
 
 
 @st.composite
