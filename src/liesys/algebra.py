@@ -86,7 +86,10 @@ class _Echelon:
             raise ChartMismatchError("span_coefficients needs a shared chart")
         vec = {}
         for i, c in enumerate(f.components):
-            num, den = ex._nf_of(c).canonical()
+            nf = ex._nf_of(c)
+            if not nf.num_den[0]:  # a zero component has no coordinates
+                continue
+            num, den = nf.canonical()
             common = self._dens[i]
             try:
                 scale = common if den == ex._PONE else ex._pdiv_exact(common, den)
@@ -123,8 +126,11 @@ class _Echelon:
         """Whether f is in the span of the added fields, and the coefficients of
         the combination the reduction took off f."""
         vec = self._reduce(f)
-        in_span = all(i < 0 for i, _ in vec)
-        return in_span, [-vec.get((-1, a), Fraction(0)) for a in range(len(self.fields))]
+        coefficients = [Fraction(0)] * len(self.fields)
+        for (i, a), v in vec.items():
+            if i < 0:
+                coefficients[a] = -v
+        return all(i < 0 for i, _ in vec), coefficients
 
 
 def _independent(fields: Sequence[VectorField]) -> bool:

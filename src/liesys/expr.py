@@ -379,6 +379,7 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 _PONE = {(): 1}
+_QZERO = Fraction(0)
 
 # atom key -> Expr that reconstructs it (Var or Call); append-only, filled
 # by the folds of Var and Call.  Derivations (_nf_derive) look function atoms
@@ -846,6 +847,11 @@ def _gcd_core(p, q):
     if _is_const_poly(p) or _is_const_poly(q):
         return dict(_PONE)
     p, q = _int_primitive(p), _int_primitive(q)
+    short, long = sorted((p, q), key=len)
+    if _divides(short, long):
+        # with _heu_gcd's sign: positive lexicographic leading coefficient
+        atoms = _atoms_of(short)
+        return short if short[max(short, key=lambda m: _dense(m, atoms))] > 0 else _pneg(short)
     heuristic = _heu_gcd(p, q)
     return _int_primitive(heuristic if heuristic is not None else _gcd_inner(p, q))
 
@@ -929,7 +935,7 @@ def _poly_terms(p) -> tuple[Expr, ...]:
 
 def _expr_from_poly(p) -> Expr:
     if not p:
-        return Const(0)
+        return Const(_QZERO)
     return _poly_terms(p)[0] if len(p) == 1 else _PolySum(p)
 
 
@@ -945,7 +951,10 @@ def _tree_of(nf: _NF) -> Expr:
 
 
 def _expr_from_nf(nf: _NF) -> Expr:
-    """nf's canonical form as a tree that carries nf's reduced integer pair."""
+    """nf's canonical form as a tree that carries nf's reduced integer pair;
+    a zero is Const(0) carrying nf itself, with no gcd or Fraction built."""
+    if not nf.num_den[0]:
+        return _tree_of(nf)
     reduced = _NF(*nf.reduced(), nf.trans, reduced=True)
     reduced._canonical = nf.canonical()
     return _tree(*reduced._canonical, reduced)
@@ -1215,6 +1224,8 @@ def _diff_tree(e: Expr, v: str) -> Expr:
 
 
 _NF_ONE = _NF(_PONE, _PONE, False, reduced=True)
+# the derivative of a constant, indexed by its `trans`
+_NF_ZEROS = (_NF({}, _PONE, False, reduced=True), _NF({}, _PONE, True, reduced=True))
 
 
 def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
@@ -1225,6 +1236,8 @@ def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
     function atom."""
     num, den = nf.num_den
     trans = nf.trans or any(r.trans for r in rates.values())
+    if _is_const_poly(num) and _is_const_poly(den):
+        return _NF_ZEROS[trans]
     rates = {v: r for v, r in rates.items() if r.num_den[0]}
     if nf.trans:
         for a in _atoms_of(num, den):
@@ -1234,8 +1247,8 @@ def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
                 if du.num_den[0]:  # first, so ln of an identically zero u is skipped
                     rates[a] = _nf_product((_nf_of(_DERIVATIVES[atom.fn](atom.arg)), du))
     (an, ad) = _pdiff(num, rates).num_den
-    if den == _PONE:
-        return _NF(an, ad, trans)
+    if _is_const_poly(den):
+        return _NF(an, _pmul(ad, den), trans)
     (bn, bd) = _pdiff(den, rates).num_den
     if not bn:
         return _NF(an, _pmul(ad, den), trans)

@@ -302,6 +302,18 @@ def _stack_states(trajectories: Sequence[Trajectory]) -> tuple[np.ndarray, np.nd
     return grid, states
 
 
+def _psi_at(psi, point: list[float], t: float) -> list[float]:
+    """The compiled psi at a point of a tuple, or SingularDomainError at t
+    where psi is singular or not finite there."""
+    try:
+        values = psi(*point)
+        if all(map(math.isfinite, values)):
+            return values
+    except (ZeroDivisionError, ValueError, OverflowError):
+        pass
+    raise SingularDomainError("psi evaluation singular along the tuple", t)
+
+
 def verify_along_solutions(
     rule: SuperpositionRule,
     sys: LieSystem,
@@ -318,14 +330,7 @@ def verify_along_solutions(
     psi = ex.compile_vector(rule.psi, rule.product_chart.names)
     values = np.empty((len(grid), rule.rank))
     for row, point in enumerate(states):
-        try:
-            v = psi(*point.tolist())
-            finite = all(map(math.isfinite, v))
-        except (ZeroDivisionError, ValueError, OverflowError):
-            finite = False
-        if not finite:
-            raise SingularDomainError("psi evaluation singular along the tuple", float(grid[row]))
-        values[row] = v
+        values[row] = _psi_at(psi, point.tolist(), float(grid[row]))
     drift = np.max(np.abs(values - values[0]), axis=0)
     return ConstancyReport(drift, values[0].copy(), tol_const)
 
@@ -415,9 +420,11 @@ def _max_abs(values: list[float]) -> float:
 
 
 def derive_k(rule: SuperpositionRule, x0: Sequence[float], slot_states: Sequence[Sequence[float]]) -> np.ndarray:
-    """k := psi(x0(0), x_(1)(0), ..., x_(m)(0))."""
+    """k := psi(x0(0), x_(1)(0), ..., x_(m)(0)); a singular or non-finite psi
+    there raises SingularDomainError at t = 0."""
     point = np.concatenate([np.asarray(x0, float)] + [np.asarray(s, float) for s in slot_states])
-    return np.array(ex.compile_vector(rule.psi, rule.product_chart.names)(*point.tolist()))
+    psi = ex.compile_vector(rule.psi, rule.product_chart.names)
+    return np.array(_psi_at(psi, point.tolist(), 0.0))
 
 
 def reconstruct(

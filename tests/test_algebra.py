@@ -148,6 +148,31 @@ class TestClosure:
         assert report.constants[(1, 2)] == (Fraction(1), Fraction(0), Fraction(0))
 
 
+class TestZeroComponentsAreFree:
+    def test_rescaled_gl4_closure_derives_no_constant(self, monkeypatch):
+        chart = Chart(("x1", "x2", "x3", "x4"))
+        pairs = list(itertools.product(range(4), repeat=2))  # (i, j): s_ij x_j d/dx_i
+        s = {(i, j): Fraction(i + 1, j + 2) for i, j in pairs}
+        fields = [field(chart, *(f"({s[i, j]})*x{j + 1}" if k == i else "0" for k in range(4)))
+                  for i, j in pairs]
+        pdiff, calls = ex._pdiff, []
+        monkeypatch.setattr(ex, "_pdiff", lambda p, rates: calls.append(1) or pdiff(p, rates))
+        report = closure_test(fields)
+        # one per bracket's two nonconstant components, each over a constant
+        # denominator; 1,140 when zero components and denominators were derived
+        assert len(calls) == 2 * len(report.constants) == 240
+        # [s_ij x_j d_i, s_kl x_l d_k] = s_ij s_kl (d_il x_j d_k - d_kj x_l d_i)
+        want = {}
+        for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(pairs), 2):
+            c = [Fraction(0)] * 16
+            if i == l:
+                c[4 * k + j] += s[i, j] * s[k, l] / s[k, j]
+            if k == j:
+                c[4 * i + l] -= s[i, j] * s[k, l] / s[i, l]
+            want[(a, b)] = tuple(c)
+        assert report.closed and report.constants == want
+
+
 class TestSumsStayUnbuilt:
     """Brackets, the echelon and zero tests read normal forms, so a sum
     rebuilt from one builds its terms only where something renders it."""

@@ -159,6 +159,18 @@ class TestDifferentiate:
         assert equivalent(differentiate(parse("cos(x)", ["x"]), "x"), parse("-sin(x)", ["x"]))
         assert equivalent(differentiate(parse("exp(3*x)", ["x"]), "x"), parse("3*exp(3*x)", ["x"]))
 
+    @pytest.mark.parametrize("const, rate, trans", [
+        ("3/2", "sin(x)", True), ("3/2", "x^2/3", False), ("sin(x) - sin(x) + 2", "x^2/3", True)])
+    def test_derivation_of_a_constant_is_zero_without_a_partial(self, monkeypatch, const, rate,
+                                                                  trans):
+        def refuse(*args):
+            raise AssertionError("_pdiff of a constant")
+
+        monkeypatch.setattr(ex, "_pdiff", refuse)
+        got = ex._nf_derive(ex._nf_of(parse(const, ["x"])), {"x": ex._nf_of(parse(rate, ["x"]))})
+        # trans as for any derivation: the constant's or a rate's function atom
+        assert got.num_den == ({}, {(): 1}) and got.trans is trans
+
 
 class TestIsZero:
     def test_polynomial_identity(self):
@@ -286,6 +298,29 @@ class TestCanonicalForm:
         got = _gcd_core(p, q)
         assert len(got) == 286
         assert got in (g10, {m: -c for m, c in g10.items()})
+
+    def test_gcd_of_a_divisor_skips_the_heuristic_with_its_sign(self, rng, monkeypatch):
+        # gcd(a*b, c*a) = a and gcd(a, -a) = a up to sign; the divisor route
+        # must return the heuristic's sign, which reaches unreduced pairs
+        from liesys.expr import _gcd_core, _heu_gcd, _int_primitive, _pneg
+
+        cases = []
+        while len(cases) < 30:
+            a, b = (ex._nf_of(random_polynomial(rng, VARS)).num_den[0] for _ in range(2))
+            p, q = _pmul(a, b), _pmul(a, {(): rng.choice([-3, -1, 2])})
+            if ex._is_const_poly(a) or len(p) <= len(a):  # the divisor is tried, not a*b
+                continue
+            for pair in ((p, q), (q, p), (a, _pneg(a))):
+                want = _heu_gcd(*map(_int_primitive, pair))
+                if want is not None:
+                    cases.append((pair, _int_primitive(want)))
+
+        def refuse(*args):
+            raise AssertionError("heuristic gcd of a divisor")
+
+        monkeypatch.setattr(ex, "_heu_gcd", refuse)
+        for pair, want in cases:
+            assert _gcd_core(*pair) == want
 
     def test_canonical_matches_sympy_and_is_coprime(self, rng):
         import sympy

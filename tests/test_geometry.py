@@ -1,8 +1,9 @@
 import pytest
 import sympy
 
+from liesys import expr as ex
 from liesys.errors import ChartMismatchError
-from liesys.expr import Chart, canonically_equal, is_zero, parse
+from liesys.expr import Chart, Const, canonically_equal, is_zero, parse
 from liesys.geometry import (
     ProductChart,
     VectorField,
@@ -52,6 +53,20 @@ class TestLieBracket:
     def test_rotation_bracket(self):
         got = lie_bracket(field(PLANE, "1", "0"), field(PLANE, "y", "-x"))
         assert fields_equal(got, field(PLANE, "0", "-1"))
+
+    @pytest.mark.parametrize("a, b", [("x", "2*x"), ("sin(x)", "2*sin(x)")])
+    def test_cancelling_component_is_an_exact_zero(self, monkeypatch, a, b):
+        canonical = ex._NF.canonical
+
+        def checked(nf):
+            assert nf.num_den[0], "canonical form of a zero"
+            return canonical(nf)
+
+        monkeypatch.setattr(ex._NF, "canonical", checked)
+        (c,) = lie_bracket(field(LINE, a), field(LINE, b)).components
+        assert isinstance(c, Const) and c.value == 0
+        decision = is_zero(c)
+        assert decision.verdict == "zero" and decision.exact
 
     def test_chart_mismatch(self):
         with pytest.raises(ChartMismatchError):

@@ -244,6 +244,13 @@ class TestReconstruct:
         rebuilt = reconstruct(rule, aligned[1:], k)
         assert np.max(np.abs(rebuilt.states - aligned[0].states)) <= 1e-6
 
+    @pytest.mark.parametrize("psi, x0", [("x_0/x_0", 0.0), ("x_0*x_0*x_1", 1e200)])
+    def test_derive_k_singular_psi_raises(self, psi, x0):
+        # a ZeroDivisionError, then an infinite k, out of the compiled psi
+        rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=[psi])
+        with pytest.raises(SingularDomainError, match="psi evaluation singular"):
+            derive_k(rule, [x0], [[1.0]])
+
     def test_k_matching_a_particular_solution_reproduces_it(self):
         sys = riccati_system()
         aligned = solution_tuple(sys, ([-2.0], [-1.0], [0.0]), (0.0, 1.2))
