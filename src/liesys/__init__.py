@@ -38,7 +38,6 @@ from .dynamics import (  # noqa: F401
     LieSystem,
     Trajectory,
     align_trajectories,
-    evaluate_field,
     fundamental_points,
     fundamental_set,
     integrate,

@@ -1,13 +1,14 @@
 """Command-line front end: JSON problem files in, JSON/text reports out.
 
-Every command takes its checks from a library builder that the example
-catalog shares: `closure` and `m` from algebra (closure_checks, m_checks),
-`solve` from dynamics (integrated_check), `verify` and `superpose` from
-superposition (rule_checks, solution_checks, superpose_checks), `group` from
-group (group_checks) and `pde` from pde (flatness_checks, path_checks,
-grid_superpose_checks).  This module parses problem files and writes the
-reports and CSV dumps; the catalog reads its problem files with the same
-loaders.
+Every command takes its checks from a library builder: `closure` and `m`
+from algebra (closure_checks, m_checks), `solve` from dynamics
+(integrated_check), `verify` and `superpose` from superposition
+(rule_checks, solution_checks, superpose_checks), `group` from group
+(group_checks) and `pde` from pde (flatness_checks, path_checks,
+grid_superpose_checks).  This module parses problem files, each key in one
+function, and writes the reports and CSV dumps.  The run_* functions are
+the commands' checks on a parsed problem; the example catalog runs its
+problem files through them.
 
 Exit codes: 0 all checks passed, 1 some check failed (or the computation
 errored in a reported way), 2 usage or schema errors.
@@ -23,7 +24,8 @@ from functools import cache
 from pathlib import Path
 
 from .algebra import closure_checks, m_checks, prune_independent
-from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrated_check
+from .dynamics import (DEFAULT_TOL, CoefficientCurve, LieSystem, Trajectory, fundamental_points, integrate,
+                       integrated_check)
 from .errors import LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
@@ -168,7 +170,8 @@ def _coefficients(doc: dict, count: int) -> list[CoefficientCurve]:
     return out
 
 
-def _rule(doc: dict, chart: Chart) -> SuperpositionRule:
+def rule_of(doc: dict, chart: Chart) -> SuperpositionRule:
+    """The 'rule' section on `chart`."""
     if "rule" not in doc:
         raise SchemaError("this command needs a 'rule' section")
     try:
@@ -177,9 +180,9 @@ def _rule(doc: dict, chart: Chart) -> SuperpositionRule:
         raise SchemaError(f"bad rule: {exc}") from None
 
 
-def _system(doc: dict) -> LieSystem:
-    chart = _chart(doc)
-    fields = _fields(doc, chart)
+def system_of(doc: dict) -> LieSystem:
+    """The Lie system of the 'chart', 'fields' and 'coefficients' sections."""
+    fields = _fields(doc, _chart(doc))
     curves = _coefficients(doc, len(fields))
     try:
         return LieSystem(fields, curves)
@@ -187,7 +190,8 @@ def _system(doc: dict) -> LieSystem:
         raise SchemaError(str(exc)) from None
 
 
-def _pde_system(doc: dict) -> PdeSystem:
+def pde_system_of(doc: dict) -> PdeSystem:
+    """The PDE system of the 'pde' section."""
     if "pde" not in doc:
         raise SchemaError("this command needs a 'pde' section")
     p = doc["pde"]
@@ -199,7 +203,7 @@ def _pde_system(doc: dict) -> PdeSystem:
         raise SchemaError(f"bad pde section: {exc}") from None
 
 
-def _task(doc: dict, args) -> dict:
+def task_of(doc: dict, args) -> dict:
     """DEFAULTS overridden by the problem file, then by the command line (or
     by a catalog RunConfig, which has no t_span)."""
     task = dict(DEFAULTS)
@@ -217,71 +221,44 @@ def _task(doc: dict, args) -> dict:
     return task
 
 
-def _command(args) -> str:
-    """The report's command: the subcommand words and, for `examples run`, the entry."""
-    words = (args.command, getattr(args, "pde_command", None),
-             getattr(args, "example_command", None), getattr(args, "name", None))
-    return " ".join(filter(None, words))
-
-
-def _emit(report: Report, args) -> int:
-    doc = report.to_json_dict()
-    if getattr(args, "json", None):
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-    print(report.render_text())
-    return report.exit_code
-
-
-def _csv_dir(args) -> Path | None:
-    if getattr(args, "csv", None):
-        path = Path(args.csv)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-    return None
+def read_problem(path: str, args) -> tuple[dict, dict]:
+    """The problem file at `path` and its task."""
+    doc = load_problem(path)
+    return doc, task_of(doc, args)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Problem-file keys: each is read here, for the commands and the catalog
 # ---------------------------------------------------------------------------
 
 
-def cmd_closure(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
-    fields = _fields(doc, _chart(doc))
-    checks, extra = closure_checks(fields, complete=bool(args.complete or doc.get("complete")))
-    return _emit(Report("closure", checks, task["seed"], {"tol": task["tol"]}, extra), args)
+def _m(doc: dict) -> int | None:
+    return _numbers(doc.get("m"), "m", kind="integer")
 
 
-def cmd_m(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
-    fields = prune_independent(_fields(doc, _chart(doc)))
-    if not fields:
-        raise SchemaError("every field is zero; m needs a nonzero field")
-    checks, extra = m_checks(fields, task["seed"], _numbers(doc.get("m"), "m", kind="integer"))
-    return _emit(Report("m", checks, task["seed"], {"tol": task["tol"]}, extra), args)
-
-
-def cmd_solve(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
-    sys = _system(doc)
-    x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
-    if x0 is None:
-        raise SchemaError("solve needs 'x0'")
-    trajectory = integrate(sys, x0, task["t_span"], task["tol"])
-    checks = [integrated_check(trajectory)]
-    extra = {"trajectory": trajectory.to_json_dict()}
-    out = _csv_dir(args)
-    if out:
-        trajectory.to_csv(out / "trajectory.csv", sys.chart.names)
-    return _emit(Report("solve", checks, task["seed"], {"tol": task["tol"]}, extra), args)
-
-
-def _constants(k, rule: SuperpositionRule) -> list[float] | None:
-    """The rule's rank constants k; a single number stands for a list of one."""
+def _k(doc: dict, rule: SuperpositionRule, k=None) -> list[float] | None:
+    """The rule's rank constants: `k` (the --k option) when given, else the
+    file's; a single number stands for a list of one."""
+    k = doc.get("k") if k is None else k
     return _numbers(k if k is None or isinstance(k, list) else [k], "k", (rule.rank,))
+
+
+def _x0(doc: dict, dim: int) -> list[float] | None:
+    return _numbers(doc.get("x0"), "x0", (dim,))
+
+
+def _x0_guess(doc: dict, dim: int) -> list[float] | None:
+    return _numbers(doc.get("x0_guess"), "x0_guess", (dim,))
+
+
+def _initial_points(doc: dict, m: int, dim: int) -> list | None:
+    return _numbers(doc.get("initial_points"), "initial_points", (m, dim))
+
+
+def _target(doc: dict, s: int, kind: str) -> list[float] | None:
+    """The parameter values to reach: `kind` "nonnegative" for a path
+    solve, "positive" for a grid."""
+    return _numbers(doc.get("target"), "target", (s,), kind)
 
 
 def _points_for_rule(doc, task, sys, rule) -> list:
@@ -290,74 +267,12 @@ def _points_for_rule(doc, task, sys, rule) -> list:
     Full rules go through the fundamental-set rank gate; partial rules use
     fewer solutions than a fundamental set by design, so their points are
     taken as given."""
-    points = _numbers(doc.get("initial_points"), "initial_points", (rule.m, sys.dim))
+    points = _initial_points(doc, rule.m, sys.dim)
     if rule.is_partial:
         if points is None:
             raise SchemaError("a partial rule needs 'initial_points'")
         return points
     return fundamental_points(sys, rule.m, task["seed"], points)
-
-
-def _superpose_inputs(doc, task, sys, rule, k=None) -> tuple:
-    """(points, k, x0, x0_guess) of superpose_checks from the problem file,
-    with `k` (the --k option) in place of the file's k when given."""
-    points = _points_for_rule(doc, task, sys, rule)
-    x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
-    k = _constants(k if k is not None else doc.get("k"), rule)
-    if k is None and x0 is None:
-        raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
-    guess = _numbers(doc.get("x0_guess"), "x0_guess", (sys.dim,)) or x0
-    if rule.phi is None and guess is None:
-        raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
-    return points, k, x0, guess
-
-
-def cmd_superpose(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
-    sys = _system(doc)
-    rule = _rule(doc, sys.chart)
-    points, k, x0, guess = _superpose_inputs(doc, task, sys, rule, args.k)
-    checks, k, slot0, particular = superpose_checks(
-        rule, sys, points, task["t_span"], task["tol"], task["tol_const"], k=k, x0=x0, x0_guess=guess)
-    extra = {"k": [float(v) for v in k], "slot0": slot0.to_json_dict()}
-    out = _csv_dir(args)
-    if out:
-        slot0.to_csv(out / "slot0.csv", sys.chart.names)
-        for i, tr in enumerate(particular, start=1):
-            tr.to_csv(out / f"slot{i}.csv", sys.chart.names)
-    return _emit(
-        Report("superpose", checks, task["seed"],
-               {"tol": task["tol"], "tol_const": task["tol_const"]}, extra),
-        args,
-    )
-
-
-def cmd_verify(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
-    chart = _chart(doc)
-    fields = _fields(doc, chart)
-    rule = _rule(doc, chart)
-    checks, extra = rule_checks(rule, fields, task["seed"]), {}
-    if doc.get("coefficients") is not None:
-        sys = LieSystem(fields, _coefficients(doc, len(fields)))
-        points = _points_for_rule(doc, task, sys, rule)
-        k = x0 = None
-        if rule.is_partial:
-            k = _constants(doc.get("k"), rule)
-            if k is None:
-                raise SchemaError("verifying a partial rule against a system needs 'k'")
-        else:
-            x0 = _numbers(doc.get("x0"), "x0", (sys.dim,))
-        more, extra = solution_checks(rule, sys, points, task["t_span"], task["tol"],
-                                      task["tol_const"], k=k, x0=x0)
-        checks += more
-    return _emit(
-        Report("verify", checks, task["seed"],
-               {"tol": task["tol"], "tol_const": task["tol_const"]}, extra),
-        args,
-    )
 
 
 def _group_problem(doc: dict) -> tuple[GroupAction, MatrixCurve, list | None]:
@@ -393,44 +308,190 @@ def _group_problem(doc: dict) -> tuple[GroupAction, MatrixCurve, list | None]:
     return action, a, x0
 
 
-def cmd_group(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
+# ---------------------------------------------------------------------------
+# Each command's checks, on a parsed problem: the commands below and the
+# example catalog run these
+# ---------------------------------------------------------------------------
+
+
+def run_closure(doc: dict, fields: list[VectorField], complete: bool = False) -> tuple[list[Check], dict]:
+    return closure_checks(fields, complete=bool(complete or doc.get("complete")))
+
+
+def run_m(doc: dict, task: dict, fields: list[VectorField]) -> tuple[list[Check], dict]:
+    fields = prune_independent(fields)
+    if not fields:
+        raise SchemaError("every field is zero; m needs a nonzero field")
+    return m_checks(fields, task["seed"], _m(doc))
+
+
+def run_verify(doc: dict, task: dict, fields: list[VectorField], rule: SuperpositionRule,
+               sys: LieSystem | None = None) -> tuple[list[Check], dict]:
+    """The rule's own checks and, given the system, its checks along the
+    solutions from the file's points: with the file's k for a partial rule,
+    from x0 for a full one."""
+    checks, extra = rule_checks(rule, fields, task["seed"]), {}
+    if sys is not None:
+        points = _points_for_rule(doc, task, sys, rule)
+        k = x0 = None
+        if rule.is_partial:
+            k = _k(doc, rule)
+            if k is None:
+                raise SchemaError("verifying a partial rule against a system needs 'k'")
+        else:
+            x0 = _x0(doc, sys.dim)
+        more, extra = solution_checks(rule, sys, points, task["t_span"], task["tol"],
+                                      task["tol_const"], k=k, x0=x0)
+        checks += more
+    return checks, extra
+
+
+def run_superpose(doc: dict, task: dict, sys: LieSystem, rule: SuperpositionRule, k=None) -> tuple:
+    """superpose_checks on the file's points, k (or `k`, the --k option,
+    when given), x0 and x0_guess: (checks, k, slot 0, particular solutions)."""
+    points = _points_for_rule(doc, task, sys, rule)
+    x0 = _x0(doc, sys.dim)
+    k = _k(doc, rule, k)
+    if k is None and x0 is None:
+        raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
+    guess = _x0_guess(doc, sys.dim) or x0
+    if rule.phi is None and guess is None:
+        raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
+    return superpose_checks(rule, sys, points, task["t_span"], task["tol"], task["tol_const"],
+                            k=k, x0=x0, x0_guess=guess)
+
+
+def run_group(doc: dict, task: dict) -> tuple[list[Check], dict, Trajectory | None]:
+    """group_checks on the 'action' section: (checks, extra, orbit)."""
     action, a, x0 = _group_problem(doc)
     checks, _, orbit = group_checks(a, task["t_span"], task["tol"], action, x0)
-    extra = {}
-    if orbit is not None:
-        extra = {"orbit": orbit.to_json_dict(), "pole_crossings": [t for _, t in orbit.events]}
-        out = _csv_dir(args)
-        if out:
-            orbit.to_csv(out / "orbit.csv")
+    if orbit is None:
+        return checks, {}, None
+    return checks, {"orbit": orbit.to_json_dict(), "pole_crossings": [t for _, t in orbit.events]}, orbit
+
+
+def run_pde(doc: dict, task: dict, sys: PdeSystem, command: str,
+            audit: bool = False) -> tuple[list[Check], dict]:
+    """The checks of `pde check`, `pde solve` or `pde superpose` (`command`)."""
+    if command == "check":
+        return flatness_checks(sys)
+    if command == "solve":
+        x0, target = _x0(doc, sys.n), _target(doc, sys.s, "nonnegative")
+        if x0 is None or target is None:
+            raise SchemaError("pde solve needs 'x0' and 'target'")
+        return path_checks(sys, x0, target, task["tol"], task["seed"], audit=audit)
+    if sys.s != 2 or sys.decomposition is None:
+        raise SchemaError("pde superpose needs s = 2 parameters and a 'decomposition'")
+    rule = rule_of(doc, sys.chart)
+    k = _k(doc, rule)
+    points = _initial_points(doc, rule.m, sys.n)
+    target = _target(doc, sys.s, "positive")
+    if k is None or points is None or target is None:
+        raise SchemaError("pde superpose needs 'k', 'initial_points' and 'target'")
+    checks, rebuilt = grid_superpose_checks(sys, rule, k, points, target, task["tol"],
+                                            _x0_guess(doc, sys.n))
+    return checks, {"slot0_corner": rebuilt[-1, -1].tolist()}
+
+
+def _command(args) -> str:
+    """The report's command: the subcommand words and, for `examples run`, the entry."""
+    words = (args.command, getattr(args, "pde_command", None),
+             getattr(args, "example_command", None), getattr(args, "name", None))
+    return " ".join(filter(None, words))
+
+
+def _emit(report: Report, args) -> int:
+    doc = report.to_json_dict()
+    if getattr(args, "json", None):
+        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
+    print(report.render_text())
+    return report.exit_code
+
+
+def _csv_dir(args) -> Path | None:
+    if getattr(args, "csv", None):
+        path = Path(args.csv)
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Commands
+# ---------------------------------------------------------------------------
+
+
+def cmd_closure(args) -> int:
+    doc, task = read_problem(args.problem, args)
+    checks, extra = run_closure(doc, _fields(doc, _chart(doc)), args.complete)
+    return _emit(Report("closure", checks, task["seed"], {"tol": task["tol"]}, extra), args)
+
+
+def cmd_m(args) -> int:
+    doc, task = read_problem(args.problem, args)
+    checks, extra = run_m(doc, task, _fields(doc, _chart(doc)))
+    return _emit(Report("m", checks, task["seed"], {"tol": task["tol"]}, extra), args)
+
+
+def cmd_solve(args) -> int:
+    doc, task = read_problem(args.problem, args)
+    sys = system_of(doc)
+    x0 = _x0(doc, sys.dim)
+    if x0 is None:
+        raise SchemaError("solve needs 'x0'")
+    trajectory = integrate(sys, x0, task["t_span"], task["tol"])
+    checks = [integrated_check(trajectory)]
+    extra = {"trajectory": trajectory.to_json_dict()}
+    out = _csv_dir(args)
+    if out:
+        trajectory.to_csv(out / "trajectory.csv", sys.chart.names)
+    return _emit(Report("solve", checks, task["seed"], {"tol": task["tol"]}, extra), args)
+
+
+def cmd_superpose(args) -> int:
+    doc, task = read_problem(args.problem, args)
+    sys = system_of(doc)
+    checks, k, slot0, particular = run_superpose(doc, task, sys, rule_of(doc, sys.chart), args.k)
+    extra = {"k": [float(v) for v in k], "slot0": slot0.to_json_dict()}
+    out = _csv_dir(args)
+    if out:
+        slot0.to_csv(out / "slot0.csv", sys.chart.names)
+        for i, tr in enumerate(particular, start=1):
+            tr.to_csv(out / f"slot{i}.csv", sys.chart.names)
+    return _emit(
+        Report("superpose", checks, task["seed"],
+               {"tol": task["tol"], "tol_const": task["tol_const"]}, extra),
+        args,
+    )
+
+
+def cmd_verify(args) -> int:
+    doc, task = read_problem(args.problem, args)
+    chart = _chart(doc)
+    fields = _fields(doc, chart)
+    rule = rule_of(doc, chart)
+    sys = None if doc.get("coefficients") is None else system_of(doc)
+    checks, extra = run_verify(doc, task, fields, rule, sys)
+    return _emit(
+        Report("verify", checks, task["seed"],
+               {"tol": task["tol"], "tol_const": task["tol_const"]}, extra),
+        args,
+    )
+
+
+def cmd_group(args) -> int:
+    doc, task = read_problem(args.problem, args)
+    checks, extra, orbit = run_group(doc, task)
+    out = orbit is not None and _csv_dir(args)
+    if out:
+        orbit.to_csv(out / "orbit.csv")
     return _emit(Report("group", checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 
 def cmd_pde(args) -> int:
-    doc = load_problem(args.problem)
-    task = _task(doc, args)
-    sys = _pde_system(doc)
-    if args.pde_command == "check":
-        checks, extra = flatness_checks(sys)
-    elif args.pde_command == "solve":
-        x0 = _numbers(doc.get("x0"), "x0", (sys.n,))
-        target = _numbers(doc.get("target"), "target", (sys.s,), "nonnegative")
-        if x0 is None or target is None:
-            raise SchemaError("pde solve needs 'x0' and 'target'")
-        checks, extra = path_checks(sys, x0, target, task["tol"], task["seed"], audit=bool(args.audit))
-    else:  # superpose
-        if sys.s != 2 or sys.decomposition is None:
-            raise SchemaError("pde superpose needs s = 2 parameters and a 'decomposition'")
-        rule = _rule(doc, sys.chart)
-        k = _constants(doc.get("k"), rule)
-        points = _numbers(doc.get("initial_points"), "initial_points", (rule.m, sys.n))
-        target = _numbers(doc.get("target"), "target", (sys.s,), "positive")
-        if k is None or points is None or target is None:
-            raise SchemaError("pde superpose needs 'k', 'initial_points' and 'target'")
-        guess = _numbers(doc.get("x0_guess"), "x0_guess", (sys.n,))
-        checks, rebuilt = grid_superpose_checks(sys, rule, k, points, target, task["tol"], guess)
-        extra = {"slot0_corner": rebuilt[-1, -1].tolist()}
+    doc, task = read_problem(args.problem, args)
+    checks, extra = run_pde(doc, task, pde_system_of(doc), args.pde_command,
+                            getattr(args, "audit", False))
     return _emit(Report(_command(args), checks, task["seed"], {"tol": task["tol"]}, extra), args)
 
 
@@ -447,7 +508,7 @@ def cmd_examples(args) -> int:
         for name, entry in ENTRIES.items():
             print(f"{name:26s} {entry.summary}")
         return 0
-    task = _task({}, args)
+    task = task_of({}, args)
     seed, tol, tol_const = (task[key] for key in ("seed", "tol", "tol_const"))
     if args.example_command == "run":
         config = RunConfig(_entry_seed(seed, args.name), tol, tol_const)

@@ -61,7 +61,6 @@ __all__ = [
     "CoefficientCurve",
     "LieSystem",
     "Trajectory",
-    "evaluate_field",
     "integrate",
     "integrate_tuple",
     "fundamental_points",
@@ -248,14 +247,6 @@ def _compile_velocity(rhs: _Rhs, coefficients: Callable[[float], tuple]):
     return ex.compile_source("\n".join(lines), "velocity", _coefficients=coefficients,
                              _isfinite=math.isfinite, _not_finite=_not_finite,
                              all=all, map=map, range=range, len=len)
-
-
-def evaluate_field(sys: LieSystem, t: float, x: Sequence[float]) -> np.ndarray:
-    """Value of sum b_a(t) X_a at (t, x), in floating point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.dim,):
-        raise ValueError(f"state has shape {x.shape}, chart dimension is {sys.dim}")
-    return sys.velocity(t, x)
 
 
 @dataclass

@@ -293,6 +293,11 @@ class Pow(Expr):
     def _nf_compute(self):
         nf = _nf_of(self.base)
         num, den = nf.reduced()
+        # a part's leading coefficient c gives c^exponent at the power's
+        # leading monomial: refuse before multiplying out what cannot fit
+        for part in (num, den):
+            if part:
+                _bound_power(_lc(part), self.exponent)
         # coprime parts stay so under powers
         return _NF(_ppow(num, self.exponent), _ppow(den, self.exponent), nf.trans, reduced=True)
 
@@ -434,7 +439,7 @@ class _NF:
         parts and a monic denominator; computed at most once."""
         if self._canonical is None:
             num, den = self.reduced()
-            lc = next(iter(den.values())) if len(den) == 1 else den[_lead(den, _atoms_of(den))]
+            lc = _lc(den)
             scale = Fraction if lc == 1 else (lambda c: Fraction(c, lc))
             self._canonical = tuple({m: scale(c) for m, c in p.items()} for p in (num, den))
         return self._canonical
@@ -579,6 +584,12 @@ def _dense(m, atoms: Sequence[str]):
 def _lead(p, atoms: Sequence[str]):
     """Leading monomial under graded lexicographic order on the given atoms."""
     return max(p, key=lambda m: (sum(e for _, e in m), _dense(m, atoms)))
+
+
+def _lc(p) -> int:
+    """The coefficient of a nonzero polynomial's leading monomial (_lead
+    over its own atoms)."""
+    return next(iter(p.values())) if len(p) == 1 else p[_lead(p, _atoms_of(p))]
 
 
 def _pdiv_exact(p, q):
@@ -1035,8 +1046,9 @@ MAX_NESTING = 32
 # compiles to Python as deep as the run, and nested runs add up; CPython stops near 3,000.
 MAX_OPERATORS = 1000
 # Largest exact power evaluate() computes, in bits of the numerator or the
-# denominator: nested squarings that parse in a few levels would otherwise
-# build numbers of billions of digits.
+# denominator, and largest leading coefficient of a power's normal form:
+# nested powers that parse in a few levels would otherwise build numbers of
+# billions of digits.
 MAX_EXACT_BITS = 2**20
 # Most term pairs one polynomial product multiplies out, at a few microseconds
 # each: expanding (x+1)^100000 squares ever longer polynomials and would not end.
@@ -1283,6 +1295,13 @@ def differentiate(e: Expr, v: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+def _bound_power(c: int, exponent: int) -> None:
+    """Raise EvaluationError when c^exponent, which has at least
+    (bits of c - 1) * exponent bits, would pass MAX_EXACT_BITS."""
+    if (abs(c).bit_length() - 1) * exponent > MAX_EXACT_BITS:
+        raise EvaluationError(f"exact power ^{exponent} would exceed {MAX_EXACT_BITS} bits")
+
+
 def evaluate(e: Expr, env: Mapping[str, Fraction | int | float]):
     """Evaluate at a point.  Exact (Fraction) for rational trees over rational
     inputs; function applications force floating point."""
@@ -1304,12 +1323,7 @@ def evaluate(e: Expr, env: Mapping[str, Fraction | int | float]):
     if isinstance(e, Pow):
         base = evaluate(e.base, env)
         if isinstance(base, Fraction):
-            # the power has at least (bits - 1) * exponent bits
-            size = max(abs(base.numerator), base.denominator).bit_length()
-            if (size - 1) * e.exponent > MAX_EXACT_BITS:
-                raise EvaluationError(
-                    f"exact power ^{e.exponent} would exceed {MAX_EXACT_BITS} bits"
-                )
+            _bound_power(max(abs(base.numerator), base.denominator), e.exponent)
         return base ** e.exponent
     if isinstance(e, Div):
         den = evaluate(e.denominator, env)

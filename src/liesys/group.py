@@ -46,7 +46,6 @@ __all__ = [
     "orbit_of",
     "EquivarianceReport",
     "check_equivariance",
-    "riccati_system",
     "group_checks",
 ]
 
@@ -253,12 +252,6 @@ def orbit_of(g: GroupTrajectory, action: GroupAction, x0: Sequence[float]) -> Tr
     else:
         derivatives = np.zeros_like(states)
     return Trajectory(g.t, states, derivatives, g.blew_up, g.truncated_at, tuple(events))
-
-
-def riccati_system(b1: CoefficientCurve, b2: CoefficientCurve, b3: CoefficientCurve) -> LieSystem:
-    """dx/dt = b1 + b2 x + b3 x^2 as a Lie system on the line."""
-    chart = Chart(("x",))
-    return LieSystem([VectorField.from_strings(chart, [s]) for s in RICCATI], [b1, b2, b3])
 
 
 @dataclass

@@ -11,6 +11,7 @@ import pytest
 from liesys import catalog, dynamics, pde
 from liesys.catalog import RunConfig, get_entry
 from liesys.cli import build_parser, main
+from liesys.expr import MAX_EXACT_BITS
 from liesys.report import validate_report
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -112,6 +113,16 @@ class TestClosureCommand:
         done = run_subprocess("closure", path, timeout=60)
         assert done.returncode in (1, 2)
         assert "term pairs" in done.stdout + done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_exact_power_past_the_bit_budget_fails_in_seconds(self, tmp_path):
+        # (3^999)^999 would have about 1.6e6 bits, past MAX_EXACT_BITS; its
+        # 99th power would take minutes to multiply out
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"chart": ["x"], "fields": [["x*((3^999)^999)^99"]]}))
+        done = run_subprocess("closure", path, timeout=10)
+        assert done.returncode == 1
+        assert f"FAIL completed  (exact power ^999 would exceed {MAX_EXACT_BITS} bits)" in done.stdout
         assert "Traceback" not in done.stderr
 
     def test_constant_past_the_digit_limit_fails_cleanly(self, tmp_path):
@@ -622,6 +633,8 @@ MALFORMED_INPUTS = [
                                          "matrix": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]}},
      "2x2"),
     ("sl2_group", ["group"], {"action": {"name": "mobius", "matrix": "abc"}}, "'matrix'"),
+    # verify builds the system as solve and superpose do
+    ("riccati", ["verify"], {"fields": [["1"], ["x"], ["2*x"]]}, "linearly independent"),
 ]
 
 

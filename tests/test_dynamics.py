@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from liesys import pde
-from liesys.cli import main
 from liesys.dynamics import (
     _A,
     _B4,
@@ -23,7 +22,6 @@ from liesys.dynamics import (
     _Rhs,
     _step,
     align_trajectories,
-    evaluate_field,
     fundamental_points,
     fundamental_set,
     integrate,
@@ -32,7 +30,7 @@ from liesys.dynamics import (
 from liesys.errors import EvaluationError, FundamentalSetError, IntegrationBlowUpError
 from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, _compiled, compile_expr, compile_vector
 from liesys.geometry import VectorField
-from liesys.group import MatrixCurve, riccati_system, solve_group_equation
+from liesys.group import MatrixCurve, check_equivariance, solve_group_equation
 from liesys.pde import PdeSystem, solve_on_grid
 
 from conftest import random_tree
@@ -75,22 +73,21 @@ class TestCoefficientCurve:
             CoefficientCurve(table=([0.0, 0.0], [1.0, 2.0]))
 
 
-class TestEvaluateField:
+class TestVelocity:
     def test_exponential_growth(self):
-        assert evaluate_field(line_system("x"), 0.0, [1.0]) == pytest.approx([1.0])
+        assert line_system("x").velocity(0.0, np.array([1.0])) == pytest.approx([1.0])
 
     def test_riccati_arithmetic(self):
-        assert evaluate_field(riccati_101(), 0.0, [2.0]) == pytest.approx([5.0])
+        assert riccati_101().velocity(0.0, np.array([2.0])) == pytest.approx([5.0])
 
     def test_euclidean_rotation_component(self):
         fields = [VectorField.from_strings(PLANE, c) for c in (["1", "0"], ["0", "1"], ["y", "-x"])]
         curves = [CoefficientCurve.from_string(s) for s in ("0", "0", "1")]
         sys = LieSystem(fields, curves)
-        assert evaluate_field(sys, 0.0, [1.0, 0.0]) == pytest.approx([0.0, -1.0])
+        assert sys.velocity(0.0, np.array([1.0, 0.0])) == pytest.approx([0.0, -1.0])
 
-    def test_dimension_checked(self):
-        with pytest.raises(ValueError):
-            evaluate_field(line_system("x"), 0.0, [1.0, 2.0])
+    def test_stacked_states_move_one_slot_each(self):
+        assert line_system("x").velocity(0.0, np.array([1.0, 2.0])) == pytest.approx([1.0, 2.0])
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +153,7 @@ class TestIntegrate:
         worst = 0.0
         for i in range(1, len(grid) - 1):
             fd = (fine.states[i + 1] - fine.states[i - 1]) / (2 * h)
-            worst = max(worst, abs(fd[0] - evaluate_field(sys, grid[i], fine.states[i])[0]))
+            worst = max(worst, abs(fd[0] - sys.velocity(grid[i], fine.states[i])[0]))
         assert worst <= 50 * h**2
 
     def test_matches_scipy_oracle(self):
@@ -196,7 +193,15 @@ class TestRoundOffFloor:
         assert len(integrate(riccati_101(), [0.0], (0.0, 1.5)).t) == 237
 
     def test_sl2_group_seed_near_a_blow_up(self):
-        assert main(["examples", "run", "sl2_group", "--seed", "1505200443"]) == 0
+        # the first triple that `examples run sl2_group --seed 1505200443` drew
+        # when that entry checked random triples: its Riccati solution passes
+        # through infinity, so the joint integration runs into the blow-up
+        # bound in the round-off regime (3,967 nodes, not tens) and all but
+        # 234 nodes lie within POLE_MARGIN of the pole x2 = 0
+        b = [CoefficientCurve.constant(Fraction(p, q)) for p, q in ((149, 200), (363, 500), (383, 500))]
+        report = check_equivariance(b, [-0.9666077268840205, -0.9286558658253965], (0.0, 1.0), 1e-9)
+        assert (report.total_points, report.compared_points) == (3967, 234)
+        assert report.passed
 
 
 def reference_velocity(sys: LieSystem, t: float, x: np.ndarray) -> np.ndarray:
@@ -662,8 +667,9 @@ class TestSharedCode:
 
     def test_a_riccati_system_costs_one_compile(self, rng):
         curves = [CoefficientCurve.constant(Fraction(rng.randint(1, 10**9), 10**9 + 7)) for _ in range(3)]
+        fields = [VectorField.from_strings(LINE, [s]) for s in ("1", "x", "x^2")]
         misses = _compiled.cache_info().misses
-        riccati_system(*curves)
+        LieSystem(fields, curves)
         assert _compiled.cache_info().misses == misses + 1
 
 

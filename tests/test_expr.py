@@ -716,6 +716,28 @@ class TestHugeConstants:
             python_source(Mul((Const(self.huge), Var("x"))), {"x": "_v0"})
 
 
+class TestExactPowerBound:
+    """A power's normal form refuses a power whose leading coefficient alone
+    would pass MAX_EXACT_BITS, before multiplying it out, as evaluate does;
+    the bound is a lower bound on the size, so a power that fits passes."""
+
+    def test_constant_power_at_the_bound(self):
+        fits = canonical_expr(Pow(Const(2), ex.MAX_EXACT_BITS))
+        assert fits.value == 2**ex.MAX_EXACT_BITS
+        with pytest.raises(EvaluationError, match=f"would exceed {ex.MAX_EXACT_BITS} bits"):
+            canonical_expr(Pow(Const(2), ex.MAX_EXACT_BITS + 1))
+
+    def test_polynomial_leading_coefficient(self):
+        # c^2 at x^2, c = 3^340000 of 538,882 bits, passes the bound; the
+        # constant term 1 would not
+        with pytest.raises(EvaluationError, match="would exceed"):
+            canonical_expr(Pow(parse("3^340000*x + 1", ["x"]), 2))
+
+    def test_denominator(self):
+        with pytest.raises(EvaluationError, match="would exceed"):
+            canonical_expr(Pow(parse("x/3^999", ["x"]), 999))
+
+
 PLANE_NAMES = ("x", "y")
 
 

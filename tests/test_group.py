@@ -8,8 +8,9 @@ import pytest
 from scipy.linalg import expm
 
 from liesys.catalog import gl_fields
-from liesys.dynamics import CoefficientCurve, integrate
+from liesys.dynamics import CoefficientCurve, LieSystem, integrate
 from liesys.expr import Chart
+from liesys.geometry import VectorField
 from liesys.group import (
     ACTIONS,
     LINEAR_SL2,
@@ -17,7 +18,6 @@ from liesys.group import (
     MatrixCurve,
     act_solve,
     check_equivariance,
-    riccati_system,
     sl2_from_coefficients,
     solve_group_equation,
 )
@@ -215,7 +215,8 @@ class TestActSolve:
         b = curves("1", "0", "1")
         a = sl2_from_coefficients(*b)
         orbit = act_solve(a, MOBIUS, [0.0], (0.0, 1.2))
-        direct = integrate(riccati_system(*b), [0.0], (0.0, 1.2))
+        riccati = LieSystem([VectorField.from_strings(Chart(("x",)), [s]) for s in ("1", "x", "x^2")], b)
+        direct = integrate(riccati, [0.0], (0.0, 1.2))
         assert np.max(np.abs(orbit.states - direct.resampled(orbit.t).states)) <= 1e-5
 
     def test_identity_curve_constant_trajectory(self):
