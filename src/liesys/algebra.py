@@ -347,17 +347,25 @@ def evaluation_rank(fields: Sequence[VectorField], points: Sequence[Sequence]) -
 
 
 def _generic_rank(rank_at: Callable[[list[Fraction]], tuple[int, bool]], size: int,
-                  target: int, rng: random.Random) -> tuple[int, int, bool]:
+                  target: int, rng: random.Random,
+                  ceiling: int | None = None) -> tuple[int, int, bool]:
     """(highest rank, tuples drawn, all exact) of rank_at at up to TUPLES_PER_K
     random tuples of `size` coordinates uniform on {i/1000 : |i| <= 2000},
-    stopping at target.  An exact rank can only come out too low: each tuple
-    misses with probability at most D/4001 (Schwartz 1980; Zippel 1979), D the
-    total degree of N*Q for a nonzero target-size minor N/Q of the rational
-    matrix (a pole, where rank_at raises EvaluationError, is a miss; the last
-    one is raised when no tuple evaluates).  Float ranks prove nothing."""
+    stopping at target.  Once a tuple reaches `ceiling` (default target), the
+    most rank_at can return, the remaining tuples are drawn but neither
+    evaluated nor ranked: the rng stream and the tuples drawn stay those of
+    a search that ranks them all.  An exact rank can only come out too low:
+    each tuple misses with probability at most D/4001 (Schwartz 1980; Zippel
+    1979), D the total degree of N*Q for a nonzero target-size minor N/Q of
+    the rational matrix (a pole, where rank_at raises EvaluationError, is a
+    miss; the last one is raised when no tuple evaluates).  Float ranks
+    prove nothing."""
+    ceiling = target if ceiling is None else ceiling
     best, error, exact = None, None, True
     for tuples in range(1, TUPLES_PER_K + 1):
         values = [ex.random_rational(rng) for _ in range(size)]
+        if best == ceiling:
+            continue
         try:
             rank, rank_exact = rank_at(values)
         except EvaluationError as exc:
@@ -393,9 +401,11 @@ class FundamentalSizeReport:
 
 def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeReport:
     """Least k at which the fields evaluated at a random rational k-tuple have
-    rank r, by _generic_rank at each k; fields must be linearly independent
-    (prune_independent first).  With exact ranks, rank r at one tuple proves
-    m <= k, so m can only come out too large."""
+    rank r, by _generic_rank at each k with the ceiling min(k n, r) (k n rows,
+    r columns), so below m the tuples after the first to reach k n are not
+    ranked; fields must be linearly independent (prune_independent first).
+    With exact ranks, rank r at one tuple proves m <= k, so m can only come
+    out too large."""
     fields = list(fields)
     if not fields:
         raise ValueError("minimal_m needs at least one field")
@@ -409,7 +419,7 @@ def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeRe
     for k in range(1, r + 1):
         rank, tuples, rank_exact = _generic_rank(
             lambda values: evaluation_rank(fields, [values[i:i + n] for i in range(0, k * n, n)]),
-            k * n, r, rng,
+            k * n, r, rng, min(k * n, r),
         )
         exact = exact and rank_exact
         profile.append(RankAtK(k, rank, tuples))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import expr as ex
@@ -64,7 +65,15 @@ class ProductChart(Chart):
 
 @dataclass(frozen=True)
 class VectorField:
-    """n expression components over an n-dimensional chart."""
+    """n expression components over an n-dimensional chart.
+
+    `_jet` holds the components' normal forms and their nonzero partials,
+    derived on first use (lie_bracket reads it).  Filling it is idempotent,
+    so threads that race on it are safe: each stores an equal value.  The
+    normal forms it holds are live in the sense of the `_ATOMS` note in
+    `expr`, so the atoms they name (cos(u), from a partial of sin(u)) stay
+    reachable there while the field does.
+    """
 
     chart: Chart
     components: tuple[Expr, ...]
@@ -84,6 +93,31 @@ class VectorField:
     @staticmethod
     def from_strings(chart: Chart, components: Iterable[str]) -> "VectorField":
         return VectorField(chart, tuple(ex.parse(s, chart) for s in components))
+
+    @classmethod
+    def _on_chart(cls, chart: Chart, components: tuple[Expr, ...]) -> "VectorField":
+        """A field from n components known to use only the chart's variables,
+        with no walk over their trees."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "chart", chart)
+        object.__setattr__(field, "components", components)
+        return field
+
+    @cached_property
+    def _jet(self) -> tuple[tuple[ex._NF, dict[str, ex._NF]], ...]:
+        """Per component X^i, its normal form and {v: d_v X^i} over the
+        variables whose partial is nonzero; a zero component has none."""
+        jet = []
+        for c in self.components:
+            nf = ex._nf_of(c)
+            partials = {}
+            if nf.num_den[0]:
+                for v in self.chart.names:
+                    d = ex._nf_derive(nf, {v: ex._NF_ONE})
+                    if d.num_den[0]:
+                        partials[v] = d
+            jet.append((nf, partials))
+        return tuple(jet)
 
     def _rates(self) -> dict[str, ex._NF]:
         """The derivation X as the normal forms of X(x^i) = X^i."""
@@ -135,15 +169,27 @@ def _require_same_chart(x: VectorField, y: VectorField):
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X,Y]^i = X(Y^i) - Y(X^i), two derivations on the components' normal
-    forms.  Each component is the tree of its canonical form, carrying its
-    reduced normal form, whose sums build their terms on first read."""
+    """[X,Y]^i = sum_v (X^v d_v Y^i - Y^v d_v X^i) from the partials each
+    field derives once (VectorField._jet), skipping zero components and zero
+    partials: brackets of one field with r - 1 others derive it once, not
+    r - 1 times.  Every component is marked as holding a function atom when
+    X or Y has one, so its zero test stays sampled.  Each component is the
+    tree of its canonical form, carrying its reduced normal form, whose sums
+    build their terms on first read."""
     _require_same_chart(x, y)
-    rx, ry = x._rates(), y._rates()
-    nf = ex._nf_of
-    comps = (ex._nf_sum((ex._nf_derive(nf(b), rx), ex._nf_neg(ex._nf_derive(nf(a), ry))))
-             for a, b in zip(x.components, y.components))
-    return VectorField(x.chart, tuple(ex._expr_from_nf(c) for c in comps))
+    names, jx, jy = x.chart.names, x._jet, y._jet
+    # a zero that carries `trans` into every component's sum
+    zero = ex._NF_ZEROS[any(nf.trans for nf, _ in jx + jy)]
+    comps = []
+    for (_, dx), (_, dy) in zip(jx, jy):
+        terms = [zero]
+        terms += (ex._nf_product((xv, dy[v])) for v, (xv, _) in zip(names, jx)
+                  if v in dy and xv.num_den[0])
+        terms += (ex._nf_neg(ex._nf_product((yv, dx[v]))) for v, (yv, _) in zip(names, jy)
+                  if v in dx and yv.num_den[0])
+        comps.append(ex._expr_from_nf(ex._nf_sum(terms)))
+    # the bracket's components use only the chart's variables
+    return VectorField._on_chart(x.chart, tuple(comps))
 
 
 def diagonal_prolongation(x: VectorField, copies: int) -> VectorField:

@@ -158,9 +158,9 @@ class TestZeroComponentsAreFree:
         pdiff, calls = ex._pdiff, []
         monkeypatch.setattr(ex, "_pdiff", lambda p, rates: calls.append(1) or pdiff(p, rates))
         report = closure_test(fields)
-        # one per bracket's two nonconstant components, each over a constant
-        # denominator; 1,140 when zero components and denominators were derived
-        assert len(calls) == 2 * len(report.constants) == 240
+        # each field's one nonconstant component, over a constant denominator,
+        # derived once per variable however many of the 120 brackets read it
+        assert len(calls) == len(fields) * chart.dim == 64
         # [s_ij x_j d_i, s_kl x_l d_k] = s_ij s_kl (d_il x_j d_k - d_kj x_l d_i)
         want = {}
         for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(pairs), 2):
@@ -263,6 +263,28 @@ class TestMinimalM:
         # every tuple is drawn below m; the first full-rank tuple ends the search
         assert [v.tuples for v in report.rank_profile] == [3, 3, 1]
         assert report.exact
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gl_ranks_one_tuple_per_k(self, monkeypatch, n):
+        fields = _gl_scaled(n, seed=n)
+        rank, points = algebra.evaluation_rank, []
+        monkeypatch.setattr(algebra, "evaluation_rank",
+                            lambda fs, ps: points.append(len(ps)) or rank(fs, ps))
+        report = minimal_m(fields, seed=n)
+        # rank k n is the most k points can give: the first tuple to reach it
+        # ends the ranking at k, and the other two are drawn but not ranked
+        assert points == list(range(1, n + 1))
+        assert report.m == n and report.exact
+        assert [(v.k, v.rank, v.tuples) for v in report.rank_profile] == [
+            (k, k * n, 3 if k < n else 1) for k in range(1, n + 1)]
+        # ranking every tuple draws the same points to the same report
+        generic = algebra._generic_rank
+        monkeypatch.setattr(algebra, "_generic_rank",
+                            lambda rank_at, size, target, rng, ceiling: generic(
+                                rank_at, size, target, rng))
+        points.clear()
+        assert minimal_m(fields, seed=n) == report
+        assert len(points) == 3 * n - 2
 
     def test_dependent_input_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesys import expr as ex
 from liesys.errors import ChartMismatchError
@@ -97,6 +99,51 @@ class TestLieBracket:
                 + lie_bracket(lie_bracket(c, a), b)
             )
             assert zero_field(jacobi)
+
+
+# rational plane components: a polynomial of up to three terms over a
+# denominator that is constant or not
+_POLYNOMIALS = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)),
+    max_size=3,
+).map(lambda terms: " + ".join(f"({a}/{b})*x^{i}*y^{j}" for a, b, i, j in terms) or "0")
+_COMPONENTS = st.tuples(
+    _POLYNOMIALS, st.sampled_from(["1", "3", "x", "y^2 + 1", "x*y - 2", "(x - y)^2", "x^2*y"])
+).map(lambda t: f"({t[0]})/({t[1]})")
+_PLANE_FIELDS = st.tuples(_COMPONENTS, _COMPONENTS).map(lambda c: field(PLANE, *c))
+
+
+class TestBracketFromPartials:
+    """lie_bracket reads partials each field derives once; the derivations
+    X(Y^i) - Y(X^i) of apply_to are the oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(x=_PLANE_FIELDS, y=_PLANE_FIELDS)
+    def test_matches_two_derivations(self, x, y):
+        got = lie_bracket(x, y)
+        for i in range(2):
+            want = ex.Add((x.apply_to(y.components[i]), -y.apply_to(x.components[i])))
+            assert canonically_equal(got.components[i], want)
+
+    @pytest.mark.parametrize("atom", ["sin(x)", "exp(x)"])
+    def test_function_atom_marks_every_component(self, atom):
+        # [X, Y] = (0, y^2) holds no function atom, and X(Y^i) - Y(X^i) did
+        x, y = field(PLANE, atom, "y"), field(PLANE, "0", "y^2")
+        for a, b in ((x, y), (y, x)):
+            comps = lie_bracket(a, b).components
+            assert [ex._nf_of(c).trans for c in comps] == [True, True]
+            assert is_zero(comps[0]).exact and not is_zero(comps[1]).exact
+        assert not any(ex._nf_of(c).trans
+                       for c in lie_bracket(field(PLANE, "x", "y"), y).components)
+
+    def test_fields_derive_once(self, monkeypatch):
+        x, y, z = field(PLANE, "x*y", "1"), field(PLANE, "y^2", "x"), field(PLANE, "0", "x^2")
+        pdiff, calls = ex._pdiff, []
+        monkeypatch.setattr(ex, "_pdiff", lambda p, rates: calls.append(1) or pdiff(p, rates))
+        for a, b in ((x, y), (y, z), (z, x), (x, y)):
+            lie_bracket(a, b)
+        # one per variable for each nonconstant component: x*y, y^2, x and x^2
+        assert len(calls) == 8
 
 
 class TestDiagonalProlongation:
