@@ -58,4 +58,4 @@ class NotFlatError(LiesysError):
 
 
 class IntegrationBlowUpError(LiesysError):
-    """A path segment stopped short of its end: blow-up or step underflow."""
+    """A path segment stopped short of its end: blow-up, step underflow or step budget."""

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .dynamics import DEFAULT_TOL, Trajectory, _dopri5, _Rhs, stop_reason
+from .dynamics import DEFAULT_TOL, _dopri5, _Rhs
 from .errors import IntegrationBlowUpError, LiesysError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
@@ -212,8 +212,8 @@ def _advance(sys: PdeSystem, axis: int, t_frozen: np.ndarray, nodes: Sequence[fl
     each is an integrated value, not interpolated.  The steps inline the
     axis's field (PdeSystem._inline_fields) and read the parameters from a
     list set for this line.  A line that stops short raises
-    IntegrationBlowUpError naming the stop as dynamics.stop_reason does:
-    blow-up, or step underflow."""
+    IntegrationBlowUpError naming the stop _dopri5 returned: blow-up, step
+    underflow or step budget."""
     nodes = [float(v) for v in nodes]
     if len(nodes) < 2:
         return np.empty((0, len(x)))
@@ -223,12 +223,11 @@ def _advance(sys: PdeSystem, axis: int, t_frozen: np.ndarray, nodes: Sequence[fl
         t_now[axis] = tau
         return t_now
 
-    run = Trajectory(*_dopri5(sys._inline_fields[axis], parameters, nodes[0], nodes[-1], x, tol,
-                              stops=nodes[1:-1]))
-    reason = stop_reason([run])
-    if reason:
-        raise IntegrationBlowUpError(f"{reason} along axis {axis + 1} near t{axis + 1}={run.t_end:.6g}")
-    return np.concatenate([run.states[np.searchsorted(run.t, nodes[1:-1])], run.states[-1:]])
+    ts, ys, _, stop = _dopri5(sys._inline_fields[axis], parameters, nodes[0], nodes[-1], x, tol,
+                              stops=nodes[1:-1])
+    if stop:
+        raise IntegrationBlowUpError(f"{stop} along axis {axis + 1} near t{axis + 1}={ts[-1]:.6g}")
+    return np.concatenate([ys[np.searchsorted(ts, nodes[1:-1])], ys[-1:]])
 
 
 def _require_flat(sys: PdeSystem) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import algebra
 from . import expr as ex
-from .dynamics import LieSystem, Trajectory, integrate_tuple, stop_reason
+from .dynamics import LieSystem, Trajectory, integrate_tuple
 from .errors import EvaluationError, LiesysError, NonConvergenceError, SingularDomainError
 from .expr import Chart, Const, Expr, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation
@@ -472,11 +472,8 @@ def reconstruct(
         for row in range(len(grid)):
             guess = solver.solve(rest_rows[row], k_list, guess, float(grid[row]))
             states[row] = guess
-    derivatives = (
-        np.gradient(states, grid, axis=0) if len(grid) > 1 else np.zeros_like(states)
-    )
     # the particular solutions share one grid, so they end together
-    return Trajectory(grid, states, derivatives, trajectories[0].blew_up, trajectories[0].truncated_at)
+    return Trajectory(grid, states, stop=trajectories[0].stop)
 
 
 # ---------------------------------------------------------------------------
@@ -613,5 +610,5 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
 def _coverage(tuple_: Sequence[Trajectory], t_span: tuple[float, float]) -> str:
     """The detail of a drift check: empty for a tuple that reached t1,
     otherwise why and where it stopped and the part of t_span it covers."""
-    reason, (a, b), t = stop_reason(tuple_), t_span, tuple_[0].truncated_at
+    reason, (a, b), t = tuple_[0].stop, t_span, tuple_[0].t_end
     return "" if reason is None else f"{reason} at t={t:.6g}: checked on [{a:g}, {t:.6g}] of [{a:g}, {b:g}]"

@@ -191,8 +191,23 @@ class TestSolveAndSuperpose:
         assert code == 1
         check = doc["checks"][0]
         assert check["name"] == "integrated" and not check["passed"]
-        assert check["detail"].startswith("step underflow at t=0.25")
-        assert "FAIL integrated  (step underflow at t=0.25" in capsys.readouterr().out
+        assert check["detail"] == "step underflow at t=0.25; 1 nodes, blew_up=False"
+        assert "FAIL integrated  (step underflow at t=0.25; 1 nodes, blew_up=False)" in capsys.readouterr().out
+        trajectory = doc["extra"]["trajectory"]
+        assert trajectory["blew_up"] is False and trajectory["truncated_at"] == 0.25
+
+    def test_solve_fails_on_the_step_budget_within_seconds(self, tmp_path):
+        # steps stay under 1e-6 on [1, 1.25]: without the budget, 801,839
+        # nodes and half a minute, ending in PASS
+        problem = tmp_path / "stiff.json"
+        problem.write_text(json.dumps({
+            "chart": ["x"], "fields": [["((x)*((x)^7))^17"], ["((exp(x))^6)/((x)^23)"]],
+            "coefficients": [{"table": {"t": [1, 1.25], "values": [-0.231, -0.505]}},
+                             "((t)*((t)^7))^5"],
+            "x0": [0.613298184003245], "t_span": [1, 1.25]}))
+        done = run_subprocess("solve", problem, timeout=20)
+        assert done.returncode == 1
+        assert "FAIL integrated  (step budget at t=" in done.stdout
 
     def test_solve_passes_through_a_blow_up(self, tmp_path):
         problem = tmp_path / "escape.json"
@@ -404,6 +419,27 @@ class TestGroupAndPde:
         check = next(c for c in doc["checks"] if c["name"] == "integrated")
         assert not check["passed"] and check["detail"].startswith("step underflow at t=-0.25")
         assert len(doc["extra"]["orbit"]["t"]) == 1 if x0 else "orbit" not in doc["extra"]
+
+    def test_group_fails_on_the_step_budget_within_seconds(self, tmp_path):
+        # without the budget this solve had not ended after 30 s
+        path = edited_problem(tmp_path, "sl2_group", {"t_span": [0, 0.75], "action": {
+            "name": "mobius", "x0": [0.0],
+            "sl2_coefficients": ["(exp(t))^17", "(t)+(t)", "((exp(t))+(exp(t)))^12"]}})
+        done = run_subprocess("group", path, timeout=20)
+        assert done.returncode == 1
+        assert "FAIL integrated  (step budget at t=" in done.stdout
+
+    def test_equivariance_that_compares_no_node_fails(self, tmp_path):
+        # |x2| stays under 0.05 |x1| over the span while the Riccati solution
+        # from 100 runs to its blow-up: no node lies outside POLE_MARGIN
+        path = edited_problem(tmp_path, "sl2_group", {"t_span": [0, 0.01], "action": {
+            "name": "sl2_linear", "sl2_coefficients": ["1", "0", "1"], "x0": [10.0, 0.1]}})
+        code, doc = run(tmp_path, "group", str(path))
+        assert code == 1
+        check = next(c for c in doc["checks"] if c["name"] == "sl2_riccati_equivariance")
+        assert not check["passed"] and (check["value"], check["threshold"]) == (0.0, 1e-6)
+        assert check["detail"] == (
+            "0 of 3508 nodes compared: all lie within POLE_MARGIN of the pole x2 = 0")
 
     @pytest.mark.parametrize("argv,module,function,calls", [
         (["pde", "solve", "pde_riccati"], "pde", "path_solve", 8),
@@ -819,7 +855,7 @@ class TestCatalogSharesTheCliChecks:
 
     @pytest.mark.parametrize("entry,argv,names", [
         ("sl2_group", ["group", "sl2_group"],
-         {"traceless", "integrated", "defect_log", "det_nonzero", "det_equals_one"}),
+         {"traceless", "integrated", "det_nonzero", "det_equals_one"}),
         ("pde_riccati", ["pde", "check", "pde_riccati"], {"flat"}),
         ("linear2", ["closure", "linear2"], CLOSURE),
         ("riccati", ["closure", "riccati"], CLOSURE),

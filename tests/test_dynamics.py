@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from liesys import pde
+from liesys import dynamics, pde
 from liesys.dynamics import (
     _A,
     _B4,
     _B5,
     _C,
     BLOWUP_BOUND,
+    MAX_ATTEMPTED_STEPS,
     ROUNDOFF_FLOOR,
     CoefficientCurve,
     LieSystem,
@@ -298,20 +299,25 @@ class TestCompiledVelocity:
         assert maxsize is not None and 0 < maxsize < 10_000
 
 
-def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND, stops=()):
+def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND, stops=(),
+                     max_steps=MAX_ATTEMPTED_STEPS):
     """_dopri5 as a loop over numpy arrays: f maps (t, array) to an array, and
     each stage is y + h * sum(a * k), summed by the builtin onto 0.  A step
     that would pass the next stop ends on it, and an accepted landing step
-    leaves the proposed h as it was."""
+    leaves the proposed h as it was.  Returns (ts, ys, dys, stop)."""
     y = np.array(y0, dtype=float)
     t = float(t0)
     k1 = f(t, y)
     ts, ys, dys = [t], [y.copy()], [k1.copy()]
     h = min(0.01 * (t1 - t0), 0.1)
-    blew_up = False
-    truncated_at = None
+    stop = None
+    attempted = 0
     pending = sorted(set(float(s) for s in stops if t0 < s < t1))
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
+        if attempted == max_steps:
+            stop = "step budget"
+            break
+        attempted += 1
         h = min(h, t1 - t)
         landing = bool(pending) and t + h >= pending[0]
         step = pending[0] - t if landing else h
@@ -337,8 +343,7 @@ def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND, stops=()):
             ys.append(y.copy())
             dys.append(k1.copy())
             if float(np.max(np.abs(y))) > max_norm:
-                blew_up = True
-                truncated_at = t
+                stop = "blow-up"
                 break
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (allowed / err) ** 0.2))
             if not landing:
@@ -346,16 +351,17 @@ def reference_dopri5(f, t0, t1, y0, tol, max_norm=BLOWUP_BOUND, stops=()):
         else:
             h = step * (0.25 if not np.isfinite(err) else max(0.1, 0.9 * (allowed / err) ** 0.2))
         if h < 1e-13 * max(1.0, abs(t)):
-            blew_up = True
-            truncated_at = t
+            stop = "step underflow"
             break
-    return np.array(ts), np.array(ys), np.array(dys), blew_up, truncated_at
+    return np.array(ts), np.array(ys), np.array(dys), stop
 
 
 def assert_same_run(got, want):
-    for a, b in zip(got[:3], want[:3]):
+    """Runs as (arrays..., stop): the same bits in each array, the same stop."""
+    assert len(got) == len(want)
+    for a, b in zip(got[:-1], want[:-1]):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert got[3:] == want[3:]
+    assert got[-1] == want[-1]
 
 
 def on_arrays(f):
@@ -382,7 +388,7 @@ class TestDopri5BitIdentity:
         tr = integrate(sys, [0.0], (0.0, 2.0))
         want = reference_dopri5(sys.velocity, 0.0, 2.0, [0.0], 1e-9)
         assert tr.blew_up and len(tr.t) > 1000
-        assert_same_run((tr.t, tr.states, tr.derivatives, tr.blew_up, tr.truncated_at), want)
+        assert_same_run((tr.t, tr.states, tr.derivatives, tr.stop), want)
 
     def test_stacked_tuple_of_four(self):
         fields = [VectorField.from_strings(PLANE, c) for c in (["1", "x*y"], ["y", "-x"], ["x^2", "0"])]
@@ -390,18 +396,16 @@ class TestDopri5BitIdentity:
         points = [[0.3, -0.2], [1.0, 0.0], [0.0, 1.0], [-0.5, 0.7]]
         slots = integrate_tuple(sys, points, (0.0, 1.5), tol=1e-10)
         want = reference_dopri5(sys.velocity, 0.0, 1.5, np.ravel(points), 1e-10)
-        got = (slots[0].t, np.hstack([tr.states for tr in slots]),
-               np.hstack([tr.derivatives for tr in slots]), slots[0].blew_up, slots[0].truncated_at)
-        assert_same_run(got, want)
+        assert_same_run(run_of(slots), want)
 
     def test_group_equation(self):
         a = MatrixCurve.from_strings([["t", "1", "0"], ["-1", "0", "t^2"], ["1/2", "0", "-t"]])
         g = solve_group_equation(a, (0.0, 2.0), tol=1e-10)
         # the columns of g, stacked: slot j of the tuple is column j
         want = reference_dopri5(a.system.velocity, 0.0, 2.0, np.eye(3).reshape(-1), 1e-10)
-        columns = lambda m: np.swapaxes(m, 1, 2).reshape(len(g.t), -1)
-        got = (g.t, columns(g.matrices), columns(g.derivatives), g.blew_up, g.truncated_at)
-        assert_same_run(got, want)
+        columns = np.swapaxes(g.matrices, 1, 2).reshape(len(g.t), -1)
+        ts, ys, _, stop = want
+        assert_same_run((g.t, columns, g.stop), (ts, ys, stop))
 
     def test_pde_axis(self):
         sys = PdeSystem.from_strings(2, ["u", "v"], [["u^2", "u*v"], ["v - t1*u", "sin(t2)*u"]])
@@ -431,8 +435,8 @@ class TestDopri5BitIdentity:
 
         got = _dopri5(rhs, scalars, 0.0, 1.0, [1.0, 0.5], 1e-9)
         assert_same_run(got, reference_dopri5(checked(rhs, scalars), 0.0, 1.0, [1.0, 0.5], 1e-9))
-        ts, ys, _, blew_up, truncated_at = got
-        assert blew_up and truncated_at <= 0.3 and np.all(np.isfinite(ys))
+        ts, ys, _, stop = got
+        assert stop == "step underflow" and ts[-1] <= 0.3 and np.all(np.isfinite(ys))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_inf_with_zero_weight_still_rejects(self):
@@ -452,7 +456,7 @@ class TestDopri5BitIdentity:
         got = _dopri5(rhs, counting_scalars(), 0.0, 1.0, [1.0, 0.5], 1e-9)
         want = reference_dopri5(checked(rhs, counting_scalars()), 0.0, 1.0, [1.0, 0.5], 1e-9)
         assert_same_run(got, want)
-        assert not got[3] and np.all(np.isfinite(got[1]))
+        assert got[3] is None and np.all(np.isfinite(got[1]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 12, 16])
     def test_state_lengths(self, n):
@@ -484,7 +488,7 @@ class TestDopri5BitIdentity:
         want = reference_dopri5(checked(rhs, counting_scalars(want_calls)), 0.0, 1.0, [1.0, 0.5], 1e-9)
         assert_same_run(got, want)
         assert calls == want_calls
-        assert not got[3] and got[0][-1] == 1.0
+        assert got[3] is None and got[0][-1] == 1.0
 
     def test_random_systems(self, rng):
         compared = 0
@@ -498,7 +502,7 @@ class TestDopri5BitIdentity:
                     integrate(sys, x0, (0.0, 1.0), tol=1e-8)
                 continue
             tr = integrate(sys, x0, (0.0, 1.0), tol=1e-8)
-            assert_same_run((tr.t, tr.states, tr.derivatives, tr.blew_up, tr.truncated_at), want)
+            assert_same_run((tr.t, tr.states, tr.derivatives, tr.stop), want)
             compared += 1
         assert compared >= 8
 
@@ -521,6 +525,40 @@ class TestDopri5BitIdentity:
         assert calls == want_calls
         attempted, left = divmod(len(calls) - 1, 6)
         assert left == 0 and attempted >= len(got[0]) - 1
+
+
+class TestStepBudget:
+    """A run stops on "step budget" once it has attempted MAX_ATTEMPTED_STEPS
+    steps, and only then."""
+
+    @staticmethod
+    def counted_run(t1, calls):
+        sys = riccati_101()
+
+        def scalars(t):
+            calls.append(t)
+            return sys._coefficients(t)
+
+        return _dopri5(sys._rhs, scalars, 0.0, t1, [0.0], 1e-9)
+
+    def test_budget_stop_matches_the_reference(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_ATTEMPTED_STEPS", 40)
+        calls = []
+        got = self.counted_run(2.0, calls)
+        assert_same_run(got, reference_dopri5(riccati_101().velocity, 0.0, 2.0, [0.0], 1e-9,
+                                              max_steps=40))
+        assert got[3] == "step budget" and len(calls) == 1 + 6 * 40
+
+    def test_a_run_that_uses_the_whole_budget_reaches_t1(self, monkeypatch):
+        calls = []
+        full = self.counted_run(1.2, calls)
+        attempted = (len(calls) - 1) // 6
+        assert full[3] is None and full[0][-1] == 1.2
+        monkeypatch.setattr(dynamics, "MAX_ATTEMPTED_STEPS", attempted)
+        assert_same_run(self.counted_run(1.2, []), full)
+        monkeypatch.setattr(dynamics, "MAX_ATTEMPTED_STEPS", attempted - 1)
+        cut = self.counted_run(1.2, [])
+        assert cut[3] == "step budget" and cut[0][-1] < 1.2
 
 
 class TestStops:
@@ -558,13 +596,13 @@ class TestStops:
         stops = np.linspace(0.0, 2.0, 21)
         got = _dopri5(sys._rhs, sys._coefficients, 0.0, 2.0, [0.0], 1e-9, stops=stops)
         assert_same_run(got, reference_dopri5(sys.velocity, 0.0, 2.0, [0.0], 1e-9, stops=stops))
-        assert got[3] and 1.5 in got[0] and 1.6 not in got[0]
+        assert got[3] == "blow-up" and 1.5 in got[0] and 1.6 not in got[0]
 
 
 def run_of(slots):
     """A tuple from integrate_tuple as one run of _dopri5 on the stacked state."""
     return (slots[0].t, np.hstack([tr.states for tr in slots]),
-            np.hstack([tr.derivatives for tr in slots]), slots[0].blew_up, slots[0].truncated_at)
+            np.hstack([tr.derivatives for tr in slots]), slots[0].stop)
 
 
 class TestInlinedStep:
@@ -585,27 +623,27 @@ class TestInlinedStep:
         sys = LieSystem([VectorField.from_strings(LINE, c) for c in (["1"], [square])],
                         [CoefficientCurve.from_string("1"),
                          CoefficientCurve(table=([0.0, 0.5, 0.6], [0.0, 0.0, 1e300]))])
-        ts, ys, _, blew_up, truncated_at = self.assert_matches_reference(sys, [[0.0]], (0.0, 1.0))
-        assert blew_up and abs(truncated_at - 0.5) <= 1e-6 and len(ts) > 5
+        ts, ys, _, stop = self.assert_matches_reference(sys, [[0.0]], (0.0, 1.0))
+        assert stop == "step underflow" and abs(ts[-1] - 0.5) <= 1e-6 and len(ts) > 5
         assert np.all(np.isfinite(ys))
 
     def test_coefficient_that_becomes_inf_at_a_stage(self):
         # exp(t) * exp(t) is inf past t = 354.89
         sys = line_system("x", "-exp(t)*exp(t)*exp(-705)")
-        ts, _, _, blew_up, truncated_at = self.assert_matches_reference(sys, [[1.0]], (350.0, 356.0))
-        assert blew_up and abs(truncated_at - 354.8914) <= 1e-4 and len(ts) > 100
+        ts, _, _, stop = self.assert_matches_reference(sys, [[1.0]], (350.0, 356.0))
+        assert stop == "step underflow" and abs(ts[-1] - 354.8914) <= 1e-4 and len(ts) > 100
         # a field that is 0 everywhere still turns the inf weight into a nan
         zero = line_system("0", "exp(t)*exp(t)")
-        _, ys, _, blew_up, truncated_at = self.assert_matches_reference(zero, [[1.0]], (354.0, 356.0))
-        assert blew_up and abs(truncated_at - 354.8914) <= 1e-4 and np.all(ys == 1.0)
+        ts, ys, _, stop = self.assert_matches_reference(zero, [[1.0]], (354.0, 356.0))
+        assert stop == "step underflow" and abs(ts[-1] - 354.8914) <= 1e-4 and np.all(ys == 1.0)
 
     def test_zero_weight_field_at_its_pole(self):
         # x stays at 0, the pole of 1/x, whose weight is 0 until t = 0.5
         sys = LieSystem([VectorField.from_strings(LINE, c) for c in (["x"], ["1/x"])],
                         [CoefficientCurve.from_string("1"),
                          CoefficientCurve(table=([0.0, 0.5, 1.0], [0.0, 0.0, 1.0]))])
-        ts, ys, _, blew_up, truncated_at = self.assert_matches_reference(sys, [[0.0]], (0.0, 1.0))
-        assert blew_up and abs(truncated_at - 0.5) <= 1e-6 and len(ts) > 5
+        ts, ys, _, stop = self.assert_matches_reference(sys, [[0.0]], (0.0, 1.0))
+        assert stop == "step underflow" and abs(ts[-1] - 0.5) <= 1e-6 and len(ts) > 5
         assert not np.any(ys)
 
     @pytest.mark.parametrize("slots", [1, 2, 3, 4])
@@ -637,7 +675,7 @@ class TestInlinedStep:
             grid = solve_on_grid(sys, u0, axes)
         except IntegrationBlowUpError:
             grid = None
-        assert lines and (grid is None) == lines[-1][2][3]
+        assert lines and (grid is None) == (lines[-1][2][3] is not None)
         for (rhs, parameters, t0, t1, x, tol), kwargs, got in lines:
             axis = sys._inline_fields.index(rhs)
             want = reference_dopri5(callable_axis(sys, axis, parameters), t0, t1, x, tol, **kwargs)

@@ -266,6 +266,14 @@ class TestReconstruct:
         rebuilt = reconstruct(euclidean_rule(), aligned[1:], k, x0_guess=[-0.4, 0.7])
         assert np.max(np.abs(rebuilt.states - aligned[0].states)) <= 1e-5
 
+    def test_rebuilt_run_cannot_be_resampled(self):
+        # reconstruct fills in no node derivatives, so there is no dense output
+        particulars = integrate_tuple(linear2_system(), ([1.0, 0.0], [0.0, 1.0]), (0.0, 1.0))
+        rebuilt = reconstruct(linear2_rule(), particulars, [0.4, -0.3])
+        assert rebuilt.derivatives is None and rebuilt.stop is None
+        with pytest.raises(ValueError, match="only integrated runs can be resampled"):
+            rebuilt.resampled(rebuilt.t)
+
     def test_guess_required_without_phi(self):
         sys = euclidean_system()
         aligned = solution_tuple(sys, ([1.0, 0.0], [0.0, 1.0]))
