@@ -1206,32 +1206,55 @@ _DERIVATIVES = {
 }
 
 
+# d/dv of Var(v): the unit factor that _product leaves out, since x*1 is x
+_ONE = Const(1)
+
+
 def _diff_tree(e: Expr, v: str) -> Expr:
     """de/dv as a tree by the product and quotient rules, for trees evaluated
     in floats (compiled Jacobians, sampled residuals): a power stays a power,
-    where an expanded normal form would cancel far past rounding."""
+    where an expanded normal form would cancel far past rounding.  Terms that
+    are identically zero and factors d/dv v = 1 are left out; the rest keeps
+    the full rules' shape and order, so a nonzero value keeps its bits."""
+    d = _dtree(e, v)
+    return Const(0) if d is None else d
+
+
+def _product(factors: tuple) -> Expr:
+    kept = [f for f in factors if f is not _ONE]
+    return _chain(Mul, kept) if kept else _ONE
+
+
+def _dtree(e: Expr, v: str) -> Expr | None:
+    """_diff_tree's derivative, None where it is identically zero."""
     if isinstance(e, Const):
-        return Const(0)
+        return None
     if isinstance(e, Var):
-        return Const(1) if e.name == v else Const(0)
+        return _ONE if e.name == v else None
     if isinstance(e, Add):
-        return Add(tuple(_diff_tree(t, v) for t in e.terms))
+        terms = [d for d in (_dtree(t, v) for t in e.terms) if d is not None]
+        return _chain(Add, terms) if terms else None
     if isinstance(e, Mul):
-        terms = []
-        factors = e.factors
-        for i, f in enumerate(factors):
-            terms.append(Mul(factors[:i] + (_diff_tree(f, v),) + factors[i + 1:]))
-        return Add(tuple(terms))
+        fs = e.factors
+        terms = [_product(fs[:i] + (d,) + fs[i + 1:])
+                 for i, d in enumerate(_dtree(f, v) for f in fs) if d is not None]
+        return _chain(Add, terms) if terms else None
     if isinstance(e, Pow):
-        return Mul((Const(e.exponent), _make_pow(e.base, e.exponent - 1), _diff_tree(e.base, v)))
+        d = _dtree(e.base, v)
+        return None if d is None else _product((Const(e.exponent), _make_pow(e.base, e.exponent - 1), d))
     if isinstance(e, Div):
+        # (a'b - ab')/b^2 without its zero half: a'/b would round differently
         a, b = e.numerator, e.denominator
-        return Div(Add((Mul((_diff_tree(a, v), b)), -Mul((a, _diff_tree(b, v))))), Pow(b, 2))
+        da, db = _dtree(a, v), _dtree(b, v)
+        top = ([] if da is None else [_product((da, b))]) + ([] if db is None else [-_product((a, db))])
+        return Div(_chain(Add, top), Pow(b, 2)) if top else None
     if isinstance(e, Call):
-        inner = _diff_tree(e.arg, v)
+        inner = _dtree(e.arg, v)
+        if inner is None:
+            return None
         if e.fn == "ln":  # u'/u, one rounding fewer than (1/u)*u'
             return Div(inner, e.arg)
-        return Mul((_DERIVATIVES[e.fn](e.arg), inner))
+        return _product((_DERIVATIVES[e.fn](e.arg), inner))
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 

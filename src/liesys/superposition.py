@@ -346,10 +346,13 @@ class _LeafSolver:
 
     The equations and the n x n slot-0 Jacobian are one compiled vector each.
     Jacobian entries are exact derivative trees (`ex._diff_tree`), not
-    canonical forms, so building a solver runs no gcd; the quotient rule keeps
-    the denominators and ln' = u'/u, so an entry is defined wherever its
-    equation is.  Iterates are lists of plain floats, so a singular point
-    raises instead of warning.  The residual norm is NaN when a residual is,
+    canonical forms, so building a solver runs no gcd; they leave out zero
+    partials and unit factors, and keep every nonzero value's bits.  The
+    quotient rule keeps the denominators and ln' = u'/u, so an entry is
+    defined wherever its equation is; an entry that is identically zero is
+    the constant 0 and never raises, even where the b^2 of its dropped
+    quotient-rule terms would underflow.  Iterates are lists of plain
+    floats, so a singular point raises instead of warning.  The residual norm is NaN when a residual is,
     as with np.max, so a NaN never counts as converged.  For n = 1 the step
     is -r/J, which is bit-identical to np.linalg.solve on the 1 x 1 system;
     larger systems go to np.linalg.solve.
@@ -571,8 +574,7 @@ def solution_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Se
     slot0 = x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
     tuple_ = integrate_tuple(sys, [slot0, *points], t_span, tol)
     drift = verify_along_solutions(rule, sys, tuple_, tol_const)
-    return ([Check.limit("psi_drift_along_solutions", drift.max_drift, tol_const,
-                         detail=_coverage(tuple_, t_span))],
+    return ([_drift_check("psi_drift_along_solutions", drift.max_drift, tol_const, tuple_, t_span)],
             {"initial_psi": [float(v) for v in drift.initial_values]})
 
 
@@ -598,17 +600,23 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
     k = np.atleast_1d(np.asarray(k, dtype=float))
     slot0 = reconstruct(rule, particular, k, x0_guess=x0 if x0_guess is None else x0_guess)
     drift = verify_along_solutions(rule, sys, [slot0, *particular], tol_const)
-    span = _coverage(tuple_ or particular, t_span)
-    checks = [Check.limit("reconstructed_psi_drift", drift.max_drift, tol_const, detail=span)]
+    checks = [_drift_check("reconstructed_psi_drift", drift.max_drift, tol_const,
+                           tuple_ or particular, t_span)]
     if tuple_ is not None:
         gap = float(np.max(np.abs(slot0.states - direct.states)))
         checks += [Check.limit("reconstruction_vs_direct", gap, GAP_LIMIT),
-                   Check.limit("psi_drift_along_solutions", along.max_drift, tol_const, detail=span)]
+                   _drift_check("psi_drift_along_solutions", along.max_drift, tol_const, tuple_, t_span)]
     return checks, k, slot0, list(particular)
 
 
-def _coverage(tuple_: Sequence[Trajectory], t_span: tuple[float, float]) -> str:
-    """The detail of a drift check: empty for a tuple that reached t1,
-    otherwise why and where it stopped and the part of t_span it covers."""
+def _drift_check(name: str, drift: float, tol_const: float, tuple_: Sequence[Trajectory],
+                 t_span: tuple[float, float]) -> Check:
+    """drift <= tol_const along a tuple that reached t1 or blew up; a stop on
+    step underflow or the step budget fails, as `integrated` does.  The
+    detail is empty for a tuple that reached t1, otherwise why and where it
+    stopped and the part of t_span it covers."""
     reason, (a, b), t = tuple_[0].stop, t_span, tuple_[0].t_end
-    return "" if reason is None else f"{reason} at t={t:.6g}: checked on [{a:g}, {t:.6g}] of [{a:g}, {b:g}]"
+    detail = "" if reason is None else f"{reason} at t={t:.6g}: checked on [{a:g}, {t:.6g}] of [{a:g}, {b:g}]"
+    check = Check.limit(name, drift, tol_const, detail=detail)
+    check.passed = check.passed and reason in (None, "blow-up")
+    return check

@@ -250,6 +250,32 @@ class TestSolveAndSuperpose:
         drifts = [c["detail"] for c in doc["checks"] if "drift" in c["name"]]
         assert code == 0 and drifts == [detail] * (2 if command == "superpose" else 1)
 
+    @pytest.mark.parametrize("argv,count", [
+        (["verify"], 1), (["superpose"], 2), (["superpose", "--k", "0.5"], 1),
+    ])
+    def test_drift_checks_fail_on_the_step_budget(self, tmp_path, monkeypatch, argv, count):
+        # at tol 1e-9 the tuple needs more than 30 steps to reach t1 = 1.2
+        monkeypatch.setattr(dynamics, "MAX_ATTEMPTED_STEPS", 30)
+        code, doc = run(tmp_path, *argv[:1], str(PROBLEMS / "riccati.json"), *argv[1:])
+        drifts = [c for c in doc["checks"] if "drift" in c["name"]]
+        assert code == 1 and len(drifts) == count
+        for check in drifts:
+            assert not check["passed"] and check["value"] <= check["threshold"]
+            assert re.fullmatch(r"step budget at t=0\.\d+: checked on \[0, 0\.\d+\] of \[0, 1\.2\]",
+                                check["detail"])
+
+    def test_verify_fails_when_the_budget_cuts_the_span(self, tmp_path):
+        # sin(exp(16 t)) oscillates ever faster: the tuple spends the whole
+        # step budget by t = 0.6, and the drift there is well under its limit
+        problem = tmp_path / "budget.json"
+        doc = json.loads((PROBLEMS / "riccati.json").read_text())
+        problem.write_text(json.dumps({**doc, "coefficients": ["sin(exp(16*t))", "0", "1"],
+                                       "t_span": [0, 1]}))
+        code, report = run(tmp_path, "verify", str(problem))
+        drift = report["checks"][-1]
+        assert code == 1 and drift["name"] == "psi_drift_along_solutions" and not drift["passed"]
+        assert drift["detail"] == "step budget at t=0.600187: checked on [0, 0.600187] of [0, 1]"
+
     def test_superpose_euclidean_newton_path(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "euclidean.json"))
         assert code == 0

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesys import expr as ex
 from liesys.errors import EvaluationError, LiesysError, ParseError
@@ -170,6 +172,83 @@ class TestDifferentiate:
         got = ex._nf_derive(ex._nf_of(parse(const, ["x"])), {"x": ex._nf_of(parse(rate, ["x"]))})
         # trans as for any derivation: the constant's or a rate's function atom
         assert got.num_den == ({}, {(): 1}) and got.trans is trans
+
+
+def _full_rule_tree(e, v):
+    """d/dv by the product and quotient rules keeping every term, zeros and
+    unit factors included: the oracle for what _diff_tree leaves out."""
+    if isinstance(e, (Const, Var)):
+        return Const(1 if isinstance(e, Var) and e.name == v else 0)
+    if isinstance(e, Add):
+        return Add(tuple(_full_rule_tree(t, v) for t in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return Add(tuple(Mul(fs[:i] + (_full_rule_tree(f, v),) + fs[i + 1:]) for i, f in enumerate(fs)))
+    if isinstance(e, Pow):
+        return Mul((Const(e.exponent), ex._make_pow(e.base, e.exponent - 1), _full_rule_tree(e.base, v)))
+    if isinstance(e, Div):
+        a, b = e.numerator, e.denominator
+        top = Add((Mul((_full_rule_tree(a, v), b)), -Mul((a, _full_rule_tree(b, v)))))
+        return Div(top, Pow(b, 2))
+    inner = _full_rule_tree(e.arg, v)
+    if e.fn == "ln":
+        return Div(inner, e.arg)
+    return Mul((ex._DERIVATIVES[e.fn](e.arg), inner))
+
+
+def _grow(children):
+    """One node over `children`: denominators and ln arguments that are not
+    identically zero, so that every tree has a canonical form."""
+    positive = children.map(lambda u: Add((Pow(u, 2), Const(1))))
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda ts: Add(tuple(ts))),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: Mul(tuple(fs))),
+        st.tuples(children, children).map(lambda t: t[0] - t[1]),
+        st.tuples(children, st.integers(2, 3)).map(lambda t: Pow(*t)),
+        st.tuples(children, st.one_of(positive, st.sampled_from(VARS).map(Var))).map(lambda t: Div(*t)),
+        st.tuples(st.sampled_from(("sin", "cos", "exp")), children).map(lambda t: Call(*t)),
+        positive.map(lambda u: Call("ln", u)),
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(st.builds(lambda p, q: Const(Fraction(p, q)), st.integers(-5, 5), st.integers(1, 3)),
+              st.sampled_from(VARS).map(Var)),
+    _grow, max_leaves=8)
+
+
+class TestDerivativeTrees:
+    """_diff_tree leaves out identically zero terms and unit factors and
+    nothing else, so its values equal the full rules' wherever those are
+    nonzero."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(e=_TREES)
+    def test_exact_and_bit_identical_to_the_full_rules(self, e):
+        rng = random.Random(str(e))
+        points = [[rng.uniform(-2, 2) for _ in VARS] for _ in range(4)]
+        for v in VARS:
+            tree = ex._diff_tree(e, v)
+            assert canonically_equal(tree, differentiate(e, v)), f"d/d{v} {e}"
+            got, want = compile_expr(tree, VARS), compile_expr(_full_rule_tree(e, v), VARS)
+            for point in points:
+                try:
+                    value = float(want(*point))
+                except (ZeroDivisionError, ValueError, OverflowError):
+                    continue
+                if math.isfinite(value) and value != 0:
+                    assert float(got(*point)).hex() == value.hex(), f"d/d{v} {e} at {point}"
+
+    def test_a_variable_by_itself_is_the_constant_one(self):
+        one = ex._diff_tree(Var("x"), "x")
+        assert type(one) is Const and one.value == 1 and compile_expr(one, ["x"])(0.5) == 1
+        zero = ex._diff_tree(Var("y"), "x")
+        assert type(zero) is Const and zero.value == 0 and compile_expr(zero, ["x"])(0.5) == 0
+
+    def test_zero_and_unit_partials_are_left_out(self):
+        names = ["x", "y"]
+        got = {v: str(ex._diff_tree(parse("x*y + sin(y)/(y^2 + 1)", names), v)) for v in names}
+        assert got == {"x": "y", "y": "x + (cos(y)*(y^2 + 1) - sin(y)*2*y)/((y^2 + 1)^2)"}
 
 
 class TestIsZero:

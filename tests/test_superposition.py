@@ -672,6 +672,18 @@ class TestLeafSolver:
             solved += 1
         assert solved >= 40
 
+    def test_gl3_jacobian_holds_no_zero_partial(self):
+        # psi is det(...)/det(...) with only the numerator in slot 0: with
+        # every zero term of the product and quotient rules kept, each entry
+        # carried the denominator's derivative, and the nine entries wrote
+        # 9,714 characters of source
+        rule = linear_rule(Chart(("x1", "x2", "x3")))
+        names = rule.product_chart.names
+        params = {name: f"_v{i}" for i, name in enumerate(names)}
+        sources = [ex.python_source(ex._diff_tree(e, v), params) for e in rule.psi for v in names[:3]]
+        assert not any("(0)" in text for text in sources)  # how python_source writes Const(0)
+        assert sum(map(len, sources)) <= 2300  # 2,213 now
+
     def test_jacobian_of_a_power_keeps_the_power(self):
         # d/dx_0 of (x_0 - x_1)^20 + x_0 is 20*(x_0 - x_1)^19 + 1 = 1 to
         # rounding here; expanded, its terms reach about 1e25 and cancel to noise
