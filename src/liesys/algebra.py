@@ -459,8 +459,12 @@ def m_checks(fields: Sequence[VectorField], seed: int = 0,
              expected: int | None = None) -> tuple[list[Check], dict]:
     """`m_determined` (probabilistic unless every rank was taken over Q) and,
     given an expected m, `m_matches_expected`; extras `m` and `report`.  The
-    fields must be linearly independent, as for minimal_m."""
-    report = minimal_m(fields, seed=seed)
+    fields must be linearly independent, as for minimal_m.  A search that
+    reaches no full rank fails `m_determined` with its message, alone."""
+    try:
+        report = minimal_m(fields, seed=seed)
+    except RankTestError as exc:
+        return [Check("m_determined", False, detail=str(exc))], {}
     checks = [Check("m_determined", True, probabilistic=not report.exact,
                     detail=f"m = {report.m} (r = {report.r})")]
     if expected is not None:

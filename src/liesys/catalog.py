@@ -7,8 +7,9 @@ through the commands' own code (cli.run_closure, run_m, run_verify,
 run_superpose, run_group and run_pde), so its checks are the commands'
 checks, under the same names and limits.  A rule entry reports closure's
 checks and `dimension` (where it names the algebra's dimension), m's, the
-rule's own checks of `verify` and superpose's on one integrated tuple; a
-partial rule reports `verify` against its system.  Python holds only what no
+rule's own checks of `verify` and superpose's two, on one integrated tuple
+of slot 0 from the file's x0 and the particular solutions; a partial rule
+reports `verify` against its system.  Python holds only what no
 file and no command does: `linear_n`'s system and rule, `euclidean_se2`'s
 coefficients drawn from the seed, the planar start of `sl2_group`,
 `lemma_counterexample`, and three checks: `dimension`,

@@ -348,14 +348,15 @@ def run_verify(doc: dict, task: dict, fields: list[VectorField], rule: Superposi
 
 def run_superpose(doc: dict, task: dict, sys: LieSystem, rule: SuperpositionRule, k=None) -> tuple:
     """superpose_checks on the file's points, k (or `k`, the --k option,
-    when given), x0 and x0_guess: (checks, k, slot 0, particular solutions)."""
+    when given), x0 and x0_guess: (checks, k, slot 0, particular solutions).
+    Slot 0 starts at x0, or on the leaf of k when k is given, and is
+    integrated with the particular solutions either way."""
     points = _points_for_rule(doc, task, sys, rule)
-    x0 = _x0(doc, sys.dim)
+    x0, guess = _x0(doc, sys.dim), _x0_guess(doc, sys.dim)
     k = _k(doc, rule, k)
     if k is None and x0 is None:
         raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
-    guess = _x0_guess(doc, sys.dim) or x0
-    if rule.phi is None and guess is None:
+    if rule.phi is None and guess is None and x0 is None:
         raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
     return superpose_checks(rule, sys, points, task["t_span"], task["tol"], task["tol_const"],
                             k=k, x0=x0, x0_guess=guess)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -430,6 +430,34 @@ def derive_k(rule: SuperpositionRule, x0: Sequence[float], slot_states: Sequence
     return np.array(_psi_at(psi, point.tolist(), 0.0))
 
 
+def _leaf_points(rule: SuperpositionRule, k: Sequence[float]) -> Callable[..., list[float]]:
+    """reconstruct's code for one node: point(rest, guess, t, crosscheck) is
+    slot 0 on the leaf of k over the slots `rest` at t.  With phi it is phi
+    there, checked by a leaf solve from it when `crosscheck`; otherwise it is
+    a damped Newton solve from `guess`."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != (rule.rank,):
+        raise ValueError(f"k must have {rule.rank} entries")
+    solver, k = _LeafSolver(rule), k.tolist()
+    if rule.phi is None:
+        def point(rest, guess, t, crosscheck):
+            if guess is None:
+                raise ValueError("x0_guess is required when the rule has no phi")
+            return solver.solve(rest, k, guess, t)
+        return point
+    phi = ex.compile_vector(rule.phi, rule.phi_names)
+
+    def point(rest, guess, t, crosscheck):
+        try:
+            x = phi(*rest, *k)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            raise SingularDomainError("phi evaluation singular", t) from None
+        if crosscheck and _max_abs([a - b for a, b in zip(solver.solve(rest, k, x, t), x)]) > 1e-6:
+            raise NonConvergenceError("phi and leaf solve disagree beyond 1e-6", t)
+        return x
+    return point
+
+
 def reconstruct(
     rule: SuperpositionRule,
     trajectories: Sequence[Trajectory],
@@ -445,36 +473,12 @@ def reconstruct(
     if len(trajectories) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(trajectories)}")
     grid, rests = _stack_states(trajectories)
-    k = np.asarray(k, dtype=float)
-    if k.shape != (rule.rank,):
-        raise ValueError(f"k must have {rule.rank} entries")
-    n = rule.base_chart.dim
-    solver = _LeafSolver(rule)
-    rest_rows, k_list = rests.tolist(), k.tolist()
-
-    states = np.empty((len(grid), n))
-    if rule.phi is not None:
-        phi = ex.compile_vector(rule.phi, rule.phi_names)
-        for row in range(len(grid)):
-            try:
-                states[row] = phi(*rest_rows[row], *k_list)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                raise SingularDomainError("phi evaluation singular", float(grid[row])) from None
-            if row % CROSSCHECK_EVERY == 0:
-                checked = solver.solve(
-                    rest_rows[row], k_list, states[row].tolist(), float(grid[row])
-                )
-                if float(np.max(np.abs(checked - states[row]))) > 1e-6:
-                    raise NonConvergenceError(
-                        "phi and leaf solve disagree beyond 1e-6", float(grid[row])
-                    )
-    else:
-        if x0_guess is None:
-            raise ValueError("x0_guess is required when the rule has no phi")
-        guess = np.asarray(x0_guess, dtype=float).tolist()
-        for row in range(len(grid)):
-            guess = solver.solve(rest_rows[row], k_list, guess, float(grid[row]))
-            states[row] = guess
+    point = _leaf_points(rule, k)
+    guess = None if x0_guess is None else np.asarray(x0_guess, dtype=float).tolist()
+    states = np.empty((len(grid), rule.base_chart.dim))
+    for row, rest in enumerate(rests.tolist()):
+        guess = point(rest, guess, float(grid[row]), row % CROSSCHECK_EVERY == 0)
+        states[row] = guess
     # the particular solutions share one grid, so they end together
     return Trajectory(grid, states, stop=trajectories[0].stop)
 
@@ -572,10 +576,8 @@ def solution_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Se
         return [Check.limit("ode_residual", report.ode_residual_max, report.tol_ode),
                 Check.limit("constraint_residual", report.constraint_max, report.constraint_tol)], {}
     slot0 = x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
-    tuple_ = integrate_tuple(sys, [slot0, *points], t_span, tol)
-    drift = verify_along_solutions(rule, sys, tuple_, tol_const)
-    return ([_drift_check("psi_drift_along_solutions", drift.max_drift, tol_const, tuple_, t_span)],
-            {"initial_psi": [float(v) for v in drift.initial_values]})
+    _, along, drift = _psi_drift(rule, sys, [slot0, *points], t_span, tol, tol_const)
+    return [drift], {"initial_psi": [float(v) for v in along.initial_values]}
 
 
 def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Sequence[float]],
@@ -583,40 +585,41 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
                      k: Sequence[float] | None = None, x0: Sequence[float] | None = None,
                      x0_guess: Sequence[float] | None = None,
                      ) -> tuple[list[Check], np.ndarray, Trajectory, list[Trajectory]]:
-    """(checks, k, slot 0, particular solutions): psi must stay at k along
-    slot 0 rebuilt from the solutions from the m `points` (leaf solves start
-    at x0_guess, default x0).  Without k, x0 and the points are integrated as
-    one tuple and k is psi at its start, evaluated with psi along the tuple,
-    which fails where psi is singular; slot 0 must then match x0's own
-    solution within GAP_LIMIT, and psi must be constant along the tuple."""
-    tuple_ = None
-    if k is None:
-        tuple_ = integrate_tuple(sys, [x0, *points], t_span, tol)
-        direct, particular = tuple_[0], tuple_[1:]
-        along = verify_along_solutions(rule, sys, tuple_, tol_const)
-        k = along.initial_values
-    else:
-        particular = integrate_tuple(sys, points, t_span, tol)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    slot0 = reconstruct(rule, particular, k, x0_guess=x0 if x0_guess is None else x0_guess)
-    drift = verify_along_solutions(rule, sys, [slot0, *particular], tol_const)
-    checks = [_drift_check("reconstructed_psi_drift", drift.max_drift, tol_const,
-                           tuple_ or particular, t_span)]
-    if tuple_ is not None:
-        gap = float(np.max(np.abs(slot0.states - direct.states)))
-        checks += [Check.limit("reconstruction_vs_direct", gap, GAP_LIMIT),
-                   _drift_check("psi_drift_along_solutions", along.max_drift, tol_const, tuple_, t_span)]
-    return checks, k, slot0, list(particular)
+    """(checks, k, slot 0, particular solutions) of the rule as a foliation:
+    a start on the leaf of k must move with the m solutions from `points`.
+    Slot 0 starts at x0 or, given k, at the leaf point of k over the points
+    at t0 (reconstruct's code for one node; leaf solves start at x0_guess,
+    default x0).  It is integrated with the points as one tuple, and k, when
+    not given, is psi at the tuple's start.  Slot 0 rebuilt from the
+    particular solutions with psi held at k must match its integrated
+    solution within GAP_LIMIT (`reconstruction_vs_direct`), and psi must
+    stay constant along the tuple (`psi_drift_along_solutions`), which fails
+    where psi is singular."""
+    guess = x0 if x0_guess is None else x0_guess
+    if k is not None:
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        start = [float(v) for point in points for v in point]
+        x0 = _leaf_points(rule, k)(start, guess, float(t_span[0]), True)
+    tuple_, along, drift = _psi_drift(rule, sys, [x0, *points], t_span, tol, tol_const)
+    k = along.initial_values if k is None else k
+    slot0 = reconstruct(rule, tuple_[1:], k, x0_guess=guess)
+    gap = float(np.max(np.abs(slot0.states - tuple_[0].states)))
+    return [Check.limit("reconstruction_vs_direct", gap, GAP_LIMIT), drift], k, slot0, tuple_[1:]
 
 
-def _drift_check(name: str, drift: float, tol_const: float, tuple_: Sequence[Trajectory],
-                 t_span: tuple[float, float]) -> Check:
-    """drift <= tol_const along a tuple that reached t1 or blew up; a stop on
-    step underflow or the step budget fails, as `integrated` does.  The
-    detail is empty for a tuple that reached t1, otherwise why and where it
-    stopped and the part of t_span it covers."""
+def _psi_drift(rule: SuperpositionRule, sys: LieSystem, starts: Sequence[Sequence[float]],
+               t_span: tuple[float, float], tol: float, tol_const: float,
+               ) -> tuple[list[Trajectory], ConstancyReport, Check]:
+    """The tuple integrated from `starts`, psi along it, and
+    `psi_drift_along_solutions`: drift <= tol_const along a tuple that
+    reached t1 or blew up; a stop on step underflow or the step budget
+    fails, as `integrated` does.  The detail is empty for a tuple that
+    reached t1, otherwise why and where it stopped and the part of t_span
+    it covers."""
+    tuple_ = integrate_tuple(sys, starts, t_span, tol)
+    along = verify_along_solutions(rule, sys, tuple_, tol_const)
     reason, (a, b), t = tuple_[0].stop, t_span, tuple_[0].t_end
     detail = "" if reason is None else f"{reason} at t={t:.6g}: checked on [{a:g}, {t:.6g}] of [{a:g}, {b:g}]"
-    check = Check.limit(name, drift, tol_const, detail=detail)
+    check = Check.limit("psi_drift_along_solutions", along.max_drift, tol_const, detail=detail)
     check.passed = check.passed and reason in (None, "blow-up")
-    return check
+    return tuple_, along, check

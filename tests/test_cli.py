@@ -51,6 +51,18 @@ class TestMCommand:
         assert code == 0
         assert doc["extra"]["m"] == 1
 
+    def test_m_determined_fails_when_no_tuple_reaches_full_rank(self, tmp_path):
+        # sin^2 + cos^2 is 1, which the exact pruning does not see: the
+        # three fields have rank 2 at every tuple
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"chart": ["x"],
+                                    "fields": [["1"], ["sin(x)^2 + cos(x)^2"], ["x"]]}))
+        code, doc = run(tmp_path, "m", str(path))
+        assert code == 1
+        [check] = doc["checks"]
+        assert check["name"] == "m_determined" and not check["passed"]
+        assert "no k <= r reached full rank" in check["detail"]
+
     @staticmethod
     def power_problem(tmp_path, squarings=0, field="x"):
         for _ in range(squarings):
@@ -223,8 +235,26 @@ class TestSolveAndSuperpose:
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "riccati.json"), "--k", "0.5")
         assert code == 0
         names = [c["name"] for c in doc["checks"]]
-        assert "reconstructed_psi_drift" in names
+        assert names == ["reconstruction_vs_direct", "psi_drift_along_solutions"]
         assert doc["extra"]["k"] == [0.5]
+
+    def test_superpose_with_k_fails_a_wrong_rule(self, tmp_path):
+        # psi and phi agree with each other, so every leaf solve converges,
+        # but a start on the leaf of k does not move along it
+        problem = edited_problem(tmp_path, "riccati", {
+            "rule.psi": ["(x_0 - x_1)/(x_2 - x_3)"], "rule.phi": ["x_1 + k1*(x_2 - x_3)"]})
+        code, doc = run(tmp_path, "superpose", str(problem), "--k", "0.5")
+        assert code == 1
+        values = {c["name"]: (c["passed"], c["value"]) for c in doc["checks"]}
+        assert values["reconstruction_vs_direct"] == (False, pytest.approx(0.938, abs=1e-3))
+        assert values["psi_drift_along_solutions"] == (False, pytest.approx(0.44, abs=1e-2))
+
+    @pytest.mark.parametrize("problem", ["partial_rank1", "partial_rank1_m2"])
+    def test_superpose_with_the_files_k_checks_the_tuple(self, tmp_path, problem):
+        code, doc = run(tmp_path, "superpose", str(PROBLEMS / f"{problem}.json"))
+        assert code == 0
+        assert [c["name"] for c in doc["checks"]] == [
+            "reconstruction_vs_direct", "psi_drift_along_solutions"]
 
     def test_superpose_derives_k_and_compares(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "riccati.json"))
@@ -248,10 +278,10 @@ class TestSolveAndSuperpose:
     def test_drift_checks_name_a_stop_short_of_t1(self, tmp_path, command, span, detail):
         code, doc = run(tmp_path, command, str(PROBLEMS / "riccati.json"), *span)
         drifts = [c["detail"] for c in doc["checks"] if "drift" in c["name"]]
-        assert code == 0 and drifts == [detail] * (2 if command == "superpose" else 1)
+        assert code == 0 and drifts == [detail]
 
     @pytest.mark.parametrize("argv,count", [
-        (["verify"], 1), (["superpose"], 2), (["superpose", "--k", "0.5"], 1),
+        (["verify"], 1), (["superpose"], 1), (["superpose", "--k", "0.5"], 1),
     ])
     def test_drift_checks_fail_on_the_step_budget(self, tmp_path, monkeypatch, argv, count):
         # at tol 1e-9 the tuple needs more than 30 steps to reach t1 = 1.2
@@ -828,8 +858,8 @@ class TestCatalogSharesTheCliChecks:
     `verify` and `superpose`, so a catalog check and the CLI check of the same
     name on the matching problem file agree to the bit."""
 
-    FULL = {"tangency_zero", "psi_transversal", "reconstructed_psi_drift",
-            "reconstruction_vs_direct", "psi_drift_along_solutions"}
+    FULL = {"tangency_zero", "psi_transversal", "reconstruction_vs_direct",
+            "psi_drift_along_solutions"}
     PARTIAL = {"tangency_zero", "psi_transversal", "ode_residual", "constraint_residual"}
 
     @pytest.mark.parametrize("entry,prefix,problem,names", [

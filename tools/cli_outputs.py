@@ -31,6 +31,7 @@ COMMANDS = (("closure",), ("m",), ("solve",), ("superpose",), ("verify",), ("gro
 FLAG_CALLS = (
     ("riccati.superpose.t-span_0,3", ["superpose", "problems/riccati.json", "--t-span", "0,3"]),
     ("riccati.verify.t-span_0,3", ["verify", "problems/riccati.json", "--t-span", "0,3"]),
+    ("riccati.superpose.k_0.5", ["superpose", "problems/riccati.json", "--k", "0.5"]),
     ("pde_nonflat.pde_solve.audit", ["pde", "solve", "problems/pde_nonflat.json", "--audit"]),
     ("incomplete_pair.closure.complete", ["closure", "problems/incomplete_pair.json", "--complete"]),
 )
