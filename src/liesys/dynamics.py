@@ -22,19 +22,21 @@ its expression curves inlined and its tables interpolated
 Everything else is generated from the _Rhs alone, so a later system with
 the same fields reuses it with its own scalars: the velocity, the _Rhs on
 stacked states with finiteness checks, evaluated on plain floats so
-singular points raise (_compile_velocity); and one DOPRI5 step per state
-length N (_step), in each of whose six stages the scalars are one call and
-the components are inlined, with no list, slice or finiteness check.  The
-stages need none: each stage sum adds its tableau terms left to right from
-0, as a numpy loop would, with the zero entries kept on purpose, so a
+singular points raise (_compile_velocity); and, per state length N, one
+function that runs the whole adaptive DOPRI5 loop (_run).  In each of its
+six stages the scalars are one call and the components are inlined, with
+no list, slice or finiteness check; states and stages are scalar locals,
+and the accepted nodes go into flat lists that become arrays once.  The
+stages need no check: each stage sum adds its tableau terms left to right
+from 0, as a numpy loop would, with the zero entries kept on purpose, so a
 non-finite stage value makes y5 - y4 non-finite (0.0 * inf = nan) and
 rejects the step just as a stage that raises does.  Every node is
-bit-identical to a numpy loop over the checked velocity.  Compiling the
-step of the Riccati fields 1, x, x^2 costs about 0.6 ms at N = 1, 2.0 ms
-at 4 and 6.3 ms at 12 (Python 3.11, one Intel Xeon core).  All of it goes
-through expr.compile_source, which compiles each source text once per
-process in a bounded cache, and steps are kept per (N, rhs) in a bounded
-cache of their own.
+bit-identical to a numpy loop over the checked velocity.  Generating and
+compiling the run of the Riccati fields 1, x, x^2 costs about 0.8 ms at
+N = 1, 1.9 ms at 4 and 4.7 ms at 12 (Python 3.11, one Intel Xeon core).
+All of it goes through expr.compile_source, which compiles each source
+text once per process in a bounded cache; runs are kept per (N, rhs), and
+velocity texts per rhs, in bounded caches of their own.
 
 A k-tuple of solutions is integrated as one integral curve of the diagonal
 prolongation of Y to the k-fold product chart, so all slots share one grid.
@@ -84,6 +86,8 @@ MAX_RESAMPLES = 100
 # is round-off in numbers of size `scale`, which no step size can reduce
 # (Hairer, Norsett & Wanner, Solving ODEs I, section II.4).
 ROUNDOFF_FLOOR = 64 * float(np.finfo(float).eps)
+# what evaluating a right-hand side raises at a singular point
+_SINGULAR = (EvaluationError, ZeroDivisionError, ValueError, OverflowError)
 
 
 class CoefficientCurve:
@@ -235,6 +239,13 @@ def _compile_velocity(rhs: _Rhs, coefficients: Callable[[float], tuple]):
     points raise as in compile_expr; non-finite scalars or values raise
     EvaluationError.  The source holds rhs only, so systems with the same
     fields share its code."""
+    return ex.compile_source(_velocity_source(rhs), "velocity", _coefficients=coefficients,
+                             _isfinite=math.isfinite, _not_finite=_not_finite,
+                             all=all, map=map, range=range, len=len)
+
+
+@lru_cache(maxsize=64)
+def _velocity_source(rhs: _Rhs) -> str:
     n = len(rhs.components)
     lines = ["def velocity(t, v):",
              "    _b = _coefficients(t)",
@@ -250,9 +261,7 @@ def _compile_velocity(rhs: _Rhs, coefficients: Callable[[float], tuple]):
               "    if not all(map(_isfinite, out)):",
               "        raise _not_finite(t, v)",
               "    return out"]
-    return ex.compile_source("\n".join(lines), "velocity", _coefficients=coefficients,
-                             _isfinite=math.isfinite, _not_finite=_not_finite,
-                             all=all, map=map, range=range, len=len)
+    return "\n".join(lines)
 
 
 @dataclass
@@ -357,40 +366,83 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 
 
 @lru_cache(maxsize=64)
-def _step(n: int, rhs: _Rhs) -> Callable[[Callable, float, float, list, list], tuple]:
-    """One DOPRI5 step on states of length n, generated once per (n, rhs):
-    (scalars, t, h, y, k1) -> (y5, k7, err, scale).  Each stage makes one
-    call scalars(t) for rhs's scalars at its time and evaluates rhs's
-    components inline, one slot of the state at a time, with no list, slice
-    or finiteness check.  States and stages are scalar locals, and each sum
-    is y + h * (((0.0 + a1*k1) + a2*k2) + ...) in tableau order, zero
-    entries included.  Not sum(): from Python 3.12 it compensates the
-    rounding of float sums.  err is inf when any y5 - y4 is not finite
-    (Python's max skips a NaN that numpy's would return): every stage enters
-    both sums, through a zero weight too (0.0 * inf is nan), so a stage with
-    a non-finite value rejects the step as one that raised would."""
+def _run(n: int, rhs: _Rhs) -> Callable[..., tuple]:
+    """The whole adaptive DOPRI5 loop on states of length n, generated once
+    per (n, rhs): (scalars, t, t1, y, k1, h, tol, stops, budget, floor,
+    bound) -> (ts, ys, dys, stop), the nodes and the flat lists of their
+    states and derivatives.  States and stages are scalar locals; each stage
+    makes one call scalars(t) for rhs's scalars at its time and evaluates
+    rhs's components inline, one slot of the state at a time, with no list,
+    slice or finiteness check; each sum is y + h * (((0.0 + a1*k1) + a2*k2)
+    + ...) in tableau order, zero entries included.  Not sum(): from Python
+    3.12 it compensates the rounding of float sums.  The error is inf when
+    any y5 - y4 is not finite (Python's max skips a NaN that numpy's would
+    return): every stage enters both sums, through a zero weight too (0.0 *
+    inf is nan), so a stage with a non-finite value rejects the step as one
+    that raised would.  `stops` is sorted in reverse and emptied as the run
+    lands on it."""
     def combination(coeffs, i):
         terms = " + ".join(["0.0"] + [f"{c!r} * k{j + 1}_{i}" for j, c in enumerate(coeffs)])
-        return f"y_{i} + h * ({terms})"
+        return f"y_{i} + step * ({terms})"
 
-    def unpack(name):
+    def each(name):
         return ", ".join(f"{name}_{i}" for i in range(n)) + ","
 
+    def absolutes(*names):
+        return ", ".join(f"_abs({name}_{i})" for name in names for i in range(n))
+
+    def largest(name):
+        return f"_max({absolutes(name)})" if n > 1 else absolutes(name)
+
     width = len(rhs.components)
-    lines = ["def step(scalars, t, h, y, k1):", f"    {unpack('y')} = y", f"    {unpack('k1')} = k1"]
+    lines = ["def run(scalars, t, t1, y, k1, h, tol, stops, budget, floor, bound):",
+             f"    {each('y')} = y", f"    {each('k1')} = k1",
+             f"    ts, ys, dys, stop, attempted = [t], [{each('y')}], [{each('k1')}], None, 0",
+             "    end = t1 - 1e-14 * _max(1.0, _abs(t1))",
+             "    while t < end:",
+             "        if attempted == budget:",
+             "            stop = 'step budget'",
+             "            break",
+             "        attempted += 1",
+             "        h = _min(h, t1 - t)",
+             "        landing = stops and t + h >= stops[-1]",
+             "        step = stops[-1] - t if landing else h",
+             "        try:"]
     for stage in range(1, 7):
-        lines.append(f"    {''.join(f'_b{a}, ' for a in range(rhs.scalars))}= scalars(t + {_C[stage]!r} * h)")
+        lines.append(f"            {''.join(f'_b{a}, ' for a in range(rhs.scalars))}"
+                     f"= scalars(t + {_C[stage]!r} * step)")
         for slot in range(0, n, width):
-            lines += [f"    _x{i} = {combination(_A[stage], slot + i)}" for i in range(width)]
-            lines += [f"    k{stage + 1}_{slot + i} = {c}" for i, c in enumerate(rhs.components)]
+            lines += [f"            _x{i} = {combination(_A[stage], slot + i)}" for i in range(width)]
+            lines += [f"            k{stage + 1}_{slot + i} = {c}" for i, c in enumerate(rhs.components)]
     for i in range(n):
-        lines += [f"    y5_{i} = {combination(_B5, i)}",
-                  f"    d_{i} = y5_{i} - ({combination(_B4, i)})"]
-    lines += [f"    y5, k, d = [{unpack('y5')}], [{unpack('k7')}], ({unpack('d')})",
-              "    err = _max(_map(_abs, d)) if _all(_map(_isfinite, d)) else _inf",
-              "    return y5, k, err, _max(1.0, _max(_map(_abs, y)), _max(_map(_abs, y5)))"]
-    return ex.compile_source("\n".join(lines), "step", _max=max, _map=map, _abs=abs,
-                             _all=all, _isfinite=math.isfinite, _inf=math.inf)
+        lines += [f"            y5_{i} = {combination(_B5, i)}",
+                  f"            d_{i} = y5_{i} - ({combination(_B4, i)})"]
+    finite = " and ".join(f"_isfinite(d_{i})" for i in range(n))
+    lines += [f"            err = {largest('d')} if {finite} else _inf",
+              "        except _errors:",
+              "            err = _inf",
+              "        allowed = (_max(tol * _min(1.0, step), floor)"
+              f" * _max(1.0, {absolutes('y', 'y5')}) if err < _inf else 0.0)",
+              "        if err <= allowed:",
+              "            t = stops.pop() if landing else t + step",
+              f"            {each('y')} = {each('y5')}",
+              f"            {each('k1')} = {each('k7')}",
+              "            ts.append(t)",
+              f"            ys += ({each('y')})",
+              f"            dys += ({each('k1')})",
+              f"            if {largest('y')} > bound:",
+              "                stop = 'blow-up'",
+              "                break",
+              "            if not landing:",
+              "                h *= 5.0 if err == 0.0 else _min(5.0, _max(0.2, 0.9 * (allowed / err) ** 0.2))",
+              "        else:",
+              "            h = step * (0.25 if err == _inf else _max(0.1, 0.9 * (allowed / err) ** 0.2))",
+              "        if h < 1e-13 * _max(1.0, _abs(t)):",
+              "            stop = 'step underflow'",
+              "            break",
+              "    return ts, ys, dys, stop"]
+    return ex.compile_source("\n".join(lines), "run", _max=max, _min=min, _abs=abs,
+                             _isfinite=math.isfinite, _inf=math.inf, _errors=_SINGULAR)
 
 
 def _dopri5(
@@ -411,12 +463,12 @@ def _dopri5(
 
     The state is a list of Python floats.  The derivative at t0 comes from
     the checked velocity of rhs (_compile_velocity), which raises at a
-    singular or non-finite initial point.  Each step is one call to the
-    generated step for the state's length (_step): rhs inlined, one scalars
-    call per stage (1 + 6 calls per attempted step, with FSAL), stages, y5
-    and y4 summed in tableau order with zero entries kept, and a stage that
-    raises or a non-finite y5 - y4 rejects the step.  Every node is the same
-    bits as a numpy loop over the checked velocity.
+    singular or non-finite initial point.  The rest of the run is one call
+    to the generated loop for the state's length (_run): rhs inlined, one
+    scalars call per stage (1 + 6 calls per attempted step, with FSAL),
+    stages, y5 and y4 summed in tableau order with zero entries kept, and a
+    stage that raises or a non-finite y5 - y4 rejects the step.  Every node
+    is the same bits as a numpy loop over the checked velocity.
 
     Each of `stops` inside (t0, t1) becomes a node: a step that would cross
     the next stop is shortened to end on it, t is set to the stop itself
@@ -429,6 +481,7 @@ def _dopri5(
     The stops are "blow-up" (sup-norm of an accepted state past
     BLOWUP_BOUND), "step underflow" (a step under 1e-13 * max(1, |t|), about
     450 ulp of t) and "step budget" (MAX_ATTEMPTED_STEPS steps attempted).
+    The three bounds are read when the run starts.
     """
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
@@ -438,47 +491,14 @@ def _dopri5(
     t = float(t0)
     try:
         k1 = _compile_velocity(rhs, scalars)(t, y)
-    except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:
+    except _SINGULAR as exc:
         raise EvaluationError(
             f"right-hand side not defined at the initial point t={t}, x={y}: {exc}"
         ) from None
-    ts, ys, dys = [t], [y], [k1]
-    step_fn = _step(len(y), rhs)
-    h = min(0.01 * (t1 - t0), 0.1)
-    stop = None
-    attempted = 0
     stops = sorted({float(s) for s in stops if t0 < s < t1}, reverse=True)
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if attempted == MAX_ATTEMPTED_STEPS:
-            stop = "step budget"
-            break
-        attempted += 1
-        h = min(h, t1 - t)
-        landing = bool(stops) and t + h >= stops[-1]
-        step = stops[-1] - t if landing else h
-        try:
-            y5, k7, err, scale = step_fn(scalars, t, step, y, k1)
-        except (EvaluationError, ZeroDivisionError, ValueError, OverflowError):
-            err = math.inf
-        allowed = max(tol * min(1.0, step), ROUNDOFF_FLOOR) * scale if err < math.inf else 0.0
-        if err <= allowed:
-            t = stops.pop() if landing else t + step
-            y = y5
-            k1 = k7  # FSAL
-            ts.append(t)
-            ys.append(y)
-            dys.append(k1)
-            if max(map(abs, y)) > BLOWUP_BOUND:
-                stop = "blow-up"
-                break
-            if not landing:
-                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (allowed / err) ** 0.2))
-        else:
-            h = step * (0.25 if err == math.inf else max(0.1, 0.9 * (allowed / err) ** 0.2))
-        if h < 1e-13 * max(1.0, abs(t)):
-            stop = "step underflow"
-            break
-    return np.array(ts), np.array(ys, dtype=float), np.array(dys, dtype=float), stop
+    ts, ys, dys, stop = _run(len(y), rhs)(scalars, t, t1, y, k1, min(0.01 * (t1 - t0), 0.1), tol,
+                                          stops, MAX_ATTEMPTED_STEPS, ROUNDOFF_FLOOR, BLOWUP_BOUND)
+    return np.array(ts), np.array(ys).reshape(-1, len(y)), np.array(dys).reshape(-1, len(y)), stop
 
 
 def integrate_tuple(

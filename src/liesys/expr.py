@@ -1473,8 +1473,8 @@ def compile_source(source: str, name: str, **scope) -> Callable:
     in a scope holding the functions python_source emits plus `scope`.
 
     Each source text is compiled once per process, in a bounded cache (256
-    texts; `examples run-all --seed 0` compiles 77 and one cycle of the
-    `trajectories` benchmark, set-up included, 35), and run in a fresh
+    texts; `examples run-all --seed 0` compiles 51 and one cycle of the
+    `trajectories` benchmark, set-up included, 46), and run in a fresh
     namespace on every call, so systems whose sources coincide share code
     but never scope values such as coefficient tables."""
     namespace = {"__builtins__": {}, **{f"_{fn}": f for fn, f in _MATH.items()}, **scope}
@@ -1482,11 +1482,16 @@ def compile_source(source: str, name: str, **scope) -> Callable:
     return namespace[name]
 
 
-def _parameters(exprs: Iterable[Expr], var_order: Sequence[str]) -> dict[str, str]:
-    missing = set().union(*(free_variables(e) for e in exprs)) - set(var_order)
-    if missing:
-        raise EvaluationError(f"expression uses variables not in order: {sorted(missing)}")
-    return {name: f"_v{i}" for i, name in enumerate(var_order)}
+def _sources(exprs: Sequence[Expr], var_order: Sequence[str]) -> tuple[list[str], list[str]]:
+    """The parameter names _v0, _v1, ... of var_order and the Python source
+    of each of exprs over them; a variable outside var_order raises
+    EvaluationError naming every such variable."""
+    params = {name: f"_v{i}" for i, name in enumerate(var_order)}
+    try:
+        return list(params.values()), [python_source(e, params) for e in exprs]
+    except KeyError:
+        missing = set().union(*(free_variables(e) for e in exprs)) - set(var_order)
+        raise EvaluationError(f"expression uses variables not in order: {sorted(missing)}") from None
 
 
 def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[..., float]:
@@ -1495,9 +1500,8 @@ def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[..., float]:
     Division by zero and domain errors surface as ZeroDivisionError /
     ValueError / OverflowError, which callers treat as singular points.
     """
-    params = _parameters([e], var_order)
-    raw = compile_source(f"def raw({', '.join(params.values())}):\n"
-                         f"    return {python_source(e, params)}", "raw")
+    params, (body,) = _sources([e], var_order)
+    raw = compile_source(f"def raw({', '.join(params)}):\n    return {body}", "raw")
 
     def call(*args: float) -> float:
         # plain floats so that singular points raise (numpy scalars would
@@ -1511,7 +1515,6 @@ def compile_vector(exprs: Sequence[Expr], var_order: Sequence[str]) -> Callable[
     """One function of the variables in var_order returning the list of the
     values of exprs.  Pass plain floats: singular points then raise as in
     compile_expr."""
-    params = _parameters(exprs, var_order)
-    body = ", ".join(python_source(e, params) for e in exprs)
-    return compile_source(f"def vector({', '.join(params.values())}):\n"
-                          f"    return [{body}]", "vector")
+    params, bodies = _sources(exprs, var_order)
+    return compile_source(f"def vector({', '.join(params)}):\n"
+                          f"    return [{', '.join(bodies)}]", "vector")

@@ -13,8 +13,8 @@ into the named checks of `liesys pde` and of the catalog.
 
 Paths are axis-aligned staircases: flatness makes endpoints path-independent,
 so staircases suffice and keep every integration one-dimensional.  Each
-segment is one dynamics._dopri5 run with the axis's field inlined into the
-step and the parameters t1..ts as its scalars.
+segment is one dynamics._dopri5 run, with the axis's field inlined into the
+generated loop and the parameters t1..ts as its scalars.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class PdeSystem:
 
     @cached_property
     def _inline_fields(self) -> list[_Rhs]:
-        """Each field as the source text inlined into the integrator's steps
+        """Each field as the source text inlined into the integrator's run
         along its axis, over the parameters _b0.._b(s-1) and x as _x0.."""
         names = {p: f"_b{i}" for i, p in enumerate(self.params.names)}
         names.update((x, f"_x{i}") for i, x in enumerate(self.chart.names))
@@ -209,7 +209,7 @@ def _advance(sys: PdeSystem, axis: int, t_frozen: np.ndarray, nodes: Sequence[fl
              tol: float) -> np.ndarray:
     """States at nodes[1:] from one integration along an axis from nodes[0],
     with the other parameters frozen at t_frozen, which lands on every node:
-    each is an integrated value, not interpolated.  The steps inline the
+    each is an integrated value, not interpolated.  The run inlines the
     axis's field (PdeSystem._inline_fields) and read the parameters from a
     list set for this line.  A line that stops short raises
     IntegrationBlowUpError naming the stop _dopri5 returned: blow-up, step

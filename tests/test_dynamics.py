@@ -21,7 +21,8 @@ from liesys.dynamics import (
     _compile_velocity,
     _dopri5,
     _Rhs,
-    _step,
+    _run,
+    _velocity_source,
     align_trajectories,
     fundamental_points,
     fundamental_set,
@@ -527,6 +528,56 @@ class TestDopri5BitIdentity:
         assert left == 0 and attempted >= len(got[0]) - 1
 
 
+class TestRunEdges:
+    """Runs whose node lists are shortest or widest, against the numpy loop:
+    _run keeps states and derivatives in flat lists, reshaped once."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_accepted_step(self, n):
+        # finite at t0 only, so every step is rejected until h underflows
+        rhs = _Rhs(1, tuple(f"_b0 * _x{(i + 1) % n}" for i in range(n)))
+
+        def scalars(t):
+            return (1.0,) if t == 0.0 else (math.nan,)
+
+        y0 = [0.5 + i for i in range(n)]
+        got = _dopri5(rhs, scalars, 0.0, 1.0, y0, 1e-9)
+        assert_same_run(got, reference_dopri5(checked(rhs, scalars), 0.0, 1.0, y0, 1e-9))
+        ts, ys, dys, stop = got
+        assert stop == "step underflow" and ts.tolist() == [0.0]
+        assert ys.shape == dys.shape == (1, n) and ys.tolist() == [y0]
+
+    def test_blow_up_on_the_first_accepted_step(self):
+        # two slots of x' = b, both past BLOWUP_BOUND after the first step
+        rhs = _Rhs(1, ("_b0",))
+
+        def scalars(t):
+            return (1e12,)
+
+        got = _dopri5(rhs, scalars, 0.0, 1.0, [0.0, 1.0], 1e-9)
+        assert_same_run(got, reference_dopri5(checked(rhs, scalars), 0.0, 1.0, [0.0, 1.0], 1e-9))
+        ts, ys, dys, stop = got
+        assert stop == "blow-up" and len(ts) == 2 and ys.shape == dys.shape == (2, 2)
+        assert ts[1] == 0.01 and np.all(ys[1] > BLOWUP_BOUND)
+
+    def test_landing_on_stops_with_twelve_coordinates(self):
+        n = 12
+        rhs = _Rhs(n, tuple(f"_b{i} * _x{(i - 1) % n} - 0.5 * _x{i} + 0.2 * _x{i} * _x{(i + 1) % n}"
+                            for i in range(n)))
+
+        def scalars(t):
+            return [math.cos(t + i) for i in range(n)]
+
+        y0 = [math.sin(i + 1) for i in range(n)]
+        stops = [0.25, 1 / 3, 1.0, 1.0 + 1e-12, 2 ** 0.5, 2.9]
+        got = _dopri5(rhs, scalars, 0.0, 3.0, y0, 1e-9, stops=stops)
+        assert_same_run(got, reference_dopri5(checked(rhs, scalars), 0.0, 3.0, y0, 1e-9, stops=stops))
+        ts, ys, dys, stop = got
+        assert stop is None and set(stops) <= set(ts.tolist())
+        assert ys.shape == dys.shape == (len(ts), n)
+
+
 class TestStepBudget:
     """A run stops on "step budget" once it has attempted MAX_ATTEMPTED_STEPS
     steps, and only then."""
@@ -699,9 +750,14 @@ class TestSharedCode:
         misses = _compiled.cache_info().misses
         for slots in range(1, 5):
             integrate_tuple(second, points[:slots], (0.0, 1.0))
-            assert _step(2 * slots, first._rhs).__code__ is _step(2 * slots, second._rhs).__code__
+            assert _run(2 * slots, first._rhs).__code__ is _run(2 * slots, second._rhs).__code__
         assert _compiled.cache_info().misses == misses
         assert first._velocity.__code__ is second._velocity.__code__
+
+    def test_run_caches_are_bounded(self):
+        for cache in (_run, _velocity_source):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize < 10_000
 
     def test_a_riccati_system_costs_one_compile(self, rng):
         curves = [CoefficientCurve.constant(Fraction(rng.randint(1, 10**9), 10**9 + 7)) for _ in range(3)]

@@ -26,6 +26,7 @@ from liesys.expr import (
     canonical_expr,
     canonically_equal,
     compile_expr,
+    compile_vector,
     differentiate,
     evaluate,
     free_variables,
@@ -452,6 +453,15 @@ class TestEvaluate:
                 continue
             got = fn(float(point["x"]), float(point["y"]), float(point["z"]))
             assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    def test_compiling_a_variable_outside_the_order_names_them_all(self):
+        # every missing name, sorted, across all the trees of a vector
+        message = re.escape("expression uses variables not in order: ['w', 'y', 'z']")
+        e = parse("x + sin(z)*y + w", ["w", "x", "y", "z"])
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
+            compile_expr(e, ("x",))
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
+            compile_vector([parse("x*y", ["x", "y"]), parse("z + w/x", ["w", "x", "z"])], ("x",))
 
 
 class TestSubstitute:

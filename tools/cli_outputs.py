@@ -12,16 +12,20 @@ directory:
   `examples run-all --seed 0`.
 
 For each call, OUTDIR gets NAME.stdout, NAME.stderr, NAME.exit and the
-`--json` report NAME.json (absent when the call writes none).  Comparing two
-trees is then `diff -r OUT_A OUT_B`.  Problem files are passed as relative
-paths, so the outputs hold no path of TREE or OUTDIR.
+`--json` report NAME.json (absent when the call writes none).  Calls of
+solve, superpose and group also write their `--csv` dumps, into a temporary
+directory, and each FILE.csv there is copied to OUTDIR as NAME.FILE.csv.
+Comparing two trees is then `diff -r OUT_A OUT_B`.  Problem files are passed
+as relative paths, so the outputs hold no path of TREE or OUTDIR.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -32,9 +36,13 @@ FLAG_CALLS = (
     ("riccati.superpose.t-span_0,3", ["superpose", "problems/riccati.json", "--t-span", "0,3"]),
     ("riccati.verify.t-span_0,3", ["verify", "problems/riccati.json", "--t-span", "0,3"]),
     ("riccati.superpose.k_0.5", ["superpose", "problems/riccati.json", "--k", "0.5"]),
+    ("riccati.solve.tol_1e-6", ["solve", "problems/riccati.json", "--tol", "1e-6"]),
+    ("riccati.superpose.tol_1e-6", ["superpose", "problems/riccati.json", "--tol", "1e-6"]),
     ("pde_nonflat.pde_solve.audit", ["pde", "solve", "problems/pde_nonflat.json", "--audit"]),
     ("incomplete_pair.closure.complete", ["closure", "problems/incomplete_pair.json", "--complete"]),
 )
+# commands whose --csv dumps are recorded
+CSV_COMMANDS = ("solve", "superpose", "group")
 # each call is its own process; a few at a time keep memory small
 WORKERS = 4
 TIMEOUT_S = 600
@@ -70,11 +78,16 @@ def record(tree: Path, outdir: Path, name: str, argv: list[str]) -> None:
     report = outdir / f"{name}.json"
     # `examples list` takes no options
     extra = [] if argv == ["examples", "list"] else ["--json", str(report)]
-    try:
-        done = _liesys(tree, argv + extra)
-        stdout, stderr, code = done.stdout, done.stderr, str(done.returncode)
-    except subprocess.TimeoutExpired:
-        stdout, stderr, code = "", "", f"timeout after {TIMEOUT_S} s"
+    with tempfile.TemporaryDirectory() as dumps:
+        if argv[0] in CSV_COMMANDS:
+            extra += ["--csv", dumps]
+        try:
+            done = _liesys(tree, argv + extra)
+            stdout, stderr, code = done.stdout, done.stderr, str(done.returncode)
+        except subprocess.TimeoutExpired:
+            stdout, stderr, code = "", "", f"timeout after {TIMEOUT_S} s"
+        for dump in sorted(Path(dumps).glob("*.csv")):
+            shutil.copyfile(dump, outdir / f"{name}.{dump.name}")
     (outdir / f"{name}.stdout").write_text(stdout)
     (outdir / f"{name}.stderr").write_text(stderr)
     (outdir / f"{name}.exit").write_text(code + "\n")
