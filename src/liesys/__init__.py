@@ -23,7 +23,6 @@ from .geometry import (  # noqa: F401
     diagonal_prolongation,
     is_diagonal_prolongation,
     lie_bracket,
-    permute_slots,
 )
 from .algebra import (  # noqa: F401
     FundamentalSizeReport,
@@ -48,7 +47,6 @@ from .superposition import (  # noqa: F401
     derive_k,
     reconstruct,
     verify_along_solutions,
-    verify_partial_rule,
     verify_tangency,
 )
 from .group import (  # noqa: F401

@@ -230,11 +230,6 @@ class LieClosureReport:
             worst = max([worst, *map(abs, total.values())])
         return worst
 
-    def reconstruct_bracket_residual(self, a: int, b: int) -> VectorField:
-        """[X_a, X_b] - sum c X_g; canonically zero whenever closed."""
-        bracket = lie_bracket(self.basis[a], self.basis[b])
-        return _minus_combination(bracket, self.c(a, b), self.basis)
-
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,

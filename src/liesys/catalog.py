@@ -239,9 +239,10 @@ def _run_lemma_counterexample(config: RunConfig):
 
 def _run_partial(config: RunConfig, name: str):
     """The partial rule of the problem file `name`, checked against its
-    system as `liesys verify` checks it."""
+    system as `liesys verify` checks it, with verify's `initial_psi`."""
     doc, task, sys, rule = _lie_problem(name, config)
-    return run_verify(doc, task, sys.fields, rule, sys)[0], {"rule": rule.to_json_dict()}
+    checks, extra = run_verify(doc, task, sys.fields, rule, sys)
+    return checks, {"rule": rule.to_json_dict(), **extra}
 
 
 def _run_partial_rank1(config: RunConfig):

@@ -327,9 +327,9 @@ def run_m(doc: dict, task: dict, fields: list[VectorField]) -> tuple[list[Check]
 
 def run_verify(doc: dict, task: dict, fields: list[VectorField], rule: SuperpositionRule,
                sys: LieSystem | None = None) -> tuple[list[Check], dict]:
-    """The rule's own checks and, given the system, its checks along the
-    solutions from the file's points: with the file's k for a partial rule,
-    from x0 for a full one."""
+    """The rule's own checks and, given the system, psi's drift along the
+    solutions from the file's points, with slot 0 on the leaf of the file's
+    k for a partial rule and from x0 for a full one (solution_checks)."""
     checks, extra = rule_checks(rule, fields, task["seed"]), {}
     if sys is not None:
         points = _points_for_rule(doc, task, sys, rule)

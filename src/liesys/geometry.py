@@ -24,7 +24,6 @@ __all__ = [
     "diagonal_prolongation",
     "is_diagonal_prolongation",
     "ProlongationDecision",
-    "permute_slots",
 ]
 
 
@@ -253,25 +252,3 @@ def is_diagonal_prolongation(z: VectorField) -> ProlongationDecision:
                 )
     base = VectorField(chart.base, tuple(ex.canonical_expr(c) for c in base_comps))
     return ProlongationDecision(True, base=base)
-
-
-def permute_slots(z: VectorField, permutation: Sequence[int]) -> VectorField:
-    """Pull back a field on a product chart along a slot permutation."""
-    chart = z.chart
-    if not isinstance(chart, ProductChart):
-        raise ChartMismatchError("permute_slots needs a field on a ProductChart")
-    if sorted(permutation) != list(range(chart.copies)):
-        raise ValueError(f"not a permutation of {chart.copies} slots: {permutation}")
-    n = chart.base.dim
-    renaming = {}
-    for a, target in enumerate(permutation):
-        for v in chart.base.names:
-            renaming[chart.slot_var(v, a)] = chart.slot_var(v, target)
-    new_components = [None] * (n * chart.copies)
-    for a, target in enumerate(permutation):
-        for i in range(n):
-            comp = z.components[a * n + i]
-            new_components[target * n + i] = ex.canonical_expr(
-                ex.rename_variables(comp, renaming)
-            )
-    return VectorField(chart, tuple(new_components))

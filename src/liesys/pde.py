@@ -168,11 +168,6 @@ class CurvatureReport:
     def exact(self) -> bool:
         return all(d.exact for ds in self.verdicts.values() for d in ds)
 
-    def residual(self, a: int, b: int) -> tuple[Expr, ...]:
-        if a < b:
-            return self.residuals[(a, b)]
-        return tuple(ex.canonical_expr(-r) for r in self.residuals[(b, a)])
-
 
 def curvature(sys: PdeSystem) -> CurvatureReport:
     """Residual dY_b/dt^a - dY_a/dt^b + [Y_a, Y_b]_x per pair and component,

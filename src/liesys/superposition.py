@@ -9,8 +9,14 @@ slot 0 directly through slots 1..m and the constants k1..ks.
 
 Tangency is decided by the exact zero test of the residuals X~(psi): for full
 rules on the residuals themselves, for partial rules on the residuals pulled
-back along phi, which parametrizes the constraint set (a partial rule needs
-phi for this).  Any phi must land on its own leaves, psi(phi) = k.
+back along phi, which parametrizes the constraint set N (a partial rule needs
+phi for this).  On N the residuals X~(C) of the constraints are decided too,
+so tangency covers N's invariance under the prolonged fields.  Any phi must
+land on its own leaves, psi(phi) = k and C(phi) = 0.
+
+Along solutions every rule is checked one way: psi's drift along one
+integrated (m+1)-tuple, with slot 0 starting at x0, or on the leaf of k at t0
+(phi there for a rule with phi, a leaf solve otherwise).
 
 Reconstruction holds psi at its initial value by a damped Newton solve with
 the exact Jacobian (derivative trees evaluated in floats), warm-started along
@@ -46,8 +52,6 @@ __all__ = [
     "ConstancyReport",
     "verify_along_solutions",
     "reconstruct",
-    "PartialRuleReport",
-    "verify_partial_rule",
     "derive_k",
     "rule_checks",
     "solution_checks",
@@ -170,6 +174,7 @@ class TangencyCheck:
     verdict: str  # zero | nonzero | unknown (every sample vanished)
     probabilistic: bool
     samples: int = 0
+    level: str = "psi"  # psi | constraint: what the prolonged field was applied to
 
 
 @dataclass
@@ -226,26 +231,31 @@ def verify_tangency(
     A phi must land on its own leaves, psi_j(phi) = k_j and C_l(phi) = 0,
     which is decided first (_phi_on_leaves); if one of them can only be
     sampled, every residual verdict is labelled probabilistic.  A partial
-    rule's residual only needs to vanish on the constraint set N, which phi
-    parametrizes by (x_(1..m), k): it is decided, and kept in its check,
-    after substituting phi for slot 0.
+    rule's residuals only need to vanish on the constraint set N, which phi
+    parametrizes by (x_(1..m), k): they are decided, and kept in their
+    checks, after substituting phi for slot 0.  They include X~_a(C_l) for
+    each constraint (level "constraint"), which vanish on N exactly when N
+    is invariant under the prolonged fields.
     """
     on_phi, leaves_sampled = (
         _phi_on_leaves(rule, seed) if rule.phi is not None or rule.is_partial else (None, False)
     )
+    levels = [("psi", j, p) for j, p in enumerate(rule.psi)]
+    if rule.is_partial:
+        levels += [("constraint", l, c) for l, c in enumerate(rule.constraints)]
     checks: list[TangencyCheck] = []
     for alpha, base_field in enumerate(fields):
         if base_field.chart.names != rule.base_chart.names:
             raise ValueError("fields must live on the rule's base chart")
         prolonged = diagonal_prolongation(base_field, rule.m + 1)
-        for j, psi_j in enumerate(rule.psi):
-            residual = prolonged.apply_to(psi_j)
+        for level, j, function in levels:
+            residual = prolonged.apply_to(function)
             if rule.is_partial:
                 residual = ex.substitute(residual, on_phi)
             decision = ex.is_zero(residual, seed=seed)
             checks.append(TangencyCheck(
                 alpha, j, residual, decision.verdict,
-                leaves_sampled or not decision.exact, decision.samples,
+                leaves_sampled or not decision.exact, decision.samples, level,
             ))
     return TangencyReport(checks)
 
@@ -430,32 +440,62 @@ def derive_k(rule: SuperpositionRule, x0: Sequence[float], slot_states: Sequence
     return np.array(_psi_at(psi, point.tolist(), 0.0))
 
 
+def _k_values(rule: SuperpositionRule, k: Sequence[float]) -> list[float]:
+    """k as a list of the rule's s floats; ValueError for another shape."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != (rule.rank,):
+        raise ValueError(f"k must have {rule.rank} entries")
+    return k.tolist()
+
+
+def _phi_points(rule: SuperpositionRule, k: list[float]) -> Callable[[list[float], float], list[float]]:
+    """phi with k bound: at(rest, t) is slot 0 over the slots `rest` at t,
+    or SingularDomainError where phi is singular."""
+    phi = ex.compile_vector(rule.phi, rule.phi_names)
+
+    def at(rest, t):
+        try:
+            return phi(*rest, *k)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            raise SingularDomainError("phi evaluation singular", t) from None
+    return at
+
+
 def _leaf_points(rule: SuperpositionRule, k: Sequence[float]) -> Callable[..., list[float]]:
     """reconstruct's code for one node: point(rest, guess, t, crosscheck) is
     slot 0 on the leaf of k over the slots `rest` at t.  With phi it is phi
     there, checked by a leaf solve from it when `crosscheck`; otherwise it is
     a damped Newton solve from `guess`."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (rule.rank,):
-        raise ValueError(f"k must have {rule.rank} entries")
-    solver, k = _LeafSolver(rule), k.tolist()
+    k = _k_values(rule, k)
+    solver = _LeafSolver(rule)
     if rule.phi is None:
         def point(rest, guess, t, crosscheck):
             if guess is None:
                 raise ValueError("x0_guess is required when the rule has no phi")
             return solver.solve(rest, k, guess, t)
         return point
-    phi = ex.compile_vector(rule.phi, rule.phi_names)
+    phi = _phi_points(rule, k)
 
     def point(rest, guess, t, crosscheck):
-        try:
-            x = phi(*rest, *k)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            raise SingularDomainError("phi evaluation singular", t) from None
+        x = phi(rest, t)
         if crosscheck and _max_abs([a - b for a, b in zip(solver.solve(rest, k, x, t), x)]) > 1e-6:
             raise NonConvergenceError("phi and leaf solve disagree beyond 1e-6", t)
         return x
     return point
+
+
+def _slot0_start(rule: SuperpositionRule, points: Sequence[Sequence[float]], t0: float,
+                 k: Sequence[float] | None = None, x0: Sequence[float] | None = None,
+                 guess: Sequence[float] | None = None) -> Sequence[float]:
+    """Where slot 0 starts at t0 over the m `points`: given k, k's leaf point
+    there (phi, evaluated once; without phi, a leaf solve from `guess`);
+    otherwise x0, or points[0] shifted by 0.1."""
+    if k is None:
+        return x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
+    rest = [float(v) for point in points for v in point]
+    if rule.phi is None:
+        return _leaf_points(rule, k)(rest, guess, t0, False)
+    return _phi_points(rule, _k_values(rule, k))(rest, t0)
 
 
 def reconstruct(
@@ -484,75 +524,16 @@ def reconstruct(
 
 
 # ---------------------------------------------------------------------------
-# Partial rules
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PartialRuleReport:
-    ode_residual_max: float
-    constraint_max: float
-    tol_ode: float
-    constraint_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ode_residual_max <= self.tol_ode and self.constraint_max <= self.constraint_tol
-
-
-def verify_partial_rule(
-    rule: SuperpositionRule,
-    sys: LieSystem,
-    trajectories: Sequence[Trajectory],
-    k: Sequence[float],
-    tol_ode: float = 1e-4,
-    constraint_tol: float = 1e-8,
-) -> PartialRuleReport:
-    """Check that x0(t) = phi(x_(1..m)(t); k) solves the system, at each node
-    of the slots' shared grid.  The slots solve the system, so by the chain
-    rule dphi/dt = sum_a dphi/dx_(a) . Y(t, x_(a)), with the slot Jacobian
-    compiled from derivative trees; its largest difference from Y(t, phi) is
-    the ODE residual.  Constraint residuals are taken at the same nodes."""
-    if rule.phi is None:
-        raise ValueError("verify_partial_rule needs a rule with an explicit phi")
-    grid, rests = _stack_states(trajectories)
-    slot_names = rule.phi_names[: rule.m * rule.base_chart.dim]
-    phi = ex.compile_vector(rule.phi, rule.phi_names)
-    jacobian = ex.compile_vector(
-        [ex._diff_tree(e, v) for e in rule.phi for v in slot_names], rule.phi_names
-    )
-    constraints = ex.compile_vector(rule.constraints, rule.product_chart.names)
-    k = [float(v) for v in k]
-    n, width = rule.base_chart.dim, len(slot_names)
-    ode_residual = 0.0
-    constraint_max = 0.0
-    for t, rest in zip(grid.tolist(), rests.tolist()):
-        try:
-            x0 = phi(*rest, *k)
-            jac = jacobian(*rest, *k)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            raise SingularDomainError("phi evaluation singular along the tuple", t) from None
-        # Y at phi and at every slot, from one call on the stacked state
-        velocity = sys._velocity(t, x0 + rest)
-        field, slots = velocity[:n], velocity[n:]
-        for i in range(n):
-            dphi = sum(a * v for a, v in zip(jac[i * width : (i + 1) * width], slots))
-            ode_residual = max(ode_residual, abs(dphi - field[i]))
-        for value in constraints(*x0, *rest):
-            constraint_max = max(constraint_max, abs(value))
-    return PartialRuleReport(ode_residual, constraint_max, tol_ode, constraint_tol)
-
-
-# ---------------------------------------------------------------------------
 # Checks shared by the command line and the example catalog
 # ---------------------------------------------------------------------------
 
 
 def rule_checks(rule: SuperpositionRule, fields: Sequence[VectorField], seed: int = 0) -> list[Check]:
-    """The leaves of psi are invariant under the prolonged fields
-    (verify_tangency) and transversal to the slot-0 fibre (transversality_rank)."""
+    """The leaves of psi, and a partial rule's constraint set, are invariant
+    under the prolonged fields (verify_tangency), and psi is transversal to
+    the slot-0 fibre (transversality_rank)."""
     tangency = verify_tangency(rule, fields, seed=seed)
-    nonzero = "; ".join(f"field {c.field_index} psi {c.component}: {c.verdict}"
+    nonzero = "; ".join(f"field {c.field_index} {c.level} {c.component}: {c.verdict}"
                         for c in tangency.checks if c.verdict == "nonzero")
     rank, exact = transversality_rank(rule, seed=seed)
     return [
@@ -567,15 +548,11 @@ def solution_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Se
                     t_span: tuple[float, float], tol: float, tol_const: float,
                     k: Sequence[float] | None = None,
                     x0: Sequence[float] | None = None) -> tuple[list[Check], dict]:
-    """Checks and report extras of the rule along solutions from the m
-    `points`: psi's drift along the tuple with slot 0 from x0 (default
-    points[0] shifted by 0.1) and `initial_psi` for a full rule; phi with
-    constants k solving the system on its constraint set for a partial one."""
-    if rule.is_partial:
-        report = verify_partial_rule(rule, sys, integrate_tuple(sys, points, t_span, tol), k)
-        return [Check.limit("ode_residual", report.ode_residual_max, report.tol_ode),
-                Check.limit("constraint_residual", report.constraint_max, report.constraint_tol)], {}
-    slot0 = x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
+    """psi's drift along the tuple of slot 0 and the m solutions from
+    `points`, and the report extra `initial_psi`.  Slot 0 starts on the leaf
+    of k when k is given (a partial rule's start on its constraint set),
+    else at x0, else at points[0] shifted by 0.1 (_slot0_start)."""
+    slot0 = _slot0_start(rule, points, float(t_span[0]), k, x0)
     _, along, drift = _psi_drift(rule, sys, [slot0, *points], t_span, tol, tol_const)
     return [drift], {"initial_psi": [float(v) for v in along.initial_values]}
 
@@ -588,19 +565,17 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
     """(checks, k, slot 0, particular solutions) of the rule as a foliation:
     a start on the leaf of k must move with the m solutions from `points`.
     Slot 0 starts at x0 or, given k, at the leaf point of k over the points
-    at t0 (reconstruct's code for one node; leaf solves start at x0_guess,
-    default x0).  It is integrated with the points as one tuple, and k, when
-    not given, is psi at the tuple's start.  Slot 0 rebuilt from the
-    particular solutions with psi held at k must match its integrated
-    solution within GAP_LIMIT (`reconstruction_vs_direct`), and psi must
-    stay constant along the tuple (`psi_drift_along_solutions`), which fails
-    where psi is singular."""
+    at t0 (_slot0_start; leaf solves start at x0_guess, default x0).  It is
+    integrated with the points as one tuple, and k, when not given, is psi
+    at the tuple's start.  Slot 0 rebuilt from the particular solutions
+    with psi held at k must match its integrated solution within GAP_LIMIT
+    (`reconstruction_vs_direct`), and psi must stay constant along the
+    tuple (`psi_drift_along_solutions`), which fails where psi is singular."""
     guess = x0 if x0_guess is None else x0_guess
     if k is not None:
         k = np.atleast_1d(np.asarray(k, dtype=float))
-        start = [float(v) for point in points for v in point]
-        x0 = _leaf_points(rule, k)(start, guess, float(t_span[0]), True)
-    tuple_, along, drift = _psi_drift(rule, sys, [x0, *points], t_span, tol, tol_const)
+    start = _slot0_start(rule, points, float(t_span[0]), k, x0, guess)
+    tuple_, along, drift = _psi_drift(rule, sys, [start, *points], t_span, tol, tol_const)
     k = along.initial_values if k is None else k
     slot0 = reconstruct(rule, tuple_[1:], k, x0_guess=guess)
     gap = float(np.max(np.abs(slot0.states - tuple_[0].states)))

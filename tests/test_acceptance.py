@@ -16,7 +16,7 @@ import numpy as np
 from liesys.algebra import closure_test, minimal_m
 from liesys.catalog import RunConfig, get_entry
 from liesys.cli import main
-from liesys.dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate
+from liesys.dynamics import CoefficientCurve, LieSystem, integrate
 from liesys.expr import Chart, Var, canonically_equal, is_zero
 from liesys.geometry import (
     VectorField,
@@ -31,7 +31,7 @@ from liesys.pde import (
     pde_superpose,
     solve_on_grid,
 )
-from liesys.superposition import SuperpositionRule, verify_partial_rule
+from liesys.superposition import SuperpositionRule, rule_checks, solution_checks
 
 from conftest import random_polynomial
 
@@ -172,23 +172,19 @@ def test_criterion_8_partial_rules():
         phi=["x1_1 + k1*x1_2", "x2_1 + k1*x2_2"],
         constraints=["x1_2*(x2_0 - x2_1) - x2_2*(x1_0 - x1_1)"],
     )
-    one = align_trajectories([integrate(sys, [0.8, -0.5], (0.0, 1.0))])
-    two = align_trajectories(
-        [integrate(sys, [0.8, -0.5], (0.0, 1.0)), integrate(sys, [-0.3, 0.9], (0.0, 1.0))]
-    )
-    r1 = verify_partial_rule(scaling, sys, one, [0.7])
-    r2 = verify_partial_rule(shift, sys, two, [0.7])
-    ok = (
-        r1.passed and r2.passed
-        and max(r1.ode_residual_max, r2.ode_residual_max) <= 1e-4
-        and max(r1.constraint_max, r2.constraint_max) <= 1e-8
-    )
+    drifts, initial = [], []
+    for rule, points in ((scaling, [[0.8, -0.5]]), (shift, [[0.8, -0.5], [-0.3, 0.9]])):
+        # slot 0 starts on the leaf k1 = 0.7 of the constraint set
+        [drift], extra = solution_checks(rule, sys, points, (0.0, 1.0), 1e-9, 1e-6, k=[0.7])
+        tangency = rule_checks(rule, fields)[0]
+        drifts.append(drift.value if drift.passed and tangency.passed else math.inf)
+        initial.append(abs(extra["initial_psi"][0] - 0.7))
+    ok = max(drifts) <= 1e-9 and max(initial) <= 1e-15
     announce(
         8,
         ok,
-        f"both rank-1 rules pass: ODE residual <= "
-        f"{max(r1.ode_residual_max, r2.ode_residual_max):.2e} (limit 1e-4), constraints <= "
-        f"{max(r1.constraint_max, r2.constraint_max):.2e} (limit 1e-8)",
+        f"both rank-1 rules pass: tangency and the constraint set's invariance exact, "
+        f"psi drift <= {max(drifts):.2e} (limit 1e-9) from a start on the leaf of k",
     )
 
 

@@ -333,12 +333,14 @@ class TestVerify:
             code, doc = run(tmp_path, "verify", str(PROBLEMS / name), json_name=name)
             assert code == 0, name
             names = [c["name"] for c in doc["checks"]]
-            assert "ode_residual" in names and "constraint_residual" in names
+            assert names == ["tangency_zero", "psi_transversal", "psi_drift_along_solutions"]
             # the constraint divides every tangency residual: an exact verdict
             tangency = next(c for c in doc["checks"] if c["name"] == "tangency_zero")
             assert tangency["probabilistic"] is False
-            residual = next(c for c in doc["checks"] if c["name"] == "ode_residual")
-            assert residual["value"] <= 1e-9
+            drift = next(c for c in doc["checks"] if c["name"] == "psi_drift_along_solutions")
+            assert drift["value"] <= 1e-12
+            # slot 0 starts on the leaf of the file's k
+            assert doc["extra"]["initial_psi"] == pytest.approx([0.7], abs=1e-15)
 
     def test_gl3_linear_rule_verifies_within_a_minute(self, tmp_path):
         from liesys.catalog import gl_fields, linear_rule
@@ -677,15 +679,17 @@ class TestSchemaErrors:
 
 
 def edited_problem(tmp_path, problem, edits):
-    """problems/<problem>.json with each dotted key of `edits` set to its value."""
-    doc = json.loads((PROBLEMS / f"{problem}.json").read_text())
+    """problems/<problem>.json, or the file `problem` when it is a Path, with
+    each dotted key of `edits` set to its value."""
+    source = problem if isinstance(problem, Path) else PROBLEMS / f"{problem}.json"
+    doc = json.loads(source.read_text())
     for dotted, value in edits.items():
         *parents, key = dotted.split(".")
         target = doc
         for name in parents:
             target = target[name]
         target[key] = value
-    path = tmp_path / f"{problem}_edited.json"
+    path = tmp_path / f"{source.stem}_edited.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -741,6 +745,72 @@ class TestMalformedInputsExit2:
         assert main([*command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err, err
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "tools" / "inputs"
+
+
+def _slot0_pushed(monkeypatch):
+    """An integrator fault: slot 0 of every integrated tuple moved by 1e-3 t."""
+    from liesys import superposition
+
+    real = superposition.integrate_tuple
+
+    def pushed(*args, **kwargs):
+        tuple_ = real(*args, **kwargs)
+        tuple_[0].states[:, 0] += 1e-3 * tuple_[0].t
+        return tuple_
+    monkeypatch.setattr(superposition, "integrate_tuple", pushed)
+
+
+# (id, command, problem file, edits, fault, the check that FAILs, a fragment of
+# its detail, the checks that still PASS).  Short of `completed` itself, the
+# stage before every check is the file's parsing and phi's leaf conditions,
+# which pass when the report holds no `completed`.
+PLANTED_DEFECTS = [
+    # the translations move slot 0 off the constraint set x2 = x1^2, while
+    # psi = x1_0 - x1_1 stays tangent
+    ("constraint_set_moves", "verify", INPUTS / "partial_not_invariant.json", {}, None,
+     "tangency_zero", "field 0 constraint 0: nonzero; field 1 constraint 0: nonzero",
+     {"psi_transversal", "psi_drift_along_solutions"}),
+    ("constraint_set_moves_rule_only", "verify", INPUTS / "partial_not_invariant_rule.json", {}, None,
+     "tangency_zero", "field 0 constraint 0: nonzero; field 1 constraint 0: nonzero",
+     {"psi_transversal"}),
+    # psi's drift from a start on the leaf of k cannot see it; slot 0 rebuilt
+    # on the constraint set leaves the solution it should follow
+    ("constraint_set_moves_superpose", "superpose", INPUTS / "partial_not_invariant.json", {}, None,
+     "reconstruction_vs_direct", "", {"psi_drift_along_solutions"}),
+    # C(phi) = -x1_1: the leaf conditions end the run before any residual
+    ("phi_off_its_leaves", "verify", PROBLEMS / "partial_rank1.json",
+     {"rule.phi": ["k1*x1_1", "k1*x2_1 + 1"]}, None,
+     "completed", "constraint 0: C(phi) = -x1_1 is not zero", set()),
+    ("psi_not_tangent", "verify", PROBLEMS / "riccati.json",
+     {"rule.psi": ["x_0 - x_1"], "rule.phi": ["x_1 + k1"]}, None,
+     "tangency_zero", "field 1 psi 0: nonzero; field 2 psi 0: nonzero", {"psi_transversal"}),
+    # exact tangency leaves only a liesys fault for the drift to catch
+    ("partial_drift_fault", "verify", PROBLEMS / "partial_rank1.json", {}, _slot0_pushed,
+     "psi_drift_along_solutions", "", {"tangency_zero", "psi_transversal"}),
+]
+
+
+class TestPlantedDefects:
+    """Each row plants one defect: its check FAILs, the stage before it
+    PASSes, and so do the checks the defect does not touch."""
+
+    @pytest.mark.parametrize("command,problem,edits,fault,fails,fragment,before",
+                             [row[1:] for row in PLANTED_DEFECTS],
+                             ids=[row[0] for row in PLANTED_DEFECTS])
+    def test_check_fails_and_earlier_stages_pass(self, tmp_path, monkeypatch, command, problem,
+                                                 edits, fault, fails, fragment, before):
+        path = edited_problem(tmp_path, problem, edits)
+        if fault is not None:
+            fault(monkeypatch)
+        code, report = run(tmp_path, command, str(path))
+        assert code == 1
+        checks = {c["name"]: c for c in report["checks"]}
+        assert not checks[fails]["passed"] and fragment in checks[fails]["detail"]
+        assert all(checks[name]["passed"] for name in before)
+        assert fails == "completed" or "completed" not in checks
 
 
 class TestLongChains:
@@ -860,7 +930,7 @@ class TestCatalogSharesTheCliChecks:
 
     FULL = {"tangency_zero", "psi_transversal", "reconstruction_vs_direct",
             "psi_drift_along_solutions"}
-    PARTIAL = {"tangency_zero", "psi_transversal", "ode_residual", "constraint_residual"}
+    PARTIAL = {"tangency_zero", "psi_transversal", "psi_drift_along_solutions"}
 
     @pytest.mark.parametrize("entry,prefix,problem,names", [
         ("separable_invsq", "", "separable_invsq", FULL),

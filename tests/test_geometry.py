@@ -12,7 +12,6 @@ from liesys.geometry import (
     diagonal_prolongation,
     is_diagonal_prolongation,
     lie_bracket,
-    permute_slots,
 )
 
 from conftest import random_polynomial
@@ -169,13 +168,6 @@ class TestDiagonalProlongation:
                 diagonal_prolongation(a, copies), diagonal_prolongation(b, copies)
             )
             assert fields_equal(lhs, rhs)
-
-    def test_slot_permutation_invariance(self, rng):
-        for _ in range(10):
-            prolonged = diagonal_prolongation(random_field(rng), 3)
-            perm = [0, 1, 2]
-            rng.shuffle(perm)
-            assert fields_equal(permute_slots(prolonged, perm), prolonged)
 
 
 class TestIsDiagonalProlongation:

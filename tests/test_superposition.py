@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liesys import expr as ex
+from liesys import superposition
 from liesys.catalog import gl_fields, linear_rule
 from liesys.dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate, integrate_tuple
 from liesys.errors import LiesysError, NonConvergenceError, SingularDomainError
@@ -18,9 +19,10 @@ from liesys.superposition import (
     _LeafSolver,
     derive_k,
     reconstruct,
+    rule_checks,
+    solution_checks,
     transversality_rank,
     verify_along_solutions,
-    verify_partial_rule,
     verify_tangency,
 )
 
@@ -385,17 +387,22 @@ class TestPartialRules:
             constraints=["x1_2*(x2_0 - x2_1) - x2_2*(x1_0 - x1_1)"],
         )
 
+    def drift(self, rule, starts, k, sys=None):
+        """solution_checks' one check and its initial_psi, slot 0 on k's leaf."""
+        [check], extra = solution_checks(rule, sys or self.sys, starts, (0.0, 1.0), 1e-9, 1e-6, k=k)
+        assert check.name == "psi_drift_along_solutions"
+        return check, extra["initial_psi"]
+
     def test_scaling_rule_passes(self):
-        trajectories = solution_tuple(self.sys, ([0.8, -0.5],))
-        report = verify_partial_rule(self.rank1, self.sys, trajectories, [0.7])
-        assert report.passed
-        assert report.ode_residual_max <= 1e-4
-        assert report.constraint_max <= 1e-8
+        check, initial = self.drift(self.rank1, [[0.8, -0.5]], [0.7])
+        assert check.passed and check.value <= 1e-9
+        # slot 0 starts at phi(points; k), on the leaf of k
+        assert initial == pytest.approx([0.7], abs=1e-15)
 
     def test_two_solution_rule_passes(self):
-        trajectories = solution_tuple(self.sys, ([0.8, -0.5], [-0.3, 0.9]))
-        report = verify_partial_rule(self.rank1_m2, self.sys, trajectories, [0.7])
-        assert report.passed
+        check, initial = self.drift(self.rank1_m2, [[0.8, -0.5], [-0.3, 0.9]], [0.7])
+        assert check.passed and check.value <= 1e-9
+        assert initial == pytest.approx([0.7], abs=1e-15)
 
     def test_tangency_exact_on_constraint_set(self):
         # every residual's numerator is a multiple of the constraint's, so the
@@ -404,7 +411,10 @@ class TestPartialRules:
             for seed in (4, 19):
                 report = verify_tangency(rule, self.sys.fields, seed=seed)
                 assert not report.probabilistic
-                assert [c.verdict for c in report.checks] == ["zero"] * 4
+                assert [c.verdict for c in report.checks] == ["zero"] * 8
+                # per field, psi's residual and then the constraint's
+                assert [(c.level, c.component) for c in report.checks] == [
+                    ("psi", 0), ("constraint", 0)] * 4
 
     def test_tangency_exact_with_a_scaled_constraint(self):
         # the factor 1 + x1_1^2 never vanishes, so the zero set is that of the
@@ -420,7 +430,7 @@ class TestPartialRules:
         )
         report = verify_tangency(rule, self.sys.fields, seed=4)
         assert report.all_zero and not report.probabilistic
-        assert [c.verdict for c in report.checks] == ["zero"] * 4
+        assert [c.verdict for c in report.checks] == ["zero"] * 8
 
     def test_two_constraint_rule_exact_against_gl3(self):
         # x0 = k x1 in three dimensions: two constraints, no single one of
@@ -438,7 +448,7 @@ class TestPartialRules:
         for seed in range(20):
             report = verify_tangency(rule, gl_fields(chart), seed=seed)
             assert not report.probabilistic
-            assert [c.verdict for c in report.checks] == ["zero"] * 9, seed
+            assert [c.verdict for c in report.checks] == ["zero"] * 27, seed
 
     def test_phi_off_its_own_leaves_raises(self):
         # phi = (x1_1 + k1, x2_1 + k1) keeps psi = k1 but pulls the
@@ -475,14 +485,41 @@ class TestPartialRules:
         report = verify_tangency(rule, self.sys.fields)
         assert report.all_zero
         assert all(c.probabilistic for c in report.checks)
-        assert [c.verdict for c in report.checks] == ["zero"] * 4
+        # the constraint's residuals under x1 d/dx1 and x2 d/dx1 keep
+        # sin^2 + cos^2 - 1, so only samples find them zero
+        assert [c.verdict for c in report.checks] == [
+            "zero", "unknown", "zero", "unknown", "zero", "zero", "zero", "zero"]
 
-    def test_ode_residual_is_round_off_on_integrated_nodes(self):
+    def test_constraint_set_not_invariant_fails_tangency(self):
+        # phi keeps psi = k1 and lands on x2_0 = x1_0^2, but the prolonged
+        # d/dx1 and d/dx2 move slot 0 off that parabola: psi's residuals
+        # vanish, the constraint's do not
+        translations = [VectorField.from_strings(self.sys.chart, c) for c in (["1", "0"], ["0", "1"])]
+        rule = SuperpositionRule.from_strings(
+            self.sys.chart, 1, 1, psi=["x1_0 - x1_1"],
+            phi=["x1_1 + k1", "(x1_1 + k1)^2"], constraints=["x2_0 - x1_0^2"],
+        )
+        report = verify_tangency(rule, translations)
+        assert [(c.level, c.verdict) for c in report.checks] == [
+            ("psi", "zero"), ("constraint", "nonzero")] * 2
+        assert not report.all_zero and not report.probabilistic
+        tangency = rule_checks(rule, translations)[0]
+        assert not tangency.passed
+        assert tangency.detail == "field 0 constraint 0: nonzero; field 1 constraint 0: nonzero"
+
+    def test_drift_is_round_off_along_the_tuple(self):
         for rule, starts in ((self.rank1, [[0.8, -0.5]]),
                              (self.rank1_m2, [[0.8, -0.5], [-0.3, 0.9]])):
-            report = verify_partial_rule(rule, self.sys, integrate_tuple(self.sys, starts), [0.7])
-            assert report.passed
-            assert report.ode_residual_max <= 1e-9
+            check, _ = self.drift(rule, starts, [0.7])
+            assert check.passed and check.value <= 1e-12
+
+    def test_start_builds_no_leaf_solver(self, monkeypatch):
+        # verify's start is phi at the points, evaluated once
+        def refuse(rule):
+            raise AssertionError("a leaf solver was built")
+        monkeypatch.setattr(superposition, "_LeafSolver", refuse)
+        check, _ = self.drift(self.rank1, [[0.8, -0.5]], [0.7])
+        assert check.passed
 
     def test_singular_phi_is_a_domain_error(self):
         # x2_1 starts at -1/2, where this phi divides by zero
@@ -494,9 +531,8 @@ class TestPartialRules:
             phi=["k1*x1_1/(x2_1 + 1/2)", "k1*x2_1"],
             constraints=["x1_0*x2_1 - x2_0*x1_1"],
         )
-        trajectories = integrate_tuple(self.sys, [[0.8, -0.5]])
-        with pytest.raises(SingularDomainError):
-            verify_partial_rule(singular, self.sys, trajectories, [0.7])
+        with pytest.raises(SingularDomainError, match="phi evaluation singular"):
+            self.drift(singular, [[0.8, -0.5]], [0.7])
 
     def test_rule_against_a_system_it_does_not_solve(self):
         # x0 = k x1 maps solutions to solutions only for linear systems; with
@@ -504,20 +540,22 @@ class TestPartialRules:
         fields = list(self.sys.fields) + [VectorField.from_strings(self.sys.chart, ["x1^2", "0"])]
         curves = list(self.sys.coefficients) + [CoefficientCurve.from_string("1")]
         nonlinear = LieSystem(fields, curves)
-        trajectories = integrate_tuple(nonlinear, [[0.8, -0.5]])
-        report = verify_partial_rule(self.rank1, nonlinear, trajectories, [0.7])
-        assert report.ode_residual_max > report.tol_ode
-        assert not report.passed
+        check, _ = self.drift(self.rank1, [[0.8, -0.5]], [0.7], sys=nonlinear)
+        assert not check.passed and check.value > 1e-3
+        tangency = rule_checks(self.rank1, fields)[0]
+        assert not tangency.passed
+        assert tangency.detail == "field 4 psi 0: nonzero; field 4 constraint 0: nonzero"
 
     def test_full_rank_rule_behaves_like_full_rule(self):
-        # s = n with an empty constraint list: verify_partial_rule reduces to
-        # the plain ODE check on phi
-        trajectories = solution_tuple(self.sys, ([1.0, 0.0], [0.0, 1.0]))
-        report = verify_partial_rule(linear2_rule(), self.sys, trajectories, [0.4, -0.3])
-        assert report.passed
-        assert report.constraint_max == 0.0
+        # s = n with an empty constraint list: given k, slot 0 starts on k's
+        # leaf as a partial rule's does
+        check, initial = self.drift(linear2_rule(), [[1.0, 0.0], [0.0, 1.0]], [0.4, -0.3])
+        assert check.passed and check.value <= 1e-12
+        assert initial == pytest.approx([0.4, -0.3], abs=1e-15)
 
     def test_wrong_rule_fails(self):
+        # phi is off its leaves (C(phi) = x1_1 - x2_1), so verify ends in the
+        # leaf error; along solutions psi = x1_0 - x1_1 drifts as well
         bad = SuperpositionRule.from_strings(
             self.sys.chart,
             1,
@@ -526,9 +564,10 @@ class TestPartialRules:
             phi=["x1_1 + k1", "x2_1 + k1"],
             constraints=["x1_0 - x2_0"],
         )
-        trajectories = solution_tuple(self.sys, ([0.8, -0.5],))
-        report = verify_partial_rule(bad, self.sys, trajectories, [0.7])
-        assert not report.passed
+        with pytest.raises(LiesysError, match="constraint 0: C\\(phi\\)"):
+            rule_checks(bad, self.sys.fields)
+        check, _ = self.drift(bad, [[0.8, -0.5]], [0.7])
+        assert not check.passed
 
 
 class _ReferenceLeafSolver:

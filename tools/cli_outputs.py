@@ -8,6 +8,8 @@ directory:
 - every command (closure, m, solve, superpose, verify, group and the three
   pde subcommands) on every problems/*.json of TREE, applicable or not;
 - the flag calls in FLAG_CALLS, on the problem files they name;
+- the calls in INPUT_CALLS, on inputs kept under tools/inputs/ that do not
+  ship with the package;
 - `examples list`, `examples run NAME` for each entry it lists, and
   `examples run-all --seed 0`.
 
@@ -41,6 +43,13 @@ FLAG_CALLS = (
     ("pde_nonflat.pde_solve.audit", ["pde", "solve", "problems/pde_nonflat.json", "--audit"]),
     ("incomplete_pair.closure.complete", ["closure", "problems/incomplete_pair.json", "--complete"]),
 )
+# (output name, argv): a partial rule whose constraint set x2 = x1^2 the
+# translations move, with and without coefficients
+INPUT_CALLS = (
+    ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
+    ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
+    ("partial_not_invariant_rule.verify", ["verify", "tools/inputs/partial_not_invariant_rule.json"]),
+)
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
 # each call is its own process; a few at a time keep memory small
@@ -62,7 +71,7 @@ def calls(tree: Path) -> list[tuple[str, list[str]]]:
         for command in COMMANDS:
             name = f"{problem.stem}.{'_'.join(command)}"
             out.append((name, [*command, f"problems/{problem.name}"]))
-    out += [(name, list(argv)) for name, argv in FLAG_CALLS]
+    out += [(name, list(argv)) for name, argv in FLAG_CALLS + INPUT_CALLS]
     listing = _liesys(tree, ["examples", "list"])
     if listing.returncode != 0:
         raise SystemExit(f"`liesys examples list` failed in {tree}:\n{listing.stderr}")
