@@ -381,6 +381,15 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 # and reduced pairs, Fraction in canonical forms.  A monomial is a sorted
 # tuple of (atom, exponent) pairs where an atom is a variable name or the
 # canonical key of a function application.
+# Ownership: the dicts of a built _NF, of _PONE and of the _NF_ONE and
+# _NF_ZEROS constants are shared and never written.  Only the accumulators
+# write a dict: _padd_into and _pmul_into add into the `out` they are given,
+# and _nf_sum and _nf_dot add into numerators they create themselves, so
+# they neither copy nor write an input.  Every other helper leaves its
+# inputs as they are.
+# Monomial products are memoised process-wide by _mono_mul in an LRU cache
+# bounded at MONO_MEMO entries; one cycle of the benchmark's cli, exact and
+# trajectories workloads leaves 689, 753 and 188 in use.
 # ---------------------------------------------------------------------------
 
 _PONE = {(): 1}
@@ -454,22 +463,71 @@ def _nf_of(e: Expr) -> _NF:
 
 
 def _nf_sum(nfs: Iterable[_NF]) -> _NF:
-    """The sum of normal forms, folded with no gcd; a common denominator is
-    kept rather than squared, and constant ones combine by their lcm."""
+    """The sum of normal forms with no gcd, added in place into one numerator
+    that _nf_sum creates, so no input is copied or written: a common
+    denominator is kept rather than squared, constant ones combine by their
+    lcm, and other unlike ones are cross-multiplied."""
     num, den, trans = {}, _PONE, False
     for nf in nfs:
         tnum, tden = nf.num_den
+        trans = trans or nf.trans
         if tden == den:
-            num = _padd(num, tnum)
+            _padd_into(num, tnum)
         elif _is_const_poly(den) and _is_const_poly(tden):
             d, td = den[()], tden[()]
             lcm = math.lcm(d, td)
-            num = _padd(_pscale(num, lcm // d), _pscale(tnum, lcm // td))
+            if lcm != d:
+                for m in num:
+                    num[m] *= lcm // d
+            _padd_into(num, tnum, lcm // td)
             den = {(): lcm}
         else:
-            num = _padd(_pmul(num, tden), _pmul(tnum, den))
+            num = _pmul(num, tden)
+            _pmul_into(num, tnum, den)
             den = _pmul(den, tden)
-        trans = trans or nf.trans
+    return _NF(num, den, trans)
+
+
+def _nf_dot(terms, trans: bool = False) -> _NF:
+    """The sum of sign * a * b over (sign, a, b) triples of normal forms,
+    with no normal form per product.  Products over constant denominators
+    are multiplied straight into one numerator over the lcm L of their
+    d_a * d_b, each scaled by L / (d_a * d_b).  Products over a non-constant
+    denominator go into one numerator per distinct denominator, and the
+    distinct ones are joined over their lcm, D * (E / gcd(D, E)), not D * E,
+    which keeps the final reduction small.  `trans` is set when it is passed
+    or any factor has a function atom."""
+    const, groups, lcm = [], [], 1
+    for sign, a, b in terms:
+        (an, ad), (bn, bd) = a.num_den, b.num_den
+        trans = trans or a.trans or b.trans
+        if not (an and bn):
+            continue
+        if _is_const_poly(ad) and _is_const_poly(bd):
+            d = ad[()] * bd[()]
+            lcm = math.lcm(lcm, d)
+            const.append((sign, an, bn, d))
+            continue
+        den = _pmul(ad, bd)
+        for gden, gnum in groups:
+            if gden == den:
+                break
+        else:
+            gnum = {}
+            groups.append((den, gnum))
+        _pmul_into(gnum, an, bn, sign)
+    num = {}
+    for sign, an, bn, d in const:
+        _pmul_into(num, an, bn, sign * (lcm // d))
+    den = _PONE if lcm == 1 else {(): lcm}
+    for gden, gnum in groups:
+        if gnum:
+            # num/den + gnum/gden over den * (gden / g)
+            g = _gcd_core(den, gden)
+            a, b = (den, gden) if _is_const_poly(g) else (_pdiv_exact(den, g), _pdiv_exact(gden, g))
+            num = _pmul(num, b)
+            _pmul_into(num, gnum, a)
+            den = _pmul(den, b)
     return _NF(num, den, trans)
 
 
@@ -483,24 +541,26 @@ def _nf_product(nfs: Iterable[_NF]) -> _NF:
     return _NF(num, den, trans)
 
 
-def _nf_neg(nf: _NF) -> _NF:
-    num, den = nf.num_den
-    return _NF(_pneg(num), den, nf.trans)
-
-
 def _padd(p, q):
     out = dict(p)
-    for m, c in q.items():
+    _padd_into(out, q)
+    return out
+
+
+def _padd_into(out, q, c=1):
+    """out += c * q, in place."""
+    for m, k in q.items():
+        if c != 1:
+            k *= c
         s = out.get(m)
         if s is None:
-            out[m] = c
+            out[m] = k
         else:
-            s = s + c
+            s += k
             if s:
                 out[m] = s
             else:
                 del out[m]
-    return out
 
 
 def _pneg(p):
@@ -515,6 +575,11 @@ def _pscale(p, c):
     return {m: k * c for m, k in p.items()}
 
 
+# Most monomial products _mono_mul keeps memoised; see the note above.
+MONO_MEMO = 2**12
+
+
+@lru_cache(maxsize=MONO_MEMO)
 def _mono_mul(m1, m2):
     if not m1:
         return m2
@@ -533,26 +598,41 @@ def _pmul(p, q):
         return _pscale(q, p[()])
     if len(q) == 1 and () in q:
         return _pscale(p, q[()])
+    out: dict = {}
+    _pmul_into(out, p, q)
+    return out
+
+
+def _pmul_into(out, p, q, c=1):
+    """out += c * p * q, in place; raises LiesysError past MAX_TERM_PAIRS
+    term pairs unless p or q is a constant."""
+    if len(p) == 1 and () in p:
+        _padd_into(out, q, c * p[()])
+        return
+    if len(q) == 1 and () in q:
+        _padd_into(out, p, c * q[()])
+        return
     if len(p) * len(q) > MAX_TERM_PAIRS:
         raise LiesysError(
             f"expanding a product of {len(p)} by {len(q)} terms exceeds "
             f"{MAX_TERM_PAIRS} term pairs"
         )
-    out: dict = {}
+    # a product of more pairs than the memo holds would only evict its own
+    mono_mul = _mono_mul if len(p) * len(q) <= MONO_MEMO else _mono_mul.__wrapped__
     for m1, c1 in p.items():
+        if c != 1:
+            c1 *= c
         for m2, c2 in q.items():
-            m = _mono_mul(m1, m2)
-            c = c1 * c2
+            m = mono_mul(m1, m2)
             s = out.get(m)
             if s is None:
-                out[m] = c
+                out[m] = c1 * c2
             else:
-                s = s + c
+                s += c1 * c2
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-    return out
 
 
 def _ppow(p, k: int):
@@ -1291,21 +1371,21 @@ def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
     # g holds den's repeated factors, which would swell the final reduction
     g = _gcd_core(den, bn)
     rest, bn = _pdiv_exact(den, g), _pdiv_exact(bn, g)
-    top = _padd(_pmul(_pmul(an, bd), rest), _pneg(_pmul(_pmul(num, bn), ad)))
+    top = _pmul(_pmul(an, bd), rest)
+    _pmul_into(top, _pmul(num, bn), ad, -1)
     return _NF(top, _pmul(_pmul(ad, bd), _pmul(den, rest)), trans)
 
 
 def _pdiff(p, rates: Mapping[str, _NF]) -> _NF:
-    """X(p) by the chain rule: the sum over p's atoms a of dp/da * rates[a]."""
+    """X(p) by the chain rule: the sum over p's atoms a of dp/da * rates[a],
+    multiplied into one numerator by _nf_dot with no normal form per atom."""
     partials: dict[str, dict] = {}
     for m, c in p.items():
         for i, (a, e) in enumerate(m):
             if a in rates:  # lowering one exponent keeps monomials apart
                 rest = m[:i] + (((a, e - 1),) if e > 1 else ()) + m[i + 1:]
                 partials.setdefault(a, {})[rest] = c * e
-    return _nf_sum(
-        _nf_product((_NF(q, _PONE, False), rates[a])) for a, q in partials.items()
-    )
+    return _nf_dot((1, _NF(q, _PONE, False), rates[a]) for a, q in partials.items())
 
 
 def differentiate(e: Expr, v: str) -> Expr:

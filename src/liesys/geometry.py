@@ -171,22 +171,20 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X,Y]^i = sum_v (X^v d_v Y^i - Y^v d_v X^i) from the partials each
     field derives once (VectorField._jet), skipping zero components and zero
     partials: brackets of one field with r - 1 others derive it once, not
-    r - 1 times.  Every component is marked as holding a function atom when
-    X or Y has one, so its zero test stays sampled.  Each component is the
-    tree of its canonical form, carrying its reduced normal form, whose sums
-    build their terms on first read."""
+    r - 1 times.  Each component's products are multiplied straight into one
+    numerator by expr._nf_dot, with no normal form per product.  Every
+    component is marked as holding a function atom when X or Y has one, so
+    its zero test stays sampled.  Each component is the tree of its
+    canonical form, carrying its reduced normal form, whose sums build their
+    terms on first read."""
     _require_same_chart(x, y)
     names, jx, jy = x.chart.names, x._jet, y._jet
-    # a zero that carries `trans` into every component's sum
-    zero = ex._NF_ZEROS[any(nf.trans for nf, _ in jx + jy)]
+    trans = any(nf.trans for nf, _ in jx + jy)
     comps = []
     for (_, dx), (_, dy) in zip(jx, jy):
-        terms = [zero]
-        terms += (ex._nf_product((xv, dy[v])) for v, (xv, _) in zip(names, jx)
-                  if v in dy and xv.num_den[0])
-        terms += (ex._nf_neg(ex._nf_product((yv, dx[v]))) for v, (yv, _) in zip(names, jy)
-                  if v in dx and yv.num_den[0])
-        comps.append(ex._expr_from_nf(ex._nf_sum(terms)))
+        terms = [(1, xv, dy[v]) for v, (xv, _) in zip(names, jx) if v in dy]
+        terms += [(-1, yv, dx[v]) for v, (yv, _) in zip(names, jy) if v in dx]
+        comps.append(ex._expr_from_nf(ex._nf_dot(terms, trans)))
     # the bracket's components use only the chart's variables
     return VectorField._on_chart(x.chart, tuple(comps))
 

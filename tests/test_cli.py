@@ -763,6 +763,23 @@ def _slot0_pushed(monkeypatch):
     monkeypatch.setattr(superposition, "integrate_tuple", pushed)
 
 
+def _structure_constant_off(monkeypatch):
+    """A kernel fault: the first structure constant of every closed report
+    off by one, as a wrong exact bracket would leave it."""
+    from liesys import algebra
+
+    real = algebra.closure_test
+
+    def off(*args, **kwargs):
+        report = real(*args, **kwargs)
+        if report.closed:
+            pair = min(report.constants)
+            first, *rest = report.constants[pair]
+            report.constants[pair] = (first + 1, *rest)
+        return report
+    monkeypatch.setattr(algebra, "closure_test", off)
+
+
 # (id, command, problem file, edits, fault, the check that FAILs, a fragment of
 # its detail, the checks that still PASS).  Short of `completed` itself, the
 # stage before every check is the file's parsing and phi's leaf conditions,
@@ -790,6 +807,12 @@ PLANTED_DEFECTS = [
     # exact tangency leaves only a liesys fault for the drift to catch
     ("partial_drift_fault", "verify", PROBLEMS / "partial_rank1.json", {}, _slot0_pushed,
      "psi_drift_along_solutions", "", {"tangency_zero", "psi_transversal"}),
+    # [1, x^2] = 2x lies outside the span of 1 and x^2
+    ("bracket_outside_the_span", "closure", PROBLEMS / "incomplete_pair.json", {}, None,
+     "closed", "dimension 2", set()),
+    # sl(2) with [X_0, X_1] = 2 X_0 instead of X_0: the brackets still close
+    ("structure_constant_off", "closure", PROBLEMS / "riccati.json", {}, _structure_constant_off,
+     "jacobi_residual_zero", "", {"closed"}),
 ]
 
 

@@ -955,3 +955,118 @@ class TestLazySums:
         assert texts == [want] * 4
         assert type(lazy) is Add
         assert builds == [84]
+
+
+# -- the accumulators against the fold they replaced: _nf_sum as it folded
+#    before, and a sum of sign * a * b as one normal form per product, kept
+#    here as the oracle.
+
+def _fold_oracle(nfs):
+    num, den, trans = {}, ex._PONE, False
+    for nf in nfs:
+        tnum, tden = nf.num_den
+        if tden == den:
+            num = _padd(num, tnum)
+        elif ex._is_const_poly(den) and ex._is_const_poly(tden):
+            d, td = den[()], tden[()]
+            lcm = math.lcm(d, td)
+            num = _padd(ex._pscale(num, lcm // d), ex._pscale(tnum, lcm // td))
+            den = {(): lcm}
+        else:
+            num = _padd(_pmul(num, tden), _pmul(tnum, den))
+            den = _pmul(den, tden)
+        trans = trans or nf.trans
+    return ex._NF(num, den, trans)
+
+
+def _dot_oracle(terms, trans):
+    products = [ex._NF_ZEROS[trans]]
+    for sign, a, b in terms:
+        (an, ad), (bn, bd) = a.num_den, b.num_den
+        num = _pmul(an, bn)
+        products.append(ex._NF(num if sign > 0 else ex._pneg(num), _pmul(ad, bd), a.trans or b.trans))
+    return _fold_oracle(products)
+
+
+_ACC_ATOMS = ("x", "y", "sin(x)")
+_MONOMIALS = st.lists(st.tuples(st.sampled_from(_ACC_ATOMS), st.integers(1, 3)),
+                      max_size=2, unique_by=lambda t: t[0]).map(lambda ms: tuple(sorted(ms)))
+_POLYS = st.dictionaries(_MONOMIALS, st.integers(-4, 4).filter(bool), max_size=4)
+_DENS = st.one_of(
+    st.integers(-6, 6).filter(bool).map(lambda d: {(): d}),
+    _POLYS.filter(lambda p: p and not ex._is_const_poly(p)),
+)
+
+
+def _nf_from(num, den):
+    trans = any(a == "sin(x)" for p in (num, den) for m in p for a, _ in m)
+    return ex._NF(num, den, trans)
+
+
+@st.composite
+def _normal_forms(draw, max_size=5):
+    """Normal forms over constant and non-constant denominators, some of
+    them followed later by their negation, so that terms cancel to zero."""
+    nfs = draw(st.lists(st.builds(_nf_from, _POLYS, _DENS), max_size=max_size))
+    for i in draw(st.lists(st.integers(0, max(len(nfs) - 1, 0)), max_size=2)) if nfs else ():
+        num, den = nfs[i].num_den
+        nfs.append(ex._NF(ex._pneg(num), den, nfs[i].trans))
+    return nfs
+
+
+def _snapshot(nfs):
+    return [(dict(nf.num_den[0]), dict(nf.num_den[1])) for nf in nfs]
+
+
+def _shared_constants_unchanged():
+    assert ex._PONE == {(): 1}
+    assert ex._NF_ONE.num_den == ({(): 1}, {(): 1})
+    assert [nf.num_den for nf in ex._NF_ZEROS] == [({}, {(): 1})] * 2
+
+
+class TestAccumulator:
+    """_nf_sum and _nf_dot add into numerators they own: they give the
+    canonical form and `trans` of the fold they replaced, write no input,
+    and over constant denominators give its very pair."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(nfs=_normal_forms())
+    def test_sum_matches_the_fold(self, nfs):
+        before = _snapshot(nfs)
+        got, want = ex._nf_sum(nfs), _fold_oracle(nfs)
+        assert got.num_den == want.num_den and got.trans == want.trans
+        assert got.canonical() == want.canonical()
+        assert _snapshot(nfs) == before
+        _shared_constants_unchanged()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(left=_normal_forms(max_size=4), right=_normal_forms(max_size=4),
+           signs=st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6), trans=st.booleans())
+    def test_dot_matches_one_normal_form_per_product(self, left, right, signs, trans):
+        terms = list(zip(signs, left, right))
+        before = _snapshot(left + right)
+        got, want = ex._nf_dot(terms, trans), _dot_oracle(terms, trans)
+        assert got.canonical() == want.canonical() and got.trans == want.trans
+        if all(ex._is_const_poly(nf.num_den[1]) for nf in left + right):
+            assert got.num_den == want.num_den
+        assert _snapshot(left + right) == before
+        _shared_constants_unchanged()
+
+    def test_products_past_the_term_pair_bound_raise(self):
+        wide = ex._NF({(("x", i), ("y", j)): 1 for i in range(1, 601) for j in (1,)}, ex._PONE, False)
+        tall = ex._NF({(("y", j),): 1 for j in range(2, 602)}, ex._PONE, False)
+        with pytest.raises(LiesysError, match=r"a product of 600 by 600 terms exceeds 262144 term pairs"):
+            ex._nf_dot([(1, wide, tall)])
+        with pytest.raises(LiesysError, match=r"a product of 600 by 600 terms exceeds 262144 term pairs"):
+            ex._nf_product((wide, tall))
+
+    def test_monomial_memo_stays_within_its_bound(self):
+        ex._mono_mul.cache_clear()
+        try:
+            for i in range(ex.MONO_MEMO + 100):
+                assert ex._mono_mul((("x", i + 1),), (("x", 1), ("y", 2))) == (("x", i + 2), ("y", 2))
+            info = ex._mono_mul.cache_info()
+            assert info.currsize == info.maxsize == ex.MONO_MEMO
+            assert ex._mono_mul((("y", 1),), (("x", 2),)) == (("x", 2), ("y", 1))
+        finally:
+            ex._mono_mul.cache_clear()

@@ -44,11 +44,15 @@ FLAG_CALLS = (
     ("incomplete_pair.closure.complete", ["closure", "problems/incomplete_pair.json", "--complete"]),
 )
 # (output name, argv): a partial rule whose constraint set x2 = x1^2 the
-# translations move, with and without coefficients
+# translations move, with and without coefficients; and two plane fields
+# whose components have unlike non-constant denominators, so that their
+# bracket takes the non-constant path of expr._nf_dot
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant_rule.verify", ["verify", "tools/inputs/partial_not_invariant_rule.json"]),
+    ("rational_plane.closure", ["closure", "tools/inputs/rational_plane.json"]),
+    ("rational_plane.m", ["m", "tools/inputs/rational_plane.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
