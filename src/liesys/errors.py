@@ -37,20 +37,22 @@ class FundamentalSetError(LiesysError):
     """Could not assemble a fundamental tuple of initial points."""
 
 
-class NonConvergenceError(LiesysError):
-    """Newton leaf solve failed to converge; carries the time at which it failed."""
+class _Located(LiesysError):
+    """An error at a time t, or at a node t = (row, column) of a PDE
+    parameter grid, whose row indexes t1 and whose column indexes t2."""
 
-    def __init__(self, message: str, t: float):
-        super().__init__(f"{message} (t={t:.6g})")
+    def __init__(self, message: str, t: float | tuple[int, int]):
+        where = f"grid row {t[0]}, column {t[1]}" if isinstance(t, tuple) else f"t={t:.6g}"
+        super().__init__(f"{message} ({where})")
         self.t = t
 
 
-class SingularDomainError(LiesysError):
-    """A tuple left the rule's generic domain; carries the offending time."""
+class NonConvergenceError(_Located):
+    """Newton leaf solve failed to converge; carries where it failed."""
 
-    def __init__(self, message: str, t: float):
-        super().__init__(f"{message} (t={t:.6g})")
-        self.t = t
+
+class SingularDomainError(_Located):
+    """A tuple left the rule's generic domain; carries where."""
 
 
 class NotFlatError(LiesysError):

@@ -1553,8 +1553,7 @@ def compile_source(source: str, name: str, **scope) -> Callable:
     in a scope holding the functions python_source emits plus `scope`.
 
     Each source text is compiled once per process, in a bounded cache (256
-    texts; `examples run-all --seed 0` compiles 51 and one cycle of the
-    `trajectories` benchmark, set-up included, 46), and run in a fresh
+    texts; `examples run-all --seed 0` compiles 49), and run in a fresh
     namespace on every call, so systems whose sources coincide share code
     but never scope values such as coefficient tables."""
     namespace = {"__builtins__": {}, **{f"_{fn}": f for fn, f in _MATH.items()}, **scope}

@@ -32,7 +32,7 @@ from .errors import IntegrationBlowUpError, LiesysError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
 from .report import Check
-from .superposition import GAP_LIMIT, SuperpositionRule, _LeafSolver, verify_tangency
+from .superposition import GAP_LIMIT, SuperpositionRule, _leaf_solve, verify_tangency
 
 __all__ = [
     "PdeSystem",
@@ -353,12 +353,14 @@ def pde_superpose(
     k: Sequence[float],
     x0_guess: Sequence[float],
 ) -> np.ndarray:
-    """Pointwise leaf solve over the parameter grid in row-major order.  Each
-    node is warm-started from its grid neighbour: the previous node of its
-    row, or for the first node of a row the first node of the previous row
-    (the end of the previous row can lie across another particular
-    solution).  `solutions` are m value grids of shape grid_shape + (n,);
-    the slot-0 grid comes back with the same shape."""
+    """Pointwise leaf solve over the parameter grid in row-major order, by
+    the rule's generated damped Newton solve (superposition._leaf_solve).
+    Each node is warm-started from its grid neighbour: the previous node of
+    its row, or for the first node of a row the first node of the previous
+    row (the end of the previous row can lie across another particular
+    solution).  A failed solve names its node by row (the t1 index) and
+    column (the t2 index).  `solutions` are m value grids of shape
+    grid_shape + (n,); the slot-0 grid comes back with the same shape."""
     if sys.decomposition is None:
         raise ValueError("pde_superpose needs a system with a Lie decomposition")
     if len(solutions) != rule.m:
@@ -377,7 +379,7 @@ def pde_superpose(
             raise ValueError("solution grids must share one shape")
     rests = np.concatenate([g.reshape(-1, sys.n) for g in grids], axis=1).tolist()
     k = np.asarray(k, dtype=float).tolist()
-    solver = _LeafSolver(rule)
+    solve = _leaf_solve(rule)
     count = len(rests)
     out = np.empty((count, sys.n))
     row = shape[-2]
@@ -385,7 +387,7 @@ def pde_superpose(
     for node in range(count):
         if node >= row and node % row == 0:
             guess = out[node - row].tolist()
-        guess = solver.solve(rests[node], k, guess, float(node))
+        guess = solve(rests[node], k, guess, divmod(node, row))
         out[node] = guess
     return out.reshape(shape)
 

@@ -18,9 +18,12 @@ Along solutions every rule is checked one way: psi's drift along one
 integrated (m+1)-tuple, with slot 0 starting at x0, or on the leaf of k at t0
 (phi there for a rule with phi, a leaf solve otherwise).
 
-Reconstruction holds psi at its initial value by a damped Newton solve with
-the exact Jacobian (derivative trees evaluated in floats), warm-started along
-the grid.
+Reconstruction holds psi at k by a damped Newton solve at each grid node,
+warm-started along the grid; with phi, slot 0 is phi there, checked by a
+solve every CROSSCHECK_EVERY nodes.  The solve is one function generated
+for the rule (_leaf_solve): residuals, norm, the exact Jacobian (derivative
+trees evaluated in floats) and each damped trial are scalar locals; for
+n > 1 the step is still np.linalg.solve.
 
 `rule_checks`, `solution_checks` and `superpose_checks` turn these into the
 named checks of `liesys verify` and `liesys superpose`, and of the catalog.
@@ -350,80 +353,102 @@ def verify_along_solutions(
 # ---------------------------------------------------------------------------
 
 
-class _LeafSolver:
+def _leaf_solve(rule: SuperpositionRule) -> Callable[..., list[float]]:
     """Damped Newton for psi(x0, slots) = k plus constraints = 0 in the
-    slot-0 variables.
+    slot-0 variables, as one function generated for the rule:
+    solve(rest, k, guess, t) -> slot 0, where `rest` holds the other slots
+    and t only names the node in an error (a time, or a grid node).
 
-    The equations and the n x n slot-0 Jacobian are one compiled vector each.
-    Jacobian entries are exact derivative trees (`ex._diff_tree`), not
-    canonical forms, so building a solver runs no gcd; they leave out zero
-    partials and unit factors, and keep every nonzero value's bits.  The
-    quotient rule keeps the denominators and ln' = u'/u, so an entry is
-    defined wherever its equation is; an entry that is identically zero is
-    the constant 0 and never raises, even where the b^2 of its dropped
-    quotient-rule terms would underflow.  Iterates are lists of plain
-    floats, so a singular point raises instead of warning.  The residual norm is NaN when a residual is,
-    as with np.max, so a NaN never counts as converged.  For n = 1 the step
-    is -r/J, which is bit-identical to np.linalg.solve on the 1 x 1 system;
-    larger systems go to np.linalg.solve.
+    The iterate, the residuals r_j = psi_j - k_j (the constraints have no
+    k), their norm, the n x n slot-0 Jacobian and each damped trial are
+    scalar locals, each equation and entry written inline; the one list and
+    call per iteration is np.linalg.solve's, for n > 1.  Jacobian entries
+    are exact derivative trees (`ex._diff_tree`), not canonical forms, so
+    building a solver runs no gcd; they leave out zero partials and unit
+    factors, and keep every nonzero value's bits.  The quotient rule keeps
+    the denominators and ln' = u'/u, so an entry is defined wherever its
+    equation is; an entry that is identically zero is the constant 0 and
+    never raises, even where the b^2 of its dropped quotient-rule terms
+    would underflow.  Iterates are plain floats, so a singular point raises
+    instead of warning.  The residual norm is NaN when a residual is, as
+    with np.max (Python's max skips a NaN that is not the first item), so
+    a NaN never counts as converged.  For n = 1 the step is -r/J, which is
+    bit-identical to np.linalg.solve on the 1 x 1 system.  The NEWTON_*
+    constants are read when the solver is built.  Each source text is
+    compiled once per process (ex.compile_source), so rules with the same
+    equations share its code.
     """
+    n, names = rule.base_chart.dim, rule.product_chart.names
+    equations = list(rule.psi) + list(rule.constraints)
+    rest = [f"p_{i}" for i in range(len(names) - n)]
+    at = dict(zip(names, [f"x_{i}" for i in range(n)] + rest))
 
-    def __init__(self, rule: SuperpositionRule):
-        names = rule.product_chart.names
-        self.n = rule.base_chart.dim
-        equations = list(rule.psi) + list(rule.constraints)
-        self.equations = ex.compile_vector(equations, names)
-        self.jacobian = ex.compile_vector(
-            [ex._diff_tree(e, v) for e in equations for v in names[: self.n]], names
-        )
+    def each(name):
+        return ", ".join(f"{name}_{i}" for i in range(n)) + ","
 
-    def residual(self, x0: list[float], rest: list[float], k: list[float]) -> list[float]:
-        out = self.equations(*x0, *rest)
-        for j, kj in enumerate(k):
-            out[j] -= kj
-        return out
-
-    def solve(self, rest: list[float], k: list[float], guess: list[float], t: float) -> list[float]:
-        x = list(guess)
-        try:
-            res = self.residual(x, rest, k)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            raise SingularDomainError("leaf solve started at a singular point", t) from None
-        norm = _max_abs(res)
-        for _ in range(NEWTON_MAX_ITER):
-            if norm < NEWTON_TOL:
-                return x
-            try:
-                jac = self.jacobian(*x, *rest)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                raise SingularDomainError("Jacobian evaluation singular", t) from None
-            try:
-                if self.n == 1:
-                    step = [-res[0] / jac[0]]
-                else:
-                    matrix = np.array(jac, dtype=float).reshape(self.n, self.n)
-                    step = np.linalg.solve(matrix, [-r for r in res]).tolist()
-            except (ZeroDivisionError, np.linalg.LinAlgError):
-                raise NonConvergenceError("singular Jacobian in leaf solve", t) from None
-            lam = 1.0
-            for _ in range(NEWTON_MAX_HALVINGS + 1):
-                try:
-                    trial = [xi + lam * si for xi, si in zip(x, step)]
-                    trial_res = self.residual(trial, rest, k)
-                    trial_norm = _max_abs(trial_res)
-                except (ZeroDivisionError, ValueError, OverflowError):
-                    trial_norm = math.inf
-                if math.isfinite(trial_norm) and (trial_norm < norm or norm < NEWTON_TOL):
-                    break
-                lam *= 0.5
-            else:
-                raise NonConvergenceError("Newton damping exhausted", t)
-            x, res, norm = trial, trial_res, trial_norm
-        if norm < NEWTON_TOL:
-            return x
-        raise NonConvergenceError(
-            f"Newton did not converge in {NEWTON_MAX_ITER} iterations", t
-        )
+    # the residuals at x, written once: the start and every trial assign x
+    residuals = [f"r_{j} = {ex.python_source(e, at)}" + (f" - k_{j}" if j < rule.rank else "")
+                 for j, e in enumerate(equations)]
+    absolutes = ", ".join(f"_abs(r_{j})" for j in range(n))
+    norm = (" or ".join(f"r_{j} != r_{j}" for j in range(n))
+            + " else " + (f"_max({absolutes})" if n > 1 else absolutes))
+    jacobian = [f"j_{row * n + i} = {ex.python_source(ex._diff_tree(e, v), at)}"
+                for row, e in enumerate(equations) for i, v in enumerate(names[:n])]
+    if n == 1:
+        step = "s_0 = -r_0 / j_0"
+    else:
+        matrix = ", ".join("[" + ", ".join(f"j_{row * n + i}" for i in range(n)) + "]" for row in range(n))
+        step = (f"{each('s')} = _solve(_array([{matrix}], dtype=_float), "
+                f"[{', '.join(f'-r_{j}' for j in range(n))}]).tolist()")
+    lines = ["def solve(rest, k, guess, t):",
+             f"    {''.join(f'{p}, ' for p in rest)}= rest",
+             f"    {''.join(f'k_{j}, ' for j in range(rule.rank))}= k",
+             f"    {each('x')} = guess",
+             "    try:",
+             *(f"        {line}" for line in residuals),
+             "    except _errors:",
+             "        raise _Singular('leaf solve started at a singular point', t) from None",
+             f"    norm = _nan if {norm}",
+             "    for _ in _iterations:",
+             "        if norm < _tol:",
+             f"            return [{each('x')}]",
+             "        try:",
+             *(f"            {line}" for line in jacobian),
+             "        except _errors:",
+             "            raise _Singular('Jacobian evaluation singular', t) from None",
+             "        try:",
+             f"            {step}",
+             "        except _singular_matrix:",
+             "            raise _NonConvergence('singular Jacobian in leaf solve', t) from None",
+             # the iterate is v while x and r hold each trial; a trial that
+             # is not taken is overwritten by the next, or the loop raises
+             f"        {each('v')} = {each('x')}",
+             "        lam = 1.0",
+             "        for _ in _halvings:",
+             "            try:",
+             *(f"                x_{i} = v_{i} + lam * s_{i}" for i in range(n)),
+             *(f"                {line}" for line in residuals),
+             f"                trial = _nan if {norm}",
+             "            except _errors:",
+             "                trial = _inf",
+             # norm >= NEWTON_TOL here, or the loop would have returned
+             "            if _isfinite(trial) and trial < norm:",
+             "                break",
+             "            lam *= 0.5",
+             "        else:",
+             "            raise _NonConvergence('Newton damping exhausted', t)",
+             "        norm = trial",
+             "    if norm < _tol:",
+             f"        return [{each('x')}]",
+             "    raise _NonConvergence(_unconverged, t)"]
+    return ex.compile_source(
+        "\n".join(lines), "solve", _max=max, _abs=abs, _isfinite=math.isfinite, _nan=math.nan,
+        _inf=math.inf, _float=float, _array=np.array, _solve=np.linalg.solve,
+        _errors=(ZeroDivisionError, ValueError, OverflowError),
+        _singular_matrix=(ZeroDivisionError, np.linalg.LinAlgError),
+        _Singular=SingularDomainError, _NonConvergence=NonConvergenceError, _tol=NEWTON_TOL,
+        _iterations=range(NEWTON_MAX_ITER), _halvings=range(NEWTON_MAX_HALVINGS + 1),
+        _unconverged=f"Newton did not converge in {NEWTON_MAX_ITER} iterations")
 
 
 def _max_abs(values: list[float]) -> float:
@@ -467,18 +492,18 @@ def _leaf_points(rule: SuperpositionRule, k: Sequence[float]) -> Callable[..., l
     there, checked by a leaf solve from it when `crosscheck`; otherwise it is
     a damped Newton solve from `guess`."""
     k = _k_values(rule, k)
-    solver = _LeafSolver(rule)
+    solve = _leaf_solve(rule)
     if rule.phi is None:
         def point(rest, guess, t, crosscheck):
             if guess is None:
                 raise ValueError("x0_guess is required when the rule has no phi")
-            return solver.solve(rest, k, guess, t)
+            return solve(rest, k, guess, t)
         return point
     phi = _phi_points(rule, k)
 
     def point(rest, guess, t, crosscheck):
         x = phi(rest, t)
-        if crosscheck and _max_abs([a - b for a, b in zip(solver.solve(rest, k, x, t), x)]) > 1e-6:
+        if crosscheck and _max_abs([a - b for a, b in zip(solve(rest, k, x, t), x)]) > 1e-6:
             raise NonConvergenceError("phi and leaf solve disagree beyond 1e-6", t)
         return x
     return point
@@ -507,8 +532,10 @@ def reconstruct(
     """Slot-0 curve with psi held at k along the m particular solutions.
 
     With phi present the curve is evaluated directly and cross-checked by one
-    Newton solve every CROSSCHECK_EVERY grid points; otherwise each grid
-    point is a damped Newton solve warm-started from its predecessor.
+    leaf solve every CROSSCHECK_EVERY grid points; otherwise each grid point
+    is a damped Newton solve warm-started from its predecessor.  The solve is
+    the rule's generated function (_leaf_solve), built once per call; a
+    failure names the grid point's t.
     """
     if len(trajectories) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(trajectories)}")

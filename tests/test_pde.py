@@ -3,7 +3,7 @@ import pytest
 
 from liesys import pde
 from liesys.dynamics import CoefficientCurve, LieSystem, integrate, integrate_tuple
-from liesys.errors import LiesysError, NotFlatError
+from liesys.errors import LiesysError, NonConvergenceError, NotFlatError
 from liesys.expr import Chart, Var, canonically_equal, is_zero, parse
 from liesys.geometry import VectorField
 from liesys.pde import (
@@ -185,6 +185,18 @@ class TestGridSuperposition:
         grid = solve_on_grid(sys, [0.2], axes)
         rebuilt = pde_superpose(sys, rule, [grid], [0.3], [0.5])
         assert np.max(np.abs(rebuilt - (grid + 0.3))) <= 1e-9
+
+    def test_leaf_failure_names_its_grid_node(self):
+        # pde_riccati's grids with u_2 = u_1 at row 3, column 4, where the
+        # cross ratio is 1 whatever u_0: its flat node index is 37
+        sys = flat_riccati()
+        axes = [np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 11)]
+        grids = [solve_on_grid(sys, [u], axes) for u in (-1.0, -2.0, 0.5)]
+        grids[1][3, 4] = grids[0][3, 4]
+        with pytest.raises(NonConvergenceError) as err:
+            pde_superpose(sys, cross_ratio_u(), grids, [2 / 3], [0.25])
+        assert str(err.value) == "singular Jacobian in leaf solve (grid row 3, column 4)"
+        assert err.value.t == (3, 4)
 
     def test_rule_must_be_tangent(self):
         sys = flat_riccati()

@@ -16,7 +16,7 @@ from liesys.superposition import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     SuperpositionRule,
-    _LeafSolver,
+    _leaf_solve,
     derive_k,
     reconstruct,
     rule_checks,
@@ -517,7 +517,7 @@ class TestPartialRules:
         # verify's start is phi at the points, evaluated once
         def refuse(rule):
             raise AssertionError("a leaf solver was built")
-        monkeypatch.setattr(superposition, "_LeafSolver", refuse)
+        monkeypatch.setattr(superposition, "_leaf_solve", refuse)
         check, _ = self.drift(self.rank1, [[0.8, -0.5]], [0.7])
         assert check.passed
 
@@ -627,17 +627,90 @@ class _ReferenceLeafSolver:
         raise NonConvergenceError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations", t)
 
 
-def _outcome(solver, rest, k, guess):
-    """The solution as an array, or the type and message of the exception."""
+class _ListLeafSolver:
+    """The leaf solver as it was before it was generated: the equations and
+    the Jacobian entries (`ex._diff_tree`) as one compiled vector each, the
+    residual, trial and step as lists, the norm by _max_abs.  The generated
+    solve must return the same floats and raise the same errors."""
+
+    def __init__(self, rule):
+        names = rule.product_chart.names
+        self.n = rule.base_chart.dim
+        equations = list(rule.psi) + list(rule.constraints)
+        self.equations = ex.compile_vector(equations, names)
+        self.jacobian = ex.compile_vector(
+            [ex._diff_tree(e, v) for e in equations for v in names[: self.n]], names
+        )
+
+    def residual(self, x0, rest, k):
+        out = self.equations(*x0, *rest)
+        for j, kj in enumerate(k):
+            out[j] -= kj
+        return out
+
+    def solve(self, rest, k, guess, t):
+        x = list(guess)
+        try:
+            res = self.residual(x, rest, k)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            raise SingularDomainError("leaf solve started at a singular point", t) from None
+        norm = _max_abs(res)
+        for _ in range(NEWTON_MAX_ITER):
+            if norm < NEWTON_TOL:
+                return x
+            try:
+                jac = self.jacobian(*x, *rest)
+            except (ZeroDivisionError, ValueError, OverflowError):
+                raise SingularDomainError("Jacobian evaluation singular", t) from None
+            try:
+                if self.n == 1:
+                    step = [-res[0] / jac[0]]
+                else:
+                    matrix = np.array(jac, dtype=float).reshape(self.n, self.n)
+                    step = np.linalg.solve(matrix, [-r for r in res]).tolist()
+            except (ZeroDivisionError, np.linalg.LinAlgError):
+                raise NonConvergenceError("singular Jacobian in leaf solve", t) from None
+            lam = 1.0
+            for _ in range(NEWTON_MAX_HALVINGS + 1):
+                try:
+                    trial = [xi + lam * si for xi, si in zip(x, step)]
+                    trial_res = self.residual(trial, rest, k)
+                    trial_norm = _max_abs(trial_res)
+                except (ZeroDivisionError, ValueError, OverflowError):
+                    trial_norm = math.inf
+                if math.isfinite(trial_norm) and (trial_norm < norm or norm < NEWTON_TOL):
+                    break
+                lam *= 0.5
+            else:
+                raise NonConvergenceError("Newton damping exhausted", t)
+            x, res, norm = trial, trial_res, trial_norm
+        if norm < NEWTON_TOL:
+            return x
+        raise NonConvergenceError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations", t)
+
+
+def _max_abs(values):
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
+
+
+def _result(solve, rest, k, guess):
+    """What solve(rest, k, guess, 0.5) returns, or the type and message of
+    the leaf-solve error it raises."""
     try:
-        return np.asarray(solver.solve(rest, k, guess, 0.5))
+        return solve(rest, k, guess, 0.5)
     except (NonConvergenceError, SingularDomainError) as exc:
         return type(exc), str(exc)
 
 
+def _outcome(solve, rest, k, guess):
+    """The solution as an array, or the type and message of the exception."""
+    out = _result(solve, rest, k, guess)
+    return out if isinstance(out, tuple) else np.asarray(out)
+
+
 def _both(rule, rest, k, guess):
-    new = _outcome(_LeafSolver(rule), list(rest), list(k), list(guess))
-    old = _outcome(_ReferenceLeafSolver(rule), np.array(rest), np.array(k), np.array(guess))
+    new = _outcome(_leaf_solve(rule), list(rest), list(k), list(guess))
+    old = _outcome(_ReferenceLeafSolver(rule).solve, np.array(rest), np.array(k), np.array(guess))
     return new, old
 
 
@@ -691,7 +764,7 @@ class TestLeafSolver:
     @pytest.mark.parametrize("name,rule,draw", _leaf_cases())
     def test_agrees_with_reference(self, name, rule, draw):
         rng = random.Random(f"leaf-{name}")
-        solver, reference = _LeafSolver(rule), _ReferenceLeafSolver(rule)
+        solve, reference = _leaf_solve(rule), _ReferenceLeafSolver(rule).solve
         names = rule.product_chart.names
         psi = [compile_expr(p, names) for p in rule.psi]
         solved = 0
@@ -702,7 +775,7 @@ class TestLeafSolver:
             except ZeroDivisionError:
                 continue
             guess = [v + rng.uniform(-0.1, 0.1) for v in x0]
-            new = _outcome(solver, rest, k, guess)
+            new = _outcome(solve, rest, k, guess)
             old = _outcome(reference, np.array(rest), np.array(k), np.array(guess))
             if isinstance(old, tuple):
                 assert new == old
@@ -723,11 +796,16 @@ class TestLeafSolver:
         assert not any("(0)" in text for text in sources)  # how python_source writes Const(0)
         assert sum(map(len, sources)) <= 2300  # 2,213 now
 
-    def test_jacobian_of_a_power_keeps_the_power(self):
+    def test_jacobian_of_a_power_keeps_the_power(self, monkeypatch):
         # d/dx_0 of (x_0 - x_1)^20 + x_0 is 20*(x_0 - x_1)^19 + 1 = 1 to
-        # rounding here; expanded, its terms reach about 1e25 and cancel to noise
+        # rounding at (10.001, 10.0); expanded, its terms reach about 1e25 and
+        # cancel to noise.  With one iteration the solve returns its first
+        # step from 10.001, 10.001 - r/J, where psi is linear to rounding
+        # ((x_0 - 10)^20 < 1e-20), so the root 9.9 to 1e-12 pins J = 1 to 1e-11
         rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^20 + x_0"])
-        assert _LeafSolver(rule).jacobian(10.001, 10.0) == pytest.approx([1.0], abs=1e-12)
+        monkeypatch.setattr(superposition, "NEWTON_MAX_ITER", 1)
+        assert _leaf_solve(rule)([10.0], [9.9], [10.001], 0.0) == pytest.approx([9.9], abs=1e-12)
+        assert _ListLeafSolver(rule).jacobian(10.001, 10.0) == pytest.approx([1.0], abs=1e-12)
 
     def test_singular_start(self):
         new, old = _both(cross_ratio(), [0.5, -1.0, 2.0], [0.3], [-1.0])
@@ -761,5 +839,58 @@ class TestLeafSolver:
         monkeypatch.setattr(ex, "canonical_expr", refuse)
         monkeypatch.setattr(ex, "_gcd_core", refuse)
         rest = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
-        x = _LeafSolver(rule).solve(rest, [0.2, -0.3, 0.5], [0.0, 0.0, 0.0], 0.0)
+        x = _leaf_solve(rule)(rest, [0.2, -0.3, 0.5], [0.0, 0.0, 0.0], 0.0)
         assert np.max(np.abs(np.subtract(x, [0.2, -0.3, 0.5]))) <= 1e-12
+
+
+class TestGeneratedSolveBitIdentity:
+    """The generated solve against the list-based one it replaced
+    (_ListLeafSolver): the same floats, or the same error and message."""
+
+    @pytest.mark.parametrize("name,rule,draw", _leaf_cases() + [pytest.param(
+        "euclidean", euclidean_rule(),
+        lambda rng: ([rng.uniform(-2, 2) for _ in range(2)], [rng.uniform(-2, 2) for _ in range(4)]),
+        id="euclidean")])
+    def test_same_floats(self, name, rule, draw):
+        # guesses up to 1 away take several damped iterations, and some fail;
+        # the euclidean rule is the one with n > 1 that is not linear in slot 0
+        rng = random.Random(f"bits-{name}")
+        solve, listed = _leaf_solve(rule), _ListLeafSolver(rule).solve
+        psi = ex.compile_vector(rule.psi, rule.product_chart.names)
+        solved = 0
+        for _ in range(80):
+            x0, rest = draw(rng)
+            try:
+                k = psi(*x0, *rest)
+            except ZeroDivisionError:
+                continue
+            guess = [v + rng.uniform(-1.0, 1.0) for v in x0]
+            new = _result(solve, rest, k, guess)
+            assert new == _result(listed, rest, k, guess)
+            solved += not isinstance(new, tuple)
+        assert solved >= 40
+
+    @pytest.mark.parametrize("rule,rest,k,guess,error", [
+        (cross_ratio(), [0.5, -1.0, 2.0], [0.3], [-1.0],
+         (SingularDomainError, "leaf solve started at a singular point (t=0.5)")),
+        # the Jacobian entry x_1/x_1^2 underflows to a zero divisor where psi is 1
+        (SuperpositionRule.from_strings(LINE, 1, 1, psi=["x_0/x_1"]), [1e-200], [0.5], [1e-200],
+         (SingularDomainError, "Jacobian evaluation singular (t=0.5)")),
+        (SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^2"]), [0.5], [0.3], [0.5],
+         (NonConvergenceError, "singular Jacobian in leaf solve (t=0.5)")),
+        (euclidean_rule(), [0.5, 0.5, -1.0, 2.0], [0.3, 1.0], [0.5, 0.5],
+         (NonConvergenceError, "singular Jacobian in leaf solve (t=0.5)")),
+        (SuperpositionRule.from_strings(PLANE, 1, 2, psi=["x_0 - x_1", "y_0 + y_1*y_1*y_1 - y_1*y_1*y_1"]),
+         [0.5, 1e200], [0.0, 0.3], [0.5, 0.2], (NonConvergenceError, "Newton damping exhausted (t=0.5)")),
+        # x^2 + 1 = 0 has no root: from 0.001 the step is about -500, and
+        # nine halvings of it all land where x^2 + 1 is larger
+        (SuperpositionRule.from_strings(LINE, 1, 1, psi=["x_0^2 - x_1"]), [-1.0], [0.0], [0.001],
+         (NonConvergenceError, "Newton damping exhausted (t=0.5)")),
+        # a root of multiplicity 20: each step shrinks x_0 - x_1 by 19/20
+        (SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^20"]), [0.0], [0.0], [100.0],
+         (NonConvergenceError, f"Newton did not converge in {NEWTON_MAX_ITER} iterations (t=0.5)")),
+    ], ids=["singular_start", "singular_jacobian_entry", "zero_jacobian_n1", "zero_jacobian_n2",
+            "nan_equation", "damping_exhausted", "not_converged"])
+    def test_same_error(self, rule, rest, k, guess, error):
+        assert _result(_leaf_solve(rule), rest, k, guess) == _result(
+            _ListLeafSolver(rule).solve, rest, k, guess) == error

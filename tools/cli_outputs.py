@@ -42,17 +42,25 @@ FLAG_CALLS = (
     ("riccati.superpose.tol_1e-6", ["superpose", "problems/riccati.json", "--tol", "1e-6"]),
     ("pde_nonflat.pde_solve.audit", ["pde", "solve", "problems/pde_nonflat.json", "--audit"]),
     ("incomplete_pair.closure.complete", ["closure", "problems/incomplete_pair.json", "--complete"]),
+    ("riccati.verify.tol-const_1e-12", ["verify", "problems/riccati.json", "--tol-const", "1e-12"]),
+    ("riccati.superpose.tol-const_1e-12", ["superpose", "problems/riccati.json", "--tol-const", "1e-12"]),
+    ("riccati.m.seed_3", ["m", "problems/riccati.json", "--seed", "3"]),
+    ("riccati.verify.seed_3", ["verify", "problems/riccati.json", "--seed", "3"]),
 )
 # (output name, argv): a partial rule whose constraint set x2 = x1^2 the
-# translations move, with and without coefficients; and two plane fields
+# translations move, with and without coefficients; two plane fields
 # whose components have unlike non-constant denominators, so that their
-# bracket takes the non-constant path of expr._nf_dot
+# bracket takes the non-constant path of expr._nf_dot; and two rules with
+# no phi, so every slot-0 node is a leaf solve: one whose solve starts at a
+# singular point, one whose solve lands on another branch of its leaf
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant_rule.verify", ["verify", "tools/inputs/partial_not_invariant_rule.json"]),
     ("rational_plane.closure", ["closure", "tools/inputs/rational_plane.json"]),
     ("rational_plane.m", ["m", "tools/inputs/rational_plane.json"]),
+    ("leaf_singular_start.superpose", ["superpose", "tools/inputs/leaf_singular_start.json"]),
+    ("leaf_other_branch.superpose", ["superpose", "tools/inputs/leaf_other_branch.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
