@@ -21,9 +21,9 @@ integrated (m+1)-tuple, with slot 0 starting at x0, or on the leaf of k at t0
 Reconstruction holds psi at k by a damped Newton solve at each grid node,
 warm-started along the grid; with phi, slot 0 is phi there, checked by a
 solve every CROSSCHECK_EVERY nodes.  The solve is one function generated
-for the rule (_leaf_solve): residuals, norm, the exact Jacobian (derivative
-trees evaluated in floats) and each damped trial are scalar locals; for
-n > 1 the step is still np.linalg.solve.
+for the rule and kept in a bounded cache (_leaf_solve): residuals, norm,
+the exact Jacobian (derivative trees evaluated in floats) and each damped
+trial are scalar locals; for n > 1 the step is still np.linalg.solve.
 
 `rule_checks`, `solution_checks` and `superpose_checks` turn these into the
 named checks of `liesys verify` and `liesys superpose`, and of the catalog.
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -354,6 +355,17 @@ def verify_along_solutions(
 
 
 def _leaf_solve(rule: SuperpositionRule) -> Callable[..., list[float]]:
+    """The rule's damped Newton solve (_build_leaf_solve) with the NEWTON_*
+    constants as they are now, built once per (rule, constants) in a
+    bounded cache: `superpose` with k and no phi starts slot 0 and rebuilds
+    it with one solver.  Rules are keyed by their fields, and expressions
+    by identity, so a rule parsed again builds its own."""
+    return _build_leaf_solve(rule, NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_MAX_HALVINGS)
+
+
+@lru_cache(maxsize=32)
+def _build_leaf_solve(rule: SuperpositionRule, tol: float, max_iter: int,
+                      max_halvings: int) -> Callable[..., list[float]]:
     """Damped Newton for psi(x0, slots) = k plus constraints = 0 in the
     slot-0 variables, as one function generated for the rule:
     solve(rest, k, guess, t) -> slot 0, where `rest` holds the other slots
@@ -373,8 +385,8 @@ def _leaf_solve(rule: SuperpositionRule) -> Callable[..., list[float]]:
     instead of warning.  The residual norm is NaN when a residual is, as
     with np.max (Python's max skips a NaN that is not the first item), so
     a NaN never counts as converged.  For n = 1 the step is -r/J, which is
-    bit-identical to np.linalg.solve on the 1 x 1 system.  The NEWTON_*
-    constants are read when the solver is built.  Each source text is
+    bit-identical to np.linalg.solve on the 1 x 1 system; `tol`, `max_iter`
+    and `max_halvings` are the NEWTON_* constants.  Each source text is
     compiled once per process (ex.compile_source), so rules with the same
     equations share its code.
     """
@@ -446,9 +458,9 @@ def _leaf_solve(rule: SuperpositionRule) -> Callable[..., list[float]]:
         _inf=math.inf, _float=float, _array=np.array, _solve=np.linalg.solve,
         _errors=(ZeroDivisionError, ValueError, OverflowError),
         _singular_matrix=(ZeroDivisionError, np.linalg.LinAlgError),
-        _Singular=SingularDomainError, _NonConvergence=NonConvergenceError, _tol=NEWTON_TOL,
-        _iterations=range(NEWTON_MAX_ITER), _halvings=range(NEWTON_MAX_HALVINGS + 1),
-        _unconverged=f"Newton did not converge in {NEWTON_MAX_ITER} iterations")
+        _Singular=SingularDomainError, _NonConvergence=NonConvergenceError, _tol=tol,
+        _iterations=range(max_iter), _halvings=range(max_halvings + 1),
+        _unconverged=f"Newton did not converge in {max_iter} iterations")
 
 
 def _max_abs(values: list[float]) -> float:
@@ -534,7 +546,7 @@ def reconstruct(
     With phi present the curve is evaluated directly and cross-checked by one
     leaf solve every CROSSCHECK_EVERY grid points; otherwise each grid point
     is a damped Newton solve warm-started from its predecessor.  The solve is
-    the rule's generated function (_leaf_solve), built once per call; a
+    the rule's generated function (_leaf_solve), built once per rule; a
     failure names the grid point's t.
     """
     if len(trajectories) != rule.m:

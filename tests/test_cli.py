@@ -813,6 +813,11 @@ PLANTED_DEFECTS = [
     # sl(2) with [X_0, X_1] = 2 X_0 instead of X_0: the brackets still close
     ("structure_constant_off", "closure", PROBLEMS / "riccati.json", {}, _structure_constant_off,
      "jacobi_residual_zero", "", {"closed"}),
+    # x' = -1/x from x = 1 reaches the field's pole x = 0 at t = 1/2, where
+    # the steps shrink until they underflow
+    ("pole_reached", "solve", PROBLEMS / "separable_invsq.json",
+     {"fields": [["-1/x"]], "coefficients": ["1"], "x0": [1.0], "t_span": [0, 1]}, None,
+     "integrated", "step underflow at t=0.5000000000853925; 351 nodes", set()),
 ]
 
 

@@ -1,6 +1,6 @@
 """Generated problem files through `liesys m`, `liesys closure`, `liesys
-verify`, `liesys superpose`, `liesys solve`, `liesys group`, `liesys pde`
-and `liesys pde superpose`, in process.
+verify`, `liesys superpose` (with and without --k), `liesys solve`, `liesys
+group`, `liesys pde` and `liesys pde superpose`, in process.
 
 Whatever the fields, each call ends in exit 0, 1 or 2 within a bounded time:
 no exception escapes `main` and nothing hangs.
@@ -139,6 +139,25 @@ def test_superpose_ends_in_an_exit_code(tmp_path, capsys, doc):
     capsys.readouterr()
     assert code in (0, 1, 2)
     assert elapsed < WALL_TIME_BOUND_S, f"superpose took {elapsed:.1f} s on {doc}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=superpose_problems(), data=st.data())
+def test_superpose_with_k_ends_in_an_exit_code(tmp_path, capsys, doc, data):
+    # k from --k, over the file's: slot 0 starts on the leaf of k, by phi or
+    # by a leaf solve from x0_guess or x0.  Thousandths, as argparse takes
+    # -0.001 for a value but -1e-05 for an option
+    s = doc["rule"]["s"]
+    k = data.draw(st.lists(st.integers(-3000, 3000).map(lambda v: v / 1000), min_size=s, max_size=s))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["superpose", str(path), "--k", *map(repr, k)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"superpose --k {k} took {elapsed:.1f} s on {doc}"
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from liesys import expr as ex
 from liesys import superposition
 from liesys.catalog import gl_fields, linear_rule
+from liesys.cli import main
 from liesys.dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate, integrate_tuple
 from liesys.errors import LiesysError, NonConvergenceError, SingularDomainError
 from liesys.expr import Chart, compile_expr
@@ -28,6 +30,7 @@ from liesys.superposition import (
 
 LINE = Chart(("x",))
 PLANE = Chart(("x", "y"))
+INPUTS = Path(__file__).resolve().parent.parent / "tools" / "inputs"
 
 
 def riccati_fields():
@@ -841,6 +844,30 @@ class TestLeafSolver:
         rest = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
         x = _leaf_solve(rule)(rest, [0.2, -0.3, 0.5], [0.0, 0.0, 0.0], 0.0)
         assert np.max(np.abs(np.subtract(x, [0.2, -0.3, 0.5]))) <= 1e-12
+
+
+class TestLeafSolverCache:
+    """_leaf_solve builds a rule's solver once per (rule, NEWTON_* constants)."""
+
+    def test_superpose_with_k_builds_one_solver(self, capsys):
+        # the slot-0 start and the rebuild of `superpose` with k and no phi
+        # take the same solver; the verdict is not what is tested here
+        superposition._build_leaf_solve.cache_clear()
+        assert main(["superpose", str(INPUTS / "leaf_other_branch.json"), "--k", "0.25"]) in (0, 1)
+        capsys.readouterr()
+        info = superposition._build_leaf_solve.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_constants_are_part_of_the_key(self, monkeypatch):
+        rule = cross_ratio()
+        solve = _leaf_solve(rule)
+        assert _leaf_solve(rule) is solve
+        monkeypatch.setattr(superposition, "NEWTON_MAX_ITER", 1)
+        assert _leaf_solve(rule) is not solve
+        with pytest.raises(NonConvergenceError, match="in 1 iterations"):
+            _leaf_solve(rule)([0.5, -1.0, 2.0], [0.3], [5.0], 0.0)
+        monkeypatch.undo()
+        assert _leaf_solve(rule) is solve
 
 
 class TestGeneratedSolveBitIdentity:
