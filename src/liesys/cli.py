@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -557,12 +558,26 @@ def _span(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument beginning with `-` and a
+    digit, or `-.` and a digit, as a value, so that `--k -1e-05` and
+    `--t-span -0.5,0.5` parse.  argparse's own pattern matches only forms
+    like -1 and -.5 and takes the rest for unknown options; no liesys option
+    begins that way.  Subparsers are built with their parent's class, so
+    every command reads values alike."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's (private) test for an argument that is a negative number
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The liesys argument parser, built on first use and then reused: every
     parse_args call returns a fresh namespace, so no call sees another's
     arguments.  Not built at import, which would slow `import liesys`."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liesys",
         description="Lie systems: closure tests, fundamental-set sizes, superposition rules",
     )

@@ -895,7 +895,11 @@ def _int_content(p) -> int:
 
 def _divides(candidate, p) -> bool:
     """Whether the nonzero candidate divides p over Q, for integer polys.  By
-    Gauss's lemma it does exactly when its primitive part divides p over Z."""
+    Gauss's lemma it does exactly when its primitive part divides p over Z,
+    so a constant candidate, whose primitive part is ±1, always divides and
+    is accepted without a trial division."""
+    if _is_const_poly(candidate):
+        return True
     content = _int_content(candidate)
     try:
         _pdiv_exact(p, {m: c // content for m, c in candidate.items()})

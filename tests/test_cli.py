@@ -629,6 +629,37 @@ class TestParserReuse:
         assert code == 0 and doc["extra"]["m"] == 3 and doc["seed"] == 0
 
 
+class TestNegativeValues:
+    """A negative number in any float form is an option's value, not an option."""
+
+    @pytest.mark.parametrize("command,problem,option,value", [
+        ("superpose", "riccati", "--k", "-1e-05"),
+        ("solve", "linear2", "--t-span", "-0.5,0.5"),
+    ])
+    def test_separate_value_reads_as_the_equals_form(self, tmp_path, capsys, command, problem,
+                                                      option, value):
+        path = str(PROBLEMS / f"{problem}.json")
+        apart = run(tmp_path, command, path, option, value, json_name="apart.json")
+        apart_out = capsys.readouterr()
+        joined = run(tmp_path, command, path, f"{option}={value}", json_name="joined.json")
+        assert apart == joined and apart[0] == 0
+        assert capsys.readouterr() == apart_out
+
+    def test_several_k_in_exponent_notation(self, tmp_path):
+        code, doc = run(tmp_path, "superpose", str(PROBLEMS / "linear2.json"), "--k", "-1e-05", "2e-3")
+        assert code == 0 and doc["extra"]["k"] == [-1e-05, 2e-3]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--k", "-x"], "expected at least one argument"),
+        (["--t-span", "-1e-05"], "t-span must be 'a,b'"),
+        (["--k", "1", "-5x"], "invalid float value: '-5x'"),
+    ])
+    def test_other_usage_errors_still_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(["superpose", str(PROBLEMS / "riccati.json"), *argv])
+        assert err.value.code == 2 and message in capsys.readouterr().err
+
+
 class TestSchemaErrors:
     def test_unknown_top_key(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -804,6 +835,11 @@ PLANTED_DEFECTS = [
     ("psi_not_tangent", "verify", PROBLEMS / "riccati.json",
      {"rule.psi": ["x_0 - x_1"], "rule.phi": ["x_1 + k1"]}, None,
      "tangency_zero", "field 1 psi 0: nonzero; field 2 psi 0: nonzero", {"psi_transversal"}),
+    # psi = (y_0, y_0 - y_1) is tangent to the x-translations, but neither
+    # component sees x_0: no k fixes slot 0
+    ("psi_not_transversal", "verify", INPUTS / "psi_not_transversal.json", {}, None,
+     "psi_transversal", "rank 1 of dpsi_j/dx_(0),i, need s = 2",
+     {"tangency_zero", "psi_drift_along_solutions"}),
     # exact tangency leaves only a liesys fault for the drift to catch
     ("partial_drift_fault", "verify", PROBLEMS / "partial_rank1.json", {}, _slot0_pushed,
      "psi_drift_along_solutions", "", {"tangency_zero", "psi_transversal"}),

@@ -146,10 +146,10 @@ def test_superpose_ends_in_an_exit_code(tmp_path, capsys, doc):
 @given(doc=superpose_problems(), data=st.data())
 def test_superpose_with_k_ends_in_an_exit_code(tmp_path, capsys, doc, data):
     # k from --k, over the file's: slot 0 starts on the leaf of k, by phi or
-    # by a leaf solve from x0_guess or x0.  Thousandths, as argparse takes
-    # -0.001 for a value but -1e-05 for an option
+    # by a leaf solve from x0_guess or x0.  Each k is written by repr, so
+    # exponent notation such as -2.2e-309 reaches the parser
     s = doc["rule"]["s"]
-    k = data.draw(st.lists(st.integers(-3000, 3000).map(lambda v: v / 1000), min_size=s, max_size=s))
+    k = data.draw(st.lists(st.floats(-3, 3), min_size=s, max_size=s))
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()

@@ -362,6 +362,79 @@ class TestCanonicalForm:
             assert _poly_gcd(p, q) == _monic(_gcd_inner(p, q))
             agreed += 1
 
+    @staticmethod
+    def coprime_pairs(rng):
+        """Coprime pairs in many variables: each Cramer numerator of a 2x2
+        and a 3x3 symbolic system over its determinant, and random
+        multilinear pairs in 6-12 variables."""
+        def variable(name):
+            return {((name, 1),): 1}
+
+        def det(matrix):
+            out = {}
+            for perm in itertools.permutations(range(len(matrix))):
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                term = {(): -1 if inversions % 2 else 1}
+                for row, col in enumerate(perm):
+                    term = _pmul(term, matrix[row][col])
+                out = _padd(out, term)
+            return out
+
+        pairs = []
+        for n in (2, 3):
+            matrix = [[variable(f"a{i}_{j}") for j in range(n)] for i in range(n)]
+            for j in range(n):
+                replaced = [[variable(f"b{i}") if c == j else row[c] for c in range(n)]
+                            for i, row in enumerate(matrix)]
+                pairs.append((det(replaced), det(matrix)))
+        while len(pairs) < 30:
+            names = [f"v{i}" for i in range(rng.randint(6, 12))]
+            p, q = ({tuple((name, 1) for name in sorted(rng.sample(names, rng.randint(1, 4)))):
+                     rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(2, 6))}
+                    for _ in range(2))
+            if ex._is_const_poly(ex._gcd_inner(p, q)):
+                pairs.append((p, q))
+        return pairs
+
+    def test_heuristic_gcd_of_coprime_pairs_in_many_variables(self, rng, monkeypatch):
+        # the heuristic accepts a constant candidate without a trial division;
+        # it must give the pseudo-remainder route's gcd, and, term for term,
+        # what it gave when every candidate was divided
+        from liesys.expr import _gcd_core, _gcd_inner, _int_primitive
+
+        pairs = self.coprime_pairs(rng)
+        got = [_gcd_core(p, q) for p, q in pairs]
+        for (p, q), g in zip(pairs, got):
+            assert g == _int_primitive(_gcd_inner(p, q)) == {(): 1}
+
+        def trial_divides(candidate, p):
+            content = math.gcd(*candidate.values())
+            try:
+                _pdiv_exact(p, {m: c // content for m, c in candidate.items()})
+                return True
+            except ArithmeticError:
+                return False
+
+        monkeypatch.setattr(ex, "_divides", trial_divides)
+        assert [_gcd_core(p, q) for p, q in pairs] == got
+
+    def test_cramer_quotients_need_no_division_by_a_constant(self, monkeypatch):
+        # the psi of catalog.linear_rule on a 3-dimensional chart are Cramer
+        # quotients of coprime polynomials in 12 and 9 variables; their
+        # heuristic gcd passes through constant candidates, which by Gauss's
+        # lemma divide without a trial division
+        from liesys import catalog
+
+        real = ex._pdiv_exact
+
+        def no_constant_divisor(p, q):
+            assert not ex._is_const_poly(q), "trial division by a constant"
+            return real(p, q)
+
+        monkeypatch.setattr(ex, "_pdiv_exact", no_constant_divisor)
+        rule = catalog.linear_rule(Chart(("x", "y", "z")))
+        assert len(rule.psi) == 3 and all(isinstance(psi, Div) for psi in rule.psi)
+
     def test_gcd_the_heuristic_gives_up_on_falls_back_to_the_remainder_sequence(self):
         # the integer-evaluation heuristic gives up on these products of g^10
         # (42 recursive calls); the pseudo-remainder sequence must still

@@ -46,13 +46,16 @@ FLAG_CALLS = (
     ("riccati.superpose.tol-const_1e-12", ["superpose", "problems/riccati.json", "--tol-const", "1e-12"]),
     ("riccati.m.seed_3", ["m", "problems/riccati.json", "--seed", "3"]),
     ("riccati.verify.seed_3", ["verify", "problems/riccati.json", "--seed", "3"]),
+    ("riccati.superpose.k_-1e-05", ["superpose", "problems/riccati.json", "--k", "-1e-05"]),
+    ("linear2.solve.t-span_-0.5,0.5", ["solve", "problems/linear2.json", "--t-span", "-0.5,0.5"]),
 )
 # (output name, argv): a partial rule whose constraint set x2 = x1^2 the
 # translations move, with and without coefficients; two plane fields
 # whose components have unlike non-constant denominators, so that their
 # bracket takes the non-constant path of expr._nf_dot; and two rules with
 # no phi, so every slot-0 node is a leaf solve: one whose solve starts at a
-# singular point, one whose solve lands on another branch of its leaf
+# singular point, one whose solve lands on another branch of its leaf; and a
+# tangent rule whose psi does not see x_0
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -61,6 +64,7 @@ INPUT_CALLS = (
     ("rational_plane.m", ["m", "tools/inputs/rational_plane.json"]),
     ("leaf_singular_start.superpose", ["superpose", "tools/inputs/leaf_singular_start.json"]),
     ("leaf_other_branch.superpose", ["superpose", "tools/inputs/leaf_other_branch.json"]),
+    ("psi_not_transversal.verify", ["verify", "tools/inputs/psi_not_transversal.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
