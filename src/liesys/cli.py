@@ -560,16 +560,17 @@ def _span(text: str) -> tuple[float, float]:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every argument beginning with `-` and a
-    digit, or `-.` and a digit, as a value, so that `--k -1e-05` and
-    `--t-span -0.5,0.5` parse.  argparse's own pattern matches only forms
-    like -1 and -.5 and takes the rest for unknown options; no liesys option
-    begins that way.  Subparsers are built with their parent's class, so
-    every command reads values alike."""
+    digit, or `-.` and a digit, as a value, and so do -inf, -infinity and
+    -nan in any case (the other forms float() reads), so that `--k -1e-05`,
+    `--k -inf` and `--t-span -0.5,0.5` parse.  argparse's own pattern
+    matches only forms like -1 and -.5 and takes the rest for unknown
+    options; no liesys option begins that way.  Subparsers are built with
+    their parent's class, so every command reads values alike."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse's (private) test for an argument that is a negative number
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 @cache

@@ -18,12 +18,20 @@ Along solutions every rule is checked one way: psi's drift along one
 integrated (m+1)-tuple, with slot 0 starting at x0, or on the leaf of k at t0
 (phi there for a rule with phi, a leaf solve otherwise).
 
-Reconstruction holds psi at k by a damped Newton solve at each grid node,
-warm-started along the grid; with phi, slot 0 is phi there, checked by a
-solve every CROSSCHECK_EVERY nodes.  The solve is one function generated
-for the rule and kept in a bounded cache (_leaf_solve): residuals, norm,
-the exact Jacobian (derivative trees evaluated in floats) and each damped
-trial are scalar locals; for n > 1 the step is still np.linalg.solve.
+Reconstruction follows the leaf of k along the grid of the m solutions.
+Without phi each node is a damped Newton solve from the secant predictor
+through the two nodes before it, x_(k-1) + q (x_(k-1) - x_(k-2)) with
+q = dt_k / dt_(k-1), or from the previous node where q > 5
+(PREDICTOR_MAX_RATIO), since the slope carries the nodes' Newton error
+q times over; this is the Euler-Newton predictor-corrector of continuation
+methods.  With phi, slot 0 is phi there, checked every CROSSCHECK_EVERY
+nodes: the residuals at phi are first held to NEWTON_TOL, the test the
+solve makes before its first step, and only where that fails is a solve
+from phi built and run, so a phi on its leaves builds no solver.  The
+solve is one function generated for the rule and kept in a bounded cache
+(_leaf_solve): residuals, norm, the exact Jacobian (derivative trees
+evaluated in floats) and each damped trial are scalar locals; for n > 1
+the step is still np.linalg.solve.
 
 `rule_checks`, `solution_checks` and `superpose_checks` turn these into the
 named checks of `liesys verify` and `liesys superpose`, and of the catalog.
@@ -65,8 +73,11 @@ __all__ = [
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 8
-# reconstruct with phi checks every this many grid points by a leaf solve
+# reconstruct with phi checks every this many grid points against a leaf solve
 CROSSCHECK_EVERY = 10
+# reconstruct without phi starts a node at the previous one, not at the
+# secant predictor, where the step is more than this many times the last
+PREDICTOR_MAX_RATIO = 5.0
 DEFAULT_TOL_CONST = 1e-6
 # largest gap between a rebuilt slot 0 and the integrated solution it rebuilds
 GAP_LIMIT = 1e-5
@@ -310,7 +321,7 @@ class ConstancyReport:
 def _stack_states(trajectories: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
     grid = trajectories[0].t
     for tr in trajectories[1:]:
-        if len(tr.t) != len(grid) or not np.allclose(tr.t, grid, atol=1e-12):
+        if tr.t is not grid and (len(tr.t) != len(grid) or not np.allclose(tr.t, grid, atol=1e-12)):
             raise ValueError("trajectories must share one grid (integrate them with integrate_tuple)")
     states = np.concatenate([tr.states for tr in trajectories], axis=1)
     return grid, states
@@ -335,16 +346,17 @@ def verify_along_solutions(
     tol_const: float = DEFAULT_TOL_CONST,
 ) -> ConstancyReport:
     """Componentwise max |psi(t) - psi(0)| over the shared grid of an
-    (m+1)-tuple of solutions; singular evaluation reports the offending t."""
+    (m+1)-tuple of solutions; singular evaluation reports the offending t.
+    psi is evaluated on Python float rows, converted to one array at the
+    end."""
     if len(trajectories) != rule.m + 1:
         raise ValueError(f"need {rule.m + 1} trajectories (slot 0 first), got {len(trajectories)}")
     if sys.chart.names != rule.base_chart.names:
         raise ValueError("system chart does not match the rule")
     grid, states = _stack_states(trajectories)
     psi = ex.compile_vector(rule.psi, rule.product_chart.names)
-    values = np.empty((len(grid), rule.rank))
-    for row, point in enumerate(states):
-        values[row] = _psi_at(psi, point.tolist(), float(grid[row]))
+    values = np.array([_psi_at(psi, point, t) for point, t in zip(states.tolist(), grid.tolist())],
+                      dtype=float)
     drift = np.max(np.abs(values - values[0]), axis=0)
     return ConstancyReport(drift, values[0].copy(), tol_const)
 
@@ -500,22 +512,41 @@ def _phi_points(rule: SuperpositionRule, k: list[float]) -> Callable[[list[float
 
 def _leaf_points(rule: SuperpositionRule, k: Sequence[float]) -> Callable[..., list[float]]:
     """reconstruct's code for one node: point(rest, guess, t, crosscheck) is
-    slot 0 on the leaf of k over the slots `rest` at t.  With phi it is phi
-    there, checked by a leaf solve from it when `crosscheck`; otherwise it is
-    a damped Newton solve from `guess`."""
+    slot 0 on the leaf of k over the slots `rest` at t.  Without phi it is a
+    damped Newton solve from `guess`.  With phi it is phi there; when
+    `crosscheck`, phi is checked against a leaf solve from it, which must
+    land within 1e-6.  That solve first tests whether phi is on the leaf
+    and returns phi unchanged when it is: the NaN-aware max of the
+    residuals psi_j - k_j and the constraints, the same float expressions,
+    below NEWTON_TOL.  So the check makes that test first and builds and
+    runs the solve only where it fails: a phi on its leaves builds no Newton
+    solver, and every verdict, message and float is the one the solve would
+    give."""
     k = _k_values(rule, k)
-    solve = _leaf_solve(rule)
     if rule.phi is None:
+        solve = _leaf_solve(rule)
+
         def point(rest, guess, t, crosscheck):
             if guess is None:
                 raise ValueError("x0_guess is required when the rule has no phi")
             return solve(rest, k, guess, t)
         return point
     phi = _phi_points(rule, k)
+    equations = ex.compile_vector(list(rule.psi) + list(rule.constraints), rule.product_chart.names)
+
+    def on_leaf(x, rest):
+        try:
+            residuals = equations(*x, *rest)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            return False  # where the solve raises its own error
+        for j, kj in enumerate(k):
+            residuals[j] -= kj
+        return _max_abs(residuals) < NEWTON_TOL
 
     def point(rest, guess, t, crosscheck):
         x = phi(rest, t)
-        if crosscheck and _max_abs([a - b for a, b in zip(solve(rest, k, x, t), x)]) > 1e-6:
+        if crosscheck and not on_leaf(x, rest) and _max_abs(
+                [a - b for a, b in zip(_leaf_solve(rule)(rest, k, x, t), x)]) > 1e-6:
             raise NonConvergenceError("phi and leaf solve disagree beyond 1e-6", t)
         return x
     return point
@@ -535,6 +566,18 @@ def _slot0_start(rule: SuperpositionRule, points: Sequence[Sequence[float]], t0:
     return _phi_points(rule, _k_values(rule, k))(rest, t0)
 
 
+def _predicted(before: list[float], last: list[float], t0: float, t1: float, t2: float) -> list[float]:
+    """The secant predictor for the node at t2 from the nodes `before` at t0
+    and `last` at t1: last + q (last - before) with q = (t2 - t1) / (t1 - t0),
+    or `last` where q > PREDICTOR_MAX_RATIO (or t1 = t0).  The slope carries
+    the two nodes' Newton error, q times over, into the guess; on a grid
+    with near-duplicate nodes q reaches thousands."""
+    step = t1 - t0
+    if step == 0 or not abs(q := (t2 - t1) / step) <= PREDICTOR_MAX_RATIO:
+        return last
+    return [b + q * (b - a) for a, b in zip(before, last)]
+
+
 def reconstruct(
     rule: SuperpositionRule,
     trajectories: Sequence[Trajectory],
@@ -543,21 +586,28 @@ def reconstruct(
 ) -> Trajectory:
     """Slot-0 curve with psi held at k along the m particular solutions.
 
-    With phi present the curve is evaluated directly and cross-checked by one
-    leaf solve every CROSSCHECK_EVERY grid points; otherwise each grid point
-    is a damped Newton solve warm-started from its predecessor.  The solve is
-    the rule's generated function (_leaf_solve), built once per rule; a
-    failure names the grid point's t.
+    With phi present the curve is evaluated directly and cross-checked
+    every CROSSCHECK_EVERY grid points (_leaf_points: a residual test, and a
+    leaf solve only where it fails).  Otherwise each grid point is a damped
+    Newton solve that follows the leaf: the first starts at x0_guess, the
+    second at the first node, and every later one at the secant predictor
+    through the two nodes before it (_predicted).  The solve is the rule's
+    generated function (_leaf_solve), built once per rule; a failure names
+    the grid point's t.  The nodes are Python floats until the one array
+    conversion at the end.
     """
     if len(trajectories) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(trajectories)}")
     grid, rests = _stack_states(trajectories)
     point = _leaf_points(rule, k)
     guess = None if x0_guess is None else np.asarray(x0_guess, dtype=float).tolist()
-    states = np.empty((len(grid), rule.base_chart.dim))
+    ts, nodes, follow = grid.tolist(), [], rule.phi is None
     for row, rest in enumerate(rests.tolist()):
-        guess = point(rest, guess, float(grid[row]), row % CROSSCHECK_EVERY == 0)
-        states[row] = guess
+        if follow and row >= 2:
+            guess = _predicted(nodes[-2], nodes[-1], ts[row - 2], ts[row - 1], ts[row])
+        guess = point(rest, guess, ts[row], row % CROSSCHECK_EVERY == 0)
+        nodes.append(guess)
+    states = np.array(nodes, dtype=float)
     # the particular solutions share one grid, so they end together
     return Trajectory(grid, states, stop=trajectories[0].stop)
 

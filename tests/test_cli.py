@@ -645,6 +645,17 @@ class TestNegativeValues:
         assert apart == joined and apart[0] == 0
         assert capsys.readouterr() == apart_out
 
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    def test_infinite_and_nan_k_read_as_the_equals_form(self, tmp_path, capsys, value):
+        # float() reads them all; a k that is not finite ends the run in `completed`
+        path = str(PROBLEMS / "riccati.json")
+        apart = run(tmp_path, "superpose", path, "--k", value, json_name="apart.json")
+        apart_out = capsys.readouterr()
+        joined = run(tmp_path, "superpose", path, f"--k={value}", json_name="joined.json")
+        assert apart == joined and apart[0] == 1
+        assert [c["name"] for c in apart[1]["checks"] if not c["passed"]] == ["completed"]
+        assert capsys.readouterr() == apart_out and "FAIL completed" in apart_out.out
+
     def test_several_k_in_exponent_notation(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "linear2.json"), "--k", "-1e-05", "2e-3")
         assert code == 0 and doc["extra"]["k"] == [-1e-05, 2e-3]
@@ -653,6 +664,9 @@ class TestNegativeValues:
         (["--k", "-x"], "expected at least one argument"),
         (["--t-span", "-1e-05"], "t-span must be 'a,b'"),
         (["--k", "1", "-5x"], "invalid float value: '-5x'"),
+        (["--k", "-h"], "expected at least one argument"),
+        (["--k", "-infx"], "expected at least one argument"),
+        (["--k", "1", "--frobnicate"], "unrecognized arguments: --frobnicate"),
     ])
     def test_other_usage_errors_still_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
@@ -794,6 +808,18 @@ def _slot0_pushed(monkeypatch):
     monkeypatch.setattr(superposition, "integrate_tuple", pushed)
 
 
+def _grid_leaf_shifted(monkeypatch):
+    """A leaf-solve fault: every slot-0 node of pde_superpose moved by 1e-3."""
+    from liesys import pde
+
+    real = pde._leaf_solve
+
+    def shifted(rule):
+        solve = real(rule)
+        return lambda rest, k, guess, t: [v + 1e-3 for v in solve(rest, k, guess, t)]
+    monkeypatch.setattr(pde, "_leaf_solve", shifted)
+
+
 def _structure_constant_off(monkeypatch):
     """A kernel fault: the first structure constant of every closed report
     off by one, as a wrong exact bracket would leave it."""
@@ -811,8 +837,8 @@ def _structure_constant_off(monkeypatch):
     monkeypatch.setattr(algebra, "closure_test", off)
 
 
-# (id, command, problem file, edits, fault, the check that FAILs, a fragment of
-# its detail, the checks that still PASS).  Short of `completed` itself, the
+# (id, command words, problem file, edits, fault, the check that FAILs, a
+# fragment of its detail, the checks that still PASS).  Short of `completed` itself, the
 # stage before every check is the file's parsing and phi's leaf conditions,
 # which pass when the report holds no `completed`.
 PLANTED_DEFECTS = [
@@ -854,6 +880,11 @@ PLANTED_DEFECTS = [
     ("pole_reached", "solve", PROBLEMS / "separable_invsq.json",
      {"fields": [["-1/x"]], "coefficients": ["1"], "x0": [1.0], "t_span": [0, 1]}, None,
      "integrated", "step underflow at t=0.5000000000853925; 351 nodes", set()),
+    # the grid's flatness and the rule's tangency, which end the run in
+    # `completed` when they fail, pass; the path solve from the shifted first
+    # node misses the shifted corner by 4.4e-4
+    ("grid_leaf_shifted", "pde superpose", PROBLEMS / "pde_riccati.json", {}, _grid_leaf_shifted,
+     "superposition_vs_path_solve", "", set()),
 ]
 
 
@@ -869,7 +900,7 @@ class TestPlantedDefects:
         path = edited_problem(tmp_path, problem, edits)
         if fault is not None:
             fault(monkeypatch)
-        code, report = run(tmp_path, command, str(path))
+        code, report = run(tmp_path, *command.split(), str(path))
         assert code == 1
         checks = {c["name"]: c for c in report["checks"]}
         assert not checks[fails]["passed"] and fragment in checks[fails]["detail"]

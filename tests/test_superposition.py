@@ -18,11 +18,15 @@ from liesys.superposition import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     SuperpositionRule,
+    _leaf_points,
     _leaf_solve,
+    _phi_points,
+    _predicted,
     derive_k,
     reconstruct,
     rule_checks,
     solution_checks,
+    superpose_checks,
     transversality_rank,
     verify_along_solutions,
     verify_tangency,
@@ -31,6 +35,7 @@ from liesys.superposition import (
 LINE = Chart(("x",))
 PLANE = Chart(("x", "y"))
 INPUTS = Path(__file__).resolve().parent.parent / "tools" / "inputs"
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def riccati_fields():
@@ -921,3 +926,190 @@ class TestGeneratedSolveBitIdentity:
     def test_same_error(self, rule, rest, k, guess, error):
         assert _result(_leaf_solve(rule), rest, k, guess) == _result(
             _ListLeafSolver(rule).solve, rest, k, guess) == error
+
+
+class _Passes:
+    """A range(NEWTON_MAX_ITER) that counts what it yields: swapped for a
+    generated solve's `_iterations`, the Newton loop passes, each ending in
+    the convergence test."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __iter__(self):
+        for i in range(NEWTON_MAX_ITER):
+            self.count += 1
+            yield i
+
+
+def _counted(monkeypatch, rule) -> _Passes:
+    passes = _Passes()
+    monkeypatch.setitem(_leaf_solve(rule).__globals__, "_iterations", passes)
+    return passes
+
+
+def _newton_only(rule):
+    return SuperpositionRule(rule.base_chart, rule.m, rule.rank, rule.psi)
+
+
+class TestLeafFollowing:
+    """reconstruct without phi starts each node at the secant predictor
+    through the two before it; Newton passes per node are counted, not
+    timed."""
+
+    def test_riccati_on_a_union_grid(self, monkeypatch):
+        # slot 0 integrated on its own and aligned with the tuple, as the
+        # benchmark does: steps alternate between the two grids' nodes
+        sys, rule = riccati_system(), _newton_only(cross_ratio())
+        direct = integrate(sys, [-0.5], (0.0, 1.2), 1e-9)
+        aligned = align_trajectories([direct] + integrate_tuple(sys, ([-2.0], [0.0], [-1.0]), (0.0, 1.2), 1e-9))
+        k = derive_k(rule, aligned[0].states[0], [tr.states[0] for tr in aligned[1:]])
+        passes = _counted(monkeypatch, rule)
+        rebuilt = reconstruct(rule, aligned[1:], k, x0_guess=[-0.5])
+        # 3.04 on these 141 nodes; started at the previous node, 3.98
+        assert passes.count / len(rebuilt.t) <= 3.1
+        assert np.max(np.abs(rebuilt.states - aligned[0].states)) <= 1e-6
+
+    def test_linear_rule_takes_one_step_per_node(self, monkeypatch):
+        # psi is linear in slot 0: any guess is one exact step from the leaf,
+        # and the start at x0 none; 1.99 passes per node on 130 nodes
+        sys, rule = linear2_system(), _newton_only(linear2_rule())
+        aligned = solution_tuple(sys, ([0.4, -0.3], [1.0, 0.0], [0.0, 1.0]), (0.0, 2.0))
+        k = derive_k(rule, aligned[0].states[0], [tr.states[0] for tr in aligned[1:]])
+        passes = _counted(monkeypatch, rule)
+        rebuilt = reconstruct(rule, aligned[1:], k, x0_guess=[0.4, -0.3])
+        assert passes.count == 2 * len(rebuilt.t) - 1
+        assert np.max(np.abs(rebuilt.states - aligned[0].states)) <= 1e-6
+
+    def test_coarse_grid_stays_on_its_branch(self, monkeypatch, capsys):
+        # tools/inputs/leaf_other_branch.json: psi = (x_0 - x_1)^2 = 1/4 has
+        # the branches x_1 +- 1/2, and the tuple's nodes are 0, 0.01, 0.06,
+        # 0.31 and 1.  From the node at 0.31 the solve at 1 landed on x_1 - 1/2
+        sys = LieSystem([VectorField.from_strings(LINE, ["1"])], [CoefficientCurve.from_string("1 - t/3")])
+        rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^2"])
+        passes = _counted(monkeypatch, rule)
+        checks, _, slot0, _ = superpose_checks(rule, sys, [[0.0]], (0.0, 1.0), 1e-9, 1e-6, x0=[0.5])
+        assert [c.passed for c in checks] == [True, True]
+        assert checks[0].value <= 1e-12  # 6.2e-14; 1 before
+        assert passes.count / len(slot0.t) <= 3.4  # 4.2 before
+        assert main(["superpose", str(INPUTS / "leaf_other_branch.json")]) == 0
+        assert "PASS reconstruction_vs_direct" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rule,sys,points,x0", [
+        (_newton_only(cross_ratio()), riccati_system(), [[-2.0], [0.0], [-1.0]], [-0.5]),
+        (SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^2"]),
+         LieSystem([VectorField.from_strings(LINE, ["1"])], [CoefficientCurve.from_string("1 - t/3")]),
+         [[0.0]], [0.5]),
+    ], ids=["riccati", "two_branches"])
+    def test_near_duplicate_nodes(self, rule, sys, points, x0):
+        # a step of 1e-11 and then one of 0.05, q = 5e9: the secant through
+        # the pair would carry their Newton error 5e9 times into the guess
+        grid = np.array([0.0, 0.05, 0.1, 0.1 + 1e-11, 0.15, 0.2, 0.25, 0.25 + 1e-11, 0.3, 0.35, 0.4])
+        tuple_ = [tr.resampled(grid) for tr in integrate_tuple(sys, [x0, *points], (0.0, 0.4), 1e-10)]
+        k = derive_k(rule, x0, points)
+        rebuilt = reconstruct(rule, tuple_[1:], k, x0_guess=x0)
+        assert np.max(np.abs(rebuilt.states - tuple_[0].states)) <= 1e-9
+
+    def test_predictor(self):
+        before, last = [1.0, 2.0], [1.5, 2.5]
+        assert _predicted(before, last, 0.0, 0.1, 0.3) == [2.5, 3.5]
+        assert _predicted(before, last, 0.0, 0.1, 0.6) == pytest.approx([4.0, 5.0])
+        # past PREDICTOR_MAX_RATIO = 5, and over a repeated node, the guess is the last node
+        assert _predicted(before, last, 0.0, 0.1, 0.61) is last
+        assert _predicted(before, last, 0.1, 0.1 + 1e-11, 0.15) is last
+        assert _predicted(before, last, 0.1, 0.1, 0.15) is last
+
+
+def _eager_point(rule, k, rest, t):
+    """phi at `rest` checked as reconstruct checked it before: a leaf solve
+    from phi on every call, which must land within 1e-6."""
+    x = _phi_points(rule, k)(rest, t)
+    if superposition._max_abs([a - b for a, b in zip(_leaf_solve(rule)(rest, k, x, t), x)]) > 1e-6:
+        raise NonConvergenceError("phi and leaf solve disagree beyond 1e-6", t)
+    return x
+
+
+def _checked(point, rest):
+    try:
+        return point(rest)
+    except (NonConvergenceError, SingularDomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _lazy_and_eager(rule, k, rest):
+    lazy = _checked(lambda r: _leaf_points(rule, k)(r, None, 0.5, True), rest)
+    return lazy, _checked(lambda r: _eager_point(rule, k, r, 0.5), rest)
+
+
+def _crosscheck_cases():
+    rank1, _ = _partial_rules()
+    off_phi = SuperpositionRule.from_strings(
+        LINE, 3, 1, psi=[str(cross_ratio().psi[0])], phi=[f"{cross_ratio().phi[0]} + x_1/1000"])
+    separable = SuperpositionRule.from_strings(LINE, 1, 1, psi=["1/x_1 - 1/x_0"], phi=["x_1/(1 - k1*x_1)"])
+    off_constraint = SuperpositionRule.from_strings(
+        rank1.base_chart, 1, 1, psi=["x1_0/x1_1"], phi=["k1*x1_1", "k1*x2_1 + 1/1000"],
+        constraints=["x1_0*x2_1 - x2_0*x1_1"])
+    cases = [("riccati", cross_ratio(), True), ("separable_invsq", separable, True),
+             ("linear2", linear2_rule(), True), ("partial_rank1", rank1, True),
+             ("riccati_phi_off", off_phi, False), ("partial_phi_off", off_constraint, False)]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+class TestLazyCrossCheck:
+    """reconstruct's phi cross-check tests the residuals at phi before it
+    builds a leaf solve; it returns the same floats, or raises the same
+    error with the same message, as the solve run on every check."""
+
+    @pytest.mark.parametrize("name,rule,on_leaf", _crosscheck_cases())
+    def test_same_as_the_eager_check(self, name, rule, on_leaf):
+        rng = random.Random(f"crosscheck-{name}")
+        slots = rule.m * rule.base_chart.dim
+        outcomes = []
+        for _ in range(60):
+            rest = [rng.uniform(-2, 2) for _ in range(slots)]
+            k = [rng.uniform(-2, 2) for _ in range(rule.rank)]
+            lazy, eager = _lazy_and_eager(rule, k, rest)
+            assert lazy == eager
+            outcomes.append(lazy)
+        solved = sum(not isinstance(o, tuple) for o in outcomes)
+        disagree = outcomes.count((NonConvergenceError, "phi and leaf solve disagree beyond 1e-6 (t=0.5)"))
+        # phi on its leaves passes, off them it fails, at nearly every draw
+        assert (solved if on_leaf else disagree) >= 50
+
+    def test_singular_start(self):
+        # phi = x_2 puts slot 0 on a pole of the cross ratio
+        rule = SuperpositionRule.from_strings(LINE, 3, 1, psi=[str(cross_ratio().psi[0])], phi=["x_2"])
+        lazy, eager = _lazy_and_eager(rule, [0.3], [0.5, -1.0, 2.0])
+        assert lazy == eager == (SingularDomainError, "leaf solve started at a singular point (t=0.5)")
+
+    def test_nan_residual(self):
+        # the second residual is inf - inf at y_1 = 1e200: never on the leaf
+        rule = SuperpositionRule.from_strings(
+            PLANE, 1, 2, psi=["x_0 - x_1", "y_0 + y_1*y_1*y_1 - y_1*y_1*y_1"], phi=["x_1 + k1", "k2"])
+        lazy, eager = _lazy_and_eager(rule, [0.0, 0.3], [0.5, 1e200])
+        assert lazy == eager == (NonConvergenceError, "Newton damping exhausted (t=0.5)")
+
+    @pytest.mark.parametrize("psi,phi", [
+        (str(cross_ratio().psi[0]), f"{cross_ratio().phi[0]} + x_1/1000"),
+        # a flat psi: the residual at phi is 5e-7, under the 1e-6 the solve
+        # may move phi, while the solve moves it by 5e-4
+        ("(x_0 - x_1)/1000", "x_1 + 1000*k1 + 1/2000"),
+    ], ids=["riccati", "flat_psi"])
+    def test_wrong_phi(self, psi, phi):
+        rule = SuperpositionRule.from_strings(LINE, 3, 1, psi=[psi], phi=[phi])
+        lazy, eager = _lazy_and_eager(rule, [0.3], [0.5, -1.0, 2.0])
+        assert lazy == eager == (NonConvergenceError, "phi and leaf solve disagree beyond 1e-6 (t=0.5)")
+
+    def test_superpose_with_phi_builds_no_solver(self, capsys):
+        before = superposition._build_leaf_solve.cache_info().misses
+        assert main(["superpose", str(PROBLEMS / "riccati.json")]) == 0
+        capsys.readouterr()
+        assert superposition._build_leaf_solve.cache_info().misses == before
+
+    def test_phi_off_its_leaf_builds_one_solver(self, capsys):
+        # tools/inputs/phi_off_leaf.json is riccati.json with phi + x_1/1000
+        before = superposition._build_leaf_solve.cache_info().misses
+        assert main(["superpose", str(INPUTS / "phi_off_leaf.json")]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL completed  (phi and leaf solve disagree beyond 1e-6 (t=0))" in out
+        assert superposition._build_leaf_solve.cache_info().misses == before + 1

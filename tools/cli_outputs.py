@@ -48,14 +48,16 @@ FLAG_CALLS = (
     ("riccati.verify.seed_3", ["verify", "problems/riccati.json", "--seed", "3"]),
     ("riccati.superpose.k_-1e-05", ["superpose", "problems/riccati.json", "--k", "-1e-05"]),
     ("linear2.solve.t-span_-0.5,0.5", ["solve", "problems/linear2.json", "--t-span", "-0.5,0.5"]),
+    ("riccati.superpose.k_-inf", ["superpose", "problems/riccati.json", "--k", "-inf"]),
 )
 # (output name, argv): a partial rule whose constraint set x2 = x1^2 the
 # translations move, with and without coefficients; two plane fields
 # whose components have unlike non-constant denominators, so that their
 # bracket takes the non-constant path of expr._nf_dot; and two rules with
 # no phi, so every slot-0 node is a leaf solve: one whose solve starts at a
-# singular point, one whose solve lands on another branch of its leaf; and a
-# tangent rule whose psi does not see x_0
+# singular point, one on a coarse grid whose leaf has two branches; a
+# tangent rule whose psi does not see x_0; and a phi off its own leaves,
+# which only the cross-check of reconstruct catches in `superpose`
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -65,6 +67,7 @@ INPUT_CALLS = (
     ("leaf_singular_start.superpose", ["superpose", "tools/inputs/leaf_singular_start.json"]),
     ("leaf_other_branch.superpose", ["superpose", "tools/inputs/leaf_other_branch.json"]),
     ("psi_not_transversal.verify", ["verify", "tools/inputs/psi_not_transversal.json"]),
+    ("phi_off_leaf.superpose", ["superpose", "tools/inputs/phi_off_leaf.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
