@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from functools import cache
@@ -67,11 +68,11 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
-# kind -> (test of one float, one of them, several of them)
+# kind -> (test of one finite float, one of them, several of them)
 _NUMBER_KINDS = {
-    "number": (lambda v: True, "a number", "numbers"),
-    "positive": (lambda v: v > 0, "a positive number", "positive numbers"),
-    "nonnegative": (lambda v: v >= 0, "a nonnegative number", "nonnegative numbers"),
+    "number": (lambda v: True, "a finite number", "finite numbers"),
+    "positive": (lambda v: v > 0, "a finite positive number", "finite positive numbers"),
+    "nonnegative": (lambda v: v >= 0, "a finite nonnegative number", "finite nonnegative numbers"),
     "integer": (float.is_integer, "an integer", "integers"),
 }
 
@@ -91,7 +92,8 @@ def _numbers(value, key: str, shape: tuple = (), kind: str = "number"):
             if not isinstance(v, (list, tuple)) or len(v) != dims[0]:
                 raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
             return [check(item, dims[1:]) for item in v]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not test(float(v)):
+        if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+                or not test(float(v))):
             raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
         return int(v) if kind == "integer" else float(v)
 
@@ -349,7 +351,8 @@ def run_verify(doc: dict, task: dict, fields: list[VectorField], rule: Superposi
 
 def run_superpose(doc: dict, task: dict, sys: LieSystem, rule: SuperpositionRule, k=None) -> tuple:
     """superpose_checks on the file's points, k (or `k`, the --k option,
-    when given), x0 and x0_guess: (checks, k, slot 0, particular solutions).
+    when given), x0 and x0_guess, with phi decided under the task's seed:
+    (checks, k, slot 0, particular solutions).
     Slot 0 starts at x0, or on the leaf of k when k is given, and is
     integrated with the particular solutions either way."""
     points = _points_for_rule(doc, task, sys, rule)
@@ -360,7 +363,7 @@ def run_superpose(doc: dict, task: dict, sys: LieSystem, rule: SuperpositionRule
     if rule.phi is None and guess is None and x0 is None:
         raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
     return superpose_checks(rule, sys, points, task["t_span"], task["tol"], task["tol_const"],
-                            k=k, x0=x0, x0_guess=guess)
+                            k=k, x0=x0, x0_guess=guess, seed=task["seed"])
 
 
 def run_group(doc: dict, task: dict) -> tuple[list[Check], dict, Trajectory | None]:

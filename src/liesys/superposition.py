@@ -19,19 +19,18 @@ integrated (m+1)-tuple, with slot 0 starting at x0, or on the leaf of k at t0
 (phi there for a rule with phi, a leaf solve otherwise).
 
 Reconstruction follows the leaf of k along the grid of the m solutions.
-Without phi each node is a damped Newton solve from the secant predictor
-through the two nodes before it, x_(k-1) + q (x_(k-1) - x_(k-2)) with
-q = dt_k / dt_(k-1), or from the previous node where q > 5
-(PREDICTOR_MAX_RATIO), since the slope carries the nodes' Newton error
-q times over; this is the Euler-Newton predictor-corrector of continuation
-methods.  With phi, slot 0 is phi there, checked every CROSSCHECK_EVERY
-nodes: the residuals at phi are first held to NEWTON_TOL, the test the
-solve makes before its first step, and only where that fails is a solve
-from phi built and run, so a phi on its leaves builds no solver.  The
-solve is one function generated for the rule and kept in a bounded cache
-(_leaf_solve): residuals, norm, the exact Jacobian (derivative trees
-evaluated in floats) and each damped trial are scalar locals; for n > 1
-the step is still np.linalg.solve.
+With phi, slot 0 is phi there: phi is taken as given, and decided once,
+exactly, by `superpose_checks` and `verify_tangency` (_phi_on_leaves,
+cached per rule and seed, so one decision serves both).  Without phi each
+node is a damped Newton solve from the secant predictor through the two
+nodes before it, x_(k-1) + q (x_(k-1) - x_(k-2)) with q = dt_k / dt_(k-1),
+or from the previous node where q > 5 (PREDICTOR_MAX_RATIO), since the
+slope carries the nodes' Newton error q times over; this is the
+Euler-Newton predictor-corrector of continuation methods.  The solve is one
+function generated for the rule and kept in a bounded cache (_leaf_solve):
+residuals, norm, the exact Jacobian (derivative trees evaluated in floats)
+and each damped trial are scalar locals; for n > 1 the step is still
+np.linalg.solve.
 
 `rule_checks`, `solution_checks` and `superpose_checks` turn these into the
 named checks of `liesys verify` and `liesys superpose`, and of the catalog.
@@ -43,7 +42,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,8 +73,6 @@ __all__ = [
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 8
-# reconstruct with phi checks every this many grid points against a leaf solve
-CROSSCHECK_EVERY = 10
 # reconstruct without phi starts a node at the previous one, not at the
 # secant predictor, where the step is more than this many times the last
 PREDICTOR_MAX_RATIO = 5.0
@@ -209,27 +207,34 @@ class TangencyReport:
         return bad[0] if bad else None
 
 
-def _phi_on_leaves(rule: SuperpositionRule, seed: int) -> tuple[dict[str, Expr], bool]:
+@lru_cache(maxsize=32)
+def _phi_on_leaves(rule: SuperpositionRule, seed: int) -> tuple[Mapping[str, Expr], bool]:
     """The substitution of phi for the slot-0 variables, and whether a leaf
-    condition could only be sampled.  Raises LiesysError when phi is missing
-    or a leaf condition psi_j(phi) - k_j or C_l(phi) is nonzero."""
+    condition could only be sampled.  Raises LiesysError when phi is missing,
+    a leaf condition psi_j(phi) - k_j or C_l(phi) is nonzero, or phi lands
+    where psi_j or C_l is undefined.  Kept in a bounded cache, keyed as
+    _build_leaf_solve is, so `superpose` and `verify` of one rule decide it
+    once."""
     if rule.phi is None:
         raise LiesysError("tangency of a partial rule is decided along phi, and the rule has no phi")
-    on_phi = dict(zip(rule.product_chart.slot_names(0), rule.phi))
+    on_phi = MappingProxyType(dict(zip(rule.product_chart.slot_names(0), rule.phi)))
     conditions = [
-        (f"psi component {j}: psi(phi) - {k}", ex.substitute(p, on_phi) - Var(k))
+        ("psi", f"psi component {j}", f"psi(phi) - {k}", ex.substitute(p, on_phi) - Var(k))
         for j, (p, k) in enumerate(zip(rule.psi, rule.k_names))
     ] + [
-        (f"constraint {l}: C(phi)", ex.substitute(c, on_phi))
+        ("C", f"constraint {l}", "C(phi)", ex.substitute(c, on_phi))
         for l, c in enumerate(rule.constraints)
     ]
     sampled = False
-    for label, condition in conditions:
-        decision = ex.is_zero(condition, seed=seed)
+    for level, label, term, condition in conditions:
+        try:
+            decision = ex.is_zero(condition, seed=seed)
+        except EvaluationError as exc:
+            raise LiesysError(f"phi lands where {level} is undefined: {label}: {exc}") from None
         if decision.verdict == "nonzero":
             residual = ex._tree_of(ex._nf_of(condition))
             raise LiesysError(
-                f"phi is off its own leaves: {label} = {ex._brief(residual, str(residual))} is not zero"
+                f"phi is off its own leaves: {label}: {term} = {ex._brief(residual, str(residual))} is not zero"
             )
         sampled = sampled or not decision.exact
     return on_phi, sampled
@@ -475,12 +480,6 @@ def _build_leaf_solve(rule: SuperpositionRule, tol: float, max_iter: int,
         _unconverged=f"Newton did not converge in {max_iter} iterations")
 
 
-def _max_abs(values: list[float]) -> float:
-    """max |v|, NaN when any v is NaN as with np.max (Python's max skips a
-    NaN that is not the first item)."""
-    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
-
-
 def derive_k(rule: SuperpositionRule, x0: Sequence[float], slot_states: Sequence[Sequence[float]]) -> np.ndarray:
     """k := psi(x0(0), x_(1)(0), ..., x_(m)(0)); a singular or non-finite psi
     there raises SingularDomainError at t = 0."""
@@ -510,48 +509,6 @@ def _phi_points(rule: SuperpositionRule, k: list[float]) -> Callable[[list[float
     return at
 
 
-def _leaf_points(rule: SuperpositionRule, k: Sequence[float]) -> Callable[..., list[float]]:
-    """reconstruct's code for one node: point(rest, guess, t, crosscheck) is
-    slot 0 on the leaf of k over the slots `rest` at t.  Without phi it is a
-    damped Newton solve from `guess`.  With phi it is phi there; when
-    `crosscheck`, phi is checked against a leaf solve from it, which must
-    land within 1e-6.  That solve first tests whether phi is on the leaf
-    and returns phi unchanged when it is: the NaN-aware max of the
-    residuals psi_j - k_j and the constraints, the same float expressions,
-    below NEWTON_TOL.  So the check makes that test first and builds and
-    runs the solve only where it fails: a phi on its leaves builds no Newton
-    solver, and every verdict, message and float is the one the solve would
-    give."""
-    k = _k_values(rule, k)
-    if rule.phi is None:
-        solve = _leaf_solve(rule)
-
-        def point(rest, guess, t, crosscheck):
-            if guess is None:
-                raise ValueError("x0_guess is required when the rule has no phi")
-            return solve(rest, k, guess, t)
-        return point
-    phi = _phi_points(rule, k)
-    equations = ex.compile_vector(list(rule.psi) + list(rule.constraints), rule.product_chart.names)
-
-    def on_leaf(x, rest):
-        try:
-            residuals = equations(*x, *rest)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return False  # where the solve raises its own error
-        for j, kj in enumerate(k):
-            residuals[j] -= kj
-        return _max_abs(residuals) < NEWTON_TOL
-
-    def point(rest, guess, t, crosscheck):
-        x = phi(rest, t)
-        if crosscheck and not on_leaf(x, rest) and _max_abs(
-                [a - b for a, b in zip(_leaf_solve(rule)(rest, k, x, t), x)]) > 1e-6:
-            raise NonConvergenceError("phi and leaf solve disagree beyond 1e-6", t)
-        return x
-    return point
-
-
 def _slot0_start(rule: SuperpositionRule, points: Sequence[Sequence[float]], t0: float,
                  k: Sequence[float] | None = None, x0: Sequence[float] | None = None,
                  guess: Sequence[float] | None = None) -> Sequence[float]:
@@ -560,10 +517,12 @@ def _slot0_start(rule: SuperpositionRule, points: Sequence[Sequence[float]], t0:
     otherwise x0, or points[0] shifted by 0.1."""
     if k is None:
         return x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
-    rest = [float(v) for point in points for v in point]
-    if rule.phi is None:
-        return _leaf_points(rule, k)(rest, guess, t0, False)
-    return _phi_points(rule, _k_values(rule, k))(rest, t0)
+    rest, k = [float(v) for point in points for v in point], _k_values(rule, k)
+    if rule.phi is not None:
+        return _phi_points(rule, k)(rest, t0)
+    if guess is None:
+        raise ValueError("x0_guess is required when the rule has no phi")
+    return _leaf_solve(rule)(rest, k, np.asarray(guess, dtype=float).tolist(), t0)
 
 
 def _predicted(before: list[float], last: list[float], t0: float, t1: float, t2: float) -> list[float]:
@@ -586,27 +545,32 @@ def reconstruct(
 ) -> Trajectory:
     """Slot-0 curve with psi held at k along the m particular solutions.
 
-    With phi present the curve is evaluated directly and cross-checked
-    every CROSSCHECK_EVERY grid points (_leaf_points: a residual test, and a
-    leaf solve only where it fails).  Otherwise each grid point is a damped
-    Newton solve that follows the leaf: the first starts at x0_guess, the
-    second at the first node, and every later one at the secant predictor
-    through the two nodes before it (_predicted).  The solve is the rule's
-    generated function (_leaf_solve), built once per rule; a failure names
-    the grid point's t.  The nodes are Python floats until the one array
-    conversion at the end.
+    With phi present the curve is phi at each grid point, taken as given:
+    whether phi lands on its own leaves is decided exactly, once, by
+    superpose_checks and verify_tangency (_phi_on_leaves).  Otherwise each
+    grid point is a damped Newton solve that follows the leaf: the first
+    starts at x0_guess, the second at the first node, and every later one at
+    the secant predictor through the two nodes before it (_predicted).  The
+    solve is the rule's generated function (_leaf_solve), built once per
+    rule; a failure names the grid point's t.  The nodes are Python floats
+    until the one array conversion at the end.
     """
     if len(trajectories) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(trajectories)}")
     grid, rests = _stack_states(trajectories)
-    point = _leaf_points(rule, k)
-    guess = None if x0_guess is None else np.asarray(x0_guess, dtype=float).tolist()
-    ts, nodes, follow = grid.tolist(), [], rule.phi is None
-    for row, rest in enumerate(rests.tolist()):
-        if follow and row >= 2:
-            guess = _predicted(nodes[-2], nodes[-1], ts[row - 2], ts[row - 1], ts[row])
-        guess = point(rest, guess, ts[row], row % CROSSCHECK_EVERY == 0)
-        nodes.append(guess)
+    ts, rests, k = grid.tolist(), rests.tolist(), _k_values(rule, k)
+    if rule.phi is not None:
+        phi = _phi_points(rule, k)
+        nodes = [phi(rest, t) for rest, t in zip(rests, ts)]
+    else:
+        if x0_guess is None:
+            raise ValueError("x0_guess is required when the rule has no phi")
+        solve, guess, nodes = _leaf_solve(rule), np.asarray(x0_guess, dtype=float).tolist(), []
+        for row, rest in enumerate(rests):
+            if row >= 2:
+                guess = _predicted(nodes[-2], nodes[-1], ts[row - 2], ts[row - 1], ts[row])
+            guess = solve(rest, k, guess, ts[row])
+            nodes.append(guess)
     states = np.array(nodes, dtype=float)
     # the particular solutions share one grid, so they end together
     return Trajectory(grid, states, stop=trajectories[0].stop)
@@ -649,17 +613,22 @@ def solution_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Se
 def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[Sequence[float]],
                      t_span: tuple[float, float], tol: float, tol_const: float,
                      k: Sequence[float] | None = None, x0: Sequence[float] | None = None,
-                     x0_guess: Sequence[float] | None = None,
+                     x0_guess: Sequence[float] | None = None, seed: int = 0,
                      ) -> tuple[list[Check], np.ndarray, Trajectory, list[Trajectory]]:
     """(checks, k, slot 0, particular solutions) of the rule as a foliation:
     a start on the leaf of k must move with the m solutions from `points`.
-    Slot 0 starts at x0 or, given k, at the leaf point of k over the points
-    at t0 (_slot0_start; leaf solves start at x0_guess, default x0).  It is
-    integrated with the points as one tuple, and k, when not given, is psi
-    at the tuple's start.  Slot 0 rebuilt from the particular solutions
-    with psi held at k must match its integrated solution within GAP_LIMIT
-    (`reconstruction_vs_direct`), and psi must stay constant along the
-    tuple (`psi_drift_along_solutions`), which fails where psi is singular."""
+    A phi is decided first, exactly (_phi_on_leaves under `seed`): one off
+    its own leaves, or on a pole of psi, raises LiesysError with the reason
+    `verify` gives.  Slot 0 starts at x0 or, given k, at the leaf point of
+    k over the points at t0 (_slot0_start; leaf solves start at x0_guess,
+    default x0).  It is integrated with the points as one tuple, and k, when
+    not given, is psi at the tuple's start.  Slot 0 rebuilt from the
+    particular solutions with psi held at k must match its integrated
+    solution within GAP_LIMIT (`reconstruction_vs_direct`), and psi must
+    stay constant along the tuple (`psi_drift_along_solutions`), which fails
+    where psi is singular."""
+    if rule.phi is not None:
+        _phi_on_leaves(rule, seed)
     guess = x0 if x0_guess is None else x0_guess
     if k is not None:
         k = np.atleast_1d(np.asarray(k, dtype=float))

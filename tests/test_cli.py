@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -383,6 +384,19 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         assert "psi(phi) - k1 = k1 is not zero" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name,options", [
+        ("phi_near_leaf", []), ("phi_near_leaf", ["--k", "0.5"]), ("phi_off_leaf", []),
+    ], ids=["near", "near_k", "off"])
+    def test_superpose_fails_a_phi_off_its_leaves_as_verify_does(self, capsys, name, options):
+        # riccati.json with phi + x_1/10^9 (near) or + x_1/1000 (off); slot 0
+        # rebuilt from the near phi is within 2e-9 of the integrated one
+        path = str(INPUTS / f"{name}.json")
+        assert main(["verify", path]) == 1
+        [reason] = [line for line in capsys.readouterr().out.splitlines() if "FAIL completed" in line]
+        assert reason.startswith("  FAIL completed  (phi is off its own leaves: psi component 0: ")
+        assert main(["superpose", path, *options]) == 1
+        assert reason in capsys.readouterr().out.splitlines()
+
     def test_high_degree_phi_off_its_leaves_fails_within_seconds(self, tmp_path):
         # psi(phi) - k1 has degree 62,792 in x_1; the message shows it as it
         # stands, without reducing it by a gcd that would run for hours
@@ -647,14 +661,14 @@ class TestNegativeValues:
 
     @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
     def test_infinite_and_nan_k_read_as_the_equals_form(self, tmp_path, capsys, value):
-        # float() reads them all; a k that is not finite ends the run in `completed`
+        # float() reads them all; a k that is not finite is refused by name
         path = str(PROBLEMS / "riccati.json")
         apart = run(tmp_path, "superpose", path, "--k", value, json_name="apart.json")
         apart_out = capsys.readouterr()
         joined = run(tmp_path, "superpose", path, f"--k={value}", json_name="joined.json")
-        assert apart == joined and apart[0] == 1
-        assert [c["name"] for c in apart[1]["checks"] if not c["passed"]] == ["completed"]
-        assert capsys.readouterr() == apart_out and "FAIL completed" in apart_out.out
+        assert apart == joined == (2, None)
+        assert capsys.readouterr() == apart_out and apart_out.out == ""
+        assert apart_out.err == f"error: 'k' must be a list of 1 finite numbers, got [{float(value)}]\n"
 
     def test_several_k_in_exponent_notation(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "linear2.json"), "--k", "-1e-05", "2e-3")
@@ -776,6 +790,12 @@ MALFORMED_INPUTS = [
     ("sl2_group", ["group"], {"action": {"name": "mobius", "matrix": "abc"}}, "'matrix'"),
     # verify builds the system as solve and superpose do
     ("riccati", ["verify"], {"fields": [["1"], ["x"], ["2*x"]]}, "linearly independent"),
+    # JSON's NaN and Infinity are numbers to Python's json, and not finite
+    ("riccati", ["solve"], {"x0": [math.nan]}, "'x0' must be a list of 1 finite numbers, got [nan]"),
+    ("riccati", ["superpose"], {"initial_points": [[-2.0], [math.inf], [-1.0]]},
+     "'initial_points' must be 3 lists of 1 finite numbers, got [[-2.0], [inf], [-1.0]]"),
+    ("pde_riccati", ["pde", "solve"], {"target": [0.5, math.inf]},
+     "'target' must be a list of 2 finite nonnegative numbers, got [0.5, inf]"),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from pathlib import Path
@@ -9,7 +10,8 @@ from liesys import expr as ex
 from liesys import superposition
 from liesys.catalog import gl_fields, linear_rule
 from liesys.cli import main
-from liesys.dynamics import CoefficientCurve, LieSystem, align_trajectories, integrate, integrate_tuple
+from liesys.dynamics import (CoefficientCurve, LieSystem, Trajectory, align_trajectories, integrate,
+                             integrate_tuple)
 from liesys.errors import LiesysError, NonConvergenceError, SingularDomainError
 from liesys.expr import Chart, compile_expr
 from liesys.geometry import VectorField
@@ -18,9 +20,7 @@ from liesys.superposition import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     SuperpositionRule,
-    _leaf_points,
     _leaf_solve,
-    _phi_points,
     _predicted,
     derive_k,
     reconstruct,
@@ -1020,28 +1020,9 @@ class TestLeafFollowing:
         assert _predicted(before, last, 0.1, 0.1, 0.15) is last
 
 
-def _eager_point(rule, k, rest, t):
-    """phi at `rest` checked as reconstruct checked it before: a leaf solve
-    from phi on every call, which must land within 1e-6."""
-    x = _phi_points(rule, k)(rest, t)
-    if superposition._max_abs([a - b for a, b in zip(_leaf_solve(rule)(rest, k, x, t), x)]) > 1e-6:
-        raise NonConvergenceError("phi and leaf solve disagree beyond 1e-6", t)
-    return x
-
-
-def _checked(point, rest):
-    try:
-        return point(rest)
-    except (NonConvergenceError, SingularDomainError) as exc:
-        return type(exc), str(exc)
-
-
-def _lazy_and_eager(rule, k, rest):
-    lazy = _checked(lambda r: _leaf_points(rule, k)(r, None, 0.5, True), rest)
-    return lazy, _checked(lambda r: _eager_point(rule, k, r, 0.5), rest)
-
-
-def _crosscheck_cases():
+def _phi_cases():
+    """(name, rule, system, points, k) for superpose_checks: four rules whose
+    phi is on its leaves, then three whose phi is off them."""
     rank1, _ = _partial_rules()
     off_phi = SuperpositionRule.from_strings(
         LINE, 3, 1, psi=[str(cross_ratio().psi[0])], phi=[f"{cross_ratio().phi[0]} + x_1/1000"])
@@ -1049,67 +1030,77 @@ def _crosscheck_cases():
     off_constraint = SuperpositionRule.from_strings(
         rank1.base_chart, 1, 1, psi=["x1_0/x1_1"], phi=["k1*x1_1", "k1*x2_1 + 1/1000"],
         constraints=["x1_0*x2_1 - x2_0*x1_1"])
-    cases = [("riccati", cross_ratio(), True), ("separable_invsq", separable, True),
-             ("linear2", linear2_rule(), True), ("partial_rank1", rank1, True),
-             ("riccati_phi_off", off_phi, False), ("partial_phi_off", off_constraint, False)]
+    # a flat psi: psi(phi) - k1 = 1/2000000, under the 1e-6 a leaf solve
+    # from phi may move it
+    flat = SuperpositionRule.from_strings(LINE, 3, 1, psi=["(x_0 - x_1)/1000"],
+                                          phi=["x_1 + 1000*k1 + 1/2000"])
+    squares = LieSystem([VectorField.from_strings(LINE, ["x^2"])], [CoefficientCurve.from_string("1 + t/2")])
+    riccati = (riccati_system(), [[-2.0], [0.0], [-1.0]], [0.3])
+    partial = (linear2_system(), [[0.8, -0.5]], [0.7])
+    cases = [("riccati", cross_ratio(), *riccati), ("separable_invsq", separable, squares, [[0.5]], [0.3]),
+             ("linear2", linear2_rule(), linear2_system(), [[1.0, 0.0], [0.0, 1.0]], [0.3, 0.5]),
+             ("partial_rank1", rank1, *partial),
+             ("riccati_phi_off", off_phi, *riccati), ("partial_phi_off", off_constraint, *partial),
+             ("flat_psi", flat, *riccati)]
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
-class TestLazyCrossCheck:
-    """reconstruct's phi cross-check tests the residuals at phi before it
-    builds a leaf solve; it returns the same floats, or raises the same
-    error with the same message, as the solve run on every check."""
+class TestPhiDecidedExactly:
+    """superpose_checks decides phi once, exactly, as verify does
+    (_phi_on_leaves); reconstruct takes phi as given and builds no leaf
+    solver for it."""
 
-    @pytest.mark.parametrize("name,rule,on_leaf", _crosscheck_cases())
-    def test_same_as_the_eager_check(self, name, rule, on_leaf):
-        rng = random.Random(f"crosscheck-{name}")
-        slots = rule.m * rule.base_chart.dim
-        outcomes = []
-        for _ in range(60):
-            rest = [rng.uniform(-2, 2) for _ in range(slots)]
-            k = [rng.uniform(-2, 2) for _ in range(rule.rank)]
-            lazy, eager = _lazy_and_eager(rule, k, rest)
-            assert lazy == eager
-            outcomes.append(lazy)
-        solved = sum(not isinstance(o, tuple) for o in outcomes)
-        disagree = outcomes.count((NonConvergenceError, "phi and leaf solve disagree beyond 1e-6 (t=0.5)"))
-        # phi on its leaves passes, off them it fails, at nearly every draw
-        assert (solved if on_leaf else disagree) >= 50
-
-    def test_singular_start(self):
-        # phi = x_2 puts slot 0 on a pole of the cross ratio
-        rule = SuperpositionRule.from_strings(LINE, 3, 1, psi=[str(cross_ratio().psi[0])], phi=["x_2"])
-        lazy, eager = _lazy_and_eager(rule, [0.3], [0.5, -1.0, 2.0])
-        assert lazy == eager == (SingularDomainError, "leaf solve started at a singular point (t=0.5)")
-
-    def test_nan_residual(self):
-        # the second residual is inf - inf at y_1 = 1e200: never on the leaf
-        rule = SuperpositionRule.from_strings(
-            PLANE, 1, 2, psi=["x_0 - x_1", "y_0 + y_1*y_1*y_1 - y_1*y_1*y_1"], phi=["x_1 + k1", "k2"])
-        lazy, eager = _lazy_and_eager(rule, [0.0, 0.3], [0.5, 1e200])
-        assert lazy == eager == (NonConvergenceError, "Newton damping exhausted (t=0.5)")
-
-    @pytest.mark.parametrize("psi,phi", [
-        (str(cross_ratio().psi[0]), f"{cross_ratio().phi[0]} + x_1/1000"),
-        # a flat psi: the residual at phi is 5e-7, under the 1e-6 the solve
-        # may move phi, while the solve moves it by 5e-4
-        ("(x_0 - x_1)/1000", "x_1 + 1000*k1 + 1/2000"),
-    ], ids=["riccati", "flat_psi"])
-    def test_wrong_phi(self, psi, phi):
-        rule = SuperpositionRule.from_strings(LINE, 3, 1, psi=[psi], phi=[phi])
-        lazy, eager = _lazy_and_eager(rule, [0.3], [0.5, -1.0, 2.0])
-        assert lazy == eager == (NonConvergenceError, "phi and leaf solve disagree beyond 1e-6 (t=0.5)")
-
-    def test_superpose_with_phi_builds_no_solver(self, capsys):
+    @pytest.mark.parametrize("name,rule,sys,points,k", _phi_cases()[:4])
+    def test_phi_on_its_leaves_passes(self, name, rule, sys, points, k):
         before = superposition._build_leaf_solve.cache_info().misses
-        assert main(["superpose", str(PROBLEMS / "riccati.json")]) == 0
-        capsys.readouterr()
+        checks, _, _, _ = superpose_checks(rule, sys, points, (0.0, 1.0), 1e-9, 1e-6, k=k)
+        assert [c.passed for c in checks] == [True, True]
         assert superposition._build_leaf_solve.cache_info().misses == before
 
-    def test_phi_off_its_leaf_builds_one_solver(self, capsys):
-        # tools/inputs/phi_off_leaf.json is riccati.json with phi + x_1/1000
+    @pytest.mark.parametrize("name,rule,sys,points,k", _phi_cases()[4:])
+    def test_phi_off_its_leaves_fails(self, name, rule, sys, points, k):
+        with pytest.raises(LiesysError, match="phi is off its own leaves") as err:
+            superpose_checks(rule, sys, points, (0.0, 1.0), 1e-9, 1e-6, k=k)
+        if name == "flat_psi":
+            assert str(err.value).endswith("psi(phi) - k1 = 1/2000000 is not zero")
+
+    def test_phi_on_a_pole_of_psi_is_named(self):
+        # phi = x_2 puts slot 0 on a pole of the cross ratio
+        rule = SuperpositionRule.from_strings(LINE, 3, 1, psi=[str(cross_ratio().psi[0])], phi=["x_2"])
+        reason = ("phi lands where psi is undefined: psi component 0: "
+                  "division by an expression that is identically zero")
+        with pytest.raises(LiesysError) as err:
+            superpose_checks(rule, riccati_system(), [[-2.0], [0.0], [-1.0]], (0.0, 1.0), 1e-9, 1e-6, k=[0.3])
+        assert str(err.value) == reason
+        with pytest.raises(LiesysError) as err:
+            verify_tangency(rule, riccati_fields())
+        assert str(err.value) == reason
+
+    def test_nan_residual(self):
+        # phi is exactly on the leaves, though the second residual is
+        # inf - inf at y_1 = 1e200: reconstruct returns phi there, where a
+        # leaf solve from phi could only fail
+        rule = SuperpositionRule.from_strings(
+            PLANE, 1, 2, psi=["x_0 - x_1", "y_0 + y_1*y_1*y_1 - y_1*y_1*y_1"], phi=["x_1 + k1", "k2"])
+        assert superposition._phi_on_leaves(rule, 0)[1] is False
+        particular = Trajectory(np.array([0.5]), np.array([[0.5, 1e200]]))
+        assert reconstruct(rule, [particular], [0.0, 0.3]).states.tolist() == [[0.5, 0.3]]
+
+    def test_one_decision_serves_superpose_and_verify(self):
+        rule, fields = cross_ratio(), riccati_fields()
+        superpose_checks(rule, riccati_system(), [[-2.0], [0.0], [-1.0]], (0.0, 1.0), 1e-9, 1e-6, k=[0.3])
+        before = superposition._phi_on_leaves.cache_info()
+        assert verify_tangency(rule, fields).all_zero
+        after = superposition._phi_on_leaves.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_superpose_of_phi_files_builds_no_solver(self, capsys):
+        docs = {path: json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))}
+        files = [path for path, doc in docs.items() if "chart" in doc and (doc.get("rule") or {}).get("phi")]
+        assert len(files) == 7
         before = superposition._build_leaf_solve.cache_info().misses
-        assert main(["superpose", str(INPUTS / "phi_off_leaf.json")]) == 1
+        for path in files + [INPUTS / "phi_off_leaf.json"]:
+            assert main(["superpose", str(path)]) in (0, 1), path.name
         out = capsys.readouterr().out
-        assert "FAIL completed  (phi and leaf solve disagree beyond 1e-6 (t=0))" in out
-        assert superposition._build_leaf_solve.cache_info().misses == before + 1
+        assert "FAIL completed  (phi is off its own leaves: psi component 0: psi(phi) - k1 = " in out
+        assert superposition._build_leaf_solve.cache_info().misses == before

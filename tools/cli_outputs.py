@@ -56,8 +56,9 @@ FLAG_CALLS = (
 # bracket takes the non-constant path of expr._nf_dot; and two rules with
 # no phi, so every slot-0 node is a leaf solve: one whose solve starts at a
 # singular point, one on a coarse grid whose leaf has two branches; a
-# tangent rule whose psi does not see x_0; and a phi off its own leaves,
-# which only the cross-check of reconstruct catches in `superpose`
+# tangent rule whose psi does not see x_0; and two phis off their own
+# leaves, by x_1/1000 and by x_1/10^9, which `superpose` decides exactly as
+# `verify` does, before it integrates
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -68,6 +69,7 @@ INPUT_CALLS = (
     ("leaf_other_branch.superpose", ["superpose", "tools/inputs/leaf_other_branch.json"]),
     ("psi_not_transversal.verify", ["verify", "tools/inputs/psi_not_transversal.json"]),
     ("phi_off_leaf.superpose", ["superpose", "tools/inputs/phi_off_leaf.json"]),
+    ("phi_near_leaf.superpose", ["superpose", "tools/inputs/phi_near_leaf.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
