@@ -199,14 +199,6 @@ class _Rhs(NamedTuple):
     components: tuple[str, ...]
 
 
-def _not_finite(t: float, x: list | None = None) -> EvaluationError:
-    # built here rather than in generated code, whose scope has no builtins
-    # for numpy's array printing to import with
-    if x is None:
-        return EvaluationError(f"coefficient curve not finite at t={t}")
-    return EvaluationError(f"field value not finite at t={t}, x={np.array(x)}")
-
-
 def _compile_coefficients(coefficients: Sequence[CoefficientCurve]) -> Callable[[float], tuple]:
     """One generated function t -> (b_1(t), ..., b_r(t)) as floats, with the
     expression curves inlined and the tables interpolated; no finiteness
@@ -268,29 +260,37 @@ def _compile_velocity(rhs: _Rhs, coefficients: Callable[[float], tuple]):
     """One generated function (t, list of floats) -> list: rhs on each slot
     of a stacked state, with the scalars from `coefficients`.  Singular
     points raise as in compile_expr; non-finite scalars or values raise
-    EvaluationError.  The source holds rhs only, so systems with the same
-    fields share its code."""
+    EvaluationError, as does a value that overflows: "coefficient curve not
+    finite at t=...", or "field value not finite", whether the value came
+    out inf or its power raised OverflowError.  The source holds rhs only,
+    so systems with the same fields share its code."""
     return ex.compile_source(_velocity_source(rhs), "velocity", _coefficients=coefficients,
-                             _isfinite=math.isfinite, _not_finite=_not_finite,
-                             all=all, map=map, range=range, len=len)
+                             _isfinite=math.isfinite, _inf=math.inf, _overflow=OverflowError,
+                             _error=EvaluationError, all=all, map=map, range=range, len=len)
 
 
 @lru_cache(maxsize=64)
 def _velocity_source(rhs: _Rhs) -> str:
     n = len(rhs.components)
     lines = ["def velocity(t, v):",
-             "    _b = _coefficients(t)",
+             "    try:",
+             "        _b = _coefficients(t)",
+             "    except _overflow:",
+             "        _b = _inf,",
              "    if not all(map(_isfinite, _b)):",
-             "        raise _not_finite(t)",
+             "        raise _error(f'coefficient curve not finite at t={t}')",
              f"    {''.join(f'_b{a}, ' for a in range(rhs.scalars))}= _b",
              "    out = []",
-             f"    for s in range(0, len(v), {n}):",
-             f"        {''.join(f'_x{i}, ' for i in range(n))}= v[s:s + {n}]",
-             "        out += ["]
-    lines += [f"            {c}," for c in rhs.components]
-    lines += ["        ]",
+             "    try:",
+             f"        for s in range(0, len(v), {n}):",
+             f"            {''.join(f'_x{i}, ' for i in range(n))}= v[s:s + {n}]",
+             "            out += ["]
+    lines += [f"                {c}," for c in rhs.components]
+    lines += ["            ]",
+              "    except _overflow:",
+              "        out = [_inf]",
               "    if not all(map(_isfinite, out)):",
-              "        raise _not_finite(t, v)",
+              "        raise _error('field value not finite')",
               "    return out"]
     return "\n".join(lines)
 

@@ -193,6 +193,14 @@ class TestSolveAndSuperpose:
         out = capsys.readouterr().out
         assert "FAIL" in out and "initial point" in out
 
+    @pytest.mark.parametrize("name", ["overflow_power", "overflow_product"])
+    def test_solve_names_an_overflowing_field_one_way(self, tmp_path, name):
+        # x^2 raises OverflowError at x = 1e200, while x*x comes out inf
+        code, doc = run(tmp_path, "solve", str(INPUTS / f"{name}.json"))
+        assert code == 1
+        assert doc["checks"][-1]["detail"] == ("right-hand side not defined at the initial point "
+                                               "t=0.0, x=[1e+200]: field value not finite")
+
     def test_solve_fails_on_step_underflow(self, tmp_path, capsys):
         # the second coefficient is about -1.2e12 at t0: every step is
         # rejected down to the underflow bound at the first node
@@ -469,8 +477,27 @@ class TestGroupAndPde:
     def test_group_mobius(self, tmp_path):
         code, doc = run(tmp_path, "group", str(PROBLEMS / "sl2_group.json"))
         assert code == 0
-        names = [c["name"] for c in doc["checks"]]
-        assert "det_equals_one" in names and "traceless" in names
+        assert [c["name"] for c in doc["checks"]] == ["integrated", "det_liouville"]
+
+    @pytest.mark.parametrize("name", ["group_decay", "group_trace"])
+    def test_group_with_a_trace_passes_det_liouville(self, tmp_path, name):
+        # group_decay: det g(1) = e^-30, far below 1 but within 1e-13 of exp(tau)
+        code, doc = run(tmp_path, "group", str(INPUTS / f"{name}.json"))
+        assert code == 0
+        check = next(c for c in doc["checks"] if c["name"] == "det_liouville")
+        assert check["passed"] and check["value"] <= 1e-10
+
+    def test_group_matrix_stopped_at_its_first_node(self, tmp_path):
+        # tr a = sin(t) + t; the entry below the diagonal is about 1e124 at
+        # t0, so every step is rejected and tau is an empty sum
+        action = {"name": "sl2_linear", "matrix": [
+            ["sin(t)", "(2)^23"], ["(((exp(t))^23)-((2)^23))^18", "t"]]}
+        path = edited_problem(tmp_path, "sl2_group", {"action": action, "t_span": [-0.25, 0.125]})
+        code, doc = run(tmp_path, "group", str(path))
+        assert code == 1
+        integrated, det = doc["checks"]
+        assert not integrated["passed"] and integrated["detail"].startswith("step underflow at t=-0.25")
+        assert det["name"] == "det_liouville" and det["passed"] and det["value"] == 0.0
 
     def test_group_x0_on_the_pole_skips_equivariance(self, tmp_path):
         path = edited_problem(tmp_path, "sl2_group", {"action": {
@@ -840,6 +867,19 @@ def _grid_leaf_shifted(monkeypatch):
     monkeypatch.setattr(pde, "_leaf_solve", shifted)
 
 
+def _group_det_drift(monkeypatch):
+    """An integrator fault: column 0 of g scaled by 1 + 1e-3 after t0."""
+    from liesys import group
+
+    real = group.solve_group_equation
+
+    def drifted(*args, **kwargs):
+        g = real(*args, **kwargs)
+        g.matrices[1:, :, 0] *= 1 + 1e-3
+        return g
+    monkeypatch.setattr(group, "solve_group_equation", drifted)
+
+
 def _structure_constant_off(monkeypatch):
     """A kernel fault: the first structure constant of every closed report
     off by one, as a wrong exact bracket would leave it."""
@@ -905,6 +945,9 @@ PLANTED_DEFECTS = [
     # node misses the shifted corner by 4.4e-4
     ("grid_leaf_shifted", "pde superpose", PROBLEMS / "pde_riccati.json", {}, _grid_leaf_shifted,
      "superposition_vs_path_solve", "", set()),
+    # det g drifts from exp(tau) by 1e-3 while the run reaches t1
+    ("group_det_drift", "group", PROBLEMS / "sl2_group.json", {}, _group_det_drift,
+     "det_liouville", "", {"integrated"}),
 ]
 
 
@@ -1095,8 +1138,7 @@ class TestCatalogSharesTheCliChecks:
     M = {"m_determined", "m_matches_expected"}
 
     @pytest.mark.parametrize("entry,argv,names", [
-        ("sl2_group", ["group", "sl2_group"],
-         {"traceless", "integrated", "det_nonzero", "det_equals_one"}),
+        ("sl2_group", ["group", "sl2_group"], {"integrated", "det_liouville"}),
         ("pde_riccati", ["pde", "check", "pde_riccati"], {"flat"}),
         ("linear2", ["closure", "linear2"], CLOSURE),
         ("riccati", ["closure", "riccati"], CLOSURE),

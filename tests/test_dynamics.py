@@ -109,7 +109,7 @@ class TestCoefficientFloats:
         with pytest.raises(EvaluationError) as info:
             integrate(sys, [1.0])
         assert str(info.value) == ("right-hand side not defined at the initial point t=0.0, "
-                                   "x=[1.0]: int too large to convert to float")
+                                   "x=[1.0]: coefficient curve not finite at t=0.0")
 
 
 class TestVelocity:

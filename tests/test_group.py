@@ -18,6 +18,7 @@ from liesys.group import (
     MatrixCurve,
     act_solve,
     check_equivariance,
+    group_checks,
     sl2_from_coefficients,
     solve_group_equation,
 )
@@ -70,7 +71,7 @@ class TestSolveGroupEquation:
         gtraj = solve_group_equation(a, (0.0, 1.0))
         assert np.max(np.abs(gtraj.matrices[0] - np.eye(2))) == 0.0
         assert np.max(np.abs(gtraj.determinants() - 1.0)) <= 1e-6
-        assert a.trace_is_zero()
+        assert [sum(b[i][i] for i in range(2)) for b in a.basis] == [0, 0, 0]
 
     def test_liouville_determinant(self):
         # trace is 2t, so det g(t) = exp(t^2)
@@ -148,19 +149,39 @@ class TestLinearSystemForm:
 TABLE = CoefficientCurve(table=([0.0, 1.0], [0.0, 2.0]))
 
 
-class TestTraceIsZero:
-    def test_traceless_entries(self):
-        assert MatrixCurve.from_strings([["t^2 - 1", "1"], ["t", "1 - t^2"]]).trace_is_zero()
+class TestDetLiouville:
+    """det_liouville compares det g with exp of the integrated trace of a."""
+
+    @staticmethod
+    def check(a, t_span):
+        checks, g, _ = group_checks(a, t_span)
+        assert [c.name for c in checks] == ["integrated", "det_liouville"]
+        return checks[1], g
+
+    def test_sl2_value_is_the_unit_determinant_gap(self):
+        check, g = self.check(sl2_from_coefficients(*curves("1", "t", "1 - t")), (0.0, 1.0))
+        assert check.passed
+        assert check.value == float(np.max(np.abs(g.determinants() - 1.0)))
 
     def test_entries_with_a_trace(self):
-        assert not MatrixCurve.from_strings([["t", "1"], ["0", "t"]]).trace_is_zero()
+        # tr a = 3 + 2t, so det g(t) = exp(3t + t^2), about e^10 at t = 2
+        a = MatrixCurve.from_strings([["3", "1"], ["0", "2*t"]])
+        check, g = self.check(a, (0.0, 2.0))
+        assert check.passed and 0.0 < check.value <= 1e-9
+        assert np.allclose(a.trace_integral(g.t), 3 * g.t + g.t**2, rtol=1e-12, atol=0.0)
 
-    def test_sl2_with_table_curves(self):
-        assert sl2_from_coefficients(TABLE, TABLE, TABLE).trace_is_zero()
+    def test_decaying_determinant_is_judged_on_the_scale_of_one(self):
+        # det g(1) = e^-30, far below any fixed limit away from zero
+        check, g = self.check(MatrixCurve.from_strings([["-15", "0"], ["0", "-15"]]), (0.0, 1.0))
+        assert check.passed
+        assert g.determinants()[-1] < 1e-13
 
     def test_table_curve_on_a_diagonal_unit(self):
+        # tr a = 2t on [0, 1], so det g(t) = exp(t^2)
         a = MatrixCurve([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], [TABLE, curves("1")[0]])
-        assert not a.trace_is_zero()
+        check, g = self.check(a, (0.0, 1.0))
+        assert check.passed
+        assert np.allclose(a.trace_integral(g.t), g.t**2, rtol=1e-12, atol=1e-15)
 
 
 def Fraction_like(v: float) -> str:

@@ -58,7 +58,11 @@ FLAG_CALLS = (
 # singular point, one on a coarse grid whose leaf has two branches; a
 # tangent rule whose psi does not see x_0; and two phis off their own
 # leaves, by x_1/1000 and by x_1/10^9, which `superpose` decides exactly as
-# `verify` does, before it integrates
+# `verify` does, before it integrates; two matrix curves with a trace, one
+# whose det g(1) = e^-30 decays far below one and one with det g(2) = e^10,
+# whose determinants `group` checks against Liouville's formula; and a
+# field that overflows at x0 = 1e200, once as x^2, whose power raises
+# OverflowError, and once as x*x, which comes out inf
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -70,6 +74,10 @@ INPUT_CALLS = (
     ("psi_not_transversal.verify", ["verify", "tools/inputs/psi_not_transversal.json"]),
     ("phi_off_leaf.superpose", ["superpose", "tools/inputs/phi_off_leaf.json"]),
     ("phi_near_leaf.superpose", ["superpose", "tools/inputs/phi_near_leaf.json"]),
+    ("group_decay.group", ["group", "tools/inputs/group_decay.json"]),
+    ("group_trace.group", ["group", "tools/inputs/group_trace.json"]),
+    ("overflow_power.solve", ["solve", "tools/inputs/overflow_power.json"]),
+    ("overflow_product.solve", ["solve", "tools/inputs/overflow_product.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
