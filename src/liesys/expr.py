@@ -234,22 +234,23 @@ _BUILD = threading.Lock()
 
 
 class _PolySum(Add):
-    """The sum of a polynomial's terms, two or more: the terms slot holds the
-    polynomial until the first read of `terms` builds the term trees
-    (_poly_terms) and turns the node into a plain Add, whose later reads
-    take the slot directly."""
+    """The sum of a polynomial's terms, two or more, each coefficient divided
+    by lc: the terms slot holds the pair (polynomial, lc) until the first
+    read of `terms` builds the term trees (_poly_terms, where the Fractions
+    are made) and turns the node into a plain Add, whose later reads take
+    the slot directly."""
 
     __slots__ = ()
 
-    def __init__(self, poly):
+    def __init__(self, poly, lc):
         Expr.__init__(self)
-        _TERMS.__set__(self, poly)
+        _TERMS.__set__(self, (poly, lc))
 
     @property
     def terms(self):
         with _BUILD:  # one build per node, so racing readers get one tuple
             if type(self) is _PolySum:
-                _TERMS.__set__(self, _poly_terms(_TERMS.__get__(self)))
+                _TERMS.__set__(self, _poly_terms(*_TERMS.__get__(self)))
                 self.__class__ = Add
         return _TERMS.__get__(self)
 
@@ -378,7 +379,12 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 # parts only where that is read, and to the canonical form (Fraction
 # coefficients, monic denominator) only where that form is read.
 # A polynomial is a dict mapping monomials to coefficients: int in the folded
-# and reduced pairs, Fraction in canonical forms.  A monomial is a sorted
+# and reduced pairs, Fraction in canonical forms.  A tree rebuilt from a
+# normal form holds the reduced pair and the leading coefficient of its
+# denominator, and makes Fractions only where it builds a term: when a
+# sum's terms are first read, or at once for a one-term polynomial.  The
+# canonical form itself is made where it is read: by canonical equality,
+# by the keys of function atoms and by the echelon.  A monomial is a sorted
 # tuple of (atom, exponent) pairs where an atom is a variable name or the
 # canonical key of a function application.
 # Ownership: the dicts of a built _NF, of _PONE and of the _NF_ONE and
@@ -1014,28 +1020,32 @@ def _atom_expr(atom: str) -> Expr:
     return e
 
 
-def _poly_terms(p) -> tuple[Expr, ...]:
-    """The term trees of a nonzero polynomial, leading term first: the one
-    builder of terms, run at once for one term and on first read for more."""
+def _poly_terms(p, lc) -> tuple[Expr, ...]:
+    """The term trees of a nonzero polynomial divided by lc, leading term
+    first: the one builder of terms, run at once for one term and on first
+    read for more."""
     terms = []
     for mono, coeff in _sorted_terms(p):
         factors: list[Expr] = []
-        if coeff != 1 or not mono:
-            factors.append(Const(coeff))
+        if coeff != lc or not mono:
+            factors.append(Const(coeff if lc == 1 else Fraction(coeff, lc)))
         for atom, e in mono:
             factors.append(_make_pow(_atom_expr(atom), e))
         terms.append(_chain(Mul, factors))
     return tuple(terms)
 
 
-def _expr_from_poly(p) -> Expr:
+def _expr_from_poly(p, lc=1) -> Expr:
     if not p:
         return Const(_QZERO)
-    return _poly_terms(p)[0] if len(p) == 1 else _PolySum(p)
+    return _poly_terms(p, lc)[0] if len(p) == 1 else _PolySum(p, lc)
 
 
-def _tree(num, den, nf: _NF) -> Expr:
-    e = _expr_from_poly(num) if den == _PONE else Div(_expr_from_poly(num), _expr_from_poly(den))
+def _tree(num, den, nf: _NF, lc=1) -> Expr:
+    """num/den divided through by lc as a tree that carries nf; a
+    denominator of lc is left out."""
+    top = _expr_from_poly(num, lc)
+    e = top if den == {(): lc} else Div(top, _expr_from_poly(den, lc))
     e._nf = nf
     return e
 
@@ -1046,13 +1056,14 @@ def _tree_of(nf: _NF) -> Expr:
 
 
 def _expr_from_nf(nf: _NF) -> Expr:
-    """nf's canonical form as a tree that carries nf's reduced integer pair;
-    a zero is Const(0) carrying nf itself, with no gcd or Fraction built."""
+    """nf's canonical form as a tree that carries nf's reduced integer pair:
+    the pair divided by the leading coefficient of its denominator, with
+    each Fraction made where a term is built.  A zero is Const(0) carrying
+    nf itself, with no gcd or Fraction built."""
     if not nf.num_den[0]:
         return _tree_of(nf)
-    reduced = _NF(*nf.reduced(), nf.trans, reduced=True)
-    reduced._canonical = nf.canonical()
-    return _tree(*reduced._canonical, reduced)
+    num, den = nf.reduced()
+    return _tree(num, den, _NF(num, den, nf.trans, reduced=True), _lc(den))
 
 
 def canonical_expr(e: Expr) -> Expr:
@@ -1086,8 +1097,8 @@ def free_variables(e: Expr) -> frozenset[str]:
             out.add(node.name)
         elif isinstance(node, Add):
             terms = _TERMS.__get__(node)
-            if isinstance(terms, dict):  # an unbuilt sum: its polynomial's atoms
-                terms = [_atom_expr(a) for a in {a for m in terms for a, _ in m}]
+            if isinstance(terms[0], dict):  # an unbuilt sum: its polynomial's atoms
+                terms = [_atom_expr(a) for a in {a for m in terms[0] for a, _ in m}]
             stack.extend(terms)
         elif isinstance(node, Mul):
             stack.extend(node.factors)

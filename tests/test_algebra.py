@@ -184,14 +184,14 @@ class TestSumsStayUnbuilt:
         made, built = [], []
         init, build = ex._PolySum.__init__, ex._poly_terms
 
-        def making(self, poly):
+        def making(self, poly, lc):
             made.append(len(poly))
-            init(self, poly)
+            init(self, poly, lc)
 
-        def building(poly):
+        def building(poly, lc):
             if len(poly) > 1:
                 built.append(len(poly))
-            return build(poly)
+            return build(poly, lc)
 
         monkeypatch.setattr(ex._PolySum, "__init__", making)
         monkeypatch.setattr(ex, "_poly_terms", building)
@@ -219,6 +219,42 @@ class TestSumsStayUnbuilt:
             assert decision.verdict == "zero" and decision.exact
         made, built = sums
         assert made and built == []
+
+    def test_jacobi_sum_makes_no_canonical_form(self, monkeypatch):
+        """The benchmark's Jacobi shape reads normal forms only: no
+        canonical form is made, and components still render as the tree of
+        their canonical Fraction pair."""
+        made = []
+        canonical = ex._NF.canonical
+
+        def counting(nf):
+            if nf._canonical is None:
+                made.append(nf)
+            return canonical(nf)
+
+        monkeypatch.setattr(ex._NF, "canonical", counting)
+        texts = [("x^2 + 2*x*y - 3", "y^2 - x/2 + 1"), ("3*x*y - y", "x^2 + y^2"),
+                 ("x^2/3 - y + 2", "x*y + 5*x")]
+        x, y, z = fields = [VectorField(PLANE, tuple(ex.canonical_expr(ex.parse(c, PLANE)) for c in row))
+                            for row in texts]
+        inner = [lie_bracket(p, q) for p, q in ((x, y), (y, z), (z, x))]
+        terms = [lie_bracket(b, r) for b, r in zip(inner, (z, x, y))]
+        totals = [ex.Add(tuple(t.components[i] for t in terms)) for i in range(2)]
+        assert all(is_zero(total).verdict == "zero" for total in totals)
+        assert made == []
+        stack = [c for f in fields + inner + terms for c in f.components] + totals
+        while stack:
+            node = stack.pop()
+            assert node._nf is None or node._nf._canonical is None
+            if isinstance(node, ex.Div):
+                stack += [node.numerator, node.denominator]
+            elif isinstance(node, ex.Mul):
+                stack += node.factors
+            elif type(node) is ex.Add:  # a sum not built from a normal form
+                stack += node.terms
+        components = [c for t in inner + terms for c in t.components]
+        want = [str(ex._tree(*c._nf.canonical(), c._nf)) for c in components]
+        assert [str(c) for c in components] == want
 
     @pytest.mark.parametrize("components", [None, (["1"], ["x^3 + x"])])
     def test_open_closure_builds_its_witness_once_rendered(self, sums, components):

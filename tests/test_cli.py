@@ -880,6 +880,22 @@ def _group_det_drift(monkeypatch):
     monkeypatch.setattr(group, "solve_group_equation", drifted)
 
 
+def _staircase_moved(monkeypatch):
+    """An integrator fault: the endpoint of the audit's second staircase,
+    the first that is not the default one, moved by 1e-7."""
+    from liesys import pde
+
+    real, solved = pde.path_solve, []
+
+    def moved(*args, **kwargs):
+        result = real(*args, **kwargs)
+        solved.append(result)
+        if len(solved) == 2:
+            result.endpoint = result.endpoint + 1e-7
+        return result
+    monkeypatch.setattr(pde, "path_solve", moved)
+
+
 def _structure_constant_off(monkeypatch):
     """A kernel fault: the first structure constant of every closed report
     off by one, as a wrong exact bracket would leave it."""
@@ -948,6 +964,12 @@ PLANTED_DEFECTS = [
     # det g drifts from exp(tau) by 1e-3 while the run reaches t1
     ("group_det_drift", "group", PROBLEMS / "sl2_group.json", {}, _group_det_drift,
      "det_liouville", "", {"integrated"}),
+    # the Riccati fields need m = 3, which the file's "m" understates
+    ("m_understated", "m", PROBLEMS / "riccati.json", {"m": 2}, None,
+     "m_matches_expected", "got 3, expected 2", {"m_determined"}),
+    # a spread of 1e-7 lies above the limit 10 tol = 1e-8 and below 1e-5
+    ("staircase_moved", "pde solve", PROBLEMS / "pde_riccati.json", {}, _staircase_moved,
+     "path_independence_spread", "", {"integrated"}),
 ]
 
 

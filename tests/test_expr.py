@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liesys import expr as ex
@@ -927,6 +927,10 @@ LAZY_CASES = {
     "bracket component 1": lambda: _bracket_component(1),
     "derivation": lambda: _derivation("x^3*y + y^2"),
     "derivation of a quotient": lambda: _derivation("(x + y)/(x - y + 2)"),
+    "constant denominator above 1": lambda: canonical_expr(_plane("x/3 + y/6")),
+    "negative leading denominator": lambda: canonical_expr(_plane("(x + 1)/(2 - x^2)")),
+    # the one-term numerator is divided by lc = -2 at once, the sum on read
+    "one-term numerator": lambda: canonical_expr(_plane("7/(-2*x + y)")),
 }
 
 _SOURCE_NAMES = {"x": "_v0", "y": "_v1"}
@@ -949,22 +953,46 @@ def _unbuilt_sums(e):
 
 
 def _eager(e):
-    """A copy of e with every unbuilt sum replaced by an Add of the terms
-    the builder gives for its polynomial, made without reading those sums'
-    terms: the tree an eager build would have made, with e left unbuilt."""
-    if type(e) is ex._PolySum:
-        return Add(tuple(map(_eager, ex._poly_terms(ex._TERMS.__get__(e)))))
-    if isinstance(e, Add):
-        return Add(tuple(map(_eager, e.terms)))
+    """The tree an eager build makes of e's canonical form: the tree of its
+    Fraction pair nf.canonical(), every sum's terms built, and so on inside
+    function arguments; made without reading the sums of e."""
+    return _built(ex._tree(*e._nf.canonical(), e._nf))
+
+
+def _built(e):
+    if isinstance(e, Add):  # a sum of the eager copy, so its own to build
+        return Add(tuple(map(_built, e.terms)))
     if isinstance(e, Mul):
-        return Mul(tuple(map(_eager, e.factors)))
+        return Mul(tuple(map(_built, e.factors)))
     if isinstance(e, Pow):
-        return Pow(_eager(e.base), e.exponent)
+        return Pow(_built(e.base), e.exponent)
     if isinstance(e, Div):
-        return Div(_eager(e.numerator), _eager(e.denominator))
+        return Div(_built(e.numerator), _built(e.denominator))
     if isinstance(e, Call):
         return Call(e.fn, _eager(e.arg))
     return e
+
+
+def _grow_rational(children):
+    """One node over `children` with no function atom, whose denominators
+    are nonzero constants or positive or negative polynomials."""
+    positive = children.map(lambda u: Add((Pow(u, 2), Const(1))))
+    denominators = st.one_of(positive, positive.map(lambda u: -u), st.sampled_from(VARS).map(Var),
+                             st.builds(lambda p, q: Const(Fraction(p, q)),
+                                       st.sampled_from((-6, -2, 3, 7)), st.integers(1, 4)))
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda ts: Add(tuple(ts))),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: Mul(tuple(fs))),
+        st.tuples(children, children).map(lambda t: t[0] - t[1]),
+        st.tuples(children, st.integers(2, 3)).map(lambda t: Pow(*t)),
+        st.tuples(children, denominators).map(lambda t: Div(*t)),
+    )
+
+
+_RATIONAL_TREES = st.recursive(
+    st.one_of(st.builds(lambda p, q: Const(Fraction(p, q)), st.integers(-5, 5), st.integers(1, 6)),
+              st.sampled_from(VARS).map(Var)),
+    _grow_rational, max_leaves=8)
 
 
 class TestLazySums:
@@ -989,6 +1017,24 @@ class TestLazySums:
         assert all(s.terms is s.terms for s in sums)
         assert str(lazy) == str(eager)
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(e=_RATIONAL_TREES)
+    @example(e=_plane("x/3 + y/6"))
+    @example(e=_plane("(x + 1)/(2 - x^2)"))
+    @example(e=_plane("7/(-2*x)"))
+    def test_canonical_tree_is_the_tree_of_the_fraction_pair(self, e):
+        """canonical_expr divides the reduced integer pair by lc where it
+        builds terms; the tree of the Fraction pair nf.canonical() is the
+        oracle."""
+        got = canonical_expr(e)
+        nf = ex._nf_of(e)
+        want = ex._tree(*nf.canonical(), nf)
+        assert str(got) == str(want)
+        point = {"x": Fraction(1, 3), "y": Fraction(-2, 5), "z": Fraction(3, 7)}
+        assert evaluate(got, point) == evaluate(want, point)
+        names = {v: f"_v{i}" for i, v in enumerate(VARS)}
+        assert python_source(got, names) == python_source(want, names)
+
     def test_function_atoms_inside_an_unbuilt_sum_are_walked(self):
         e = canonical_expr(parse("sin(z*y) + exp(x - z) + x", VARS))
         assert type(e) is ex._PolySum
@@ -1001,10 +1047,10 @@ class TestLazySums:
         builds = []
         build = ex._poly_terms
 
-        def slow_build(p):
+        def slow_build(p, lc):
             builds.append(len(p))
             time.sleep(0.01)  # the other readers arrive while this one builds
-            return build(p)
+            return build(p, lc)
 
         monkeypatch.setattr(ex, "_poly_terms", slow_build)
         ready = threading.Barrier(4, timeout=10)

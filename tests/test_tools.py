@@ -1,0 +1,47 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+class TestBenchPairsSummary:
+    PARENT = [1.80, 1.82, 1.79, 1.85, 1.81, 1.83, 1.78, 1.84, 1.80, 1.86]
+
+    def test_quartiles_and_a_claimed_gain(self):
+        change = [v - 0.35 for v in self.PARENT]
+        change[3] = 1.90  # one pair lost: 9 of 10 still claim
+        s = bench_pairs.summarize(self.PARENT, change, "lower", 0.25)
+        assert s["parent"] == pytest.approx((1.80, 1.815, 1.8375))
+        assert s["change"][1] == pytest.approx(1.465)
+        assert (s["won"], s["pairs"]) == (9, 10)
+        assert s["gain_claimed"] and not s["worse_beyond_bound"]
+
+    def test_two_lost_pairs_claim_nothing(self):
+        change = [v - 0.35 for v in self.PARENT]
+        change[3] = change[5] = 1.90
+        s = bench_pairs.summarize(self.PARENT, change, "lower", 0.25)
+        assert s["won"] == 8 and not s["gain_claimed"]
+
+    def test_medians_within_the_parents_iqr_claim_nothing(self):
+        change = [v - 0.01 for v in self.PARENT]  # wins every pair by less than the IQR
+        s = bench_pairs.summarize(self.PARENT, change, "lower", 0.25)
+        assert s["won"] == 10 and not s["gain_claimed"]
+
+    def test_ties_count_for_neither_and_nine_pairs_claim_nothing(self):
+        s = bench_pairs.summarize(self.PARENT, list(self.PARENT), "lower", 0.25)
+        assert s["won"] == 0 and not s["gain_claimed"]
+        nine = bench_pairs.summarize(self.PARENT[:9], [v - 0.35 for v in self.PARENT[:9]], "lower", 0.25)
+        assert nine["won"] == 9 and not nine["gain_claimed"]
+
+    def test_higher_is_better_and_the_bound(self):
+        parent = [400.0, 410.0, 420.0, 430.0]
+        assert bench_pairs.summarize(parent, [v * 1.2 for v in parent], "higher", 0.25)["won"] == 4
+        worse = bench_pairs.summarize(parent, [v * 0.7 for v in parent], "higher", 0.25)
+        assert worse["won"] == 0 and worse["worse_beyond_bound"]
+        assert not bench_pairs.summarize(parent, [v * 0.8 for v in parent], "higher",
+                                         0.25)["worse_beyond_bound"]

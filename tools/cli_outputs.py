@@ -62,7 +62,8 @@ FLAG_CALLS = (
 # whose det g(1) = e^-30 decays far below one and one with det g(2) = e^10,
 # whose determinants `group` checks against Liouville's formula; and a
 # field that overflows at x0 = 1e200, once as x^2, whose power raises
-# OverflowError, and once as x*x, which comes out inf
+# OverflowError, and once as x*x, which comes out inf; and a field that
+# does not parse, which exits 2
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -78,6 +79,7 @@ INPUT_CALLS = (
     ("group_trace.group", ["group", "tools/inputs/group_trace.json"]),
     ("overflow_power.solve", ["solve", "tools/inputs/overflow_power.json"]),
     ("overflow_product.solve", ["solve", "tools/inputs/overflow_product.json"]),
+    ("malformed_field.closure", ["closure", "tools/inputs/malformed_field.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
