@@ -4,7 +4,10 @@ fundamental-set size m.  `closure_checks` and `m_checks` turn the last two
 into the named checks of `liesys closure` and `liesys m`, and of the catalog.
 
 Structure constants are found by reducing canonical-form coefficients
-against one incremental echelon form of the basis over Q, exactly.  The rank
+against one incremental echelon form of the basis over Q, exactly.  Closure
+reads each bracket as its normal forms, a component that no partial reaches
+being zero at once, and builds a bracket's tree only for a witness or for a
+field that completion adjoins.  The rank
 behind m is exact too for rational fields, by elimination over Q at random
 rational points; singular values (with a relative threshold) serve only
 matrices holding floats, from function atoms or float points.
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ChartMismatchError, ClosureCapError, EvaluationError, RankTestError
-from .geometry import VectorField, lie_bracket
+from .geometry import VectorField, _bracket_nfs, _field_of_nfs
 from .report import Check
 
 __all__ = [
@@ -66,7 +69,9 @@ class _Echelon:
     coordinates once component i is multiplied by D_i, the lcm of the
     denominators of component i over the fields seen.  A row also holds, at
     key (-1, a), its coefficient of added field a, so reducing a target
-    against the rows yields its coefficients with nothing solved again.
+    against the rows yields its coefficients with nothing solved again.  A
+    target is read as its components' normal forms, so a bracket from
+    geometry._bracket_nfs is reduced with no tree built for it.
     """
 
     def __init__(self, fields: Iterable[VectorField] = ()):
@@ -77,16 +82,21 @@ class _Echelon:
         for f in fields:
             self.add(f)
 
-    def _reduce(self, f: VectorField) -> dict:
-        """f's vector minus the rows that clear its pivot coordinates; key
-        (-1, a) holds minus the coefficient of field a taken off."""
+    def nfs(self, f: VectorField) -> tuple[ex._NF, ...]:
+        """f's component normal forms; f must be on the chart of the fields
+        seen, and the first field seen sets it."""
         if self._names is None:
             self._names, self._dens = f.chart.names, [ex._PONE] * f.chart.dim
         elif f.chart.names != self._names:
             raise ChartMismatchError("span_coefficients needs a shared chart")
+        return tuple(ex._nf_of(c) for c in f.components)
+
+    def _reduce(self, nfs: Sequence[ex._NF]) -> dict:
+        """The vector of the component normal forms nfs minus the rows that
+        clear its pivot coordinates; key (-1, a) holds minus the coefficient
+        of field a taken off."""
         vec = {}
-        for i, c in enumerate(f.components):
-            nf = ex._nf_of(c)
+        for i, nf in enumerate(nfs):
             if not nf.num_den[0]:  # a zero component has no coordinates
                 continue
             num, den = nf.canonical()
@@ -99,7 +109,7 @@ class _Echelon:
                 self.fields.clear()  # the same list: closure_test holds it as its basis
                 for g in fields:
                     self.add(g)
-                return self._reduce(f)
+                return self._reduce(nfs)
             vec.update(((i, mono), v) for mono, v in ex._pmul(num, scale).items())
         # each pivot coordinate sits in its own row only, so one pass clears all
         for pivot in [k for k in vec if k in self._rows]:
@@ -108,7 +118,7 @@ class _Echelon:
 
     def add(self, f: VectorField) -> bool:
         """Adjoin f as a row; False, with nothing added, when f is in the span."""
-        vec = self._reduce(f)
+        vec = self._reduce(self.nfs(f))
         pivot = next((k for k in vec if k[0] >= 0), None)
         if pivot is None:
             return False
@@ -122,10 +132,11 @@ class _Echelon:
         self._rows[pivot] = row
         return True
 
-    def coefficients(self, f: VectorField) -> tuple[bool, list[Fraction]]:
-        """Whether f is in the span of the added fields, and the coefficients of
-        the combination the reduction took off f."""
-        vec = self._reduce(f)
+    def coefficients(self, nfs: Sequence[ex._NF]) -> tuple[bool, list[Fraction]]:
+        """Whether the field with component normal forms nfs is in the span
+        of the added fields, and the coefficients of the combination the
+        reduction took off it."""
+        vec = self._reduce(nfs)
         coefficients = [Fraction(0)] * len(self.fields)
         for (i, a), v in vec.items():
             if i < 0:
@@ -158,7 +169,7 @@ def span_coefficients(target: VectorField, basis: Sequence[VectorField]) -> Span
     basis = list(basis)
     span = _Echelon()
     kept = [a for a, f in enumerate(basis) if span.add(f)]
-    in_span, reduced = span.coefficients(target)
+    in_span, reduced = span.coefficients(span.nfs(target))
     coefficients = [Fraction(0)] * len(basis)
     for a, c in zip(kept, reduced):
         coefficients[a] = c
@@ -254,6 +265,12 @@ def closure_test(
 ) -> LieClosureReport:
     """Prune, bracket all pairs, and match constants exactly.
 
+    Each bracket is reduced as its normal forms (geometry._bracket_nfs), a
+    component that no partial reaches being zero at once; its field, with
+    the tree of each component's canonical form, is built only when it is
+    not in the span: for the witness, or for a field that completion
+    adjoins.  Fields that are all zero span {0}, whose basis is empty.
+
     With complete=True, missing brackets are adjoined and the test iterates
     to a fixed point; exceeding `cap` raises ClosureCapError (no finite
     closure found up to the cap, which is not proof there is none).
@@ -262,25 +279,24 @@ def closure_test(
         raise ValueError("closure_test needs at least one field")
     span = _Echelon(f for f in fields if not f.is_zero_field())
     basis = span.fields  # grows as span.add adjoins brackets
-    if not basis:
-        basis = [fields[0]]  # all-zero input: report the trivial algebra
     trace = [len(basis)] if complete else None
     constants: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     pending = [(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))]
     while pending:
         a, b = pending.pop(0)
-        bracket = lie_bracket(basis[a], basis[b])
-        in_span, coefficients = span.coefficients(bracket)
+        nfs = _bracket_nfs(basis[a], basis[b])
+        in_span, coefficients = span.coefficients(nfs)
         if in_span:
             constants[(a, b)] = tuple(coefficients)
             continue
+        if complete and len(basis) >= cap:
+            raise ClosureCapError(
+                f"no finite closure found up to dimension cap {cap}"
+            )
+        bracket = _field_of_nfs(basis[a].chart, nfs)
         if not complete:
             return LieClosureReport(
                 basis, constants, closed=False, witness=(a, b, bracket), completion_trace=trace
-            )
-        if len(basis) >= cap:
-            raise ClosureCapError(
-                f"no finite closure found up to dimension cap {cap}"
             )
         span.add(bracket)
         trace.append(len(basis))
@@ -333,9 +349,14 @@ def _rank(rows: Sequence[Sequence]) -> tuple[int, bool]:
 
 def evaluation_rank(fields: Sequence[VectorField], points: Sequence[Sequence]) -> tuple[int, bool]:
     """Rank of the stacked evaluations A_a^i(x_(s)) (rows (slot, component),
-    columns fields), and whether it is exact (see _rank)."""
+    columns fields), and whether it is exact (see _rank).  A constant
+    component, which cannot raise, is read as its value."""
+    envs = [dict(zip(fields[0].chart.names, p)) for p in points] if fields else []
     try:
-        return _rank(list(zip(*([v for p in points for v in f.evaluate(p)] for f in fields))))
+        return _rank(list(zip(*(
+            [c.value if isinstance(c, ex.Const) else ex.evaluate(c, env)
+             for env in envs for c in f.components]
+            for f in fields))))
     except OverflowError:
         at = "; ".join(f"({', '.join(map(str, p))})" for p in points)
         raise EvaluationError(f"field value at {at} is out of the float range") from None

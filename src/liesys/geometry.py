@@ -167,26 +167,44 @@ def _require_same_chart(x: VectorField, y: VectorField):
         raise ChartMismatchError(f"charts differ: {x.chart.names} vs {y.chart.names}")
 
 
-def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X,Y]^i = sum_v (X^v d_v Y^i - Y^v d_v X^i) from the partials each
-    field derives once (VectorField._jet), skipping zero components and zero
-    partials: brackets of one field with r - 1 others derive it once, not
-    r - 1 times.  Each component's products are multiplied straight into one
-    numerator by expr._nf_dot, with no normal form per product.  Every
-    component is marked as holding a function atom when X or Y has one, so
-    its zero test stays sampled.  Each component is the tree of its
-    canonical form, carrying its reduced normal form, whose sums build their
-    terms on first read."""
+def _bracket_nfs(x: VectorField, y: VectorField) -> tuple[ex._NF, ...]:
+    """The normal forms of [X,Y]^i = sum_v (X^v d_v Y^i - Y^v d_v X^i), from
+    the partials each field derives once (VectorField._jet), skipping zero
+    components and zero partials: brackets of one field with r - 1 others
+    derive it once, not r - 1 times.  A component where neither X^i nor Y^i
+    has a nonzero partial is the zero normal form at once; the others
+    multiply their products straight into one numerator by expr._nf_dot,
+    with no normal form per product.  Every component, a zero one too, is
+    marked as holding a function atom when X or Y has one, so the zero test
+    of a sum that holds it samples."""
     _require_same_chart(x, y)
     names, jx, jy = x.chart.names, x._jet, y._jet
     trans = any(nf.trans for nf, _ in jx + jy)
-    comps = []
+    nfs = []
     for (_, dx), (_, dy) in zip(jx, jy):
+        if not (dx or dy):
+            nfs.append(ex._NF_ZEROS[trans])
+            continue
         terms = [(1, xv, dy[v]) for v, (xv, _) in zip(names, jx) if v in dy]
         terms += [(-1, yv, dx[v]) for v, (yv, _) in zip(names, jy) if v in dx]
-        comps.append(ex._expr_from_nf(ex._nf_dot(terms, trans)))
-    # the bracket's components use only the chart's variables
-    return VectorField._on_chart(x.chart, tuple(comps))
+        nfs.append(ex._nf_dot(terms, trans))
+    return tuple(nfs)
+
+
+def _field_of_nfs(chart: Chart, nfs: Sequence[ex._NF]) -> VectorField:
+    """The field whose components are the trees of the normal forms'
+    canonical forms, each carrying its reduced normal form; the normal
+    forms of a bracket use only the chart's variables."""
+    return VectorField._on_chart(chart, tuple(ex._expr_from_nf(nf) for nf in nfs))
+
+
+def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """[X,Y] as a field: the normal forms of _bracket_nfs, each component the
+    tree of its canonical form, carrying its reduced normal form, whose sums
+    build their terms on first read.  Closure reads _bracket_nfs itself, a
+    component that no partial reaches being zero there too, and builds this
+    field only for a witness or a field that completion adjoins."""
+    return _field_of_nfs(x.chart, _bracket_nfs(x, y))
 
 
 def diagonal_prolongation(x: VectorField, copies: int) -> VectorField:

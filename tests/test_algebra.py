@@ -206,7 +206,7 @@ class TestSumsStayUnbuilt:
         report = closure_test([field(LINE, "1 + x"), field(LINE, "x - x^2"), field(LINE, "x^2 + 2")])
         assert report.closed and report.dimension == 3
         made, built = sums
-        assert made and built == []
+        assert made == [] and built == []  # closure reduces brackets as normal forms
 
     def test_jacobi_sum_builds_no_sum(self, sums):
         texts = [("x^2 + 2*x*y - 3", "y^2 - x/2 + 1"), ("3*x*y - y", "x^2 + y^2"),
@@ -269,6 +269,49 @@ class TestSumsStayUnbuilt:
                       if len(p) > 1)
         witness.to_json_dict()
         assert sorted(built) == want
+
+
+class TestBracketTreesOnlyOutsideTheSpan:
+    """closure_test reduces each bracket as its normal forms and builds the
+    tree of a component's canonical form only for a bracket outside the span."""
+
+    @pytest.fixture
+    def trees(self, monkeypatch):
+        built, tree = [], ex._expr_from_nf
+        monkeypatch.setattr(ex, "_expr_from_nf", lambda nf: built.append(nf) or tree(nf))
+        return built
+
+    def test_closed_algebra_builds_none(self, trees):
+        fields = _gl_scaled(3, seed=5)
+        trees.clear()  # scale builds the fields' trees
+        report = closure_test(fields)
+        assert report.closed and report.dimension == 9
+        assert trees == []
+
+    def test_open_algebra_builds_its_witness(self, trees):
+        doc = json.loads((PROBLEMS / "incomplete_pair.json").read_text())
+        report = closure_test([field(LINE, *c) for c in doc["fields"]])
+        assert not report.closed
+        assert [str(ex._tree_of(nf)) for nf in trees] == [str(report.witness[2].components[0])]
+
+    def test_completion_builds_each_adjoined_field(self, trees):
+        with pytest.raises(ClosureCapError, match="cap 6"):
+            closure_test([field(LINE, "1"), field(LINE, "x^3")], complete=True, cap=6)
+        # the cap stops at six fields: four brackets adjoined, the fifth not built
+        assert len(trees) == 4
+
+
+class TestZeroAlgebra:
+    def test_zero_fields_span_dimension_zero(self):
+        fields = [field(PLANE, "0", "0"), field(PLANE, "x - x", "0")]
+        report = closure_test(fields)
+        assert report.closed and report.dimension == 0 and report.basis == []
+        assert report.constants == {} and report.jacobi_residual() == 0
+        assert closure_test(fields, complete=True).completion_trace == [0]
+        checks, extra = algebra.closure_checks(fields)
+        assert [(c.name, c.passed, c.detail) for c in checks] == [
+            ("closed", True, "dimension 0"), ("jacobi_residual_zero", True, "")]
+        assert extra["closure"]["basis"] == []
 
 
 class TestMinimalM:
@@ -393,7 +436,6 @@ def _reference_closure(fields, complete=False, cap=32):
     for f in fields:
         if not f.is_zero_field() and not (basis and _reference_span(f, basis) is not None):
             basis.append(f)
-    basis = basis or [fields[0]]
     trace = [len(basis)] if complete else None
     constants = {}
     pending = [(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))]

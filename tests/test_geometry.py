@@ -145,6 +145,54 @@ class TestBracketFromPartials:
         assert len(calls) == 8
 
 
+def _dense_bracket_nfs(x, y):
+    """The bracket loop with no shortcut for a component that no partial
+    reaches: every component goes through expr._nf_dot."""
+    names, jx, jy = x.chart.names, x._jet, y._jet
+    trans = any(nf.trans for nf, _ in jx + jy)
+    nfs = []
+    for (_, dx), (_, dy) in zip(jx, jy):
+        terms = [(1, xv, dy[v]) for v, (xv, _) in zip(names, jx) if v in dy]
+        terms += [(-1, yv, dx[v]) for v, (yv, _) in zip(names, jy) if v in dx]
+        nfs.append(ex._nf_dot(terms, trans))
+    return nfs
+
+
+# plane components with constants and a sin atom next to the rational ones
+_MIXED_COMPONENTS = st.one_of(
+    _COMPONENTS,
+    st.sampled_from(["0", "2", "-1/3", "sin(x)", "sin(1)", "y*sin(x)/(x^2 + 1)"]),
+    st.tuples(_COMPONENTS, st.sampled_from(["sin(x)", "sin(y)^2"])).map(lambda t: f"{t[0]}*{t[1]}"),
+)
+_MIXED_FIELDS = st.tuples(_MIXED_COMPONENTS, _MIXED_COMPONENTS).map(lambda c: field(PLANE, *c))
+
+
+class TestBracketAgainstDenseLoop:
+    """A component where neither field has a nonzero partial is zero at
+    once; the loop that multiplies out every component is the oracle."""
+
+    @staticmethod
+    def _same(x, y):
+        got, want = lie_bracket(x, y), [ex._expr_from_nf(nf) for nf in _dense_bracket_nfs(x, y)]
+        for g, w in zip(got.components, want):
+            assert str(g) == str(w)
+            assert ex._nf_of(g).num_den == ex._nf_of(w).num_den
+            assert ex._nf_of(g).trans == ex._nf_of(w).trans
+        return got
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(x=_MIXED_FIELDS, y=_MIXED_FIELDS)
+    def test_matches_the_dense_loop(self, x, y):
+        self._same(x, y)
+
+    def test_zero_component_keeps_the_function_atom_mark(self):
+        # component 0 pairs two constants; sin(x) sits in component 1
+        comps = self._same(field(PLANE, "1", "sin(x)"), field(PLANE, "2", "y")).components
+        assert str(comps[0]) == "0" and ex._nf_of(comps[0]).trans
+        decision = is_zero(ex.Add((comps[0], ex.Var("y"))))
+        assert decision.verdict == "nonzero" and not decision.exact
+
+
 class TestDiagonalProlongation:
     def test_two_copies_of_translation(self):
         got = diagonal_prolongation(field(LINE, "1"), 2)

@@ -63,7 +63,10 @@ FLAG_CALLS = (
 # whose determinants `group` checks against Liouville's formula; and a
 # field that overflows at x0 = 1e200, once as x^2, whose power raises
 # OverflowError, and once as x*x, which comes out inf; and a field that
-# does not parse, which exits 2
+# does not parse, which exits 2; a zero field, which spans the algebra {0}
+# of dimension 0; and the line pair 1, x*exp(x)*exp(-x), whose atoms
+# cancel in value but not in the normal form, so closure fails it and
+# completion hits its cap (ROADMAP item 5), while m ranks it in floats
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -80,6 +83,10 @@ INPUT_CALLS = (
     ("overflow_power.solve", ["solve", "tools/inputs/overflow_power.json"]),
     ("overflow_product.solve", ["solve", "tools/inputs/overflow_product.json"]),
     ("malformed_field.closure", ["closure", "tools/inputs/malformed_field.json"]),
+    ("zero_field.closure", ["closure", "tools/inputs/zero_field.json"]),
+    ("atom_pair.closure", ["closure", "tools/inputs/atom_pair.json"]),
+    ("atom_pair.closure.complete", ["closure", "tools/inputs/atom_pair.json", "--complete"]),
+    ("atom_pair.m", ["m", "tools/inputs/atom_pair.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
