@@ -56,7 +56,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -124,25 +123,6 @@ class CoefficientCurve:
     @staticmethod
     def from_string(text: str) -> "CoefficientCurve":
         return CoefficientCurve(expression=ex.parse(text, ("t",)))
-
-    @staticmethod
-    def constant(value: float | Fraction) -> "CoefficientCurve":
-        return CoefficientCurve(expression=ex.Const(Fraction(value)))
-
-    @cached_property
-    def _fn(self):
-        # compiled on first call: LieSystem inlines the expression instead
-        return ex.compile_expr(self.expression, ("t",))
-
-    def __call__(self, t: float) -> float:
-        if self.table is None:
-            v = float(self._fn(float(t)))
-        else:
-            ts, vals = self.table
-            v = float(np.interp(t, ts, vals))
-        if not np.isfinite(v):
-            raise EvaluationError(f"coefficient curve not finite at t={t}")
-        return v
 
 
 class LieSystem:
@@ -259,7 +239,7 @@ def _field_sums(fields: Sequence[VectorField]) -> _Rhs:
 def _compile_velocity(rhs: _Rhs, coefficients: Callable[[float], tuple]):
     """One generated function (t, list of floats) -> list: rhs on each slot
     of a stacked state, with the scalars from `coefficients`.  Singular
-    points raise as in compile_expr; non-finite scalars or values raise
+    points raise as in expr.compile_vector; non-finite scalars or values raise
     EvaluationError, as does a value that overflows: "coefficient curve not
     finite at t=...", or "field value not finite", whether the value came
     out inf or its power raised OverflowError.  The source holds rhs only,
@@ -324,9 +304,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.t[-1])
-
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1].copy()
 
     def _hermite(self, tq_arr: np.ndarray):
         if self.derivatives is None:

@@ -60,7 +60,6 @@ __all__ = [
     "canonical_expr",
     "canonically_equal",
     "free_variables",
-    "compile_expr",
     "compile_vector",
     "compile_source",
     "python_source",
@@ -86,7 +85,7 @@ class Chart:
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate coordinate names in {self.names}")
         for name in self.names:
-            if not name.isidentifier() or keyword.iskeyword(name):
+            if not isinstance(name, str) or not name.isidentifier() or keyword.iskeyword(name):
                 raise ValueError(f"bad coordinate name {name!r}")
             if name in FUNCTIONS:
                 raise ValueError(f"coordinate name {name!r} shadows a function")
@@ -94,12 +93,6 @@ class Chart:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
 
 
 # ---------------------------------------------------------------------------
@@ -128,26 +121,11 @@ class Expr:
     def __add__(self, other):
         return Add((self, _as_expr(other)))
 
-    def __radd__(self, other):
-        return Add((_as_expr(other), self))
-
     def __sub__(self, other):
         return Add((self, Mul((Const(-1), _as_expr(other)))))
 
-    def __rsub__(self, other):
-        return Add((_as_expr(other), Mul((Const(-1), self))))
-
     def __mul__(self, other):
         return Mul((self, _as_expr(other)))
-
-    def __rmul__(self, other):
-        return Mul((_as_expr(other), self))
-
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(_as_expr(other), self)
 
     def __neg__(self):
         return Mul((Const(-1), self))
@@ -1576,39 +1554,18 @@ def compile_source(source: str, name: str, **scope) -> Callable:
     return namespace[name]
 
 
-def _sources(exprs: Sequence[Expr], var_order: Sequence[str]) -> tuple[list[str], list[str]]:
-    """The parameter names _v0, _v1, ... of var_order and the Python source
-    of each of exprs over them; a variable outside var_order raises
-    EvaluationError naming every such variable."""
+def compile_vector(exprs: Sequence[Expr], var_order: Sequence[str]) -> Callable[..., list]:
+    """One function of the variables in var_order returning the list of the
+    values of exprs; a variable outside var_order raises EvaluationError
+    naming every such variable.  Pass plain floats: division by zero and
+    domain errors then surface as ZeroDivisionError, ValueError or
+    OverflowError, which callers treat as singular points (numpy scalars
+    would give inf or nan with a warning instead)."""
     params = {name: f"_v{i}" for i, name in enumerate(var_order)}
     try:
-        return list(params.values()), [python_source(e, params) for e in exprs]
+        bodies = [python_source(e, params) for e in exprs]
     except KeyError:
         missing = set().union(*(free_variables(e) for e in exprs)) - set(var_order)
         raise EvaluationError(f"expression uses variables not in order: {sorted(missing)}") from None
-
-
-def compile_expr(e: Expr, var_order: Sequence[str]) -> Callable[..., float]:
-    """Compile to a scalar float function of the variables in var_order.
-
-    Division by zero and domain errors surface as ZeroDivisionError /
-    ValueError / OverflowError, which callers treat as singular points.
-    """
-    params, (body,) = _sources([e], var_order)
-    raw = compile_source(f"def raw({', '.join(params)}):\n    return {body}", "raw")
-
-    def call(*args: float) -> float:
-        # plain floats so that singular points raise (numpy scalars would
-        # silently produce inf/nan with a warning instead)
-        return raw(*[float(a) for a in args])
-
-    return call
-
-
-def compile_vector(exprs: Sequence[Expr], var_order: Sequence[str]) -> Callable[..., list]:
-    """One function of the variables in var_order returning the list of the
-    values of exprs.  Pass plain floats: singular points then raise as in
-    compile_expr."""
-    params, bodies = _sources(exprs, var_order)
-    return compile_source(f"def vector({', '.join(params)}):\n"
+    return compile_source(f"def vector({', '.join(params.values())}):\n"
                           f"    return [{', '.join(bodies)}]", "vector")

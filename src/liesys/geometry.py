@@ -84,8 +84,9 @@ class VectorField:
             raise ValueError(
                 f"{len(self.components)} components on a {self.chart.dim}-dimensional chart"
             )
+        names = set(self.chart.names)
         for c in self.components:
-            extra = ex.free_variables(c) - set(self.chart.names)
+            extra = ex.free_variables(c) - names
             if extra:
                 raise ValueError(f"component {c} uses non-chart variables {sorted(extra)}")
 

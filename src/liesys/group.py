@@ -78,7 +78,6 @@ class MatrixCurve:
         self.dim = len(self.basis[0])
         if any(len(b) != self.dim or any(len(row) != self.dim for row in b) for b in self.basis):
             raise ValueError(f"basis matrices must be {self.dim}x{self.dim}")
-        self._floats = [np.array(b, dtype=float) for b in self.basis]
 
     @staticmethod
     def from_strings(rows: Sequence[Sequence[str]]) -> "MatrixCurve":
@@ -103,10 +102,6 @@ class MatrixCurve:
 
         fields = [VectorField(chart, tuple(map(component, b))) for b in self.basis]
         return LieSystem(fields, self.curves)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return sum((curve(t) * b for b, curve in zip(self._floats, self.curves)),
-                   np.zeros((self.dim, self.dim)))
 
     def trace_integral(self, t: np.ndarray) -> np.ndarray:
         """tau at the nodes t: the integral of tr a(s) = sum tr(A_a) b_a(s)

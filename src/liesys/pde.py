@@ -40,7 +40,6 @@ __all__ = [
     "CurvatureReport",
     "curvature",
     "path_solve",
-    "PathResult",
     "path_independence_audit",
     "AuditResult",
     "solve_on_grid",
@@ -52,6 +51,8 @@ __all__ = [
 
 # forward segments per axis in the randomized staircases of path_independence_audit
 STAIRCASE_PIECES = 3
+# staircases whose endpoints path_independence_audit compares, the default one first
+AUDIT_PATHS = 8
 
 
 @dataclass(frozen=True)
@@ -193,13 +194,6 @@ def curvature(sys: PdeSystem) -> CurvatureReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PathResult:
-    endpoint: np.ndarray
-    path: list[tuple[int, float]]
-    samples: list[tuple[np.ndarray, np.ndarray]]
-
-
 def _advance(sys: PdeSystem, axis: int, t_frozen: np.ndarray, nodes: Sequence[float], x,
              tol: float) -> np.ndarray:
     """States at nodes[1:] from one integration along an axis from nodes[0],
@@ -240,10 +234,10 @@ def path_solve(
     path: Sequence[tuple[int, float]] | None = None,
     tol: float = DEFAULT_TOL,
     audit: bool = False,
-) -> PathResult:
-    """Chain 1-d integrations along an axis staircase from 0 to `target`
-    (default: each axis once, in order); requires a flat system unless
-    audit=True."""
+) -> np.ndarray:
+    """The endpoint of 1-d integrations chained along an axis staircase from
+    0 to `target` (default: each axis once, in order); requires a flat
+    system unless audit=True."""
     if not audit:
         _require_flat(sys)
     t_now = np.zeros(sys.s)
@@ -251,7 +245,6 @@ def path_solve(
     if path is None:
         path = [(axis, float(target[axis])) for axis in range(sys.s)]
     x = np.asarray(x0, dtype=float)
-    samples: list[tuple[np.ndarray, np.ndarray]] = [(t_now.copy(), x.copy())]
     for axis, stop in path:
         start = float(t_now[axis])
         if stop == start:
@@ -260,17 +253,15 @@ def path_solve(
             raise ValueError("staircase segments must move forward along each axis")
         x = _advance(sys, axis, t_now, (start, stop), x, tol)[-1]
         t_now[axis] = stop
-        samples.append((t_now.copy(), x.copy()))
     if not np.allclose(t_now, target, atol=1e-12):
         raise ValueError(f"path ends at {t_now}, not at the target {target}")
-    return PathResult(x, list(path), samples)
+    return x
 
 
 @dataclass
 class AuditResult:
     spread: float
     endpoints: list[np.ndarray]
-    paths: list[list[tuple[int, float]]]
 
 
 def _random_staircase(rng: random.Random, base: np.ndarray, target: np.ndarray):
@@ -295,29 +286,25 @@ def path_independence_audit(
     sys: PdeSystem,
     x0: Sequence[float],
     target: Sequence[float],
-    path_count: int = 8,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> AuditResult:
-    """Max pairwise endpoint spread over randomized staircases; a small
-    spread certifies flatness numerically (complements the symbolic check
-    when coefficients carry transcendentals)."""
-    if path_count < 2:
-        raise ValueError("path_count must be >= 2")
+    """Max pairwise endpoint spread over the default staircase and
+    AUDIT_PATHS - 1 randomized ones; a small spread certifies flatness
+    numerically (complements the symbolic check when coefficients carry
+    transcendentals)."""
     rng = random.Random(seed)
     base = np.zeros(sys.s)
     target = np.asarray(target, dtype=float)
     paths = [[(axis, float(target[axis])) for axis in range(sys.s)]]
-    while len(paths) < path_count:
+    while len(paths) < AUDIT_PATHS:
         paths.append(_random_staircase(rng, base, target))
-    endpoints = [
-        path_solve(sys, x0, target, path=path, tol=tol, audit=True).endpoint for path in paths
-    ]
+    endpoints = [path_solve(sys, x0, target, path=path, tol=tol, audit=True) for path in paths]
     spread = 0.0
     for i in range(len(endpoints)):
         for j in range(i + 1, len(endpoints)):
             spread = max(spread, float(np.max(np.abs(endpoints[i] - endpoints[j]))))
-    return AuditResult(spread, endpoints, paths)
+    return AuditResult(spread, endpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +326,7 @@ def solve_on_grid(
     out = np.empty((len(t1s), len(t2s), sys.n))
     out[0, 0] = x0
     if not np.allclose([t1s[0], t2s[0]], 0.0):
-        out[0, 0] = path_solve(sys, x0, [t1s[0], t2s[0]], tol=tol).endpoint
+        out[0, 0] = path_solve(sys, x0, [t1s[0], t2s[0]], tol=tol)
     out[1:, 0] = _advance(sys, 0, np.array([0.0, t2s[0]]), t1s, out[0, 0], tol)
     for i, t1 in enumerate(t1s):
         out[i, 1:] = _advance(sys, 1, np.array([t1, 0.0]), t2s, out[i, 0], tol)
@@ -416,13 +403,13 @@ def flatness_checks(sys: PdeSystem) -> tuple[list[Check], dict]:
 def path_checks(sys: PdeSystem, x0: Sequence[float], target: Sequence[float],
                 tol: float = DEFAULT_TOL, seed: int = 0, audit: bool = False) -> tuple[list[Check], dict]:
     """`integrated` with the endpoint of the default staircase to `target`,
-    and `path_independence_spread` within 10 tol over the 8 staircases of
-    path_independence_audit, whose first is the default one; extras
+    and `path_independence_spread` within 10 tol over the AUDIT_PATHS
+    staircases of path_independence_audit, whose first is the default one; extras
     `endpoint` and `spread`.  A system that is not flat raises NotFlatError
     unless audit=True."""
     if not audit:
         _require_flat(sys)
-    result = path_independence_audit(sys, x0, target, path_count=8, tol=tol, seed=seed)
+    result = path_independence_audit(sys, x0, target, tol=tol, seed=seed)
     endpoint = result.endpoints[0].tolist()
     return ([Check("integrated", True, detail=f"endpoint {endpoint}"),
              Check.limit("path_independence_spread", result.spread, 10 * tol)],
@@ -444,6 +431,6 @@ def grid_superpose_checks(sys: PdeSystem, rule: SuperpositionRule, k: Sequence[f
     grids = [solve_on_grid(sys, p, axes, tol) for p in points]
     guess = grids[0].reshape(-1, sys.n)[0] if x0_guess is None else x0_guess
     rebuilt = pde_superpose(sys, rule, grids, np.array(k), guess)
-    endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=tol, audit=True).endpoint
+    endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=tol, audit=True)
     gap = float(np.max(np.abs(rebuilt[tuple([-1] * sys.s)] - endpoint)))
     return [Check.limit("superposition_vs_path_solve", gap, GAP_LIMIT)], rebuilt

@@ -318,10 +318,6 @@ class ConstancyReport:
     def max_drift(self) -> float:
         return float(np.max(self.drift))
 
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.drift <= self.tol_const))
-
 
 def _stack_states(trajectories: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
     grid = trajectories[0].t

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from liesys.expr import Add, Call, Const, Div, Expr, Mul, Pow, Var
+from liesys.expr import Add, Call, Const, Div, Expr, Mul, Pow, Var, compile_vector
 
 VARS = ("x", "y", "z")
 
@@ -43,6 +44,21 @@ def random_tree(rng: random.Random, names=VARS, depth=3, transcendental=False) -
     num = random_tree(rng, names, depth - 1, transcendental)
     den = Add((Pow(Var(rng.choice(names)), 2), Const(rng.randint(1, 4))))
     return Div(num, den)
+
+
+def compile_scalar(e: Expr, names):
+    """e as a function of the variables `names`, by expr.compile_vector, on
+    plain floats of its arguments, so singular points raise."""
+    vector = compile_vector([e], names)
+    return lambda *args: vector(*map(float, args))[0]
+
+
+def curve_value(curve, t: float) -> float:
+    """A coefficient curve at t, apart from the code a LieSystem generates:
+    np.interp on a table, the expression compiled by itself otherwise."""
+    if curve.table is not None:
+        return float(np.interp(t, *curve.table))
+    return float(compile_scalar(curve.expression, ("t",))(t))
 
 
 @pytest.fixture

@@ -7,17 +7,19 @@ tolerances are fixed here, not configurable.
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+import liesys
 from liesys.algebra import closure_test, minimal_m
 from liesys.catalog import RunConfig, get_entry
 from liesys.cli import main
 from liesys.dynamics import CoefficientCurve, LieSystem, integrate
-from liesys.expr import Chart, Var, canonically_equal, is_zero
+from liesys.expr import Chart, Const, Var, canonically_equal, is_zero
 from liesys.geometry import (
     VectorField,
     diagonal_prolongation,
@@ -140,7 +142,7 @@ def test_criterion_7_group_equivariance():
     rng = random.Random(42)
     worst_dev = worst_det = 0.0
     for _ in range(5):
-        b = [CoefficientCurve.constant(Fraction(rng.randint(-1000, 1000), 1000)) for _ in range(3)]
+        b = [CoefficientCurve(expression=Const(Fraction(rng.randint(-1000, 1000), 1000))) for _ in range(3)]
         x0 = [rng.uniform(-1, 1), rng.choice([-1, 1]) * rng.uniform(0.6, 1.5)]
         rep = check_equivariance(b, x0, (0.0, 1.0))
         worst_dev = max(worst_dev, rep.max_deviation)
@@ -271,8 +273,8 @@ def test_criterion_10_property_suites(tmp_path):
         (line_system("1/x^2"), [1.0], 1.0, 4.0 ** (1 / 3)),
         (riccati, [0.0], 1.2, math.tan(1.2)),
     ):
-        coarse = abs(integrate(sys, x0, (0.0, t1), tol=1e-6).endpoint()[0] - exact)
-        fine = abs(integrate(sys, x0, (0.0, t1), tol=1e-9).endpoint()[0] - exact)
+        coarse = abs(integrate(sys, x0, (0.0, t1), tol=1e-6).states[-1][0] - exact)
+        fine = abs(integrate(sys, x0, (0.0, t1), tol=1e-9).states[-1][0] - exact)
         convergence_ok = convergence_ok and (coarse / fine) ** (1 / halvings) >= 2.0
 
     started = time.perf_counter()
@@ -289,3 +291,16 @@ def test_criterion_10_property_suites(tmp_path):
         f"commutation on 100 pairs; convergence factor >= 2 per halving; "
         f"examples run-all exit {code} in {elapsed:.1f}s (< 60 s)",
     )
+
+
+def test_readme_api_example_runs_as_written():
+    readme = (PROBLEMS.parent / "README.md").read_text()
+    (example,) = [block for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+                  if "from liesys import" in block]
+    scope = {}
+    exec(example, scope)  # noqa: S102 - README's own example
+    assert scope["report"].closed and scope["report"].dimension == 3
+    assert scope["size"].m == 3
+    # the package re-exports exactly the names the example imports
+    imported = re.search(r"from liesys import (.*)", example).group(1)
+    assert sorted(liesys.__all__) == sorted(name.strip() for name in imported.split(","))

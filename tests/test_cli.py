@@ -823,6 +823,10 @@ MALFORMED_INPUTS = [
      "'initial_points' must be 3 lists of 1 finite numbers, got [[-2.0], [inf], [-1.0]]"),
     ("pde_riccati", ["pde", "solve"], {"target": [0.5, math.inf]},
      "'target' must be a list of 2 finite nonnegative numbers, got [0.5, inf]"),
+    # a coordinate name that is not a string
+    ("riccati", ["closure"], {"chart": [1]}, "error: bad chart: bad coordinate name 1"),
+    ("pde_riccati", ["pde", "check"], {"pde.chart": [1]},
+     "error: bad pde section: bad coordinate name 1"),
 ]
 
 
@@ -888,12 +892,38 @@ def _staircase_moved(monkeypatch):
     real, solved = pde.path_solve, []
 
     def moved(*args, **kwargs):
-        result = real(*args, **kwargs)
-        solved.append(result)
-        if len(solved) == 2:
-            result.endpoint = result.endpoint + 1e-7
-        return result
+        endpoint = real(*args, **kwargs)
+        solved.append(endpoint)
+        return endpoint + 1e-7 if len(solved) == 2 else endpoint
     monkeypatch.setattr(pde, "path_solve", moved)
+
+
+def _rank_one_short(monkeypatch):
+    """A kernel fault: every evaluation rank of minimal_m one short, as a
+    wrong evaluation of the fields would leave it."""
+    from liesys import algebra
+
+    real = algebra.evaluation_rank
+
+    def short(*args, **kwargs):
+        rank, exact = real(*args, **kwargs)
+        return rank - 1, exact
+    monkeypatch.setattr(algebra, "evaluation_rank", short)
+
+
+def _riccati_side_pushed(monkeypatch):
+    """An integrator fault: the Riccati coordinate x of the joint system of
+    check_equivariance moved by 1e-3 t; g, which integrate_tuple solves, is
+    untouched."""
+    from liesys import group
+
+    real = group.integrate
+
+    def pushed(*args, **kwargs):
+        tr = real(*args, **kwargs)
+        tr.states[:, 2] += 1e-3 * tr.t
+        return tr
+    monkeypatch.setattr(group, "integrate", pushed)
 
 
 def _structure_constant_off(monkeypatch):
@@ -970,6 +1000,16 @@ PLANTED_DEFECTS = [
     # a spread of 1e-7 lies above the limit 10 tol = 1e-8 and below 1e-5
     ("staircase_moved", "pde solve", PROBLEMS / "pde_riccati.json", {}, _staircase_moved,
      "path_independence_spread", "", {"integrated"}),
+    # [d/dt1 + u d/du, d/dt2 + t1 u d/du] = u d/du
+    ("curvature_nonzero", "pde check", PROBLEMS / "pde_nonflat.json", {}, None,
+     "flat", "pair (0, 1): u", set()),
+    # with every rank one short, no k <= r reaches r = 3
+    ("rank_one_short", "m", PROBLEMS / "riccati.json", {}, _rank_one_short,
+     "m_determined", "no k <= r reached full rank", set()),
+    # g and its determinant are right; only the Riccati side moves
+    ("riccati_side_pushed", "group", PROBLEMS / "sl2_group.json",
+     {"action.name": "sl2_linear", "action.x0": [0.0, 1.0]}, _riccati_side_pushed,
+     "sl2_riccati_equivariance", "", {"integrated", "det_liouville"}),
 ]
 
 

@@ -30,12 +30,12 @@ from liesys.dynamics import (
     integrate_tuple,
 )
 from liesys.errors import EvaluationError, FundamentalSetError, IntegrationBlowUpError
-from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, _compiled, compile_expr, compile_vector
+from liesys.expr import Add, Call, Chart, Const, Mul, Pow, Var, _compiled, compile_vector
 from liesys.geometry import VectorField
 from liesys.group import MatrixCurve, check_equivariance, solve_group_equation
 from liesys.pde import PdeSystem, solve_on_grid
 
-from conftest import random_tree
+from conftest import compile_scalar, curve_value, random_tree
 
 LINE = Chart(("x",))
 PLANE = Chart(("x", "y"))
@@ -55,14 +55,11 @@ def riccati_101() -> LieSystem:
 
 
 class TestCoefficientCurve:
-    def test_expression_curve(self):
-        curve = CoefficientCurve.from_string("1 + t/2")
-        assert curve(2.0) == pytest.approx(2.0)
-
     def test_tabulated_linear_interpolation(self):
         curve = CoefficientCurve(table=([0.0, 1.0, 2.0], [0.0, 2.0, 0.0]))
-        assert curve(0.5) == pytest.approx(1.0)
-        assert curve(1.5) == pytest.approx(1.0)
+        sys = LieSystem([VectorField.from_strings(LINE, ["x"])], [curve])
+        assert sys._coefficients(0.5) == pytest.approx((1.0,))
+        assert sys._coefficients(1.5) == pytest.approx((1.0,))
 
     def test_rejects_extra_variables(self):
         from liesys.expr import parse
@@ -93,8 +90,7 @@ class TestCoefficientFloats:
         sys = LieSystem(fields, curves)
         for t in (-1.5, -0.25, 0.5, 1.0, 3.0, 17.125):
             values = sys._coefficients(t)
-            want = [float(compile_expr(c.expression, ("t",))(t)) for c in curves[:-1]]
-            want.append(float(np.interp(t, *self.TABLE)))
+            want = [curve_value(c, t) for c in curves]
             assert all(type(v) is float for v in values)
             assert [v.hex() for v in values] == [v.hex() for v in want]
 
@@ -139,11 +135,11 @@ class TestVelocity:
 class TestIntegrate:
     def test_exponential(self):
         tr = integrate(line_system("x"), [1.0], (0.0, 1.0), tol=1e-9)
-        assert abs(tr.endpoint()[0] - math.e) <= 1e-8
+        assert abs(tr.states[-1][0] - math.e) <= 1e-8
 
     def test_separable_inverse_square_closed_form(self):
         tr = integrate(line_system("1/x^2"), [1.0], (0.0, 1.0), tol=1e-9)
-        assert abs(tr.endpoint()[0] - 4.0 ** (1 / 3)) <= 1e-8
+        assert abs(tr.states[-1][0] - 4.0 ** (1 / 3)) <= 1e-8
 
     def test_riccati_blow_up_truncates(self):
         tr = integrate(riccati_101(), [0.0], (0.0, 2.0))
@@ -155,12 +151,12 @@ class TestIntegrate:
         # the first step is capped at 0.1, under 1e-13 of a span of 1e13
         tr = integrate(line_system("1", "1/1000000000"), [1.0], (0.0, 1e13))
         assert not tr.blew_up and tr.truncated_at is None
-        assert tr.t_end == 1e13 and abs(tr.endpoint()[0] - 10001.0) <= 1e-8
+        assert tr.t_end == 1e13 and abs(tr.states[-1][0] - 10001.0) <= 1e-8
 
     def test_tan_on_safe_interval(self):
         tr = integrate(riccati_101(), [0.0], (0.0, 1.2))
         assert not tr.blew_up
-        assert abs(tr.endpoint()[0] - math.tan(1.2)) <= 1e-8
+        assert abs(tr.states[-1][0] - math.tan(1.2)) <= 1e-8
 
     def test_convergence_under_tolerance_halving(self):
         # step quantization makes a single halving noisy, so the factor is
@@ -172,16 +168,16 @@ class TestIntegrate:
         ]
         halvings = math.log2(1e-6 / 1e-9)
         for sys, x0, t1, exact in cases:
-            coarse = abs(integrate(sys, x0, (0.0, t1), tol=1e-6).endpoint()[0] - exact)
-            fine = abs(integrate(sys, x0, (0.0, t1), tol=1e-9).endpoint()[0] - exact)
+            coarse = abs(integrate(sys, x0, (0.0, t1), tol=1e-6).states[-1][0] - exact)
+            fine = abs(integrate(sys, x0, (0.0, t1), tol=1e-9).states[-1][0] - exact)
             assert (coarse / fine) ** (1 / halvings) >= 2.0
 
     def test_flow_property_autonomous(self):
         sys = riccati_101()
         through = integrate(sys, [0.0], (0.0, 0.9), tol=1e-9)
         first = integrate(sys, [0.0], (0.0, 0.4), tol=1e-9)
-        second = integrate(sys, first.endpoint(), (0.4, 0.9), tol=1e-9)
-        assert abs(through.endpoint()[0] - second.endpoint()[0]) <= 1e-8
+        second = integrate(sys, first.states[-1], (0.4, 0.9), tol=1e-9)
+        assert abs(through.states[-1][0] - second.states[-1][0]) <= 1e-8
 
     def test_field_matches_finite_differences_along_trajectory(self):
         sys = riccati_101()
@@ -208,7 +204,7 @@ class TestIntegrate:
             atol=1e-12,
             dense_output=True,
         )
-        assert np.max(np.abs(mine.endpoint() - oracle.y[:, -1])) <= 1e-8
+        assert np.max(np.abs(mine.states[-1] - oracle.y[:, -1])) <= 1e-8
 
     def test_dense_output_accuracy(self):
         tr = integrate(line_system("x"), [1.0], (0.0, 1.0), tol=1e-9)
@@ -237,7 +233,7 @@ class TestRoundOffFloor:
         # through infinity, so the joint integration runs into the blow-up
         # bound in the round-off regime (3,967 nodes, not tens) and all but
         # 234 nodes lie within POLE_MARGIN of the pole x2 = 0
-        b = [CoefficientCurve.constant(Fraction(p, q)) for p, q in ((149, 200), (363, 500), (383, 500))]
+        b = [CoefficientCurve(expression=Const(Fraction(p, q))) for p, q in ((149, 200), (363, 500), (383, 500))]
         report = check_equivariance(b, [-0.9666077268840205, -0.9286558658253965], (0.0, 1.0), 1e-9)
         assert (report.total_points, report.compared_points) == (3967, 234)
         assert report.passed
@@ -245,7 +241,7 @@ class TestRoundOffFloor:
 
 def reference_velocity(sys: LieSystem, t: float, x: np.ndarray) -> np.ndarray:
     """b_a(t) * X_a added one field at a time, each component compiled alone."""
-    b = [curve(t) for curve in sys.coefficients]
+    b = [curve_value(curve, t) for curve in sys.coefficients]
     n = sys.dim
     out = np.zeros(len(x))
     for start in range(0, len(x), n):
@@ -254,7 +250,7 @@ def reference_velocity(sys: LieSystem, t: float, x: np.ndarray) -> np.ndarray:
             if weight == 0.0:
                 continue
             for i, c in enumerate(field.components):
-                out[start + i] += weight * compile_expr(c, sys.chart.names)(*args)
+                out[start + i] += weight * compile_scalar(c, sys.chart.names)(*args)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("field value not finite")
     return out
@@ -807,7 +803,7 @@ class TestSharedCode:
             assert maxsize is not None and 0 < maxsize < 10_000
 
     def test_a_riccati_system_costs_one_compile(self, rng):
-        curves = [CoefficientCurve.constant(Fraction(rng.randint(1, 10**9), 10**9 + 7)) for _ in range(3)]
+        curves = [CoefficientCurve(expression=Const(Fraction(rng.randint(1, 10**9), 10**9 + 7))) for _ in range(3)]
         fields = [VectorField.from_strings(LINE, [s]) for s in ("1", "x", "x^2")]
         misses = _compiled.cache_info().misses
         LieSystem(fields, curves)
@@ -829,7 +825,7 @@ class TestIntegrateTuple:
                 assert np.array_equal(tr.t, tuple_[0].t)
                 alone = integrate(sys, p, span)
                 assert tr.t[-1] == alone.t[-1] == span[1]
-                assert np.max(np.abs(tr.endpoint() - alone.endpoint())) <= 1e-7
+                assert np.max(np.abs(tr.states[-1] - alone.states[-1])) <= 1e-7
         # every node of every slot against the closed form tan(t + atan(x0))
         points = [-2.0, -1.0, 0.0, 0.3]
         tuple_ = integrate_tuple(riccati_101(), [[p] for p in points], (0.0, 1.2))
@@ -843,7 +839,7 @@ class TestIntegrateTuple:
             assert tr.blew_up
             assert tr.truncated_at == tuple_[0].truncated_at
             assert abs(tr.truncated_at - pole) <= 1e-6
-        assert abs(tuple_[0].endpoint()[0] - math.tan(tuple_[0].t_end)) <= 1e-6
+        assert abs(tuple_[0].states[-1][0] - math.tan(tuple_[0].t_end)) <= 1e-6
 
     def test_single_point_tuple_is_integrate(self):
         sys = riccati_101()
@@ -869,7 +865,7 @@ class TestTrajectoryIO:
         assert rows[0] == "t,x"
         assert len(rows) == len(tr.t) + 1
         last = rows[-1].split(",")
-        assert float(last[1]) == pytest.approx(tr.endpoint()[0])
+        assert float(last[1]) == pytest.approx(tr.states[-1][0])
 
     def test_json_dict(self):
         tr = integrate(line_system("x"), [1.0], (0.0, 0.5))

@@ -25,7 +25,6 @@ from liesys.expr import (
     Var,
     canonical_expr,
     canonically_equal,
-    compile_expr,
     compile_vector,
     differentiate,
     evaluate,
@@ -38,7 +37,7 @@ from liesys.expr import (
 from liesys.expr import _divides, _padd, _pdiv_exact, _pmul
 from liesys.geometry import VectorField, lie_bracket
 
-from conftest import VARS, random_polynomial, random_tree
+from conftest import VARS, compile_scalar, random_polynomial, random_tree
 
 
 def equivalent(a, b) -> bool:
@@ -231,7 +230,7 @@ class TestDerivativeTrees:
         for v in VARS:
             tree = ex._diff_tree(e, v)
             assert canonically_equal(tree, differentiate(e, v)), f"d/d{v} {e}"
-            got, want = compile_expr(tree, VARS), compile_expr(_full_rule_tree(e, v), VARS)
+            got, want = compile_scalar(tree, VARS), compile_scalar(_full_rule_tree(e, v), VARS)
             for point in points:
                 try:
                     value = float(want(*point))
@@ -242,9 +241,9 @@ class TestDerivativeTrees:
 
     def test_a_variable_by_itself_is_the_constant_one(self):
         one = ex._diff_tree(Var("x"), "x")
-        assert type(one) is Const and one.value == 1 and compile_expr(one, ["x"])(0.5) == 1
+        assert type(one) is Const and one.value == 1 and compile_vector([one], ["x"])(0.5) == [1]
         zero = ex._diff_tree(Var("y"), "x")
-        assert type(zero) is Const and zero.value == 0 and compile_expr(zero, ["x"])(0.5) == 0
+        assert type(zero) is Const and zero.value == 0 and compile_vector([zero], ["x"])(0.5) == [0]
 
     def test_zero_and_unit_partials_are_left_out(self):
         names = ["x", "y"]
@@ -343,7 +342,7 @@ class TestCanonicalForm:
         e = parse("(y/(z^2 + 3) - 1/4)/(z^2 + 1)", names)
         f = parse("-2 - 2/3*x^2*z + 3/2*z^2*y^2*x^2 + 1*z^2*y*x", names)
         started = time.perf_counter()
-        assert equivalent(Mul((e, f)) / f, e)
+        assert equivalent(Div(Mul((e, f)), f), e)
         assert time.perf_counter() - started < 2.0
 
     def test_heuristic_and_remainder_gcd_routes_agree(self, rng):
@@ -518,7 +517,7 @@ class TestEvaluate:
     def test_compiled_matches_evaluate(self, rng):
         for _ in range(25):
             e = random_tree(rng, depth=3)
-            fn = compile_expr(e, ("x", "y", "z"))
+            fn = compile_scalar(e, ("x", "y", "z"))
             point = {n: Fraction(rng.randint(-20, 20), 10) for n in ("x", "y", "z")}
             try:
                 expected = float(evaluate(e, point))
@@ -532,7 +531,7 @@ class TestEvaluate:
         message = re.escape("expression uses variables not in order: ['w', 'y', 'z']")
         e = parse("x + sin(z)*y + w", ["w", "x", "y", "z"])
         with pytest.raises(EvaluationError, match=f"^{message}$"):
-            compile_expr(e, ("x",))
+            compile_vector([e], ("x",))
         with pytest.raises(EvaluationError, match=f"^{message}$"):
             compile_vector([parse("x*y", ["x", "y"]), parse("z + w/x", ["w", "x", "z"])], ("x",))
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -206,6 +208,14 @@ class TestDiagonalProlongation:
 
     def test_zero_field(self):
         assert zero_field(diagonal_prolongation(field(PLANE, "0", "0"), 3))
+
+    def test_many_slots_cost_linear_time(self):
+        # the chart check builds the chart's name set once per field; a set
+        # per component made it quadratic in the slots, over ten times this bound
+        started = time.perf_counter()
+        got = diagonal_prolongation(field(LINE, "x^2"), 20_000)
+        assert time.perf_counter() - started < 2.0
+        assert got.chart.dim == 20_000 and str(got.components[-1]) == "x_19999^2"
 
     def test_commutes_with_bracket(self, rng):
         for _ in range(15):

@@ -45,3 +45,39 @@ class TestBenchPairsSummary:
         assert worse["won"] == 0 and worse["worse_beyond_bound"]
         assert not bench_pairs.summarize(parent, [v * 0.8 for v in parent], "higher",
                                          0.25)["worse_beyond_bound"]
+
+
+_REACH_SPEC = importlib.util.spec_from_file_location(
+    "reach", Path(__file__).resolve().parent.parent / "tools" / "reach.py")
+reach = importlib.util.module_from_spec(_REACH_SPEC)
+_REACH_SPEC.loader.exec_module(reach)
+
+
+class TestReach:
+    def test_each_function_is_keyed_as_its_code_object(self):
+        from liesys import dynamics, expr, pde
+
+        (nested,) = [c for c in pde._advance.__code__.co_consts
+                     if getattr(c, "co_name", None) == "parameters"]
+        cases = [
+            (expr.parse.__code__, "expr.parse"),
+            (dynamics.Trajectory.blew_up.fget.__code__, "dynamics.Trajectory.blew_up"),
+            (dynamics.LieSystem._rhs.func.__code__, "dynamics.LieSystem._rhs"),
+            (dynamics._velocity_source.__wrapped__.__code__, "dynamics._velocity_source"),
+            (nested, "pde._advance.<locals>.parameters"),
+        ]
+        found = reach.functions()
+        for code, name in cases:
+            assert found[(str(Path(code.co_filename).resolve()), code.co_firstlineno)] == name
+
+    def test_missing_and_stale_reasons_fail(self, capsys):
+        names = {"m.kept", "m.reached", "m.bare"}
+        assert reach._check({"m.kept": "why"}, ["m.kept"], names, "unreached")
+        assert not reach._check({"m.kept": "why"}, ["m.kept", "m.bare"], names, "unreached")
+        assert not reach._check({"m.kept": "why", "m.reached": "why", "m.gone": "why"},
+                                ["m.kept"], names, "unreached")
+        assert capsys.readouterr().out.splitlines() == [
+            "unreached, with no reason: m.bare",
+            "stale reason: m.gone no longer exists",
+            "stale reason: m.reached is no longer unreached",
+        ]

@@ -66,7 +66,9 @@ FLAG_CALLS = (
 # does not parse, which exits 2; a zero field, which spans the algebra {0}
 # of dimension 0; and the line pair 1, x*exp(x)*exp(-x), whose atoms
 # cancel in value but not in the normal form, so closure fails it and
-# completion hits its cap (ROADMAP item 5), while m ranks it in floats
+# completion hits its cap (ROADMAP item 5), while m ranks it in floats;
+# and a pde superpose whose rule, x_0 - x_1, is not tangent to the
+# decomposition's basis, which names the first field it fails on
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -87,6 +89,7 @@ INPUT_CALLS = (
     ("atom_pair.closure", ["closure", "tools/inputs/atom_pair.json"]),
     ("atom_pair.closure.complete", ["closure", "tools/inputs/atom_pair.json", "--complete"]),
     ("atom_pair.m", ["m", "tools/inputs/atom_pair.json"]),
+    ("pde_not_tangent.pde_superpose", ["pde", "superpose", "tools/inputs/pde_not_tangent.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
@@ -121,15 +124,18 @@ def calls(tree: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+def output_options(argv: list[str], report: Path, dumps: Path) -> list[str]:
+    """The options a recorded call adds to argv: its --json report, and the
+    --csv dumps of the commands in CSV_COMMANDS."""
+    if argv == ["examples", "list"]:  # takes no options
+        return []
+    return ["--json", str(report)] + (["--csv", str(dumps)] if argv[0] in CSV_COMMANDS else [])
+
+
 def record(tree: Path, outdir: Path, name: str, argv: list[str]) -> None:
-    report = outdir / f"{name}.json"
-    # `examples list` takes no options
-    extra = [] if argv == ["examples", "list"] else ["--json", str(report)]
     with tempfile.TemporaryDirectory() as dumps:
-        if argv[0] in CSV_COMMANDS:
-            extra += ["--csv", dumps]
         try:
-            done = _liesys(tree, argv + extra)
+            done = _liesys(tree, argv + output_options(argv, outdir / f"{name}.json", Path(dumps)))
             stdout, stderr, code = done.stdout, done.stderr, str(done.returncode)
         except subprocess.TimeoutExpired:
             stdout, stderr, code = "", "", f"timeout after {TIMEOUT_S} s"
