@@ -616,13 +616,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pde", help="flat PDE systems")
     pde_sub = p.add_subparsers(dest="pde_command", required=True)
     for name, help_text in (("check", "symbolic zero-curvature check"),
-                            ("solve", "staircase path solve with audit"),
+                            ("solve", "staircase path solve"),
                             ("superpose", "grid superposition from particular solutions")):
         q = pde_sub.add_parser(name, help=help_text)
         _add_common(q)
         if name == "solve":
             q.add_argument("--audit", action="store_true",
-                           help="integrate even if curvature is nonzero")
+                           help="compare the endpoints of 8 staircases, even when flatness is "
+                                "exact, and integrate even if curvature is nonzero")
         q.set_defaults(fn=cmd_pde)
 
     p = sub.add_parser("examples", help="bundled example catalog")

@@ -5,11 +5,17 @@ the superposition machinery on parameter grids.
 `curvature` is the one flatness verdict: the x-components of the brackets
 of the lifted fields d/dt^a + Y_a, each decided by expr.is_zero.  A Lie
 decomposition Y_a = sum u_a^alpha(t) X_alpha, when given, is checked
-exactly against the fields on construction, and serves only pde_superpose,
-whose rule must be tangent to its basis.
+exactly against the fields on construction, and serves only the tangency
+of a grid rule to its basis.
 
 `flatness_checks`, `path_checks` and `grid_superpose_checks` turn these
-into the named checks of `liesys pde` and of the catalog.
+into the named checks of `liesys pde` and of the catalog.  The last two
+are where flatness and tangency are decided, once per command and before
+anything is integrated; `path_solve`, `solve_on_grid` and `pde_superpose`
+take both as given.  By Frobenius a flat system's solution does not
+depend on the path, so `path_checks` integrates one staircase when
+flatness is exact, and audits AUDIT_PATHS staircases only when it was
+sampled or when asked to.
 
 Paths are axis-aligned staircases: flatness makes endpoints path-independent,
 so staircases suffice and keep every integration one-dimensional.  Each
@@ -219,12 +225,12 @@ def _advance(sys: PdeSystem, axis: int, t_frozen: np.ndarray, nodes: Sequence[fl
     return np.concatenate([ys[np.searchsorted(ts, nodes[1:-1])], ys[-1:]])
 
 
-def _require_flat(sys: PdeSystem) -> None:
-    """Raise NotFlatError unless every curvature residual may be zero."""
-    for pair, ds in curvature(sys).verdicts.items():
+def _require_flat(report: CurvatureReport, remedy: str = "") -> None:
+    """Raise NotFlatError, its message ending in `remedy`, when a curvature
+    residual of `report` is decided nonzero."""
+    for pair, ds in report.verdicts.items():
         if any(d.verdict == "nonzero" for d in ds):
-            raise NotFlatError(f"curvature residual nonzero for parameter pair {pair}; "
-                               "pass --audit to `liesys pde solve` (audit=True in Python) to integrate anyway")
+            raise NotFlatError(f"curvature residual nonzero for parameter pair {pair}{remedy}")
 
 
 def path_solve(
@@ -233,13 +239,11 @@ def path_solve(
     target: Sequence[float],
     path: Sequence[tuple[int, float]] | None = None,
     tol: float = DEFAULT_TOL,
-    audit: bool = False,
 ) -> np.ndarray:
     """The endpoint of 1-d integrations chained along an axis staircase from
-    0 to `target` (default: each axis once, in order); requires a flat
-    system unless audit=True."""
-    if not audit:
-        _require_flat(sys)
+    0 to `target` (default: each axis once, in order).  Flatness is the
+    caller's to decide (path_checks): on a system that is not flat the
+    endpoint depends on the staircase."""
     t_now = np.zeros(sys.s)
     target = np.asarray(target, dtype=float)
     if path is None:
@@ -286,6 +290,7 @@ def path_independence_audit(
     sys: PdeSystem,
     x0: Sequence[float],
     target: Sequence[float],
+    *,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> AuditResult:
@@ -299,7 +304,7 @@ def path_independence_audit(
     paths = [[(axis, float(target[axis])) for axis in range(sys.s)]]
     while len(paths) < AUDIT_PATHS:
         paths.append(_random_staircase(rng, base, target))
-    endpoints = [path_solve(sys, x0, target, path=path, tol=tol, audit=True) for path in paths]
+    endpoints = [path_solve(sys, x0, target, path=path, tol=tol) for path in paths]
     spread = 0.0
     for i in range(len(endpoints)):
         for j in range(i + 1, len(endpoints)):
@@ -342,23 +347,16 @@ def pde_superpose(
 ) -> np.ndarray:
     """Pointwise leaf solve over the parameter grid in row-major order, by
     the rule's generated damped Newton solve (superposition._leaf_solve).
+    The rule's tangency to the decomposition basis is the caller's to
+    decide (grid_superpose_checks).
     Each node is warm-started from its grid neighbour: the previous node of
     its row, or for the first node of a row the first node of the previous
     row (the end of the previous row can lie across another particular
     solution).  A failed solve names its node by row (the t1 index) and
     column (the t2 index).  `solutions` are m value grids of shape
     grid_shape + (n,); the slot-0 grid comes back with the same shape."""
-    if sys.decomposition is None:
-        raise ValueError("pde_superpose needs a system with a Lie decomposition")
     if len(solutions) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(solutions)}")
-    report = verify_tangency(rule, sys.decomposition.basis)
-    if not report.all_zero:
-        bad = report.max_nonzero()
-        raise LiesysError(
-            f"rule is not tangent to the decomposition basis "
-            f"(field {bad.field_index}, psi component {bad.component})"
-        )
     grids = [np.asarray(sol, dtype=float) for sol in solutions]
     shape = grids[0].shape
     for g in grids[1:]:
@@ -403,12 +401,20 @@ def flatness_checks(sys: PdeSystem) -> tuple[list[Check], dict]:
 def path_checks(sys: PdeSystem, x0: Sequence[float], target: Sequence[float],
                 tol: float = DEFAULT_TOL, seed: int = 0, audit: bool = False) -> tuple[list[Check], dict]:
     """`integrated` with the endpoint of the default staircase to `target`,
-    and `path_independence_spread` within 10 tol over the AUDIT_PATHS
-    staircases of path_independence_audit, whose first is the default one; extras
-    `endpoint` and `spread`.  A system that is not flat raises NotFlatError
-    unless audit=True."""
+    extra `endpoint`.  One curvature report decides both the gate and the
+    audit: a system that is not flat raises NotFlatError unless audit=True,
+    and when every residual is decided zero exactly, the default staircase
+    is the only one integrated.  Otherwise (flatness sampled, or
+    audit=True) the AUDIT_PATHS staircases of path_independence_audit,
+    whose first is the default one, add `path_independence_spread` within
+    10 tol and the extra `spread`."""
+    report = curvature(sys)
     if not audit:
-        _require_flat(sys)
+        _require_flat(report, "; pass --audit to `liesys pde solve` (audit=True in Python) "
+                              "to integrate anyway")
+        if report.exact:
+            endpoint = path_solve(sys, x0, target, tol=tol).tolist()
+            return [Check("integrated", True, detail=f"endpoint {endpoint}")], {"endpoint": endpoint}
     result = path_independence_audit(sys, x0, target, tol=tol, seed=seed)
     endpoint = result.endpoints[0].tolist()
     return ([Check("integrated", True, detail=f"endpoint {endpoint}"),
@@ -424,13 +430,20 @@ def grid_superpose_checks(sys: PdeSystem, rule: SuperpositionRule, k: Sequence[f
     11 x 11 grid from 0 to `target`, slot 0 rebuilt from them with constants
     k (leaf solves start at x0_guess, default the first solution's start),
     and `superposition_vs_path_solve`: its corner within GAP_LIMIT of the
-    path solve from its first node.  A system that is not flat raises
-    NotFlatError before anything is integrated."""
-    _require_flat(sys)
+    path solve from its first node.  The system needs a decomposition.
+    Before anything is integrated, a system that is not flat raises
+    NotFlatError, and a rule that is not tangent to the decomposition basis
+    raises LiesysError naming the first field and psi component it fails."""
+    _require_flat(curvature(sys))
+    tangency = verify_tangency(rule, sys.decomposition.basis)
+    if not tangency.all_zero:
+        bad = tangency.max_nonzero()
+        raise LiesysError(f"rule is not tangent to the decomposition basis "
+                          f"(field {bad.field_index}, psi component {bad.component})")
     axes = [np.linspace(0.0, target[i], 11) for i in range(sys.s)]
     grids = [solve_on_grid(sys, p, axes, tol) for p in points]
     guess = grids[0].reshape(-1, sys.n)[0] if x0_guess is None else x0_guess
     rebuilt = pde_superpose(sys, rule, grids, np.array(k), guess)
-    endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=tol, audit=True)
+    endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=tol)
     gap = float(np.max(np.abs(rebuilt[tuple([-1] * sys.s)] - endpoint)))
     return [Check.limit("superposition_vs_path_solve", gap, GAP_LIMIT)], rebuilt

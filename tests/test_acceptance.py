@@ -200,8 +200,8 @@ def test_criterion_9_pde_flatness():
     nonflat = PdeSystem.from_strings(2, ["u"], [["u"], ["t1*u"]])
     nonflat_report = curvature(nonflat)
     residual_ok = canonically_equal(nonflat_report.residuals[(0, 1)][0], Var("u"))
-    spread_flat = path_independence_audit(flat, [0.5], [0.4, 0.3], 8, seed=1).spread
-    spread_bad = path_independence_audit(nonflat, [1.0], [1.0, 1.0], 8, seed=1).spread
+    spread_flat = path_independence_audit(flat, [0.5], [0.4, 0.3], seed=1).spread
+    spread_bad = path_independence_audit(nonflat, [1.0], [1.0, 1.0], seed=1).spread
 
     axes = [np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 11)]
     u0s = [-1.0, -2.0, 0.5]

@@ -16,6 +16,7 @@ from liesys.expr import MAX_EXACT_BITS
 from liesys.report import validate_report
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+INPUTS = Path(__file__).resolve().parent.parent / "tools" / "inputs"
 
 
 def run(tmp_path, *argv, json_name="report.json"):
@@ -541,11 +542,14 @@ class TestGroupAndPde:
             "0 of 3508 nodes compared: all lie within POLE_MARGIN of the pole x2 = 0")
 
     @pytest.mark.parametrize("argv,module,function,calls", [
-        (["pde", "solve", "pde_riccati"], "pde", "path_solve", 8),
+        # flatness is exact, so one staircase and no audit
+        (["pde", "solve", "pde_riccati"], "pde", "path_solve", 1),
         (["group", "sl2_group"], "group", "solve_group_equation", 1),
         # a planar x0 adds the equivariance check, which needs no second g
         (["group", ("sl2_group", {"action.name": "sl2_linear", "action.x0": [0.0, 1.0]})],
          "group", "solve_group_equation", 1),
+        # one curvature report serves both the flatness gate and its exactness
+        (["pde", "solve", "pde_riccati"], "pde", "curvature", 1),
     ])
     def test_each_solve_runs_once(self, monkeypatch, tmp_path, argv, module, function, calls):
         seen, real = [], getattr(sys.modules[f"liesys.{module}"], function)
@@ -584,7 +588,22 @@ class TestGroupAndPde:
 
         monkeypatch.setattr(pde, "_dopri5", counted)
         code, doc = run(tmp_path, "pde", "superpose", str(path))
-        assert code == 1 and "curvature residual nonzero" in doc["checks"][0]["detail"]
+        # pde superpose takes no --audit, so the message offers none
+        assert code == 1
+        assert doc["checks"][0]["detail"] == "curvature residual nonzero for parameter pair (0, 1)"
+        assert calls == []
+
+    def test_pde_superpose_refuses_a_non_tangent_rule_before_integrating(self, monkeypatch,
+                                                                         tmp_path):
+        calls, real = [], pde.solve_on_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "solve_on_grid", counted)
+        code, doc = run(tmp_path, "pde", "superpose", str(INPUTS / "pde_not_tangent.json"))
+        assert code == 1 and "not tangent" in doc["checks"][0]["detail"]
         assert calls == []
 
     def test_pde_check_flat(self, tmp_path):
@@ -636,6 +655,18 @@ class TestGroupAndPde:
             tmp_path, "pde", "solve", str(PROBLEMS / "pde_riccati.json"), "--t-span", "0,1"
         )
         assert code == 0
+
+    @pytest.mark.parametrize("problem,flags,names", [
+        (PROBLEMS / "pde_riccati.json", [], ["integrated"]),
+        (PROBLEMS / "pde_riccati.json", ["--audit"], ["integrated", "path_independence_spread"]),
+        # exp(t1)*exp(t2)*u - exp(t1 + t2)*u is zero only by sampling
+        (INPUTS / "pde_atom_flat.json", [], ["integrated", "path_independence_spread"]),
+    ], ids=["exact", "audit_flag", "sampled"])
+    def test_pde_solve_audits_a_sampled_flatness_or_on_request(self, tmp_path, problem, flags,
+                                                                names):
+        code, doc = run(tmp_path, "pde", "solve", str(problem), *flags)
+        assert code == 0 and [c["name"] for c in doc["checks"]] == names
+        assert ("spread" in doc["extra"]) == ("path_independence_spread" in names)
 
     def test_pde_superpose(self, tmp_path):
         code, doc = run(tmp_path, "pde", "superpose", str(PROBLEMS / "pde_riccati.json"))
@@ -843,9 +874,6 @@ class TestMalformedInputsExit2:
         assert err.startswith("error: ") and fragment in err, err
 
 
-INPUTS = Path(__file__).resolve().parent.parent / "tools" / "inputs"
-
-
 def _slot0_pushed(monkeypatch):
     """An integrator fault: slot 0 of every integrated tuple moved by 1e-3 t."""
     from liesys import superposition
@@ -998,7 +1026,8 @@ PLANTED_DEFECTS = [
     ("m_understated", "m", PROBLEMS / "riccati.json", {"m": 2}, None,
      "m_matches_expected", "got 3, expected 2", {"m_determined"}),
     # a spread of 1e-7 lies above the limit 10 tol = 1e-8 and below 1e-5
-    ("staircase_moved", "pde solve", PROBLEMS / "pde_riccati.json", {}, _staircase_moved,
+    # (flatness is exact, so only --audit compares staircases)
+    ("staircase_moved", "pde solve --audit", PROBLEMS / "pde_riccati.json", {}, _staircase_moved,
      "path_independence_spread", "", {"integrated"}),
     # [d/dt1 + u d/du, d/dt2 + t1 u d/du] = u d/du
     ("curvature_nonzero", "pde check", PROBLEMS / "pde_nonflat.json", {}, None,
@@ -1209,7 +1238,7 @@ class TestCatalogSharesTheCliChecks:
         ("separable_invsq", ["m", "separable_invsq"], M),
         ("euclidean_se2", ["m", "euclidean"], M),
         ("translation_nonunique", ["m", "translation"], M),
-        ("pde_riccati", ["pde", "solve", "pde_riccati"], {"integrated", "path_independence_spread"}),
+        ("pde_riccati", ["pde", "solve", "pde_riccati"], {"integrated"}),
         ("pde_riccati", ["pde", "superpose", "pde_riccati"], {"superposition_vs_path_solve"}),
     ])
     def test_catalog_checks_equal_the_checks_of_other_commands(self, tmp_path, entry, argv, names):

@@ -9,6 +9,8 @@ from liesys.geometry import VectorField
 from liesys.pde import (
     PdeSystem,
     curvature,
+    grid_superpose_checks,
+    path_checks,
     path_independence_audit,
     path_solve,
     pde_superpose,
@@ -101,12 +103,15 @@ class TestPathSolve:
         assert path_solve(sys, [0.3], [1.0, 1.0])[0] == 0.3
 
     def test_nonflat_needs_audit_flag(self):
-        with pytest.raises(NotFlatError):
-            path_solve(nonflat(), [1.0], [1.0, 1.0])
+        with pytest.raises(NotFlatError, match="pass --audit"):
+            path_checks(nonflat(), [1.0], [1.0, 1.0])
+        checks, extra = path_checks(nonflat(), [1.0], [1.0, 1.0], audit=True)
+        assert [c.name for c in checks] == ["integrated", "path_independence_spread"]
+        assert extra["spread"] > 1e-3
 
     def test_nonflat_staircases_diverge(self):
-        first = path_solve(nonflat(), [1.0], [1.0, 1.0], path=[(0, 1.0), (1, 1.0)], audit=True)
-        second = path_solve(nonflat(), [1.0], [1.0, 1.0], path=[(1, 1.0), (0, 1.0)], audit=True)
+        first = path_solve(nonflat(), [1.0], [1.0, 1.0], path=[(0, 1.0), (1, 1.0)])
+        second = path_solve(nonflat(), [1.0], [1.0, 1.0], path=[(1, 1.0), (0, 1.0)])
         assert abs(first[0] - second[0]) > 1e-3
 
     def test_path_must_reach_target(self):
@@ -122,6 +127,10 @@ class TestAudit:
     def test_nonflat_spread_detectable(self):
         audit = path_independence_audit(nonflat(), [1.0], [1.0, 1.0], seed=2)
         assert audit.spread > 1e-3
+
+    def test_tol_and_seed_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            path_independence_audit(flat_riccati(), [0.5], [0.4, 0.3], 1e-9)
 
     def test_single_parameter_single_path(self):
         sys = PdeSystem.from_strings(1, ["u"], [["u^2"]])
@@ -194,12 +203,9 @@ class TestGridSuperposition:
         assert err.value.t == (3, 4)
 
     def test_rule_must_be_tangent(self):
-        sys = flat_riccati()
         bad = SuperpositionRule.from_strings(Chart(("u",)), 1, 1, psi=["u_0"], phi=["k1"])
-        axes = [np.linspace(0.0, 0.2, 3), np.linspace(0.0, 0.2, 3)]
-        grid = solve_on_grid(sys, [0.1], axes)
-        with pytest.raises(LiesysError, match="not tangent"):
-            pde_superpose(sys, bad, [grid], [0.1], [0.1])
+        with pytest.raises(LiesysError, match=r"not tangent .*\(field 0, psi component 0\)"):
+            grid_superpose_checks(flat_riccati(), bad, [0.1], [[0.1]], [0.2, 0.2])
 
 
 class TestGridSweep:

@@ -68,7 +68,11 @@ FLAG_CALLS = (
 # cancel in value but not in the normal form, so closure fails it and
 # completion hits its cap (ROADMAP item 5), while m ranks it in floats;
 # and a pde superpose whose rule, x_0 - x_1, is not tangent to the
-# decomposition's basis, which names the first field it fails on
+# decomposition's basis, which names the first field it fails on, and one
+# on a decomposed system that is not flat; and a flat pde system whose
+# residual exp(t1)*exp(t2)*u - exp(t1 + t2)*u is zero only by sampling, so
+# that `pde solve` still audits its staircases (merging exp atoms, stage 2
+# of ROADMAP item 5, would decide it exactly)
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -90,6 +94,10 @@ INPUT_CALLS = (
     ("atom_pair.closure.complete", ["closure", "tools/inputs/atom_pair.json", "--complete"]),
     ("atom_pair.m", ["m", "tools/inputs/atom_pair.json"]),
     ("pde_not_tangent.pde_superpose", ["pde", "superpose", "tools/inputs/pde_not_tangent.json"]),
+    ("pde_nonflat_decomposed.pde_superpose",
+     ["pde", "superpose", "tools/inputs/pde_nonflat_decomposed.json"]),
+    ("pde_atom_flat.pde_check", ["pde", "check", "tools/inputs/pde_atom_flat.json"]),
+    ("pde_atom_flat.pde_solve", ["pde", "solve", "tools/inputs/pde_atom_flat.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
