@@ -1,12 +1,13 @@
 """First-order PDE systems dx/dt^a = Y_a(t, x): symbolic zero-curvature
-checks, staircase path solving with path-independence audits, and reuse of
-the superposition machinery on parameter grids.
+checks, staircase path solving with path-independence audits, and the
+superposition rule of the ODE case carried over to parameter grids.
 
 `curvature` is the one flatness verdict: the x-components of the brackets
-of the lifted fields d/dt^a + Y_a, each decided by expr.is_zero.  A Lie
-decomposition Y_a = sum u_a^alpha(t) X_alpha, when given, is checked
-exactly against the fields on construction, and serves only the tangency
-of a grid rule to its basis.
+of the lifted fields d/dt^a + Y_a, each decided by expr.is_zero.  Each
+system decides it once, on first read of PdeSystem.curvature_report,
+which every check below reads.  A Lie decomposition Y_a = sum u_a^alpha(t)
+X_alpha, when given, is checked exactly against the fields on
+construction, and serves only the tangency of a grid rule to its basis.
 
 `flatness_checks`, `path_checks` and `grid_superpose_checks` turn these
 into the named checks of `liesys pde` and of the catalog.  The last two
@@ -21,6 +22,14 @@ Paths are axis-aligned staircases: flatness makes endpoints path-independent,
 so staircases suffice and keep every integration one-dimensional.  Each
 segment is one dynamics._dopri5 run, with the axis's field inlined into the
 generated loop and the parameters t1..ts as its scalars.
+
+A grid is the 2-d case of `superpose`'s tuple, as the paper's foliation
+carries over unchanged: `grid_superpose_checks` starts slot 0 on the leaf
+of k, integrates it with the m particular solutions as one stacked state
+(`solve_on_grid`, one run per grid line for all of them), rebuilds slot 0
+from the particular solutions by the one rebuild `reconstruct` also runs
+(superposition._rebuild, through `pde_superpose`), and compares the two at
+every node.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .errors import IntegrationBlowUpError, LiesysError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
 from .report import Check
-from .superposition import GAP_LIMIT, SuperpositionRule, _leaf_solve, verify_tangency
+from .superposition import GAP_LIMIT, SuperpositionRule, _rebuild, _slot0_start, verify_tangency
 
 __all__ = [
     "PdeSystem",
@@ -129,6 +138,12 @@ class PdeSystem:
         names = {p: f"_b{i}" for i, p in enumerate(self.params.names)}
         names.update((x, f"_x{i}") for i, x in enumerate(self.chart.names))
         return [_Rhs(self.s, tuple(ex.python_source(c, names) for c in f)) for f in self.fields]
+
+    @cached_property
+    def curvature_report(self) -> "CurvatureReport":
+        """The system's one curvature report (`curvature`), decided on first
+        read: every command and catalog run reads it here."""
+        return curvature(self)
 
     @staticmethod
     def from_strings(
@@ -322,13 +337,19 @@ def solve_on_grid(
 ) -> np.ndarray:
     """Solution values on a rectangular parameter grid (flat systems): the
     first row along axis 1, then each column up axis 2, each line one
-    integration that lands on its nodes, so every value is integrated."""
+    integration that lands on its nodes, so every value is integrated.  x0
+    may stack any number of starts, n values each; they move as one
+    prolonged tuple, one integration per line for all of them, and the
+    last axis of the result holds their values in the same order."""
     if sys.s != 2:
         raise NotImplementedError("grids are supported for s = 2")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or not len(x0) or len(x0) % sys.n:
+        raise ValueError(f"a grid start stacks starts of {sys.n} values each, got shape {x0.shape}")
     t1s, t2s = (np.asarray(axis, dtype=float) for axis in axes)
     if not (np.all(np.diff(t1s) > 0) and np.all(np.diff(t2s) > 0)):
         raise ValueError("grid axes must be strictly increasing")
-    out = np.empty((len(t1s), len(t2s), sys.n))
+    out = np.empty((len(t1s), len(t2s), len(x0)))
     out[0, 0] = x0
     if not np.allclose([t1s[0], t2s[0]], 0.0):
         out[0, 0] = path_solve(sys, x0, [t1s[0], t2s[0]], tol=tol)
@@ -345,36 +366,21 @@ def pde_superpose(
     k: Sequence[float],
     x0_guess: Sequence[float],
 ) -> np.ndarray:
-    """Pointwise leaf solve over the parameter grid in row-major order, by
-    the rule's generated damped Newton solve (superposition._leaf_solve).
-    The rule's tangency to the decomposition basis is the caller's to
-    decide (grid_superpose_checks).
-    Each node is warm-started from its grid neighbour: the previous node of
-    its row, or for the first node of a row the first node of the previous
-    row (the end of the previous row can lie across another particular
-    solution).  A failed solve names its node by row (the t1 index) and
-    column (the t2 index).  `solutions` are m value grids of shape
-    grid_shape + (n,); the slot-0 grid comes back with the same shape."""
+    """Slot 0 over m value grids of one shape grid_shape + (n,), returned
+    with that shape, by superposition._rebuild: each line along the grid's
+    last axis (t2) is one row, and the nodes are taken as evenly spaced.
+    So slot 0 is phi at every node, or without phi a Newton solve per node
+    that follows the leaf along its row, row 0 starting at x0_guess.  The
+    rule's tangency to the decomposition basis is the caller's to decide
+    (grid_superpose_checks).  A failed node is named by its row (the t1
+    index) and column (the t2 index)."""
     if len(solutions) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(solutions)}")
-    grids = [np.asarray(sol, dtype=float) for sol in solutions]
-    shape = grids[0].shape
-    for g in grids[1:]:
-        if g.shape != shape:
-            raise ValueError("solution grids must share one shape")
-    rests = np.concatenate([g.reshape(-1, sys.n) for g in grids], axis=1).tolist()
-    k = np.asarray(k, dtype=float).tolist()
-    solve = _leaf_solve(rule)
-    count = len(rests)
-    out = np.empty((count, sys.n))
-    row = shape[-2]
-    guess = np.asarray(x0_guess, dtype=float).tolist()
-    for node in range(count):
-        if node >= row and node % row == 0:
-            guess = out[node - row].tolist()
-        guess = solve(rests[node], k, guess, divmod(node, row))
-        out[node] = guess
-    return out.reshape(shape)
+    grids = np.stack([np.asarray(sol, dtype=float) for sol in solutions], axis=-2)
+    rows = grids.reshape(-1, grids.shape[-3], rule.m * sys.n).tolist()
+    labels = [[(i, j) for j in range(len(row))] for i, row in enumerate(rows)]
+    nodes = _rebuild(rule, rows, k, x0_guess, labels)
+    return np.array(nodes, dtype=float).reshape(grids.shape[:-2] + (sys.n,))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,7 @@ def flatness_checks(sys: PdeSystem) -> tuple[list[Check], dict]:
     verdict was exact), which the extra `residuals` lists per parameter pair
     and the detail quotes, each past expr.MAX_DETAIL_CHARS as its component,
     term count and a prefix."""
-    report = curvature(sys)
+    report = sys.curvature_report
     texts = {pair: [str(r) for r in rs] for pair, rs in report.residuals.items()}
     detail = "; ".join(
         f"pair {pair}: " + ", ".join(ex._brief(r, text, f"component {i}: ")
@@ -408,7 +414,7 @@ def path_checks(sys: PdeSystem, x0: Sequence[float], target: Sequence[float],
     audit=True) the AUDIT_PATHS staircases of path_independence_audit,
     whose first is the default one, add `path_independence_spread` within
     10 tol and the extra `spread`."""
-    report = curvature(sys)
+    report = sys.curvature_report
     if not audit:
         _require_flat(report, "; pass --audit to `liesys pde solve` (audit=True in Python) "
                               "to integrate anyway")
@@ -426,24 +432,27 @@ def grid_superpose_checks(sys: PdeSystem, rule: SuperpositionRule, k: Sequence[f
                           points: Sequence[Sequence[float]], target: Sequence[float],
                           tol: float = DEFAULT_TOL, x0_guess: Sequence[float] | None = None,
                           ) -> tuple[list[Check], np.ndarray]:
-    """(checks, slot-0 grid): the particular solutions from `points` on the
-    11 x 11 grid from 0 to `target`, slot 0 rebuilt from them with constants
-    k (leaf solves start at x0_guess, default the first solution's start),
-    and `superposition_vs_path_solve`: its corner within GAP_LIMIT of the
-    path solve from its first node.  The system needs a decomposition.
+    """(checks, slot-0 grid) of the rule as a foliation over the 11 x 11
+    grid from 0 to `target`, the 2-d case of superpose_checks: slot 0
+    starts at the leaf point of k over `points` (_slot0_start; a leaf solve
+    starts at x0_guess, default the first point), and is integrated with
+    the m particular solutions from `points` as one tuple, one run per grid
+    line.  Slot 0 rebuilt from the particular solutions (pde_superpose)
+    must match the integrated slot 0 within GAP_LIMIT at every node
+    (`superposition_vs_path_solve`).  The system needs a decomposition.
     Before anything is integrated, a system that is not flat raises
     NotFlatError, and a rule that is not tangent to the decomposition basis
     raises LiesysError naming the first field and psi component it fails."""
-    _require_flat(curvature(sys))
+    _require_flat(sys.curvature_report)
     tangency = verify_tangency(rule, sys.decomposition.basis)
     if not tangency.all_zero:
         bad = tangency.max_nonzero()
         raise LiesysError(f"rule is not tangent to the decomposition basis "
                           f"(field {bad.field_index}, psi component {bad.component})")
+    guess = points[0] if x0_guess is None else x0_guess
+    start = _slot0_start(rule, points, (0, 0), k, guess=guess)
     axes = [np.linspace(0.0, target[i], 11) for i in range(sys.s)]
-    grids = [solve_on_grid(sys, p, axes, tol) for p in points]
-    guess = grids[0].reshape(-1, sys.n)[0] if x0_guess is None else x0_guess
-    rebuilt = pde_superpose(sys, rule, grids, np.array(k), guess)
-    endpoint = path_solve(sys, rebuilt.reshape(-1, sys.n)[0], target, tol=tol)
-    gap = float(np.max(np.abs(rebuilt[tuple([-1] * sys.s)] - endpoint)))
+    grid = solve_on_grid(sys, [*start, *(v for point in points for v in point)], axes, tol)
+    rebuilt = pde_superpose(sys, rule, np.split(grid[..., sys.n:], rule.m, axis=-1), k, guess)
+    gap = float(np.max(np.abs(rebuilt - grid[..., :sys.n])))
     return [Check.limit("superposition_vs_path_solve", gap, GAP_LIMIT)], rebuilt

@@ -18,19 +18,23 @@ Along solutions every rule is checked one way: psi's drift along one
 integrated (m+1)-tuple, with slot 0 starting at x0, or on the leaf of k at t0
 (phi there for a rule with phi, a leaf solve otherwise).
 
-Reconstruction follows the leaf of k along the grid of the m solutions.
-With phi, slot 0 is phi there: phi is taken as given, and decided once,
-exactly, by `superpose_checks` and `verify_tangency` (_phi_on_leaves,
-cached per rule and seed, so one decision serves both).  Without phi each
-node is a damped Newton solve from the secant predictor through the two
-nodes before it, x_(k-1) + q (x_(k-1) - x_(k-2)) with q = dt_k / dt_(k-1),
-or from the previous node where q > 5 (PREDICTOR_MAX_RATIO), since the
-slope carries the nodes' Newton error q times over; this is the
-Euler-Newton predictor-corrector of continuation methods.  The solve is one
-function generated for the rule and kept in a bounded cache (_leaf_solve):
-residuals, norm, the exact Jacobian (derivative trees evaluated in floats)
-and each damped trial are scalar locals; for n > 1 the step is still
-np.linalg.solve.
+Reconstruction follows the leaf of k over the m solutions' values, by one
+rebuild (_rebuild) for every caller: a curve is one row of nodes
+(`reconstruct`), a PDE grid one row per t1 value (pde.pde_superpose), and
+a start one node (_slot0_start).  With phi, slot 0 is phi there: phi is
+taken as given, and decided once, exactly, by `superpose_checks` and
+`verify_tangency` (_phi_on_leaves, cached per rule and seed, so one
+decision serves both).  Without phi each node is a damped Newton solve
+from the secant predictor through the two nodes before it in its row,
+x_(k-1) + q (x_(k-1) - x_(k-2)) with q = dt_k / dt_(k-1), or from the
+previous node where q > 5 (PREDICTOR_MAX_RATIO), since the slope carries
+the nodes' Newton error q times over; a grid row's first node is
+predicted in the same way from the first nodes of the rows before it.
+This is the Euler-Newton predictor-corrector of continuation methods.
+The solve is one function generated for the rule and kept in a bounded
+cache (_leaf_solve): residuals, norm, the exact Jacobian (derivative trees
+evaluated in floats) and each damped trial are scalar locals; for n > 1
+the step is still np.linalg.solve.
 
 `rule_checks`, `solution_checks` and `superpose_checks` turn these into the
 named checks of `liesys verify` and `liesys superpose`, and of the catalog.
@@ -484,14 +488,6 @@ def derive_k(rule: SuperpositionRule, x0: Sequence[float], slot_states: Sequence
     return np.array(_psi_at(psi, point.tolist(), 0.0))
 
 
-def _k_values(rule: SuperpositionRule, k: Sequence[float]) -> list[float]:
-    """k as a list of the rule's s floats; ValueError for another shape."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (rule.rank,):
-        raise ValueError(f"k must have {rule.rank} entries")
-    return k.tolist()
-
-
 def _phi_points(rule: SuperpositionRule, k: list[float]) -> Callable[[list[float], float], list[float]]:
     """phi with k bound: at(rest, t) is slot 0 over the slots `rest` at t,
     or SingularDomainError where phi is singular."""
@@ -505,20 +501,17 @@ def _phi_points(rule: SuperpositionRule, k: list[float]) -> Callable[[list[float
     return at
 
 
-def _slot0_start(rule: SuperpositionRule, points: Sequence[Sequence[float]], t0: float,
-                 k: Sequence[float] | None = None, x0: Sequence[float] | None = None,
-                 guess: Sequence[float] | None = None) -> Sequence[float]:
-    """Where slot 0 starts at t0 over the m `points`: given k, k's leaf point
-    there (phi, evaluated once; without phi, a leaf solve from `guess`);
-    otherwise x0, or points[0] shifted by 0.1."""
+def _slot0_start(rule: SuperpositionRule, points: Sequence[Sequence[float]],
+                 t0: float | tuple[int, int], k: Sequence[float] | None = None,
+                 x0: Sequence[float] | None = None, guess: Sequence[float] | None = None,
+                 ) -> Sequence[float]:
+    """Where slot 0 starts at t0 (a time, or the first node of a PDE grid)
+    over the m `points`: given k, k's leaf point there, _rebuild's one node
+    (phi, or a leaf solve from `guess`); otherwise x0, or points[0] shifted
+    by 0.1."""
     if k is None:
         return x0 if x0 is not None else [float(v) + 0.1 for v in points[0]]
-    rest, k = [float(v) for point in points for v in point], _k_values(rule, k)
-    if rule.phi is not None:
-        return _phi_points(rule, k)(rest, t0)
-    if guess is None:
-        raise ValueError("x0_guess is required when the rule has no phi")
-    return _leaf_solve(rule)(rest, k, np.asarray(guess, dtype=float).tolist(), t0)
+    return _rebuild(rule, [[[float(v) for point in points for v in point]]], k, guess, [[t0]])[0][0]
 
 
 def _predicted(before: list[float], last: list[float], t0: float, t1: float, t2: float) -> list[float]:
@@ -533,43 +526,69 @@ def _predicted(before: list[float], last: list[float], t0: float, t1: float, t2:
     return [b + q * (b - a) for a, b in zip(before, last)]
 
 
+def _rebuild(rule: SuperpositionRule, rows: Sequence[Sequence[list[float]]], k: Sequence[float],
+             guess: Sequence[float] | None, labels: Sequence[Sequence[float | tuple[int, int]]],
+             axes: tuple[Sequence[float], Sequence[float]] | None = None) -> list[list[list[float]]]:
+    """The one rebuild of slot 0 with psi held at k, node by node, over
+    `rows` of the m particular solutions' values: rows[i][j], the m slots'
+    coordinates in slot order, is the node at (axes[0][i], axes[1][j]),
+    evenly spaced when axes is None.  A curve is one row (reconstruct); a
+    PDE grid has one row per t1 value (pde_superpose); a start is one node
+    (_slot0_start).
+
+    With phi, every node is phi there, taken as given: whether phi lands on
+    its own leaves is decided exactly, once, by superpose_checks and
+    verify_tangency (_phi_on_leaves).  Without phi, every node is a damped
+    Newton solve (_leaf_solve) that follows the leaf along its row: the
+    first node of row 0 starts at `guess`, the second node of a row at the
+    first, and every later one at the secant predictor through the two
+    nodes before it (_predicted).  A row's first node follows the first
+    nodes of the rows before it in the same way, along axes[0].  A failure
+    names its node by labels[i][j]: its t on a curve, its (row, column) on
+    a PDE grid.  A k of another shape than the rule's s values raises
+    ValueError."""
+    if np.shape(k) != (rule.rank,):
+        raise ValueError(f"k must have {rule.rank} entries")
+    k = np.asarray(k, dtype=float).tolist()
+    if rule.phi is not None:
+        phi = _phi_points(rule, k)
+        return [[phi(rest, t) for rest, t in zip(row, names)] for row, names in zip(rows, labels)]
+    if guess is None:
+        raise ValueError("x0_guess is required when the rule has no phi")
+    solve, guess, out = _leaf_solve(rule), np.asarray(guess, dtype=float).tolist(), []
+    down, along = axes or (range(len(rows)), range(len(rows[0])))
+    for i, (row, names) in enumerate(zip(rows, labels)):
+        if i >= 2:
+            guess = _predicted(out[-2][0], out[-1][0], down[i - 2], down[i - 1], down[i])
+        elif i:
+            guess = out[0][0]
+        nodes = []
+        for j, rest in enumerate(row):
+            if j >= 2:
+                guess = _predicted(nodes[-2], nodes[-1], along[j - 2], along[j - 1], along[j])
+            guess = solve(rest, k, guess, names[j])
+            nodes.append(guess)
+        out.append(nodes)
+    return out
+
+
 def reconstruct(
     rule: SuperpositionRule,
     trajectories: Sequence[Trajectory],
     k: Sequence[float],
     x0_guess: Sequence[float] | None = None,
 ) -> Trajectory:
-    """Slot-0 curve with psi held at k along the m particular solutions.
-
-    With phi present the curve is phi at each grid point, taken as given:
-    whether phi lands on its own leaves is decided exactly, once, by
-    superpose_checks and verify_tangency (_phi_on_leaves).  Otherwise each
-    grid point is a damped Newton solve that follows the leaf: the first
-    starts at x0_guess, the second at the first node, and every later one at
-    the secant predictor through the two nodes before it (_predicted).  The
-    solve is the rule's generated function (_leaf_solve), built once per
-    rule; a failure names the grid point's t.  The nodes are Python floats
-    until the one array conversion at the end.
-    """
+    """Slot-0 curve with psi held at k along the m particular solutions:
+    their shared grid as one row of _rebuild, phi at each node or a Newton
+    solve from the secant predictor, a failure naming the node's t.  The
+    nodes are Python floats until the one array conversion at the end."""
     if len(trajectories) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(trajectories)}")
     grid, rests = _stack_states(trajectories)
-    ts, rests, k = grid.tolist(), rests.tolist(), _k_values(rule, k)
-    if rule.phi is not None:
-        phi = _phi_points(rule, k)
-        nodes = [phi(rest, t) for rest, t in zip(rests, ts)]
-    else:
-        if x0_guess is None:
-            raise ValueError("x0_guess is required when the rule has no phi")
-        solve, guess, nodes = _leaf_solve(rule), np.asarray(x0_guess, dtype=float).tolist(), []
-        for row, rest in enumerate(rests):
-            if row >= 2:
-                guess = _predicted(nodes[-2], nodes[-1], ts[row - 2], ts[row - 1], ts[row])
-            guess = solve(rest, k, guess, ts[row])
-            nodes.append(guess)
-    states = np.array(nodes, dtype=float)
+    ts = grid.tolist()
+    [nodes] = _rebuild(rule, [rests.tolist()], k, x0_guess, [ts], ((0.0,), ts))
     # the particular solutions share one grid, so they end together
-    return Trajectory(grid, states, stop=trajectories[0].stop)
+    return Trajectory(grid, np.array(nodes, dtype=float), stop=trajectories[0].stop)
 
 
 # ---------------------------------------------------------------------------

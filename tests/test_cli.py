@@ -567,6 +567,47 @@ class TestGroupAndPde:
         assert main([*argv[:-1], str(path)]) == 0
         assert len(seen) == calls
 
+    def test_pde_superpose_integrates_one_tuple_and_solves_no_leaf(self, monkeypatch):
+        # slot 0 and the three particular solutions move as one tuple, one
+        # run per line of the 11 x 11 grid, and phi rebuilds every node
+        runs, solves = [], []
+
+        def counted_run(real):
+            def run(*args, **kwargs):
+                runs.append(1)
+                return real(*args, **kwargs)
+            return run
+
+        def counted_build(real):
+            def build(rule):
+                solve = real(rule)
+
+                def counted(*args):
+                    solves.append(1)
+                    return solve(*args)
+                return counted
+            return build
+
+        for loaded in list(sys.modules.values()):
+            if loaded.__name__.startswith("liesys."):
+                for name, wrap in (("_dopri5", counted_run), ("_leaf_solve", counted_build)):
+                    if hasattr(loaded, name):
+                        monkeypatch.setattr(loaded, name, wrap(getattr(loaded, name)))
+        assert main(["pde", "superpose", str(PROBLEMS / "pde_riccati.json")]) == 0
+        assert (len(runs), len(solves)) == (12, 0)
+
+    def test_examples_run_pde_riccati_decides_curvature_once(self, monkeypatch):
+        # check, solve and superpose all read the system's one report
+        seen, real = [], pde.curvature
+
+        def counted(system):
+            seen.append(1)
+            return real(system)
+
+        monkeypatch.setattr(pde, "curvature", counted)
+        assert main(["examples", "run", "pde_riccati"]) == 0
+        assert len(seen) == 1
+
     def test_pde_superpose_non_tangent_rule_fails_cleanly(self, tmp_path, capsys):
         path = edited_problem(tmp_path, "pde_riccati", {
             "rule.m": 1, "rule.psi": ["u_0 - u_1"], "rule.phi": None,
@@ -888,15 +929,29 @@ def _slot0_pushed(monkeypatch):
 
 
 def _grid_leaf_shifted(monkeypatch):
-    """A leaf-solve fault: every slot-0 node of pde_superpose moved by 1e-3."""
+    """A rebuild fault: every slot-0 node that the grid's one rebuild
+    (superposition._rebuild, which pde_superpose calls) returns moved by 1e-3."""
     from liesys import pde
 
-    real = pde._leaf_solve
+    real = pde._rebuild
 
-    def shifted(rule):
-        solve = real(rule)
-        return lambda rest, k, guess, t: [v + 1e-3 for v in solve(rest, k, guess, t)]
-    monkeypatch.setattr(pde, "_leaf_solve", shifted)
+    def shifted(*args, **kwargs):
+        return [[[v + 1e-3 for v in node] for node in row] for row in real(*args, **kwargs)]
+    monkeypatch.setattr(pde, "_rebuild", shifted)
+
+
+def _grid_node_moved(monkeypatch):
+    """A rebuild fault at one interior node: row 5, column 5 of the slot-0
+    grid that pde_superpose returns moved by 1e-3."""
+    from liesys import pde
+
+    real = pde.pde_superpose
+
+    def moved(*args, **kwargs):
+        rebuilt = real(*args, **kwargs)
+        rebuilt[5, 5] += 1e-3
+        return rebuilt
+    monkeypatch.setattr(pde, "pde_superpose", moved)
 
 
 def _group_det_drift(monkeypatch):
@@ -1015,9 +1070,13 @@ PLANTED_DEFECTS = [
      {"fields": [["-1/x"]], "coefficients": ["1"], "x0": [1.0], "t_span": [0, 1]}, None,
      "integrated", "step underflow at t=0.5000000000853925; 351 nodes", set()),
     # the grid's flatness and the rule's tangency, which end the run in
-    # `completed` when they fail, pass; the path solve from the shifted first
-    # node misses the shifted corner by 4.4e-4
+    # `completed` when they fail, pass; every rebuilt node misses the
+    # integrated slot 0 by 1e-3
     ("grid_leaf_shifted", "pde superpose", PROBLEMS / "pde_riccati.json", {}, _grid_leaf_shifted,
+     "superposition_vs_path_solve", "", set()),
+    # one interior node off by 1e-3, which a check of the far corner alone
+    # would pass
+    ("grid_node_moved", "pde superpose", PROBLEMS / "pde_riccati.json", {}, _grid_node_moved,
      "superposition_vs_path_solve", "", set()),
     # det g drifts from exp(tau) by 1e-3 while the run reaches t1
     ("group_det_drift", "group", PROBLEMS / "sl2_group.json", {}, _group_det_drift,

@@ -202,6 +202,20 @@ class TestGridSuperposition:
         assert str(err.value) == "singular Jacobian in leaf solve (grid row 3, column 4)"
         assert err.value.t == (3, 4)
 
+    @pytest.mark.parametrize("phi", [None, ["((u_1 - u_3)*u_2*k1 + u_1*(u_3 - u_2))"
+                                         "/((u_1 - u_3)*k1 + (u_3 - u_2))"]])
+    def test_every_node_gap_with_and_without_phi(self, phi):
+        rule = SuperpositionRule.from_strings(Chart(("u",)), 3, 1, psi=[str(cross_ratio_u().psi[0])],
+                                              phi=phi)
+        checks, rebuilt = grid_superpose_checks(flat_riccati(), rule, [2 / 3],
+                                                [[-1.0], [-2.0], [0.5]], [0.5, 0.5], x0_guess=[0.25])
+        axes = np.linspace(0.0, 0.5, 11)
+        t1, t2 = np.meshgrid(axes, axes, indexing="ij")
+        # slot 0 starts at -1/3, the leaf point of k = 2/3 over -1, -2, 0.5
+        assert np.max(np.abs(rebuilt[:, :, 0] + 1 / (3 + t1 + t2))) <= 1e-9
+        assert checks[0].name == "superposition_vs_path_solve" and checks[0].passed
+        assert checks[0].value <= 1e-10
+
     def test_rule_must_be_tangent(self):
         bad = SuperpositionRule.from_strings(Chart(("u",)), 1, 1, psi=["u_0"], phi=["k1"])
         with pytest.raises(LiesysError, match=r"not tangent .*\(field 0, psi component 0\)"):
@@ -240,6 +254,22 @@ class TestGridSweep:
         grid = solve_on_grid(flat_riccati(), [0.5], [np.array([0.0, 0.2]), np.array([0.0])])
         assert grid.shape == (2, 1, 1) and abs(grid[1, 0, 0] - 0.5 / 0.9) <= 1e-9
         assert solve_on_grid(flat_riccati(), [0.5], [np.array([0.0])] * 2)[0, 0, 0] == 0.5
+
+    def test_stacked_starts_match_their_own_grids(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        axes = [np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 11)]
+        u0s = [0.25, -1.0, -2.0, 0.5]
+        stacked = solve_on_grid(flat_riccati(), u0s, axes)
+        assert stacked.shape == (11, 11, 4) and len(calls) == 12
+        alone = np.concatenate([solve_on_grid(flat_riccati(), [u], axes) for u in u0s], axis=-1)
+        assert np.max(np.abs(stacked - alone)) <= 1e-10
+
+    def test_a_start_must_stack_whole_points(self):
+        plane = PdeSystem.from_strings(2, ["u", "v"], [["v", "0"], ["0", "0"]])
+        axes = [np.linspace(0.0, 0.5, 3), np.linspace(0.0, 0.5, 3)]
+        assert solve_on_grid(plane, [1.0, 2.0, 3.0, 4.0], axes).shape == (3, 3, 4)
+        with pytest.raises(ValueError, match="starts of 2 values each"):
+            solve_on_grid(plane, [1.0, 2.0, 3.0], axes)
 
     def test_axes_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -69,7 +69,8 @@ FLAG_CALLS = (
 # completion hits its cap (ROADMAP item 5), while m ranks it in floats;
 # and a pde superpose whose rule, x_0 - x_1, is not tangent to the
 # decomposition's basis, which names the first field it fails on, and one
-# on a decomposed system that is not flat; and a flat pde system whose
+# on a decomposed system that is not flat, and pde_riccati.json without
+# phi, so every grid node of slot 0 is a leaf solve; and a flat pde system whose
 # residual exp(t1)*exp(t2)*u - exp(t1 + t2)*u is zero only by sampling, so
 # that `pde solve` still audits its staircases (merging exp atoms, stage 2
 # of ROADMAP item 5, would decide it exactly)
@@ -96,6 +97,7 @@ INPUT_CALLS = (
     ("pde_not_tangent.pde_superpose", ["pde", "superpose", "tools/inputs/pde_not_tangent.json"]),
     ("pde_nonflat_decomposed.pde_superpose",
      ["pde", "superpose", "tools/inputs/pde_nonflat_decomposed.json"]),
+    ("pde_riccati_newton.pde_superpose", ["pde", "superpose", "tools/inputs/pde_riccati_newton.json"]),
     ("pde_atom_flat.pde_check", ["pde", "check", "tools/inputs/pde_atom_flat.json"]),
     ("pde_atom_flat.pde_solve", ["pde", "solve", "tools/inputs/pde_atom_flat.json"]),
 )
