@@ -408,7 +408,7 @@ class FundamentalSizeReport:
     m: int
     r: int
     seed: int
-    exact: bool  # every rank taken over Q
+    exact: bool  # every rank taken over Q, and each k < m bounded below r by its shape
     rank_profile: list[RankAtK]
 
     def to_json_dict(self) -> dict:
@@ -421,7 +421,9 @@ def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeRe
     r columns), so below m the tuples after the first to reach k n are not
     ranked; fields must be linearly independent (prune_independent first).
     With exact ranks, rank r at one tuple proves m <= k, so m can only come
-    out too large."""
+    out too large.  m > k - 1 is proved by the shape when (k - 1) n < r, and
+    only sampled otherwise; the report is exact when neither half was
+    sampled."""
     fields = list(fields)
     if not fields:
         raise ValueError("minimal_m needs at least one field")
@@ -437,7 +439,8 @@ def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeRe
             lambda values: evaluation_rank(fields, [values[i:i + n] for i in range(0, k * n, n)]),
             k * n, r, rng, min(k * n, r),
         )
-        exact = exact and rank_exact
+        # below m, rank < r is proved by the shape only when k n < r; else it was sampled
+        exact = exact and rank_exact and (rank == r or k * n < r)
         profile.append(RankAtK(k, rank, tuples))
         if rank == r:
             return FundamentalSizeReport(k, r, seed, exact, profile)
@@ -473,7 +476,7 @@ def closure_checks(fields: Sequence[VectorField], complete: bool = False) -> tup
 
 def m_checks(fields: Sequence[VectorField], seed: int = 0,
              expected: int | None = None) -> tuple[list[Check], dict]:
-    """`m_determined` (probabilistic unless every rank was taken over Q) and,
+    """`m_determined` (probabilistic unless minimal_m's report is exact) and,
     given an expected m, `m_matches_expected`; extras `m` and `report`.  The
     fields must be linearly independent, as for minimal_m.  A search that
     reaches no full rank fails `m_determined` with its message, alone."""

@@ -6,9 +6,15 @@ from algebra (closure_checks, m_checks), `solve` from dynamics
 (rule_checks, solution_checks, superpose_checks), `group` from group
 (group_checks) and `pde` from pde (flatness_checks, path_checks,
 grid_superpose_checks).  This module parses problem files, each key in one
-function, and writes the reports and CSV dumps.  The run_* functions are
-the commands' checks on a parsed problem; the example catalog runs its
-problem files through them.
+function.  The run_* functions are the commands' checks on a parsed
+problem; the example catalog runs its problem files through them.
+
+Each problem command is one row of PROBLEM_COMMANDS: its help, its
+options, the tolerances its report records, and a function that parses
+what the command needs and returns its checks, extra and CSV dumps.  One
+path serves them all: cmd_problem reads the problem file and its task,
+runs the row, writes the dumps under --csv and emits the report, and
+build_parser adds one subcommand per row.
 
 Exit codes: 0 all checks passed, 1 some check failed (or the computation
 errored in a reported way), 2 usage or schema errors.
@@ -24,6 +30,7 @@ import re
 import sys
 from functools import cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .algebra import closure_checks, m_checks, prune_independent
 from .dynamics import (DEFAULT_TOL, CoefficientCurve, LieSystem, Trajectory, fundamental_points, integrate,
@@ -183,9 +190,10 @@ def rule_of(doc: dict, chart: Chart) -> SuperpositionRule:
         raise SchemaError(f"bad rule: {exc}") from None
 
 
-def system_of(doc: dict) -> LieSystem:
-    """The Lie system of the 'chart', 'fields' and 'coefficients' sections."""
-    fields = _fields(doc, _chart(doc))
+def system_of(doc: dict, fields: list[VectorField] | None = None) -> LieSystem:
+    """The Lie system of the 'coefficients' section on `fields`, by default
+    those of the 'chart' and 'fields' sections."""
+    fields = _fields(doc, _chart(doc)) if fields is None else fields
     curves = _coefficients(doc, len(fields))
     try:
         return LieSystem(fields, curves)
@@ -413,91 +421,98 @@ def _emit(report: Report, args) -> int:
     return report.exit_code
 
 
-def _csv_dir(args) -> Path | None:
-    if getattr(args, "csv", None):
-        path = Path(args.csv)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Problem commands: one row each, run by cmd_problem
 # ---------------------------------------------------------------------------
 
 
-def cmd_closure(args) -> int:
-    doc, task = read_problem(args.problem, args)
-    checks, extra = run_closure(doc, _fields(doc, _chart(doc)), args.complete)
-    return _emit(Report("closure", checks, task["seed"], {"tol": task["tol"]}, extra), args)
+def _closure_row(doc: dict, task: dict, args) -> tuple:
+    return (*run_closure(doc, _fields(doc, _chart(doc)), args.complete), {})
 
 
-def cmd_m(args) -> int:
-    doc, task = read_problem(args.problem, args)
-    checks, extra = run_m(doc, task, _fields(doc, _chart(doc)))
-    return _emit(Report("m", checks, task["seed"], {"tol": task["tol"]}, extra), args)
+def _m_row(doc: dict, task: dict, args) -> tuple:
+    return (*run_m(doc, task, _fields(doc, _chart(doc))), {})
 
 
-def cmd_solve(args) -> int:
-    doc, task = read_problem(args.problem, args)
+def _solve_row(doc: dict, task: dict, args) -> tuple:
     sys = system_of(doc)
     x0 = _x0(doc, sys.dim)
     if x0 is None:
         raise SchemaError("solve needs 'x0'")
     trajectory = integrate(sys, x0, task["t_span"], task["tol"])
-    checks = [integrated_check(trajectory)]
-    extra = {"trajectory": trajectory.to_json_dict()}
-    out = _csv_dir(args)
-    if out:
-        trajectory.to_csv(out / "trajectory.csv", sys.chart.names)
-    return _emit(Report("solve", checks, task["seed"], {"tol": task["tol"]}, extra), args)
+    return ([integrated_check(trajectory)], {"trajectory": trajectory.to_json_dict()},
+            {"trajectory": (trajectory, sys.chart.names)})
 
 
-def cmd_superpose(args) -> int:
-    doc, task = read_problem(args.problem, args)
+def _superpose_row(doc: dict, task: dict, args) -> tuple:
     sys = system_of(doc)
     checks, k, slot0, particular = run_superpose(doc, task, sys, rule_of(doc, sys.chart), args.k)
-    extra = {"k": [float(v) for v in k], "slot0": slot0.to_json_dict()}
-    out = _csv_dir(args)
-    if out:
-        slot0.to_csv(out / "slot0.csv", sys.chart.names)
-        for i, tr in enumerate(particular, start=1):
-            tr.to_csv(out / f"slot{i}.csv", sys.chart.names)
-    return _emit(
-        Report("superpose", checks, task["seed"],
-               {"tol": task["tol"], "tol_const": task["tol_const"]}, extra),
-        args,
-    )
+    dumps = {f"slot{i}": (tr, sys.chart.names) for i, tr in enumerate([slot0, *particular])}
+    return checks, {"k": [float(v) for v in k], "slot0": slot0.to_json_dict()}, dumps
 
 
-def cmd_verify(args) -> int:
-    doc, task = read_problem(args.problem, args)
+def _verify_row(doc: dict, task: dict, args) -> tuple:
     chart = _chart(doc)
     fields = _fields(doc, chart)
     rule = rule_of(doc, chart)
-    sys = None if doc.get("coefficients") is None else system_of(doc)
-    checks, extra = run_verify(doc, task, fields, rule, sys)
-    return _emit(
-        Report("verify", checks, task["seed"],
-               {"tol": task["tol"], "tol_const": task["tol_const"]}, extra),
-        args,
-    )
+    sys = None if doc.get("coefficients") is None else system_of(doc, fields)
+    return (*run_verify(doc, task, fields, rule, sys), {})
 
 
-def cmd_group(args) -> int:
-    doc, task = read_problem(args.problem, args)
+def _group_row(doc: dict, task: dict, args) -> tuple:
     checks, extra, orbit = run_group(doc, task)
-    out = orbit is not None and _csv_dir(args)
-    if out:
-        orbit.to_csv(out / "orbit.csv")
-    return _emit(Report("group", checks, task["seed"], {"tol": task["tol"]}, extra), args)
+    return checks, extra, {} if orbit is None else {"orbit": (orbit, None)}
 
 
-def cmd_pde(args) -> int:
+def _pde_row(doc: dict, task: dict, args) -> tuple:
+    return (*run_pde(doc, task, pde_system_of(doc), args.pde_command,
+                     getattr(args, "audit", False)), {})
+
+
+class _Row(NamedTuple):
+    """A problem command: its help; `run`, which parses what the command
+    needs from (doc, task, args) and returns (checks, extra, CSV dumps as
+    file stem -> (trajectory, column names or None)); the tolerances its
+    report records; and its own options, as (flag, add_argument keywords)."""
+
+    help: str
+    run: Callable[[dict, dict, argparse.Namespace], tuple[list[Check], dict, dict]]
+    tolerances: tuple[str, ...] = ("tol",)
+    options: tuple = ()
+
+
+_BOTH_TOLS = ("tol", "tol_const")
+_AUDIT_HELP = ("compare the endpoints of 8 staircases, even when flatness is exact, "
+               "and integrate even if curvature is nonzero")
+# the report's command -> its row; `pde X` is subcommand X of `pde`
+PROBLEM_COMMANDS = {
+    "closure": _Row("test closure under Lie brackets", _closure_row, options=(
+        ("--complete", {"action": "store_true", "help": "adjoin missing brackets"}),)),
+    "m": _Row("minimal fundamental-set size", _m_row),
+    "solve": _Row("integrate the system from x0", _solve_row),
+    "superpose": _Row("reconstruct a new solution from particular ones", _superpose_row, _BOTH_TOLS, (
+        ("--k", {"type": float, "nargs": "+", "default": None, "help": "rule constants"}),)),
+    "verify": _Row("verify a rule: tangency and constancy", _verify_row, _BOTH_TOLS),
+    "group": _Row("right-invariant group equation and actions", _group_row),
+    "pde check": _Row("symbolic zero-curvature check", _pde_row),
+    "pde solve": _Row("staircase path solve", _pde_row, options=(
+        ("--audit", {"action": "store_true", "help": _AUDIT_HELP}),)),
+    "pde superpose": _Row("grid superposition from particular solutions", _pde_row),
+}
+
+
+def cmd_problem(args) -> int:
+    """Every problem command: read the problem file and its task, run the
+    command's row, write the row's dumps under --csv and emit the report."""
     doc, task = read_problem(args.problem, args)
-    checks, extra = run_pde(doc, task, pde_system_of(doc), args.pde_command,
-                            getattr(args, "audit", False))
-    return _emit(Report(_command(args), checks, task["seed"], {"tol": task["tol"]}, extra), args)
+    checks, extra, dumps = args.row.run(doc, task, args)
+    if dumps and args.csv:
+        out = Path(args.csv)
+        out.mkdir(parents=True, exist_ok=True)
+        for stem, (trajectory, names) in dumps.items():
+            trajectory.to_csv(out / f"{stem}.csv", names)
+    tolerances = {key: task[key] for key in args.row.tolerances}
+    return _emit(Report(_command(args), checks, task["seed"], tolerances, extra), args)
 
 
 def _entry_seed(master: int, name: str) -> int:
@@ -585,47 +600,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="liesys",
         description="Lie systems: closure tests, fundamental-set sizes, superposition rules",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("closure", help="test closure under Lie brackets")
-    _add_common(p)
-    p.add_argument("--complete", action="store_true", help="adjoin missing brackets")
-    p.set_defaults(fn=cmd_closure)
-
-    p = sub.add_parser("m", help="minimal fundamental-set size")
-    _add_common(p)
-    p.set_defaults(fn=cmd_m)
-
-    p = sub.add_parser("solve", help="integrate the system from x0")
-    _add_common(p)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("superpose", help="reconstruct a new solution from particular ones")
-    _add_common(p)
-    p.add_argument("--k", type=float, nargs="+", default=None, help="rule constants")
-    p.set_defaults(fn=cmd_superpose)
-
-    p = sub.add_parser("verify", help="verify a rule: tangency and constancy")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("group", help="right-invariant group equation and actions")
-    _add_common(p)
-    p.set_defaults(fn=cmd_group)
-
-    p = sub.add_parser("pde", help="flat PDE systems")
-    pde_sub = p.add_subparsers(dest="pde_command", required=True)
-    for name, help_text in (("check", "symbolic zero-curvature check"),
-                            ("solve", "staircase path solve"),
-                            ("superpose", "grid superposition from particular solutions")):
-        q = pde_sub.add_parser(name, help=help_text)
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, row in PROBLEM_COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        if group not in subparsers:  # `pde`, after the top-level commands
+            subparsers[group] = subparsers[""].add_parser(group, help="flat PDE systems").add_subparsers(
+                dest=f"{group}_command", required=True)
+        q = subparsers[group].add_parser(name, help=row.help)
         _add_common(q)
-        if name == "solve":
-            q.add_argument("--audit", action="store_true",
-                           help="compare the endpoints of 8 staircases, even when flatness is "
-                                "exact, and integrate even if curvature is nonzero")
-        q.set_defaults(fn=cmd_pde)
+        for flag, options in row.options:
+            q.add_argument(flag, **options)
+        q.set_defaults(fn=cmd_problem, row=row)
 
+    sub = subparsers[""]
     p = sub.add_parser("examples", help="bundled example catalog")
     ex_sub = p.add_subparsers(dest="example_command", required=True)
     q = ex_sub.add_parser("list", help="list catalog entries")

@@ -11,28 +11,7 @@ import numpy as np
 from . import __version__
 from .errors import SchemaError
 
-__all__ = ["Check", "Report", "validate_report", "REPORT_SCHEMA_DOC"]
-
-REPORT_SCHEMA_DOC = {
-    "tool": "str == 'liesys'",
-    "version": "str",
-    "command": "str",
-    "seed": "int | null",
-    "tolerances": "object: name -> number",
-    "passed": "bool (and exit code 0 iff true)",
-    "checks": [
-        {
-            "name": "str",
-            "passed": "bool",
-            "value": "number | null",
-            "threshold": "number | null",
-            "probabilistic": "bool",
-            "detail": "str",
-        }
-    ],
-    "extra": "object (command-specific payload)",
-    "versions": "object: component -> version string",
-}
+__all__ = ["Check", "Report", "validate_report"]
 
 
 @dataclass

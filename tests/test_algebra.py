@@ -366,6 +366,13 @@ class TestMinimalM:
         assert minimal_m(fields, seed=n) == report
         assert len(points) == 3 * n - 2
 
+    def test_a_sampled_k_below_m_is_not_exact(self):
+        # at k = 1, 1 * 2 >= r = 2: the shape cannot bound the rank, so m > 1
+        # rests on the sampled tuples although every rank is taken over Q
+        report = minimal_m([field(PLANE, "1", "0"), field(PLANE, "x", "0")], seed=0)
+        assert report.m == 2 and [v.rank for v in report.rank_profile] == [1, 2]
+        assert not report.exact
+
     def test_dependent_input_rejected(self):
         with pytest.raises(ValueError):
             minimal_m([field(LINE, "1"), field(LINE, "2")])

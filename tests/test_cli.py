@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from liesys import catalog, dynamics, pde
 from liesys.catalog import RunConfig, get_entry
 from liesys.cli import build_parser, main
 from liesys.expr import MAX_EXACT_BITS
+from liesys.geometry import VectorField
 from liesys.report import validate_report
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -84,6 +86,13 @@ class TestMCommand:
         code, doc = run(tmp_path, "m", str(path), "--seed", str(seed))
         assert code == 0 and doc["extra"]["m"] == 1
         assert not doc["checks"][0]["probabilistic"]
+
+    def test_m_sampled_below_is_labelled_probabilistic(self, tmp_path, capsys):
+        # m > 1 rests on sampled tuples at k = 1, where k n = 2 >= r = 2
+        code, doc = run(tmp_path, "m", str(INPUTS / "m_sampled_below.json"))
+        assert code == 0 and doc["extra"]["m"] == 2
+        assert doc["checks"][0]["probabilistic"] and not doc["extra"]["report"]["exact"]
+        assert "PASS m_determined  [probabilistic]  (m = 2 (r = 2))" in capsys.readouterr().out
 
     def test_function_atoms_give_a_probabilistic_m(self, tmp_path):
         path = tmp_path / "trig.json"
@@ -328,6 +337,14 @@ class TestSolveAndSuperpose:
 
 
 class TestVerify:
+    def test_fields_are_parsed_once(self, tmp_path, monkeypatch):
+        # the system is built on the fields the rule's checks use
+        calls, real = [], VectorField.from_strings
+        monkeypatch.setattr(VectorField, "from_strings",
+                            staticmethod(lambda *args: calls.append(1) or real(*args)))
+        code, _ = run(tmp_path, "verify", str(PROBLEMS / "riccati.json"))
+        assert code == 0 and len(calls) == 3
+
     def test_euclidean_rule(self, tmp_path):
         code, doc = run(tmp_path, "verify", str(PROBLEMS / "euclidean.json"))
         assert code == 0
@@ -1119,6 +1136,45 @@ class TestPlantedDefects:
         assert not checks[fails]["passed"] and fragment in checks[fails]["detail"]
         assert all(checks[name]["passed"] for name in before)
         assert fails == "completed" or "completed" not in checks
+
+
+_CATALOG_ONLY = ("a catalog check on data that catalog.py fixes, so no problem file or fault "
+                 "reaches it; ROADMAP item 12 decides whether it stays")
+# check name -> why no PLANTED_DEFECTS row makes it FAIL
+UNPLANTED_CHECKS = {
+    "dimension": _CATALOG_ONLY,
+    "functional_combination_is_prolongation": _CATALOG_ONLY,
+    "not_in_constant_span": _CATALOG_ONLY,
+    "prolonged_span_codimension_is_n": _CATALOG_ONLY,
+    "rules_genuinely_differ": _CATALOG_ONLY,
+}
+
+
+def _emitted_check_names() -> set[str]:
+    """Every name that src/liesys passes as a literal first argument to
+    Check, Check.limit or Check.equals."""
+    def is_check(func) -> bool:
+        return (isinstance(func, ast.Name) and func.id == "Check") or (
+            isinstance(func, ast.Attribute) and func.attr in ("limit", "equals")
+            and isinstance(func.value, ast.Name) and func.value.id == "Check")
+
+    names = set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "liesys").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and is_check(node.func) and node.args
+                    and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)):
+                names.add(node.args[0].value)
+    return names
+
+
+class TestEveryCheckCanFail:
+    def test_each_emitted_check_is_planted_or_has_a_reason(self):
+        emitted, planted = _emitted_check_names(), {row[5] for row in PLANTED_DEFECTS}
+        assert {"closed", "completed", "integrated", "tangency_zero"} <= emitted
+        assert planted <= emitted
+        # a new check needs a row; an exception that gains a row, or is no
+        # longer emitted, leaves the table
+        assert emitted - planted == set(UNPLANTED_CHECKS)
 
 
 class TestLongChains:

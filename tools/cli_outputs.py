@@ -7,18 +7,21 @@ directory:
 
 - every command (closure, m, solve, superpose, verify, group and the three
   pde subcommands) on every problems/*.json of TREE, applicable or not;
-- the flag calls in FLAG_CALLS, on the problem files they name;
+- the flag calls in FLAG_CALLS, on the problem files they name, and the
+  `--help` text of liesys, of each command, of `pde` and of `examples run`;
 - the calls in INPUT_CALLS, on inputs kept under tools/inputs/ that do not
   ship with the package;
 - `examples list`, `examples run NAME` for each entry it lists, and
   `examples run-all --seed 0`.
 
-For each call, OUTDIR gets NAME.stdout, NAME.stderr, NAME.exit and the
-`--json` report NAME.json (absent when the call writes none).  Calls of
-solve, superpose and group also write their `--csv` dumps, into a temporary
-directory, and each FILE.csv there is copied to OUTDIR as NAME.FILE.csv.
-Comparing two trees is then `diff -r OUT_A OUT_B`.  Problem files are passed
-as relative paths, so the outputs hold no path of TREE or OUTDIR.
+Every call runs with COLUMNS=80, so that argparse wraps its text alike on
+every terminal.  For each call, OUTDIR gets NAME.stdout, NAME.stderr,
+NAME.exit and the `--json` report NAME.json (absent when the call writes
+none).  Calls of solve, superpose and group also write their `--csv`
+dumps, into a temporary directory, and each FILE.csv there is copied to
+OUTDIR as NAME.FILE.csv.  Comparing two trees is then `diff -r OUT_A
+OUT_B`.  Problem files are passed as relative paths, so the outputs hold no
+path of TREE or OUTDIR.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ FLAG_CALLS = (
     ("riccati.superpose.k_-1e-05", ["superpose", "problems/riccati.json", "--k", "-1e-05"]),
     ("linear2.solve.t-span_-0.5,0.5", ["solve", "problems/linear2.json", "--t-span", "-0.5,0.5"]),
     ("riccati.superpose.k_-inf", ["superpose", "problems/riccati.json", "--k", "-inf"]),
+    # the Mobius orbit of 0 reaches the pole of x' = 1 + x^2 at t = pi/2
+    ("sl2_group.group.t-span_0,2", ["group", "problems/sl2_group.json", "--t-span", "0,2"]),
+) + tuple(
+    # the --help text of liesys, of each command, of `pde` and of `examples run`
+    (".".join(["_".join(words) or "liesys", "help"]), [*words, "--help"])
+    for words in [(), *COMMANDS, ("pde",), ("examples", "run")]
 )
 # (output name, argv): a partial rule whose constraint set x2 = x1^2 the
 # translations move, with and without coefficients; two plane fields
@@ -73,7 +82,12 @@ FLAG_CALLS = (
 # phi, so every grid node of slot 0 is a leaf solve; and a flat pde system whose
 # residual exp(t1)*exp(t2)*u - exp(t1 + t2)*u is zero only by sampling, so
 # that `pde solve` still audits its staircases (merging exp atoms, stage 2
-# of ROADMAP item 5, would decide it exactly)
+# of ROADMAP item 5, would decide it exactly); and two plane fields 1 and
+# x d/dx, whose m = 2 rests at k = 1 on sampled tuples, as 1 * 2 >= r = 2;
+# a coefficient given as a table; a full rule whose particular starts are
+# drawn from the seed; and the rule psi = (y_0 - y_1)/(y_2 - y_1) with
+# y = exp(-x), no phi, on the fields 1 and exp(x), which a function atom
+# carries through every command of a rule
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -100,6 +114,16 @@ INPUT_CALLS = (
     ("pde_riccati_newton.pde_superpose", ["pde", "superpose", "tools/inputs/pde_riccati_newton.json"]),
     ("pde_atom_flat.pde_check", ["pde", "check", "tools/inputs/pde_atom_flat.json"]),
     ("pde_atom_flat.pde_solve", ["pde", "solve", "tools/inputs/pde_atom_flat.json"]),
+    ("m_sampled_below.m", ["m", "tools/inputs/m_sampled_below.json"]),
+    ("translation_table.solve", ["solve", "tools/inputs/translation_table.json"]),
+    ("translation_table.superpose", ["superpose", "tools/inputs/translation_table.json"]),
+    ("translation_table.verify", ["verify", "tools/inputs/translation_table.json"]),
+    ("linear2_drawn_points.superpose", ["superpose", "tools/inputs/linear2_drawn_points.json"]),
+    ("linear2_drawn_points.verify", ["verify", "tools/inputs/linear2_drawn_points.json"]),
+    ("exp_affine.closure", ["closure", "tools/inputs/exp_affine.json"]),
+    ("exp_affine.m", ["m", "tools/inputs/exp_affine.json"]),
+    ("exp_affine.verify", ["verify", "tools/inputs/exp_affine.json"]),
+    ("exp_affine.superpose", ["superpose", "tools/inputs/exp_affine.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
@@ -109,7 +133,8 @@ TIMEOUT_S = 600
 
 
 def _liesys(tree: Path, argv: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    # argparse wraps its help and usage text to COLUMNS
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
         filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "liesys", *argv], cwd=tree, env=env,
                           capture_output=True, text=True, timeout=TIMEOUT_S)
@@ -137,7 +162,7 @@ def calls(tree: Path) -> list[tuple[str, list[str]]]:
 def output_options(argv: list[str], report: Path, dumps: Path) -> list[str]:
     """The options a recorded call adds to argv: its --json report, and the
     --csv dumps of the commands in CSV_COMMANDS."""
-    if argv == ["examples", "list"]:  # takes no options
+    if argv == ["examples", "list"] or "--help" in argv:  # take no options
         return []
     return ["--json", str(report)] + (["--csv", str(dumps)] if argv[0] in CSV_COMMANDS else [])
 

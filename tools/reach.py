@@ -109,7 +109,7 @@ def _load(name: str, path: Path):
 
 
 def _cli_calls() -> None:
-    """Every recorded CLI call, in process."""
+    """Every recorded CLI call, in process; a --help call exits after printing."""
     cli_outputs = _load("cli_outputs", ROOT / "tools" / "cli_outputs.py")
     sys.path.insert(0, str(ROOT / "src"))
     from liesys import cli
@@ -118,7 +118,11 @@ def _cli_calls() -> None:
         for name, argv in cli_outputs.calls(ROOT):
             dumps = Path(out) / name
             dumps.mkdir()
-            cli.main(argv + cli_outputs.output_options(argv, Path(out) / f"{name}.json", dumps))
+            try:
+                cli.main(argv + cli_outputs.output_options(argv, Path(out) / f"{name}.json", dumps))
+            except SystemExit:
+                if "--help" not in argv:
+                    raise
 
 
 def _bench_runs() -> None:
