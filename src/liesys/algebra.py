@@ -3,12 +3,14 @@ with constant structure coefficients, and the rank criterion for the minimal
 fundamental-set size m.  `closure_checks` and `m_checks` turn the last two
 into the named checks of `liesys closure` and `liesys m`, and of the catalog.
 
-Structure constants are found by reducing canonical-form coefficients
-against one incremental echelon form of the basis over Q, exactly.  Closure
-reads each bracket as its normal forms, a component that no partial reaches
-being zero at once, and builds a bracket's tree only for a witness or for a
-field that completion adjoins.  The rank
-behind m is exact too for rational fields, by elimination over Q at random
+Structure constants are found by reducing normal-form coefficients against
+one incremental echelon form of the basis, exactly and fraction-free over
+Z: the elimination runs in int, and a Fraction is made only for a value
+returned (a structure constant, a span coefficient, the Jacobi maximum).
+Closure reads each bracket as its normal forms, a component that no
+partial reaches being zero at once, and builds a bracket's tree only for a
+witness or for a field that completion adjoins.  The rank behind m is
+exact too for rational fields, by the same integer elimination at random
 rational points; singular values (with a relative threshold) serve only
 matrices holding floats, from function atoms or float points.
 """
@@ -16,6 +18,7 @@ matrices holding floats, from function atoms or float points.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -48,30 +51,46 @@ TUPLES_PER_K = 3
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q
+# Exact linear algebra over Z
 # ---------------------------------------------------------------------------
 
 
-def _axpy(y: dict, a: Fraction, x: dict) -> None:
-    """y += a * x on sparse vectors, dropping entries that cancel."""
-    for k, v in x.items():
-        s = y.get(k, 0) + a * v
-        if s:
-            y[k] = s
+def _eliminate(p: int, vec: dict, q: int, row: dict) -> None:
+    """vec = p * vec - q * row on sparse integer vectors, in place, dropping
+    entries that cancel."""
+    if p != 1:
+        for k in vec:
+            vec[k] *= p
+    for k, v in row.items():
+        t = vec.get(k, 0) - q * v
+        if t:
+            vec[k] = t
         else:
-            y.pop(k, None)
+            vec.pop(k, None)
+
+
+def _primitive(vec: dict, lead) -> dict:
+    """vec divided by the gcd of its entries, signed so that vec[lead] > 0."""
+    g = math.gcd(*vec.values())
+    g = -g if vec[lead] < 0 else g
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
 
 class _Echelon:
-    """Reduced row echelon form over Q of the fields added so far, one chart.
+    """Echelon form over Z of the fields added so far, one chart, kept
+    fraction-free: a Fraction is made only for a coefficient returned.
 
-    A field's vector holds its coefficients in (component, monomial)
-    coordinates once component i is multiplied by D_i, the lcm of the
-    denominators of component i over the fields seen.  A row also holds, at
-    key (-1, a), its coefficient of added field a, so reducing a target
-    against the rows yields its coefficients with nothing solved again.  A
-    target is read as its components' normal forms, so a bracket from
-    geometry._bracket_nfs is reduced with no tree built for it.
+    A field's vector holds its integer coefficients in (component, monomial)
+    coordinates once component i is multiplied by D_i, the primitive integer
+    lcm of the primitive denominators of component i over the fields seen,
+    and the whole field by the least integer that clears the denominators'
+    contents.  A row is primitive with a positive pivot and is zero at every
+    other pivot; at key (-1, a) it holds its coefficient of added field a, so
+    that its coordinates are the combination of the added fields these keys
+    give, and reducing a target against the rows yields its coefficients
+    with nothing solved again.  A target is read as its components' reduced
+    normal forms, so a bracket from geometry._bracket_nfs is reduced with no
+    tree built for it.
     """
 
     def __init__(self, fields: Iterable[VectorField] = ()):
@@ -88,47 +107,59 @@ class _Echelon:
         if self._names is None:
             self._names, self._dens = f.chart.names, [ex._PONE] * f.chart.dim
         elif f.chart.names != self._names:
-            raise ChartMismatchError("span_coefficients needs a shared chart")
+            raise ChartMismatchError(f"fields on charts ({', '.join(self._names)}) and "
+                                     f"({', '.join(f.chart.names)}) need a shared chart")
         return tuple(ex._nf_of(c) for c in f.components)
 
-    def _reduce(self, nfs: Sequence[ex._NF]) -> dict:
-        """The vector of the component normal forms nfs minus the rows that
-        clear its pivot coordinates; key (-1, a) holds minus the coefficient
+    def _reduce(self, nfs: Sequence[ex._NF]) -> tuple[dict, int]:
+        """(vec, s): s times the field with component normal forms nfs, minus
+        the rows that clear its pivot coordinates, with s > 0 and gcd(s,
+        vec's entries) = 1; key (-1, a) holds minus s times the coefficient
         of field a taken off."""
-        vec = {}
+        parts = []
         for i, nf in enumerate(nfs):
             if not nf.num_den[0]:  # a zero component has no coordinates
                 continue
-            num, den = nf.canonical()
+            num, den = nf.reduced()
+            content = math.gcd(*den.values())
+            if content != 1:
+                den = {m: c // content for m, c in den.items()}
             common = self._dens[i]
             try:
                 scale = common if den == ex._PONE else ex._pdiv_exact(common, den)
             except ArithmeticError:  # widen D_i to the lcm and rebuild the rows
-                self._dens[i] = ex._pmul(ex._pdiv_exact(common, ex._poly_gcd(common, den)), den)
+                self._dens[i] = ex._pmul(ex._pdiv_exact(common, ex._gcd_core(common, den)), den)
                 fields, self._rows = list(self.fields), {}
                 self.fields.clear()  # the same list: closure_test holds it as its basis
                 for g in fields:
                     self.add(g)
                 return self._reduce(nfs)
-            vec.update(((i, mono), v) for mono, v in ex._pmul(num, scale).items())
+            parts.append((i, ex._pmul(num, scale), content))
+        s = math.lcm(*(content for _, _, content in parts))
+        vec = {}
+        for i, poly, content in parts:
+            vec.update(((i, mono), v * (s // content)) for mono, v in poly.items())
         # each pivot coordinate sits in its own row only, so one pass clears all
         for pivot in [k for k in vec if k in self._rows]:
-            _axpy(vec, -vec[pivot], self._rows[pivot])
-        return vec
+            row = self._rows[pivot]
+            _eliminate(row[pivot], vec, vec[pivot], row)
+            s *= row[pivot]
+        g = math.gcd(s, *vec.values())
+        return ({k: v // g for k, v in vec.items()}, s // g) if g != 1 else (vec, s)
 
     def add(self, f: VectorField) -> bool:
         """Adjoin f as a row; False, with nothing added, when f is in the span."""
-        vec = self._reduce(self.nfs(f))
+        vec, s = self._reduce(self.nfs(f))
         pivot = next((k for k in vec if k[0] >= 0), None)
         if pivot is None:
             return False
-        vec[(-1, len(self.fields))] = Fraction(1)
+        vec[(-1, len(self.fields))] = s
         self.fields.append(f)
-        inv = Fraction(1) / vec[pivot]
-        row = {k: v * inv for k, v in vec.items()}
-        for other in self._rows.values():
+        row = _primitive(vec, pivot)
+        for key, other in self._rows.items():
             if pivot in other:
-                _axpy(other, -other[pivot], row)
+                _eliminate(row[pivot], other, other[pivot], row)
+                self._rows[key] = _primitive(other, key)
         self._rows[pivot] = row
         return True
 
@@ -136,11 +167,11 @@ class _Echelon:
         """Whether the field with component normal forms nfs is in the span
         of the added fields, and the coefficients of the combination the
         reduction took off it."""
-        vec = self._reduce(nfs)
-        coefficients = [Fraction(0)] * len(self.fields)
+        vec, s = self._reduce(nfs)
+        coefficients = [ex._QZERO] * len(self.fields)
         for (i, a), v in vec.items():
             if i < 0:
-                coefficients[a] = -v
+                coefficients[a] = Fraction(-v, s)
         return all(i < 0 for i, _ in vec), coefficients
 
 
@@ -170,7 +201,7 @@ def span_coefficients(target: VectorField, basis: Sequence[VectorField]) -> Span
     span = _Echelon()
     kept = [a for a, f in enumerate(basis) if span.add(f)]
     in_span, reduced = span.coefficients(span.nfs(target))
-    coefficients = [Fraction(0)] * len(basis)
+    coefficients = [ex._QZERO] * len(basis)
     for a, c in zip(kept, reduced):
         coefficients[a] = c
     if in_span:
@@ -203,7 +234,7 @@ class LieClosureReport:
     """Outcome of the closure test on a pruned basis.
 
     `constants[(a, b)]` holds the exact coefficients of [X_a, X_b] in the
-    basis for a < b; antisymmetry supplies the rest through `c(a, b)`.
+    basis for a < b; antisymmetry supplies the rest.
     """
 
     basis: list[VectorField]
@@ -216,30 +247,29 @@ class LieClosureReport:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def c(self, a: int, b: int) -> tuple[Fraction, ...]:
-        if a == b:
-            return tuple(Fraction(0) for _ in self.basis)
-        if a < b:
-            return self.constants[(a, b)]
-        return tuple(-v for v in self.constants[(b, a)])
-
     def jacobi_residual(self) -> Fraction:
         """Max |cyclic sum| over all index triples; exactly 0 when closed.
 
         The cyclic sum of antisymmetric c is totally antisymmetric and vanishes
-        on a repeated index, so triples a < b < g reach the same maximum.
+        on a repeated index, so triples a < b < g reach the same maximum.  The
+        sums are taken in integers, over every constant times the lcm L of
+        their denominators, and the maximum divided by L^2.
         """
         r = self.dimension
-        c = {(a, b): {mu: v for mu, v in enumerate(self.c(a, b)) if v}
-             for a in range(r) for b in range(r)}
-        worst = Fraction(0)
+        scale = math.lcm(*(v.denominator for cs in self.constants.values() for v in cs))
+        c: dict = {(a, a): {} for a in range(r)}
+        for (a, b), cs in self.constants.items():
+            c[a, b] = {mu: v.numerator * (scale // v.denominator) for mu, v in enumerate(cs) if v}
+            c[b, a] = {mu: -v for mu, v in c[a, b].items()}
+        worst = 0
         for a, b, g in itertools.combinations(range(r), 3):
-            total: dict[int, Fraction] = {}
+            total: dict[int, int] = {}
             for x, y, z in ((a, b, g), (b, g, a), (g, a, b)):
                 for mu, v in c[x, y].items():
-                    _axpy(total, v, c[mu, z])
+                    for nu, w in c[mu, z].items():
+                        total[nu] = total.get(nu, 0) + v * w
             worst = max([worst, *map(abs, total.values())])
-        return worst
+        return Fraction(worst, scale * scale)
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,7 +334,7 @@ def closure_test(
         pending = list(pending) + [(i, new) for i in range(new)]
         pending.insert(0, (a, b))
     constants = {
-        key: value + (Fraction(0),) * (len(basis) - len(value))
+        key: value + (ex._QZERO,) * (len(basis) - len(value))
         for key, value in constants.items()
     }
     return LieClosureReport(basis, constants, closed=True, completion_trace=trace)
@@ -326,15 +356,18 @@ def matrix_rank(mat: np.ndarray) -> int:
 
 
 def _rank_over_q(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of exact rows by elimination over Q."""
+    """Rank of exact rows, fraction-free over Z: each row is scaled by the
+    lcm of its denominators, then eliminated in integers."""
     pivots: dict = {}  # pivot column -> row; a row is zero at every earlier pivot
     for values in rows:
-        vec = {j: v for j, v in enumerate(values) if v}
+        scale = math.lcm(*(v.denominator for v in values))
+        vec = {j: v.numerator * (scale // v.denominator) for j, v in enumerate(values) if v}
         for col, row in pivots.items():
             if col in vec:
-                _axpy(vec, -vec[col] / row[col], row)
+                _eliminate(row[col], vec, vec[col], row)
         if vec:
-            pivots[next(iter(vec))] = vec
+            col = next(iter(vec))
+            pivots[col] = _primitive(vec, col)
     return len(pivots)
 
 

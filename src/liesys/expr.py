@@ -752,13 +752,6 @@ def _is_const_poly(p) -> bool:
     return not p or (len(p) == 1 and () in p)
 
 
-def _monic(p):
-    if not p:
-        return {}
-    lc = Fraction(p[_lead(p, _atoms_of(p))])
-    return {m: c / lc for m, c in p.items()}
-
-
 def _gcd_inner(p, q):
     """gcd of nonzero polynomials, up to a rational unit (primitive PRS)."""
     if _is_const_poly(p) or _is_const_poly(q):
@@ -933,15 +926,6 @@ def _gcd_core(p, q):
         return short if short[max(short, key=lambda m: _dense(m, atoms))] > 0 else _pneg(short)
     heuristic = _heu_gcd(p, q)
     return _int_primitive(heuristic if heuristic is not None else _gcd_inner(p, q))
-
-
-def _poly_gcd(p, q):
-    """The monic gcd over Q, with Fraction coefficients."""
-    if not p:
-        return _monic(q)
-    if not q:
-        return _monic(p)
-    return _monic(_gcd_core(p, q))
 
 
 def _sorted_terms(p):

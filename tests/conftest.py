@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liesys import expr as ex
 from liesys.expr import Add, Call, Const, Div, Expr, Mul, Pow, Var, compile_vector
 
 VARS = ("x", "y", "z")
@@ -19,6 +20,17 @@ def random_polynomial(rng: random.Random, names=VARS, max_degree=2, terms=3) -> 
             factors.append(Pow(Var(name), power) if power > 1 else Var(name))
         out = out + Mul(tuple(factors))
     return out
+
+
+def monic(p):
+    """p over the coefficient of its graded-lex leading monomial, in Fractions."""
+    lc = Fraction(p[ex._lead(p, ex._atoms_of(p))])
+    return {m: c / lc for m, c in p.items()}
+
+
+def monic_gcd(p, q):
+    """The monic gcd over Q of nonzero int or Fraction polys, in Fractions."""
+    return monic(ex._gcd_core(p, q))
 
 
 def random_tree(rng: random.Random, names=VARS, depth=3, transcendental=False) -> Expr:

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesys import algebra, catalog
 from liesys import expr as ex
@@ -23,7 +26,7 @@ from liesys.expr import Chart, is_zero
 from liesys.geometry import VectorField, lie_bracket
 from liesys.pde import PdeSystem
 
-from conftest import random_polynomial
+from conftest import monic_gcd, random_polynomial
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -78,9 +81,10 @@ class TestClosure:
         assert report.constants[(1, 2)] == (Fraction(0), Fraction(0), Fraction(1))
         assert report.jacobi_residual() == 0
 
-    def test_antisymmetry_through_accessor(self):
+    def test_reversed_pair_negates_the_constants(self):
         report = closure_test(riccati())
-        assert report.c(2, 0) == tuple(-v for v in report.c(0, 2))
+        span = span_coefficients(lie_bracket(report.basis[2], report.basis[0]), report.basis)
+        assert span.in_span and span.coefficients == tuple(-v for v in report.constants[(0, 2)])
 
     def test_bracket_reconstruction_is_zero(self):
         # [X_a, X_b] = sum_g c(a, b)_g X_g, with the report's constants
@@ -90,7 +94,7 @@ class TestClosure:
                 if a == b:
                     continue
                 span = span_coefficients(lie_bracket(report.basis[a], report.basis[b]), report.basis)
-                assert span.in_span and span.coefficients == report.c(a, b)
+                assert span.in_span and span.coefficients == _c(report, a, b)
 
     def test_incomplete_pair_fails_with_witness(self):
         report = closure_test([field(LINE, "1"), field(LINE, "x^2")])
@@ -425,7 +429,7 @@ def _reference_rows(target, basis):
         pairs = [[{m: Fraction(c) for m, c in p.items()} for p in nf.num_den] for nf in nfs]
         common = {(): Fraction(1)}
         for _, den in pairs:
-            common = ex._pmul(ex._pdiv_exact(common, ex._poly_gcd(common, den)), den)
+            common = ex._pmul(ex._pdiv_exact(common, monic_gcd(common, den)), den)
         cleared = [ex._pmul(num, ex._pdiv_exact(common, den)) for num, den in pairs]
         for mono in sorted({m for p in cleared for m in p}):
             rows.append([p.get(mono, Fraction(0)) for p in cleared[:-1]])
@@ -465,6 +469,13 @@ def _reference_closure(fields, complete=False, cap=32):
     return LieClosureReport(basis, constants, True, completion_trace=trace)
 
 
+def _c(report, a, b):
+    """The constants of [X_a, X_b], for any a and b, by antisymmetry."""
+    if a == b:
+        return (Fraction(0),) * report.dimension
+    return report.constants[(a, b)] if a < b else tuple(-v for v in report.constants[(b, a)])
+
+
 def _reference_jacobi(report):
     r = report.dimension
     worst = Fraction(0)
@@ -474,9 +485,9 @@ def _reference_jacobi(report):
                 for nu in range(r):
                     total = Fraction(0)
                     for mu in range(r):
-                        total += report.c(a, b)[mu] * report.c(mu, g)[nu]
-                        total += report.c(b, g)[mu] * report.c(mu, a)[nu]
-                        total += report.c(g, a)[mu] * report.c(mu, b)[nu]
+                        total += _c(report, a, b)[mu] * _c(report, mu, g)[nu]
+                        total += _c(report, b, g)[mu] * _c(report, mu, a)[nu]
+                        total += _c(report, g, a)[mu] * _c(report, mu, b)[nu]
                     worst = max(worst, abs(total))
     return worst
 
@@ -571,6 +582,66 @@ class TestEchelonAgainstDenseSolve:
             minimal_m([x, y, x.scale(2) + y])
         with pytest.raises(ChartMismatchError, match="shared chart"):
             minimal_m([x, field(LINE, "1")])
+
+    def test_chart_mismatch_names_both_charts(self):
+        with pytest.raises(ChartMismatchError, match=r"charts \(x, y\) and \(x\) need a shared chart"):
+            closure_test([field(PLANE, "x", "0"), field(LINE, "1")])
+
+
+def _rational(bits):
+    return st.builds(Fraction, st.integers(-(2 ** bits), 2 ** bits), st.integers(1, 2 ** bits))
+
+
+@st.composite
+def _exact_matrices(draw):
+    """Rows of Fractions and ints: dense, or a product of factors of low
+    rank; then with zero rows and repeated rows put in."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-3, 3), _rational(4), _rational(90))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        a = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+        b = [[draw(entry) for _ in range(cols)] for _ in range(k)]
+        mat = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
+               for i in range(rows)]
+    else:
+        mat = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = [Fraction(0)] * cols if not mat or draw(st.booleans()) else list(
+            draw(st.sampled_from(mat)))
+        mat.insert(draw(st.integers(0, len(mat))), extra)
+    return mat, cols
+
+
+class TestRankOverQ:
+    @settings(max_examples=200, deadline=None)
+    @given(_exact_matrices())
+    def test_matches_sympy(self, matrix):
+        mat, cols = matrix
+        want = sympy.Matrix(len(mat), cols, [sympy.Rational(v.numerator, v.denominator)
+                                             for row in mat for v in row]).rank()
+        assert algebra._rank_over_q(mat) == want
+
+
+class TestEchelonOverZ:
+    def test_rows_hold_ints_after_a_widened_denominator(self):
+        chart = Chart(("x1", "x2", "x3", "x4"))
+        widening = [field(chart, "0", "x1^2", "0", "0"), field(chart, "x1", "x2/(x1 + 1)", "0", "0")]
+        span = algebra._Echelon(_gl_scaled(4, seed=4) + widening)
+        assert len(span.fields) == 18 and not ex._is_const_poly(span._dens[1])
+        assert all(type(v) is int for row in span._rows.values() for v in row.values())
+        in_span, coefficients = span.coefficients(span.nfs(widening[1].scale(Fraction(-7, 3))))
+        assert in_span and coefficients == [0] * 17 + [Fraction(-7, 3)]
+
+    def test_closure_makes_a_fraction_only_for_a_returned_constant(self, monkeypatch):
+        fields = gl_fields(Chart(("x1", "x2", "x3", "x4")))
+        made, new = [], Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(1) or new(cls, *a, **k))
+        report = closure_test(fields)
+        monkeypatch.undo()
+        nonzero = sum(1 for cs in report.constants.values() for v in cs if v)
+        assert report.closed and nonzero == 60
+        assert len(made) <= nonzero + 4
 
 
 class TestClosureAgainstDenseSolve:

@@ -37,7 +37,7 @@ from liesys.expr import (
 from liesys.expr import _divides, _padd, _pdiv_exact, _pmul
 from liesys.geometry import VectorField, lie_bracket
 
-from conftest import VARS, compile_scalar, random_polynomial, random_tree
+from conftest import VARS, compile_scalar, monic, monic_gcd, random_polynomial, random_tree
 
 
 def equivalent(a, b) -> bool:
@@ -348,7 +348,7 @@ class TestCanonicalForm:
     def test_heuristic_and_remainder_gcd_routes_agree(self, rng):
         # both gcd routes (integer-evaluation heuristic and pseudo-remainder
         # sequence) must find the same monic gcd on planted common factors
-        from liesys.expr import _gcd_inner, _monic, _nf_of, _pmul, _poly_gcd
+        from liesys.expr import _gcd_inner, _nf_of, _pmul
 
         names = ("x", "y", "z")
         agreed = 0
@@ -358,7 +358,7 @@ class TestCanonicalForm:
             if not pa or not pb or not pg:
                 continue
             p, q = _pmul(pa, pg), _pmul(pb, pg)
-            assert _poly_gcd(p, q) == _monic(_gcd_inner(p, q))
+            assert monic_gcd(p, q) == monic(_gcd_inner(p, q))
             agreed += 1
 
     @staticmethod
@@ -631,7 +631,7 @@ def _reference_reduce(num, den):
     if not num:
         return {}, {(): Fraction(1)}
     if not ex._is_const_poly(den):
-        g = ex._poly_gcd(num, den)
+        g = monic_gcd(num, den)
         if not ex._is_const_poly(g):
             num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
     lc = Fraction(den[ex._lead(den, ex._atoms_of(den))])

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,28 @@ class TestBenchPairsSummary:
         assert worse["won"] == 0 and worse["worse_beyond_bound"]
         assert not bench_pairs.summarize(parent, [v * 0.8 for v in parent], "higher",
                                          0.25)["worse_beyond_bound"]
+
+
+class TestBenchPairsRun:
+    def test_each_run_compiles_from_source_and_writes_no_bytecode(self, monkeypatch, tmp_path):
+        seen = []
+
+        def fake_run(argv, cwd, env, **kwargs):
+            prefix = Path(env["PYTHONPYCACHEPREFIX"])
+            seen.append((argv[1:], cwd, env["PYTHONDONTWRITEBYTECODE"], prefix, list(prefix.iterdir())))
+            result = {"correct": True, "metrics": {"op_tail_ms": {"value": 5.0}}}
+            return subprocess.CompletedProcess(argv, 0, stdout="log\n" + json.dumps(result) + "\n")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/elsewhere")
+        assert bench_pairs._run(tmp_path, "exact", 7, 35) == {"op_tail_ms": 5.0}
+        assert bench_pairs._run(tmp_path, "exact", 8, 35) == {"op_tail_ms": 5.0}
+        (argv, cwd, dont_write, prefix, inside), second = seen
+        assert argv == ["bench/run.py", "--workload", "exact", "--seed", "7", "--seconds", "35",
+                        "--trace", "0"]
+        assert (cwd, dont_write, inside) == (tmp_path, "1", [])
+        # a new empty directory for each run, gone after it
+        assert prefix != second[3] and not prefix.exists() and not second[3].exists()
 
 
 _REACH_SPEC = importlib.util.spec_from_file_location(

@@ -2,27 +2,30 @@
 
     python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --seeds S1,S2,...
 
-First compiles src/ and bench/ of both trees to bytecode, so that no run
-pays for compiling a module whose bytecode is missing or stale.  Then, for
-each seed, runs `bench/run.py --workload W --seed S --seconds N --trace 0`
+For each seed, runs `bench/run.py --workload W --seed S --seconds N --trace 0`
 in each tree, N being the parent's BENCHMARK.json `run_seconds`; the parent
-runs first in the first pair, the change in the second, and so on.  For
+runs first in the first pair, the change in the second, and so on.  Each
+run has PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a new
+empty directory, so every module it imports is compiled from source, as
+in a fresh checkout, and no run reads stale bytecode or writes any.  For
 each end-to-end metric of the parent's BENCHMARK.json it prints each side's
 median and quartiles, the pairs the change won (ties count for neither),
 whether the change's median is worse than the parent's by more than the
 metric's bound, and whether a gain may be claimed: at least ten pairs, the
 change winning nine in ten of them, and medians further apart than the
 parent's interquartile range.  Uses the standard library only; it edits no
-file of either tree, and adds only bytecode and bench/run.py's work files.
+file of either tree, and adds only bench/run.py's work files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -53,15 +56,12 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
-def _compile(tree: Path) -> None:
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"], cwd=tree, check=True,
-                   stdout=subprocess.DEVNULL)
-
-
 def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory() as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
+                               str(seed), "--seconds", str(seconds), "--trace", "0"],
+                              cwd=tree, env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"{tree}: seed {seed}: {result['failed']} of {result['attempted']} "
@@ -78,8 +78,6 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
-    for tree in trees.values():
-        _compile(tree)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
