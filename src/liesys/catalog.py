@@ -2,37 +2,42 @@
 returns named checks.  `examples run-all` on the command line executes the
 whole catalog; the acceptance test suite drives the same runners.
 
-An entry runs a problem file shipped in the package's problems/ directory
-through the commands' own code (cli.run_closure, run_m, run_verify,
-run_superpose, run_group and run_pde), so its checks are the commands'
-checks, under the same names and limits.  A rule entry reports closure's
-checks and `dimension` (where it names the algebra's dimension), m's, the
-rule's own checks of `verify` and superpose's two, on one integrated tuple
-of slot 0 from the file's x0 and the particular solutions; a partial rule
-reports `verify` against its system.  Python holds only what no
-file and no command does: `linear_n`'s system and rule, `euclidean_se2`'s
-coefficients drawn from the seed, the planar start of `sl2_group`,
-`lemma_counterexample`, and three checks: `dimension`,
-`prolonged_span_codimension_is_n` and `rules_genuinely_differ`."""
+An entry that runs a problem is built by _entry from a function that
+returns the problem's doc, the names of the rows of cli.PROBLEM_COMMANDS
+it runs, and the algebra's dimension where the entry states one.  The
+rows run in order on one cli.Problem, so an entry's checks are the
+commands' checks, under the same names and limits, on one parse of its
+doc, and its extra is the merge of the rows' extras.  One part is the
+catalog's own: `rule`, verify's checks of the rule alone (rule_checks).
+An entry that states a dimension checks it after closure (`dimension`)
+and ends with the paper's uniqueness condition r = m n
+(`prolonged_span_codimension_is_n`).
+
+A doc is a problem file shipped in the package's problems/ directory, or
+one built here: `euclidean.json` with coefficients drawn from the seed,
+`sl2_group.json` from a planar start, and `linear_n`'s system and Cramer
+rule.  Only translation_nonunique (two files, prefixed check names and
+`rules_genuinely_differ`) and lemma_counterexample (no problem file) have
+runners of their own."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import expr as ex
 from .algebra import span_coefficients
-from .cli import (pde_system_of, read_problem, rule_of, run_closure, run_group, run_m, run_pde,
-                  run_superpose, run_verify, system_of, task_of)
-from .dynamics import DEFAULT_TOL, LieSystem
+from .cli import PROBLEM_COMMANDS, Problem, load_problem
+from .dynamics import DEFAULT_TOL
+from .errors import SchemaError
 from .expr import Chart, Const, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation, is_diagonal_prolongation
-from .group import MatrixCurve
 from .report import Check
-from .superposition import DEFAULT_TOL_CONST, SuperpositionRule
+from .superposition import DEFAULT_TOL_CONST, SuperpositionRule, rule_checks
 
 __all__ = ["RunConfig", "CatalogEntry", "ENTRIES", "get_entry"]
 
@@ -54,38 +59,18 @@ class CatalogEntry:
         return self.runner(config or RunConfig())
 
 
-# ---------------------------------------------------------------------------
-# Shared builders
-# ---------------------------------------------------------------------------
-
 PROBLEMS = Path(__file__).with_name("problems")
 
 
-def _problem(name: str, config: RunConfig, **override) -> tuple[dict, dict]:
-    """The shipped problem file `name`.json, with `override` in place of its
-    keys, and its task: the file's t_span under the config's seed and
-    tolerances."""
-    doc, task = read_problem(str(PROBLEMS / f"{name}.json"), config)
-    return {**doc, **override}, task
-
-
-def _lie_problem(name: str, config: RunConfig, **override) -> tuple[dict, dict, LieSystem, SuperpositionRule]:
-    """_problem with the file's system and rule."""
-    doc, task = _problem(name, config, **override)
-    sys = system_of(doc)
-    return doc, task, sys, rule_of(doc, sys.chart)
+def _gl_components(names: Sequence[str]) -> list[list[str]]:
+    """The components of x^j d/dx^i on the coordinates `names`, for each i, then each j."""
+    n = len(names)
+    return [[names[j] if p == i else "0" for p in range(n)] for i in range(n) for j in range(n)]
 
 
 def gl_fields(chart: Chart) -> list[VectorField]:
     """Basis x^j d/dx^i of the full linear algebra on the chart."""
-    n = chart.dim
-    fields = []
-    for i in range(n):
-        for j in range(n):
-            comps = ["0"] * n
-            comps[i] = chart.names[j]
-            fields.append(VectorField.from_strings(chart, comps))
-    return fields
+    return [VectorField.from_strings(chart, comps) for comps in _gl_components(chart.names)]
 
 
 def _det(rows: list[list[ex.Expr]]) -> ex.Expr:
@@ -124,49 +109,62 @@ def linear_rule(chart: Chart) -> SuperpositionRule:
     return SuperpositionRule(chart, n, n, tuple(psi), tuple(phi))
 
 
-def _superposition(doc: dict, task: dict, sys: LieSystem, rule: SuperpositionRule) -> tuple[list[Check], list]:
-    """The rule's own checks (`verify` without the system), then superpose's
-    on one integrated tuple; and the k used."""
-    checks, k, *_ = run_superpose(doc, task, sys, rule)
-    return run_verify(doc, task, sys.fields, rule)[0] + checks, [float(v) for v in k]
-
-
-def _run_rule(doc: dict, task: dict, sys: LieSystem, rule: SuperpositionRule,
-              dimension: int | None = None) -> tuple[list[Check], dict]:
-    """An entry on one full rule: closure's checks and the check that the
-    algebra has `dimension` (when given), m's, then _superposition's."""
-    checks, extra = [], {}
-    if dimension is not None:
-        checks, extra = run_closure(doc, sys.fields)
-        checks.append(Check.equals("dimension", extra["closure"]["dimension"], dimension))
-    more, m_extra = run_m(doc, task, sys.fields)
-    rebuilt, k = _superposition(doc, task, sys, rule)
-    return checks + more + rebuilt, {**extra, **m_extra, "k_used": k}
-
-
 # ---------------------------------------------------------------------------
 # Entries
 # ---------------------------------------------------------------------------
 
 
-def _run_riccati(config: RunConfig):
-    doc, task, sys, rule = _lie_problem("riccati", config)
-    checks, extra = _run_rule(doc, task, sys, rule, dimension=3)
-    # the prolonged span on N^(m+1) has codimension (m+1)n - r: n exactly when r = m n
-    checks.append(Check("prolonged_span_codimension_is_n",
-                        (extra["m"] + 1) * sys.dim - extra["closure"]["dimension"] == sys.dim))
+def _rule_part(problem: Problem) -> tuple:
+    return rule_checks(problem.rule, problem.fields, problem.task["seed"]), {}, {}
+
+
+_PARTS = {"rule": _rule_part, **{name: row.run for name, row in PROBLEM_COMMANDS.items()}}
+
+
+def _run(problem: Problem, parts: Sequence[str], dimension: int | None = None) -> tuple[list[Check], dict]:
+    """The checks of `parts` run in order on `problem`, and the merge of
+    their extras; with `dimension`, `dimension` after closure's checks and
+    `prolonged_span_codimension_is_n` last."""
+    checks, extra = [], {}
+    for part in parts:
+        more, more_extra, _ = _PARTS[part](problem)
+        checks += more
+        extra.update(more_extra)
+        if part == "closure" and dimension is not None:
+            checks.append(Check.equals("dimension", extra["closure"]["dimension"], dimension))
+    if dimension is not None:
+        # the prolonged span on N^(m+1) has codimension (m+1)n - r: n exactly when r = m n
+        checks.append(Check("prolonged_span_codimension_is_n",
+                            extra["closure"]["dimension"] == extra["m"] * problem.chart.dim))
     return checks, extra
 
 
-def _run_linear2(config: RunConfig):
-    return _run_rule(*_lie_problem("linear2", config), dimension=4)
+def _entry(name: str, summary: str, doc_of: Callable[[RunConfig], dict], parts: Sequence[str],
+           dimension: int | None = None) -> CatalogEntry:
+    """An entry that runs `parts` on the Problem of doc_of(config)."""
+    return CatalogEntry(name, summary,
+                        lambda config: _run(Problem(doc_of(config), config), parts, dimension))
 
 
-def _run_linear_n(config: RunConfig):
-    sys = MatrixCurve.from_strings([["0", "1", "0"], ["-1", "0", "t/4"], ["0", "-t/4", "0"]]).system
-    doc = {"m": 3, "initial_points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-           "x0": [0.3, -0.2, 0.5], "t_span": [0.0, 1.0]}
-    return _run_rule(doc, task_of(doc, config), sys, linear_rule(sys.chart), dimension=9)
+def _shipped(name: str, config: RunConfig | None = None) -> dict:
+    """The problem file `name`.json shipped with the package, the same under every config."""
+    return load_problem(str(PROBLEMS / f"{name}.json"))
+
+
+_LINEAR_N_MATRIX = (("0", "1", "0"), ("-1", "0", "t/4"), ("0", "-t/4", "0"))
+
+
+@cache
+def _linear_n_doc() -> dict:
+    """x' = a(t) x for the matrix _LINEAR_N_MATRIX, on the unit matrices
+    (the fields of gl_fields), with its Cramer rule (linear_rule).  Built
+    once, as linear_rule takes milliseconds; no caller changes it."""
+    chart = Chart(("x1", "x2", "x3"))
+    return {"chart": list(chart.names), "fields": _gl_components(chart.names),
+            "coefficients": [s for row in _LINEAR_N_MATRIX for s in row],
+            "rule": linear_rule(chart).to_json_dict(), "m": 3,
+            "initial_points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            "x0": [0.3, -0.2, 0.5], "t_span": [0.0, 1.0]}
 
 
 def _random_quadratic(rng: random.Random) -> str:
@@ -176,46 +174,26 @@ def _random_quadratic(rng: random.Random) -> str:
     return str(Const(c[0]) + Const(c[1]) * t + Const(c[2]) * (t**2))
 
 
-def _run_euclidean(config: RunConfig):
+def _euclidean_doc(config: RunConfig) -> dict:
     rng = random.Random(config.seed)
-    return _run_rule(*_lie_problem("euclidean", config, coefficients=[_random_quadratic(rng) for _ in range(3)]))
+    return {**_shipped("euclidean"), "coefficients": [_random_quadratic(rng) for _ in range(3)]}
 
 
-def _run_separable(config: RunConfig):
-    return _run_rule(*_lie_problem("separable_invsq", config))
+def _sl2_doc(config: RunConfig) -> dict:
+    # the file's curve acting on the plane from (0, 1), whose x1/x2 is the
+    # file's Mobius orbit of 0: group_checks adds sl2_riccati_equivariance
+    doc = _shipped("sl2_group")
+    return {**doc, "action": {**doc["action"], "name": "sl2_linear", "x0": [0.0, 1.0]}}
 
 
 def _run_translation(config: RunConfig):
-    checks, rules = [], []
-    for label, name in (("standard", "translation"), ("skewed", "translation_alt")):
-        doc, task, sys, rule = _lie_problem(name, config)
-        if not rules:  # both files hold the same system
-            checks, extra = run_m(doc, task, sys.fields)
-        rules.append(rule)
-        shared, _ = _superposition(doc, task, sys, rule)
+    problems = [Problem(_shipped(name), config) for name in ("translation", "translation_alt")]
+    checks, extra = _run(problems[0], ("m",))  # both files hold the same system
+    for label, problem in zip(("standard", "skewed"), problems):
+        shared, _ = _run(problem, ("rule", "superpose"))
         checks += [replace(c, name=f"{label}_{c.name}") for c in shared]
-    same = all(ex.canonically_equal(a, b) for a, b in zip(rules[0].psi, rules[1].psi))
+    same = all(ex.canonically_equal(a, b) for a, b in zip(problems[0].rule.psi, problems[1].rule.psi))
     checks.append(Check("rules_genuinely_differ", not same))
-    return checks, extra
-
-
-def _run_sl2_group(config: RunConfig):
-    doc, task = _problem("sl2_group", config)
-    # the file's curve acting on the plane from (0, 1), whose x1/x2 is the
-    # file's Mobius orbit of 0: group_checks adds sl2_riccati_equivariance
-    doc["action"] = {**doc["action"], "name": "sl2_linear", "x0": [0.0, 1.0]}
-    checks, extra, _ = run_group(doc, task)
-    return checks, extra
-
-
-def _run_pde_riccati(config: RunConfig):
-    doc, task = _problem("pde_riccati", config)
-    sys = pde_system_of(doc)
-    checks, extra = [], {}
-    for command in ("check", "solve", "superpose"):
-        more, more_extra = run_pde(doc, task, sys, command)
-        checks += more
-        extra.update(more_extra)
     return checks, extra
 
 
@@ -237,43 +215,30 @@ def _run_lemma_counterexample(config: RunConfig):
     }
 
 
-def _run_partial(config: RunConfig, name: str):
-    """The partial rule of the problem file `name`, checked against its
-    system as `liesys verify` checks it, with verify's `initial_psi`."""
-    doc, task, sys, rule = _lie_problem(name, config)
-    checks, extra = run_verify(doc, task, sys.fields, rule, sys)
-    return checks, {"rule": rule.to_json_dict(), **extra}
-
-
-def _run_partial_rank1(config: RunConfig):
-    return _run_partial(config, "partial_rank1")
-
-
-def _run_partial_rank1_m2(config: RunConfig):
-    return _run_partial(config, "partial_rank1_m2")
-
+_RULE = ("m", "rule", "superpose")
+_CLOSED_RULE = ("closure", *_RULE)
 
 ENTRIES: dict[str, CatalogEntry] = {
     entry.name: entry
     for entry in (
-        CatalogEntry("riccati", "Riccati equation: sl(2) closure, m=3, cross-ratio rule", _run_riccati),
-        CatalogEntry("linear2", "2-dimensional linear system: m=2, weighted-sum rule", _run_linear2),
-        CatalogEntry("linear_n", "3-dimensional linear system: m=3, weighted-sum rule", _run_linear_n),
-        CatalogEntry("euclidean_se2", "Euclidean-group system: m=2, two distance integrals", _run_euclidean),
-        CatalogEntry("separable_invsq", "separable equation with inverse closed form, m=1", _run_separable),
+        _entry("riccati", "Riccati equation: sl(2) closure, m=3, cross-ratio rule", partial(_shipped, "riccati"), _CLOSED_RULE, dimension=3),
+        _entry("linear2", "2-dimensional linear system: m=2, weighted-sum rule", partial(_shipped, "linear2"), _CLOSED_RULE, dimension=4),
+        _entry("linear_n", "3-dimensional linear system: m=3, weighted-sum rule", lambda _: _linear_n_doc(), _CLOSED_RULE, dimension=9),
+        _entry("euclidean_se2", "Euclidean-group system: m=2, two distance integrals", _euclidean_doc, _RULE),
+        _entry("separable_invsq", "separable equation with inverse closed form, m=1", partial(_shipped, "separable_invsq"), _RULE),
         CatalogEntry("translation_nonunique", "planar translations: two inequivalent rules", _run_translation),
-        CatalogEntry("sl2_group", "right-invariant sl(2) equation, Mobius orbits, equivariance", _run_sl2_group),
-        CatalogEntry("pde_riccati", "PDE Riccati family: flatness, paths, grid superposition", _run_pde_riccati),
+        _entry("sl2_group", "right-invariant sl(2) equation, Mobius orbits, equivariance", _sl2_doc, ("group",)),
+        _entry("pde_riccati", "PDE Riccati family: flatness, paths, grid superposition", partial(_shipped, "pde_riccati"),
+               ("pde check", "pde solve", "pde superpose")),
         CatalogEntry("lemma_counterexample", "functional combination of prolongations with nonconstant coefficients", _run_lemma_counterexample),
-        CatalogEntry("partial_linear_rank1", "rank-1 rule from one solution of the linear system", _run_partial_rank1),
-        CatalogEntry("partial_linear_rank1_m2", "rank-1 rule from two solutions of the linear system", _run_partial_rank1_m2),
+        _entry("partial_linear_rank1", "rank-1 rule from one solution of the linear system", partial(_shipped, "partial_rank1"), ("verify",)),
+        _entry("partial_linear_rank1_m2", "rank-1 rule from two solutions of the linear system", partial(_shipped, "partial_rank1_m2"), ("verify",)),
     )
 }
 
 
 def get_entry(name: str) -> CatalogEntry:
-    try:
-        return ENTRIES[name]
-    except KeyError:
-        raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(ENTRIES)}") from None
-
+    """The entry `name`; an unknown name is a SchemaError, which the command line reports."""
+    if name not in ENTRIES:
+        raise SchemaError(f"unknown catalog entry {name!r}; known: {', '.join(ENTRIES)}")
+    return ENTRIES[name]

@@ -1,23 +1,26 @@
 """Command-line front end: JSON problem files in, JSON/text reports out.
 
-Every command takes its checks from a library builder: `closure` and `m`
-from algebra (closure_checks, m_checks), `solve` from dynamics
-(integrated_check), `verify` and `superpose` from superposition
+A problem file is read once into a Problem: the file's doc, its task
+(DEFAULTS overridden by the file, then by the command line) and each
+section, parsed on first use and kept.  Each problem command is one row
+of PROBLEM_COMMANDS: its help, its options, the tolerances its report
+records, and a function that takes the Problem and returns the command's
+checks, extra and CSV dumps.  The checks come from library builders:
+`closure` and `m` from algebra (closure_checks, m_checks), `solve` from
+dynamics (integrated_check), `verify` and `superpose` from superposition
 (rule_checks, solution_checks, superpose_checks), `group` from group
-(group_checks) and `pde` from pde (flatness_checks, path_checks,
-grid_superpose_checks).  This module parses problem files, each key in one
-function.  The run_* functions are the commands' checks on a parsed
-problem; the example catalog runs its problem files through them.
+(group_checks) and the three `pde` commands from pde (flatness_checks,
+path_checks, grid_superpose_checks).  Each problem-file key is read by one
+function of this module.
 
-Each problem command is one row of PROBLEM_COMMANDS: its help, its
-options, the tolerances its report records, and a function that parses
-what the command needs and returns its checks, extra and CSV dumps.  One
-path serves them all: cmd_problem reads the problem file and its task,
-runs the row, writes the dumps under --csv and emits the report, and
-build_parser adds one subcommand per row.
+One path serves every command: cmd_problem reads the problem file, runs
+the row, writes the dumps under --csv and emits the report, and
+build_parser adds one subcommand per row.  The example catalog runs the
+same rows on the Problems it builds.
 
 Exit codes: 0 all checks passed, 1 some check failed (or the computation
-errored in a reported way), 2 usage or schema errors.
+errored in a reported way), 2 usage or schema errors, and a problem file,
+report path or dump directory that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ import json
 import math
 import re
 import sys
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .algebra import closure_checks, m_checks, prune_independent
-from .dynamics import (DEFAULT_TOL, CoefficientCurve, LieSystem, Trajectory, fundamental_points, integrate,
-                       integrated_check)
+from .dynamics import DEFAULT_TOL, CoefficientCurve, LieSystem, fundamental_points, integrate, integrated_check
 from .errors import LiesysError, SchemaError
 from .expr import Chart
 from .geometry import VectorField
@@ -109,9 +111,11 @@ def _numbers(value, key: str, shape: tuple = (), kind: str = "number"):
 
 def load_problem(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError(f"problem file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read problem file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"problem file is not valid JSON: {exc}") from None
     _reject_unknown(doc, _TOP_KEYS, "problem file")
@@ -124,35 +128,6 @@ def load_problem(path: str) -> dict:
         if isinstance(doc["pde"], dict) and doc["pde"].get("decomposition"):
             _reject_unknown(doc["pde"]["decomposition"], _DECOMP_KEYS, "pde.decomposition")
     return doc
-
-
-def _chart(doc: dict) -> Chart:
-    if "chart" not in doc:
-        raise SchemaError("problem file needs a 'chart' section")
-    try:
-        return Chart(tuple(doc["chart"]))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad chart: {exc}") from None
-
-
-def _fields(doc: dict, chart: Chart) -> list[VectorField]:
-    if "fields" not in doc:
-        raise SchemaError("problem file needs a 'fields' section")
-    if not isinstance(doc["fields"], list):
-        raise SchemaError("'fields' must be a list of fields")
-    out = []
-    for i, comps in enumerate(doc["fields"]):
-        if isinstance(comps, str):
-            comps = [comps]
-        if not _strings(comps):
-            raise SchemaError(f"field {i + 1}: components must be strings, got {comps!r}")
-        try:
-            out.append(VectorField.from_strings(chart, comps))
-        except (LiesysError, ValueError) as exc:
-            raise SchemaError(f"field {i + 1}: {exc}") from None
-    if not out:
-        raise SchemaError("'fields' must not be empty")
-    return out
 
 
 def _coefficients(doc: dict, count: int) -> list[CoefficientCurve]:
@@ -190,30 +165,6 @@ def rule_of(doc: dict, chart: Chart) -> SuperpositionRule:
         raise SchemaError(f"bad rule: {exc}") from None
 
 
-def system_of(doc: dict, fields: list[VectorField] | None = None) -> LieSystem:
-    """The Lie system of the 'coefficients' section on `fields`, by default
-    those of the 'chart' and 'fields' sections."""
-    fields = _fields(doc, _chart(doc)) if fields is None else fields
-    curves = _coefficients(doc, len(fields))
-    try:
-        return LieSystem(fields, curves)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-
-
-def pde_system_of(doc: dict) -> PdeSystem:
-    """The PDE system of the 'pde' section."""
-    if "pde" not in doc:
-        raise SchemaError("this command needs a 'pde' section")
-    p = doc["pde"]
-    try:
-        return PdeSystem.from_strings(
-            int(p["s"]), p["chart"], p["fields"], p.get("decomposition")
-        )
-    except (LiesysError, ValueError, KeyError, TypeError) as exc:
-        raise SchemaError(f"bad pde section: {exc}") from None
-
-
 def task_of(doc: dict, args) -> dict:
     """DEFAULTS overridden by the problem file, then by the command line (or
     by a catalog RunConfig, which has no t_span)."""
@@ -232,19 +183,74 @@ def task_of(doc: dict, args) -> dict:
     return task
 
 
-def read_problem(path: str, args) -> tuple[dict, dict]:
-    """The problem file at `path` and its task."""
-    doc = load_problem(path)
-    return doc, task_of(doc, args)
+class Problem:
+    """A problem read once: its doc, its task (task_of) under `args`, which
+    are the command line's options or a catalog RunConfig, and each section
+    parsed on first use and kept, so that every row run on one Problem
+    shares one chart, one list of fields, one system and one rule."""
+
+    def __init__(self, doc: dict, args):
+        self.doc, self.args = doc, args
+        self.task = task_of(doc, args)
+
+    @cached_property
+    def chart(self) -> Chart:
+        if "chart" not in self.doc:
+            raise SchemaError("problem file needs a 'chart' section")
+        try:
+            return Chart(tuple(self.doc["chart"]))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad chart: {exc}") from None
+
+    @cached_property
+    def fields(self) -> list[VectorField]:
+        chart = self.chart
+        if "fields" not in self.doc:
+            raise SchemaError("problem file needs a 'fields' section")
+        if not isinstance(self.doc["fields"], list):
+            raise SchemaError("'fields' must be a list of fields")
+        out = []
+        for i, comps in enumerate(self.doc["fields"]):
+            if isinstance(comps, str):
+                comps = [comps]
+            if not _strings(comps):
+                raise SchemaError(f"field {i + 1}: components must be strings, got {comps!r}")
+            try:
+                out.append(VectorField.from_strings(chart, comps))
+            except (LiesysError, ValueError) as exc:
+                raise SchemaError(f"field {i + 1}: {exc}") from None
+        if not out:
+            raise SchemaError("'fields' must not be empty")
+        return out
+
+    @cached_property
+    def system(self) -> LieSystem:
+        """The Lie system of the 'coefficients' section on the fields."""
+        curves = _coefficients(self.doc, len(self.fields))
+        try:
+            return LieSystem(self.fields, curves)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
+
+    @cached_property
+    def rule(self) -> SuperpositionRule:
+        return rule_of(self.doc, self.chart)
+
+    @cached_property
+    def pde(self) -> PdeSystem:
+        """The PDE system of the 'pde' section."""
+        if "pde" not in self.doc:
+            raise SchemaError("this command needs a 'pde' section")
+        p = self.doc["pde"]
+        try:
+            return PdeSystem.from_strings(int(p["s"]), p["chart"], p["fields"], p.get("decomposition"))
+        except (LiesysError, ValueError, KeyError, TypeError) as exc:
+            raise SchemaError(f"bad pde section: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # Problem-file keys: each is read here, for the commands and the catalog
 # ---------------------------------------------------------------------------
-
-
-def _m(doc: dict) -> int | None:
-    return _numbers(doc.get("m"), "m", kind="integer")
 
 
 def _k(doc: dict, rule: SuperpositionRule, k=None) -> list[float] | None:
@@ -272,18 +278,19 @@ def _target(doc: dict, s: int, kind: str) -> list[float] | None:
     return _numbers(doc.get("target"), "target", (s,), kind)
 
 
-def _points_for_rule(doc, task, sys, rule) -> list:
+def _points_for_rule(p: Problem) -> list:
     """Initial points of the m particular solutions named in the problem file.
 
     Full rules go through the fundamental-set rank gate; partial rules use
     fewer solutions than a fundamental set by design, so their points are
     taken as given."""
-    points = _initial_points(doc, rule.m, sys.dim)
+    sys, rule = p.system, p.rule
+    points = _initial_points(p.doc, rule.m, sys.dim)
     if rule.is_partial:
         if points is None:
             raise SchemaError("a partial rule needs 'initial_points'")
         return points
-    return fundamental_points(sys, rule.m, task["seed"], points)
+    return fundamental_points(sys, rule.m, p.task["seed"], points)
 
 
 def _group_problem(doc: dict) -> tuple[GroupAction, MatrixCurve, list | None]:
@@ -320,163 +327,118 @@ def _group_problem(doc: dict) -> tuple[GroupAction, MatrixCurve, list | None]:
 
 
 # ---------------------------------------------------------------------------
-# Each command's checks, on a parsed problem: the commands below and the
-# example catalog run these
+# Problem commands: one row each, run by cmd_problem and by the catalog
 # ---------------------------------------------------------------------------
 
 
-def run_closure(doc: dict, fields: list[VectorField], complete: bool = False) -> tuple[list[Check], dict]:
-    return closure_checks(fields, complete=bool(complete or doc.get("complete")))
+def _closure_row(p: Problem) -> tuple:
+    return (*closure_checks(p.fields, complete=bool(getattr(p.args, "complete", None) or p.doc.get("complete"))), {})
 
 
-def run_m(doc: dict, task: dict, fields: list[VectorField]) -> tuple[list[Check], dict]:
-    fields = prune_independent(fields)
+def _m_row(p: Problem) -> tuple:
+    fields = prune_independent(p.fields)
     if not fields:
         raise SchemaError("every field is zero; m needs a nonzero field")
-    return m_checks(fields, task["seed"], _m(doc))
+    return (*m_checks(fields, p.task["seed"], _numbers(p.doc.get("m"), "m", kind="integer")), {})
 
 
-def run_verify(doc: dict, task: dict, fields: list[VectorField], rule: SuperpositionRule,
-               sys: LieSystem | None = None) -> tuple[list[Check], dict]:
-    """The rule's own checks and, given the system, psi's drift along the
-    solutions from the file's points, with slot 0 on the leaf of the file's
-    k for a partial rule and from x0 for a full one (solution_checks)."""
-    checks, extra = rule_checks(rule, fields, task["seed"]), {}
-    if sys is not None:
-        points = _points_for_rule(doc, task, sys, rule)
-        k = x0 = None
-        if rule.is_partial:
-            k = _k(doc, rule)
-            if k is None:
-                raise SchemaError("verifying a partial rule against a system needs 'k'")
-        else:
-            x0 = _x0(doc, sys.dim)
-        more, extra = solution_checks(rule, sys, points, task["t_span"], task["tol"],
-                                      task["tol_const"], k=k, x0=x0)
-        checks += more
-    return checks, extra
-
-
-def run_superpose(doc: dict, task: dict, sys: LieSystem, rule: SuperpositionRule, k=None) -> tuple:
-    """superpose_checks on the file's points, k (or `k`, the --k option,
-    when given), x0 and x0_guess, with phi decided under the task's seed:
-    (checks, k, slot 0, particular solutions).
-    Slot 0 starts at x0, or on the leaf of k when k is given, and is
-    integrated with the particular solutions either way."""
-    points = _points_for_rule(doc, task, sys, rule)
-    x0, guess = _x0(doc, sys.dim), _x0_guess(doc, sys.dim)
-    k = _k(doc, rule, k)
-    if k is None and x0 is None:
-        raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
-    if rule.phi is None and guess is None and x0 is None:
-        raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
-    return superpose_checks(rule, sys, points, task["t_span"], task["tol"], task["tol_const"],
-                            k=k, x0=x0, x0_guess=guess, seed=task["seed"])
-
-
-def run_group(doc: dict, task: dict) -> tuple[list[Check], dict, Trajectory | None]:
-    """group_checks on the 'action' section: (checks, extra, orbit)."""
-    action, a, x0 = _group_problem(doc)
-    checks, _, orbit = group_checks(a, task["t_span"], task["tol"], action, x0)
-    if orbit is None:
-        return checks, {}, None
-    return checks, {"orbit": orbit.to_json_dict(), "pole_crossings": [t for _, t in orbit.events]}, orbit
-
-
-def run_pde(doc: dict, task: dict, sys: PdeSystem, command: str,
-            audit: bool = False) -> tuple[list[Check], dict]:
-    """The checks of `pde check`, `pde solve` or `pde superpose` (`command`)."""
-    if command == "check":
-        return flatness_checks(sys)
-    if command == "solve":
-        x0, target = _x0(doc, sys.n), _target(doc, sys.s, "nonnegative")
-        if x0 is None or target is None:
-            raise SchemaError("pde solve needs 'x0' and 'target'")
-        return path_checks(sys, x0, target, task["tol"], task["seed"], audit=audit)
-    if sys.s != 2 or sys.decomposition is None:
-        raise SchemaError("pde superpose needs s = 2 parameters and a 'decomposition'")
-    rule = rule_of(doc, sys.chart)
-    k = _k(doc, rule)
-    points = _initial_points(doc, rule.m, sys.n)
-    target = _target(doc, sys.s, "positive")
-    if k is None or points is None or target is None:
-        raise SchemaError("pde superpose needs 'k', 'initial_points' and 'target'")
-    checks, rebuilt = grid_superpose_checks(sys, rule, k, points, target, task["tol"],
-                                            _x0_guess(doc, sys.n))
-    return checks, {"slot0_corner": rebuilt[-1, -1].tolist()}
-
-
-def _command(args) -> str:
-    """The report's command: the subcommand words and, for `examples run`, the entry."""
-    words = (args.command, getattr(args, "pde_command", None),
-             getattr(args, "example_command", None), getattr(args, "name", None))
-    return " ".join(filter(None, words))
-
-
-def _emit(report: Report, args) -> int:
-    doc = report.to_json_dict()
-    if getattr(args, "json", None):
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-    print(report.render_text())
-    return report.exit_code
-
-
-# ---------------------------------------------------------------------------
-# Problem commands: one row each, run by cmd_problem
-# ---------------------------------------------------------------------------
-
-
-def _closure_row(doc: dict, task: dict, args) -> tuple:
-    return (*run_closure(doc, _fields(doc, _chart(doc)), args.complete), {})
-
-
-def _m_row(doc: dict, task: dict, args) -> tuple:
-    return (*run_m(doc, task, _fields(doc, _chart(doc))), {})
-
-
-def _solve_row(doc: dict, task: dict, args) -> tuple:
-    sys = system_of(doc)
-    x0 = _x0(doc, sys.dim)
+def _solve_row(p: Problem) -> tuple:
+    sys = p.system
+    x0 = _x0(p.doc, sys.dim)
     if x0 is None:
         raise SchemaError("solve needs 'x0'")
-    trajectory = integrate(sys, x0, task["t_span"], task["tol"])
+    trajectory = integrate(sys, x0, p.task["t_span"], p.task["tol"])
     return ([integrated_check(trajectory)], {"trajectory": trajectory.to_json_dict()},
             {"trajectory": (trajectory, sys.chart.names)})
 
 
-def _superpose_row(doc: dict, task: dict, args) -> tuple:
-    sys = system_of(doc)
-    checks, k, slot0, particular = run_superpose(doc, task, sys, rule_of(doc, sys.chart), args.k)
+def _superpose_row(p: Problem) -> tuple:
+    """superpose_checks on the file's points, k (or the --k option, when
+    given), x0 and x0_guess, with phi decided under the task's seed.  Slot 0
+    starts at x0, or on the leaf of k when k is given, and is integrated
+    with the particular solutions either way."""
+    sys, rule, task = p.system, p.rule, p.task
+    points = _points_for_rule(p)
+    x0, guess = _x0(p.doc, sys.dim), _x0_guess(p.doc, sys.dim)
+    k = _k(p.doc, rule, getattr(p.args, "k", None))
+    if k is None and x0 is None:
+        raise SchemaError("superpose needs 'k' (or 'x0' to derive it from)")
+    if rule.phi is None and guess is None and x0 is None:
+        raise SchemaError("a rule without phi needs 'x0_guess' (or 'x0') to start the leaf solve")
+    checks, k, slot0, particular = superpose_checks(
+        rule, sys, points, task["t_span"], task["tol"], task["tol_const"],
+        k=k, x0=x0, x0_guess=guess, seed=task["seed"])
     dumps = {f"slot{i}": (tr, sys.chart.names) for i, tr in enumerate([slot0, *particular])}
     return checks, {"k": [float(v) for v in k], "slot0": slot0.to_json_dict()}, dumps
 
 
-def _verify_row(doc: dict, task: dict, args) -> tuple:
-    chart = _chart(doc)
-    fields = _fields(doc, chart)
-    rule = rule_of(doc, chart)
-    sys = None if doc.get("coefficients") is None else system_of(doc, fields)
-    return (*run_verify(doc, task, fields, rule, sys), {})
+def _verify_row(p: Problem) -> tuple:
+    """The rule's own checks and, given a system, psi's drift along the
+    solutions from the file's points, with slot 0 on the leaf of the file's
+    k for a partial rule and from x0 for a full one (solution_checks)."""
+    fields, rule, task = p.fields, p.rule, p.task
+    sys = None if p.doc.get("coefficients") is None else p.system
+    checks = rule_checks(rule, fields, task["seed"])
+    if sys is None:
+        return checks, {}, {}
+    points = _points_for_rule(p)
+    k = x0 = None
+    if rule.is_partial:
+        k = _k(p.doc, rule)
+        if k is None:
+            raise SchemaError("verifying a partial rule against a system needs 'k'")
+    else:
+        x0 = _x0(p.doc, sys.dim)
+    more, extra = solution_checks(rule, sys, points, task["t_span"], task["tol"],
+                                  task["tol_const"], k=k, x0=x0)
+    return checks + more, extra, {}
 
 
-def _group_row(doc: dict, task: dict, args) -> tuple:
-    checks, extra, orbit = run_group(doc, task)
-    return checks, extra, {} if orbit is None else {"orbit": (orbit, None)}
+def _group_row(p: Problem) -> tuple:
+    action, a, x0 = _group_problem(p.doc)
+    checks, _, orbit = group_checks(a, p.task["t_span"], p.task["tol"], action, x0)
+    if orbit is None:
+        return checks, {}, {}
+    extra = {"orbit": orbit.to_json_dict(), "pole_crossings": [t for _, t in orbit.events]}
+    return checks, extra, {"orbit": (orbit, None)}
 
 
-def _pde_row(doc: dict, task: dict, args) -> tuple:
-    return (*run_pde(doc, task, pde_system_of(doc), args.pde_command,
-                     getattr(args, "audit", False)), {})
+def _pde_check_row(p: Problem) -> tuple:
+    return (*flatness_checks(p.pde), {})
+
+
+def _pde_solve_row(p: Problem) -> tuple:
+    sys = p.pde
+    x0, target = _x0(p.doc, sys.n), _target(p.doc, sys.s, "nonnegative")
+    if x0 is None or target is None:
+        raise SchemaError("pde solve needs 'x0' and 'target'")
+    return (*path_checks(sys, x0, target, p.task["tol"], p.task["seed"],
+                         audit=bool(getattr(p.args, "audit", False))), {})
+
+
+def _pde_superpose_row(p: Problem) -> tuple:
+    sys = p.pde
+    if sys.s != 2 or sys.decomposition is None:
+        raise SchemaError("pde superpose needs s = 2 parameters and a 'decomposition'")
+    rule = rule_of(p.doc, sys.chart)
+    k = _k(p.doc, rule)
+    points = _initial_points(p.doc, rule.m, sys.n)
+    target = _target(p.doc, sys.s, "positive")
+    if k is None or points is None or target is None:
+        raise SchemaError("pde superpose needs 'k', 'initial_points' and 'target'")
+    checks, rebuilt = grid_superpose_checks(sys, rule, k, points, target, p.task["tol"],
+                                            _x0_guess(p.doc, sys.n))
+    return checks, {"slot0_corner": rebuilt[-1, -1].tolist()}, {}
 
 
 class _Row(NamedTuple):
     """A problem command: its help; `run`, which parses what the command
-    needs from (doc, task, args) and returns (checks, extra, CSV dumps as
-    file stem -> (trajectory, column names or None)); the tolerances its
-    report records; and its own options, as (flag, add_argument keywords)."""
+    needs from a Problem and returns (checks, extra, CSV dumps as file stem
+    -> (trajectory, column names or None)); the tolerances its report
+    records; and its own options, as (flag, add_argument keywords)."""
 
     help: str
-    run: Callable[[dict, dict, argparse.Namespace], tuple[list[Check], dict, dict]]
+    run: Callable[[Problem], tuple[list[Check], dict, dict]]
     tolerances: tuple[str, ...] = ("tol",)
     options: tuple = ()
 
@@ -494,25 +456,44 @@ PROBLEM_COMMANDS = {
         ("--k", {"type": float, "nargs": "+", "default": None, "help": "rule constants"}),)),
     "verify": _Row("verify a rule: tangency and constancy", _verify_row, _BOTH_TOLS),
     "group": _Row("right-invariant group equation and actions", _group_row),
-    "pde check": _Row("symbolic zero-curvature check", _pde_row),
-    "pde solve": _Row("staircase path solve", _pde_row, options=(
+    "pde check": _Row("symbolic zero-curvature check", _pde_check_row),
+    "pde solve": _Row("staircase path solve", _pde_solve_row, options=(
         ("--audit", {"action": "store_true", "help": _AUDIT_HELP}),)),
-    "pde superpose": _Row("grid superposition from particular solutions", _pde_row),
+    "pde superpose": _Row("grid superposition from particular solutions", _pde_superpose_row),
 }
 
 
+def _command(args) -> str:
+    """The report's command: the subcommand words and, for `examples run`, the entry."""
+    words = (args.command, getattr(args, "pde_command", None),
+             getattr(args, "example_command", None), getattr(args, "name", None))
+    return " ".join(filter(None, words))
+
+
+def _emit(report: Report, args, dumps: dict | None = None) -> int:
+    """Write `dumps` (file stem -> (trajectory, column names or None)) under
+    --csv and the report's JSON under --json, print its text and return
+    its exit code."""
+    try:
+        if dumps and args.csv:
+            Path(args.csv).mkdir(parents=True, exist_ok=True)
+            for stem, (trajectory, names) in dumps.items():
+                trajectory.to_csv(Path(args.csv) / f"{stem}.csv", names)
+        if getattr(args, "json", None):
+            Path(args.json).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {exc.filename}: {exc.strerror}") from None
+    print(report.render_text())
+    return report.exit_code
+
+
 def cmd_problem(args) -> int:
-    """Every problem command: read the problem file and its task, run the
-    command's row, write the row's dumps under --csv and emit the report."""
-    doc, task = read_problem(args.problem, args)
-    checks, extra, dumps = args.row.run(doc, task, args)
-    if dumps and args.csv:
-        out = Path(args.csv)
-        out.mkdir(parents=True, exist_ok=True)
-        for stem, (trajectory, names) in dumps.items():
-            trajectory.to_csv(out / f"{stem}.csv", names)
-    tolerances = {key: task[key] for key in args.row.tolerances}
-    return _emit(Report(_command(args), checks, task["seed"], tolerances, extra), args)
+    """Every problem command: read the problem file, run the command's row
+    on it and emit the report with the row's dumps."""
+    problem = Problem(load_problem(args.problem), args)
+    checks, extra, dumps = args.row.run(problem)
+    tolerances = {key: problem.task[key] for key in args.row.tolerances}
+    return _emit(Report(_command(args), checks, problem.task["seed"], tolerances, extra), args, dumps)
 
 
 def _entry_seed(master: int, name: str) -> int:
@@ -521,7 +502,7 @@ def _entry_seed(master: int, name: str) -> int:
 
 
 def cmd_examples(args) -> int:
-    # imported here: the catalog reads its problem files with this module's loaders
+    # imported here: the catalog runs this module's rows
     from .catalog import ENTRIES, RunConfig, get_entry
 
     if args.example_command == "list":
@@ -531,21 +512,18 @@ def cmd_examples(args) -> int:
     task = task_of({}, args)
     seed, tol, tol_const = (task[key] for key in ("seed", "tol", "tol_const"))
     if args.example_command == "run":
-        config = RunConfig(_entry_seed(seed, args.name), tol, tol_const)
-        checks, extra = get_entry(args.name).run(config)
-        report = Report(_command(args), checks, seed, {"tol": tol, "tol_const": tol_const}, extra)
-        return _emit(report, args)
-    # run-all: the acceptance suite, in catalog order; each entry gets a
-    # seed derived from the master seed so results do not depend on order
-    checks, extra = [], {}
-    for name, entry in ENTRIES.items():
-        entry_checks, _ = entry.run(RunConfig(_entry_seed(seed, name), tol, tol_const))
-        failed = [c.name for c in entry_checks if not c.passed]
-        checks.append(Check(name, not failed,
-                            detail=f"{len(entry_checks)} checks" + (f"; failed: {failed}" if failed else "")))
-        extra[name] = {"checks": [c.to_json_dict() for c in entry_checks]}
-    report = Report(_command(args), checks, seed, {"tol": tol, "tol_const": tol_const}, extra)
-    return _emit(report, args)
+        checks, extra = get_entry(args.name).run(RunConfig(_entry_seed(seed, args.name), tol, tol_const))
+    else:
+        # run-all: the acceptance suite, in catalog order; each entry gets a
+        # seed derived from the master seed so results do not depend on order
+        checks, extra = [], {}
+        for name, entry in ENTRIES.items():
+            entry_checks, _ = entry.run(RunConfig(_entry_seed(seed, name), tol, tol_const))
+            failed = [c.name for c in entry_checks if not c.passed]
+            checks.append(Check(name, not failed,
+                                detail=f"{len(entry_checks)} checks" + (f"; failed: {failed}" if failed else "")))
+            extra[name] = {"checks": [c.to_json_dict() for c in entry_checks]}
+    return _emit(Report(_command(args), checks, seed, {"tol": tol, "tol_const": tol_const}, extra), args)
 
 
 # ---------------------------------------------------------------------------
@@ -614,28 +592,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers[""]
     p = sub.add_parser("examples", help="bundled example catalog")
+    p.set_defaults(fn=cmd_examples)
     ex_sub = p.add_subparsers(dest="example_command", required=True)
-    q = ex_sub.add_parser("list", help="list catalog entries")
-    q.set_defaults(fn=cmd_examples)
+    ex_sub.add_parser("list", help="list catalog entries")
     q = ex_sub.add_parser("run", help="run one entry")
     q.add_argument("name")
     _add_common(q, problem=False)
-    q.set_defaults(fn=cmd_examples)
     q = ex_sub.add_parser("run-all", help="run the whole catalog (acceptance suite)")
     _add_common(q, problem=False)
-    q.set_defaults(fn=cmd_examples)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except SchemaError as exc:
+        try:
+            return args.fn(args)
+        except SchemaError:
+            raise
+        except LiesysError as exc:
+            return _emit(Report(_command(args), [Check("completed", False, detail=str(exc))]), args)
+    except SchemaError as exc:  # also one raised while emitting a failed run's report
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LiesysError as exc:
-        return _emit(Report(_command(args), [Check("completed", False, detail=str(exc))]), args)
 
 
 if __name__ == "__main__":

@@ -172,12 +172,20 @@ def _linear_apply(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g @ x
 
 
-def _mobius_apply(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mobius action on the completed line via projective coordinates:
-    finite x is (x : 1), the pole is (1 : 0)."""
+def _projective(x: np.ndarray) -> np.ndarray:
+    """Projective coordinates of a point of the completed line: finite x is
+    (x : 1), the pole is (1 : 0)."""
     value = float(x[0])
-    vec = np.array([1.0, 0.0]) if math.isinf(value) else np.array([value, 1.0])
-    image = g @ vec
+    return np.array([1.0, 0.0]) if math.isinf(value) else np.array([value, 1.0])
+
+
+def _mobius_apply(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mobius action on the completed line via projective coordinates."""
+    return _mobius_point(g @ _projective(x))
+
+
+def _mobius_point(image: np.ndarray) -> np.ndarray:
+    """The point of the completed line with projective coordinates `image`."""
     norm = float(np.max(np.abs(image)))
     if norm == 0.0:
         raise EvaluationError("Mobius action applied to a singular matrix")
@@ -212,21 +220,20 @@ def orbit_of(g: GroupTrajectory, action: GroupAction, x0: Sequence[float]) -> Tr
     crossings produce an inf sample and are logged in Trajectory.events."""
     x0 = np.asarray(x0, dtype=float)
     states = np.empty((len(g.t), action.space_dim))
-    events = []
-    previous_v2 = None
+    if action is not MOBIUS:
+        for row, matrix in enumerate(g.matrices):
+            states[row] = action.apply(matrix, x0)
+        return Trajectory(g.t, states, stop=g.stop)
+    # track the projective pair; a sign change of the second coordinate
+    # means the orbit crossed the pole (chart switch)
+    vec, previous_v2, events = _projective(x0), None, []
     for row, matrix in enumerate(g.matrices):
-        value = action.apply(matrix, x0)
-        states[row] = value
-        if action is MOBIUS:
-            # track the projective pair; a sign change of the second
-            # coordinate means the orbit crossed the pole (chart switch)
-            vec = np.array([1.0, 0.0]) if math.isinf(float(x0[0])) else np.array([float(x0[0]), 1.0])
-            v2 = float((matrix @ vec)[1])
-            if math.isinf(value[0]) or (
-                previous_v2 is not None and previous_v2 * v2 < 0.0
-            ):
-                events.append(("pole_crossing", float(g.t[row])))
-            previous_v2 = v2
+        image = matrix @ vec
+        states[row] = _mobius_point(image)
+        v2 = float(image[1])
+        if math.isinf(states[row, 0]) or (previous_v2 is not None and previous_v2 * v2 < 0.0):
+            events.append(("pole_crossing", float(g.t[row])))
+        previous_v2 = v2
     return Trajectory(g.t, states, stop=g.stop, events=tuple(events))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from liesys import catalog, dynamics, pde
+from liesys import catalog, dynamics, pde, superposition
 from liesys.catalog import RunConfig, get_entry
 from liesys.cli import build_parser, main
 from liesys.expr import MAX_EXACT_BITS
@@ -852,6 +852,33 @@ class TestSchemaErrors:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_unknown_catalog_entry(self, capsys):
+        assert main(["examples", "run", "nosuch"]) == 2
+        assert "error: unknown catalog entry 'nosuch'" in capsys.readouterr().err
+
+    def test_problem_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["closure", str(tmp_path)]) == 2
+        assert "error: cannot read problem file" in capsys.readouterr().err
+
+    def test_problem_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"chart": ["\xff"], "fields": [["1"]]}')
+        assert main(["closure", str(bad)]) == 2
+        assert "error: cannot read problem file" in capsys.readouterr().err
+
+    # a passing report, and the report of a run that errors (pde_nonflat is not flat)
+    @pytest.mark.parametrize("argv", [["m", "riccati"], ["pde", "solve", "pde_nonflat"]])
+    def test_json_report_into_a_missing_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "report.json"
+        assert main([*argv[:-1], str(PROBLEMS / f"{argv[-1]}.json"), "--json", str(out)]) == 2
+        assert f"error: cannot write {out}: No such file or directory" in capsys.readouterr().err
+
+    def test_csv_dumps_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        dumps = tmp_path / "file" / "dumps"
+        assert main(["solve", str(PROBLEMS / "riccati.json"), "--csv", str(dumps)]) == 2
+        assert f"error: cannot write {dumps}: Not a directory" in capsys.readouterr().err
+
 
 def edited_problem(tmp_path, problem, edits):
     """problems/<problem>.json, or the file `problem` when it is a Path, with
@@ -1339,6 +1366,48 @@ class TestCatalogSharesTheCliChecks:
                 monkeypatch.setattr(module, "integrate_tuple", counted)
         get_entry(entry).run(RunConfig(seed=0))
         assert len(calls) == (2 if entry == "translation_nonunique" else 1)
+
+    # entry -> (its doc: a shipped problem file or the catalog function that
+    # builds it, the rows it runs); `rule` is verify's two checks of the rule
+    ROW_ENTRIES = {
+        "riccati": ("riccati", ["closure", "m", "rule", "superpose"]),
+        "linear2": ("linear2", ["closure", "m", "rule", "superpose"]),
+        "linear_n": (lambda config: catalog._linear_n_doc(), ["closure", "m", "rule", "superpose"]),
+        "euclidean_se2": (catalog._euclidean_doc, ["m", "rule", "superpose"]),
+        "separable_invsq": ("separable_invsq", ["m", "rule", "superpose"]),
+        "sl2_group": (catalog._sl2_doc, ["group"]),
+        "pde_riccati": ("pde_riccati", ["pde check", "pde solve", "pde superpose"]),
+        "partial_linear_rank1": ("partial_rank1", ["verify"]),
+        "partial_linear_rank1_m2": ("partial_rank1_m2", ["verify"]),
+    }
+
+    def test_every_entry_but_two_is_built_from_rows(self):
+        assert set(self.ROW_ENTRIES) == set(catalog.ENTRIES) - {"translation_nonunique",
+                                                                 "lemma_counterexample"}
+
+    @pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+    def test_entry_checks_are_its_rows_cli_checks(self, tmp_path, entry):
+        doc_of, rows = self.ROW_ENTRIES[entry]
+        config = RunConfig(seed=0)
+        checks, _ = get_entry(entry).run(config)
+        doc = (json.loads((PROBLEMS / f"{doc_of}.json").read_text()) if isinstance(doc_of, str)
+               else doc_of(config))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        want = []
+        for row in rows:
+            _, report = run(tmp_path, *("verify" if row == "rule" else row).split(), str(path))
+            want += report["checks"][:2] if row == "rule" else report["checks"]
+        catalog_only = {"dimension", "prolonged_span_codimension_is_n"}
+        assert [c.to_json_dict() for c in checks if c.name not in catalog_only] == want
+
+    def test_examples_run_riccati_parses_fields_once_and_decides_phi_once(self, monkeypatch):
+        calls, real = [], VectorField.from_strings
+        monkeypatch.setattr(VectorField, "from_strings",
+                            staticmethod(lambda *args: calls.append(1) or real(*args)))
+        superposition._phi_on_leaves.cache_clear()
+        assert main(["examples", "run", "riccati"]) == 0
+        assert len(calls) == 3 and superposition._phi_on_leaves.cache_info().misses == 1
 
     CLOSURE = {"closed", "jacobi_residual_zero"}
     M = {"m_determined", "m_matches_expected"}

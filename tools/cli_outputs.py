@@ -7,8 +7,9 @@ directory:
 
 - every command (closure, m, solve, superpose, verify, group and the three
   pde subcommands) on every problems/*.json of TREE, applicable or not;
-- the flag calls in FLAG_CALLS, on the problem files they name, and the
-  `--help` text of liesys, of each command, of `pde` and of `examples run`;
+- the flag calls in FLAG_CALLS, on the problem files they name, two calls
+  with a bad entry name or problem path, and the `--help` text of liesys,
+  of each command, of `pde` and of `examples run`;
 - the calls in INPUT_CALLS, on inputs kept under tools/inputs/ that do not
   ship with the package;
 - `examples list`, `examples run NAME` for each entry it lists, and
@@ -36,7 +37,7 @@ from pathlib import Path
 
 COMMANDS = (("closure",), ("m",), ("solve",), ("superpose",), ("verify",), ("group",),
             ("pde", "check"), ("pde", "solve"), ("pde", "superpose"))
-# (output name, argv): flag paths that the calls without options do not reach
+# (output name, argv): flag and error paths that the calls without options do not reach
 FLAG_CALLS = (
     ("riccati.superpose.t-span_0,3", ["superpose", "problems/riccati.json", "--t-span", "0,3"]),
     ("riccati.verify.t-span_0,3", ["verify", "problems/riccati.json", "--t-span", "0,3"]),
@@ -54,6 +55,9 @@ FLAG_CALLS = (
     ("riccati.superpose.k_-inf", ["superpose", "problems/riccati.json", "--k", "-inf"]),
     # the Mobius orbit of 0 reaches the pole of x' = 1 + x^2 at t = pi/2
     ("sl2_group.group.t-span_0,2", ["group", "problems/sl2_group.json", "--t-span", "0,2"]),
+    # an unknown catalog entry and a problem path that is a directory exit 2
+    ("examples.run.nosuch", ["examples", "run", "nosuch"]),
+    ("problems.closure", ["closure", "problems"]),
 ) + tuple(
     # the --help text of liesys, of each command, of `pde` and of `examples run`
     (".".join(["_".join(words) or "liesys", "help"]), [*words, "--help"])

@@ -63,6 +63,9 @@ REASONS = {
     "expr.Expr.__repr__": "what a failing assertion or a debugger shows of an Expr",
     "expr.Expr._render": "abstract: each node class overrides it",
     "expr.Expr._nf_compute": "abstract: each node class overrides it",
+    "group._mobius_apply": ("MOBIUS.apply, the action on one point, which tests/test_group.py "
+                            "checks for the group-action law; orbit_of builds the projective "
+                            "vector once and takes one product per node"),
 }
 # module.qualname -> why the function stays although only the benchmark
 # enters it (the Hermite dense output and the builders it feeds wait for a
