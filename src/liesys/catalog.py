@@ -3,29 +3,28 @@ returns named checks.  `examples run-all` on the command line executes the
 whole catalog; the acceptance test suite drives the same runners.
 
 An entry that runs a problem is built by _entry from a function that
-returns the problem's doc, the names of the rows of cli.PROBLEM_COMMANDS
-it runs, and the algebra's dimension where the entry states one.  The
-rows run in order on one cli.Problem, so an entry's checks are the
-commands' checks, under the same names and limits, on one parse of its
-doc, and its extra is the merge of the rows' extras.  One part is the
-catalog's own: `rule`, verify's checks of the rule alone (rule_checks).
-An entry that states a dimension checks it after closure (`dimension`)
-and ends with the paper's uniqueness condition r = m n
-(`prolonged_span_codimension_is_n`).
+returns the problem's doc and the names of the rows of
+cli.PROBLEM_COMMANDS it runs.  The rows run in order on one cli.Problem,
+so an entry's checks are the commands' checks, under the same names and
+limits, on one parse of its doc, and its extra is the merge of the rows'
+extras.  One part is the catalog's own: `rule`, verify's checks of the
+rule alone (rule_checks).  An entry that runs both closure and m ends
+with the paper's uniqueness condition r = m n
+(`prolonged_span_codimension_is_n`), derived from the two rows' extras.
 
-A doc is a problem file shipped in the package's problems/ directory, or
-one built here: `euclidean.json` with coefficients drawn from the seed,
-`sl2_group.json` from a planar start, and `linear_n`'s system and Cramer
-rule.  Only translation_nonunique (two files, prefixed check names and
+Each doc is a problem file shipped in the package's problems/ directory;
+only euclidean_se2 changes its file, redrawing the coefficients from the
+seed.  Only translation_nonunique (two files, prefixed check names and
 `rules_genuinely_differ`) and lemma_counterexample (no problem file) have
-runners of their own."""
+runners of their own.  gl_fields and linear_rule, the generators of
+linear3.json, are kept for the benchmark."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -121,50 +120,30 @@ def _rule_part(problem: Problem) -> tuple:
 _PARTS = {"rule": _rule_part, **{name: row.run for name, row in PROBLEM_COMMANDS.items()}}
 
 
-def _run(problem: Problem, parts: Sequence[str], dimension: int | None = None) -> tuple[list[Check], dict]:
+def _run(problem: Problem, parts: Sequence[str]) -> tuple[list[Check], dict]:
     """The checks of `parts` run in order on `problem`, and the merge of
-    their extras; with `dimension`, `dimension` after closure's checks and
-    `prolonged_span_codimension_is_n` last."""
+    their extras; when the parts run both closure and m, the paper's
+    uniqueness condition r = m n last."""
     checks, extra = [], {}
     for part in parts:
         more, more_extra, _ = _PARTS[part](problem)
         checks += more
         extra.update(more_extra)
-        if part == "closure" and dimension is not None:
-            checks.append(Check.equals("dimension", extra["closure"]["dimension"], dimension))
-    if dimension is not None:
+    if {"closure", "m"} <= set(parts):
         # the prolonged span on N^(m+1) has codimension (m+1)n - r: n exactly when r = m n
         checks.append(Check("prolonged_span_codimension_is_n",
                             extra["closure"]["dimension"] == extra["m"] * problem.chart.dim))
     return checks, extra
 
 
-def _entry(name: str, summary: str, doc_of: Callable[[RunConfig], dict], parts: Sequence[str],
-           dimension: int | None = None) -> CatalogEntry:
+def _entry(name: str, summary: str, doc_of: Callable[[RunConfig], dict], parts: Sequence[str]) -> CatalogEntry:
     """An entry that runs `parts` on the Problem of doc_of(config)."""
-    return CatalogEntry(name, summary,
-                        lambda config: _run(Problem(doc_of(config), config), parts, dimension))
+    return CatalogEntry(name, summary, lambda config: _run(Problem(doc_of(config), config), parts))
 
 
 def _shipped(name: str, config: RunConfig | None = None) -> dict:
     """The problem file `name`.json shipped with the package, the same under every config."""
     return load_problem(str(PROBLEMS / f"{name}.json"))
-
-
-_LINEAR_N_MATRIX = (("0", "1", "0"), ("-1", "0", "t/4"), ("0", "-t/4", "0"))
-
-
-@cache
-def _linear_n_doc() -> dict:
-    """x' = a(t) x for the matrix _LINEAR_N_MATRIX, on the unit matrices
-    (the fields of gl_fields), with its Cramer rule (linear_rule).  Built
-    once, as linear_rule takes milliseconds; no caller changes it."""
-    chart = Chart(("x1", "x2", "x3"))
-    return {"chart": list(chart.names), "fields": _gl_components(chart.names),
-            "coefficients": [s for row in _LINEAR_N_MATRIX for s in row],
-            "rule": linear_rule(chart).to_json_dict(), "m": 3,
-            "initial_points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-            "x0": [0.3, -0.2, 0.5], "t_span": [0.0, 1.0]}
 
 
 def _random_quadratic(rng: random.Random) -> str:
@@ -177,13 +156,6 @@ def _random_quadratic(rng: random.Random) -> str:
 def _euclidean_doc(config: RunConfig) -> dict:
     rng = random.Random(config.seed)
     return {**_shipped("euclidean"), "coefficients": [_random_quadratic(rng) for _ in range(3)]}
-
-
-def _sl2_doc(config: RunConfig) -> dict:
-    # the file's curve acting on the plane from (0, 1), whose x1/x2 is the
-    # file's Mobius orbit of 0: group_checks adds sl2_riccati_equivariance
-    doc = _shipped("sl2_group")
-    return {**doc, "action": {**doc["action"], "name": "sl2_linear", "x0": [0.0, 1.0]}}
 
 
 def _run_translation(config: RunConfig):
@@ -221,13 +193,13 @@ _CLOSED_RULE = ("closure", *_RULE)
 ENTRIES: dict[str, CatalogEntry] = {
     entry.name: entry
     for entry in (
-        _entry("riccati", "Riccati equation: sl(2) closure, m=3, cross-ratio rule", partial(_shipped, "riccati"), _CLOSED_RULE, dimension=3),
-        _entry("linear2", "2-dimensional linear system: m=2, weighted-sum rule", partial(_shipped, "linear2"), _CLOSED_RULE, dimension=4),
-        _entry("linear_n", "3-dimensional linear system: m=3, weighted-sum rule", lambda _: _linear_n_doc(), _CLOSED_RULE, dimension=9),
+        _entry("riccati", "Riccati equation: sl(2) closure, m=3, cross-ratio rule", partial(_shipped, "riccati"), _CLOSED_RULE),
+        _entry("linear2", "2-dimensional linear system: m=2, weighted-sum rule", partial(_shipped, "linear2"), _CLOSED_RULE),
+        _entry("linear_n", "3-dimensional linear system: m=3, weighted-sum rule", partial(_shipped, "linear3"), _CLOSED_RULE),
         _entry("euclidean_se2", "Euclidean-group system: m=2, two distance integrals", _euclidean_doc, _RULE),
         _entry("separable_invsq", "separable equation with inverse closed form, m=1", partial(_shipped, "separable_invsq"), _RULE),
         CatalogEntry("translation_nonunique", "planar translations: two inequivalent rules", _run_translation),
-        _entry("sl2_group", "right-invariant sl(2) equation, Mobius orbits, equivariance", _sl2_doc, ("group",)),
+        _entry("sl2_group", "right-invariant sl(2) equation, Mobius orbits, equivariance", partial(_shipped, "sl2_linear"), ("group",)),
         _entry("pde_riccati", "PDE Riccati family: flatness, paths, grid superposition", partial(_shipped, "pde_riccati"),
                ("pde check", "pde solve", "pde superpose")),
         CatalogEntry("lemma_counterexample", "functional combination of prolongations with nonconstant coefficients", _run_lemma_counterexample),

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import re
 import sys
 from functools import cache, cached_property
@@ -50,6 +49,12 @@ from .superposition import (
     solution_checks,
     superpose_checks,
 )
+
+# the largest m n of a rule (m particular solutions of n coordinates): over
+# 100 times the largest in any shipped or recorded input, m = 3 on n = 3
+# (linear3.json), and small enough that the prolonged chart and the rule's
+# checks are built in well under a second
+MAX_RULE_SLOTS = 1000
 
 DEFAULTS = {"tol": DEFAULT_TOL, "tol_const": DEFAULT_TOL_CONST, "seed": 0,
             "t_span": (0.0, 1.0)}
@@ -101,8 +106,9 @@ def _numbers(value, key: str, shape: tuple = (), kind: str = "number"):
             if not isinstance(v, (list, tuple)) or len(v) != dims[0]:
                 raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
             return [check(item, dims[1:]) for item in v]
-        if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-                or not test(float(v))):
+        # inf, nan and an int beyond the float range all fail the bound
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not abs(v) <= sys.float_info.max or not test(float(v))):
             raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
         return int(v) if kind == "integer" else float(v)
 
@@ -156,9 +162,15 @@ def _coefficients(doc: dict, count: int) -> list[CoefficientCurve]:
 
 
 def rule_of(doc: dict, chart: Chart) -> SuperpositionRule:
-    """The 'rule' section on `chart`."""
+    """The 'rule' section on `chart`, its m and s checked before anything is built."""
     if "rule" not in doc:
         raise SchemaError("this command needs a 'rule' section")
+    m, s = (_numbers(doc["rule"].get(key), f"rule.{key}", kind="integer") for key in ("m", "s"))
+    if s is not None and not 1 <= s <= chart.dim:
+        raise SchemaError(f"bad rule: rank must be in 1..{chart.dim}")
+    if m is not None and not 1 <= m * chart.dim <= MAX_RULE_SLOTS:
+        raise SchemaError(f"bad rule: m must be in 1..{MAX_RULE_SLOTS // chart.dim} "
+                          f"on a chart of dimension {chart.dim}")
     try:
         return SuperpositionRule.from_json_dict(chart, doc["rule"])
     except (LiesysError, ValueError, KeyError, TypeError) as exc:
@@ -242,6 +254,9 @@ class Problem:
         if "pde" not in self.doc:
             raise SchemaError("this command needs a 'pde' section")
         p = self.doc["pde"]
+        s = _numbers(p.get("s"), "pde.s", kind="integer")
+        if s is not None and isinstance(p.get("fields"), list) and s != len(p["fields"]):
+            raise SchemaError(f"bad pde section: {len(p['fields'])} fields for {s} parameters")
         try:
             return PdeSystem.from_strings(int(p["s"]), p["chart"], p["fields"], p.get("decomposition"))
         except (LiesysError, ValueError, KeyError, TypeError) as exc:

@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import json
 import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +15,10 @@ import pytest
 from liesys import catalog, dynamics, pde, superposition
 from liesys.catalog import RunConfig, get_entry
 from liesys.cli import build_parser, main
-from liesys.expr import MAX_EXACT_BITS
+from liesys.expr import MAX_EXACT_BITS, Chart, Const, canonically_equal
 from liesys.geometry import VectorField
 from liesys.report import validate_report
+from liesys.superposition import SuperpositionRule
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 INPUTS = Path(__file__).resolve().parent.parent / "tools" / "inputs"
@@ -943,6 +946,16 @@ MALFORMED_INPUTS = [
     ("riccati", ["closure"], {"chart": [1]}, "error: bad chart: bad coordinate name 1"),
     ("pde_riccati", ["pde", "check"], {"pde.chart": [1]},
      "error: bad pde section: bad coordinate name 1"),
+    # a size that is not an integer is refused, not truncated; one out of
+    # range is refused before the rule's chart is built
+    ("riccati", ["verify"], {"rule.m": 3.9}, "'rule.m' must be an integer, got 3.9"),
+    ("riccati", ["verify"], {"rule.s": True}, "'rule.s' must be an integer, got True"),
+    ("riccati", ["verify"], {"rule.m": "3"}, "'rule.m' must be an integer, got '3'"),
+    ("pde_riccati", ["pde", "check"], {"pde.s": 2.5}, "'pde.s' must be an integer, got 2.5"),
+    ("riccati", ["verify"], {"rule.m": 0}, "bad rule: m must be in 1..1000 on a chart of dimension 1"),
+    ("linear2", ["verify"], {"rule.m": 501}, "bad rule: m must be in 1..500 on a chart of dimension 2"),
+    ("riccati", ["verify"], {"rule.m": 10**400}, "'rule.m' must be an integer"),
+    ("riccati", ["verify"], {"seed": 10**400}, "'seed' must be an integer"),
 ]
 
 
@@ -957,6 +970,25 @@ class TestMalformedInputsExit2:
         assert main([*command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err, err
+
+
+class TestIntegerSizesExit2:
+    """rule.m, rule.s and pde.s are checked before the rule's product chart
+    or the PDE's parameter chart is built, so a size far beyond any problem
+    exits 2 at once; each runs in its own process, which a hang would time
+    out."""
+
+    @pytest.mark.parametrize("problem,command,edits,fragment", [
+        ("riccati", ["verify"], {"rule.m": 10**30}, "bad rule: m must be in 1..1000"),
+        # legal before the bound, and seconds to build
+        ("riccati", ["verify"], {"rule.m": 10**5, "coefficients": None}, "bad rule: m must be in 1..1000"),
+        ("riccati", ["verify"], {"rule.s": 10**12}, "bad rule: rank must be in 1..1"),
+        ("pde_riccati", ["pde", "check"], {"pde.s": 10**12},
+         "bad pde section: 2 fields for 1000000000000 parameters"),
+    ], ids=["m_1e30", "m_1e5", "s_1e12", "pde_s_1e12"])
+    def test_exit_2_at_once(self, tmp_path, problem, command, edits, fragment):
+        done = run_subprocess(*command, edited_problem(tmp_path, problem, edits), timeout=10)
+        assert done.returncode == 2 and fragment in done.stderr, done.stderr
 
 
 def _slot0_pushed(monkeypatch):
@@ -1070,10 +1102,33 @@ def _structure_constant_off(monkeypatch):
     monkeypatch.setattr(algebra, "closure_test", off)
 
 
+def _prolongation_base_negated(monkeypatch):
+    """A kernel fault: the base field of every diagonal prolongation that
+    the catalog decides negated."""
+    real = catalog.is_diagonal_prolongation
+
+    def negated(*args, **kwargs):
+        decision = real(*args, **kwargs)
+        return dataclasses.replace(decision, base=decision.base.scale(Const(-1)))
+    monkeypatch.setattr(catalog, "is_diagonal_prolongation", negated)
+
+
+def _span_always_found(monkeypatch):
+    """A kernel fault: every span decision of the catalog finds constant
+    coefficients."""
+    real = catalog.span_coefficients
+
+    def found(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), in_span=True)
+    monkeypatch.setattr(catalog, "span_coefficients", found)
+
+
 # (id, command words, problem file, edits, fault, the check that FAILs, a
 # fragment of its detail, the checks that still PASS).  Short of `completed` itself, the
 # stage before every check is the file's parsing and phi's leaf conditions,
-# which pass when the report holds no `completed`.
+# which pass when the report holds no `completed`.  For `examples run NAME`
+# the problem is {file stem: source file}: the entry runs on a copy of the
+# catalog's problems directory with each such file replaced by its source.
 PLANTED_DEFECTS = [
     # the translations move slot 0 off the constraint set x2 = x1^2, while
     # psi = x1_0 - x1_1 stays tangent
@@ -1142,6 +1197,21 @@ PLANTED_DEFECTS = [
     ("riccati_side_pushed", "group", PROBLEMS / "sl2_group.json",
      {"action.name": "sl2_linear", "action.x0": [0.0, 1.0]}, _riccati_side_pushed,
      "sl2_riccati_equivariance", "", {"integrated", "det_liouville"}),
+    # se(2) closes with dimension 3 < m n = 4: the paper's non-unique case,
+    # which every other check of the riccati entry passes
+    ("codimension_above_n", "examples run riccati", {"riccati": PROBLEMS / "euclidean.json"}, {}, None,
+     "prolonged_span_codimension_is_n", "",
+     {"closed", "jacobi_residual_zero", "m_determined", "m_matches_expected", "tangency_zero",
+      "psi_transversal", "reconstruction_vs_direct", "psi_drift_along_solutions"}),
+    ("rules_the_same", "examples run translation_nonunique",
+     {"translation_alt": PROBLEMS / "translation.json"}, {}, None, "rules_genuinely_differ", "",
+     {"m_determined", "standard_tangency_zero", "skewed_tangency_zero",
+      "standard_reconstruction_vs_direct", "skewed_reconstruction_vs_direct"}),
+    ("prolongation_base_negated", "examples run lemma_counterexample", {}, {},
+     _prolongation_base_negated, "functional_combination_is_prolongation", "",
+     {"not_in_constant_span"}),
+    ("span_always_found", "examples run lemma_counterexample", {}, {}, _span_always_found,
+     "not_in_constant_span", "", {"functional_combination_is_prolongation"}),
 ]
 
 
@@ -1154,27 +1224,23 @@ class TestPlantedDefects:
                              ids=[row[0] for row in PLANTED_DEFECTS])
     def test_check_fails_and_earlier_stages_pass(self, tmp_path, monkeypatch, command, problem,
                                                  edits, fault, fails, fragment, before):
-        path = edited_problem(tmp_path, problem, edits)
+        if command.startswith("examples run"):
+            copy = tmp_path / "problems"
+            shutil.copytree(catalog.PROBLEMS, copy)
+            for stem, source in problem.items():
+                shutil.copyfile(source, copy / f"{stem}.json")
+            monkeypatch.setattr(catalog, "PROBLEMS", copy)
+            argv = command.split()
+        else:
+            argv = [*command.split(), str(edited_problem(tmp_path, problem, edits))]
         if fault is not None:
             fault(monkeypatch)
-        code, report = run(tmp_path, *command.split(), str(path))
+        code, report = run(tmp_path, *argv)
         assert code == 1
         checks = {c["name"]: c for c in report["checks"]}
         assert not checks[fails]["passed"] and fragment in checks[fails]["detail"]
         assert all(checks[name]["passed"] for name in before)
         assert fails == "completed" or "completed" not in checks
-
-
-_CATALOG_ONLY = ("a catalog check on data that catalog.py fixes, so no problem file or fault "
-                 "reaches it; ROADMAP item 12 decides whether it stays")
-# check name -> why no PLANTED_DEFECTS row makes it FAIL
-UNPLANTED_CHECKS = {
-    "dimension": _CATALOG_ONLY,
-    "functional_combination_is_prolongation": _CATALOG_ONLY,
-    "not_in_constant_span": _CATALOG_ONLY,
-    "prolonged_span_codimension_is_n": _CATALOG_ONLY,
-    "rules_genuinely_differ": _CATALOG_ONLY,
-}
 
 
 def _emitted_check_names() -> set[str]:
@@ -1198,10 +1264,8 @@ class TestEveryCheckCanFail:
     def test_each_emitted_check_is_planted_or_has_a_reason(self):
         emitted, planted = _emitted_check_names(), {row[5] for row in PLANTED_DEFECTS}
         assert {"closed", "completed", "integrated", "tangency_zero"} <= emitted
-        assert planted <= emitted
-        # a new check needs a row; an exception that gains a row, or is no
-        # longer emitted, leaves the table
-        assert emitted - planted == set(UNPLANTED_CHECKS)
+        # a new check needs a row
+        assert emitted == planted
 
 
 class TestLongChains:
@@ -1314,6 +1378,27 @@ class TestExamples:
             )
 
 
+class TestShippedFilesMatchTheirSources:
+    """linear3.json is the output of its generators, and sl2_linear.json
+    runs sl2_group.json's curve."""
+
+    def test_linear3_is_linear_rule_on_the_gl3_fields(self):
+        doc = json.loads((PROBLEMS / "linear3.json").read_text())
+        chart = Chart(("x1", "x2", "x3"))
+        got, want = SuperpositionRule.from_json_dict(chart, doc["rule"]), catalog.linear_rule(chart)
+        assert doc["chart"] == list(chart.names)
+        assert doc["fields"] == catalog._gl_components(chart.names)
+        assert (got.m, got.rank, got.constraints) == (want.m, want.rank, ())
+        for ours, theirs in ((got.psi, want.psi), (got.phi, want.phi)):
+            assert len(ours) == len(theirs) == 3
+            assert all(canonically_equal(a, b) for a, b in zip(ours, theirs))
+
+    def test_sl2_linear_is_sl2_group_acting_on_the_plane(self):
+        linear, group = (json.loads((PROBLEMS / f"{name}.json").read_text())
+                         for name in ("sl2_linear", "sl2_group"))
+        assert linear == {**group, "action": {**group["action"], "name": "sl2_linear", "x0": [0.0, 1.0]}}
+
+
 class TestCatalogSharesTheCliChecks:
     """The catalog's rule entries check their rules with the builders of
     `verify` and `superpose`, so a catalog check and the CLI check of the same
@@ -1372,10 +1457,10 @@ class TestCatalogSharesTheCliChecks:
     ROW_ENTRIES = {
         "riccati": ("riccati", ["closure", "m", "rule", "superpose"]),
         "linear2": ("linear2", ["closure", "m", "rule", "superpose"]),
-        "linear_n": (lambda config: catalog._linear_n_doc(), ["closure", "m", "rule", "superpose"]),
+        "linear_n": ("linear3", ["closure", "m", "rule", "superpose"]),
         "euclidean_se2": (catalog._euclidean_doc, ["m", "rule", "superpose"]),
         "separable_invsq": ("separable_invsq", ["m", "rule", "superpose"]),
-        "sl2_group": (catalog._sl2_doc, ["group"]),
+        "sl2_group": ("sl2_linear", ["group"]),
         "pde_riccati": ("pde_riccati", ["pde check", "pde solve", "pde superpose"]),
         "partial_linear_rank1": ("partial_rank1", ["verify"]),
         "partial_linear_rank1_m2": ("partial_rank1_m2", ["verify"]),
@@ -1398,8 +1483,7 @@ class TestCatalogSharesTheCliChecks:
         for row in rows:
             _, report = run(tmp_path, *("verify" if row == "rule" else row).split(), str(path))
             want += report["checks"][:2] if row == "rule" else report["checks"]
-        catalog_only = {"dimension", "prolonged_span_codimension_is_n"}
-        assert [c.to_json_dict() for c in checks if c.name not in catalog_only] == want
+        assert [c.to_json_dict() for c in checks if c.name != "prolonged_span_codimension_is_n"] == want
 
     def test_examples_run_riccati_parses_fields_once_and_decides_phi_once(self, monkeypatch):
         calls, real = [], VectorField.from_strings

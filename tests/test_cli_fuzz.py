@@ -56,14 +56,22 @@ def test_symbolic_commands_end_in_an_exit_code(tmp_path, capsys, doc, command):
 def rules(draw):
     """A rule with m = 1 on generated fields: psi of 1-2 components on slots
     0-1, the constraints a partial rule needs, and sometimes a phi.  Field
-    components may hold sin, exp and ln of the chart variables."""
+    components may hold sin, exp and ln of the chart variables.  One m and
+    one s in eight is a size that is no integer or out of range, which exits
+    2 before the rule's chart is built; psi has the legal s components."""
     names = draw(st.sampled_from([["x"], ["x", "y"]]))
     slots = [f"{v}_{a}" for a in (0, 1) for v in names]
     s = draw(st.integers(1, len(names)))
     phi = draw(st.none() | st.lists(expressions([f"{v}_1" for v in names]
                                                  + [f"k{j + 1}" for j in range(s)]),
                                     min_size=len(names), max_size=len(names)))
-    rule = {"m": 1, "s": s, "psi": draw(st.lists(expressions(slots), min_size=s, max_size=s)),
+
+    def size(legal, bad):
+        return draw(st.sampled_from(bad)) if draw(st.integers(0, 7)) == 0 else legal
+
+    rule = {"m": size(1, [0, -1, 1.5, True, "1", None, 10**30]),
+            "s": size(s, [0, 3, 1.5, True, "1", None, 10**12]),
+            "psi": draw(st.lists(expressions(slots), min_size=s, max_size=s)),
             "phi": phi,
             "constraints": draw(st.lists(expressions(slots), min_size=len(names) - s,
                                          max_size=len(names) - s))}
@@ -118,7 +126,7 @@ def superpose_problems(draw):
         doc["initial_points"] = [draw(point)]
     given = draw(st.sampled_from(["k", "x0", "both"]))
     if given != "x0":
-        s = doc["rule"]["s"]
+        s = len(doc["rule"]["psi"])
         doc["k"] = draw(st.lists(st.floats(-3, 3), min_size=s, max_size=s))
     if given != "k":
         doc["x0"] = draw(point)
@@ -148,7 +156,7 @@ def test_superpose_with_k_ends_in_an_exit_code(tmp_path, capsys, doc, data):
     # k from --k, over the file's: slot 0 starts on the leaf of k, by phi or
     # by a leaf solve from x0_guess or x0.  Each k is written by repr, so
     # exponent notation such as -2.2e-309 reaches the parser
-    s = doc["rule"]["s"]
+    s = len(doc["rule"]["psi"])
     k = data.draw(st.lists(st.floats(-3, 3), min_size=s, max_size=s))
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))

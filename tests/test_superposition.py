@@ -1098,7 +1098,7 @@ class TestPhiDecidedExactly:
     def test_superpose_of_phi_files_builds_no_solver(self, capsys):
         docs = {path: json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))}
         files = [path for path, doc in docs.items() if "chart" in doc and (doc.get("rule") or {}).get("phi")]
-        assert len(files) == 7
+        assert len(files) == 8
         before = superposition._build_leaf_solve.cache_info().misses
         for path in files + [INPUTS / "phi_off_leaf.json"]:
             assert main(["superpose", str(path)]) in (0, 1), path.name

@@ -91,7 +91,8 @@ FLAG_CALLS = (
 # a coefficient given as a table; a full rule whose particular starts are
 # drawn from the seed; and the rule psi = (y_0 - y_1)/(y_2 - y_1) with
 # y = exp(-x), no phi, on the fields 1 and exp(x), which a function atom
-# carries through every command of a rule
+# carries through every command of a rule, solve included; a partial rule
+# with no phi; and a rule whose m is 3.9, which is no integer and exits 2
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -128,6 +129,10 @@ INPUT_CALLS = (
     ("exp_affine.m", ["m", "tools/inputs/exp_affine.json"]),
     ("exp_affine.verify", ["verify", "tools/inputs/exp_affine.json"]),
     ("exp_affine.superpose", ["superpose", "tools/inputs/exp_affine.json"]),
+    ("exp_affine.solve", ["solve", "tools/inputs/exp_affine.json"]),
+    ("partial_rank1_no_phi.verify", ["verify", "tools/inputs/partial_rank1_no_phi.json"]),
+    ("partial_rank1_no_phi.superpose", ["superpose", "tools/inputs/partial_rank1_no_phi.json"]),
+    ("rule_m_fraction.verify", ["verify", "tools/inputs/rule_m_fraction.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")

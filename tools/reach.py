@@ -60,6 +60,9 @@ REASONS = {
     "algebra.SpanResult.__bool__": "without it `if span_coefficients(...):` would always be true",
     "geometry.ProlongationDecision.__bool__": ("without it `if is_diagonal_prolongation(...):` "
                                                "would always be true"),
+    "superposition.SuperpositionRule.to_json_dict": ("writes a rule in the problem files' schema, "
+                                                      "as linear3.json's was written from linear_rule; "
+                                                      "tests read rules back through it"),
     "expr.Expr.__repr__": "what a failing assertion or a debugger shows of an Expr",
     "expr.Expr._render": "abstract: each node class overrides it",
     "expr.Expr._nf_compute": "abstract: each node class overrides it",
@@ -81,6 +84,11 @@ BENCH_ONLY = {
     "dynamics.LieSystem.velocity": "bench/w_trajectories.py times it, in traced runs, and README names it",
     "dynamics.LieSystem._velocity": "what LieSystem.velocity calls",
     "catalog.gl_fields": "bench/w_exact.py builds its gl(n) closures from it",
+    "catalog._gl_components": ("what gl_fields calls; tests/test_cli.py checks that the fields of "
+                               "problems/linear3.json are its output"),
+    "catalog.linear_rule": ("bench/w_trajectories.py builds its gl(3) rule from it, and "
+                            "tests/test_cli.py checks that the rule of problems/linear3.json is its output"),
+    "catalog._det": "what linear_rule calls",
     "report.validate_report": "bench/w_cli.py checks every report with it, and README names it",
 }
 
