@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -106,7 +107,13 @@ def _numbers(value, key: str, shape: tuple = (), kind: str = "number"):
             if not isinstance(v, (list, tuple)) or len(v) != dims[0]:
                 raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
             return [check(item, dims[1:]) for item in v]
-        # inf, nan and an int beyond the float range all fail the bound
+        if isinstance(v, int) and abs(v) > sys.float_info.max:
+            # named by its digit count, counted up from a lower bound
+            digits = next(d for d in itertools.count(int(v.bit_length() * 0.30102))
+                          if abs(v) < 10**d)
+            raise SchemaError(f"'{key}' must be {expected}, got an integer of {digits} digits, "
+                              f"beyond the float range ±{sys.float_info.max:.2g}")
+        # inf and nan fail the bound
         if (isinstance(v, bool) or not isinstance(v, (int, float))
                 or not abs(v) <= sys.float_info.max or not test(float(v))):
             raise SchemaError(f"'{key}' must be {expected}, got {value!r}")
@@ -122,7 +129,7 @@ def load_problem(path: str) -> dict:
         raise SchemaError(f"problem file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read problem file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's string limit
         raise SchemaError(f"problem file is not valid JSON: {exc}") from None
     _reject_unknown(doc, _TOP_KEYS, "problem file")
     if "rule" in doc:

@@ -164,7 +164,8 @@ class Const(Expr):
 
     def _nf_compute(self):
         v = self.value
-        return _NF({(): v.numerator} if v else {}, {(): v.denominator}, False, reduced=True)
+        den = _PONE if v.denominator == 1 else {(): v.denominator}
+        return _NF({(): v.numerator} if v else {}, den, False, reduced=True)
 
 
 class Var(Expr):
@@ -270,6 +271,9 @@ class Pow(Expr):
         return f"{_wrap(self.base, self.precedence)}^{self.exponent}"
 
     def _nf_compute(self):
+        if isinstance(self.base, Var):  # x^e: the one monomial _ppow would build
+            _ATOMS.setdefault(self.base.name, self.base)
+            return _NF({((self.base.name, self.exponent),): 1}, _PONE, False, reduced=True)
         nf = _nf_of(self.base)
         num, den = nf.reduced()
         # a part's leading coefficient c gives c^exponent at the power's
@@ -366,25 +370,29 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 # tuple of (atom, exponent) pairs where an atom is a variable name or the
 # canonical key of a function application.
 # Ownership: the dicts of a built _NF, of _PONE and of the _NF_ONE and
-# _NF_ZEROS constants are shared and never written.  Only the accumulators
-# write a dict: _padd_into and _pmul_into add into the `out` they are given,
-# and _nf_sum and _nf_dot add into numerators they create themselves, so
-# they neither copy nor write an input.  Every other helper leaves its
-# inputs as they are.
+# _NF_ZEROS constants are shared and never written, so a new _NF may hold
+# them uncopied: an integer Const holds _PONE, a product its first factor's
+# numerator (_nf_product), and a partial over a denominator that the
+# derivation leaves constant holds that denominator (_nf_quotient).  Only
+# the accumulators write a dict: _padd_into and _pmul_into add into the
+# `out` they are given, and _nf_sum and _nf_dot add into numerators they
+# create themselves, so they neither copy nor write an input.  Every other
+# helper leaves its inputs as they are.
 # Monomial products are memoised process-wide by _mono_mul in an LRU cache
 # bounded at MONO_MEMO entries; one cycle of the benchmark's cli, exact and
-# trajectories workloads leaves 689, 753 and 188 in use.
+# trajectories workloads at seed 7 leaves 646, 751 and 54 in use.
 # ---------------------------------------------------------------------------
 
 _PONE = {(): 1}
 _QZERO = Fraction(0)
 
 # atom key -> Expr that reconstructs it (Var or Call); append-only, filled
-# by the folds of Var and Call.  Derivations (_nf_derive) look function atoms
-# up here and may add entries (cos(u) for the rate of sin(u)), and an unbuilt
-# sum (_PolySum) looks its atoms up here when it is built or walked by
-# free_variables, so any scoping of this table must keep every atom of a live
-# normal form, and of a live unbuilt sum, reachable.
+# by the folds of Var, of a Var's power and of Call.  Derivations
+# (_nf_derive) look function atoms up here and may add entries (cos(u) for
+# the rate of sin(u)), and an unbuilt sum (_PolySum) looks its atoms up
+# here when it is built or walked by free_variables, so any scoping of this
+# table must keep every atom of a live normal form, and of a live unbuilt
+# sum, reachable.
 _ATOMS: dict[str, Expr] = {}
 
 
@@ -516,13 +524,16 @@ def _nf_dot(terms, trans: bool = False) -> _NF:
 
 
 def _nf_product(nfs: Iterable[_NF]) -> _NF:
-    """The product of normal forms, folded with no gcd."""
-    num, den, trans = _PONE, _PONE, False
+    """The product of normal forms, folded with no gcd: the first factor's
+    numerator is taken as it is, and a denominator of 1 is skipped."""
+    num, den, trans = None, _PONE, False
     for nf in nfs:
-        num = _pmul(num, nf.num_den[0])
-        den = _pmul(den, nf.num_den[1])
+        n, d = nf.num_den
+        num = n if num is None else _pmul(num, n)
+        if d != _PONE:
+            den = d if den is _PONE else _pmul(den, d)
         trans = trans or nf.trans
-    return _NF(num, den, trans)
+    return _NF(_PONE if num is None else num, den, trans)
 
 
 def _padd(p, q):
@@ -1339,11 +1350,15 @@ def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
                 if du.num_den[0]:  # first, so ln of an identically zero u is skipped
                     rates[a] = _nf_product((_nf_of(_DERIVATIVES[atom.fn](atom.arg)), du))
     (an, ad) = _pdiff(num, rates).num_den
-    if _is_const_poly(den):
-        return _NF(an, _pmul(ad, den), trans)
-    (bn, bd) = _pdiff(den, rates).num_den
+    (bn, bd) = ({}, _PONE) if _is_const_poly(den) else _pdiff(den, rates).num_den
+    return _nf_quotient(num, den, an, ad, bn, bd, trans)
+
+
+def _nf_quotient(num, den, an, ad, bn, bd, trans: bool) -> _NF:
+    """X(num/den) by the quotient rule from X(num) = an/ad and X(den) =
+    bn/bd; a den that X leaves constant (bn = {}) only divides an/ad."""
     if not bn:
-        return _NF(an, _pmul(ad, den), trans)
+        return _NF(an, den if ad == _PONE else _pmul(ad, den), trans)
     # (an/ad * den - num * bn/bd) / den^2 with g = gcd(den, bn) cancelled:
     # g holds den's repeated factors, which would swell the final reduction
     g = _gcd_core(den, bn)
@@ -1353,21 +1368,45 @@ def _nf_derive(nf: _NF, rates: Mapping[str, _NF]) -> _NF:
     return _NF(top, _pmul(_pmul(ad, bd), _pmul(den, rest)), trans)
 
 
-def _pdiff(p, rates: Mapping[str, _NF]) -> _NF:
-    """X(p) by the chain rule: the sum over p's atoms a of dp/da * rates[a],
-    multiplied into one numerator by _nf_dot with no normal form per atom."""
+def _lowered(p, atoms) -> dict[str, dict]:
+    """{a: dp/da} for the atoms a in `atoms` that p holds, read off one pass
+    over p's monomials."""
     partials: dict[str, dict] = {}
     for m, c in p.items():
         for i, (a, e) in enumerate(m):
-            if a in rates:  # lowering one exponent keeps monomials apart
+            if a in atoms:  # lowering one exponent keeps monomials apart
                 rest = m[:i] + (((a, e - 1),) if e > 1 else ()) + m[i + 1:]
                 partials.setdefault(a, {})[rest] = c * e
-    return _nf_dot((1, _NF(q, _PONE, False), rates[a]) for a, q in partials.items())
+    return partials
+
+
+def _pdiff(p, rates: Mapping[str, _NF]) -> _NF:
+    """X(p) by the chain rule: the sum over p's atoms a of dp/da (_lowered)
+    times rates[a], multiplied into one numerator by _nf_dot with no normal
+    form per atom."""
+    return _nf_dot((1, _NF(q, _PONE, False), rates[a]) for a, q in _lowered(p, rates).items())
+
+
+def _nf_partials(nf: _NF, names: Sequence[str]) -> dict[str, _NF]:
+    """{v: d_v nf} for the names v whose partial is nonzero, each equal to
+    _nf_derive(nf, {v: _NF_ONE}).  With no function atom, num and den are
+    each lowered once (_lowered) for all the names; a function atom's chain
+    rule runs through _nf_derive once per name."""
+    if nf.trans:
+        parts = ((v, _nf_derive(nf, {v: _NF_ONE})) for v in names)
+    else:
+        num, den = nf.num_den
+        dnum, dden = _lowered(num, names), _lowered(den, names)
+        parts = ((v, _nf_quotient(num, den, dnum.get(v, {}), _PONE, dden.get(v, {}), _PONE, False))
+                 for v in names if v in dnum or v in dden)
+    return {v: d for v, d in parts if d.num_den[0]}
 
 
 def differentiate(e: Expr, v: str) -> Expr:
-    """Exact partial derivative with respect to the variable named v, in canonical form."""
-    return _expr_from_nf(_nf_derive(_nf_of(e), {v: _NF_ONE}))
+    """Exact partial derivative with respect to the variable named v, in
+    canonical form, read from _nf_partials; a zero one keeps e's `trans`."""
+    nf = _nf_of(e)
+    return _expr_from_nf(_nf_partials(nf, (v,)).get(v, _NF_ZEROS[nf.trans]))
 
 
 # ---------------------------------------------------------------------------

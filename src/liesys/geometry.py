@@ -67,7 +67,8 @@ class VectorField:
     """n expression components over an n-dimensional chart.
 
     `_jet` holds the components' normal forms and their nonzero partials,
-    derived on first use (lie_bracket reads it).  Filling it is idempotent,
+    read on first use by one expr._nf_partials call per nonconstant
+    component (lie_bracket reads it).  Filling it is idempotent,
     so threads that race on it are safe: each stores an equal value.  The
     normal forms it holds are live in the sense of the `_ATOMS` note in
     `expr`, so the atoms they name (cos(u), from a partial of sin(u)) stay
@@ -106,17 +107,13 @@ class VectorField:
     @cached_property
     def _jet(self) -> tuple[tuple[ex._NF, dict[str, ex._NF]], ...]:
         """Per component X^i, its normal form and {v: d_v X^i} over the
-        variables whose partial is nonzero; a zero component has none."""
+        variables whose partial is nonzero, read by one expr._nf_partials
+        call; a constant component has none, and makes no call."""
         jet = []
-        for c in self.components:
-            nf = ex._nf_of(c)
-            partials = {}
-            if nf.num_den[0]:
-                for v in self.chart.names:
-                    d = ex._nf_derive(nf, {v: ex._NF_ONE})
-                    if d.num_den[0]:
-                        partials[v] = d
-            jet.append((nf, partials))
+        for nf in map(ex._nf_of, self.components):
+            num, den = nf.num_den
+            constant = ex._is_const_poly(num) and ex._is_const_poly(den)
+            jet.append((nf, {} if constant else ex._nf_partials(nf, self.chart.names)))
         return tuple(jet)
 
     def _rates(self) -> dict[str, ex._NF]:
@@ -170,12 +167,12 @@ def _require_same_chart(x: VectorField, y: VectorField):
 
 def _bracket_nfs(x: VectorField, y: VectorField) -> tuple[ex._NF, ...]:
     """The normal forms of [X,Y]^i = sum_v (X^v d_v Y^i - Y^v d_v X^i), from
-    the partials each field derives once (VectorField._jet), skipping zero
+    the partials each field reads once (VectorField._jet), skipping zero
     components and zero partials: brackets of one field with r - 1 others
-    derive it once, not r - 1 times.  A component where neither X^i nor Y^i
-    has a nonzero partial is the zero normal form at once; the others
-    multiply their products straight into one numerator by expr._nf_dot,
-    with no normal form per product.  Every component, a zero one too, is
+    walk each of its components once, not r - 1 times.  A component where
+    neither X^i nor Y^i has a nonzero partial is the zero normal form at
+    once; the others multiply their products straight into one numerator by
+    expr._nf_dot, with no normal form per product.  Every component, a zero one too, is
     marked as holding a function atom when X or Y has one, so the zero test
     of a sum that holds it samples."""
     _require_same_chart(x, y)

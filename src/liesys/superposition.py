@@ -633,16 +633,16 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
     """(checks, k, slot 0, particular solutions) of the rule as a foliation:
     a start on the leaf of k must move with the m solutions from `points`.
     A phi is decided first, exactly (_phi_on_leaves under `seed`): one off
-    its own leaves, or on a pole of psi, raises LiesysError with the reason
-    `verify` gives.  Slot 0 starts at x0 or, given k, at the leaf point of
-    k over the points at t0 (_slot0_start; leaf solves start at x0_guess,
-    default x0).  It is integrated with the points as one tuple, and k, when
+    its own leaves, or on a pole of psi, or a partial rule with no phi
+    raises LiesysError with the reason `verify` gives.  Slot 0 starts at x0
+    or, given k, at the leaf point of k over the points at t0 (_slot0_start;
+    leaf solves start at x0_guess, default x0).  It is integrated with the points as one tuple, and k, when
     not given, is psi at the tuple's start.  Slot 0 rebuilt from the
     particular solutions with psi held at k must match its integrated
     solution within GAP_LIMIT (`reconstruction_vs_direct`), and psi must
     stay constant along the tuple (`psi_drift_along_solutions`), which fails
     where psi is singular."""
-    if rule.phi is not None:
+    if rule.phi is not None or rule.is_partial:
         _phi_on_leaves(rule, seed)
     guess = x0 if x0_guess is None else x0_guess
     if k is not None:

@@ -459,6 +459,16 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         assert "has no phi" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["verify", "superpose"])
+    def test_partial_rule_without_phi_fails_in_both_commands(self, capsys, command):
+        # superpose decides a partial rule along phi before integrating, as
+        # verify does, so neither passes a rule whose constraint set it
+        # cannot show invariant
+        assert main([command, str(INPUTS / "partial_rank1_no_phi.json")]) == 1
+        out = capsys.readouterr().out
+        assert ("FAIL completed  (tangency of a partial rule is decided along phi, "
+                "and the rule has no phi)") in out and "overall: FAIL" in out, out
+
     def test_sampled_zero_tangency_passes(self, tmp_path):
         # sin(x)^2 + cos(x)^2 = 1 is not formally 1, so every residual is
         # only sampled: the verdict passes and says it is probabilistic.  The
@@ -954,8 +964,13 @@ MALFORMED_INPUTS = [
     ("pde_riccati", ["pde", "check"], {"pde.s": 2.5}, "'pde.s' must be an integer, got 2.5"),
     ("riccati", ["verify"], {"rule.m": 0}, "bad rule: m must be in 1..1000 on a chart of dimension 1"),
     ("linear2", ["verify"], {"rule.m": 501}, "bad rule: m must be in 1..500 on a chart of dimension 2"),
-    ("riccati", ["verify"], {"rule.m": 10**400}, "'rule.m' must be an integer"),
-    ("riccati", ["verify"], {"seed": 10**400}, "'seed' must be an integer"),
+    # an integer past the float range is named by its digit count
+    ("riccati", ["verify"], {"rule.m": 10**400},
+     "'rule.m' must be an integer, got an integer of 401 digits, beyond the float range ±1.8e+308"),
+    ("riccati", ["verify"], {"seed": 10**400},
+     "'seed' must be an integer, got an integer of 401 digits, beyond the float range ±1.8e+308"),
+    ("riccati", ["solve"], {"x0": [1 - 10**400]},
+     "'x0' must be a list of 1 finite numbers, got an integer of 400 digits"),
 ]
 
 
@@ -970,6 +985,16 @@ class TestMalformedInputsExit2:
         assert main([*command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err, err
+        assert len(err) < 200, err  # an input's huge number is not echoed whole
+
+    def test_integer_literal_past_the_string_limit(self, tmp_path, capsys):
+        # json reads one of more than 4,300 digits as a ValueError, not a JSONDecodeError
+        path = tmp_path / "long_seed.json"
+        text = (PROBLEMS / "riccati.json").read_text()
+        path.write_text(text.replace("{", '{"seed": ' + "1" * 5000 + ",", 1))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem file is not valid JSON: ") and len(err) < 300, err
 
 
 class TestIntegerSizesExit2:

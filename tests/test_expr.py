@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from liesys import expr as ex
 from liesys.errors import EvaluationError, LiesysError, ParseError
 from liesys.expr import (
+    FUNCTIONS,
     Add,
     Call,
     Chart,
@@ -172,6 +173,67 @@ class TestDifferentiate:
         got = ex._nf_derive(ex._nf_of(parse(const, ["x"])), {"x": ex._nf_of(parse(rate, ["x"]))})
         # trans as for any derivation: the constant's or a rate's function atom
         assert got.num_den == ({}, {(): 1}) and got.trans is trans
+
+
+_LEAVES = st.one_of(st.builds(lambda p, q: Const(Fraction(p, q)), st.integers(-6, 6), st.integers(1, 4)),
+                   st.sampled_from(VARS).map(Var),
+                   st.tuples(st.sampled_from(VARS).map(Var), st.integers(2, 5)).map(lambda t: Pow(*t)))
+_POLYS = st.recursive(_LEAVES, lambda c: st.one_of(
+    st.lists(c, min_size=2, max_size=3).map(lambda ts: Add(tuple(ts))),
+    st.lists(c, min_size=2, max_size=3).map(lambda fs: Mul(tuple(fs))),
+    st.tuples(c, st.integers(2, 3)).map(lambda t: Pow(*t))), max_leaves=6)
+_NONCONSTANT = st.sampled_from(VARS).map(lambda v: Add((Var(v), Const(2))))
+# over q^2 * r, whose derivative shares the factor q; times and over the same
+# variable, an unreduced pair whose partial by it can be zero
+_RATIONALS = st.one_of(
+    st.tuples(_POLYS, _NONCONSTANT, _POLYS).map(
+        lambda t: Div(t[0], Mul((Pow(t[1], 2), Add((Pow(t[2], 2), Const(1))))))),
+    st.tuples(_POLYS, _POLYS, st.sampled_from(VARS).map(Var)).map(
+        lambda t: Div(Mul((t[0], t[2])), Mul((Add((Pow(t[1], 2), Const(1))), t[2])))))
+_ATOMIC = st.tuples(_POLYS, st.sampled_from(FUNCTIONS[:3]), _POLYS).map(
+    lambda t: Mul((t[0], Call(t[1], t[2]))))
+
+
+class TestPartialsInOnePass:
+    """_nf_partials reads every partial off one pass over the monomials; the
+    derivation it replaces, once per variable, is the oracle, and the
+    derivative tree, which shares no code with either, checks their value."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(e=st.one_of(_POLYS, _RATIONALS, _ATOMIC))
+    def test_each_partial_is_the_derivation_by_its_variable(self, e):
+        nf = ex._nf_of(e)
+        names = (*VARS, "w")  # w, in no expression, has a zero partial
+        got = ex._nf_partials(nf, names)
+        for v in names:
+            want = ex._nf_derive(nf, {v: ex._NF_ONE})
+            assert (v in got) == bool(want.num_den[0]), f"d/d{v} {e}"
+            if v in got:
+                assert got[v].num_den == want.num_den and got[v].trans is want.trans, f"d/d{v} {e}"
+                num, den = got[v].num_den  # a pair with no common integer content
+                assert math.gcd(*num.values(), *den.values()) == 1, f"d/d{v} {e}"
+            assert canonically_equal(ex._expr_from_nf(got.get(v, want)), ex._diff_tree(e, v))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(e=st.recursive(_LEAVES, lambda c: st.lists(c, min_size=1, max_size=3).map(
+        lambda fs: Mul(tuple(fs))), max_leaves=8))
+    def test_unit_factors_fold_as_the_general_product(self, e):
+        def general(node):
+            # every part multiplied through _pmul from 1, a power by _ppow
+            if isinstance(node, Const):
+                v = node.value
+                return {(): v.numerator} if v else {}, {(): v.denominator}
+            if isinstance(node, Var):
+                return {((node.name, 1),): 1}, {(): 1}
+            if isinstance(node, Pow):
+                return tuple(ex._ppow(part, node.exponent) for part in general(node.base))
+            num, den = {(): 1}, {(): 1}
+            for n, d in map(general, node.factors):
+                num, den = _pmul(num, n), _pmul(den, d)
+            return ex._NF(num, den, False).num_den
+
+        nf = ex._nf_of(e)
+        assert nf.num_den == general(e) and not nf.trans
 
 
 def _full_rule_tree(e, v):

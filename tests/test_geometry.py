@@ -139,12 +139,14 @@ class TestBracketFromPartials:
 
     def test_fields_derive_once(self, monkeypatch):
         x, y, z = field(PLANE, "x*y", "1"), field(PLANE, "y^2", "x"), field(PLANE, "0", "x^2")
-        pdiff, calls = ex._pdiff, []
-        monkeypatch.setattr(ex, "_pdiff", lambda p, rates: calls.append(1) or pdiff(p, rates))
+        partials, calls = ex._nf_partials, []
+        monkeypatch.setattr(ex, "_nf_partials",
+                            lambda nf, names: calls.append(1) or partials(nf, names))
         for a, b in ((x, y), (y, z), (z, x), (x, y)):
             lie_bracket(a, b)
-        # one per variable for each nonconstant component: x*y, y^2, x and x^2
-        assert len(calls) == 8
+        # one for all the partials of each nonconstant component: x*y, y^2, x
+        # and x^2, and none for the constants 1 and 0
+        assert len(calls) == 4
 
 
 def _dense_bracket_nfs(x, y):
