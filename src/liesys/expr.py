@@ -164,8 +164,8 @@ class Const(Expr):
 
     def _nf_compute(self):
         v = self.value
-        den = _PONE if v.denominator == 1 else {(): v.denominator}
-        return _NF({(): v.numerator} if v else {}, den, False, reduced=True)
+        den = _PONE if v.denominator == 1 else {0: v.denominator}
+        return _NF({0: v.numerator} if v else {}, den, False, reduced=True)
 
 
 class Var(Expr):
@@ -180,8 +180,7 @@ class Var(Expr):
         return self.name
 
     def _nf_compute(self):
-        _ATOMS.setdefault(self.name, self)
-        return _NF({((self.name, 1),): 1}, _PONE, False, reduced=True)
+        return _NF({_ATOMS.unit(self.name, self): 1}, _PONE, False, reduced=True)
 
 
 class Add(Expr):
@@ -272,8 +271,10 @@ class Pow(Expr):
 
     def _nf_compute(self):
         if isinstance(self.base, Var):  # x^e: the one monomial _ppow would build
-            _ATOMS.setdefault(self.base.name, self.base)
-            return _NF({((self.base.name, self.exponent),): 1}, _PONE, False, reduced=True)
+            if self.exponent >> 63:
+                _past_the_field(self.base.name)
+            return _NF({_ATOMS.unit(self.base.name, self.base) * self.exponent: 1}, _PONE, False,
+                       reduced=True)
         nf = _nf_of(self.base)
         num, den = nf.reduced()
         # a part's leading coefficient c gives c^exponent at the power's
@@ -328,9 +329,10 @@ class Call(Expr):
     def _nf_compute(self):
         arg_nf = _nf_of(self.arg)
         key = f"{self.fn}({_nf_str(*arg_nf.canonical())})"
-        if key not in _ATOMS:
-            _ATOMS[key] = Call(self.fn, _expr_from_nf(arg_nf))
-        return _NF({((key, 1),): 1}, _PONE, True, reduced=True)
+        unit = _ATOMS.units.get(key)
+        if unit is None:
+            unit = _ATOMS.unit(key, Call(self.fn, _expr_from_nf(arg_nf)))
+        return _NF({unit: 1}, _PONE, True, reduced=True)
 
 
 def _wrap(e: Expr, parent_precedence: int) -> str:
@@ -366,9 +368,15 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 # denominator, and makes Fractions only where it builds a term: when a
 # sum's terms are first read, or at once for a one-term polynomial.  The
 # canonical form itself is made where it is read: by canonical equality,
-# by the keys of function atoms and by the echelon.  A monomial is a sorted
-# tuple of (atom, exponent) pairs where an atom is a variable name or the
-# canonical key of a function application.
+# by the keys of function atoms and by the echelon.  An atom is a variable
+# name or the canonical key of a function application, and its slot is the
+# order in which _ATOMS first registered it.  A monomial is one int, with the
+# exponent of the atom in slot i in bits [64 i, 64 i + 64): 1 is the monomial
+# 0, and a monomial product is an integer sum.  An exponent stays below 2^63,
+# the top bit of its field, which each product and each fold of x^e test.
+# Exponents are read by atom name only through _pairs, which decodes a
+# monomial into (atom, exponent) pairs sorted by atom, so term order and
+# every rendering follow the names and not the slots.
 # Ownership: the dicts of a built _NF, of _PONE and of the _NF_ONE and
 # _NF_ZEROS constants are shared and never written, so a new _NF may hold
 # them uncopied: an integer Const holds _PONE, a product its first factor's
@@ -377,30 +385,61 @@ def _make_pow(base: Expr, exponent: int) -> Expr:
 # the accumulators write a dict: _padd_into and _pmul_into add into the
 # `out` they are given, and _nf_sum and _nf_dot add into numerators they
 # create themselves, so they neither copy nor write an input.  Every other
-# helper leaves its inputs as they are.
-# Monomial products are memoised process-wide by _mono_mul in an LRU cache
-# bounded at MONO_MEMO entries; one cycle of the benchmark's cli, exact and
-# trajectories workloads at seed 7 leaves 646, 751 and 54 in use.
+# helper leaves its inputs as they are.  A monomial is an int and a decoding
+# a tuple, so the one memoised decoding of a monomial is shared as it is.
+# The slots grow with _ATOMS, and _pairs keeps its decodings in an LRU cache
+# bounded at PAIRS_MEMO entries: one cycle of the benchmark's cli, exact and
+# trajectories workloads at seed 7 leaves 33, 31 and 20 slots, and 132, 109
+# and 80 decodings in use.
 # ---------------------------------------------------------------------------
 
-_PONE = {(): 1}
+_PONE = {0: 1}
+_FIELD = 2**64 - 1  # one slot's exponent field
 _QZERO = Fraction(0)
 
-# atom key -> Expr that reconstructs it (Var or Call); append-only, filled
-# by the folds of Var, of a Var's power and of Call.  Derivations
+
+class _AtomTable(dict):
+    """atom key -> the Expr that reconstructs it (Var or Call), append-only.
+    A key's slot is the order of its first registration: `slots` lists the
+    keys by slot, `units` maps each key to its monomial (the atom to the
+    first power), and `tops` masks the top bit of every slot's field.
+    unit() is the one writer of all four, under a lock, so racing folds
+    never give two keys one slot; it publishes a key's monomial last."""
+
+    __slots__ = ("slots", "units", "tops", "_lock")
+
+    def __init__(self):
+        super().__init__()
+        self.slots, self.units, self.tops, self._lock = [], {}, 0, threading.Lock()
+
+    def unit(self, key: str, atom: Expr) -> int:
+        """key's monomial; a new key is registered with atom."""
+        unit = self.units.get(key)
+        if unit is None:
+            with self._lock:
+                unit = self.units.get(key)
+                if unit is None:
+                    unit = 1 << 64 * len(self.slots)
+                    self[key] = atom
+                    self.slots.append(key)
+                    self.tops |= unit << 63
+                    self.units[key] = unit
+        return unit
+
+
+# Filled by the folds of Var, of a Var's power and of Call.  Derivations
 # (_nf_derive) look function atoms up here and may add entries (cos(u) for
-# the rate of sin(u)), and an unbuilt sum (_PolySum) looks its atoms up
-# here when it is built or walked by free_variables, so any scoping of this
-# table must keep every atom of a live normal form, and of a live unbuilt
-# sum, reachable.
-_ATOMS: dict[str, Expr] = {}
+# the rate of sin(u)), and every monomial reads its atoms' keys and slots
+# here, so any scoping of this table must keep every atom of a live normal
+# form, and of a live unbuilt sum (_PolySum), reachable.
+_ATOMS = _AtomTable()
 
 
 class _NF:
     """A node's value as num/den, integer-coefficient polynomials folded from
     its children's pairs with no gcd: num is {} exactly when the value is
     zero.  The pair shares no integer content, and a constant denominator
-    is a positive {(): d}.  `trans` marks a function atom anywhere below;
+    is a positive {0: d}.  `trans` marks a function atom anywhere below;
     reduced=True declares the parts coprime already."""
 
     __slots__ = ("num_den", "trans", "_reduced", "_canonical")
@@ -412,7 +451,7 @@ class _NF:
             g = math.gcd(*den.values())
             if g != 1:
                 g = math.gcd(g, *num.values())
-            if len(den) == 1 and den.get((), 0) < 0:
+            if len(den) == 1 and den.get(0, 0) < 0:
                 g = -g
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
@@ -466,13 +505,13 @@ def _nf_sum(nfs: Iterable[_NF]) -> _NF:
         if tden == den:
             _padd_into(num, tnum)
         elif _is_const_poly(den) and _is_const_poly(tden):
-            d, td = den[()], tden[()]
+            d, td = den[0], tden[0]
             lcm = math.lcm(d, td)
             if lcm != d:
                 for m in num:
                     num[m] *= lcm // d
             _padd_into(num, tnum, lcm // td)
-            den = {(): lcm}
+            den = {0: lcm}
         else:
             num = _pmul(num, tden)
             _pmul_into(num, tnum, den)
@@ -496,7 +535,7 @@ def _nf_dot(terms, trans: bool = False) -> _NF:
         if not (an and bn):
             continue
         if _is_const_poly(ad) and _is_const_poly(bd):
-            d = ad[()] * bd[()]
+            d = ad[0] * bd[0]
             lcm = math.lcm(lcm, d)
             const.append((sign, an, bn, d))
             continue
@@ -511,7 +550,7 @@ def _nf_dot(terms, trans: bool = False) -> _NF:
     num = {}
     for sign, an, bn, d in const:
         _pmul_into(num, an, bn, sign * (lcm // d))
-    den = _PONE if lcm == 1 else {(): lcm}
+    den = _PONE if lcm == 1 else {0: lcm}
     for gden, gnum in groups:
         if gnum:
             # num/den + gnum/gden over den * (gden / g)
@@ -570,29 +609,13 @@ def _pscale(p, c):
     return {m: k * c for m, k in p.items()}
 
 
-# Most monomial products _mono_mul keeps memoised; see the note above.
-MONO_MEMO = 2**12
-
-
-@lru_cache(maxsize=MONO_MEMO)
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for a, e in m2:
-        d[a] = d.get(a, 0) + e
-    return tuple(sorted(d.items()))
-
-
 def _pmul(p, q):
     if not p or not q:
         return {}
-    if len(p) == 1 and () in p:
-        return _pscale(q, p[()])
-    if len(q) == 1 and () in q:
-        return _pscale(p, q[()])
+    if len(p) == 1 and 0 in p:
+        return _pscale(q, p[0])
+    if len(q) == 1 and 0 in q:
+        return _pscale(p, q[0])
     out: dict = {}
     _pmul_into(out, p, q)
     return out
@@ -600,25 +623,26 @@ def _pmul(p, q):
 
 def _pmul_into(out, p, q, c=1):
     """out += c * p * q, in place; raises LiesysError past MAX_TERM_PAIRS
-    term pairs unless p or q is a constant."""
-    if len(p) == 1 and () in p:
-        _padd_into(out, q, c * p[()])
+    term pairs unless p or q is a constant, and past an exponent of 2^63."""
+    if len(p) == 1 and 0 in p:
+        _padd_into(out, q, c * p[0])
         return
-    if len(q) == 1 and () in q:
-        _padd_into(out, p, c * q[()])
+    if len(q) == 1 and 0 in q:
+        _padd_into(out, p, c * q[0])
         return
     if len(p) * len(q) > MAX_TERM_PAIRS:
         raise LiesysError(
             f"expanding a product of {len(p)} by {len(q)} terms exceeds "
             f"{MAX_TERM_PAIRS} term pairs"
         )
-    # a product of more pairs than the memo holds would only evict its own
-    mono_mul = _mono_mul if len(p) * len(q) <= MONO_MEMO else _mono_mul.__wrapped__
+    tops = _ATOMS.tops
     for m1, c1 in p.items():
         if c != 1:
             c1 *= c
         for m2, c2 in q.items():
-            m = mono_mul(m1, m2)
+            m = m1 + m2
+            if m & tops:
+                _past_the_field(next(a for a, e in _pairs(m) if e >> 63))
             s = out.get(m)
             if s is None:
                 out[m] = c1 * c2
@@ -642,23 +666,52 @@ def _ppow(p, k: int):
     return out
 
 
+# Most monomials _pairs keeps decoded; see the note above.
+PAIRS_MEMO = 2**12
+
+
+@lru_cache(maxsize=PAIRS_MEMO)
+def _pairs(m: int) -> tuple[tuple[str, int], ...]:
+    """The (atom, exponent) pairs of monomial m, sorted by atom: the one
+    reader of exponents by atom name.  A slot's atom never changes, so the
+    pairs are memoised process-wide."""
+    pairs, slots, slot = [], _ATOMS.slots, 0
+    while m:
+        e = m & _FIELD
+        if e:
+            pairs.append((slots[slot], e))
+        m >>= 64
+        slot += 1
+    return tuple(sorted(pairs))
+
+
+def _past_the_field(atom: str):
+    raise LiesysError(f"an exponent of {atom} would reach 2^63; exponents must stay below 2^63")
+
+
 def _atoms_of(*polys) -> list[str]:
-    atoms: set[str] = set()
+    """The atoms of polys, sorted: those of the bitwise or of their monomials."""
+    present = 0
     for p in polys:
         for m in p:
-            for a, _ in m:
-                atoms.add(a)
-    return sorted(atoms)
+            present |= m
+    return [a for a, _ in _pairs(present)]
 
 
 def _dense(m, atoms: Sequence[str]):
-    d = dict(m)
-    return tuple(d.get(a, 0) for a in atoms)
+    d = dict(_pairs(m))
+    return tuple([d.get(a, 0) for a in atoms])
+
+
+def _grlex(m, atoms: Sequence[str]):
+    """m's graded lexicographic key on atoms, which hold every atom of m."""
+    dense = _dense(m, atoms)
+    return (sum(dense), *dense)
 
 
 def _lead(p, atoms: Sequence[str]):
     """Leading monomial under graded lexicographic order on the given atoms."""
-    return max(p, key=lambda m: (sum(e for _, e in m), _dense(m, atoms)))
+    return max(p, key=lambda m: _grlex(m, atoms))
 
 
 def _lc(p) -> int:
@@ -678,10 +731,11 @@ def _pdiv_exact(p, q):
         return {}
     atoms = _atoms_of(p, q)
     index = {a: i for i, a in enumerate(atoms)}
+    units = [_ATOMS.units[a] for a in atoms]
 
     def key(m):
         k = [0] * len(atoms)
-        for a, e in m:
+        for a, e in _pairs(m):
             k[index[a]] = -e
         return (sum(k), *k)
 
@@ -698,7 +752,7 @@ def _pdiv_exact(p, q):
         coeff, r = divmod(c, cq) if isinstance(c, int) and isinstance(cq, int) else (c / cq, 0)
         if r or max(shift) > 0:
             raise ArithmeticError("inexact polynomial division")
-        quot[tuple((a, -d) for a, d in zip(atoms, shift[1:]) if d)] = coeff
+        quot[sum(-d * u for d, u in zip(shift[1:], units))] = coeff
         for k, ck in tail:
             m = tuple(map(operator.add, shift, k))
             if m not in rem:
@@ -711,29 +765,25 @@ def _pdiv_exact(p, q):
     return quot
 
 
+def _split(m, atom: str) -> tuple[int, int]:
+    """(e, rest) with m = atom^e * rest."""
+    for a, e in _pairs(m):
+        if a == atom:
+            return e, m - e * _ATOMS.units[atom]
+    return 0, m
+
+
 def _degree_in(p, atom: str) -> int:
-    deg = 0
-    for m in p:
-        for a, e in m:
-            if a == atom and e > deg:
-                deg = e
-    return deg
+    return max((_split(m, atom)[0] for m in p), default=0)
 
 
 def _as_univariate(p, atom: str) -> dict[int, dict]:
     """View p as a polynomial in `atom` with polynomial coefficients."""
     out: dict[int, dict] = {}
     for m, c in p.items():
-        e = 0
-        rest = []
-        for a, k in m:
-            if a == atom:
-                e = k
-            else:
-                rest.append((a, k))
+        e, rest = _split(m, atom)
         coeff = out.setdefault(e, {})
-        mono = tuple(rest)
-        coeff[mono] = coeff.get(mono, 0) + c
+        coeff[rest] = coeff.get(rest, 0) + c
     for e in list(out):
         out[e] = {m: c for m, c in out[e].items() if c}
         if not out[e]:
@@ -743,9 +793,9 @@ def _as_univariate(p, atom: str) -> dict[int, dict]:
 
 def _from_univariate(coeffs: dict[int, dict], atom: str) -> dict:
     out: dict = {}
+    unit = _ATOMS.units[atom]
     for e, poly in coeffs.items():
-        shift = {} if e == 0 else {((atom, e),): 1}
-        out = _padd(out, _pmul(poly, shift) if e else dict(poly))
+        out = _padd(out, _pmul(poly, {e * unit: 1}))
     return out
 
 
@@ -760,7 +810,7 @@ def _content_wrt(p, atom: str):
 
 
 def _is_const_poly(p) -> bool:
-    return not p or (len(p) == 1 and () in p)
+    return not p or (len(p) == 1 and 0 in p)
 
 
 def _gcd_inner(p, q):
@@ -839,21 +889,15 @@ def _int_primitive(p):
 def _eval_atom_int(p, atom: str, xi: int):
     out: dict = {}
     for m, c in p.items():
-        e = 0
-        rest = []
-        for a, k in m:
-            if a == atom:
-                e = k
-            else:
-                rest.append((a, k))
-        key = tuple(rest)
-        out[key] = out.get(key, 0) + c * xi**e
+        e, rest = _split(m, atom)
+        out[rest] = out.get(rest, 0) + c * xi**e
     return {m: c for m, c in out.items() if c}
 
 
 def _genpoly(gamma, xi: int, atom: str):
     """Rebuild sum_j d_j * atom^j from balanced base-xi digits of gamma."""
     out: dict = {}
+    unit = _ATOMS.units[atom]
     level = dict(gamma)
     j = 0
     while level:
@@ -865,7 +909,7 @@ def _genpoly(gamma, xi: int, atom: str):
             if r:
                 digits[m] = r
         for m, c in digits.items():
-            key = _mono_mul(m, ((atom, j),)) if j else m
+            key = m + j * unit
             out[key] = out.get(key, 0) + c
         nxt = {}
         for m in set(level) | set(digits):
@@ -900,9 +944,9 @@ def _heu_gcd(p, q):
     """Heuristic gcd of integer-coefficient polys, or None when it gives up."""
     p_const, q_const = _is_const_poly(p), _is_const_poly(q)
     if p_const or q_const:
-        a = abs(p[()]) if p_const else _int_content(p)
-        b = abs(q[()]) if q_const else _int_content(q)
-        return {(): math.gcd(a, b)}
+        a = abs(p[0]) if p_const else _int_content(p)
+        b = abs(q[0]) if q_const else _int_content(q)
+        return {0: math.gcd(a, b)}
     atoms = _atoms_of(p, q)
     x = atoms[-1]
     height = min(max(abs(c) for c in p.values()), max(abs(c) for c in q.values()))
@@ -941,11 +985,7 @@ def _gcd_core(p, q):
 
 def _sorted_terms(p):
     atoms = _atoms_of(p)
-    return sorted(
-        p.items(),
-        key=lambda item: (sum(e for _, e in item[0]), _dense(item[0], atoms)),
-        reverse=True,
-    )
+    return sorted(p.items(), key=lambda item: _grlex(item[0], atoms), reverse=True)
 
 
 def _int_str(v: int) -> str:
@@ -965,7 +1005,7 @@ def _poly_str(p) -> str:
         return "0"
     parts = []
     for mono, coeff in _sorted_terms(p):
-        factors = [f"{a}^{e}" if e > 1 else a for a, e in mono]
+        factors = [f"{a}^{e}" if e > 1 else a for a, e in _pairs(mono)]
         if not factors:
             body = _rational_str(abs(coeff))
         else:
@@ -985,14 +1025,6 @@ def _nf_str(num, den) -> str:
     return f"({_poly_str(num)})/({_poly_str(den)})"
 
 
-def _atom_expr(atom: str) -> Expr:
-    e = _ATOMS.get(atom)
-    if e is None:
-        e = Var(atom)
-        _ATOMS[atom] = e
-    return e
-
-
 def _poly_terms(p, lc) -> tuple[Expr, ...]:
     """The term trees of a nonzero polynomial divided by lc, leading term
     first: the one builder of terms, run at once for one term and on first
@@ -1002,8 +1034,8 @@ def _poly_terms(p, lc) -> tuple[Expr, ...]:
         factors: list[Expr] = []
         if coeff != lc or not mono:
             factors.append(Const(coeff if lc == 1 else Fraction(coeff, lc)))
-        for atom, e in mono:
-            factors.append(_make_pow(_atom_expr(atom), e))
+        for atom, e in _pairs(mono):
+            factors.append(_make_pow(_ATOMS[atom], e))
         terms.append(_chain(Mul, factors))
     return tuple(terms)
 
@@ -1018,7 +1050,7 @@ def _tree(num, den, nf: _NF, lc=1) -> Expr:
     """num/den divided through by lc as a tree that carries nf; a
     denominator of lc is left out."""
     top = _expr_from_poly(num, lc)
-    e = top if den == {(): lc} else Div(top, _expr_from_poly(den, lc))
+    e = top if den == {0: lc} else Div(top, _expr_from_poly(den, lc))
     e._nf = nf
     return e
 
@@ -1071,7 +1103,7 @@ def free_variables(e: Expr) -> frozenset[str]:
         elif isinstance(node, Add):
             terms = _TERMS.__get__(node)
             if isinstance(terms[0], dict):  # an unbuilt sum: its polynomial's atoms
-                terms = [_atom_expr(a) for a in {a for m in terms[0] for a, _ in m}]
+                terms = [_ATOMS[a] for a in _atoms_of(terms[0])]
             stack.extend(terms)
         elif isinstance(node, Mul):
             stack.extend(node.factors)
@@ -1373,10 +1405,9 @@ def _lowered(p, atoms) -> dict[str, dict]:
     over p's monomials."""
     partials: dict[str, dict] = {}
     for m, c in p.items():
-        for i, (a, e) in enumerate(m):
+        for a, e in _pairs(m):
             if a in atoms:  # lowering one exponent keeps monomials apart
-                rest = m[:i] + (((a, e - 1),) if e > 1 else ()) + m[i + 1:]
-                partials.setdefault(a, {})[rest] = c * e
+                partials.setdefault(a, {})[m - _ATOMS.units[a]] = c * e
     return partials
 
 
@@ -1484,6 +1515,8 @@ def is_zero(e: Expr, seed: int = 0) -> ZeroDecision:
     involves function atoms and is not formally zero fall back to
     evaluation at ZERO_TEST_SAMPLES random rational points: any value above
     ZERO_TEST_TOL decides NonZero, all-zero yields Unknown (probabilistic).
+    Where fewer of 20 * ZERO_TEST_SAMPLES points are regular it raises
+    EvaluationError naming how many were, and why the last one was not.
     """
     nf = _nf_of(e)
     if not nf.num_den[0]:
@@ -1494,20 +1527,25 @@ def is_zero(e: Expr, seed: int = 0) -> ZeroDecision:
     names = sorted(free_variables(e))
     taken = 0
     attempts = 0
+    last = None  # why the last point tried was not regular
     while taken < ZERO_TEST_SAMPLES and attempts < 20 * ZERO_TEST_SAMPLES:
         attempts += 1
         env = {n: random_rational(rng) for n in names}
         try:
             value = float(evaluate(e, env))
-        except (EvaluationError, OverflowError):  # not a regular point in floats
+        except (EvaluationError, OverflowError) as exc:  # not a regular point in floats
+            last = f"{exc} ({exc.__cause__})" if exc.__cause__ else str(exc)
             continue
         if not math.isfinite(value):
+            last = f"value {value}"
             continue
         if abs(value) > ZERO_TEST_TOL:
             return ZeroDecision("nonzero", exact=False, samples=taken + 1)
         taken += 1
     if taken < ZERO_TEST_SAMPLES:
-        raise EvaluationError("could not find enough regular sample points for zero test")
+        raise EvaluationError(f"could not find enough regular sample points for zero test: "
+                              f"{taken} of {attempts} points tried were regular, "
+                              f"{ZERO_TEST_SAMPLES} needed; last: {last}")
     return ZeroDecision("unknown", exact=False, samples=taken)
 
 

@@ -429,7 +429,7 @@ def _reference_rows(target, basis):
         nfs = [ex._nf_of(e) for e in [f.components[i] for f in basis] + [target.components[i]]]
         # the unreduced integer pairs, over Q
         pairs = [[{m: Fraction(c) for m, c in p.items()} for p in nf.num_den] for nf in nfs]
-        common = {(): Fraction(1)}
+        common = {m: Fraction(c) for m, c in ex._PONE.items()}
         for _, den in pairs:
             common = ex._pmul(ex._pdiv_exact(common, monic_gcd(common, den)), den)
         cleared = [ex._pmul(num, ex._pdiv_exact(common, den)) for num, den in pairs]

@@ -119,6 +119,26 @@ class TestMCommand:
         assert "FAIL completed" in done.stdout and "bits" in done.stdout
         assert "Traceback" not in done.stderr
 
+    def test_a_zero_test_that_finds_no_regular_point_says_why(self, tmp_path, capsys):
+        # exp(x^2 + 729) overflows floats at every sample point in [-2, 2]
+        code, doc = run(tmp_path, "m", str(INPUTS / "exp_overflow_m.json"))
+        assert code == 1 and "overall: FAIL" in capsys.readouterr().out
+        assert doc["checks"][0]["detail"] == (
+            "could not find enough regular sample points for zero test: 0 of 640 points tried "
+            "were regular, 32 needed; last: exp(729.595984) out of domain (math range error)")
+
+
+@pytest.mark.parametrize("command", ["closure", "m", "verify"])
+def test_an_exponent_past_its_field_fails_completed(capsys, command):
+    # x^(2^63) does not fit a monomial's 64-bit exponent field; every command
+    # fails by name, where it once closed, sampled or derived past the bound
+    assert main([command, str(INPUTS / "exponent_past_field.json")]) == 1
+    [line] = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line
+              and "overall" not in line]
+    atom = "x_0" if command == "verify" else "x"
+    assert line == (f"  FAIL completed  (an exponent of {atom} would reach 2^63; "
+                    "exponents must stay below 2^63)")
+
 
 class TestClosureCommand:
     def test_gl4_closure_finishes_in_seconds(self, tmp_path):

@@ -18,14 +18,19 @@ from liesys.cli import main
 WALL_TIME_BOUND_S = 20.0
 
 
+# a power up to 40, or, one time in sixteen, one about the 2^63 bound of an exponent
+EXPONENTS = st.integers(0, 15).flatmap(
+    lambda k: st.integers(2**62, 2**64) if k == 0 else st.integers(0, 40))
+
+
 def expressions(names, functions=()):
-    """Rational expressions in `names` with poles and powers up to 40, and
-    with leaves f(v) for f in `functions` and v in `names`."""
+    """Rational expressions in `names` with poles and powers of EXPONENTS,
+    and with leaves f(v) for f in `functions` and v in `names`."""
     leaves = st.one_of(st.sampled_from(names), st.integers(-3, 3).map(str),
                        *[st.sampled_from(names).map(f"{f}({{}})".format) for f in functions])
     return st.recursive(leaves, lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
-        st.tuples(inner, st.integers(0, 40)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, EXPONENTS).map(lambda t: f"({t[0]})^{t[1]}"),
     ), max_leaves=8)
 
 

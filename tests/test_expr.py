@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,10 +6,13 @@ import re
 import sys
 import threading
 import time
+import unittest.mock
 from fractions import Fraction
 
 import pytest
 import sympy
+import sympy.polys.orderings
+import sympy.polys.rings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +47,21 @@ from conftest import VARS, compile_scalar, monic, monic_gcd, random_polynomial, 
 
 def equivalent(a, b) -> bool:
     return canonically_equal(a, b)
+
+
+def _poly(text, names=VARS):
+    """The polynomial text as expr folds it: its normal form's numerator."""
+    return ex._nf_of(parse(text, names)).num_den[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _mono(text, names=VARS):
+    """The one monomial of a term such as "x^2*sin(y)" or "1"."""
+    (m,) = _poly(text, names)
+    return m
+
+
+ONE = _mono("1")
 
 
 class TestParse:
@@ -172,7 +191,7 @@ class TestDifferentiate:
         monkeypatch.setattr(ex, "_pdiff", refuse)
         got = ex._nf_derive(ex._nf_of(parse(const, ["x"])), {"x": ex._nf_of(parse(rate, ["x"]))})
         # trans as for any derivation: the constant's or a rate's function atom
-        assert got.num_den == ({}, {(): 1}) and got.trans is trans
+        assert got.num_den == ({}, _poly("1")) and got.trans is trans
 
 
 _LEAVES = st.one_of(st.builds(lambda p, q: Const(Fraction(p, q)), st.integers(-6, 6), st.integers(1, 4)),
@@ -222,12 +241,12 @@ class TestPartialsInOnePass:
             # every part multiplied through _pmul from 1, a power by _ppow
             if isinstance(node, Const):
                 v = node.value
-                return {(): v.numerator} if v else {}, {(): v.denominator}
+                return {ONE: v.numerator} if v else {}, {ONE: v.denominator}
             if isinstance(node, Var):
-                return {((node.name, 1),): 1}, {(): 1}
+                return {_mono(node.name): 1}, {ONE: 1}
             if isinstance(node, Pow):
                 return tuple(ex._ppow(part, node.exponent) for part in general(node.base))
-            num, den = {(): 1}, {(): 1}
+            num, den = {ONE: 1}, {ONE: 1}
             for n, d in map(general, node.factors):
                 num, den = _pmul(num, n), _pmul(den, d)
             return ex._NF(num, den, False).num_den
@@ -429,13 +448,13 @@ class TestCanonicalForm:
         and a 3x3 symbolic system over its determinant, and random
         multilinear pairs in 6-12 variables."""
         def variable(name):
-            return {((name, 1),): 1}
+            return _poly(name, [name])
 
         def det(matrix):
             out = {}
             for perm in itertools.permutations(range(len(matrix))):
                 inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-                term = {(): -1 if inversions % 2 else 1}
+                term = {ONE: -1 if inversions % 2 else 1}
                 for row, col in enumerate(perm):
                     term = _pmul(term, matrix[row][col])
                 out = _padd(out, term)
@@ -450,7 +469,7 @@ class TestCanonicalForm:
                 pairs.append((det(replaced), det(matrix)))
         while len(pairs) < 30:
             names = [f"v{i}" for i in range(rng.randint(6, 12))]
-            p, q = ({tuple((name, 1) for name in sorted(rng.sample(names, rng.randint(1, 4)))):
+            p, q = ({_mono("*".join(sorted(rng.sample(names, rng.randint(1, 4)))), tuple(names)):
                      rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(2, 6))}
                     for _ in range(2))
             if ex._is_const_poly(ex._gcd_inner(p, q)):
@@ -466,7 +485,7 @@ class TestCanonicalForm:
         pairs = self.coprime_pairs(rng)
         got = [_gcd_core(p, q) for p, q in pairs]
         for (p, q), g in zip(pairs, got):
-            assert g == _int_primitive(_gcd_inner(p, q)) == {(): 1}
+            assert g == _int_primitive(_gcd_inner(p, q)) == _poly("1")
 
         def trial_divides(candidate, p):
             content = math.gcd(*candidate.values())
@@ -502,12 +521,12 @@ class TestCanonicalForm:
         # return g^10, primitive over Z, with all of its 286 terms
         from liesys.expr import _gcd_core, _heu_gcd, _pmul
 
-        g = {(("x", 2), ("y", 1), ("z", 1)): 1, (("x", 1), ("y", 2)): -3, (("z", 3),): 1, (): 2}
-        g10 = {(): 1}
+        g = _poly("x^2*y*z - 3*x*y^2 + z^3 + 2")
+        g10 = _poly("1")
         for _ in range(10):
             g10 = _pmul(g10, g)
-        p = _pmul(g10, {(("x", 3),): 1, (("y", 1), ("z", 1)): 1, (): -1})
-        q = _pmul(g10, {(("y", 2),): 1, (("x", 1), ("z", 1)): -1, (): 5})
+        p = _pmul(g10, _poly("x^3 + y*z - 1"))
+        q = _pmul(g10, _poly("y^2 - x*z + 5"))
         assert _heu_gcd(p, q) is None
         got = _gcd_core(p, q)
         assert len(got) == 286
@@ -521,7 +540,7 @@ class TestCanonicalForm:
         cases = []
         while len(cases) < 30:
             a, b = (ex._nf_of(random_polynomial(rng, VARS)).num_den[0] for _ in range(2))
-            p, q = _pmul(a, b), _pmul(a, {(): rng.choice([-3, -1, 2])})
+            p, q = _pmul(a, b), _pmul(a, {ONE: rng.choice([-3, -1, 2])})
             if ex._is_const_poly(a) or len(p) <= len(a):  # the divisor is tried, not a*b
                 continue
             for pair in ((p, q), (q, p), (a, _pneg(a))):
@@ -617,7 +636,7 @@ def random_sparse(rng, coefficient, atoms=("x", "y", "sin(x)"), terms=4, degree=
     while not p:
         for _ in range(rng.randint(1, terms)):
             chosen = rng.sample(atoms, rng.randint(0, len(atoms)))
-            mono = tuple(sorted((a, rng.randint(1, degree)) for a in chosen))
+            mono = _mono("*".join(f"{a}^{rng.randint(1, degree)}" for a in chosen) or "1")
             c = coefficient(rng)
             if c:
                 p = _padd(p, {mono: c})
@@ -637,7 +656,7 @@ def as_sympy(p):
     out = sympy.Integer(0)
     for mono, c in p.items():
         term = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c)
-        for atom, e in mono:
+        for atom, e in ex._pairs(mono):
             term *= symbols.setdefault(atom, sympy.Symbol(atom.replace("(", "_").replace(")", "")))**e
         out += term
     return out
@@ -652,25 +671,25 @@ class TestExactDivision:
         assert _pdiv_exact({}, b) == {}
 
     def test_inexact_division_raises(self, rng):
-        x, y = (("x", 1),), (("y", 1),)
+        x, y = _mono("x"), _mono("y")
         with pytest.raises(ArithmeticError):
             _pdiv_exact({x: Fraction(1)}, {y: Fraction(1)})
         with pytest.raises(ArithmeticError):  # over Z only: 2x / 3x is 2/3
             _pdiv_exact({x: 2}, {x: 3})
-        assert _pdiv_exact({x: Fraction(2)}, {x: Fraction(3)}) == {(): Fraction(2, 3)}
+        assert _pdiv_exact({x: Fraction(2)}, {x: Fraction(3)}) == {ONE: Fraction(2, 3)}
         for coefficient in (small_fraction, small_int):
             for _ in range(100):
                 a, b = random_sparse(rng, coefficient), random_sparse(rng, coefficient)
-                if all(not mono for mono in b):
+                if all(mono == ONE for mono in b):
                     continue  # a constant divides everything over Q
                 with pytest.raises(ArithmeticError):
-                    _pdiv_exact(_padd(_pmul(a, b), {(): coefficient(rng) or 1}), b)
+                    _pdiv_exact(_padd(_pmul(a, b), {ONE: coefficient(rng) or 1}), b)
 
     def test_int_and_fraction_coefficients_mixed_divide_over_q(self):
         # int over int stays over Z (test_inexact_division_raises)
-        x = (("x", 1),)
-        assert _pdiv_exact({(): Fraction(3, 2)}, {(): 1}) == {(): Fraction(3, 2)}
-        assert _pdiv_exact({x: 3}, {x: Fraction(3, 2)}) == {(): 2}
+        x = _mono("x")
+        assert _pdiv_exact({ONE: Fraction(3, 2)}, {ONE: 1}) == {ONE: Fraction(3, 2)}
+        assert _pdiv_exact({x: 3}, {x: Fraction(3, 2)}) == {ONE: 2}
 
     def test_divides_agrees_with_division_over_q(self, rng):
         seen = set()
@@ -678,7 +697,7 @@ class TestExactDivision:
             a, b = random_sparse(rng, small_int), random_sparse(rng, small_int)
             p = _pmul(a, b)
             for factor in (1, -1, 6, -4):
-                for base in (b, a, _padd(b, {(): 1}), _pmul(b, {(("y", 1),): 1})):
+                for base in (b, a, _padd(b, {ONE: 1}), _pmul(b, {_mono("y"): 1})):
                     candidate = {m: factor * c for m, c in base.items()}
                     q, r = sympy.div(as_sympy(p), as_sympy(candidate), domain="QQ")
                     want = r == 0
@@ -691,7 +710,7 @@ def _reference_reduce(num, den):
     """Coprime parts and a monic denominator, by one gcd over Q; the
     coefficients are Fractions."""
     if not num:
-        return {}, {(): Fraction(1)}
+        return {}, {ONE: Fraction(1)}
     if not ex._is_const_poly(den):
         g = monic_gcd(num, den)
         if not ex._is_const_poly(g):
@@ -703,14 +722,13 @@ def _reference_reduce(num, den):
 def _reference_nf(e):
     """The canonical (num, den) of e by a fold over Q that reduces every
     node by a gcd as it goes, so that every intermediate form is canonical."""
-    one = {(): Fraction(1)}
+    one = {ONE: Fraction(1)}
     if isinstance(e, Const):
-        return {(): e.value} if e.value else {}, one
-    if isinstance(e, Var):
+        return {ONE: e.value} if e.value else {}, one
+    if isinstance(e, (Var, Call)):
         ex._nf_of(e)  # registers the atom
-        return {((e.name, 1),): Fraction(1)}, one
-    if isinstance(e, Call):
-        return {((f"{e.fn}({ex._nf_str(*_reference_nf(e.arg))})", 1),): Fraction(1)}, one
+        key = e.name if isinstance(e, Var) else f"{e.fn}({ex._nf_str(*_reference_nf(e.arg))})"
+        return {ex._ATOMS.units[key]: Fraction(1)}, one
     if isinstance(e, Add):
         num, den = {}, one
         for t in e.terms:
@@ -1148,10 +1166,10 @@ def _fold_oracle(nfs):
         if tden == den:
             num = _padd(num, tnum)
         elif ex._is_const_poly(den) and ex._is_const_poly(tden):
-            d, td = den[()], tden[()]
+            d, td = den[ONE], tden[ONE]
             lcm = math.lcm(d, td)
             num = _padd(ex._pscale(num, lcm // d), ex._pscale(tnum, lcm // td))
-            den = {(): lcm}
+            den = {ONE: lcm}
         else:
             num = _padd(_pmul(num, tden), _pmul(tnum, den))
             den = _pmul(den, tden)
@@ -1170,17 +1188,17 @@ def _dot_oracle(terms, trans):
 
 _ACC_ATOMS = ("x", "y", "sin(x)")
 _MONOMIALS = st.lists(st.tuples(st.sampled_from(_ACC_ATOMS), st.integers(1, 3)),
-                      max_size=2, unique_by=lambda t: t[0]).map(lambda ms: tuple(sorted(ms)))
+                      max_size=2, unique_by=lambda t: t[0]).map(
+    lambda ms: _mono("*".join(f"{a}^{e}" for a, e in sorted(ms)) or "1"))
 _POLYS = st.dictionaries(_MONOMIALS, st.integers(-4, 4).filter(bool), max_size=4)
 _DENS = st.one_of(
-    st.integers(-6, 6).filter(bool).map(lambda d: {(): d}),
+    st.integers(-6, 6).filter(bool).map(lambda d: {ONE: d}),
     _POLYS.filter(lambda p: p and not ex._is_const_poly(p)),
 )
 
 
 def _nf_from(num, den):
-    trans = any(a == "sin(x)" for p in (num, den) for m in p for a, _ in m)
-    return ex._NF(num, den, trans)
+    return ex._NF(num, den, "sin(x)" in ex._atoms_of(num, den))
 
 
 @st.composite
@@ -1199,9 +1217,9 @@ def _snapshot(nfs):
 
 
 def _shared_constants_unchanged():
-    assert ex._PONE == {(): 1}
-    assert ex._NF_ONE.num_den == ({(): 1}, {(): 1})
-    assert [nf.num_den for nf in ex._NF_ZEROS] == [({}, {(): 1})] * 2
+    assert ex._PONE == {ONE: 1}
+    assert ex._NF_ONE.num_den == ({ONE: 1}, {ONE: 1})
+    assert [nf.num_den for nf in ex._NF_ZEROS] == [({}, {ONE: 1})] * 2
 
 
 class TestAccumulator:
@@ -1233,20 +1251,158 @@ class TestAccumulator:
         _shared_constants_unchanged()
 
     def test_products_past_the_term_pair_bound_raise(self):
-        wide = ex._NF({(("x", i), ("y", j)): 1 for i in range(1, 601) for j in (1,)}, ex._PONE, False)
-        tall = ex._NF({(("y", j),): 1 for j in range(2, 602)}, ex._PONE, False)
+        wide = ex._NF({_mono(f"x^{i}*y"): 1 for i in range(1, 601)}, ex._PONE, False)
+        tall = ex._NF({_mono(f"y^{j}"): 1 for j in range(2, 602)}, ex._PONE, False)
         with pytest.raises(LiesysError, match=r"a product of 600 by 600 terms exceeds 262144 term pairs"):
             ex._nf_dot([(1, wide, tall)])
         with pytest.raises(LiesysError, match=r"a product of 600 by 600 terms exceeds 262144 term pairs"):
             ex._nf_product((wide, tall))
 
-    def test_monomial_memo_stays_within_its_bound(self):
-        ex._mono_mul.cache_clear()
-        try:
-            for i in range(ex.MONO_MEMO + 100):
-                assert ex._mono_mul((("x", i + 1),), (("x", 1), ("y", 2))) == (("x", i + 2), ("y", 2))
-            info = ex._mono_mul.cache_info()
-            assert info.currsize == info.maxsize == ex.MONO_MEMO
-            assert ex._mono_mul((("y", 1),), (("x", 2),)) == (("x", 2), ("y", 1))
-        finally:
-            ex._mono_mul.cache_clear()
+
+# -- packed monomials against sympy's sparse polynomials.  The atoms are
+#    registered in reverse alphabetical order before any test reads them, so
+#    that their slots run against their names: every order and rendering must
+#    follow the names.  exp(2) holds no variable, so its fold registers no
+#    other atom.
+
+_PACKED = ("exp(2)", "pa", "pb", "pc")
+for _text in reversed(_PACKED):
+    ex._nf_of(parse(_text, _PACKED[1:]))
+_RING, *_GENS = sympy.polys.rings.ring("e2, a, b, c", sympy.ZZ, sympy.polys.orderings.grlex)
+_QRING = _RING.clone(domain=sympy.QQ)
+_SPARSE = st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(_PACKED)),
+                          st.integers(-5, 5).filter(bool), max_size=5)
+
+
+def _packed(terms):
+    """(our polynomial, sympy's) of {exponents over _PACKED: coefficient}."""
+    text = " + ".join(f"({c})*" + "*".join(f"{a}^{e}" for a, e in zip(_PACKED, exps)) + "*1"
+                      for exps, c in terms.items()) or "0"
+    return _poly(text, _PACKED[1:]), _RING.from_dict(terms)
+
+
+def _as_sympy(p):
+    """Our polynomial as sympy's, read through the decoder."""
+    terms = {}
+    for m, c in p.items():
+        pairs = dict(ex._pairs(m))
+        terms[tuple(pairs.pop(a, 0) for a in _PACKED)] = c
+        assert not pairs, f"atoms outside {_PACKED}: {pairs}"
+    return _RING.from_dict(terms)
+
+
+def _reference_poly_str(poly):
+    """_poly_str's text, built from sympy's terms in graded lexicographic order."""
+    parts = []
+    for exps, c in poly.terms():
+        factors = [a if e == 1 else f"{a}^{e}" for a, e in zip(_PACKED, exps) if e]
+        body = "*".join(([] if abs(c) == 1 and factors else [str(abs(c))]) + factors)
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    text = parts[0][1] if parts[0][0] == "+" else f"-{parts[0][1]}"
+    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def _same_rational(nf, num, den):
+    got_num, got_den = map(_as_sympy, nf.num_den)
+    return got_num * den == num * got_den
+
+
+def _primitive_up_to_sign(poly):
+    prim = poly.primitive()[1]
+    return prim if prim.LC > 0 else -prim
+
+
+class TestPackedMonomials:
+    """A monomial is one int, its atoms' exponents in 64-bit fields by slot."""
+
+    def test_slots_run_against_the_names(self):
+        slots = [ex._ATOMS.slots.index(a) for a in _PACKED]
+        assert slots == sorted(slots, reverse=True)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(terms=st.lists(_SPARSE, min_size=5, max_size=5), signs=st.tuples(*[st.sampled_from((1, -1))] * 2))
+    def test_polynomial_kernel_matches_sympy(self, terms, signs):
+        (p, P), (q, Q), (g, G), (d, D), (r, R) = map(_packed, terms)
+        assert _as_sympy(p) == P and _poly(ex._poly_str(p), _PACKED[1:]) == p
+        assert ex._poly_str(p) == _reference_poly_str(P)
+        assert _as_sympy(_pmul(p, q)) == P * Q
+        for a, gen in zip(_PACKED, _GENS):  # the univariate view and back
+            view = ex._as_univariate(p, a)
+            assert ex._from_univariate(view, a) == p
+            assert all(_as_sympy(c).degree(gen) == 0 for c in view.values())
+            assert sum((_as_sympy(c) * gen**e for e, c in view.items()), _RING.zero) == P
+        if not (q and d and r):
+            return
+        # sums and dot products over a like and an unlike denominator
+        trans = "exp(2)" in ex._atoms_of(p, d)
+        (e, E) = (d, D) if signs[0] > 0 else (r, R)
+        nf_p, nf_q = ex._NF(p, d, trans), ex._NF(q, e, trans)
+        assert _same_rational(ex._nf_sum([nf_p, nf_q]), P * E + Q * D, D * E)
+        dot = ex._nf_dot([(signs[1], nf_p, nf_q), (1, nf_q, nf_q)])
+        assert _same_rational(dot, signs[1] * P * Q * E + Q * Q * D, D * E * E)
+        partials = ex._nf_partials(nf_p, _PACKED[1:])
+        for a, gen in zip(_PACKED[1:], _GENS[1:]):
+            want = P.diff(gen) * D - P * D.diff(gen)
+            assert (a in partials) == bool(want)
+            if a in partials:
+                assert _same_rational(partials[a], want, D * D)
+        # exact division, and a dividend off by r, which is exact only if q divides r
+        assert ex._pdiv_exact(_pmul(p, q), q) == p
+        quotient, rest = (P * Q + R).set_ring(_QRING).div(Q.set_ring(_QRING))
+        if not rest and all(c.denominator == 1 for c in quotient.coeffs()):
+            assert _as_sympy(ex._pdiv_exact(ex._padd(_pmul(p, q), r), q)) == quotient.set_ring(_RING)
+        else:
+            with pytest.raises(ArithmeticError):
+                ex._pdiv_exact(ex._padd(_pmul(p, q), r), q)
+        if p and g:
+            a, b = _pmul(p, g), _pmul(q, g)
+            want = _primitive_up_to_sign((P * G).gcd(Q * G))
+            assert _primitive_up_to_sign(_as_sympy(ex._gcd_core(a, b))) == want
+            # the remainder sequence: the heuristic gives up on the pair itself, as on
+            # the g^10 pair, and still serves the contents' gcds
+            calls = []
+
+            def give_up_first(p, q, heuristic=ex._heu_gcd):
+                calls.append((p, q))
+                return None if len(calls) == 1 else heuristic(p, q)
+
+            with unittest.mock.patch.object(ex, "_heu_gcd", give_up_first):
+                assert _primitive_up_to_sign(_as_sympy(ex._gcd_core(a, b))) == want
+
+    def test_racing_registrations_give_each_atom_its_own_slot(self):
+        class SlowKey(str):  # the table's writes hash it: each lets the other threads run
+            def __hash__(self):
+                time.sleep(1e-4)
+                return str.__hash__(self)
+
+        names = [f"race{i}_{j}" for i in range(4) for j in range(25)]
+        ready = threading.Barrier(4, timeout=10)
+        units = [None] * 4
+
+        def register(i):
+            ready.wait()
+            units[i] = [ex._ATOMS.unit(SlowKey(n), Var(n)) for n in names[i::4] + names[:25]]
+
+        threads = [threading.Thread(target=register, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        got = {n: ex._ATOMS.units[n] for n in names}
+        assert len(set(got.values())) == len(names)
+        assert all(ex._ATOMS.slots[u.bit_length() // 64] == n for n, u in got.items())
+        assert all(us[25:] == [got[n] for n in names[:25]] for us in units)
+
+    def test_exponents_stay_below_two_to_the_63(self):
+        bound = re.escape("an exponent of y would reach 2^63; exponents must stay below 2^63")
+        top = _poly(f"x*y^{2**62}")
+        assert _pmul(top, _poly(f"y^{2**62 - 1}")) == _poly(f"x*y^{2**63 - 1}")
+        with pytest.raises(LiesysError, match=f"^{bound}$"):
+            _pmul(top, top)
+        with pytest.raises(LiesysError, match=f"^{bound}$"):
+            ex._nf_of(parse(f"x*y^{2**63}", VARS))
+        with pytest.raises(LiesysError, match=f"^{bound}$"):
+            ex._nf_of(parse(f"(x*y^2)^{2**62}", VARS))

@@ -92,7 +92,10 @@ FLAG_CALLS = (
 # drawn from the seed; and the rule psi = (y_0 - y_1)/(y_2 - y_1) with
 # y = exp(-x), no phi, on the fields 1 and exp(x), which a function atom
 # carries through every command of a rule, solve included; a partial rule
-# with no phi; and a rule whose m is 3.9, which is no integer and exits 2
+# with no phi; and a rule whose m is 3.9, which is no integer and exits 2;
+# the fields 1 and x^(2^63), whose exponent is past the bound of a
+# monomial's field; and the field exp(x^2 + 729), which overflows at every
+# sample point of the zero test
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -133,6 +136,10 @@ INPUT_CALLS = (
     ("partial_rank1_no_phi.verify", ["verify", "tools/inputs/partial_rank1_no_phi.json"]),
     ("partial_rank1_no_phi.superpose", ["superpose", "tools/inputs/partial_rank1_no_phi.json"]),
     ("rule_m_fraction.verify", ["verify", "tools/inputs/rule_m_fraction.json"]),
+    ("exponent_past_field.closure", ["closure", "tools/inputs/exponent_past_field.json"]),
+    ("exponent_past_field.m", ["m", "tools/inputs/exponent_past_field.json"]),
+    ("exponent_past_field.verify", ["verify", "tools/inputs/exponent_past_field.json"]),
+    ("exp_overflow_m.m", ["m", "tools/inputs/exp_overflow_m.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
