@@ -7,8 +7,7 @@ returns the problem's doc and the names of the rows of
 cli.PROBLEM_COMMANDS it runs.  The rows run in order on one cli.Problem,
 so an entry's checks are the commands' checks, under the same names and
 limits, on one parse of its doc, and its extra is the merge of the rows'
-extras.  One part is the catalog's own: `rule`, verify's checks of the
-rule alone (rule_checks).  An entry that runs both closure and m ends
+extras.  An entry that runs both closure and m ends
 with the paper's uniqueness condition r = m n
 (`prolonged_span_codimension_is_n`), derived from the two rows' extras.
 
@@ -36,7 +35,7 @@ from .errors import SchemaError
 from .expr import Chart, Const, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation, is_diagonal_prolongation
 from .report import Check
-from .superposition import DEFAULT_TOL_CONST, SuperpositionRule, rule_checks
+from .superposition import DEFAULT_TOL_CONST, SuperpositionRule
 
 __all__ = ["RunConfig", "CatalogEntry", "ENTRIES", "get_entry"]
 
@@ -113,20 +112,13 @@ def linear_rule(chart: Chart) -> SuperpositionRule:
 # ---------------------------------------------------------------------------
 
 
-def _rule_part(problem: Problem) -> tuple:
-    return rule_checks(problem.rule, problem.fields, problem.task["seed"]), {}, {}
-
-
-_PARTS = {"rule": _rule_part, **{name: row.run for name, row in PROBLEM_COMMANDS.items()}}
-
-
 def _run(problem: Problem, parts: Sequence[str]) -> tuple[list[Check], dict]:
-    """The checks of `parts` run in order on `problem`, and the merge of
-    their extras; when the parts run both closure and m, the paper's
-    uniqueness condition r = m n last."""
+    """The checks of the PROBLEM_COMMANDS rows `parts`, run in order on
+    `problem`, and the merge of their extras; when the parts run both
+    closure and m, the paper's uniqueness condition r = m n last."""
     checks, extra = [], {}
     for part in parts:
-        more, more_extra, _ = _PARTS[part](problem)
+        more, more_extra, _ = PROBLEM_COMMANDS[part].run(problem)
         checks += more
         extra.update(more_extra)
     if {"closure", "m"} <= set(parts):
@@ -162,7 +154,7 @@ def _run_translation(config: RunConfig):
     problems = [Problem(_shipped(name), config) for name in ("translation", "translation_alt")]
     checks, extra = _run(problems[0], ("m",))  # both files hold the same system
     for label, problem in zip(("standard", "skewed"), problems):
-        shared, _ = _run(problem, ("rule", "superpose"))
+        shared, _ = _run(problem, ("superpose",))
         checks += [replace(c, name=f"{label}_{c.name}") for c in shared]
     same = all(ex.canonically_equal(a, b) for a, b in zip(problems[0].rule.psi, problems[1].rule.psi))
     checks.append(Check("rules_genuinely_differ", not same))
@@ -187,7 +179,7 @@ def _run_lemma_counterexample(config: RunConfig):
     }
 
 
-_RULE = ("m", "rule", "superpose")
+_RULE = ("m", "superpose")
 _CLOSED_RULE = ("closure", *_RULE)
 
 ENTRIES: dict[str, CatalogEntry] = {

@@ -376,9 +376,10 @@ def _solve_row(p: Problem) -> tuple:
 
 def _superpose_row(p: Problem) -> tuple:
     """superpose_checks on the file's points, k (or the --k option, when
-    given), x0 and x0_guess, with phi decided under the task's seed.  Slot 0
-    starts at x0, or on the leaf of k when k is given, and is integrated
-    with the particular solutions either way."""
+    given), x0 and x0_guess, with the rule decided under the task's seed.
+    Slot 0 starts at x0, or on the leaf of k when k is given, and is
+    integrated with the particular solutions either way; a rule that fails
+    its checks leaves no extra and no dumps."""
     sys, rule, task = p.system, p.rule, p.task
     points = _points_for_rule(p)
     x0, guess = _x0(p.doc, sys.dim), _x0_guess(p.doc, sys.dim)
@@ -390,6 +391,8 @@ def _superpose_row(p: Problem) -> tuple:
     checks, k, slot0, particular = superpose_checks(
         rule, sys, points, task["t_span"], task["tol"], task["tol_const"],
         k=k, x0=x0, x0_guess=guess, seed=task["seed"])
+    if slot0 is None:
+        return checks, {}, {}
     dumps = {f"slot{i}": (tr, sys.chart.names) for i, tr in enumerate([slot0, *particular])}
     return checks, {"k": [float(v) for v in k], "slot0": slot0.to_json_dict()}, dumps
 
@@ -449,8 +452,8 @@ def _pde_superpose_row(p: Problem) -> tuple:
     if k is None or points is None or target is None:
         raise SchemaError("pde superpose needs 'k', 'initial_points' and 'target'")
     checks, rebuilt = grid_superpose_checks(sys, rule, k, points, target, p.task["tol"],
-                                            _x0_guess(p.doc, sys.n))
-    return checks, {"slot0_corner": rebuilt[-1, -1].tolist()}, {}
+                                            _x0_guess(p.doc, sys.n), p.task["seed"])
+    return checks, {} if rebuilt is None else {"slot0_corner": rebuilt[-1, -1].tolist()}, {}
 
 
 class _Row(NamedTuple):

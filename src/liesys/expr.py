@@ -887,10 +887,15 @@ def _int_primitive(p):
 
 
 def _eval_atom_int(p, atom: str, xi: int):
+    """p with `atom` set to the integer xi.  Each distinct power xi**e is
+    computed once: xi is a big integer, and many terms share an exponent."""
     out: dict = {}
+    powers: dict = {}
     for m, c in p.items():
         e, rest = _split(m, atom)
-        out[rest] = out.get(rest, 0) + c * xi**e
+        if e not in powers:
+            powers[e] = xi**e
+        out[rest] = out.get(rest, 0) + c * powers[e]
     return {m: c for m, c in out.items() if c}
 
 

@@ -7,14 +7,16 @@ of the lifted fields d/dt^a + Y_a, each decided by expr.is_zero.  Each
 system decides it once, on first read of PdeSystem.curvature_report,
 which every check below reads.  A Lie decomposition Y_a = sum u_a^alpha(t)
 X_alpha, when given, is checked exactly against the fields on
-construction, and serves only the tangency of a grid rule to its basis.
+construction, and serves only to decide a grid rule on its basis.
 
 `flatness_checks`, `path_checks` and `grid_superpose_checks` turn these
 into the named checks of `liesys pde` and of the catalog.  The last two
-are where flatness and tangency are decided, once per command and before
-anything is integrated; `path_solve`, `solve_on_grid` and `pde_superpose`
-take both as given.  By Frobenius a flat system's solution does not
-depend on the path, so `path_checks` integrates one staircase when
+decide flatness once per command, before anything is integrated, and
+`grid_superpose_checks` first decides the rule on the decomposition basis
+by superposition.rule_checks, as `verify` does on a system's fields;
+`path_solve`, `solve_on_grid` and `pde_superpose` take these decisions
+as given.  By Frobenius a flat system's solution does not depend on the
+path, so `path_checks` integrates one staircase when
 flatness is exact, and audits AUDIT_PATHS staircases only when it was
 sampled or when asked to.
 
@@ -43,11 +45,11 @@ import numpy as np
 
 from . import expr as ex
 from .dynamics import DEFAULT_TOL, _dopri5, _Rhs
-from .errors import IntegrationBlowUpError, LiesysError, NotFlatError
+from .errors import IntegrationBlowUpError, NotFlatError
 from .expr import Chart, Expr
 from .geometry import VectorField, lie_bracket
 from .report import Check
-from .superposition import GAP_LIMIT, SuperpositionRule, _rebuild, _slot0_start, verify_tangency
+from .superposition import GAP_LIMIT, SuperpositionRule, _rebuild, _slot0_start, rule_checks
 
 __all__ = [
     "PdeSystem",
@@ -371,9 +373,9 @@ def pde_superpose(
     last axis (t2) is one row, and the nodes are taken as evenly spaced.
     So slot 0 is phi at every node, or without phi a Newton solve per node
     that follows the leaf along its row, row 0 starting at x0_guess.  The
-    rule's tangency to the decomposition basis is the caller's to decide
-    (grid_superpose_checks).  A failed node is named by its row (the t1
-    index) and column (the t2 index)."""
+    rule's tangency to the decomposition basis, and its transversality,
+    are the caller's to decide (grid_superpose_checks).  A failed node is
+    named by its row (the t1 index) and column (the t2 index)."""
     if len(solutions) != rule.m:
         raise ValueError(f"need {rule.m} particular solutions, got {len(solutions)}")
     grids = np.stack([np.asarray(sol, dtype=float) for sol in solutions], axis=-2)
@@ -431,28 +433,28 @@ def path_checks(sys: PdeSystem, x0: Sequence[float], target: Sequence[float],
 def grid_superpose_checks(sys: PdeSystem, rule: SuperpositionRule, k: Sequence[float],
                           points: Sequence[Sequence[float]], target: Sequence[float],
                           tol: float = DEFAULT_TOL, x0_guess: Sequence[float] | None = None,
-                          ) -> tuple[list[Check], np.ndarray]:
+                          seed: int = 0) -> tuple[list[Check], np.ndarray | None]:
     """(checks, slot-0 grid) of the rule as a foliation over the 11 x 11
-    grid from 0 to `target`, the 2-d case of superpose_checks: slot 0
-    starts at the leaf point of k over `points` (_slot0_start; a leaf solve
-    starts at x0_guess, default the first point), and is integrated with
-    the m particular solutions from `points` as one tuple, one run per grid
-    line.  Slot 0 rebuilt from the particular solutions (pde_superpose)
-    must match the integrated slot 0 within GAP_LIMIT at every node
-    (`superposition_vs_path_solve`).  The system needs a decomposition.
-    Before anything is integrated, a system that is not flat raises
-    NotFlatError, and a rule that is not tangent to the decomposition basis
-    raises LiesysError naming the first field and psi component it fails."""
+    grid from 0 to `target`, the 2-d case of superpose_checks.  The system
+    needs a decomposition.  Before anything is integrated, the rule is
+    decided on the decomposition basis as `verify` decides it on a system's
+    fields (rule_checks under `seed`), and a failing `tangency_zero` or
+    `psi_transversal` ends the run with those checks and no grid; then a
+    system that is not flat raises NotFlatError.  Slot 0 starts at the leaf
+    point of k over `points` (_slot0_start; a leaf solve starts at
+    x0_guess, default the first point), and is integrated with the m
+    particular solutions from `points` as one tuple, one run per grid line.
+    Slot 0 rebuilt from the particular solutions (pde_superpose) must match
+    the integrated slot 0 within GAP_LIMIT at every node
+    (`superposition_vs_path_solve`)."""
+    checks = rule_checks(rule, sys.decomposition.basis, seed)
+    if not all(c.passed for c in checks):
+        return checks, None
     _require_flat(sys.curvature_report)
-    tangency = verify_tangency(rule, sys.decomposition.basis)
-    if not tangency.all_zero:
-        bad = tangency.max_nonzero()
-        raise LiesysError(f"rule is not tangent to the decomposition basis "
-                          f"(field {bad.field_index}, psi component {bad.component})")
     guess = points[0] if x0_guess is None else x0_guess
     start = _slot0_start(rule, points, (0, 0), k, guess=guess)
     axes = [np.linspace(0.0, target[i], 11) for i in range(sys.s)]
     grid = solve_on_grid(sys, [*start, *(v for point in points for v in point)], axes, tol)
     rebuilt = pde_superpose(sys, rule, np.split(grid[..., sys.n:], rule.m, axis=-1), k, guess)
     gap = float(np.max(np.abs(rebuilt - grid[..., :sys.n])))
-    return [Check.limit("superposition_vs_path_solve", gap, GAP_LIMIT)], rebuilt
+    return [*checks, Check.limit("superposition_vs_path_solve", gap, GAP_LIMIT)], rebuilt

@@ -22,14 +22,15 @@ Reconstruction follows the leaf of k over the m solutions' values, by one
 rebuild (_rebuild) for every caller: a curve is one row of nodes
 (`reconstruct`), a PDE grid one row per t1 value (pde.pde_superpose), and
 a start one node (_slot0_start).  With phi, slot 0 is phi there: phi is
-taken as given, and decided once, exactly, by `superpose_checks` and
-`verify_tangency` (_phi_on_leaves, cached per rule and seed, so one
-decision serves both).  Without phi each node is a damped Newton solve
-from the secant predictor through the two nodes before it in its row,
-x_(k-1) + q (x_(k-1) - x_(k-2)) with q = dt_k / dt_(k-1), or from the
-previous node where q > 5 (PREDICTOR_MAX_RATIO), since the slope carries
-the nodes' Newton error q times over; a grid row's first node is
-predicted in the same way from the first nodes of the rows before it.
+taken as given, and decided once, exactly, by `verify_tangency`
+(_phi_on_leaves, cached per rule and seed), which `rule_checks` runs
+before `superpose` integrates anything.  Without phi each node is a
+damped Newton solve from the secant predictor through the two nodes
+before it in its row, x_(k-1) + q (x_(k-1) - x_(k-2)) with
+q = dt_k / dt_(k-1), or from the previous node where q > 5
+(PREDICTOR_MAX_RATIO), since the slope carries the nodes' Newton error q
+times over; a grid row's first node is predicted in the same way from the
+first nodes of the rows before it.
 This is the Euler-Newton predictor-corrector of continuation methods.
 The solve is one function generated for the rule and kept in a bounded
 cache (_leaf_solve): residuals, norm, the exact Jacobian (derivative trees
@@ -38,6 +39,9 @@ the step is still np.linalg.solve.
 
 `rule_checks`, `solution_checks` and `superpose_checks` turn these into the
 named checks of `liesys verify` and `liesys superpose`, and of the catalog.
+`rule_checks` is the one decision of a rule: `verify` reports it,
+`superpose_checks` and pde.grid_superpose_checks start with it and
+integrate nothing when it fails.
 """
 
 from __future__ import annotations
@@ -205,10 +209,6 @@ class TangencyReport:
     @property
     def probabilistic(self) -> bool:
         return any(c.probabilistic for c in self.checks)
-
-    def max_nonzero(self) -> TangencyCheck | None:
-        bad = [c for c in self.checks if c.verdict == "nonzero"]
-        return bad[0] if bad else None
 
 
 @lru_cache(maxsize=32)
@@ -537,9 +537,9 @@ def _rebuild(rule: SuperpositionRule, rows: Sequence[Sequence[list[float]]], k: 
     (_slot0_start).
 
     With phi, every node is phi there, taken as given: whether phi lands on
-    its own leaves is decided exactly, once, by superpose_checks and
-    verify_tangency (_phi_on_leaves).  Without phi, every node is a damped
-    Newton solve (_leaf_solve) that follows the leaf along its row: the
+    its own leaves is decided exactly, once, by verify_tangency
+    (_phi_on_leaves), which rule_checks runs.  Without phi, every node is
+    a damped Newton solve (_leaf_solve) that follows the leaf along its row: the
     first node of row 0 starts at `guess`, the second node of a row at the
     first, and every later one at the secant predictor through the two
     nodes before it (_predicted).  A row's first node follows the first
@@ -629,21 +629,25 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
                      t_span: tuple[float, float], tol: float, tol_const: float,
                      k: Sequence[float] | None = None, x0: Sequence[float] | None = None,
                      x0_guess: Sequence[float] | None = None, seed: int = 0,
-                     ) -> tuple[list[Check], np.ndarray, Trajectory, list[Trajectory]]:
+                     ) -> tuple[list[Check], np.ndarray | None, Trajectory | None, list[Trajectory]]:
     """(checks, k, slot 0, particular solutions) of the rule as a foliation:
     a start on the leaf of k must move with the m solutions from `points`.
-    A phi is decided first, exactly (_phi_on_leaves under `seed`): one off
-    its own leaves, or on a pole of psi, or a partial rule with no phi
-    raises LiesysError with the reason `verify` gives.  Slot 0 starts at x0
-    or, given k, at the leaf point of k over the points at t0 (_slot0_start;
-    leaf solves start at x0_guess, default x0).  It is integrated with the points as one tuple, and k, when
-    not given, is psi at the tuple's start.  Slot 0 rebuilt from the
+    The rule is decided first, as `verify` decides it (rule_checks on the
+    system's fields under `seed`): a phi off its own leaves, or on a pole
+    of psi, or a partial rule with no phi raises LiesysError with verify's
+    reason, and a failing `tangency_zero` or `psi_transversal` ends the run
+    before anything is integrated, returning those checks, None, None and
+    no particular solutions.  Slot 0 starts at x0 or, given k, at the leaf
+    point of k over the points at t0 (_slot0_start; leaf solves start at
+    x0_guess, default x0).  It is integrated with the points as one tuple, and k,
+    when not given, is psi at the tuple's start.  Slot 0 rebuilt from the
     particular solutions with psi held at k must match its integrated
     solution within GAP_LIMIT (`reconstruction_vs_direct`), and psi must
     stay constant along the tuple (`psi_drift_along_solutions`), which fails
     where psi is singular."""
-    if rule.phi is not None or rule.is_partial:
-        _phi_on_leaves(rule, seed)
+    checks = rule_checks(rule, sys.fields, seed)
+    if not all(c.passed for c in checks):
+        return checks, None, None, []
     guess = x0 if x0_guess is None else x0_guess
     if k is not None:
         k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -652,7 +656,8 @@ def superpose_checks(rule: SuperpositionRule, sys: LieSystem, points: Sequence[S
     k = along.initial_values if k is None else k
     slot0 = reconstruct(rule, tuple_[1:], k, x0_guess=guess)
     gap = float(np.max(np.abs(slot0.states - tuple_[0].states)))
-    return [Check.limit("reconstruction_vs_direct", gap, GAP_LIMIT), drift], k, slot0, tuple_[1:]
+    checks += [Check.limit("reconstruction_vs_direct", gap, GAP_LIMIT), drift]
+    return checks, k, slot0, tuple_[1:]
 
 
 def _psi_drift(rule: SuperpositionRule, sys: LieSystem, starts: Sequence[Sequence[float]],

@@ -277,26 +277,29 @@ class TestSolveAndSuperpose:
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "riccati.json"), "--k", "0.5")
         assert code == 0
         names = [c["name"] for c in doc["checks"]]
-        assert names == ["reconstruction_vs_direct", "psi_drift_along_solutions"]
+        assert names == ["tangency_zero", "psi_transversal", "reconstruction_vs_direct",
+                         "psi_drift_along_solutions"]
         assert doc["extra"]["k"] == [0.5]
 
     def test_superpose_with_k_fails_a_wrong_rule(self, tmp_path):
-        # psi and phi agree with each other, so every leaf solve converges,
-        # but a start on the leaf of k does not move along it
+        # psi and phi agree with each other, so every leaf solve would
+        # converge, but the leaves of psi are not invariant: the run ends at
+        # verify's checks of the rule, before anything is integrated
         problem = edited_problem(tmp_path, "riccati", {
             "rule.psi": ["(x_0 - x_1)/(x_2 - x_3)"], "rule.phi": ["x_1 + k1*(x_2 - x_3)"]})
         code, doc = run(tmp_path, "superpose", str(problem), "--k", "0.5")
         assert code == 1
-        values = {c["name"]: (c["passed"], c["value"]) for c in doc["checks"]}
-        assert values["reconstruction_vs_direct"] == (False, pytest.approx(0.938, abs=1e-3))
-        assert values["psi_drift_along_solutions"] == (False, pytest.approx(0.44, abs=1e-2))
+        _, verified = run(tmp_path, "verify", str(problem), json_name="verify.json")
+        assert doc["checks"] == verified["checks"][:2]
+        assert [c["passed"] for c in doc["checks"]] == [False, True]
+        assert doc["extra"] == {}
 
     @pytest.mark.parametrize("problem", ["partial_rank1", "partial_rank1_m2"])
     def test_superpose_with_the_files_k_checks_the_tuple(self, tmp_path, problem):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / f"{problem}.json"))
         assert code == 0
         assert [c["name"] for c in doc["checks"]] == [
-            "reconstruction_vs_direct", "psi_drift_along_solutions"]
+            "tangency_zero", "psi_transversal", "reconstruction_vs_direct", "psi_drift_along_solutions"]
 
     def test_superpose_derives_k_and_compares(self, tmp_path):
         code, doc = run(tmp_path, "superpose", str(PROBLEMS / "riccati.json"))
@@ -478,6 +481,33 @@ class TestVerify:
         path = edited_problem(tmp_path, "partial_rank1", edits)
         assert main(["verify", str(path)]) == 1
         assert "has no phi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,fails,detail", [
+        ("psi_not_transversal", "psi_transversal", "rank 1 of dpsi_j/dx_(0),i, need s = 2"),
+        ("partial_not_invariant", "tangency_zero",
+         "field 0 constraint 0: nonzero; field 1 constraint 0: nonzero"),
+        ("partial_rank1_no_phi", "completed",
+         "tangency of a partial rule is decided along phi, and the rule has no phi"),
+    ])
+    def test_superpose_refuses_a_rule_before_integrating(self, monkeypatch, tmp_path, name, fails,
+                                                          detail):
+        # superpose decides the rule as verify does, and integrates nothing
+        # once a rule check fails: no tuple, no CSV
+        calls, real = [], superposition.integrate_tuple
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(superposition, "integrate_tuple", counted)
+        path = str(INPUTS / f"{name}.json")
+        code, doc = run(tmp_path, "superpose", path, "--csv", str(tmp_path / "csv"))
+        assert code == 1 and calls == []
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert not checks[fails]["passed"] and checks[fails]["detail"] == detail
+        _, verified = run(tmp_path, "verify", path, json_name="verify.json")
+        assert doc["checks"] == verified["checks"][:len(doc["checks"])]
+        assert doc["extra"] == {} and not (tmp_path / "csv").exists()
 
     @pytest.mark.parametrize("command", ["verify", "superpose"])
     def test_partial_rule_without_phi_fails_in_both_commands(self, capsys, command):
@@ -664,7 +694,7 @@ class TestGroupAndPde:
             "initial_points": [[-1.0]]})
         code, doc = run(tmp_path, "pde", "superpose", str(path))
         assert code == 1 and doc["command"] == "pde superpose"
-        assert "not tangent" in capsys.readouterr().out
+        assert "FAIL tangency_zero  (field 1 psi 0: nonzero; field 2 psi 0: nonzero)" in capsys.readouterr().out
 
     def test_pde_superpose_refuses_nonflat_before_integrating(self, monkeypatch, tmp_path):
         # curvature t1*u^2 - u^2: not flat, with a decomposition on 1, u, u^2
@@ -684,8 +714,11 @@ class TestGroupAndPde:
         assert doc["checks"][0]["detail"] == "curvature residual nonzero for parameter pair (0, 1)"
         assert calls == []
 
-    def test_pde_superpose_refuses_a_non_tangent_rule_before_integrating(self, monkeypatch,
-                                                                         tmp_path):
+    @staticmethod
+    def refused(monkeypatch, tmp_path, name) -> dict:
+        """The checks of `pde superpose` on tools/inputs/`name`.json, which
+        must end after verify's two checks of the rule, one of them failing,
+        with no grid integrated."""
         calls, real = [], pde.solve_on_grid
 
         def counted(*args, **kwargs):
@@ -693,9 +726,22 @@ class TestGroupAndPde:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(pde, "solve_on_grid", counted)
-        code, doc = run(tmp_path, "pde", "superpose", str(INPUTS / "pde_not_tangent.json"))
-        assert code == 1 and "not tangent" in doc["checks"][0]["detail"]
-        assert calls == []
+        code, doc = run(tmp_path, "pde", "superpose", str(INPUTS / f"{name}.json"))
+        assert code == 1 and calls == [] and doc["extra"] == {}
+        assert [c["name"] for c in doc["checks"]] == ["tangency_zero", "psi_transversal"]
+        assert sum(c["passed"] for c in doc["checks"]) == 1
+        return {c["name"]: c for c in doc["checks"]}
+
+    def test_pde_superpose_refuses_a_non_tangent_rule_before_integrating(self, monkeypatch,
+                                                                         tmp_path):
+        tangency = self.refused(monkeypatch, tmp_path, "pde_not_tangent")["tangency_zero"]
+        assert tangency["detail"] == "field 1 psi 0: nonzero; field 2 psi 0: nonzero"
+
+    def test_pde_superpose_refuses_a_non_transversal_rule_before_integrating(self, monkeypatch,
+                                                                             tmp_path):
+        # the cross ratio of slots 1-4 is tangent, but does not see slot 0
+        transversal = self.refused(monkeypatch, tmp_path, "pde_not_transversal")["psi_transversal"]
+        assert transversal["detail"] == "rank 0 of dpsi_j/dx_(0),i, need s = 1"
 
     def test_pde_check_flat(self, tmp_path):
         code, doc = run(tmp_path, "pde", "check", str(PROBLEMS / "pde_riccati.json"))
@@ -1049,6 +1095,18 @@ def _slot0_pushed(monkeypatch):
     monkeypatch.setattr(superposition, "integrate_tuple", pushed)
 
 
+def _leaf_shifted(monkeypatch):
+    """A rebuild fault: every slot-0 node that reconstruct returns moved by 1e-3."""
+    from liesys import superposition
+
+    real = superposition.reconstruct
+
+    def shifted(*args, **kwargs):
+        slot0 = real(*args, **kwargs)
+        return dataclasses.replace(slot0, states=slot0.states + 1e-3)
+    monkeypatch.setattr(superposition, "reconstruct", shifted)
+
+
 def _grid_leaf_shifted(monkeypatch):
     """A rebuild fault: every slot-0 node that the grid's one rebuild
     (superposition._rebuild, which pde_superpose calls) returns moved by 1e-3."""
@@ -1183,10 +1241,14 @@ PLANTED_DEFECTS = [
     ("constraint_set_moves_rule_only", "verify", INPUTS / "partial_not_invariant_rule.json", {}, None,
      "tangency_zero", "field 0 constraint 0: nonzero; field 1 constraint 0: nonzero",
      {"psi_transversal"}),
-    # psi's drift from a start on the leaf of k cannot see it; slot 0 rebuilt
-    # on the constraint set leaves the solution it should follow
+    # superpose decides the rule as verify does, and ends there
     ("constraint_set_moves_superpose", "superpose", INPUTS / "partial_not_invariant.json", {}, None,
-     "reconstruction_vs_direct", "", {"psi_drift_along_solutions"}),
+     "tangency_zero", "field 0 constraint 0: nonzero; field 1 constraint 0: nonzero",
+     {"psi_transversal"}),
+    # the rule passes its checks and psi stays on its leaf; only the rebuilt
+    # slot 0 misses the integrated one, by 1e-3 at every node
+    ("leaf_shifted", "superpose", PROBLEMS / "riccati.json", {}, _leaf_shifted,
+     "reconstruction_vs_direct", "", {"tangency_zero", "psi_transversal", "psi_drift_along_solutions"}),
     # C(phi) = -x1_1: the leaf conditions end the run before any residual
     ("phi_off_its_leaves", "verify", PROBLEMS / "partial_rank1.json",
      {"rule.phi": ["k1*x1_1", "k1*x2_1 + 1"]}, None,
@@ -1199,6 +1261,10 @@ PLANTED_DEFECTS = [
     ("psi_not_transversal", "verify", INPUTS / "psi_not_transversal.json", {}, None,
      "psi_transversal", "rank 1 of dpsi_j/dx_(0),i, need s = 2",
      {"tangency_zero", "psi_drift_along_solutions"}),
+    # the cross ratio of slots 1-4 is tangent to the decomposition basis 1,
+    # u, u^2, but does not see slot 0
+    ("grid_psi_not_transversal", "pde superpose", INPUTS / "pde_not_transversal.json", {}, None,
+     "psi_transversal", "rank 0 of dpsi_j/dx_(0),i, need s = 1", {"tangency_zero"}),
     # exact tangency leaves only a liesys fault for the drift to catch
     ("partial_drift_fault", "verify", PROBLEMS / "partial_rank1.json", {}, _slot0_pushed,
      "psi_drift_along_solutions", "", {"tangency_zero", "psi_transversal"}),
@@ -1213,15 +1279,15 @@ PLANTED_DEFECTS = [
     ("pole_reached", "solve", PROBLEMS / "separable_invsq.json",
      {"fields": [["-1/x"]], "coefficients": ["1"], "x0": [1.0], "t_span": [0, 1]}, None,
      "integrated", "step underflow at t=0.5000000000853925; 351 nodes", set()),
-    # the grid's flatness and the rule's tangency, which end the run in
-    # `completed` when they fail, pass; every rebuilt node misses the
+    # the rule's checks pass, and so does the grid's flatness, which ends
+    # the run in `completed` when it fails; every rebuilt node misses the
     # integrated slot 0 by 1e-3
     ("grid_leaf_shifted", "pde superpose", PROBLEMS / "pde_riccati.json", {}, _grid_leaf_shifted,
-     "superposition_vs_path_solve", "", set()),
+     "superposition_vs_path_solve", "", {"tangency_zero", "psi_transversal"}),
     # one interior node off by 1e-3, which a check of the far corner alone
     # would pass
     ("grid_node_moved", "pde superpose", PROBLEMS / "pde_riccati.json", {}, _grid_node_moved,
-     "superposition_vs_path_solve", "", set()),
+     "superposition_vs_path_solve", "", {"tangency_zero", "psi_transversal"}),
     # det g drifts from exp(tau) by 1e-3 while the run reaches t1
     ("group_det_drift", "group", PROBLEMS / "sl2_group.json", {}, _group_det_drift,
      "det_liouville", "", {"integrated"}),
@@ -1498,13 +1564,13 @@ class TestCatalogSharesTheCliChecks:
         assert len(calls) == (2 if entry == "translation_nonunique" else 1)
 
     # entry -> (its doc: a shipped problem file or the catalog function that
-    # builds it, the rows it runs); `rule` is verify's two checks of the rule
+    # builds it, the rows it runs)
     ROW_ENTRIES = {
-        "riccati": ("riccati", ["closure", "m", "rule", "superpose"]),
-        "linear2": ("linear2", ["closure", "m", "rule", "superpose"]),
-        "linear_n": ("linear3", ["closure", "m", "rule", "superpose"]),
-        "euclidean_se2": (catalog._euclidean_doc, ["m", "rule", "superpose"]),
-        "separable_invsq": ("separable_invsq", ["m", "rule", "superpose"]),
+        "riccati": ("riccati", ["closure", "m", "superpose"]),
+        "linear2": ("linear2", ["closure", "m", "superpose"]),
+        "linear_n": ("linear3", ["closure", "m", "superpose"]),
+        "euclidean_se2": (catalog._euclidean_doc, ["m", "superpose"]),
+        "separable_invsq": ("separable_invsq", ["m", "superpose"]),
         "sl2_group": ("sl2_linear", ["group"]),
         "pde_riccati": ("pde_riccati", ["pde check", "pde solve", "pde superpose"]),
         "partial_linear_rank1": ("partial_rank1", ["verify"]),
@@ -1526,8 +1592,8 @@ class TestCatalogSharesTheCliChecks:
         path.write_text(json.dumps(doc))
         want = []
         for row in rows:
-            _, report = run(tmp_path, *("verify" if row == "rule" else row).split(), str(path))
-            want += report["checks"][:2] if row == "rule" else report["checks"]
+            _, report = run(tmp_path, *row.split(), str(path))
+            want += report["checks"]
         assert [c.to_json_dict() for c in checks if c.name != "prolonged_span_codimension_is_n"] == want
 
     def test_examples_run_riccati_parses_fields_once_and_decides_phi_once(self, monkeypatch):

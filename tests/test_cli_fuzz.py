@@ -3,15 +3,18 @@ verify`, `liesys superpose` (with and without --k), `liesys solve`, `liesys
 group`, `liesys pde` and `liesys pde superpose`, in process.
 
 Whatever the fields, each call ends in exit 0, 1 or 2 within a bounded time:
-no exception escapes `main` and nothing hangs.
+no exception escapes `main` and nothing hangs.  Where `superpose` reaches
+its rule decision, it reports what `verify` reports for the rule.
 """
 
 import json
 import time
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from liesys import superposition
 from liesys.cli import main
 
 # generous: most examples take milliseconds, the slowest well under a second
@@ -152,6 +155,37 @@ def test_superpose_ends_in_an_exit_code(tmp_path, capsys, doc):
     capsys.readouterr()
     assert code in (0, 1, 2)
     assert elapsed < WALL_TIME_BOUND_S, f"superpose took {elapsed:.1f} s on {doc}"
+
+
+def _checks(tmp_path, command: str, doc: dict) -> list[dict]:
+    """The checks of the JSON report of `command` on `doc`, none where it writes no report."""
+    path, report = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    report.unlink(missing_ok=True)
+    main([command, str(path), "--json", str(report)])
+    return json.loads(report.read_text())["checks"] if report.exists() else []
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=superpose_problems())
+def test_superpose_decides_the_rule_as_verify_does(tmp_path, capsys, doc):
+    # verify without coefficients reports the rule's checks alone: the
+    # decision that superpose, once it reaches it, must report the same
+    start = time.perf_counter()
+    with mock.patch.object(superposition, "rule_checks", wraps=superposition.rule_checks) as decide:
+        checks = _checks(tmp_path, "superpose", doc)
+    elapsed = time.perf_counter() - start
+    decision = _checks(tmp_path, "verify", {k: v for k, v in doc.items() if k != "coefficients"})
+    capsys.readouterr()
+    assert elapsed < WALL_TIME_BOUND_S, f"superpose took {elapsed:.1f} s on {doc}"
+    if not decide.called:  # ended before it: a key, the system or the points
+        return
+    if decision[0]["name"] != "completed" and all(c["passed"] for c in decision):
+        # an integration or a leaf solve may still end superpose after it
+        assert checks[:2] == decision or [c["name"] for c in checks] == ["completed"]
+    else:
+        assert checks == decision
 
 
 @settings(derandomize=True, deadline=None, max_examples=40,

@@ -1406,3 +1406,24 @@ class TestPackedMonomials:
             ex._nf_of(parse(f"x*y^{2**63}", VARS))
         with pytest.raises(LiesysError, match=f"^{bound}$"):
             ex._nf_of(parse(f"(x*y^2)^{2**62}", VARS))
+
+
+class TestEvalAtomInt:
+    """_eval_atom_int sets an atom to an integer, each distinct power of it
+    computed once, and gives the dict of the term-by-term evaluation."""
+
+    @staticmethod
+    def per_term(p, atom, xi):
+        out = {}
+        for m, c in p.items():
+            e, rest = ex._split(m, atom)
+            out[rest] = out.get(rest, 0) + c * xi**e
+        return {m: c for m, c in out.items() if c}
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(p=_POLYS, atom=st.sampled_from(_ACC_ATOMS),
+           xi=st.one_of(st.integers(-3, 3), st.integers(2**60, 2**200)))
+    def test_matches_the_per_term_form(self, p, atom, xi):
+        got = ex._eval_atom_int(p, atom, xi)
+        assert got == self.per_term(p, atom, xi)
+        assert all(got.values())

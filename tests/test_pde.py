@@ -3,7 +3,7 @@ import pytest
 
 from liesys import pde
 from liesys.dynamics import CoefficientCurve, LieSystem, integrate, integrate_tuple
-from liesys.errors import LiesysError, NonConvergenceError, NotFlatError
+from liesys.errors import NonConvergenceError, NotFlatError
 from liesys.expr import Chart, Var, canonically_equal, is_zero, parse
 from liesys.geometry import VectorField
 from liesys.pde import (
@@ -16,7 +16,7 @@ from liesys.pde import (
     pde_superpose,
     solve_on_grid,
 )
-from liesys.superposition import SuperpositionRule
+from liesys.superposition import SuperpositionRule, rule_checks
 
 
 def flat_riccati(decomposed=True):
@@ -213,13 +213,17 @@ class TestGridSuperposition:
         t1, t2 = np.meshgrid(axes, axes, indexing="ij")
         # slot 0 starts at -1/3, the leaf point of k = 2/3 over -1, -2, 0.5
         assert np.max(np.abs(rebuilt[:, :, 0] + 1 / (3 + t1 + t2))) <= 1e-9
-        assert checks[0].name == "superposition_vs_path_solve" and checks[0].passed
-        assert checks[0].value <= 1e-10
+        assert [c.name for c in checks] == ["tangency_zero", "psi_transversal",
+                                            "superposition_vs_path_solve"]
+        assert all(c.passed for c in checks) and checks[2].value <= 1e-10
 
     def test_rule_must_be_tangent(self):
+        # verify's checks of the rule on the basis, and no grid
         bad = SuperpositionRule.from_strings(Chart(("u",)), 1, 1, psi=["u_0"], phi=["k1"])
-        with pytest.raises(LiesysError, match=r"not tangent .*\(field 0, psi component 0\)"):
-            grid_superpose_checks(flat_riccati(), bad, [0.1], [[0.1]], [0.2, 0.2])
+        checks, rebuilt = grid_superpose_checks(flat_riccati(), bad, [0.1], [[0.1]], [0.2, 0.2])
+        assert checks == rule_checks(bad, flat_riccati().decomposition.basis)
+        assert [c.passed for c in checks] == [False, True] and rebuilt is None
+        assert checks[0].detail == "field 0 psi 0: nonzero; field 1 psi 0: nonzero; field 2 psi 0: nonzero"
 
 
 class TestGridSweep:

@@ -990,8 +990,8 @@ class TestLeafFollowing:
         rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^2"])
         passes = _counted(monkeypatch, rule)
         checks, _, slot0, _ = superpose_checks(rule, sys, [[0.0]], (0.0, 1.0), 1e-9, 1e-6, x0=[0.5])
-        assert [c.passed for c in checks] == [True, True]
-        assert checks[0].value <= 1e-12  # 6.2e-14; 1 before
+        assert [c.passed for c in checks] == [True] * 4
+        assert checks[2].value <= 1e-12  # 6.2e-14; 1 before
         assert passes.count / len(slot0.t) <= 3.4  # 4.2 before
         assert main(["superpose", str(INPUTS / "leaf_other_branch.json")]) == 0
         assert "PASS reconstruction_vs_direct" in capsys.readouterr().out
@@ -1055,7 +1055,7 @@ class TestPhiDecidedExactly:
     def test_phi_on_its_leaves_passes(self, name, rule, sys, points, k):
         before = superposition._build_leaf_solve.cache_info().misses
         checks, _, _, _ = superpose_checks(rule, sys, points, (0.0, 1.0), 1e-9, 1e-6, k=k)
-        assert [c.passed for c in checks] == [True, True]
+        assert [c.passed for c in checks] == [True] * 4
         assert superposition._build_leaf_solve.cache_info().misses == before
 
     @pytest.mark.parametrize("name,rule,sys,points,k", _phi_cases()[4:])

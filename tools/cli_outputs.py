@@ -69,9 +69,10 @@ FLAG_CALLS = (
 # bracket takes the non-constant path of expr._nf_dot; and two rules with
 # no phi, so every slot-0 node is a leaf solve: one whose solve starts at a
 # singular point, one on a coarse grid whose leaf has two branches; a
-# tangent rule whose psi does not see x_0; and two phis off their own
-# leaves, by x_1/1000 and by x_1/10^9, which `superpose` decides exactly as
-# `verify` does, before it integrates; two matrix curves with a trace, one
+# tangent rule whose psi does not see x_0, which `verify` and `superpose`
+# refuse alike; and two phis off their own leaves, by x_1/1000 and by
+# x_1/10^9, which `superpose` decides exactly as `verify` does, before it
+# integrates; two matrix curves with a trace, one
 # whose det g(1) = e^-30 decays far below one and one with det g(2) = e^10,
 # whose determinants `group` checks against Liouville's formula; and a
 # field that overflows at x0 = 1e200, once as x^2, whose power raises
@@ -80,8 +81,9 @@ FLAG_CALLS = (
 # of dimension 0; and the line pair 1, x*exp(x)*exp(-x), whose atoms
 # cancel in value but not in the normal form, so closure fails it and
 # completion hits its cap (ROADMAP item 5), while m ranks it in floats;
-# and a pde superpose whose rule, x_0 - x_1, is not tangent to the
-# decomposition's basis, which names the first field it fails on, and one
+# and a pde superpose whose rule, u_0 - u_1, is not tangent to the
+# decomposition's basis, and one whose rule, the cross ratio of slots 1-4,
+# does not see slot 0, each refused by the rule check it fails, and one
 # on a decomposed system that is not flat, and pde_riccati.json without
 # phi, so every grid node of slot 0 is a leaf solve; and a flat pde system whose
 # residual exp(t1)*exp(t2)*u - exp(t1 + t2)*u is zero only by sampling, so
@@ -105,6 +107,7 @@ INPUT_CALLS = (
     ("leaf_singular_start.superpose", ["superpose", "tools/inputs/leaf_singular_start.json"]),
     ("leaf_other_branch.superpose", ["superpose", "tools/inputs/leaf_other_branch.json"]),
     ("psi_not_transversal.verify", ["verify", "tools/inputs/psi_not_transversal.json"]),
+    ("psi_not_transversal.superpose", ["superpose", "tools/inputs/psi_not_transversal.json"]),
     ("phi_off_leaf.superpose", ["superpose", "tools/inputs/phi_off_leaf.json"]),
     ("phi_near_leaf.superpose", ["superpose", "tools/inputs/phi_near_leaf.json"]),
     ("group_decay.group", ["group", "tools/inputs/group_decay.json"]),
@@ -117,6 +120,7 @@ INPUT_CALLS = (
     ("atom_pair.closure.complete", ["closure", "tools/inputs/atom_pair.json", "--complete"]),
     ("atom_pair.m", ["m", "tools/inputs/atom_pair.json"]),
     ("pde_not_tangent.pde_superpose", ["pde", "superpose", "tools/inputs/pde_not_tangent.json"]),
+    ("pde_not_transversal.pde_superpose", ["pde", "superpose", "tools/inputs/pde_not_transversal.json"]),
     ("pde_nonflat_decomposed.pde_superpose",
      ["pde", "superpose", "tools/inputs/pde_nonflat_decomposed.json"]),
     ("pde_riccati_newton.pde_superpose", ["pde", "superpose", "tools/inputs/pde_riccati_newton.json"]),
