@@ -338,9 +338,11 @@ class Trajectory:
         return Trajectory(grid, states, derivs, self.stop, self.events)
 
     def to_json_dict(self) -> dict:
+        """The trajectory as strict JSON: a state value that is not finite,
+        such as a Mobius orbit node on the pole (group.POLE_INF), is null."""
         return {
             "t": self.t.tolist(),
-            "states": self.states.tolist(),
+            "states": [[v if math.isfinite(v) else None for v in row] for row in self.states.tolist()],
             "blew_up": self.blew_up,
             "truncated_at": self.truncated_at,
         }

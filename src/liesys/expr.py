@@ -1317,7 +1317,8 @@ _ONE = Const(1)
 
 def _diff_tree(e: Expr, v: str) -> Expr:
     """de/dv as a tree by the product and quotient rules, for trees evaluated
-    in floats (compiled Jacobians, sampled residuals): a power stays a power,
+    point by point (compiled Jacobians, sampled residuals, and exactly in
+    superposition.transversality_rank): a power stays a power,
     where an expanded normal form would cancel far past rounding.  Terms that
     are identically zero and factors d/dv v = 1 are left out; the rest keeps
     the full rules' shape and order, so a nonzero value keeps its bits."""

@@ -22,9 +22,9 @@ Reconstruction follows the leaf of k over the m solutions' values, by one
 rebuild (_rebuild) for every caller: a curve is one row of nodes
 (`reconstruct`), a PDE grid one row per t1 value (pde.pde_superpose), and
 a start one node (_slot0_start).  With phi, slot 0 is phi there: phi is
-taken as given, and decided once, exactly, by `verify_tangency`
-(_phi_on_leaves, cached per rule and seed), which `rule_checks` runs
-before `superpose` integrates anything.  Without phi each node is a
+taken as given, and decided once per command, exactly, by
+`verify_tangency` (_phi_on_leaves), which `rule_checks` runs before
+`superpose` integrates anything.  Without phi each node is a
 damped Newton solve from the secant predictor through the two nodes
 before it in its row, x_(k-1) + q (x_(k-1) - x_(k-2)) with
 q = dt_k / dt_(k-1), or from the previous node where q > 5
@@ -50,7 +50,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -59,7 +58,7 @@ from . import algebra
 from . import expr as ex
 from .dynamics import LieSystem, Trajectory, integrate_tuple
 from .errors import EvaluationError, LiesysError, NonConvergenceError, SingularDomainError
-from .expr import Chart, Const, Expr, Var
+from .expr import Chart, Expr, Var
 from .geometry import ProductChart, VectorField, diagonal_prolongation
 from .report import Check
 
@@ -211,17 +210,15 @@ class TangencyReport:
         return any(c.probabilistic for c in self.checks)
 
 
-@lru_cache(maxsize=32)
 def _phi_on_leaves(rule: SuperpositionRule, seed: int) -> tuple[Mapping[str, Expr], bool]:
     """The substitution of phi for the slot-0 variables, and whether a leaf
     condition could only be sampled.  Raises LiesysError when phi is missing,
     a leaf condition psi_j(phi) - k_j or C_l(phi) is nonzero, or phi lands
-    where psi_j or C_l is undefined.  Kept in a bounded cache, keyed as
-    _build_leaf_solve is, so `superpose` and `verify` of one rule decide it
-    once."""
+    where psi_j or C_l is undefined.  verify_tangency makes the one call of
+    a command, so nothing is cached."""
     if rule.phi is None:
         raise LiesysError("tangency of a partial rule is decided along phi, and the rule has no phi")
-    on_phi = MappingProxyType(dict(zip(rule.product_chart.slot_names(0), rule.phi)))
+    on_phi = dict(zip(rule.product_chart.slot_names(0), rule.phi))
     conditions = [
         ("psi", f"psi component {j}", f"psi(phi) - {k}", ex.substitute(p, on_phi) - Var(k))
         for j, (p, k) in enumerate(zip(rule.psi, rule.k_names))
@@ -288,13 +285,12 @@ def transversality_rank(rule: SuperpositionRule, seed: int = 0) -> tuple[int, bo
     """Rank of the s x n matrix dpsi_j/dx_(0),i at random rational points of
     the product chart, and whether it is exact (algebra._generic_rank, with
     its Schwartz-Zippel bound).  Rank s means psi is transversal to the
-    slot-0 fibre: a leaf and the m other points fix x_(0) locally.  Entries
-    are derived by VectorField.apply_to on the coordinate fields, unreduced,
+    slot-0 fibre: a leaf and the m other points fix x_(0) locally.  The
+    entries are the derivative trees (ex._diff_tree) of the first s rows of
+    the Jacobian that the leaf solve compiles (_build_leaf_solve), unreduced,
     so no gcd runs."""
     chart = rule.product_chart
-    coordinates = [VectorField(chart, tuple(Const(int(w == v)) for w in chart.names))
-                   for v in chart.slot_names(0)]
-    matrix = [[d.apply_to(p) for d in coordinates] for p in rule.psi]
+    matrix = [[ex._diff_tree(p, v) for v in chart.slot_names(0)] for p in rule.psi]
 
     def rank_at(values):
         env = dict(zip(chart.names, values))
@@ -405,7 +401,9 @@ def _build_leaf_solve(rule: SuperpositionRule, tol: float, max_iter: int,
     bit-identical to np.linalg.solve on the 1 x 1 system; `tol`, `max_iter`
     and `max_halvings` are the NEWTON_* constants.  Each source text is
     compiled once per process (ex.compile_source), so rules with the same
-    equations share its code.
+    equations share its code.  The bounded cache serves one call: a
+    `superpose` given k on a rule without phi, whose start (_slot0_start)
+    and rebuild (reconstruct) then share one built solver.
     """
     n, names = rule.base_chart.dim, rule.product_chart.names
     equations = list(rule.psi) + list(rule.constraints)

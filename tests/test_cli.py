@@ -580,6 +580,17 @@ class TestGroupAndPde:
         assert not integrated["passed"] and integrated["detail"].startswith("step underflow at t=-0.25")
         assert det["name"] == "det_liouville" and det["passed"] and det["value"] == 0.0
 
+    def test_group_report_on_the_mobius_pole_is_strict_json(self, tmp_path):
+        # the orbit 1/(1 - t) of x' = x^2 lands on the pole at t = 1
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "r.json"
+        assert main(["group", str(INPUTS / "mobius_pole.json"), "--json", str(out)]) == 0
+        orbit = json.loads(out.read_text(), parse_constant=refuse)["extra"]["orbit"]
+        assert orbit["t"][-1] == 1.0 and orbit["states"][-1] == [None]
+        assert all(math.isfinite(v) for row in orbit["states"][:-1] for v in row)
+
     def test_group_x0_on_the_pole_skips_equivariance(self, tmp_path):
         path = edited_problem(tmp_path, "sl2_group", {"action": {
             "name": "sl2_linear", "sl2_coefficients": ["1", "0", "1"], "x0": [1.0, 0.0]}})
@@ -1600,9 +1611,11 @@ class TestCatalogSharesTheCliChecks:
         calls, real = [], VectorField.from_strings
         monkeypatch.setattr(VectorField, "from_strings",
                             staticmethod(lambda *args: calls.append(1) or real(*args)))
-        superposition._phi_on_leaves.cache_clear()
+        decisions, decide = [], superposition._phi_on_leaves
+        monkeypatch.setattr(superposition, "_phi_on_leaves",
+                            lambda *args: decisions.append(1) or decide(*args))
         assert main(["examples", "run", "riccati"]) == 0
-        assert len(calls) == 3 and superposition._phi_on_leaves.cache_info().misses == 1
+        assert len(calls) == 3 and len(decisions) == 1
 
     CLOSURE = {"closed", "jacobi_residual_zero"}
     M = {"m_determined", "m_matches_expected"}

@@ -9,6 +9,7 @@ its rule decision, it reports what `verify` reports for the rule.
 
 import json
 import time
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +20,7 @@ from liesys.cli import main
 
 # generous: most examples take milliseconds, the slowest well under a second
 WALL_TIME_BOUND_S = 20.0
+LINEAR3 = Path(__file__).resolve().parent.parent / "problems" / "linear3.json"
 
 
 # a power up to 40, or, one time in sixteen, one about the 2^63 bound of an exponent
@@ -89,23 +91,17 @@ def rules(draw):
     return {"chart": names, "fields": fields, "rule": rule}
 
 
-@settings(derandomize=True, deadline=None, max_examples=40,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(doc=rules())
-def test_verify_ends_in_an_exit_code(tmp_path, capsys, doc):
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(doc))
-    start = time.perf_counter()
-    code = main(["verify", str(path)])
-    elapsed = time.perf_counter() - start
-    capsys.readouterr()
-    assert code in (0, 1, 2)
-    assert elapsed < WALL_TIME_BOUND_S, f"verify took {elapsed:.1f} s on {doc}"
-
-
 def short_span(draw) -> tuple[float, float]:
     t0 = draw(st.integers(-4, 4)) / 4
     return t0, t0 + draw(st.integers(1, 8)) / 8
+
+
+# 0 or a small linear, trigonometric or exponential coefficient curve in t
+SMALL = st.integers(-3, 3)
+CURVES = st.one_of(st.just("0"),
+                   st.tuples(SMALL, SMALL).map(lambda c: "({}) + ({})*t".format(*c)),
+                   st.tuples(SMALL, st.sampled_from(["sin", "cos", "exp"]))
+                   .map(lambda c: "({})*{}(t)".format(*c)))
 
 
 @st.composite
@@ -114,20 +110,14 @@ def superpose_problems(draw):
     coordinates (m = 1 allows no more), a coefficient curve per field over a
     short t_span, the initial point of its one particular solution (a full
     rule may leave it to be drawn), and k, x0 or both, with a start for the
-    leaf solve beside k alone.  A curve is 0 or a
-    small linear, trigonometric or exponential curve in t, as in
+    leaf solve beside k alone.  A curve is one of CURVES, as in
     pde_superpose_problems: stiff curves can need billions of steps, which
     no budget bounds yet."""
     doc = draw(rules())
-    small = st.integers(-3, 3)
-    curve = st.one_of(st.just("0"),
-                      st.tuples(small, small).map(lambda c: "({}) + ({})*t".format(*c)),
-                      st.tuples(small, st.sampled_from(["sin", "cos", "exp"]))
-                      .map(lambda c: "({})*{}(t)".format(*c)))
     dim = len(doc["chart"])
     doc["fields"] = doc["fields"][:dim]
     count = len(doc["fields"])
-    doc["coefficients"] = draw(st.lists(curve, min_size=count, max_size=count))
+    doc["coefficients"] = draw(st.lists(CURVES, min_size=count, max_size=count))
     doc["t_span"] = list(short_span(draw))
     point = st.lists(st.integers(-24, 24).map(lambda v: v / 8), min_size=dim, max_size=dim)
     if doc["rule"]["constraints"] or draw(st.booleans()):
@@ -141,6 +131,31 @@ def superpose_problems(draw):
     elif draw(st.booleans()):
         doc["x0_guess"] = draw(point)
     return doc
+
+
+@st.composite
+def linear3_problems(draw):
+    """problems/linear3.json, the gl(3) rule with m = 3, with its nine
+    coefficients drawn from CURVES."""
+    doc = json.loads(LINEAR3.read_text())
+    doc["coefficients"] = draw(st.lists(CURVES, min_size=9, max_size=9))
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=st.one_of(rules(), superpose_problems(), linear3_problems()))
+def test_verify_ends_in_an_exit_code(tmp_path, capsys, doc):
+    # rules() draws no coefficients, so only the rule is decided; the
+    # other two also integrate a tuple
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["verify", str(path)])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert elapsed < WALL_TIME_BOUND_S, f"verify took {elapsed:.1f} s on {doc}"
 
 
 @settings(derandomize=True, deadline=None, max_examples=40,

@@ -5,14 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
 
 from liesys import expr as ex
 from liesys import superposition
 from liesys.catalog import gl_fields, linear_rule
-from liesys.cli import main
+from liesys.cli import main, rule_of
 from liesys.dynamics import (CoefficientCurve, LieSystem, Trajectory, align_trajectories, integrate,
                              integrate_tuple)
-from liesys.errors import LiesysError, NonConvergenceError, SingularDomainError
+from liesys.errors import EvaluationError, LiesysError, NonConvergenceError, SchemaError, SingularDomainError
 from liesys.expr import Chart
 from liesys.geometry import VectorField
 from liesys.superposition import (
@@ -33,11 +35,37 @@ from liesys.superposition import (
 )
 
 from conftest import compile_scalar
+from test_cli_fuzz import rules
 
 LINE = Chart(("x",))
 PLANE = Chart(("x", "y"))
 INPUTS = Path(__file__).resolve().parent.parent / "tools" / "inputs"
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+RULE_FILES = sorted(path for path in [*PROBLEMS.glob("*.json"), *INPUTS.glob("*.json")]
+                    if "rule" in json.loads(path.read_text()))
+
+
+def _rank_is_sympys(doc: dict) -> bool:
+    """transversality_rank of the doc's rule is sympy's rank of the matrix
+    dpsi_j/dx_(0),i, exact exactly when no entry has a function atom (on
+    the rule files and rules(), exactly when psi has none).  False where no
+    rule is built (the CLI exits 2) or every sampled tuple is a pole, or a
+    power past the exact bound, of an entry."""
+    chart = Chart(tuple(doc.get("chart") or doc["pde"]["chart"]))
+    try:
+        rule = rule_of(doc, chart)
+        rank, exact = transversality_rank(rule)
+    except (SchemaError, EvaluationError):
+        return False
+    names = {v: sympy.Symbol(v) for v in rule.product_chart.names}
+    psi = [sympy.sympify(str(p).replace("^", "**"), locals=names) for p in rule.psi]
+    jacobian = sympy.Matrix(psi).jacobian([names[v] for v in rule.product_chart.slot_names(0)])
+    assert rank == jacobian.rank(iszerofunc=lambda e: sympy.simplify(e) == 0)
+    assert exact == (not any(e.atoms(sympy.Function) for e in jacobian))
+    assert exact == (not any(ex._nf_of(p).trans for p in rule.psi))
+    return True
 
 
 def riccati_fields():
@@ -188,6 +216,11 @@ class TestTransversality:
         rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["sin(x_0) - x_1"])
         assert transversality_rank(rule) == (1, False)
 
+    def test_an_atom_off_the_slot0_partials_leaves_the_rank_exact(self):
+        # dpsi/dx_0 = 1 is rational, so its rank is decided over Q
+        rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["x_0 + exp(x_1)"])
+        assert transversality_rank(rule) == (1, True)
+
     def test_derivatives_are_not_reduced(self, monkeypatch):
         rule = linear_rule(Chart(("x", "y", "z")))
         calls = []
@@ -200,6 +233,25 @@ class TestTransversality:
         monkeypatch.setattr(ex, "_gcd_core", counted)
         assert transversality_rank(rule) == (3, True)
         assert not calls
+
+    def test_applies_no_vector_field(self, monkeypatch):
+        # the entries are the leaf solve's derivative trees, not X(psi) for
+        # coordinate fields X on the product chart
+        def refuse(field, f):
+            raise AssertionError("transversality_rank applied a vector field")
+
+        monkeypatch.setattr(VectorField, "apply_to", refuse)
+        assert transversality_rank(cross_ratio()) == (1, True)
+
+    @pytest.mark.parametrize("path", RULE_FILES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_rank_of_each_rule_file_is_sympys(self, path):
+        # rule_m_fraction's m = 3.9 is refused before a rule is built
+        assert _rank_is_sympys(json.loads(path.read_text())) == (path.stem != "rule_m_fraction")
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(doc=rules())
+    def test_rank_of_fuzzed_rules_is_sympys(self, doc):
+        _rank_is_sympys(doc)
 
 
 class TestConstancy:
@@ -1086,14 +1138,6 @@ class TestPhiDecidedExactly:
         assert superposition._phi_on_leaves(rule, 0)[1] is False
         particular = Trajectory(np.array([0.5]), np.array([[0.5, 1e200]]))
         assert reconstruct(rule, [particular], [0.0, 0.3]).states.tolist() == [[0.5, 0.3]]
-
-    def test_one_decision_serves_superpose_and_verify(self):
-        rule, fields = cross_ratio(), riccati_fields()
-        superpose_checks(rule, riccati_system(), [[-2.0], [0.0], [-1.0]], (0.0, 1.0), 1e-9, 1e-6, k=[0.3])
-        before = superposition._phi_on_leaves.cache_info()
-        assert verify_tangency(rule, fields).all_zero
-        after = superposition._phi_on_leaves.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_superpose_of_phi_files_builds_no_solver(self, capsys):
         docs = {path: json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))}

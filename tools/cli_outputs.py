@@ -97,7 +97,8 @@ FLAG_CALLS = (
 # with no phi; and a rule whose m is 3.9, which is no integer and exits 2;
 # the fields 1 and x^(2^63), whose exponent is past the bound of a
 # monomial's field; and the field exp(x^2 + 729), which overflows at every
-# sample point of the zero test
+# sample point of the zero test; and the Mobius orbit 1/(1 - t) of x' = x^2,
+# whose last node lands on the pole (group.POLE_INF) and reads null in --json
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -144,6 +145,7 @@ INPUT_CALLS = (
     ("exponent_past_field.m", ["m", "tools/inputs/exponent_past_field.json"]),
     ("exponent_past_field.verify", ["verify", "tools/inputs/exponent_past_field.json"]),
     ("exp_overflow_m.m", ["m", "tools/inputs/exp_overflow_m.json"]),
+    ("mobius_pole.group", ["group", "tools/inputs/mobius_pole.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
