@@ -37,10 +37,9 @@ tableau terms left to right from 0, as a numpy loop would, with the zero
 entries kept on purpose, so a non-finite stage value makes y5 - y4
 non-finite (0.0 * inf = nan) and rejects the step just as a stage that
 raises does.  Every node is bit-identical to a numpy loop over the checked
-velocity.  Generating and compiling the run of the Riccati fields 1, x,
-x^2 costs about 0.9 ms at N = 1, 2.2 ms at 4 and 5.5 ms at 12, and the
-escape of x' = (1 + t/2) x^2 from 1 takes about 2.8 us per node, best of
-30 runs (Python 3.11, one Intel Xeon core).
+velocity.  The benchmark's Riccati escape (`trajectories` workload) costs
+5.1 us per node, its `dynamics.us_per_node.escape` as tools/bench_record.py
+recorded it on 2 cores under Python 3.11.
 All of it goes through expr.compile_source, which compiles each source
 text once per process in a bounded cache; runs are kept per (N, rhs), and
 velocity texts per rhs, in bounded caches of their own.

@@ -216,25 +216,28 @@ def act_solve(
 def orbit_of(g: GroupTrajectory, action: GroupAction, x0: Sequence[float]) -> Trajectory:
     """action(g(t), x0) at the nodes of g.
 
-    For the Mobius action the orbit is tracked projectively, so pole
-    crossings produce an inf sample and are logged in Trajectory.events."""
+    For the Mobius action the orbit is tracked projectively: a node on the
+    pole is an inf sample, and each pass through the pole is logged in
+    Trajectory.events at its first node on or past the pole; an orbit that
+    only ends on the pole passes nothing."""
     x0 = np.asarray(x0, dtype=float)
     states = np.empty((len(g.t), action.space_dim))
     if action is not MOBIUS:
         for row, matrix in enumerate(g.matrices):
             states[row] = action.apply(matrix, x0)
         return Trajectory(g.t, states, stop=g.stop)
-    # track the projective pair; a sign change of the second coordinate
-    # means the orbit crossed the pole (chart switch)
-    vec, previous_v2, events = _projective(x0), None, []
+    # track the projective pair; the orbit passes the pole (chart switch)
+    # where the second coordinate changes sign from one node to the next,
+    # or is exactly 0 at an interior node between nodes of opposite signs
+    vec, v2 = _projective(x0), []
     for row, matrix in enumerate(g.matrices):
         image = matrix @ vec
         states[row] = _mobius_point(image)
-        v2 = float(image[1])
-        if math.isinf(states[row, 0]) or (previous_v2 is not None and previous_v2 * v2 < 0.0):
-            events.append(("pole_crossing", float(g.t[row])))
-        previous_v2 = v2
-    return Trajectory(g.t, states, stop=g.stop, events=tuple(events))
+        v2.append(float(image[1]))
+    events = tuple(("pole_crossing", float(g.t[row])) for row in range(1, len(v2))
+                   if v2[row - 1] * v2[row] < 0.0
+                   or (v2[row] == 0.0 and row + 1 < len(v2) and v2[row - 1] * v2[row + 1] < 0.0))
+    return Trajectory(g.t, states, stop=g.stop, events=events)
 
 
 @dataclass

@@ -32,10 +32,10 @@ q = dt_k / dt_(k-1), or from the previous node where q > 5
 times over; a grid row's first node is predicted in the same way from the
 first nodes of the rows before it.
 This is the Euler-Newton predictor-corrector of continuation methods.
-The solve is one function generated for the rule and kept in a bounded
-cache (_leaf_solve): residuals, norm, the exact Jacobian (derivative trees
-evaluated in floats) and each damped trial are scalar locals; for n > 1
-the step is still np.linalg.solve.
+The solve is one function generated for the rule by each rebuild
+(_leaf_solve), with no cache of its own: residuals, norm, the exact
+Jacobian (derivative trees evaluated in floats) and each damped trial are
+scalar locals; for n > 1 the step is still np.linalg.solve.
 
 `rule_checks`, `solution_checks` and `superpose_checks` turn these into the
 named checks of `liesys verify` and `liesys superpose`, and of the catalog.
@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -287,7 +286,7 @@ def transversality_rank(rule: SuperpositionRule, seed: int = 0) -> tuple[int, bo
     its Schwartz-Zippel bound).  Rank s means psi is transversal to the
     slot-0 fibre: a leaf and the m other points fix x_(0) locally.  The
     entries are the derivative trees (ex._diff_tree) of the first s rows of
-    the Jacobian that the leaf solve compiles (_build_leaf_solve), unreduced,
+    the Jacobian that the leaf solve compiles (_leaf_solve), unreduced,
     so no gcd runs."""
     chart = rule.product_chart
     matrix = [[ex._diff_tree(p, v) for v in chart.slot_names(0)] for p in rule.psi]
@@ -368,17 +367,6 @@ def verify_along_solutions(
 
 
 def _leaf_solve(rule: SuperpositionRule) -> Callable[..., list[float]]:
-    """The rule's damped Newton solve (_build_leaf_solve) with the NEWTON_*
-    constants as they are now, built once per (rule, constants) in a
-    bounded cache: `superpose` with k and no phi starts slot 0 and rebuilds
-    it with one solver.  Rules are keyed by their fields, and expressions
-    by identity, so a rule parsed again builds its own."""
-    return _build_leaf_solve(rule, NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_MAX_HALVINGS)
-
-
-@lru_cache(maxsize=32)
-def _build_leaf_solve(rule: SuperpositionRule, tol: float, max_iter: int,
-                      max_halvings: int) -> Callable[..., list[float]]:
     """Damped Newton for psi(x0, slots) = k plus constraints = 0 in the
     slot-0 variables, as one function generated for the rule:
     solve(rest, k, guess, t) -> slot 0, where `rest` holds the other slots
@@ -398,12 +386,11 @@ def _build_leaf_solve(rule: SuperpositionRule, tol: float, max_iter: int,
     instead of warning.  The residual norm is NaN when a residual is, as
     with np.max (Python's max skips a NaN that is not the first item), so
     a NaN never counts as converged.  For n = 1 the step is -r/J, which is
-    bit-identical to np.linalg.solve on the 1 x 1 system; `tol`, `max_iter`
-    and `max_halvings` are the NEWTON_* constants.  Each source text is
+    bit-identical to np.linalg.solve on the 1 x 1 system.  The NEWTON_*
+    constants are read when the solver is built.  Each source text is
     compiled once per process (ex.compile_source), so rules with the same
-    equations share its code.  The bounded cache serves one call: a
-    `superpose` given k on a rule without phi, whose start (_slot0_start)
-    and rebuild (reconstruct) then share one built solver.
+    equations share its code; the solver itself is built per call, and
+    each rebuild (_rebuild) builds one.
     """
     n, names = rule.base_chart.dim, rule.product_chart.names
     equations = list(rule.psi) + list(rule.constraints)
@@ -473,9 +460,9 @@ def _build_leaf_solve(rule: SuperpositionRule, tol: float, max_iter: int,
         _inf=math.inf, _float=float, _array=np.array, _solve=np.linalg.solve,
         _errors=(ZeroDivisionError, ValueError, OverflowError),
         _singular_matrix=(ZeroDivisionError, np.linalg.LinAlgError),
-        _Singular=SingularDomainError, _NonConvergence=NonConvergenceError, _tol=tol,
-        _iterations=range(max_iter), _halvings=range(max_halvings + 1),
-        _unconverged=f"Newton did not converge in {max_iter} iterations")
+        _Singular=SingularDomainError, _NonConvergence=NonConvergenceError, _tol=NEWTON_TOL,
+        _iterations=range(NEWTON_MAX_ITER), _halvings=range(NEWTON_MAX_HALVINGS + 1),
+        _unconverged=f"Newton did not converge in {NEWTON_MAX_ITER} iterations")
 
 
 def derive_k(rule: SuperpositionRule, x0: Sequence[float], slot_states: Sequence[Sequence[float]]) -> np.ndarray:

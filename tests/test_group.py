@@ -16,10 +16,12 @@ from liesys.group import (
     ACTIONS,
     LINEAR_SL2,
     MOBIUS,
+    GroupTrajectory,
     MatrixCurve,
     act_solve,
     check_equivariance,
     group_checks,
+    orbit_of,
     sl2_from_coefficients,
     solve_group_equation,
 )
@@ -244,6 +246,20 @@ class TestActSolve:
         crossings = [t for _, t in tr.events]
         assert len(crossings) == 1
         assert abs(crossings[0] - math.pi / 2) <= 0.05
+
+    @pytest.mark.parametrize("shears,crossings", [
+        # x2 of the orbit of 1 under [[1, 0], [-s, 1]] is 1 - s
+        ([0.0, 0.5, 1.0, 1.5], [1.0]),   # exactly on the pole between opposite signs
+        ([0.0, 0.5, 1.0], []),           # ends on the pole
+        ([0.0, 1.0, 0.5], []),           # touches the pole and turns back
+        ([0.0, 0.5, 1.5, 2.0], [1.0]),   # changes sign between two nodes
+    ], ids=["interior_zero", "final_zero", "touch", "sign_change"])
+    def test_pole_crossings_of_exact_matrices(self, shears, crossings):
+        t = np.arange(len(shears), dtype=float) / 2
+        g = GroupTrajectory(t, np.array([[[1.0, 0.0], [-s, 1.0]] for s in shears]))
+        orbit = orbit_of(g, MOBIUS, [1.0])
+        assert [time for _, time in orbit.events] == crossings
+        assert np.isinf(orbit.states[:, 0]).tolist() == [s == 1.0 for s in shears]
 
 
 class TestEquivariance:

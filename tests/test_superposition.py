@@ -904,30 +904,6 @@ class TestLeafSolver:
         assert np.max(np.abs(np.subtract(x, [0.2, -0.3, 0.5]))) <= 1e-12
 
 
-class TestLeafSolverCache:
-    """_leaf_solve builds a rule's solver once per (rule, NEWTON_* constants)."""
-
-    def test_superpose_with_k_builds_one_solver(self, capsys):
-        # the slot-0 start and the rebuild of `superpose` with k and no phi
-        # take the same solver; the verdict is not what is tested here
-        superposition._build_leaf_solve.cache_clear()
-        assert main(["superpose", str(INPUTS / "leaf_other_branch.json"), "--k", "0.25"]) in (0, 1)
-        capsys.readouterr()
-        info = superposition._build_leaf_solve.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-
-    def test_constants_are_part_of_the_key(self, monkeypatch):
-        rule = cross_ratio()
-        solve = _leaf_solve(rule)
-        assert _leaf_solve(rule) is solve
-        monkeypatch.setattr(superposition, "NEWTON_MAX_ITER", 1)
-        assert _leaf_solve(rule) is not solve
-        with pytest.raises(NonConvergenceError, match="in 1 iterations"):
-            _leaf_solve(rule)([0.5, -1.0, 2.0], [0.3], [5.0], 0.0)
-        monkeypatch.undo()
-        assert _leaf_solve(rule) is solve
-
-
 class TestGeneratedSolveBitIdentity:
     """The generated solve against the list-based one it replaced
     (_ListLeafSolver): the same floats, or the same error and message."""
@@ -995,10 +971,31 @@ class _Passes:
             yield i
 
 
-def _counted(monkeypatch, rule) -> _Passes:
-    passes = _Passes()
-    monkeypatch.setitem(_leaf_solve(rule).__globals__, "_iterations", passes)
+def _counted(monkeypatch) -> _Passes:
+    """The Newton passes of every leaf solver built from here on: each
+    build has its own namespace, so each gets the one counter."""
+    passes, build = _Passes(), superposition._leaf_solve
+
+    def counting(rule):
+        solve = build(rule)
+        solve.__globals__["_iterations"] = passes
+        return solve
+
+    monkeypatch.setattr(superposition, "_leaf_solve", counting)
     return passes
+
+
+def _builds(monkeypatch) -> list:
+    """The rules of the leaf solvers built from here on."""
+    built, build = [], superposition._leaf_solve
+    monkeypatch.setattr(superposition, "_leaf_solve", lambda rule: built.append(rule) or build(rule))
+    return built
+
+
+def test_leaf_solve_reads_the_newton_constants_when_built(monkeypatch):
+    monkeypatch.setattr(superposition, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError, match="in 1 iterations"):
+        _leaf_solve(cross_ratio())([0.5, -1.0, 2.0], [0.3], [5.0], 0.0)
 
 
 def _newton_only(rule):
@@ -1017,7 +1014,7 @@ class TestLeafFollowing:
         direct = integrate(sys, [-0.5], (0.0, 1.2), 1e-9)
         aligned = align_trajectories([direct] + integrate_tuple(sys, ([-2.0], [0.0], [-1.0]), (0.0, 1.2), 1e-9))
         k = derive_k(rule, aligned[0].states[0], [tr.states[0] for tr in aligned[1:]])
-        passes = _counted(monkeypatch, rule)
+        passes = _counted(monkeypatch)
         rebuilt = reconstruct(rule, aligned[1:], k, x0_guess=[-0.5])
         # 3.04 on these 141 nodes; started at the previous node, 3.98
         assert passes.count / len(rebuilt.t) <= 3.1
@@ -1029,7 +1026,7 @@ class TestLeafFollowing:
         sys, rule = linear2_system(), _newton_only(linear2_rule())
         aligned = solution_tuple(sys, ([0.4, -0.3], [1.0, 0.0], [0.0, 1.0]), (0.0, 2.0))
         k = derive_k(rule, aligned[0].states[0], [tr.states[0] for tr in aligned[1:]])
-        passes = _counted(monkeypatch, rule)
+        passes = _counted(monkeypatch)
         rebuilt = reconstruct(rule, aligned[1:], k, x0_guess=[0.4, -0.3])
         assert passes.count == 2 * len(rebuilt.t) - 1
         assert np.max(np.abs(rebuilt.states - aligned[0].states)) <= 1e-6
@@ -1040,7 +1037,7 @@ class TestLeafFollowing:
         # 0.31 and 1.  From the node at 0.31 the solve at 1 landed on x_1 - 1/2
         sys = LieSystem([VectorField.from_strings(LINE, ["1"])], [CoefficientCurve.from_string("1 - t/3")])
         rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["(x_0 - x_1)^2"])
-        passes = _counted(monkeypatch, rule)
+        passes = _counted(monkeypatch)
         checks, _, slot0, _ = superpose_checks(rule, sys, [[0.0]], (0.0, 1.0), 1e-9, 1e-6, x0=[0.5])
         assert [c.passed for c in checks] == [True] * 4
         assert checks[2].value <= 1e-12  # 6.2e-14; 1 before
@@ -1104,11 +1101,11 @@ class TestPhiDecidedExactly:
     solver for it."""
 
     @pytest.mark.parametrize("name,rule,sys,points,k", _phi_cases()[:4])
-    def test_phi_on_its_leaves_passes(self, name, rule, sys, points, k):
-        before = superposition._build_leaf_solve.cache_info().misses
+    def test_phi_on_its_leaves_passes(self, name, rule, sys, points, k, monkeypatch):
+        built = _builds(monkeypatch)
         checks, _, _, _ = superpose_checks(rule, sys, points, (0.0, 1.0), 1e-9, 1e-6, k=k)
         assert [c.passed for c in checks] == [True] * 4
-        assert superposition._build_leaf_solve.cache_info().misses == before
+        assert built == []
 
     @pytest.mark.parametrize("name,rule,sys,points,k", _phi_cases()[4:])
     def test_phi_off_its_leaves_fails(self, name, rule, sys, points, k):
@@ -1139,13 +1136,13 @@ class TestPhiDecidedExactly:
         particular = Trajectory(np.array([0.5]), np.array([[0.5, 1e200]]))
         assert reconstruct(rule, [particular], [0.0, 0.3]).states.tolist() == [[0.5, 0.3]]
 
-    def test_superpose_of_phi_files_builds_no_solver(self, capsys):
+    def test_superpose_of_phi_files_builds_no_solver(self, capsys, monkeypatch):
         docs = {path: json.loads(path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))}
         files = [path for path, doc in docs.items() if "chart" in doc and (doc.get("rule") or {}).get("phi")]
         assert len(files) == 8
-        before = superposition._build_leaf_solve.cache_info().misses
+        built = _builds(monkeypatch)
         for path in files + [INPUTS / "phi_off_leaf.json"]:
             assert main(["superpose", str(path)]) in (0, 1), path.name
         out = capsys.readouterr().out
         assert "FAIL completed  (phi is off its own leaves: psi component 0: psi(phi) - k1 = " in out
-        assert superposition._build_leaf_solve.cache_info().misses == before
+        assert built == []

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,81 @@ class TestBenchPairsRun:
         assert (cwd, dont_write, inside) == (tmp_path, "1", [])
         # a new empty directory for each run, gone after it
         assert prefix != second[3] and not prefix.exists() and not second[3].exists()
+
+
+_RECORD_SPEC = importlib.util.spec_from_file_location(
+    "bench_record", Path(__file__).resolve().parent.parent / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_RECORD_SPEC)
+_RECORD_SPEC.loader.exec_module(bench_record)
+BENCHMARK = json.loads((bench_record.ROOT / "BENCHMARK.json").read_text())
+
+
+def _names(section: str) -> list[str]:
+    return [m["name"] for m in BENCHMARK[section]]
+
+
+class TestBenchRecord:
+    @staticmethod
+    def fake(monkeypatch, incorrect=None) -> list:
+        """subprocess.run answering every bench/run.py run with each
+        declared metric at 1.0, incorrect on the workload `incorrect`, and
+        every other interpreter process with a tier-1 summary line; other
+        programs (platform's `uname -p`) run."""
+        calls, real = [], subprocess.run
+
+        def fake_run(argv, **kwargs):
+            if argv[0] != sys.executable:
+                return real(argv, **kwargs)
+            calls.append(argv[1:])
+            if argv[1] != "bench/run.py":
+                return subprocess.CompletedProcess(argv, 0, stdout="909 passed in 1.00s\n", stderr="")
+            workload, trace = argv[argv.index("--workload") + 1], argv[argv.index("--trace") + 1]
+            metrics = {name: {"value": 1.0} for name in _names("per_layer" if trace == "1" else "end_to_end")}
+            result = {"correct": workload != incorrect, "failed": 1, "attempted": 2, "metrics": metrics}
+            return subprocess.CompletedProcess(argv, 0, stdout="log\n" + json.dumps(result) + "\n")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        return calls
+
+    def test_document_shape(self, monkeypatch, tmp_path, capsys):
+        calls = self.fake(monkeypatch)
+        assert bench_record.main([str(tmp_path / "BENCH.json")]) == 0
+        doc = json.loads((tmp_path / "BENCH.json").read_text())
+        assert set(doc) == {"machine", "seed", "run_seconds", "workloads", "process_s", "tier1", "sloc"}
+        assert set(doc["machine"]) == {"python", "platform", "cpu_count", "numpy"}
+        assert list(doc["workloads"]) == [w["name"] for w in BENCHMARK["workloads"]]
+        for sections in doc["workloads"].values():
+            assert list(sections["end_to_end"]) == _names("end_to_end")
+            assert list(sections["per_layer"]) == _names("per_layer")
+        bench_runs = [argv for argv in calls if argv[0] == "bench/run.py"]
+        assert len(bench_runs) == 2 * len(BENCHMARK["workloads"])
+        assert all(argv[3:7] == ["--seed", "7", "--seconds", str(BENCHMARK["run_seconds"])]
+                   for argv in bench_runs)
+        # every process timed in each of the 5 rounds, after one compileall
+        timed = [argv for argv in calls if argv[0] != "bench/run.py"]
+        assert timed[0][:2] == ["-m", "compileall"]
+        assert timed[1:-1] == 5 * list(bench_record.PROCESSES.values())
+        assert timed[-1] == bench_record.TIER1
+        assert list(doc["process_s"]) == list(bench_record.PROCESSES)
+        assert doc["tier1"]["returncode"] == 0 and doc["tier1"]["summary"] == "909 passed in 1.00s"
+        assert doc["sloc"]["total"] == sum(doc["sloc"]["modules"].values()) > 0
+        assert len(capsys.readouterr().out.splitlines()) == 4 + 2 * len(BENCHMARK["workloads"])
+
+    def test_an_incorrect_run_stops_the_recorder(self, monkeypatch, tmp_path):
+        calls = self.fake(monkeypatch, incorrect="exact")
+        with pytest.raises(SystemExit, match="1 of 2 operations failed"):
+            bench_record.main([str(tmp_path / "BENCH.json")])
+        assert not (tmp_path / "BENCH.json").exists()
+        assert all(argv[0] == "bench/run.py" for argv in calls)
+
+    def test_committed_record_keys_are_the_declared_names(self):
+        records = sorted(bench_record.ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+        assert records, "no BENCH_<pr>.json at the root of the repo"
+        doc = json.loads(records[-1].read_text())
+        for workload in BENCHMARK["workloads"]:
+            sections = doc["workloads"][workload["name"]]
+            assert list(sections["end_to_end"]) == _names("end_to_end")
+            assert list(sections["per_layer"]) == _names("per_layer")
 
 
 _REACH_SPEC = importlib.util.spec_from_file_location(

@@ -56,11 +56,13 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One bench/run.py run's metrics by name: the end-to-end ones, or with
+    trace 1 the per-layer ones; a run that is not correct exits."""
     with tempfile.TemporaryDirectory() as pycache:
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
         done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
-                               str(seed), "--seconds", str(seconds), "--trace", "0"],
+                               str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                               cwd=tree, env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"]:

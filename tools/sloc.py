@@ -46,10 +46,14 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def module_counts(tree: Path) -> dict[str, int]:
+    """code_lines of each module of tree/src/liesys, by file name."""
+    return {path.name: code_lines(path.read_text())
+            for path in sorted((tree / "src" / "liesys").glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    tree = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
-    counts = {path.name: code_lines(path.read_text())
-              for path in sorted((tree / "src" / "liesys").glob("*.py"))}
+    counts = module_counts(Path(argv[0]) if argv else Path(__file__).resolve().parent.parent)
     print(f"src/liesys code lines: {sum(counts.values())}")
     for name, count in counts.items():
         print(f"  {name}: {count}")
