@@ -39,6 +39,7 @@ __all__ = [
     "closure_test",
     "FundamentalSizeReport",
     "minimal_m",
+    "field_vector",
     "evaluation_rank",
     "matrix_rank",
     "closure_checks",
@@ -374,22 +375,30 @@ def _rank_over_q(rows: Iterable[Sequence[Fraction]]) -> int:
 def _rank(rows: Sequence[Sequence]) -> tuple[int, bool]:
     """Rank of evaluated rows, and whether it is exact: Fractions are ranked
     over Q, a matrix holding a float (function atoms, float points) by
-    matrix_rank.  Raises OverflowError for a value past the float range."""
+    matrix_rank.  Raises OverflowError for a value past the float range,
+    or a float that is not finite."""
     if any(isinstance(v, float) for row in rows for v in row):
-        return matrix_rank(np.array(rows, dtype=float)), False
+        mat = np.array(rows, dtype=float)
+        if not np.isfinite(mat).all():
+            raise OverflowError("a value is not finite")
+        return matrix_rank(mat), False
     return _rank_over_q(rows), True
 
 
-def evaluation_rank(fields: Sequence[VectorField], points: Sequence[Sequence]) -> tuple[int, bool]:
+def field_vector(fields: Sequence[VectorField]) -> Callable[..., list]:
+    """The exact vector (ex.compile_vector) of the fields' components, field
+    by field, over their chart: compiled once, run at every point of a rank
+    search."""
+    return ex.compile_vector([c for f in fields for c in f.components], fields[0].chart.names,
+                             exact=True)
+
+
+def evaluation_rank(vector: Callable[..., list], n: int, points: Sequence[Sequence]) -> tuple[int, bool]:
     """Rank of the stacked evaluations A_a^i(x_(s)) (rows (slot, component),
-    columns fields), and whether it is exact (see _rank).  A constant
-    component, which cannot raise, is read as its value."""
-    envs = [dict(zip(fields[0].chart.names, p)) for p in points] if fields else []
+    columns fields) of fields of dimension n whose field_vector is vector,
+    and whether it is exact (see _rank)."""
     try:
-        return _rank(list(zip(*(
-            [c.value if isinstance(c, ex.Const) else ex.evaluate(c, env)
-             for env in envs for c in f.components]
-            for f in fields))))
+        return _rank([values[i::n] for p in points for values in (vector(*p),) for i in range(n)])
     except OverflowError:
         at = "; ".join(f"({', '.join(map(str, p))})" for p in points)
         raise EvaluationError(f"field value at {at} is out of the float range") from None
@@ -464,12 +473,13 @@ def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeRe
         raise ValueError("fields are linearly dependent; prune_independent first")
     r = len(fields)
     n = fields[0].chart.dim
+    vector = field_vector(fields)
     rng = random.Random(seed)
     profile: list[RankAtK] = []
     exact = True
     for k in range(1, r + 1):
         rank, tuples, rank_exact = _generic_rank(
-            lambda values: evaluation_rank(fields, [values[i:i + n] for i in range(0, k * n, n)]),
+            lambda values: evaluation_rank(vector, n, [values[i:i + n] for i in range(0, k * n, n)]),
             k * n, r, rng, min(k * n, r),
         )
         # below m, rank < r is proved by the shape only when k n < r; else it was sampled
@@ -490,21 +500,17 @@ def minimal_m(fields: Sequence[VectorField], seed: int = 0) -> FundamentalSizeRe
 
 def closure_checks(fields: Sequence[VectorField], complete: bool = False) -> tuple[list[Check], dict]:
     """`closed` (detail: the algebra's dimension), then `jacobi_residual_zero`
-    when closed, with the report under the extra `closure` and, when not
-    closed, the first bracket outside the span under `witness`.  A completion
+    when closed, with the report under the extra `closure`, whose `witness`
+    is the first bracket outside the span when not closed.  A completion
     that passes its cap fails `closed` with the cap's message."""
     try:
         report = closure_test(fields, complete=complete)
     except ClosureCapError as exc:
         return [Check("closed", False, detail=str(exc))], {}
-    checks, extra = [Check("closed", report.closed, detail=f"dimension {report.dimension}")], {}
+    checks = [Check("closed", report.closed, detail=f"dimension {report.dimension}")]
     if report.closed:
         checks.append(Check("jacobi_residual_zero", report.jacobi_residual() == 0))
-    elif report.witness is not None:
-        a, b, bracket = report.witness
-        extra["witness"] = {"pair": [a, b], "bracket": bracket.to_json_dict()}
-    extra["closure"] = report.to_json_dict()
-    return checks, extra
+    return checks, {"closure": report.to_json_dict()}
 
 
 def m_checks(fields: Sequence[VectorField], seed: int = 0,

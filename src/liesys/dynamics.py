@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import expr as ex
-from .algebra import _independent, evaluation_rank
+from .algebra import _independent, evaluation_rank, field_vector
 from .errors import EvaluationError, FundamentalSetError
 from .expr import Expr
 from .geometry import VectorField
@@ -614,12 +614,12 @@ def fundamental_points(
     draws."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    r = sys.r
+    r, vector = sys.r, field_vector(sys.fields)
     if initial_points is not None:
         points = [list(map(float, p)) for p in initial_points]
         if len(points) != m:
             raise ValueError(f"expected {m} initial points, got {len(points)}")
-        if evaluation_rank(sys.fields, points)[0] < r:
+        if evaluation_rank(vector, sys.dim, points)[0] < r:
             raise FundamentalSetError(
                 "supplied initial tuple is not fundamental (rank-deficient at t=0)"
             )
@@ -628,7 +628,7 @@ def fundamental_points(
     for _ in range(MAX_RESAMPLES):
         cand = [[float(ex.random_rational(rng)) for _ in range(sys.dim)] for _ in range(m)]
         try:
-            rank, _ = evaluation_rank(sys.fields, cand)
+            rank, _ = evaluation_rank(vector, sys.dim, cand)
         except EvaluationError:  # a field is undefined at cand
             continue
         if rank == r:

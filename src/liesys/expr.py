@@ -55,7 +55,6 @@ __all__ = [
     "differentiate",
     "is_zero",
     "ZeroDecision",
-    "evaluate",
     "substitute",
     "canonical_expr",
     "canonically_equal",
@@ -1150,10 +1149,10 @@ MAX_NESTING = 32
 # Most binary operators in one expression.  A run of + - or * is one flat node but
 # compiles to Python as deep as the run, and nested runs add up; CPython stops near 3,000.
 MAX_OPERATORS = 1000
-# Largest exact power evaluate() computes, in bits of the numerator or the
-# denominator, and largest leading coefficient of a power's normal form:
-# nested powers that parse in a few levels would otherwise build numbers of
-# billions of digits.
+# Largest exact power an exact source (python_source) computes, in bits of
+# the numerator or the denominator, and largest leading coefficient of a
+# power's normal form: nested powers that parse in a few levels would
+# otherwise build numbers of billions of digits.
 MAX_EXACT_BITS = 2**20
 # Most term pairs one polynomial product multiplies out, at a few microseconds
 # each: expanding (x+1)^100000 squares ever longer polynomials and would not end.
@@ -1458,41 +1457,42 @@ def _bound_power(c: int, exponent: int) -> None:
         raise EvaluationError(f"exact power ^{exponent} would exceed {MAX_EXACT_BITS} bits")
 
 
-def evaluate(e: Expr, env: Mapping[str, Fraction | int | float]):
-    """Evaluate at a point.  Exact (Fraction) for rational trees over rational
-    inputs; function applications force floating point."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            v = env[e.name]
-        except KeyError:
-            raise EvaluationError(f"no value supplied for {e.name!r}") from None
-        return Fraction(v) if isinstance(v, int) else v
-    if isinstance(e, Add):
-        return sum(evaluate(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1
-        for f in e.factors:
-            out *= evaluate(f, env)
-        return out
-    if isinstance(e, Pow):
-        base = evaluate(e.base, env)
-        if isinstance(base, Fraction):
-            _bound_power(max(abs(base.numerator), base.denominator), e.exponent)
-        return base ** e.exponent
-    if isinstance(e, Div):
-        den = evaluate(e.denominator, env)
-        if den == 0:
-            raise EvaluationError("division by zero at evaluation point")
-        return evaluate(e.numerator, env) / den
-    if isinstance(e, Call):
-        arg = float(evaluate(e.arg, env))
-        try:
-            return _MATH[e.fn](arg)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"{e.fn}({arg}) out of domain") from exc
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+def _exact_sum(*terms):
+    """sum of the terms in an exact source: one call, however many terms,
+    and one parenthesis level, as the float source's (a+b+...)."""
+    return sum(terms)
+
+
+def _exact_prod(*factors):
+    """math.prod of the factors in an exact source, as _exact_sum."""
+    return math.prod(factors)
+
+
+def _exact_pow(base, exponent: int):
+    """base ** exponent in an exact source, refused past MAX_EXACT_BITS when
+    base is exact."""
+    if not isinstance(base, float):
+        _bound_power(max(abs(base.numerator), base.denominator), exponent)
+    return base ** exponent
+
+
+def _exact_div(numerator, denominator):
+    """numerator / denominator in an exact source: a Fraction for two ints,
+    EvaluationError for a zero denominator."""
+    if denominator == 0:
+        raise EvaluationError("division by zero at evaluation point")
+    if isinstance(numerator, int) and isinstance(denominator, int):
+        return Fraction(numerator, denominator)
+    return numerator / denominator
+
+
+def _exact_call(fn: str, arg) -> float:
+    """fn(arg) in floats in an exact source, EvaluationError off its domain."""
+    arg = float(arg)
+    try:
+        return _MATH[fn](arg)
+    except (ValueError, OverflowError) as exc:
+        raise EvaluationError(f"{fn}({arg}) out of domain") from exc
 
 
 def random_rational(rng: random.Random, span: int = 2) -> Fraction:
@@ -1520,7 +1520,8 @@ def is_zero(e: Expr, seed: int = 0) -> ZeroDecision:
     exactly when e is zero, so no gcd runs.  Trees whose normal form
     involves function atoms and is not formally zero fall back to
     evaluation at ZERO_TEST_SAMPLES random rational points: any value above
-    ZERO_TEST_TOL decides NonZero, all-zero yields Unknown (probabilistic).
+    ZERO_TEST_TOL decides NonZero, all-zero yields Unknown (probabilistic);
+    e is compiled once (compile_vector, exact) and run at every point.
     Where fewer of 20 * ZERO_TEST_SAMPLES points are regular it raises
     EvaluationError naming how many were, and why the last one was not.
     """
@@ -1531,14 +1532,15 @@ def is_zero(e: Expr, seed: int = 0) -> ZeroDecision:
         return ZeroDecision("nonzero", exact=True)
     rng = random.Random(seed)
     names = sorted(free_variables(e))
+    value_at = compile_vector([e], names, exact=True)
     taken = 0
     attempts = 0
     last = None  # why the last point tried was not regular
     while taken < ZERO_TEST_SAMPLES and attempts < 20 * ZERO_TEST_SAMPLES:
         attempts += 1
-        env = {n: random_rational(rng) for n in names}
+        point = [random_rational(rng) for _ in names]
         try:
-            value = float(evaluate(e, env))
+            value = float(value_at(*point)[0])
         except (EvaluationError, OverflowError) as exc:  # not a regular point in floats
             last = f"{exc} ({exc.__cause__})" if exc.__cause__ else str(exc)
             continue
@@ -1583,24 +1585,47 @@ def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
     return substitute(e, {old: Var(new) for old, new in mapping.items()})
 
 
-def python_source(e: Expr, names: Mapping[str, str]) -> str:
+def python_source(e: Expr, names: Mapping[str, str], exact: bool = False) -> str:
     """Python source of e, with each variable written as names[variable] and
-    the functions as _sin/_cos/_exp/_ln (run it with compile_source)."""
+    the functions as _sin/_cos/_exp/_ln (run it with compile_source).
+
+    The exact source runs at Fraction points with Fraction results where e
+    is rational, and in floats from each function application on.  A
+    non-integer constant is a Fraction; a sum or a product is one call of
+    sum or math.prod on its terms (_exact_sum, _exact_prod), so a node of
+    thousands of terms compiles, and no node nests deeper than in the float
+    source; powers, quotients and functions go through _exact_pow,
+    _exact_div and _exact_call, which raise EvaluationError past
+    MAX_EXACT_BITS, at a zero denominator and off a function's domain."""
     if isinstance(e, Const):
-        return f"({_rational_str(e.value)})"
+        q = e.value
+        if exact and q.denominator != 1:
+            return f"_F({_int_str(q.numerator)}, {_int_str(q.denominator)})"
+        return f"({_rational_str(q)})"
     if isinstance(e, Var):
         return names[e.name]
     if isinstance(e, Add):
-        return "(" + "+".join(python_source(t, names) for t in e.terms) + ")"
+        terms = [python_source(t, names, exact) for t in e.terms]
+        return f"_sum({','.join(terms)})" if exact else "(" + "+".join(terms) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(python_source(f, names) for f in e.factors) + ")"
+        factors = [python_source(f, names, exact) for f in e.factors]
+        return f"_prod({','.join(factors)})" if exact else "(" + "*".join(factors) + ")"
     if isinstance(e, Pow):
-        return f"({python_source(e.base, names)}**{e.exponent})"
+        base = python_source(e.base, names, exact)
+        return f"_pow({base},{e.exponent})" if exact else f"({base}**{e.exponent})"
     if isinstance(e, Div):
-        return f"({python_source(e.numerator, names)}/{python_source(e.denominator, names)})"
+        num, den = python_source(e.numerator, names, exact), python_source(e.denominator, names, exact)
+        return f"_div({num},{den})" if exact else f"({num}/{den})"
     if isinstance(e, Call):
-        return f"_{e.fn}({python_source(e.arg, names)})"
+        arg = python_source(e.arg, names, exact)
+        return f"_call('{e.fn}',{arg})" if exact else f"_{e.fn}({arg})"
     raise TypeError(f"cannot compile {type(e).__name__}")
+
+
+# what generated sources call: python_source's functions, float and exact
+_SCOPE = {"__builtins__": {}, **{f"_{fn}": f for fn, f in _MATH.items()}, "_F": Fraction,
+          "_sum": _exact_sum, "_prod": _exact_prod, "_pow": _exact_pow, "_div": _exact_div,
+          "_call": _exact_call}
 
 
 @lru_cache(maxsize=256)
@@ -1613,24 +1638,28 @@ def compile_source(source: str, name: str, **scope) -> Callable:
     in a scope holding the functions python_source emits plus `scope`.
 
     Each source text is compiled once per process, in a bounded cache (256
-    texts; `examples run-all --seed 0` compiles 49), and run in a fresh
+    texts; `examples run-all --seed 0` compiles 58), and run in a fresh
     namespace on every call, so systems whose sources coincide share code
     but never scope values such as coefficient tables."""
-    namespace = {"__builtins__": {}, **{f"_{fn}": f for fn, f in _MATH.items()}, **scope}
+    namespace = {**_SCOPE, **scope}
     exec(_compiled(source), namespace)  # noqa: S102 - source generated from our own AST
     return namespace[name]
 
 
-def compile_vector(exprs: Sequence[Expr], var_order: Sequence[str]) -> Callable[..., list]:
+def compile_vector(exprs: Sequence[Expr], var_order: Sequence[str],
+                   exact: bool = False) -> Callable[..., list]:
     """One function of the variables in var_order returning the list of the
     values of exprs; a variable outside var_order raises EvaluationError
     naming every such variable.  Pass plain floats: division by zero and
     domain errors then surface as ZeroDivisionError, ValueError or
     OverflowError, which callers treat as singular points (numpy scalars
-    would give inf or nan with a warning instead)."""
+    would give inf or nan with a warning instead).  The exact vector
+    (python_source's exact source) takes Fractions or floats, and raises
+    EvaluationError at a pole, past MAX_EXACT_BITS or off a function's
+    domain, and OverflowError where a float overflows."""
     params = {name: f"_v{i}" for i, name in enumerate(var_order)}
     try:
-        bodies = [python_source(e, params) for e in exprs]
+        bodies = [python_source(e, params, exact) for e in exprs]
     except KeyError:
         missing = set().union(*(free_variables(e) for e in exprs)) - set(var_order)
         raise EvaluationError(f"expression uses variables not in order: {sorted(missing)}") from None

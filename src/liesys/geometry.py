@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import expr as ex
 from .errors import ChartMismatchError
@@ -129,10 +129,6 @@ class VectorField:
         return ex.Add(tuple(
             ex.Mul((c, ex._diff_tree(f, v))) for v, c in zip(self.chart.names, self.components)
         ))
-
-    def evaluate(self, point: Mapping[str, object] | Sequence) -> list:
-        env = point if isinstance(point, Mapping) else dict(zip(self.chart.names, point))
-        return [ex.evaluate(c, env) for c in self.components]
 
     def is_zero_field(self) -> bool:
         return all(ex.is_zero(c).verdict == "zero" for c in self.components)

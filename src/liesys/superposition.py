@@ -287,14 +287,15 @@ def transversality_rank(rule: SuperpositionRule, seed: int = 0) -> tuple[int, bo
     slot-0 fibre: a leaf and the m other points fix x_(0) locally.  The
     entries are the derivative trees (ex._diff_tree) of the first s rows of
     the Jacobian that the leaf solve compiles (_leaf_solve), unreduced,
-    so no gcd runs."""
-    chart = rule.product_chart
-    matrix = [[ex._diff_tree(p, v) for v in chart.slot_names(0)] for p in rule.psi]
+    so no gcd runs, compiled once as an exact vector (ex.compile_vector)."""
+    chart, n = rule.product_chart, rule.base_chart.dim
+    entries = ex.compile_vector([ex._diff_tree(p, v) for p in rule.psi for v in chart.slot_names(0)],
+                                chart.names, exact=True)
 
     def rank_at(values):
-        env = dict(zip(chart.names, values))
         try:
-            return algebra._rank([[ex.evaluate(e, env) for e in row] for row in matrix])
+            flat = entries(*values)
+            return algebra._rank([flat[j:j + n] for j in range(0, len(flat), n)])
         except OverflowError:
             raise EvaluationError("a derivative of psi is out of the float range") from None
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from liesys import expr as ex
 from liesys.expr import Add, Call, Const, Div, Expr, Mul, Pow, Var, compile_vector
@@ -56,6 +57,29 @@ def random_tree(rng: random.Random, names=VARS, depth=3, transcendental=False) -
     num = random_tree(rng, names, depth - 1, transcendental)
     den = Add((Pow(Var(rng.choice(names)), 2), Const(rng.randint(1, 4))))
     return Div(num, den)
+
+
+def to_sympy(e: Expr):
+    """e as a sympy expression, node by node, with exact rational constants."""
+    if isinstance(e, Const):
+        return sympy.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Var):
+        return sympy.Symbol(e.name)
+    if isinstance(e, Add):
+        return sympy.Add(*map(to_sympy, e.terms))
+    if isinstance(e, Mul):
+        return sympy.Mul(*map(to_sympy, e.factors))
+    if isinstance(e, Pow):
+        return to_sympy(e.base) ** e.exponent
+    if isinstance(e, Div):
+        return to_sympy(e.numerator) / to_sympy(e.denominator)
+    return getattr(sympy, "log" if e.fn == "ln" else e.fn)(to_sympy(e.arg))
+
+
+def sympy_at(e: Expr, point):
+    """sympy's exact value of e at the point {name: Fraction or int}."""
+    return to_sympy(e).subs({sympy.Symbol(n): sympy.Rational(v.numerator, v.denominator)
+                             for n, v in point.items()})
 
 
 def compile_scalar(e: Expr, names):

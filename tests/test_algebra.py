@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,12 +22,12 @@ from liesys.algebra import (
 )
 from liesys.catalog import gl_fields
 from liesys.dynamics import CoefficientCurve, LieSystem
-from liesys.errors import ChartMismatchError, ClosureCapError, RankTestError
+from liesys.errors import ChartMismatchError, ClosureCapError, EvaluationError, RankTestError
 from liesys.expr import Chart, is_zero
 from liesys.geometry import VectorField, lie_bracket
 from liesys.pde import PdeSystem
 
-from conftest import monic_gcd, random_polynomial
+from conftest import monic_gcd, random_polynomial, to_sympy
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -355,7 +356,7 @@ class TestMinimalM:
         fields = _gl_scaled(n, seed=n)
         rank, points = algebra.evaluation_rank, []
         monkeypatch.setattr(algebra, "evaluation_rank",
-                            lambda fs, ps: points.append(len(ps)) or rank(fs, ps))
+                            lambda vector, dim, ps: points.append(len(ps)) or rank(vector, dim, ps))
         report = minimal_m(fields, seed=n)
         # rank k n is the most k points can give: the first tuple to reach it
         # ends the ranking at k, and the other two are drawn but not ranked
@@ -625,6 +626,27 @@ class TestRankOverQ:
         assert algebra._rank_over_q(mat) == want
 
 
+class TestEvaluationRank:
+    def test_exact_at_fractions(self):
+        vector = algebra.field_vector([field(LINE, "1"), field(LINE, "x/3")])
+        assert algebra.evaluation_rank(vector, 1, [[Fraction(1)], [Fraction(2)]]) == (2, True)
+        assert algebra.evaluation_rank(vector, 1, [[Fraction(1)]]) == (1, True)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_a_float_that_is_not_finite_is_out_of_range(self, bad):
+        # an inf row would rank 0, and an SVD of NaN raises LinAlgError
+        with pytest.raises(OverflowError):
+            algebra._rank([[1.0, bad], [0.5, 2.0]])
+
+    @pytest.mark.parametrize("component, at", [("exp(x)*exp(x)", 401.0),
+                                               ("exp(x)*exp(x)*(x - 400)", 400.0)])
+    def test_a_field_past_the_float_range_names_the_points(self, component, at):
+        vector = algebra.field_vector([field(LINE, "1"), field(LINE, component)])
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"field value at ({at}); (1.0) is out of the float range")):
+            algebra.evaluation_rank(vector, 1, [[at], [1.0]])
+
+
 class TestEchelonOverZ:
     def test_rows_hold_ints_after_a_widened_denominator(self):
         chart = Chart(("x1", "x2", "x3", "x4"))
@@ -723,6 +745,8 @@ def _reference_minimal_m(fields, seed=0, samples=24):
     singular values of the float evaluations; stop at the first k where at
     least 0.9 of them reach rank r."""
     r, n = len(fields), fields[0].chart.dim
+    symbols = sympy.symbols(fields[0].chart.names)
+    values = sympy.lambdify(symbols, [to_sympy(c) for f in fields for c in f.components], "math")
     rng = random.Random(seed)
     for k in range(1, r + 1):
         ranks = []
@@ -731,7 +755,7 @@ def _reference_minimal_m(fields, seed=0, samples=24):
             if any(max(abs(float(a - b)) for a, b in zip(p, q)) < 1e-6
                    for p, q in itertools.combinations(points, 2)):
                 continue
-            rows = [[float(f.evaluate(p)[i]) for f in fields] for p in points for i in range(n)]
+            rows = [v[i::n] for v in (values(*map(float, p)) for p in points) for i in range(n)]
             ranks.append(algebra.matrix_rank(np.array(rows)))
         if sum(rank == r for rank in ranks) >= 0.9 * samples:
             return k

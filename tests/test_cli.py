@@ -192,7 +192,8 @@ class TestClosureCommand:
         code, doc = run(tmp_path, "closure", str(PROBLEMS / "incomplete_pair.json"))
         assert code == 1
         assert doc["passed"] is False
-        assert doc["extra"]["witness"]["pair"] == [0, 1]
+        assert doc["extra"]["closure"]["witness"]["pair"] == [0, 1]
+        assert "witness" not in doc["extra"]
 
     def test_completion_flag(self, tmp_path):
         code, doc = run(
@@ -370,6 +371,25 @@ class TestVerify:
                             staticmethod(lambda *args: calls.append(1) or real(*args)))
         code, _ = run(tmp_path, "verify", str(PROBLEMS / "riccati.json"))
         assert code == 0 and len(calls) == 3
+
+    @pytest.mark.parametrize("seed", ["5", "6"])
+    def test_a_nan_derivative_of_psi_is_a_missed_tuple(self, tmp_path, capsys, seed):
+        # dpsi/dx_0 = 1 + 800 exp(400 d)^2 - 798 exp(399 d)^2, d = x_0 - x_1,
+        # is inf - inf = NaN where both squares overflow, as at tuples these
+        # seeds draw: a miss of the rank search, not an SVD of NaN
+        code, _ = run(tmp_path, "verify", str(INPUTS / "nan_psi_derivative.json"), "--seed", seed)
+        assert code == 0
+        assert "  PASS psi_transversal  [probabilistic]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify", "superpose"])
+    @pytest.mark.parametrize("name", ["nan_field_points", "inf_field_points"])
+    def test_a_field_past_the_float_range_at_supplied_points_fails_by_name(
+            self, capsys, command, name):
+        # exp(x)*exp(x) is inf at 401, and inf * 0 = NaN at 400: neither
+        # ranks, and neither is a rank-deficient tuple
+        assert main([command, str(INPUTS / f"{name}.json")]) == 1
+        assert ("  FAIL completed  (field value at (400.0); (401.0) is out of the float range)"
+                in capsys.readouterr().out.splitlines())
 
     def test_euclidean_rule(self, tmp_path):
         code, doc = run(tmp_path, "verify", str(PROBLEMS / "euclidean.json"))

@@ -32,7 +32,6 @@ from liesys.expr import (
     canonically_equal,
     compile_vector,
     differentiate,
-    evaluate,
     free_variables,
     is_zero,
     parse,
@@ -42,7 +41,7 @@ from liesys.expr import (
 from liesys.expr import _divides, _padd, _pdiv_exact, _pmul
 from liesys.geometry import VectorField, lie_bracket
 
-from conftest import VARS, compile_scalar, monic, monic_gcd, random_polynomial, random_tree
+from conftest import VARS, compile_scalar, monic, monic_gcd, random_polynomial, random_tree, sympy_at
 
 
 def equivalent(a, b) -> bool:
@@ -85,12 +84,12 @@ class TestParse:
 
     def test_rational_literals(self):
         e = parse("3/4 + 1/4", ["x"])
-        assert evaluate(e, {}) == Fraction(1)
+        assert sympy_at(e, {}) == 1
 
     def test_precedence_and_unary_minus(self):
-        assert evaluate(parse("-2^2", ["x"]), {}) == Fraction(-4)
-        assert evaluate(parse("2 - 3*4", ["x"]), {}) == Fraction(-10)
-        assert evaluate(parse("12/3/2", ["x"]), {}) == Fraction(2)
+        assert sympy_at(parse("-2^2", ["x"]), {}) == -4
+        assert sympy_at(parse("2 - 3*4", ["x"]), {}) == -10
+        assert sympy_at(parse("12/3/2", ["x"]), {}) == 2
 
     def test_non_integer_exponent_rejected(self):
         with pytest.raises(ParseError):
@@ -103,7 +102,7 @@ class TestParse:
 
     def test_function_call(self):
         e = parse("sin(x)^2", ["x"])
-        assert abs(evaluate(e, {"x": 0.5}) - math.sin(0.5) ** 2) < 1e-15
+        assert abs(float(sympy_at(e, {"x": Fraction(1, 2)})) - math.sin(0.5) ** 2) < 1e-15
 
     def test_function_name_needs_call(self):
         with pytest.raises(ParseError):
@@ -577,33 +576,64 @@ class TestCanonicalForm:
                 assert sympy.gcd(sympy.Poly(num, *syms), sympy.Poly(den, *syms)).is_ground
 
 
-class TestEvaluate:
-    def test_exact_rational(self):
-        v = evaluate(parse("x^2*y - x/y", ["x", "y"]), {"x": Fraction(2), "y": Fraction(3)})
-        assert v == Fraction(34, 3)
+def exact_value(e, point):
+    """e's exact vector (compile_vector, exact=True) at the point {name: value}."""
+    return compile_vector([e], tuple(point), exact=True)(*point.values())[0]
+
+
+def _divisors(e):
+    """The denominators of every quotient in e."""
+    if isinstance(e, Div):
+        yield e.denominator
+    for child in _children(e):
+        yield from _divisors(child)
+
+
+class TestExactVector:
+    def test_fraction_in_fraction_out(self):
+        v = exact_value(parse("x^2*y - x/y + 1/2", ["x", "y"]), {"x": Fraction(2), "y": Fraction(3)})
+        assert v == Fraction(71, 6)
         assert isinstance(v, Fraction)
 
-    def test_float_for_transcendental(self):
-        v = evaluate(parse("exp(x)", ["x"]), {"x": Fraction(1)})
+    def test_int_quotient_stays_exact(self):
+        # int literals stay ints in the source; their quotient is a Fraction
+        assert exact_value(Div(Const(1), Const(3)), {}) == Fraction(1, 3)
+
+    def test_float_where_a_function_is_applied(self):
+        v = exact_value(parse("exp(x)", ["x"]), {"x": Fraction(1)})
         assert isinstance(v, float) and abs(v - math.e) < 1e-15
 
     def test_missing_name(self):
-        with pytest.raises(EvaluationError):
-            evaluate(parse("x + y", ["x", "y"]), {"x": 1})
+        with pytest.raises(EvaluationError, match=re.escape("not in order: ['y']")):
+            compile_vector([parse("x + y", ["x", "y"])], ("x",), exact=True)
 
-    def test_division_by_zero(self):
-        with pytest.raises(EvaluationError):
-            evaluate(parse("1/x", ["x"]), {"x": 0})
+    @pytest.mark.parametrize("zero", [Fraction(0), 0.0])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(EvaluationError, match="^division by zero at evaluation point$"):
+            exact_value(parse("1/x", ["x"]), {"x": zero})
 
-    def test_compiled_matches_evaluate(self, rng):
+    def test_a_function_off_its_domain_names_it(self):
+        with pytest.raises(EvaluationError, match=re.escape("ln(-1.0) out of domain")):
+            exact_value(parse("ln(x)", ["x"]), {"x": Fraction(-1)})
+
+    def test_power_past_the_exact_bound_is_refused(self):
+        # 8/3 has 4 bits: x^(2^19) would have about 3 * 2^19 > MAX_EXACT_BITS
+        e = Pow(Var("x"), 2**19)
+        with pytest.raises(EvaluationError, match=f"would exceed {ex.MAX_EXACT_BITS} bits"):
+            exact_value(e, {"x": Fraction(8, 3)})
+        assert exact_value(e, {"x": Fraction(1, 1)}) == 1
+
+    def test_a_sum_of_thousands_of_terms_compiles(self):
+        e = Add(tuple(Mul((Const(i), Pow(Var("x"), i + 2))) for i in range(1, 5000)))
+        assert exact_value(e, {"x": Fraction(1, 2)}) == sum(
+            Fraction(i, 2 ** (i + 2)) for i in range(1, 5000))
+
+    def test_compiled_floats_match_sympy(self, rng):
         for _ in range(25):
             e = random_tree(rng, depth=3)
             fn = compile_scalar(e, ("x", "y", "z"))
             point = {n: Fraction(rng.randint(-20, 20), 10) for n in ("x", "y", "z")}
-            try:
-                expected = float(evaluate(e, point))
-            except EvaluationError:
-                continue
+            expected = float(sympy_at(e, point))
             got = fn(float(point["x"]), float(point["y"]), float(point["z"]))
             assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
 
@@ -913,7 +943,7 @@ class TestLazyReduction:
                         _, want = _dual(e, env, v)
                     except ZeroDivisionError:
                         continue
-                    assert evaluate(derivative, env) == want, f"d/d{v} {e} at {env}"
+                    assert sympy_at(derivative, env) == want, f"d/d{v} {e} at {env}"
                     compared += 1
                     break
         assert compared >= 200
@@ -959,7 +989,7 @@ class TestHugeConstants:
 
 class TestExactPowerBound:
     """A power's normal form refuses a power whose leading coefficient alone
-    would pass MAX_EXACT_BITS, before multiplying it out, as evaluate does;
+    would pass MAX_EXACT_BITS, before multiplying it out, as an exact source does;
     the bound is a lower bound on the size, so a power that fits passes."""
 
     def test_constant_power_at_the_bound(self):
@@ -1018,7 +1048,8 @@ _SOURCE_NAMES = {"x": "_v0", "y": "_v1"}
 LAZY_READERS = {
     "str": str,
     "python_source": lambda e: python_source(e, _SOURCE_NAMES),
-    "evaluate": lambda e: evaluate(e, {"x": Fraction(1, 3), "y": Fraction(2, 5)}),
+    "python_source exact": lambda e: python_source(e, _SOURCE_NAMES, exact=True),
+    "sympy": lambda e: sympy_at(e, {"x": Fraction(1, 3), "y": Fraction(2, 5)}),
     "free_variables": free_variables,
     "substitute": lambda e: str(substitute(e, {"x": _plane("x + y"), "y": _plane("2*x")})),
     "_diff_tree": lambda e: [str(ex._diff_tree(e, v)) for v in PLANE_NAMES],
@@ -1074,6 +1105,26 @@ _RATIONAL_TREES = st.recursive(
     _grow_rational, max_leaves=8)
 
 
+class TestExactVectorAgainstSympy:
+    """The exact vector of a rational tree at a rational point is sympy's
+    exact value, or both meet a zero divisor."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(e=_RATIONAL_TREES,
+           values=st.lists(st.fractions(-3, 3, max_denominator=6), min_size=3, max_size=3))
+    @example(e=_plane("x/y - 1/(x - y)"), values=[Fraction(1), Fraction(1), Fraction(0)])
+    def test_rational_trees_match_sympy(self, e, values):
+        point = dict(zip(VARS, values))
+        if any(sympy_at(d, point) == 0 for d in _divisors(e)):
+            with pytest.raises(EvaluationError, match="division by zero"):
+                exact_value(e, point)
+            return
+        want = sympy_at(e, point)
+        got = exact_value(e, point)
+        assert isinstance(got, (int, Fraction))
+        assert got == Fraction(int(want.p), int(want.q))
+
+
 class TestLazySums:
     """A sum rebuilt from a normal form builds its terms on first read, with
     the one builder an eager build runs, and is a plain Add from then on."""
@@ -1110,7 +1161,7 @@ class TestLazySums:
         want = ex._tree(*nf.canonical(), nf)
         assert str(got) == str(want)
         point = {"x": Fraction(1, 3), "y": Fraction(-2, 5), "z": Fraction(3, 7)}
-        assert evaluate(got, point) == evaluate(want, point)
+        assert sympy_at(got, point) == sympy_at(want, point)
         names = {v: f"_v{i}" for i, v in enumerate(VARS)}
         assert python_source(got, names) == python_source(want, names)
 

@@ -216,6 +216,24 @@ class TestTransversality:
         rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["sin(x_0) - x_1"])
         assert transversality_rank(rule) == (1, False)
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_a_derivative_that_is_not_finite_is_a_missed_tuple(self, seed):
+        # dpsi/dx_0 = 1 + 800 exp(400 d)^2 - 798 exp(399 d)^2, d = x_0 - x_1,
+        # is inf - inf = NaN where both squares overflow, as at a tuple each
+        # of these seeds draws
+        a, b = "exp(400*x_0 - 400*x_1)", "exp(399*x_0 - 399*x_1)"
+        rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=[f"x_0 - x_1 + {a}*{a} - {b}*{b}"])
+        assert transversality_rank(rule, seed=seed) == (1, False)
+
+    def test_a_psi_nested_to_the_parse_limit_compiles(self):
+        # 31 quotients deep, the most parse() takes: a node of the exact
+        # derivative trees nests no deeper than in the leaf solve's float
+        # source, below CPython's 200 parenthesis levels
+        psi = "x_1"
+        for _ in range(31):
+            psi = f"sin(x_1)/(x_0 + {psi})"
+        assert transversality_rank(SuperpositionRule.from_strings(LINE, 1, 1, psi=[psi])) == (1, False)
+
     def test_an_atom_off_the_slot0_partials_leaves_the_rank_exact(self):
         # dpsi/dx_0 = 1 is rational, so its rank is decided over Q
         rule = SuperpositionRule.from_strings(LINE, 1, 1, psi=["x_0 + exp(x_1)"])

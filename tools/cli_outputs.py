@@ -98,7 +98,11 @@ FLAG_CALLS = (
 # the fields 1 and x^(2^63), whose exponent is past the bound of a
 # monomial's field; and the field exp(x^2 + 729), which overflows at every
 # sample point of the zero test; and the Mobius orbit 1/(1 - t) of x' = x^2,
-# whose last node lands on the pole (group.POLE_INF) and reads null in --json
+# whose last node lands on the pole (group.POLE_INF) and reads null in --json;
+# a psi whose slot-0 derivative is inf - inf = NaN where exp(400 d)^2 and
+# exp(399 d)^2 overflow (d = x_0 - x_1), as at a tuple seed 5 draws; and
+# supplied points where a field is NaN, as inf * 0, or inf, which a rank
+# refuses as out of the float range
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -146,6 +150,11 @@ INPUT_CALLS = (
     ("exponent_past_field.verify", ["verify", "tools/inputs/exponent_past_field.json"]),
     ("exp_overflow_m.m", ["m", "tools/inputs/exp_overflow_m.json"]),
     ("mobius_pole.group", ["group", "tools/inputs/mobius_pole.json"]),
+    ("nan_psi_derivative.verify.seed_5", ["verify", "tools/inputs/nan_psi_derivative.json", "--seed", "5"]),
+    ("nan_field_points.verify", ["verify", "tools/inputs/nan_field_points.json"]),
+    ("nan_field_points.superpose", ["superpose", "tools/inputs/nan_field_points.json"]),
+    ("inf_field_points.verify", ["verify", "tools/inputs/inf_field_points.json"]),
+    ("inf_field_points.superpose", ["superpose", "tools/inputs/inf_field_points.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")

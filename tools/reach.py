@@ -40,8 +40,7 @@ WORKLOADS = ("cli", "exact", "trajectories")
 _PINNED = "bench/w_trajectories.py calls it, and bench/ changes only with the benchmark"
 _GCD = ("the PRS fallback of the gcd: no recorded input makes the heuristic gcd "
         "give up, and the fallback is what makes gcd end")
-_ORACLE = ("a helper of the oracles in TestEchelonAgainstDenseSolve and "
-           "TestMinimalMAgainstVote (tests/test_algebra.py)")
+_ORACLE = "a helper of the oracle in TestEchelonAgainstDenseSolve (tests/test_algebra.py)"
 # module.qualname -> why the function stays although nothing above enters it
 REASONS = {
     "expr._gcd_inner": _GCD,
@@ -53,7 +52,6 @@ REASONS = {
     "expr._padd": _GCD,
     "expr._pneg": _GCD,
     "expr.differentiate": "README names it, and tests use it as an oracle",
-    "geometry.VectorField.evaluate": _ORACLE,
     "geometry.VectorField.__neg__": _ORACLE,
     "geometry.VectorField.__sub__": _ORACLE,
     "expr.ZeroDecision.__bool__": "without it `if is_zero(e):` would be true for every decision",
