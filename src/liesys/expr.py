@@ -1317,8 +1317,9 @@ _ONE = Const(1)
 def _diff_tree(e: Expr, v: str) -> Expr:
     """de/dv as a tree by the product and quotient rules, for trees evaluated
     point by point (compiled Jacobians, sampled residuals, and exactly in
-    superposition.transversality_rank): a power stays a power,
-    where an expanded normal form would cancel far past rounding.  Terms that
+    superposition.transversality_rank for a psi with function atoms): a
+    power stays a power, where an expanded normal form would cancel far past
+    rounding.  Terms that
     are identically zero and factors d/dv v = 1 are left out; the rest keeps
     the full rules' shape and order, so a nonzero value keeps its bits."""
     d = _dtree(e, v)
@@ -1414,6 +1415,24 @@ def _lowered(p, atoms) -> dict[str, dict]:
             if a in atoms:  # lowering one exponent keeps monomials apart
                 partials.setdefault(a, {})[m - _ATOMS.units[a]] = c * e
     return partials
+
+
+def _degree(p) -> int:
+    """The total degree of a polynomial, 0 for {}."""
+    return max((sum(e for _, e in _pairs(m)) for m in p), default=0)
+
+
+def _homogenized_at(p, point: Mapping[str, int], scale: int, degree: int) -> int:
+    """scale^degree * p(point / scale) in integers, for a `degree` at least
+    p's total degree: p at a rational point with its denominators cleared."""
+    total = 0
+    for m, c in p.items():
+        pairs = _pairs(m)
+        term = c * scale ** (degree - sum(e for _, e in pairs))
+        for a, e in pairs:
+            term *= point[a] ** e
+        total += term
+    return total
 
 
 def _pdiff(p, rates: Mapping[str, _NF]) -> _NF:

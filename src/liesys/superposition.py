@@ -7,12 +7,19 @@ rules have s = n, partial rules add n - s constraint expressions cutting the
 submanifold on which the rule lives.  An optional explicit map phi expresses
 slot 0 directly through slots 1..m and the constants k1..ks.
 
-Tangency is decided by the exact zero test of the residuals X~(psi): for full
-rules on the residuals themselves, for partial rules on the residuals pulled
-back along phi, which parametrizes the constraint set N (a partial rule needs
-phi for this).  On N the residuals X~(C) of the constraints are decided too,
-so tangency covers N's invariance under the prolonged fields.  Any phi must
-land on its own leaves, psi(phi) = k and C(phi) = 0.
+A full rule whose psi and fields hold no function atom is decided on psi's
+polynomial numerators: for psi_j = N/D, X~(psi_j) = 0 exactly when
+X~(N) D - N X~(D) is the zero polynomial (tangency), and dpsi_j/dx_(0) has
+the rank of the rows N_v D - N D_v wherever D does not vanish
+(transversality).  N, D and their partials are read once per rule
+(SuperpositionRule._gradient) and serve every field and both decisions.
+Otherwise tangency is the zero test of the residuals X~(psi) that
+VectorField.apply_to builds: for full rules on the residuals themselves, for
+partial rules on the residuals pulled back along phi, which parametrizes the
+constraint set N (a partial rule needs phi for this).  On N the residuals
+X~(C) of the constraints are decided too, so tangency covers N's invariance
+under the prolonged fields.  Any phi must land on its own leaves,
+psi(phi) = k and C(phi) = 0.
 
 Along solutions every rule is checked one way: psi's drift along one
 integrated (m+1)-tuple, with slot 0 starting at x0, or on the leaf of k at t0
@@ -49,6 +56,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -140,6 +149,24 @@ class SuperpositionRule:
     def is_partial(self) -> bool:
         return self.rank < self.base_chart.dim
 
+    @cached_property
+    def _gradient(self) -> tuple[tuple[dict, dict, dict[str, dict], dict[str, dict]], ...] | None:
+        """Per psi_j, its unreduced normal-form pair (N, D) and their nonzero
+        partials {v: d_v} over the product chart (ex._lowered), read once
+        for verify_tangency and transversality_rank; None when some psi_j
+        holds a function atom or cannot be folded within the expansion
+        bounds (LiesysError), where the tree paths decide, or raise, as
+        before."""
+        try:
+            nfs = [ex._nf_of(p) for p in self.psi]
+        except LiesysError:
+            return None
+        if any(nf.trans for nf in nfs):
+            return None
+        names = frozenset(self.product_chart.names)
+        return tuple((num, den, ex._lowered(num, names), ex._lowered(den, names))
+                     for num, den in (nf.num_den for nf in nfs))
+
     @staticmethod
     def from_strings(
         base_chart: Chart,
@@ -189,7 +216,6 @@ class SuperpositionRule:
 class TangencyCheck:
     field_index: int
     component: int
-    residual: Expr
     verdict: str  # zero | nonzero | unknown (every sample vanished)
     probabilistic: bool
     samples: int = 0
@@ -240,22 +266,79 @@ def _phi_on_leaves(rule: SuperpositionRule, seed: int) -> tuple[Mapping[str, Exp
     return on_phi, sampled
 
 
+def _prolonged_rates(rule: SuperpositionRule, field: VectorField) -> dict[str, ex._NF] | None:
+    """The rates X~(x_(a)^i) = X^i, renamed into slot a, of the prolonged
+    field on every variable of the product chart, folded slot by slot from
+    slot 0, as diagonal_prolongation's components are, with no prolonged
+    field built; None when a component holds a function atom."""
+    chart, rates = rule.product_chart, {}
+    for a in range(rule.m + 1):
+        nfs = [ex._nf_of(chart.to_slot(c, a)) for c in field.components]
+        if any(nf.trans for nf in nfs):
+            return None
+        rates.update(zip(chart.slot_names(a), nfs))
+    return rates
+
+
+def _annihilates(gradient_j: tuple, rates: Mapping[str, ex._NF]) -> bool:
+    """X~(N/D) = 0 for psi_j = N/D with its partials (SuperpositionRule._gradient),
+    decided on the polynomial X~(N) D - N X~(D), with X~(N) and X~(D) the
+    dot products of the partials with the rates (ex._nf_dot): no quotient
+    rule or tree, and a gcd only where _nf_dot joins unlike non-constant
+    denominators of the rates."""
+    num, den, dnum, dden = gradient_j
+
+    def moved(partials):
+        return ex._nf_dot((1, ex._NF(q, ex._PONE, False), rates[v]) for v, q in partials.items()).num_den
+
+    an, ad = moved(dnum)
+    bn, bd = moved(dden) if dden else ({}, ex._PONE)
+    if not bn:
+        return not an
+    top = ex._pmul(ex._pmul(an, bd), den)
+    ex._pmul_into(top, ex._pmul(num, bn), ad, -1)
+    return not top
+
+
+def _numerator_verdicts(rule: SuperpositionRule, field: VectorField) -> list[str] | None:
+    """The verdict of X~(psi_j) for each j, on numerators (_annihilates), for
+    a full rule whose psi and field hold no function atom; None otherwise,
+    or where a numerator passes an expansion bound (LiesysError), which the
+    quotient rule's gcd(D, X~(D)) may keep within them."""
+    if rule.is_partial or rule._gradient is None:
+        return None
+    rates = _prolonged_rates(rule, field)
+    if rates is None:
+        return None
+    try:
+        return ["zero" if _annihilates(g, rates) else "nonzero" for g in rule._gradient]
+    except LiesysError:
+        return None
+
+
 def verify_tangency(
     rule: SuperpositionRule,
     fields: Sequence[VectorField],
     seed: int = 0,
 ) -> TangencyReport:
-    """Residuals X~_a(psi^j), as built by VectorField.apply_to, for each
-    basis field and level-map component, each decided by ex.is_zero.
+    """X~_a(psi^j) = 0 for each basis field and level-map component.
+
+    A full rule whose psi and field hold no function atom is decided on
+    numerators: X~(N/D) = 0 exactly when X~(N) D - N X~(D) is the zero
+    polynomial, from psi's partials read once per rule
+    (SuperpositionRule._gradient) and the prolonged field's rates, folded
+    slot by slot (_prolonged_rates).  Otherwise each residual, as built by
+    VectorField.apply_to on the diagonal prolongation, is decided by
+    ex.is_zero.
 
     A phi must land on its own leaves, psi_j(phi) = k_j and C_l(phi) = 0,
     which is decided first (_phi_on_leaves); if one of them can only be
     sampled, every residual verdict is labelled probabilistic.  A partial
     rule's residuals only need to vanish on the constraint set N, which phi
-    parametrizes by (x_(1..m), k): they are decided, and kept in their
-    checks, after substituting phi for slot 0.  They include X~_a(C_l) for
-    each constraint (level "constraint"), which vanish on N exactly when N
-    is invariant under the prolonged fields.
+    parametrizes by (x_(1..m), k): they are decided after substituting phi
+    for slot 0.  They include X~_a(C_l) for each constraint (level
+    "constraint"), which vanish on N exactly when N is invariant under the
+    prolonged fields.
     """
     on_phi, leaves_sampled = (
         _phi_on_leaves(rule, seed) if rule.phi is not None or rule.is_partial else (None, False)
@@ -267,6 +350,10 @@ def verify_tangency(
     for alpha, base_field in enumerate(fields):
         if base_field.chart.names != rule.base_chart.names:
             raise ValueError("fields must live on the rule's base chart")
+        verdicts = _numerator_verdicts(rule, base_field)
+        if verdicts is not None:
+            checks += [TangencyCheck(alpha, j, verdict, leaves_sampled) for j, verdict in enumerate(verdicts)]
+            continue
         prolonged = diagonal_prolongation(base_field, rule.m + 1)
         for level, j, function in levels:
             residual = prolonged.apply_to(function)
@@ -274,21 +361,61 @@ def verify_tangency(
                 residual = ex.substitute(residual, on_phi)
             decision = ex.is_zero(residual, seed=seed)
             checks.append(TangencyCheck(
-                alpha, j, residual, decision.verdict,
+                alpha, j, decision.verdict,
                 leaves_sampled or not decision.exact, decision.samples, level,
             ))
     return TangencyReport(checks)
+
+
+def _rows_at(gradient: tuple, slot0: Sequence[str], names: Sequence[str],
+             values: Sequence[Fraction]) -> list[list[int]]:
+    """Per psi_j = N/D (SuperpositionRule._gradient), the row N_v D - N D_v
+    over the slot-0 variables v at the rational point `values` of `names`,
+    in integers: each of N, D and their partials is homogenized to K, the
+    larger total degree of N and D, by L, the lcm of the point's
+    denominators (ex._homogenized_at).  The row is L^(2K) D^2 times that
+    of dpsi_j/dx_(0), so it has the same rank where D does not vanish.
+    Raises EvaluationError where some D_j vanishes (a pole of psi_j) or an
+    integer L^K or x^K might pass MAX_EXACT_BITS."""
+    scale = math.lcm(*(v.denominator for v in values))
+    point = {a: v.numerator * (scale // v.denominator) for a, v in zip(names, values)}
+    largest = max(scale, *map(abs, point.values()))
+    rows = []
+    for num, den, dnum, dden in gradient:
+        degree = max(ex._degree(num), ex._degree(den))
+        ex._bound_power(largest, degree)
+        n, d = (ex._homogenized_at(p, point, scale, degree) for p in (num, den))
+        if not d:
+            raise EvaluationError("division by zero at evaluation point")
+        rows.append([ex._homogenized_at(dnum.get(v, {}), point, scale, degree) * d
+                     - n * ex._homogenized_at(dden.get(v, {}), point, scale, degree) for v in slot0])
+    return rows
 
 
 def transversality_rank(rule: SuperpositionRule, seed: int = 0) -> tuple[int, bool]:
     """Rank of the s x n matrix dpsi_j/dx_(0),i at random rational points of
     the product chart, and whether it is exact (algebra._generic_rank, with
     its Schwartz-Zippel bound).  Rank s means psi is transversal to the
-    slot-0 fibre: a leaf and the m other points fix x_(0) locally.  The
-    entries are the derivative trees (ex._diff_tree) of the first s rows of
-    the Jacobian that the leaf solve compiles (_leaf_solve), unreduced,
-    so no gcd runs, compiled once as an exact vector (ex.compile_vector)."""
+    slot-0 fibre: a leaf and the m other points fix x_(0) locally.
+
+    Where psi holds no function atom, row j is N_v D - N D_v for psi_j =
+    N/D, from the partials read once per rule (SuperpositionRule._gradient),
+    evaluated in integers (_rows_at): it has the rank of dpsi_j/dx_(0)
+    wherever D_j is nonzero, and a tuple where some D_j vanishes is a miss.
+    Where every tuple misses there, and with function atoms, the entries
+    are the derivative trees (ex._diff_tree) of the first s rows of the
+    Jacobian that the leaf solve compiles (_leaf_solve), unreduced, so no
+    gcd runs, compiled once as an exact vector (ex.compile_vector)."""
     chart, n = rule.product_chart, rule.base_chart.dim
+    if rule._gradient is not None:
+        slot0 = chart.slot_names(0)
+        try:
+            rank, _, exact = algebra._generic_rank(
+                lambda values: algebra._rank(_rows_at(rule._gradient, slot0, chart.names, values)),
+                chart.dim, rule.rank, random.Random(seed))
+            return rank, exact
+        except EvaluationError:
+            pass
     entries = ex.compile_vector([ex._diff_tree(p, v) for p in rule.psi for v in chart.slot_names(0)],
                                 chart.names, exact=True)
 

@@ -102,7 +102,9 @@ FLAG_CALLS = (
 # a psi whose slot-0 derivative is inf - inf = NaN where exp(400 d)^2 and
 # exp(399 d)^2 overflow (d = x_0 - x_1), as at a tuple seed 5 draws; and
 # supplied points where a field is NaN, as inf * 0, or inf, which a rank
-# refuses as out of the float range
+# refuses as out of the float range; and a psi whose exp atoms cancel in
+# its normal form, x_0 - x_1, but still mark it, so its rank is sampled in
+# floats
 INPUT_CALLS = (
     ("partial_not_invariant.verify", ["verify", "tools/inputs/partial_not_invariant.json"]),
     ("partial_not_invariant.superpose", ["superpose", "tools/inputs/partial_not_invariant.json"]),
@@ -155,6 +157,7 @@ INPUT_CALLS = (
     ("nan_field_points.superpose", ["superpose", "tools/inputs/nan_field_points.json"]),
     ("inf_field_points.verify", ["verify", "tools/inputs/inf_field_points.json"]),
     ("inf_field_points.superpose", ["superpose", "tools/inputs/inf_field_points.json"]),
+    ("psi_atoms_cancel.verify", ["verify", "tools/inputs/psi_atoms_cancel.json"]),
 )
 # commands whose --csv dumps are recorded
 CSV_COMMANDS = ("solve", "superpose", "group")
